@@ -6,8 +6,11 @@
 //! definition. The single entry point is the [`BootRequest`] builder:
 //! the scenario is lowered to a [`crate::pipeline::BootPlanIr`], the
 //! enabled [`PlanPass`]es transform it (recording a [`PassDelta`]
-//! each), and [`crate::pipeline::execute_instrumented`] runs the boot
-//! end to end. Callers that boot in a loop attach a
+//! each), and the executor runs the boot end to end. The same builder
+//! carries the deployment safety nets: a [`FallbackPolicy`] supervisor
+//! ([`BootRequest::fallback`]) and a boot artifact as read back from
+//! storage ([`BootRequest::artifact`]), validated through the
+//! [`crate::recovery`] chain. Callers that boot in a loop attach a
 //! [`MachineBuilder`] via [`BootRequest::machine_builder`] so each boot
 //! reuses the previous machine's allocations.
 //!
@@ -27,11 +30,16 @@ use std::sync::Arc;
 
 use crate::config::BbConfig;
 use crate::error::Error;
+use crate::fallback::{DegradedBoot, FallbackPolicy};
 use crate::pipeline::{
     execute_pooled, execute_pooled_owned, execute_prefix_pooled, execute_suffix,
     execute_suffix_view, BootPlanIr, OwnedPlan, PassDelta, Pipeline, PrefixView, SuffixView,
 };
 use crate::plan_cache::PlanCache;
+use crate::recovery::{
+    validate_preparse_blob, ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent,
+    RecoveryReason,
+};
 use crate::service_engine::{ParseCostParams, PreParser};
 
 /// A complete boot scenario (hardware + software + completion policy).
@@ -109,13 +117,46 @@ impl FullBootReport {
 /// bootcharts, chrome traces, and pass spans).
 #[derive(Debug)]
 pub struct Boot {
-    /// Everything measured from the boot.
+    /// Everything measured from the boot. When the fallback supervisor
+    /// tripped, this is the abandoned attempt (faults installed).
     pub report: FullBootReport,
     /// The simulated machine, run to quiescence.
     pub machine: Machine,
     /// Artifact recoveries this boot incurred (empty unless an artifact
     /// was supplied and needed the [`crate::recovery`] chain).
-    pub recoveries: Vec<crate::recovery::RecoveryEvent>,
+    pub recoveries: Vec<RecoveryEvent>,
+    /// The conventional rescue boot, when a
+    /// [`fallback`](BootRequest::fallback) supervisor judged the
+    /// attempt failed; `None` for a boot that met its policy (or ran
+    /// unsupervised).
+    pub degraded: Option<Box<DegradedBoot>>,
+}
+
+impl Boot {
+    fn new((report, machine): (FullBootReport, Machine)) -> Boot {
+        Boot {
+            report,
+            machine,
+            recoveries: Vec::new(),
+            degraded: None,
+        }
+    }
+
+    /// The user-visible boot time: the completion time of a boot that
+    /// met its policy, or — for a degraded boot — the time the
+    /// supervisor burned detecting the failure plus the conventional
+    /// rescue. `None` if the boot (or its rescue) never completed.
+    pub fn user_boot_time(&self) -> Option<SimTime> {
+        match &self.degraded {
+            None => self.report.try_boot_time(),
+            Some(d) => d.rescue.try_boot_time().map(|t| t + d.detected_after),
+        }
+    }
+
+    /// Total supervised respawns across all units of the attempt.
+    pub fn restarts(&self) -> u32 {
+        self.report.boot.services.values().map(|s| s.restarts).sum()
+    }
 }
 
 /// Where in the boot timeline a [`Checkpoint`] is taken.
@@ -170,6 +211,8 @@ impl Checkpoint {
 
     /// The serialized machine snapshot (see [`bb_sim::snapshot`] for
     /// the format). Stable for identical scenarios and prefix keys.
+    /// Hand a read of it back through [`BootRequest::artifact`] to
+    /// resume from the image as it came back from storage.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -184,26 +227,14 @@ impl Checkpoint {
     pub fn kernel(&self) -> &KernelReport {
         &self.kernel
     }
-
-    /// This checkpoint with its snapshot image replaced by `bytes` —
-    /// the image as it came back from storage, which may differ from
-    /// what was written. [`BootRequest::resume`] validates the image
-    /// (header pins plus the v2 payload checksum) and surfaces damage
-    /// as [`Error::Snapshot`]; [`crate::recovery::resume_or_cold_boot`]
-    /// turns that into a recovered cold boot.
-    pub fn with_image(&self, bytes: Vec<u8>) -> Checkpoint {
-        Checkpoint {
-            bytes,
-            ..self.clone()
-        }
-    }
 }
 
 /// The single entry point for booting a scenario: a builder over every
 /// knob the old `boost_*` family spread across four functions.
 ///
 /// Defaults: the full BB configuration, no pre-built parser
-/// measurements, no faults, telemetry off, no plan tweak.
+/// measurements, no faults, no fallback supervisor, no artifact,
+/// telemetry off, no plan tweak.
 ///
 /// # Examples
 ///
@@ -223,7 +254,8 @@ pub struct BootRequest<'s> {
     cfg: BbConfig,
     pre: Option<&'s PreParser>,
     faults: Option<&'s FaultPlan>,
-    artifact: Option<&'s crate::recovery::ArtifactRead>,
+    fallback: Option<FallbackPolicy>,
+    artifact: Option<&'s ArtifactRead>,
     telemetry: bool,
     builder: Option<&'s mut MachineBuilder>,
     cache: Option<(&'s PlanCache, &'s Arc<Scenario>)>,
@@ -239,6 +271,7 @@ impl<'s> BootRequest<'s> {
             cfg: BbConfig::full(),
             pre: None,
             faults: None,
+            fallback: None,
             artifact: None,
             telemetry: false,
             builder: None,
@@ -274,19 +307,36 @@ impl<'s> BootRequest<'s> {
         self
     }
 
-    /// Supplies the Pre-parser cache as it was read back from boot
-    /// storage. Before planning, [`run`](Self::run) validates the
-    /// artifact through the [`crate::recovery`] chain — bounded
-    /// transient-read retries, container CRC, format version, and the
-    /// content hash against this scenario's unit set. A rejected
-    /// artifact turns the Pre-parser off for this boot (the timeline of
-    /// a device whose cache was discarded: bit-identical to a boot that
-    /// never had it) and records a priced
-    /// [`crate::recovery::RecoveryEvent`] on the [`Boot`].
+    /// Supervises the boot (§3.4 deployment safety): after
+    /// [`run`](Self::run), the attempt is judged against `policy` — a
+    /// unit that hit its start limit, a boot that never completed, or
+    /// one that completed after the deadline trips the supervisor. A
+    /// tripped boot is booted again in conventional shape with no
+    /// faults (the transient faults a [`FaultPlan`] models do not
+    /// survive the reboot, which is why the fallback is trusted), and
+    /// the rescue lands on [`Boot::degraded`].
+    pub fn fallback(mut self, policy: FallbackPolicy) -> Self {
+        self.fallback = Some(policy);
+        self
+    }
+
+    /// Supplies a boot artifact as it was read back from storage,
+    /// validated through the [`crate::recovery`] chain (bounded
+    /// transient-read retries, then integrity checks). Every recovery
+    /// is priced as a [`RecoveryEvent`] on [`Boot::recoveries`].
     ///
-    /// Ignored when the configuration does not use the Pre-parser — a
-    /// conventional boot never reads the cache.
-    pub fn preparse_artifact(mut self, read: &'s crate::recovery::ArtifactRead) -> Self {
+    /// * [`run`](Self::run) reads it as the Pre-parser cache: container
+    ///   CRC, format version, and the content hash against this
+    ///   scenario's unit set. A rejected cache turns the Pre-parser off
+    ///   for this boot (the timeline of a device whose cache was
+    ///   discarded: bit-identical to a boot that never had it). Ignored
+    ///   when the configuration does not use the Pre-parser — a
+    ///   conventional boot never reads the cache.
+    /// * [`resume`](Self::resume) reads it as the checkpoint's snapshot
+    ///   image. A damaged or unreadable image is discarded and the
+    ///   scenario cold-boots, priced as the kernel phase the snapshot
+    ///   would have skipped.
+    pub fn artifact(mut self, read: &'s ArtifactRead) -> Self {
         self.artifact = Some(read);
         self
     }
@@ -359,10 +409,12 @@ impl<'s> BootRequest<'s> {
     /// # Errors
     ///
     /// [`Error::Checkpoint`] if telemetry is enabled (the metrics sink
-    /// is deliberately not snapshotted; see [`bb_sim::snapshot`]) or a
+    /// is deliberately not snapshotted; see [`bb_sim::snapshot`]), a
     /// plan tweak was installed (tweaks act on the suffix plan — apply
-    /// them on the resume request instead). Planning errors surface as
-    /// usual; snapshot encoding failures as [`Error::Snapshot`].
+    /// them on the resume request instead), or a fallback supervisor or
+    /// artifact was attached (both act on whole boots). Planning errors
+    /// surface as usual; snapshot encoding failures as
+    /// [`Error::Snapshot`].
     pub fn checkpoint_at(self, phase: CheckpointPhase) -> Result<Checkpoint, Error> {
         let CheckpointPhase::KernelHandoff = phase;
         if self.telemetry {
@@ -376,10 +428,16 @@ impl<'s> BootRequest<'s> {
                     .into(),
             ));
         }
+        if self.fallback.is_some() {
+            return Err(Error::Checkpoint(
+                "the fallback supervisor judges a whole boot; a checkpoint is only its prefix"
+                    .into(),
+            ));
+        }
         if self.artifact.is_some() {
             return Err(Error::Checkpoint(
-                "artifacts are validated by run(); a checkpoint simulates only the kernel \
-                 prefix, which never reads the Pre-parser cache"
+                "artifacts are validated by run() and resume(); a checkpoint simulates only \
+                 the kernel prefix, which never reads a boot artifact"
                     .into(),
             ));
         }
@@ -388,20 +446,18 @@ impl<'s> BootRequest<'s> {
         // once — and a cache-attached request publishes the result so
         // the *next* checkpoint or run of this (scenario, config)
         // skips planning.
-        let plan: Arc<OwnedPlan> = match self.cache {
-            Some((cache, key)) => match cache.lookup(key, &self.cfg) {
-                Some(plan) => plan,
-                None => {
-                    let (ir, deltas) =
-                        Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
-                    let plan = Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas));
-                    cache.insert(key, &self.cfg, Arc::clone(&plan));
-                    plan
-                }
-            },
+        let cached = self
+            .cache
+            .and_then(|(cache, key)| cache.lookup(key, &self.cfg));
+        let plan: Arc<OwnedPlan> = match cached {
+            Some(plan) => plan,
             None => {
                 let (ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
-                Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas))
+                let plan = Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas));
+                if let Some((cache, key)) = self.cache {
+                    cache.insert(key, &self.cfg, Arc::clone(&plan));
+                }
+                plan
             }
         };
         let no_faults = FaultPlan::none();
@@ -448,15 +504,22 @@ impl<'s> BootRequest<'s> {
     /// timeline is unchanged but the host-side cost drops; this is why
     /// forked boots beat full boots in `BENCH_snapshot.json`.
     ///
+    /// With an [`artifact`](Self::artifact) the image is restored from
+    /// that read instead of the checkpoint's own bytes; a damaged or
+    /// unreadable image cold-boots the scenario (see
+    /// [`artifact`](Self::artifact)).
+    ///
     /// # Errors
     ///
     /// [`Error::Checkpoint`] if telemetry is enabled, a fault plan is
     /// attached (faults are installed *before* the kernel boots, so
     /// they belong on the checkpoint request — the snapshot carries the
-    /// fault state), the prefix keys differ, or the scenario's machine
+    /// fault state), a fallback supervisor is attached (it judges whole
+    /// boots), the prefix keys differ, or the scenario's machine
     /// configuration hashes differently from the checkpoint's.
-    /// [`Error::Snapshot`] if the snapshot bytes fail validation.
-    pub fn resume(self, checkpoint: &Checkpoint) -> Result<Boot, Error> {
+    /// [`Error::Snapshot`] if the snapshot bytes fail validation and no
+    /// artifact was supplied.
+    pub fn resume(mut self, checkpoint: &Checkpoint) -> Result<Boot, Error> {
         if self.telemetry {
             return Err(Error::Checkpoint(
                 "telemetry must be off to resume: the metrics sink is not snapshotted".into(),
@@ -469,11 +532,9 @@ impl<'s> BootRequest<'s> {
                     .into(),
             ));
         }
-        if self.artifact.is_some() {
+        if self.fallback.is_some() {
             return Err(Error::Checkpoint(
-                "a resumed boot skips the init phase's cache load; to recover a damaged \
-                 snapshot image use recovery::resume_or_cold_boot"
-                    .into(),
+                "the fallback supervisor judges a whole boot; use run() to supervise".into(),
             ));
         }
         if self.cfg.prefix_key() != checkpoint.cfg.prefix_key() {
@@ -483,74 +544,151 @@ impl<'s> BootRequest<'s> {
                 self.cfg.prefix_key()
             )));
         }
+        let Some(read) = self.artifact.take() else {
+            let machine = self.restore(&checkpoint.bytes)?;
+            return self.resume_on(machine, checkpoint);
+        };
+        // The image as read back from storage: retry transient read
+        // failures within the bound, then let the snapshot decoder
+        // (header pins plus the v2 payload checksum) judge the bytes.
+        let reason = match read.unreadable() {
+            Some(reason) => reason,
+            None => match self.restore(&read.bytes) {
+                Ok(machine) => {
+                    let mut boot = self.resume_on(machine, checkpoint)?;
+                    boot.recoveries
+                        .extend(read.retried(ArtifactKind::SnapshotImage));
+                    return Ok(boot);
+                }
+                Err(e) => RecoveryReason::Corrupt {
+                    detail: e.to_string(),
+                },
+            },
+        };
+        // The image is gone: cold-boot through the ordinary planning
+        // path, pricing the kernel phase the snapshot would have
+        // skipped.
+        let mut boot = self.execute()?;
+        let skipped = boot.report.kernel.userspace_start.since(SimTime::ZERO);
+        boot.recoveries.push(read.recovery(
+            ArtifactKind::SnapshotImage,
+            reason,
+            RecoveryAction::ColdBooted,
+            skipped,
+        ));
+        Ok(boot)
+    }
+
+    /// Restores a snapshot image, through the request's machine
+    /// builder when one is attached.
+    fn restore(&mut self, bytes: &[u8]) -> Result<Machine, bb_sim::SnapshotError> {
+        match self.builder.as_deref_mut() {
+            Some(b) => b.restore(bytes),
+            None => snapshot::restore(bytes),
+        }
+    }
+
+    /// Executes the boot suffix on `machine`, restored from
+    /// `checkpoint`'s image.
+    fn resume_on(mut self, machine: Machine, checkpoint: &Checkpoint) -> Result<Boot, Error> {
         // Fast path: resuming the checkpoint's own configuration on the
         // checkpoint's own scenario (with no tweak) reuses the plan the
         // checkpoint already computed — planning is deterministic, so
         // re-running it would reproduce the same IR at a double-digit
-        // share of the boot's host cost. The suffix executor borrows
-        // straight out of the stored plan, so this path performs no
-        // per-boot graph or task-table clones at all. Any mismatch
-        // falls through to the re-planning path below, which performs
-        // the authoritative validation.
-        let mut builder = self.builder;
+        // share of the boot's host cost. Second-fastest: a plan cache
+        // hit for this (scenario, config) — typically a suffix-variant
+        // resume whose plan an earlier job already compiled — with the
+        // checkpoint compatibility pinned by the machine-config hash.
+        // Either way the suffix executor borrows straight out of the
+        // stored plan, so no per-boot graph or task-table clones
+        // happen. Any mismatch falls through to the re-planning path
+        // below, which performs the authoritative validation.
         if self.tweak.is_none() {
-            let restore =
-                |builder: Option<&mut MachineBuilder>, bytes: &[u8]| -> Result<Machine, Error> {
-                    Ok(match builder {
-                        Some(b) => b.restore(bytes)?,
-                        None => snapshot::restore(bytes)?,
+            let reusable = if checkpoint.plan.covers(self.scenario, &self.cfg) {
+                Some(Arc::clone(&checkpoint.plan))
+            } else {
+                self.cache
+                    .and_then(|(cache, key)| cache.lookup(key, &self.cfg))
+                    .filter(|plan| {
+                        plan.covers(self.scenario, &self.cfg)
+                            && plan.machine_hash() == checkpoint.config_hash
                     })
-                };
-            if checkpoint.plan.covers(self.scenario, &self.cfg) {
-                let machine = restore(builder.as_deref_mut(), &checkpoint.bytes)?;
-                let (report, machine) = execute_suffix_view(
-                    SuffixView::of_owned(&checkpoint.plan, self.scenario),
-                    checkpoint.plan.deltas().to_vec(),
+            };
+            if let Some(plan) = reusable {
+                return Ok(Boot::new(execute_suffix_view(
+                    SuffixView::of_owned(&plan, self.scenario),
+                    plan.deltas().to_vec(),
                     machine,
                     checkpoint.kernel.clone(),
                     checkpoint.device,
-                );
-                return Ok(Boot {
-                    report,
-                    machine,
-                    recoveries: Vec::new(),
-                });
-            }
-            // Second-fastest path: a plan cache hit for this (scenario,
-            // config) — typically a suffix-variant resume whose plan an
-            // earlier job already compiled. Same zero-clone suffix
-            // execution as above, with the checkpoint compatibility
-            // pinned by the machine-config hash.
-            if let Some((cache, key)) = self.cache {
-                if let Some(plan) = cache.lookup(key, &self.cfg) {
-                    if plan.covers(self.scenario, &self.cfg)
-                        && plan.machine_hash() == checkpoint.config_hash
-                    {
-                        let machine = restore(builder.as_deref_mut(), &checkpoint.bytes)?;
-                        let (report, machine) = execute_suffix_view(
-                            SuffixView::of_owned(&plan, self.scenario),
-                            plan.deltas().to_vec(),
-                            machine,
-                            checkpoint.kernel.clone(),
-                            checkpoint.device,
-                        );
-                        return Ok(Boot {
-                            report,
-                            machine,
-                            recoveries: Vec::new(),
-                        });
-                    }
-                }
+                )));
             }
         }
-        let pipeline = Pipeline::standard();
-        let (mut ir, deltas) = pipeline.plan(self.scenario, &self.cfg, self.pre)?;
+        let (ir, deltas) = self.plan()?;
         if snapshot::config_hash(&ir.machine) != checkpoint.config_hash {
             return Err(Error::Checkpoint(
                 "machine config mismatch: the scenario does not match the checkpoint's".into(),
             ));
         }
-        match self.tweak {
+        Ok(Boot::new(execute_suffix(
+            &ir,
+            deltas,
+            machine,
+            checkpoint.kernel.clone(),
+            checkpoint.device,
+        )))
+    }
+
+    /// Plans and executes the boot. A supplied
+    /// [`artifact`](Self::artifact) is validated first and recoveries
+    /// land on [`Boot::recoveries`]; a [`fallback`](Self::fallback)
+    /// supervisor then judges the attempt and, on a trip, records the
+    /// conventional rescue on [`Boot::degraded`].
+    pub fn run(mut self) -> Result<Boot, Error> {
+        let mut recoveries = Vec::new();
+        if let Some(read) = self.artifact.take().filter(|_| self.cfg.preparser) {
+            let built;
+            let pre = match self.pre {
+                Some(p) => p,
+                None => {
+                    built = PreParser::build(&self.scenario.units);
+                    &built
+                }
+            };
+            match validate_preparse_blob(read, self.scenario, pre) {
+                Ok(retried) => recoveries.extend(retried),
+                Err(rejected) => {
+                    // The cache is gone; this boot pays the
+                    // conventional parse path, exactly as a device
+                    // whose blob was discarded would.
+                    self.cfg.preparser = false;
+                    recoveries.push(rejected);
+                }
+            }
+        }
+        let (scenario, pre, fallback) = (self.scenario, self.pre, self.fallback);
+        let mut boot = self.execute()?;
+        boot.recoveries = recoveries;
+        if let Some((reason, detected_after)) = fallback.and_then(|p| p.judge(&boot.report)) {
+            let mut rescue = BootRequest::new(scenario).config(BbConfig::conventional());
+            if let Some(pre) = pre {
+                rescue = rescue.prepared(pre);
+            }
+            boot.degraded = Some(Box::new(DegradedBoot {
+                rescue: rescue.run()?.report,
+                reason,
+                detected_after,
+            }));
+        }
+        Ok(boot)
+    }
+
+    /// Plans the boot and applies the tweak, if any. An untweaked plan
+    /// is published to the attached plan cache so the next request
+    /// for this (scenario, config) skips planning.
+    fn plan(&mut self) -> Result<(BootPlanIr<'s>, Vec<PassDelta>), Error> {
+        let (mut ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
+        match self.tweak.take() {
             Some(tweak) => {
                 let BootPlanIr {
                     ref graph,
@@ -561,8 +699,6 @@ impl<'s> BootRequest<'s> {
                 tweak(graph, transaction, overrides);
             }
             None => {
-                // Publish the freshly compiled plan so the next resume
-                // of this (scenario, config) takes the cached path.
                 if let Some((cache, key)) = self.cache {
                     cache.insert(
                         key,
@@ -572,77 +708,14 @@ impl<'s> BootRequest<'s> {
                 }
             }
         }
-        let machine = match builder {
-            Some(b) => b.restore(&checkpoint.bytes)?,
-            None => snapshot::restore(&checkpoint.bytes)?,
-        };
-        let (report, machine) = execute_suffix(
-            &ir,
-            deltas,
-            machine,
-            checkpoint.kernel.clone(),
-            checkpoint.device,
-        );
-        Ok(Boot {
-            report,
-            machine,
-            recoveries: Vec::new(),
-        })
-    }
-
-    /// Plans and executes the boot. A supplied
-    /// [`preparse_artifact`](Self::preparse_artifact) is validated
-    /// first; recoveries land on [`Boot::recoveries`].
-    pub fn run(mut self) -> Result<Boot, Error> {
-        use crate::recovery::{validate_preparse_blob, ArtifactVerdict, RecoveryEvent};
-        let mut recoveries = Vec::new();
-        if let Some(read) = self.artifact.take() {
-            if self.cfg.preparser {
-                let built;
-                let pre = match self.pre {
-                    Some(p) => p,
-                    None => {
-                        built = PreParser::build(&self.scenario.units);
-                        &built
-                    }
-                };
-                match validate_preparse_blob(
-                    read,
-                    &self.scenario.units,
-                    pre,
-                    &self.scenario.parse_params,
-                    &self.scenario.storage,
-                ) {
-                    ArtifactVerdict::Accepted { retries: 0, .. } => {}
-                    ArtifactVerdict::Accepted {
-                        retries,
-                        retry_cost,
-                    } => {
-                        recoveries.push(RecoveryEvent::transient_ok(
-                            crate::recovery::ArtifactKind::PreparseBlob,
-                            retries,
-                            retry_cost,
-                        ));
-                    }
-                    ArtifactVerdict::Rejected(ev) => {
-                        // The cache is gone; this boot pays the
-                        // conventional parse path, exactly as a device
-                        // whose blob was discarded would.
-                        self.cfg.preparser = false;
-                        recoveries.push(ev);
-                    }
-                }
-            }
-        }
-        let mut boot = self.execute()?;
-        boot.recoveries = recoveries;
-        Ok(boot)
+        Ok((ir, deltas))
     }
 
     /// The planning/execution body shared by the cached and plain
-    /// paths (artifact validation already resolved by `run`).
-    fn execute(self) -> Result<Boot, Error> {
+    /// paths (artifact validation already resolved by the caller).
+    fn execute(mut self) -> Result<Boot, Error> {
         let no_faults = FaultPlan::none();
+        let faults = self.faults.unwrap_or(&no_faults);
         // Cached path: a plan compiled earlier for this (scenario,
         // config) is executed as-is — prefix and suffix both borrow out
         // of the shared `OwnedPlan`, so a cache hit re-plans nothing
@@ -650,51 +723,24 @@ impl<'s> BootRequest<'s> {
         if self.tweak.is_none() {
             if let Some((cache, key)) = self.cache {
                 if let Some(plan) = cache.lookup(key, &self.cfg) {
-                    let faults = self.faults.unwrap_or(&no_faults);
-                    let (report, machine) = execute_pooled_owned(
+                    return Ok(Boot::new(execute_pooled_owned(
                         &plan,
                         self.scenario,
                         faults,
                         self.telemetry,
                         self.builder,
-                    );
-                    return Ok(Boot {
-                        report,
-                        machine,
-                        recoveries: Vec::new(),
-                    });
+                    )));
                 }
             }
         }
-        let pipeline = Pipeline::standard();
-        let (mut ir, deltas) = pipeline.plan(self.scenario, &self.cfg, self.pre)?;
-        match self.tweak {
-            Some(tweak) => {
-                let BootPlanIr {
-                    ref graph,
-                    ref transaction,
-                    ref mut overrides,
-                    ..
-                } = ir;
-                tweak(graph, transaction, overrides);
-            }
-            None => {
-                if let Some((cache, key)) = self.cache {
-                    cache.insert(
-                        key,
-                        &self.cfg,
-                        Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas)),
-                    );
-                }
-            }
-        }
-        let faults = self.faults.unwrap_or(&no_faults);
-        let (report, machine) = execute_pooled(&ir, deltas, faults, self.telemetry, self.builder);
-        Ok(Boot {
-            report,
-            machine,
-            recoveries: Vec::new(),
-        })
+        let (ir, deltas) = self.plan()?;
+        Ok(Boot::new(execute_pooled(
+            &ir,
+            deltas,
+            faults,
+            self.telemetry,
+            self.builder,
+        )))
     }
 }
 
@@ -1044,6 +1090,13 @@ pub(crate) mod tests {
                 .checkpoint_at(CheckpointPhase::KernelHandoff),
             Err(Error::Checkpoint(_))
         ));
+        // The fallback supervisor judges whole boots.
+        assert!(matches!(
+            BootRequest::new(&s)
+                .fallback(FallbackPolicy::default())
+                .checkpoint_at(CheckpointPhase::KernelHandoff),
+            Err(Error::Checkpoint(_))
+        ));
 
         let ckpt = BootRequest::new(&s)
             .checkpoint_at(CheckpointPhase::KernelHandoff)
@@ -1064,9 +1117,15 @@ pub(crate) mod tests {
             BootRequest::new(&s).faults(&faults).resume(&ckpt),
             Err(Error::Checkpoint(_))
         ));
-        // Telemetry rejected on resume too.
+        // Telemetry and the fallback supervisor rejected on resume too.
         assert!(matches!(
             BootRequest::new(&s).telemetry(true).resume(&ckpt),
+            Err(Error::Checkpoint(_))
+        ));
+        assert!(matches!(
+            BootRequest::new(&s)
+                .fallback(FallbackPolicy::default())
+                .resume(&ckpt),
             Err(Error::Checkpoint(_))
         ));
         // A different machine shape is caught by the config hash even

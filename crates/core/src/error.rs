@@ -1,18 +1,15 @@
 //! The workspace error hierarchy: one type for every way a boot (or a
 //! fleet of boots) can fail.
 //!
-//! Before this module each layer had its own failure enum — `BoostError`
-//! for plan assembly, [`FallbackReason`] for the boot supervisor,
-//! `FailureKind` for fleet jobs — and callers matched three types.
-//! [`Error`] folds them into one hierarchy with [`std::error::Error`]
-//! `source()` chains; the old names survive as deprecated aliases
-//! (`bb_core::BoostError`) and re-exports (`bb_fleet::FailureKind`).
+//! [`Error`] covers plan assembly, snapshots, and checkpoint misuse,
+//! with [`std::error::Error`] `source()` chains; [`JobError`] is the
+//! per-job failure of a fleet sweep, re-exported as
+//! `bb_fleet::FailureKind`. A supervised boot that falls back is not an
+//! error: the rescue lands on [`crate::Boot::degraded`].
 
 use std::time::Duration;
 
 use bb_init::{GraphError, TransactionError};
-
-use crate::fallback::FallbackReason;
 
 /// Any failure from assembling, booting, supervising, or sweeping a
 /// scenario.
@@ -22,9 +19,6 @@ pub enum Error {
     Graph(GraphError),
     /// The transaction could not be built.
     Transaction(TransactionError),
-    /// A supervised boot abandoned the fast path (see
-    /// [`crate::fallback::run_with_fallback`]).
-    Fallback(FallbackReason),
     /// A fleet job failed (see `bb_fleet`).
     Job(JobError),
     /// A machine snapshot could not be written or restored (see
@@ -41,7 +35,6 @@ impl std::fmt::Display for Error {
         match self {
             Error::Graph(e) => write!(f, "unit graph error: {e}"),
             Error::Transaction(e) => write!(f, "transaction error: {e}"),
-            Error::Fallback(e) => write!(f, "fallback: {e}"),
             Error::Job(e) => write!(f, "job failed: {e}"),
             Error::Snapshot(e) => write!(f, "snapshot error: {e}"),
             Error::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
@@ -54,7 +47,6 @@ impl std::error::Error for Error {
         match self {
             Error::Graph(e) => Some(e),
             Error::Transaction(e) => Some(e),
-            Error::Fallback(e) => Some(e),
             Error::Job(e) => Some(e),
             Error::Snapshot(e) => Some(e),
             Error::Checkpoint(_) => None,
@@ -71,12 +63,6 @@ impl From<GraphError> for Error {
 impl From<TransactionError> for Error {
     fn from(e: TransactionError) -> Self {
         Error::Transaction(e)
-    }
-}
-
-impl From<FallbackReason> for Error {
-    fn from(e: FallbackReason) -> Self {
-        Error::Fallback(e)
     }
 }
 
@@ -181,10 +167,6 @@ mod tests {
             e.source().expect("chained").to_string(),
             "duplicate unit a.service"
         );
-
-        let e = Error::from(FallbackReason::Incomplete);
-        assert_eq!(e.to_string(), "fallback: boot never completed");
-        assert!(e.source().is_some());
 
         let e = Error::from(JobError::Incomplete {
             config: "bb".into(),

@@ -6,27 +6,26 @@
 //! is a *supervised* fast path — if the BB-shaped boot misses its
 //! deadline or a supervised unit exhausts its start limit, the firmware
 //! falls back to the conventional boot shape, which trades speed for
-//! the battle-tested plan. This module reproduces that supervisor:
+//! the battle-tested plan. [`BootRequest::fallback`] reproduces that
+//! supervisor:
 //!
 //! 1. run the pass-transformed (BB) plan with an optional
-//!    [`FaultPlan`] installed;
+//!    [`bb_sim::FaultPlan`] installed;
 //! 2. judge the attempt against a [`FallbackPolicy`];
 //! 3. on failure, re-plan the *same* scenario in conventional shape
 //!    (no BB pass applied) and boot again, fault-free — the transient
 //!    faults the plan models (crash-on-start, flaky I/O) do not
 //!    survive the implicit reboot, which is exactly why the fallback
 //!    is trusted;
-//! 4. report a [`DegradedBoot`] carrying **both** timelines, so a
+//! 4. record a [`DegradedBoot`] next to the abandoned attempt, so a
 //!    chaos sweep can price the degraded path rather than just count
 //!    it.
+//!
+//! [`BootRequest::fallback`]: crate::booster::BootRequest::fallback
 
-use bb_sim::{FaultPlan, FaultTargets, SimDuration, SimTime};
+use bb_sim::{FaultTargets, SimDuration, SimTime};
 
 use crate::booster::{FullBootReport, Scenario};
-use crate::config::BbConfig;
-use crate::error::Error;
-use crate::pipeline::{execute_with_faults, Pipeline};
-use crate::service_engine::PreParser;
 
 /// When the boot supervisor declares the fast path failed.
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +43,36 @@ impl Default for FallbackPolicy {
         FallbackPolicy {
             deadline: SimDuration::from_millis(15_000),
         }
+    }
+}
+
+impl FallbackPolicy {
+    /// Judges a finished attempt: `None` if it met the policy, else why
+    /// the supervisor trips and how long it took to notice. A
+    /// completed-but-bad boot is noticed at completion (capped at the
+    /// deadline), a wedged one only when the deadline expires.
+    pub(crate) fn judge(&self, attempt: &FullBootReport) -> Option<(FallbackReason, SimDuration)> {
+        let completed = attempt.try_boot_time();
+        let limit_hit = attempt
+            .boot
+            .services
+            .iter()
+            .find(|(_, r)| r.start_limit_hit);
+        let reason = match (limit_hit, completed) {
+            (Some((unit, _)), _) => FallbackReason::StartLimitHit {
+                unit: unit.as_str().to_string(),
+            },
+            (None, None) => FallbackReason::Incomplete,
+            (None, Some(t)) if t.since(SimTime::ZERO) > self.deadline => {
+                FallbackReason::DeadlineExceeded { completed_at: t }
+            }
+            (None, Some(_)) => return None,
+        };
+        let detected_after = match completed {
+            Some(t) => t.since(SimTime::ZERO).min(self.deadline),
+            None => self.deadline,
+        };
+        Some((reason, detected_after))
     }
 }
 
@@ -79,109 +108,17 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-impl std::error::Error for FallbackReason {}
-
-/// A boot that needed the conventional fallback, with both timelines.
+/// The conventional rescue of a boot the supervisor abandoned; the
+/// abandoned attempt itself stays on [`crate::Boot::report`].
 #[derive(Debug)]
 pub struct DegradedBoot {
-    /// The abandoned BB-shaped attempt (faults installed).
-    pub bb: FullBootReport,
-    /// The conventional re-boot that rescued the device.
-    pub conventional: FullBootReport,
+    /// The fault-free conventional re-boot that rescued the device.
+    pub rescue: FullBootReport,
     /// What tripped the supervisor.
     pub reason: FallbackReason,
-    /// User-visible boot time: time burned on the failed attempt
-    /// (capped at the deadline) plus the conventional boot.
-    pub total_boot: SimTime,
-}
-
-/// Outcome of a supervised boot.
-#[derive(Debug)]
-pub enum BootOutcome {
-    /// The BB-shaped boot met the policy; no fallback needed.
-    Completed(Box<FullBootReport>),
-    /// The supervisor fell back to the conventional shape.
-    Degraded(Box<DegradedBoot>),
-}
-
-impl BootOutcome {
-    /// True if the fallback fired.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, BootOutcome::Degraded(_))
-    }
-
-    /// The user-visible boot time: the completion time of a clean boot,
-    /// or [`DegradedBoot::total_boot`] of a degraded one.
-    pub fn user_boot_time(&self) -> SimTime {
-        match self {
-            BootOutcome::Completed(r) => r.boot_time(),
-            BootOutcome::Degraded(d) => d.total_boot,
-        }
-    }
-
-    /// Total supervised respawns across all units of the (BB) attempt.
-    pub fn restarts(&self) -> u32 {
-        let report = match self {
-            BootOutcome::Completed(r) => r,
-            BootOutcome::Degraded(d) => &d.bb,
-        };
-        report.boot.services.values().map(|s| s.restarts).sum()
-    }
-}
-
-/// Runs `scenario` under `cfg` with `faults` installed, falling back to
-/// a fault-free conventional boot when `policy` is violated.
-///
-/// `pre` follows the [`crate::booster::BootRequest::prepared`]
-/// contract: pass pre-built [`PreParser`] measurements when sweeping,
-/// `None` otherwise.
-pub fn run_with_fallback(
-    scenario: &Scenario,
-    cfg: &BbConfig,
-    pre: Option<&PreParser>,
-    faults: &FaultPlan,
-    policy: &FallbackPolicy,
-) -> Result<BootOutcome, Error> {
-    let pipeline = Pipeline::standard();
-    let (ir, deltas) = pipeline.plan(scenario, cfg, pre)?;
-    let (bb, _) = execute_with_faults(&ir, deltas, faults);
-
-    let limit_hit = bb
-        .boot
-        .services
-        .iter()
-        .find(|(_, r)| r.start_limit_hit)
-        .map(|(n, _)| n.as_str().to_string());
-    let reason = if let Some(unit) = limit_hit {
-        Some(FallbackReason::StartLimitHit { unit })
-    } else {
-        match bb.try_boot_time() {
-            None => Some(FallbackReason::Incomplete),
-            Some(t) if t.since(SimTime::ZERO) > policy.deadline => {
-                Some(FallbackReason::DeadlineExceeded { completed_at: t })
-            }
-            Some(_) => None,
-        }
-    };
-    let Some(reason) = reason else {
-        return Ok(BootOutcome::Completed(Box::new(bb)));
-    };
-
-    // The supervisor notices a completed-but-bad boot immediately and a
-    // wedged one only when the deadline expires.
-    let detected_after = match bb.try_boot_time() {
-        Some(t) => t.since(SimTime::ZERO).min(policy.deadline),
-        None => policy.deadline,
-    };
-    let (conv_ir, conv_deltas) = pipeline.plan(scenario, &BbConfig::conventional(), pre)?;
-    let (conventional, _) = execute_with_faults(&conv_ir, conv_deltas, &FaultPlan::none());
-    let total_boot = conventional.boot_time() + detected_after;
-    Ok(BootOutcome::Degraded(Box::new(DegradedBoot {
-        bb,
-        conventional,
-        reason,
-        total_boot,
-    })))
+    /// Time the failed attempt burned before the supervisor noticed
+    /// (capped at the deadline); the user waits this plus the rescue.
+    pub detected_after: SimDuration,
 }
 
 /// Overlays supervision settings on every service unit of a scenario:
@@ -223,8 +160,9 @@ pub fn fault_targets(scenario: &Scenario) -> FaultTargets {
 mod tests {
     use super::*;
     use crate::booster::tests::mini_tv;
+    use crate::booster::{Boot, BootRequest};
     use bb_init::RestartPolicy;
-    use bb_sim::Fault;
+    use bb_sim::{Fault, FaultPlan};
 
     fn crash(process: &str, hits: u32) -> FaultPlan {
         FaultPlan {
@@ -236,18 +174,19 @@ mod tests {
         }
     }
 
+    fn supervised(s: &Scenario, faults: &FaultPlan, policy: FallbackPolicy) -> Boot {
+        BootRequest::new(s)
+            .faults(faults)
+            .fallback(policy)
+            .run()
+            .unwrap()
+    }
+
     #[test]
     fn fault_free_boot_is_not_degraded() {
         let s = mini_tv();
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &FaultPlan::none(),
-            &FallbackPolicy::default(),
-        )
-        .unwrap();
-        assert!(!out.is_degraded());
+        let out = supervised(&s, &FaultPlan::none(), FallbackPolicy::default());
+        assert!(out.degraded.is_none());
         assert_eq!(out.restarts(), 0);
     }
 
@@ -256,24 +195,16 @@ mod tests {
         // dbus (a BB-group member) crashes once; Restart= respawns it
         // and the boost still completes on the fast path.
         let s = with_supervision(&mini_tv(), RestartPolicy::OnFailure, 50, 3);
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &crash("dbus.service", 1),
-            &FallbackPolicy::default(),
-        )
-        .unwrap();
-        match out {
-            BootOutcome::Completed(r) => {
-                assert_eq!(r.boot.service("dbus.service").restarts, 1);
-                assert_eq!(
-                    r.boot.service("dbus.service").outcome(),
-                    bb_init::UnitOutcome::Restarted(1)
-                );
-            }
-            BootOutcome::Degraded(d) => panic!("unexpected fallback: {}", d.reason),
+        let out = supervised(&s, &crash("dbus.service", 1), FallbackPolicy::default());
+        if let Some(d) = &out.degraded {
+            panic!("unexpected fallback: {}", d.reason);
         }
+        let r = &out.report;
+        assert_eq!(r.boot.service("dbus.service").restarts, 1);
+        assert_eq!(
+            r.boot.service("dbus.service").outcome(),
+            bb_init::UnitOutcome::Restarted(1)
+        );
     }
 
     #[test]
@@ -282,15 +213,9 @@ mod tests {
         // every attempt bricks the fast path; the supervisor reboots
         // into the conventional shape and the TV still comes up.
         let s = with_supervision(&mini_tv(), RestartPolicy::OnFailure, 50, 2);
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &crash("dbus.service", 10),
-            &FallbackPolicy::default(),
-        )
-        .unwrap();
-        let BootOutcome::Degraded(d) = out else {
+        let out = supervised(&s, &crash("dbus.service", 10), FallbackPolicy::default());
+        let total_boot = out.user_boot_time().expect("the rescue completes");
+        let Some(d) = out.degraded else {
             panic!("persistent crash should degrade the boot");
         };
         assert_eq!(
@@ -301,10 +226,10 @@ mod tests {
         );
         // Both timelines are present: the abandoned attempt shows the
         // exhausted unit, the fallback completed cleanly.
-        assert!(d.bb.boot.service("dbus.service").start_limit_hit);
-        assert!(d.bb.boot.completion_time.is_none());
-        assert!(d.conventional.boot.completion_time.is_some());
-        assert!(d.total_boot > d.conventional.boot_time());
+        assert!(out.report.boot.service("dbus.service").start_limit_hit);
+        assert!(out.report.boot.completion_time.is_none());
+        assert!(d.rescue.boot.completion_time.is_some());
+        assert!(total_boot > d.rescue.boot_time());
     }
 
     #[test]
@@ -313,22 +238,16 @@ mod tests {
         let policy = FallbackPolicy {
             deadline: SimDuration::from_millis(12_000),
         };
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &crash("tuner.service", 1),
-            &policy,
-        )
-        .unwrap();
-        let BootOutcome::Degraded(d) = out else {
+        let out = supervised(&s, &crash("tuner.service", 1), policy);
+        let total_boot = out.user_boot_time().expect("the rescue completes");
+        let Some(d) = out.degraded else {
             panic!("crashed completion dependency should degrade");
         };
         assert_eq!(d.reason, FallbackReason::Incomplete);
         // Wedged boots are only detected at the deadline.
         assert_eq!(
-            d.total_boot,
-            d.conventional.boot_time() + policy.deadline,
+            total_boot,
+            d.rescue.boot_time() + policy.deadline,
             "detection should cost the full deadline"
         );
     }

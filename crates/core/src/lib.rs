@@ -18,14 +18,16 @@
 //! * [`booster`] — the single-entry facade: boot a
 //!   [`booster::Scenario`] through a [`booster::BootRequest`] and get a
 //!   [`booster::Boot`] (report + machine).
-//! * [`fallback`] — the boot supervisor: run the BB shape under an
-//!   injected [`bb_sim::FaultPlan`] and fall back to the conventional
-//!   shape when the deadline or a start limit trips (§3.4 deployment
-//!   safety).
-//! * [`recovery`] — artifact integrity & recovery: validate the
-//!   checksummed boot artifacts (pre-parse blob, snapshot image),
-//!   retry transient reads with bounded backoff, and boot on without a
-//!   damaged artifact, pricing every recovery as a
+//! * [`fallback`] — the boot supervisor's policy: a
+//!   [`fallback::FallbackPolicy`] on a `BootRequest` judges the BB
+//!   attempt (under an injected [`bb_sim::FaultPlan`]) and falls back to
+//!   the conventional shape when the deadline or a start limit trips
+//!   (§3.4 deployment safety).
+//! * [`recovery`] — artifact integrity & recovery: a
+//!   [`recovery::ArtifactRead`] on a `BootRequest` is validated as a
+//!   checksummed boot artifact (pre-parse blob, snapshot image),
+//!   transient reads are retried with bounded backoff, and the boot
+//!   goes on without a damaged artifact, pricing every recovery as a
 //!   [`recovery::RecoveryEvent`].
 //! * [`telemetry`] — spans, the metrics snapshot, and the critical-path
 //!   profiler over a finished boot.
@@ -54,20 +56,12 @@ pub mod telemetry;
 pub use booster::{Boot, BootRequest, Checkpoint, CheckpointPhase, FullBootReport, Scenario};
 pub use config::BbConfig;
 pub use error::{Error, JobError};
-pub use fallback::{
-    fault_targets, run_with_fallback, with_supervision, BootOutcome, DegradedBoot, FallbackPolicy,
-    FallbackReason,
-};
+pub use fallback::{fault_targets, with_supervision, DegradedBoot, FallbackPolicy, FallbackReason};
 pub use miner::{mine, EdgeSlack, MiningReport};
-pub use pipeline::{
-    execute_instrumented, execute_with_faults, BootPlanIr, PassDelta, Pipeline, PlanPass,
-    STANDARD_PASSES,
-};
+pub use pipeline::{BootPlanIr, PassDelta, Pipeline, PlanPass, STANDARD_PASSES};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use recovery::{
-    resume_or_cold_boot, run_with_fallback_recovering, validate_preparse_blob, ArtifactKind,
-    ArtifactRead, ArtifactVerdict, RecoveryAction, RecoveryEvent, RecoveryReason,
-    MAX_ARTIFACT_RETRIES,
+    ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent, RecoveryReason, MAX_ARTIFACT_RETRIES,
 };
 pub use report::{attribution_table, Comparison, Row};
 pub use service_engine::{

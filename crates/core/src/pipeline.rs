@@ -609,8 +609,9 @@ pub const STANDARD_PASSES: [&str; 7] = [
     "bb-manager-priority",
 ];
 
-/// An ordered set of [`PlanPass`]es plus the machinery to run them and
-/// execute the resulting plan.
+/// An ordered set of [`PlanPass`]es plus the machinery to run them.
+/// [`execute`] replays the resulting plan; to boot a scenario end to
+/// end, use [`crate::BootRequest`].
 pub struct Pipeline {
     passes: Vec<Box<dyn PlanPass>>,
 }
@@ -667,99 +668,30 @@ impl Pipeline {
         }
         Ok((ir, deltas))
     }
-
-    /// Plans and executes `scenario` under `cfg`.
-    pub fn run(&self, scenario: &Scenario, cfg: &BbConfig) -> Result<FullBootReport, Error> {
-        self.run_with_machine(scenario, cfg).map(|(r, _)| r)
-    }
-
-    /// [`Pipeline::run`], also returning the machine (for bootcharts).
-    pub fn run_with_machine(
-        &self,
-        scenario: &Scenario,
-        cfg: &BbConfig,
-    ) -> Result<(FullBootReport, Machine), Error> {
-        let (ir, deltas) = self.plan(scenario, cfg, None)?;
-        Ok(execute(&ir, deltas))
-    }
-
-    /// [`Pipeline::run`] with pre-built [`PreParser`] measurements (the
-    /// sweep-amortized entry point).
-    pub fn run_prepared(
-        &self,
-        scenario: &Scenario,
-        cfg: &BbConfig,
-        pre: &PreParser,
-    ) -> Result<FullBootReport, Error> {
-        let (ir, deltas) = self.plan(scenario, cfg, Some(pre))?;
-        Ok(execute(&ir, deltas).0)
-    }
-
-    /// [`Pipeline::run_with_machine`], letting the caller adjust the
-    /// plan overrides after the passes ran — e.g. the §4.2 experiment
-    /// that manually isolates *only* `var.mount`.
-    pub fn run_custom(
-        &self,
-        scenario: &Scenario,
-        cfg: &BbConfig,
-        tweak: impl FnOnce(&UnitGraph, &Transaction, &mut PlanOverrides),
-    ) -> Result<(FullBootReport, Machine), Error> {
-        let (mut ir, deltas) = self.plan(scenario, cfg, None)?;
-        {
-            let BootPlanIr {
-                ref graph,
-                ref transaction,
-                ref mut overrides,
-                ..
-            } = ir;
-            tweak(graph, transaction, overrides);
-        }
-        Ok(execute(&ir, deltas))
-    }
 }
 
 /// Executes a (pass-transformed) plan end to end, replaying the exact
 /// machine-op order of the pre-pipeline facade: kernel boot, RCU
 /// Booster Control, module handling, then the init scheme via
-/// [`bb_init::run_boot`].
+/// [`bb_init::run_boot`]. With [`Pipeline::plan`] this is the layer
+/// split of a [`crate::BootRequest`] boot, for callers that time the
+/// two halves separately.
 pub fn execute(ir: &BootPlanIr<'_>, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
-    execute_with_faults(ir, deltas, &bb_sim::FaultPlan::none())
+    execute_pooled(ir, deltas, &bb_sim::FaultPlan::none(), false, None)
 }
 
-/// [`execute`] with a [`bb_sim::FaultPlan`] installed before the kernel
-/// boots, so device faults afflict kernel-phase reads too. Installing
-/// the empty plan is a strict no-op: the fault-free path is
-/// bit-identical to [`execute`].
-pub fn execute_with_faults(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    faults: &bb_sim::FaultPlan,
-) -> (FullBootReport, Machine) {
-    execute_instrumented(ir, deltas, faults, false)
-}
-
-/// [`execute_with_faults`] with the machine's telemetry sink optionally
-/// armed before any work runs, so every RCU wait, dispatch, and I/O
-/// completion of the boot lands in the metrics registry. With
-/// `telemetry` false this is exactly [`execute_with_faults`]: the sink
-/// stays absent and the hot paths reduce to an `is_some()` check, so
-/// timelines are bit-identical either way (the proptest in
-/// `tests/full_boot.rs` pins this).
-pub fn execute_instrumented(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    faults: &bb_sim::FaultPlan,
-    telemetry: bool,
-) -> (FullBootReport, Machine) {
-    execute_pooled(ir, deltas, faults, telemetry, None)
-}
-
-/// [`execute_instrumented`] drawing the machine from a caller-held
-/// [`MachineBuilder`] pool when one is supplied, so a loop that runs
-/// many boots (a fleet cell, a sweep) reuses one machine's allocations
-/// across jobs instead of re-growing every table from empty. The
-/// builder contract guarantees recycled machines are observationally
-/// identical to fresh ones, so results are bit-identical either way.
+/// [`execute`] with a fault plan installed before the kernel boots
+/// (the empty plan is a strict no-op), the telemetry sink optionally
+/// armed before any work runs (off, the hot paths reduce to an
+/// `is_some()` check and timelines are bit-identical), and the machine
+/// drawn from a caller-held [`MachineBuilder`] pool when one is
+/// supplied, so a loop that runs many boots (a fleet cell, a sweep)
+/// reuses one machine's allocations across jobs instead of re-growing
+/// every table from empty. The builder contract guarantees recycled
+/// machines are observationally identical to fresh ones, so results
+/// are bit-identical either way.
+///
+/// [`MachineBuilder`]: bb_sim::MachineBuilder
 pub(crate) fn execute_pooled(
     ir: &BootPlanIr<'_>,
     deltas: Vec<PassDelta>,
@@ -1163,11 +1095,12 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_run_matches_boot_request() {
+    fn plan_then_execute_matches_boot_request() {
         let s = mini_tv();
         let p = Pipeline::standard();
         for cfg in [BbConfig::conventional(), BbConfig::full()] {
-            let via_pipeline = p.run(&s, &cfg).unwrap();
+            let (ir, deltas) = p.plan(&s, &cfg, None).unwrap();
+            let (via_pipeline, _) = execute(&ir, deltas);
             let via_facade = BootRequest::new(&s).config(cfg).run().unwrap().report;
             assert_eq!(
                 via_pipeline.boot.completion_time,

@@ -20,18 +20,23 @@
 //!   backoff accounting, then (if still unreadable) the same discard
 //!   path.
 //!
-//! Every recovery is recorded as a [`RecoveryEvent`] on the resulting
-//! [`Boot`], carrying the reason, the retry accounting, and a priced
-//! cost delta, so fleet sweeps can aggregate recovery *rates* and
-//! recovery *costs* instead of just counting weird boots.
+//! The chain runs inside [`BootRequest`]: hand the read to
+//! [`BootRequest::artifact`] and [`BootRequest::run`] validates it as the
+//! pre-parse blob, [`BootRequest::resume`] as the checkpoint's snapshot
+//! image. Every recovery is recorded as a [`RecoveryEvent`] on the
+//! resulting [`crate::Boot`], carrying the reason, the retry accounting,
+//! and a priced cost delta, so fleet sweeps can aggregate recovery
+//! *rates* and recovery *costs* instead of just counting weird boots.
+//!
+//! [`BootRequest`]: crate::booster::BootRequest
+//! [`BootRequest::artifact`]: crate::booster::BootRequest::artifact
+//! [`BootRequest::run`]: crate::booster::BootRequest::run
+//! [`BootRequest::resume`]: crate::booster::BootRequest::resume
 
-use bb_init::{blob_content_hash, decode_units, unit_set_hash, LoadModel, Unit};
-use bb_sim::{AccessPattern, CorruptionPlan, DeviceProfile, FaultPlan, SimDuration, SimTime};
+use bb_init::{blob_content_hash, decode_units, unit_set_hash, LoadModel};
+use bb_sim::{AccessPattern, CorruptionPlan, DeviceProfile, SimDuration};
 
-use crate::booster::{Boot, BootRequest, Checkpoint, Scenario};
-use crate::config::BbConfig;
-use crate::error::Error;
-use crate::fallback::{run_with_fallback, BootOutcome, FallbackPolicy};
+use crate::booster::Scenario;
 use crate::service_engine::{ParseCostParams, PreParser};
 
 /// How many times a transiently failing artifact read is retried before
@@ -41,12 +46,12 @@ pub const MAX_ARTIFACT_RETRIES: u32 = 3;
 /// Backoff before retry `attempt` (0-based): 500 µs doubling per
 /// attempt. Deterministic by construction — the ledger is part of the
 /// priced recovery cost, not the simulated timeline.
-pub fn retry_backoff(attempt: u32) -> SimDuration {
+fn retry_backoff(attempt: u32) -> SimDuration {
     SimDuration::from_micros(500u64 << attempt.min(10))
 }
 
 /// Total backoff paid for `retries` retries.
-pub fn retry_cost(retries: u32) -> SimDuration {
+fn retry_cost(retries: u32) -> SimDuration {
     let ns: u64 = (0..retries).map(|a| retry_backoff(a).as_nanos()).sum();
     SimDuration::from_nanos(ns)
 }
@@ -145,21 +150,6 @@ pub struct RecoveryEvent {
 }
 
 impl RecoveryEvent {
-    pub(crate) fn transient_ok(
-        artifact: ArtifactKind,
-        retries: u32,
-        retry_cost: SimDuration,
-    ) -> Self {
-        RecoveryEvent {
-            artifact,
-            reason: RecoveryReason::TransientReads { failures: retries },
-            action: RecoveryAction::RetriedOk,
-            retries,
-            retry_cost,
-            cost_delta: SimDuration::from_nanos(0),
-        }
-    }
-
     /// True if the artifact was discarded (as opposed to merely
     /// retried).
     pub fn rejected(&self) -> bool {
@@ -186,7 +176,7 @@ impl RecoveryEvent {
 /// many reads failed transiently before one succeeded. This is the
 /// injection point for corruption sweeps — apply a
 /// [`CorruptionPlan`] to the encoded bytes and hand the result to
-/// [`BootRequest::preparse_artifact`] or [`resume_or_cold_boot`].
+/// [`BootRequest::artifact`](crate::booster::BootRequest::artifact).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactRead {
     /// The artifact bytes as read (possibly damaged).
@@ -221,28 +211,56 @@ impl ArtifactRead {
         self.transient_failures = failures;
         self
     }
-}
 
-/// Verdict of validating one artifact read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArtifactVerdict {
-    /// The artifact is usable. `retries`/`retry_cost` account for any
-    /// transient read failures absorbed on the way.
-    Accepted {
-        /// Transient-read retries paid.
-        retries: u32,
-        /// Backoff time those retries burned.
-        retry_cost: SimDuration,
-    },
-    /// The artifact must be discarded; the event says why and prices
-    /// the recovery.
-    Rejected(RecoveryEvent),
+    /// Why the artifact must be discarded before its bytes are even
+    /// judged: `Some` when the reads failed past the retry bound.
+    pub(crate) fn unreadable(&self) -> Option<RecoveryReason> {
+        (self.transient_failures > MAX_ARTIFACT_RETRIES).then_some(RecoveryReason::TransientReads {
+            failures: self.transient_failures,
+        })
+    }
+
+    /// A recovery of this read's artifact, billed the backoff of the
+    /// retries the read paid (capped at the bound).
+    pub(crate) fn recovery(
+        &self,
+        artifact: ArtifactKind,
+        reason: RecoveryReason,
+        action: RecoveryAction,
+        cost_delta: SimDuration,
+    ) -> RecoveryEvent {
+        let retries = self.transient_failures.min(MAX_ARTIFACT_RETRIES);
+        RecoveryEvent {
+            artifact,
+            reason,
+            action,
+            retries,
+            retry_cost: retry_cost(retries),
+            cost_delta,
+        }
+    }
+
+    /// The bill for a read whose artifact was used after retries;
+    /// `None` when the first read succeeded.
+    pub(crate) fn retried(&self, artifact: ArtifactKind) -> Option<RecoveryEvent> {
+        (self.transient_failures > 0).then(|| {
+            let reason = RecoveryReason::TransientReads {
+                failures: self.transient_failures,
+            };
+            self.recovery(
+                artifact,
+                reason,
+                RecoveryAction::RetriedOk,
+                SimDuration::ZERO,
+            )
+        })
+    }
 }
 
 /// Estimated extra boot time of parsing unit text conventionally
 /// instead of loading the pre-parse cache: the same load models the
 /// planner prices, evaluated against the boot storage profile.
-pub fn preparse_penalty(
+fn preparse_penalty(
     pre: &PreParser,
     params: &ParseCostParams,
     storage: &DeviceProfile,
@@ -263,182 +281,46 @@ pub fn preparse_penalty(
 
 /// Validates a pre-parse blob read against the scenario's current unit
 /// set: bounded transient-read retries, then container/CRC validation,
-/// then the content-hash staleness check.
-pub fn validate_preparse_blob(
+/// then the content-hash staleness check. `Ok` carries the retry bill
+/// of a usable blob, `Err` the priced rejection (`pre` measures the
+/// scenario's units, for pricing it).
+pub(crate) fn validate_preparse_blob(
     read: &ArtifactRead,
-    units: &[Unit],
+    scenario: &Scenario,
     pre: &PreParser,
-    params: &ParseCostParams,
-    storage: &DeviceProfile,
-) -> ArtifactVerdict {
-    let retries = read.transient_failures.min(MAX_ARTIFACT_RETRIES);
-    let retry_cost = retry_cost(retries);
-    let reject = |reason| {
-        ArtifactVerdict::Rejected(RecoveryEvent {
-            artifact: ArtifactKind::PreparseBlob,
-            reason,
-            action: RecoveryAction::Reparsed,
-            retries,
-            retry_cost,
-            cost_delta: preparse_penalty(pre, params, storage),
-        })
-    };
-    if read.transient_failures > MAX_ARTIFACT_RETRIES {
-        return reject(RecoveryReason::TransientReads {
-            failures: read.transient_failures,
-        });
-    }
-    if let Err(e) = decode_units(&read.bytes) {
-        return reject(RecoveryReason::Corrupt {
+) -> Result<Option<RecoveryEvent>, RecoveryEvent> {
+    let reason = if let Some(reason) = read.unreadable() {
+        reason
+    } else if let Err(e) = decode_units(&read.bytes) {
+        RecoveryReason::Corrupt {
             detail: e.to_string(),
-        });
-    }
-    let found = blob_content_hash(&read.bytes).expect("container was just validated");
-    let expected = unit_set_hash(units);
-    if found != expected {
-        return reject(RecoveryReason::Stale { found, expected });
-    }
-    ArtifactVerdict::Accepted {
-        retries,
-        retry_cost,
-    }
-}
-
-/// Resumes `checkpoint` with its image replaced by `read` (the bytes as
-/// they came back from storage); a corrupt or unreadable image is
-/// discarded and the scenario cold-boots instead, with a
-/// [`RecoveryEvent`] recorded on the boot.
-///
-/// The cold boot's cost delta is priced as the kernel-phase time the
-/// snapshot would have skipped (the prefix up to the kernel→init
-/// handoff, re-simulated from scratch).
-pub fn resume_or_cold_boot(
-    scenario: &Scenario,
-    cfg: BbConfig,
-    checkpoint: &Checkpoint,
-    read: &ArtifactRead,
-) -> Result<Boot, Error> {
-    let retries = read.transient_failures.min(MAX_ARTIFACT_RETRIES);
-    let backoff = retry_cost(retries);
-    if read.transient_failures > MAX_ARTIFACT_RETRIES {
-        return cold_boot(
-            scenario,
-            cfg,
-            RecoveryReason::TransientReads {
-                failures: read.transient_failures,
-            },
-            retries,
-            backoff,
-        );
-    }
-    let attempt = checkpoint.with_image(read.bytes.clone());
-    match BootRequest::new(scenario).config(cfg).resume(&attempt) {
-        Ok(mut boot) => {
-            if retries > 0 {
-                boot.recoveries.push(RecoveryEvent::transient_ok(
-                    ArtifactKind::SnapshotImage,
-                    retries,
-                    backoff,
-                ));
-            }
-            Ok(boot)
         }
-        Err(Error::Snapshot(e)) => cold_boot(
-            scenario,
-            cfg,
-            RecoveryReason::Corrupt {
-                detail: e.to_string(),
-            },
-            retries,
-            backoff,
-        ),
-        Err(e) => Err(e),
-    }
-}
-
-fn cold_boot(
-    scenario: &Scenario,
-    cfg: BbConfig,
-    reason: RecoveryReason,
-    retries: u32,
-    retry_cost: SimDuration,
-) -> Result<Boot, Error> {
-    let mut boot = BootRequest::new(scenario).config(cfg).run()?;
-    let cost_delta = boot.report.kernel.userspace_start.since(SimTime::ZERO);
-    boot.recoveries.push(RecoveryEvent {
-        artifact: ArtifactKind::SnapshotImage,
+    } else {
+        let found = blob_content_hash(&read.bytes).expect("container was just validated");
+        let expected = unit_set_hash(&scenario.units);
+        if found == expected {
+            return Ok(read.retried(ArtifactKind::PreparseBlob));
+        }
+        RecoveryReason::Stale { found, expected }
+    };
+    let penalty = preparse_penalty(pre, &scenario.parse_params, &scenario.storage);
+    Err(read.recovery(
+        ArtifactKind::PreparseBlob,
         reason,
-        action: RecoveryAction::ColdBooted,
-        retries,
-        retry_cost,
-        cost_delta,
-    });
-    Ok(boot)
-}
-
-/// [`run_with_fallback`] with an optional pre-parse artifact in front:
-/// the sweep-facing entry the chaos grid's corruption axis uses.
-///
-/// The artifact is only consulted when `cfg` actually uses the
-/// Pre-parser — a conventional boot never reads the cache, so damage to
-/// it cannot affect that timeline. A rejected artifact flips the
-/// Pre-parser off for this boot (the timeline of a device whose cache
-/// was discarded) and the recovery is returned alongside the outcome.
-pub fn run_with_fallback_recovering(
-    scenario: &Scenario,
-    cfg: &BbConfig,
-    pre: Option<&PreParser>,
-    artifact: Option<&ArtifactRead>,
-    faults: &FaultPlan,
-    policy: &FallbackPolicy,
-) -> Result<(BootOutcome, Vec<RecoveryEvent>), Error> {
-    let mut events = Vec::new();
-    let mut cfg = *cfg;
-    if cfg.preparser {
-        if let Some(read) = artifact {
-            let built;
-            let pre = match pre {
-                Some(p) => p,
-                None => {
-                    built = PreParser::build(&scenario.units);
-                    &built
-                }
-            };
-            match validate_preparse_blob(
-                read,
-                &scenario.units,
-                pre,
-                &scenario.parse_params,
-                &scenario.storage,
-            ) {
-                ArtifactVerdict::Accepted { retries: 0, .. } => {}
-                ArtifactVerdict::Accepted {
-                    retries,
-                    retry_cost,
-                } => {
-                    events.push(RecoveryEvent::transient_ok(
-                        ArtifactKind::PreparseBlob,
-                        retries,
-                        retry_cost,
-                    ));
-                }
-                ArtifactVerdict::Rejected(ev) => {
-                    cfg.preparser = false;
-                    events.push(ev);
-                }
-            }
-        }
-    }
-    let outcome = run_with_fallback(scenario, &cfg, pre, faults, policy)?;
-    Ok((outcome, events))
+        RecoveryAction::Reparsed,
+        penalty,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::booster::tests::mini_tv;
-    use crate::booster::CheckpointPhase;
+    use crate::booster::{BootRequest, CheckpointPhase};
+    use crate::config::BbConfig;
+    use crate::fallback::FallbackPolicy;
     use bb_init::encode_units;
+    use bb_sim::{FaultPlan, SimTime};
 
     fn blob(s: &Scenario) -> Vec<u8> {
         encode_units(&s.units)
@@ -449,15 +331,8 @@ mod tests {
         let s = mini_tv();
         let pre = PreParser::build(&s.units);
         let read = ArtifactRead::clean(blob(&s));
-        let v = validate_preparse_blob(&read, &s.units, &pre, &s.parse_params, &s.storage);
-        assert_eq!(
-            v,
-            ArtifactVerdict::Accepted {
-                retries: 0,
-                retry_cost: SimDuration::from_nanos(0)
-            }
-        );
-        let boot = BootRequest::new(&s).preparse_artifact(&read).run().unwrap();
+        assert_eq!(validate_preparse_blob(&read, &s, &pre), Ok(None));
+        let boot = BootRequest::new(&s).artifact(&read).run().unwrap();
         assert!(boot.recoveries.is_empty());
     }
 
@@ -466,7 +341,7 @@ mod tests {
         let s = mini_tv();
         let plan = CorruptionPlan::seeded(7);
         let read = ArtifactRead::corrupted(blob(&s), &plan);
-        let recovered = BootRequest::new(&s).preparse_artifact(&read).run().unwrap();
+        let recovered = BootRequest::new(&s).artifact(&read).run().unwrap();
         assert_eq!(recovered.recoveries.len(), 1);
         let ev = &recovered.recoveries[0];
         assert_eq!(ev.artifact, ArtifactKind::PreparseBlob);
@@ -498,8 +373,7 @@ mod tests {
         let pre = PreParser::build(&s.units);
         // A valid blob from a *different* unit generation.
         let read = ArtifactRead::clean(blob(&other));
-        let v = validate_preparse_blob(&read, &s.units, &pre, &s.parse_params, &s.storage);
-        let ArtifactVerdict::Rejected(ev) = v else {
+        let Err(ev) = validate_preparse_blob(&read, &s, &pre) else {
             panic!("stale blob must be rejected");
         };
         assert!(matches!(
@@ -512,7 +386,7 @@ mod tests {
     fn transient_reads_within_the_bound_are_retried_and_billed() {
         let s = mini_tv();
         let read = ArtifactRead::clean(blob(&s)).flaky(2);
-        let boot = BootRequest::new(&s).preparse_artifact(&read).run().unwrap();
+        let boot = BootRequest::new(&s).artifact(&read).run().unwrap();
         assert_eq!(boot.recoveries.len(), 1);
         let ev = &boot.recoveries[0];
         assert_eq!(ev.action, RecoveryAction::RetriedOk);
@@ -532,7 +406,7 @@ mod tests {
     fn exhausted_retries_discard_the_artifact() {
         let s = mini_tv();
         let read = ArtifactRead::clean(blob(&s)).flaky(MAX_ARTIFACT_RETRIES + 2);
-        let boot = BootRequest::new(&s).preparse_artifact(&read).run().unwrap();
+        let boot = BootRequest::new(&s).artifact(&read).run().unwrap();
         assert_eq!(boot.recoveries.len(), 1);
         let ev = &boot.recoveries[0];
         assert_eq!(ev.action, RecoveryAction::Reparsed);
@@ -549,7 +423,7 @@ mod tests {
         let read = ArtifactRead::corrupted(blob(&s), &CorruptionPlan::seeded(3));
         let boot = BootRequest::new(&s)
             .config(BbConfig::conventional())
-            .preparse_artifact(&read)
+            .artifact(&read)
             .run()
             .unwrap();
         assert!(boot.recoveries.is_empty());
@@ -566,7 +440,11 @@ mod tests {
 
         // A pristine image resumes normally, no events.
         let clean = ArtifactRead::clean(ckpt.bytes().to_vec());
-        let boot = resume_or_cold_boot(&s, cfg, &ckpt, &clean).unwrap();
+        let boot = BootRequest::new(&s)
+            .config(cfg)
+            .artifact(&clean)
+            .resume(&ckpt)
+            .unwrap();
         assert!(boot.recoveries.is_empty());
         let straight = BootRequest::new(&s).config(cfg).run().unwrap();
         assert_eq!(
@@ -577,7 +455,11 @@ mod tests {
         // A corrupted image is discarded; the cold boot matches the
         // uninterrupted run and carries a priced ColdBooted event.
         let read = ArtifactRead::corrupted(ckpt.bytes().to_vec(), &CorruptionPlan::seeded(11));
-        let boot = resume_or_cold_boot(&s, cfg, &ckpt, &read).unwrap();
+        let boot = BootRequest::new(&s)
+            .config(cfg)
+            .artifact(&read)
+            .resume(&ckpt)
+            .unwrap();
         assert_eq!(
             boot.report.boot.completion_time,
             straight.report.boot.completion_time
@@ -602,7 +484,11 @@ mod tests {
             .checkpoint_at(CheckpointPhase::KernelHandoff)
             .unwrap();
         let read = ArtifactRead::clean(ckpt.bytes().to_vec()).flaky(MAX_ARTIFACT_RETRIES + 1);
-        let boot = resume_or_cold_boot(&s, cfg, &ckpt, &read).unwrap();
+        let boot = BootRequest::new(&s)
+            .config(cfg)
+            .artifact(&read)
+            .resume(&ckpt)
+            .unwrap();
         assert_eq!(boot.recoveries.len(), 1);
         assert!(matches!(
             boot.recoveries[0].reason,
@@ -612,33 +498,50 @@ mod tests {
     }
 
     #[test]
-    fn fallback_recovering_flips_preparser_only_for_bb_shapes() {
+    fn flaky_snapshot_image_within_the_bound_resumes_and_bills_retries() {
+        let s = mini_tv();
+        let ckpt = BootRequest::new(&s)
+            .checkpoint_at(CheckpointPhase::KernelHandoff)
+            .unwrap();
+        let read = ArtifactRead::clean(ckpt.bytes().to_vec()).flaky(2);
+        let boot = BootRequest::new(&s).artifact(&read).resume(&ckpt).unwrap();
+        assert_eq!(boot.recoveries.len(), 1);
+        let ev = &boot.recoveries[0];
+        assert_eq!(ev.artifact, ArtifactKind::SnapshotImage);
+        assert_eq!(ev.action, RecoveryAction::RetriedOk);
+        assert_eq!(ev.retries, 2);
+        assert_eq!(ev.retry_cost, retry_cost(2));
+        assert_eq!(ev.cost_delta.as_nanos(), 0);
+        let straight = BootRequest::new(&s).run().unwrap();
+        assert_eq!(
+            boot.report.boot.completion_time,
+            straight.report.boot.completion_time
+        );
+    }
+
+    #[test]
+    fn supervised_boots_flip_preparser_only_for_bb_shapes() {
         let s = mini_tv();
         let read = ArtifactRead::corrupted(blob(&s), &CorruptionPlan::seeded(5));
-        let policy = FallbackPolicy::default();
-        let (out, events) = run_with_fallback_recovering(
-            &s,
-            &BbConfig::full(),
-            None,
-            Some(&read),
-            &FaultPlan::none(),
-            &policy,
-        )
-        .unwrap();
-        assert!(!out.is_degraded());
-        assert_eq!(events.len(), 1);
-        assert!(events[0].rejected());
+        let supervised = |cfg| {
+            BootRequest::new(&s)
+                .config(cfg)
+                .artifact(&read)
+                .faults(&FaultPlan::none())
+                .fallback(FallbackPolicy::default())
+                .run()
+                .unwrap()
+        };
+        let out = supervised(BbConfig::full());
+        assert!(out.degraded.is_none());
+        assert_eq!(out.recoveries.len(), 1);
+        assert!(out.recoveries[0].rejected());
 
-        let (_, conv_events) = run_with_fallback_recovering(
-            &s,
-            &BbConfig::conventional(),
-            None,
-            Some(&read),
-            &FaultPlan::none(),
-            &policy,
-        )
-        .unwrap();
-        assert!(conv_events.is_empty(), "conventional boots skip the cache");
+        let conv = supervised(BbConfig::conventional());
+        assert!(
+            conv.recoveries.is_empty(),
+            "conventional boots skip the cache"
+        );
     }
 
     #[test]

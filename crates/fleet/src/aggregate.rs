@@ -275,11 +275,9 @@ fn config_stats(
 }
 
 /// Nearest-rank percentile on a sorted slice (integer nanoseconds, so
-/// no float ambiguity enters the deterministic output).
-fn percentile(sorted: &[u64], p: u32) -> u64 {
-    debug_assert!(!sorted.is_empty() && (1..=100).contains(&p));
-    let rank = (p as usize * sorted.len()).div_ceil(100);
-    sorted[rank - 1]
+/// no float ambiguity enters the deterministic output); 0 when empty.
+pub(crate) fn percentile(sorted: &[u64], p: u32) -> u64 {
+    bb_sim::telemetry::percentile_of(sorted, p).unwrap_or(0)
 }
 
 /// Aggregated statistics for one config within one cell.

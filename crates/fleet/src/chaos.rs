@@ -21,6 +21,9 @@
 //! counts, artifact rejection rates, and recovery-cost percentiles;
 //! degraded boots surface their [`bb_core::FallbackReason`].
 //!
+//! Every chaos boot is one [`BootRequest`] with the cell's fault plan,
+//! its [`FallbackPolicy`] supervisor, and the staged artifact read.
+//!
 //! Determinism matches [`crate::pool::run_sweep`]: results land in
 //! slots addressed by `(cell, plan, corruption, seed)`, statistics and
 //! notable events are derived in slot order at finalize, and the JSON
@@ -29,14 +32,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use crate::aggregate::percentile;
 use crate::json;
 use crate::pool::{panic_message, FailureKind, FleetCache, PoolConfig, PoolStats};
 use crate::service::{FleetService, ServiceConfig, ServiceReport, WorkItem};
 use crate::spec::ScenarioSource;
 use bb_core::booster::Scenario;
 use bb_core::{
-    fault_targets, run_with_fallback_recovering, with_supervision, ArtifactRead, BbConfig,
-    BootOutcome, FallbackPolicy, PreParser,
+    fault_targets, with_supervision, ArtifactRead, BbConfig, BootRequest, FallbackPolicy, PreParser,
 };
 use bb_init::{encode_units, RestartPolicy};
 use bb_sim::{CorruptionPlan, FaultPlan, SimDuration};
@@ -756,9 +759,9 @@ fn finalize(
                         } else {
                             sorted.iter().map(|&n| n as f64).sum::<f64>() / count as f64
                         },
-                        p50_ns: pct(&sorted, 50),
-                        p95_ns: pct(&sorted, 95),
-                        p99_ns: pct(&sorted, 99),
+                        p50_ns: percentile(&sorted, 50),
+                        p95_ns: percentile(&sorted, 95),
+                        p99_ns: percentile(&sorted, 99),
                         degraded: samples.iter().filter(|s| s.degraded).count(),
                         recovered: samples
                             .iter()
@@ -767,8 +770,8 @@ fn finalize(
                         restarts,
                         recoveries,
                         artifacts_rejected: rejected,
-                        recovery_cost_p50_ns: pct(&costs, 50),
-                        recovery_cost_p95_ns: pct(&costs, 95),
+                        recovery_cost_p50_ns: percentile(&costs, 50),
+                        recovery_cost_p95_ns: percentile(&costs, 95),
                     });
                 }
                 // Notable per-boot events, in (seed, config) slot order.
@@ -847,14 +850,6 @@ fn finalize(
     )
 }
 
-fn pct(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len()).div_ceil(100);
-    sorted[rank.max(1) - 1]
-}
-
 /// Transient read failures derived from a corruption seed (splitmix64
 /// finalizer, `% 6`): values above [`bb_core::MAX_ARTIFACT_RETRIES`]
 /// exhaust the retry budget and reject the artifact on flakiness alone.
@@ -905,24 +900,31 @@ pub(crate) fn run_chaos_job(
             deadline: SimDuration::from_millis(cell.deadline_ms),
         };
         let mut samples = Vec::with_capacity(cell.configs.len());
-        for (_, cfg) in &cell.configs {
-            let (boot, recoveries) = run_with_fallback_recovering(
-                &scenario,
-                cfg,
-                Some(&pre),
-                artifact.as_ref(),
-                &plan,
-                &policy,
-            )
-            .map_err(|e| FailureKind::Boost(e.to_string()))?;
+        for (label, cfg) in &cell.configs {
+            let mut request = BootRequest::new(&scenario)
+                .config(*cfg)
+                .prepared(&pre)
+                .faults(&plan)
+                .fallback(policy);
+            if let Some(read) = &artifact {
+                request = request.artifact(read);
+            }
+            let boot = request
+                .run()
+                .map_err(|e| FailureKind::Boost(e.to_string()))?;
+            // A boot whose rescue never completed is a reported
+            // failure, as in the plain sweep, not a worker panic.
+            let Some(boot_time) = boot.user_boot_time() else {
+                return Err(FailureKind::Incomplete {
+                    config: label.clone(),
+                });
+            };
+            let recoveries = &boot.recoveries;
             samples.push(ChaosSample {
-                boot_ns: boot.user_boot_time().as_nanos(),
+                boot_ns: boot_time.as_nanos(),
                 restarts: boot.restarts(),
-                degraded: matches!(boot, BootOutcome::Degraded(_)),
-                fallback_reason: match &boot {
-                    BootOutcome::Degraded(d) => Some(d.reason.to_string()),
-                    BootOutcome::Completed(_) => None,
-                },
+                degraded: boot.degraded.is_some(),
+                fallback_reason: boot.degraded.as_ref().map(|d| d.reason.to_string()),
                 recoveries: recoveries.len() as u32,
                 artifacts_rejected: recoveries.iter().filter(|e| e.rejected()).count() as u32,
                 recovery_cost_ns: recoveries.iter().map(|e| e.total_cost().as_nanos()).sum(),
@@ -1151,6 +1153,27 @@ mod tests {
             }
         }
         assert!(checked > 0, "no corruption slot rejected every artifact");
+    }
+
+    #[test]
+    fn incomplete_rescue_is_a_reported_failure_not_a_panic() {
+        // The BB attempt never completes, so the supervisor falls back
+        // — and the conventional rescue never completes either. The job
+        // fails the way the plain sweep of this scenario does.
+        let spec = ChaosSpec::new().cell(
+            ChaosCellSpec::fixed("hung", crate::pool::tests::deadlocked_completion())
+                .seeds([0, 1])
+                .conventional_vs_bb(),
+        );
+        let outcome = run_chaos(&spec, &PoolConfig::with_workers(2));
+        assert_eq!(outcome.report.total_boots, 0);
+        let reasons: Vec<&str> = outcome
+            .report
+            .failures
+            .iter()
+            .map(|f| f.reason.as_str())
+            .collect();
+        assert_eq!(reasons, ["incomplete boot: conventional"; 2]);
     }
 
     #[test]

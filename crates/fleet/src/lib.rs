@@ -38,8 +38,9 @@
 //!   schema constants every emitter stamps its document with via
 //!   [`json::open_document`].
 //! * [`chaos`] — [`run_chaos`]: the fault-injection sweep, gridding
-//!   `{seed × fault-plan × corruption × config}` through the supervised
-//!   [`bb_core::run_with_fallback_recovering`] boot and aggregating
+//!   `{seed × fault-plan × corruption × config}` through a supervised
+//!   [`bb_core::BootRequest`] (fault plan, fallback policy, staged
+//!   artifact read) and aggregating
 //!   recovery rate, restart counts, degraded-boot rate, artifact
 //!   rejection rates, recovery-cost percentiles, and
 //!   boot-time-under-fault percentiles (schema `bb-fleet-chaos-v2`).

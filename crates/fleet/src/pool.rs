@@ -649,7 +649,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::CellSpec;
     use bb_core::BbConfig;
@@ -702,8 +702,9 @@ mod tests {
             .all(|f| f.reason == "deadline exceeded"));
     }
 
-    #[test]
-    fn incomplete_boot_is_a_reported_failure_not_a_panic() {
+    /// A small TV scenario whose boot can never complete, under any
+    /// config.
+    pub(crate) fn deadlocked_completion() -> Scenario {
         use bb_init::ServiceBody;
         use bb_sim::{FlagId, Op};
         use bb_workloads::tv_scenario_with;
@@ -733,9 +734,13 @@ mod tests {
                 post_ready: Vec::new(),
             },
         );
+        scenario
+    }
 
+    #[test]
+    fn incomplete_boot_is_a_reported_failure_not_a_panic() {
         let spec = SweepSpec::new().cell(
-            CellSpec::fixed("hung", scenario)
+            CellSpec::fixed("hung", deadlocked_completion())
                 .seeds([0, 1])
                 .conventional_vs_bb(),
         );

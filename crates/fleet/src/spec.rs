@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use bb_core::booster::Scenario;
 use bb_core::{BbConfig, PreParser};
+use bb_sim::{fnv1a, FNV1A_OFFSET};
 use bb_workloads::{tv_scenario_with, MachineProfile, TizenParams};
 
 /// Where a cell's boot scenarios come from.
@@ -233,18 +234,6 @@ pub struct Job {
     pub seed_idx: usize,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Content fingerprint of a cell's scenario *source*: `(hash,
 /// seed_dependent)`. Two cells with equal fingerprints instantiate
 /// identical scenarios for equal seeds — the sharing key behind the
@@ -261,10 +250,13 @@ pub(crate) fn cell_fingerprint(cell: &CellSpec) -> (u64, bool) {
     match &cell.source {
         ScenarioSource::Tizen { profile, params } => {
             let canonical = TizenParams { seed: 0, ..*params };
-            let h = fnv1a(FNV_OFFSET, format!("{profile:?}|{canonical:?}").as_bytes());
+            let h = fnv1a(
+                FNV1A_OFFSET,
+                format!("{profile:?}|{canonical:?}").as_bytes(),
+            );
             (h, true)
         }
-        ScenarioSource::Fixed(s) => (fnv1a(FNV_OFFSET, format!("{s:?}").as_bytes()), false),
+        ScenarioSource::Fixed(s) => (fnv1a(FNV1A_OFFSET, format!("{s:?}").as_bytes()), false),
     }
 }
 

@@ -14,6 +14,7 @@
 //! cache-load time on this code.
 
 use crate::unit::{ExecConfig, IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName};
+use bb_sim::{fnv1a, FNV1A_OFFSET};
 
 /// Magic + version header of a cache blob. Version 2 added the
 /// supervision fields (`Restart=`, `RestartSec=`, start limits,
@@ -125,7 +126,7 @@ pub fn encode_units(units: &[Unit]) -> Vec<u8> {
     let payload = encode_unit_payload(units);
     let mut out = Vec::with_capacity(MIN_BLOB_LEN + payload.len());
     out.extend_from_slice(MAGIC);
-    put_u64(&mut out, fnv1a64(&payload));
+    put_u64(&mut out, fnv1a(FNV1A_OFFSET, &payload));
     put_u32(&mut out, units.len() as u32);
     out.extend_from_slice(&payload);
     let crc = fnv1a32(&out);
@@ -139,7 +140,7 @@ pub fn encode_units(units: &[Unit]) -> Vec<u8> {
 /// live unit set ([`blob_content_hash`] reads the stored stamp for the
 /// comparison).
 pub fn unit_set_hash(units: &[Unit]) -> u64 {
-    fnv1a64(&encode_unit_payload(units))
+    fnv1a(FNV1A_OFFSET, &encode_unit_payload(units))
 }
 
 /// The content hash stored in `blob`'s header, after validating the
@@ -181,15 +182,6 @@ fn verify_container(blob: &[u8]) -> Result<&[u8], CodecError> {
         return Err(CodecError::ChecksumMismatch { found, expected });
     }
     Ok(body)
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 fn fnv1a32(bytes: &[u8]) -> u32 {

@@ -135,11 +135,11 @@ mod tests {
         let domain = RcuDomain::new(WaitStrategy::Boosted);
         let queue = DeferQueue::new(&domain);
         let counter = Arc::new(AtomicUsize::new(0));
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
                 let queue = &queue;
                 let counter = Arc::clone(&counter);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..100 {
                         let c = Arc::clone(&counter);
                         queue.defer(move || {
@@ -148,8 +148,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("threads join");
+        });
         assert_eq!(queue.pending(), 800);
         assert_eq!(queue.flush(), 800);
         assert_eq!(counter.load(Ordering::SeqCst), 800);

@@ -54,7 +54,7 @@ pub use io::{Device, DeviceProfile, IoPriority, MIB};
 pub use machine::{Machine, MachineBuilder, MachineConfig, RunOutcome, SchedStats};
 pub use process::{AccessPattern, Op, OpsBuilder, ProcessSpec};
 pub use rcu::{RcuMode, RcuParams, RcuStats};
-pub use snapshot::{SnapshotError, SnapshotHeader};
+pub use snapshot::{fnv1a, SnapshotError, SnapshotHeader, FNV1A_OFFSET};
 pub use telemetry::{Histogram, MetricsRegistry, Span, Telemetry};
 pub use time::{SimDuration, SimTime};
 pub use trace::{CoreSpan, ProcessTimeline, Trace, TraceEvent, TraceKind};

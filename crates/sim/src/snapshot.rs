@@ -223,11 +223,24 @@ pub fn read_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
 pub fn config_hash(cfg: &MachineConfig) -> u64 {
     let mut w = Writer::new();
     encode_config(&mut w, cfg);
-    fnv1a(&w.buf)
+    fnv1a(FNV1A_OFFSET, &w.buf)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the running hash every
+/// [`fnv1a`] chain starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a in continuation form: folds `bytes` into the running
+/// `hash`, so `fnv1a(fnv1a(FNV1A_OFFSET, a), b)` hashes `a` then `b`.
+/// The workspace's one content hash — snapshot checksums and config
+/// hashes, pre-parse blob content stamps, fleet scenario fingerprints.
+///
+/// The multiplier is `0x1000_0000_01b3`, not the textbook FNV prime
+/// `0x100_0000_01b3`: the snapshot and pre-parse formats were written
+/// with it, so it is part of both on-disk formats (the golden fixtures
+/// under `tests/golden/` pin it).
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    let mut hash = hash;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x1000_0000_01b3);
@@ -249,7 +262,7 @@ pub fn save(machine: &Machine) -> Result<Vec<u8>, SnapshotError> {
 
     let mut cfg = Writer::new();
     encode_config(&mut cfg, &machine.cfg);
-    let hash = fnv1a(&cfg.buf);
+    let hash = fnv1a(FNV1A_OFFSET, &cfg.buf);
     payload.section(SEC_CONFIG, cfg);
 
     let mut w = Writer::new();
@@ -323,7 +336,7 @@ pub fn save(machine: &Machine) -> Result<Vec<u8>, SnapshotError> {
     out.extend_from_slice(&CALIBRATION_PIN_BB_US.to_le_bytes());
     out.extend_from_slice(&(payload.buf.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload.buf);
-    out.extend_from_slice(&fnv1a(&payload.buf).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV1A_OFFSET, &payload.buf).to_le_bytes());
     Ok(out)
 }
 
@@ -364,7 +377,7 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
                 .try_into()
                 .expect("8 bytes"),
         );
-        let expected = fnv1a(payload);
+        let expected = fnv1a(FNV1A_OFFSET, payload);
         if found != expected {
             return Err(SnapshotError::ChecksumMismatch { found, expected });
         }
@@ -375,7 +388,7 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
     };
 
     let mut sec = r.section(SEC_CONFIG)?;
-    let actual_hash = fnv1a(sec.buf);
+    let actual_hash = fnv1a(FNV1A_OFFSET, sec.buf);
     if actual_hash != header.config_hash {
         return Err(SnapshotError::ConfigHashMismatch {
             found: header.config_hash,

@@ -46,6 +46,10 @@ run grep -q 'artifact rejected' "$chaos_tmp/c1.json"
 run cargo test -q --test proptest_units
 run cargo test -q --test recovery_chain
 
+# Report goldens: the sweep, span-metrics, and chaos documents of two
+# small grids must keep their committed bytes.
+run cargo test -q --test golden_reports
+
 # Snapshot gates: checkpoint-forked sweeps must be byte-identical to
 # unforked ones, the snapshot round-trip must stay deterministic
 # (proptests), and the goldens must pin the v2 format byte-for-byte

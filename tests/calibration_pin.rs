@@ -4,9 +4,7 @@
 //! can be pinned exactly. These tests exist to catch *accidental*
 //! calibration drift — if you change a cost model on purpose, update
 //! the pins and the tables in EXPERIMENTS.md together.
-use booting_booster::bb::{
-    run_with_fallback, BbConfig, BootOutcome, BootRequest, FallbackPolicy, FullBootReport, Scenario,
-};
+use booting_booster::bb::{BbConfig, BootRequest, FallbackPolicy, FullBootReport, Scenario};
 use booting_booster::sim::FaultPlan;
 use booting_booster::workloads::tv_scenario;
 
@@ -45,17 +43,17 @@ fn fault_free_supervised_boot_matches_plain_boost_exactly() {
     let scenario = tv_scenario();
     for cfg in [BbConfig::conventional(), BbConfig::full()] {
         let plain = boost(&scenario, &cfg).expect("valid");
-        let supervised = run_with_fallback(
-            &scenario,
-            &cfg,
-            None,
-            &FaultPlan::none(),
-            &FallbackPolicy::default(),
-        )
-        .expect("valid");
-        let BootOutcome::Completed(report) = supervised else {
-            panic!("fault-free boot must not degrade");
-        };
+        let supervised = BootRequest::new(&scenario)
+            .config(cfg)
+            .faults(&FaultPlan::none())
+            .fallback(FallbackPolicy::default())
+            .run()
+            .expect("valid");
+        assert!(
+            supervised.degraded.is_none(),
+            "fault-free boot must not degrade"
+        );
+        let report = supervised.report;
         assert_eq!(report.boot_time(), plain.boot_time());
         assert_eq!(report.quiesce_time, plain.quiesce_time);
         assert_eq!(report.boot.init_done, plain.boot.init_done);

@@ -66,7 +66,10 @@ fn chaos_report_matches_golden() {
     // The grid must keep exercising every event kind, or the golden
     // stops guarding the fallback and recovery paths.
     for kind in ["artifact rejected", "degraded boot", "recovered after"] {
-        assert!(json.contains(kind), "chaos golden grid lost its {kind:?} events");
+        assert!(
+            json.contains(kind),
+            "chaos golden grid lost its {kind:?} events"
+        );
     }
     check_golden("chaos_s24.json", &json);
 }

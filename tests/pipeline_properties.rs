@@ -4,15 +4,17 @@
 //!    applying any enabled pass a second time must not change the plan.
 //!    The executor replays the IR verbatim, so idempotence is what makes
 //!    a pass safe to re-run (and the deltas trustworthy as provenance).
-//! 2. The pipeline refactor is behavior-preserving: `Pipeline::run`
-//!    reproduces the pre-refactor TV-scenario boot times exactly, for
-//!    both the conventional and the full-BB configuration.
+//! 2. The pipeline refactor is behavior-preserving: a [`BootRequest`]
+//!    boot through the pipeline reproduces the pre-refactor TV-scenario
+//!    boot times exactly, for both the conventional and the full-BB
+//!    configuration.
 //!
 //! [`PlanPass`]: booting_booster::bb::PlanPass
+//! [`BootRequest`]: booting_booster::bb::BootRequest
 
 use proptest::prelude::*;
 
-use booting_booster::bb::{BbConfig, BootPlanIr, Pipeline};
+use booting_booster::bb::{BbConfig, BootPlanIr, BootRequest, Pipeline};
 use booting_booster::workloads::{camera_scenario, tv_scenario};
 
 /// The plan state passes are allowed to mutate, as one comparable
@@ -70,11 +72,15 @@ fn pipeline_reproduces_pre_refactor_tv_boot_times() {
     // machine-op programs it emits are identical, so the calibrated
     // headline times must not move by a nanosecond.
     let scenario = tv_scenario();
-    let pipeline = Pipeline::standard();
-    let conv = pipeline
-        .run(&scenario, &BbConfig::conventional())
-        .expect("valid");
-    let bb = pipeline.run(&scenario, &BbConfig::full()).expect("valid");
+    let boot = |cfg| {
+        BootRequest::new(&scenario)
+            .config(cfg)
+            .run()
+            .expect("valid")
+            .report
+    };
+    let conv = boot(BbConfig::conventional());
+    let bb = boot(BbConfig::full());
     assert_eq!(conv.boot_time().to_string(), "8614.474ms");
     assert_eq!(bb.boot_time().to_string(), "3200.077ms");
     // Conventional boots run zero passes; full BB runs all seven.

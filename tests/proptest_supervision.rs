@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 
-use booting_booster::bb::{
-    fault_targets, run_with_fallback, with_supervision, BbConfig, BootOutcome, FallbackPolicy,
-};
+use booting_booster::bb::{fault_targets, with_supervision, Boot, BootRequest, FallbackPolicy};
 use booting_booster::init::{
     run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
     RestartPolicy, ServiceBody, ServiceType, Transaction, Unit, UnitGraph, UnitName, WorkloadMap,
@@ -31,7 +29,7 @@ fn supervised_outcome(
     restart: RestartPolicy,
     restart_sec_ms: u64,
     burst: u32,
-) -> (BootOutcome, FallbackPolicy) {
+) -> (Boot, FallbackPolicy) {
     let base = tv_scenario_with(
         profiles::ue48h6200(),
         TizenParams {
@@ -43,7 +41,10 @@ fn supervised_outcome(
     let scenario = with_supervision(&base, restart, restart_sec_ms, burst);
     let plan = FaultPlan::seeded(plan_seed, &fault_targets(&scenario));
     let policy = FallbackPolicy::default();
-    let out = run_with_fallback(&scenario, &BbConfig::full(), None, &plan, &policy)
+    let out = BootRequest::new(&scenario)
+        .faults(&plan)
+        .fallback(policy)
+        .run()
         .expect("supervised boot returns");
     (out, policy)
 }
@@ -68,11 +69,7 @@ proptest! {
 
         // No infinite restart loops: every unit's respawns are bounded
         // by its start limit.
-        let boot = match &out {
-            BootOutcome::Completed(r) => &r.boot,
-            BootOutcome::Degraded(d) => &d.bb.boot,
-        };
-        for (name, rec) in &boot.services {
+        for (name, rec) in &out.report.boot.services {
             prop_assert!(
                 rec.restarts <= burst,
                 "{} respawned {} times with StartLimitBurst={}",
@@ -83,16 +80,17 @@ proptest! {
         // The supervisor bounds the user-visible boot time: a clean
         // boot beat the deadline; a degraded one paid at most the
         // deadline on top of the conventional rescue.
-        match &out {
-            BootOutcome::Completed(r) => {
-                prop_assert!(r.boot_time().since(SimTime::ZERO) <= policy.deadline);
+        match &out.degraded {
+            None => {
+                prop_assert!(out.report.boot_time().since(SimTime::ZERO) <= policy.deadline);
             }
-            BootOutcome::Degraded(d) => {
-                let bound = d.conventional.boot_time().since(SimTime::ZERO) + policy.deadline;
+            Some(d) => {
+                let bound = d.rescue.boot_time().since(SimTime::ZERO) + policy.deadline;
+                let total_boot = out.user_boot_time().expect("the rescue completes");
                 prop_assert!(
-                    d.total_boot.since(SimTime::ZERO) <= bound,
+                    total_boot.since(SimTime::ZERO) <= bound,
                     "degraded boot {} exceeds conventional+deadline {}",
-                    d.total_boot, SimTime::ZERO + bound
+                    total_boot, SimTime::ZERO + bound
                 );
             }
         }
@@ -111,7 +109,7 @@ proptest! {
         let (b, _) = supervised_outcome(scenario_seed, plan_seed, restart, 50, burst);
         prop_assert_eq!(a.user_boot_time(), b.user_boot_time());
         prop_assert_eq!(a.restarts(), b.restarts());
-        prop_assert_eq!(a.is_degraded(), b.is_degraded());
+        prop_assert_eq!(a.degraded.is_some(), b.degraded.is_some());
     }
 }
 

@@ -15,8 +15,7 @@
 use proptest::prelude::*;
 
 use booting_booster::bb::{
-    run_with_fallback_recovering, ArtifactRead, BbConfig, BootOutcome, FallbackPolicy, PreParser,
-    Scenario,
+    ArtifactRead, BbConfig, BootRequest, FallbackPolicy, PreParser, Scenario,
 };
 use booting_booster::init::{decode_units, encode_units};
 use booting_booster::sim::{CorruptionPlan, FaultPlan};
@@ -136,16 +135,16 @@ proptest! {
         )
         .flaky(flaky);
 
-        let (outcome, events) = run_with_fallback_recovering(
-            &scenario,
-            &BbConfig::full(),
-            Some(&pre),
-            Some(&artifact),
-            &faults,
-            &policy,
-        )
-        .expect("a damaged artifact must never fail the boot");
-        prop_assert!(matches!(outcome, BootOutcome::Completed(_)));
+        let outcome = BootRequest::new(&scenario)
+            .config(BbConfig::full())
+            .prepared(&pre)
+            .artifact(&artifact)
+            .faults(&faults)
+            .fallback(policy)
+            .run()
+            .expect("a damaged artifact must never fail the boot");
+        prop_assert!(outcome.degraded.is_none());
+        let events = &outcome.recoveries;
 
         let rejected = events.iter().any(|e| e.rejected());
         let baseline_cfg = if rejected {
@@ -153,16 +152,14 @@ proptest! {
         } else {
             BbConfig::full()
         };
-        let (baseline, baseline_events) = run_with_fallback_recovering(
-            &scenario,
-            &baseline_cfg,
-            Some(&pre),
-            None,
-            &faults,
-            &policy,
-        )
-        .expect("baseline boot");
-        prop_assert!(baseline_events.is_empty(), "no artifact, no recoveries");
+        let baseline = BootRequest::new(&scenario)
+            .config(baseline_cfg)
+            .prepared(&pre)
+            .faults(&faults)
+            .fallback(policy)
+            .run()
+            .expect("baseline boot");
+        prop_assert!(baseline.recoveries.is_empty(), "no artifact, no recoveries");
         prop_assert_eq!(
             outcome.user_boot_time(),
             baseline.user_boot_time(),
@@ -171,7 +168,7 @@ proptest! {
         );
 
         // Every rejection is priced, and retries bill backoff.
-        for e in &events {
+        for e in events {
             if e.rejected() {
                 prop_assert!(e.total_cost().as_nanos() > 0);
             }
