@@ -8,6 +8,13 @@
 //!   `bbsim chaos --services 24 --seeds 2 --plans 4 --corruption 2 --json FILE`
 //!   (schema `bb-fleet-chaos-v2`). This grid produces all three chaos
 //!   event kinds: artifact-rejected, degraded, and fault-recovered.
+//! * `chaos_s24_norestart.json` —
+//!   `bbsim chaos --services 24 --seeds 2 --plans 3 --restart no --deadline-ms 4000`:
+//!   supervision off and a non-default fallback deadline, so degraded
+//!   boots both miss the 4,000 ms deadline and never complete.
+//! * `chaos_s24_two_profiles.json` —
+//!   `bbsim chaos --profiles ue48h6200,galaxy-s6 --services 24 --seeds 2 --plans 1 --corruption 1`:
+//!   two cells, pinning multi-cell slot order.
 //!
 //! Each grid is built in process the way the CLI builds it — through
 //! [`SweepArgs`], then `run_sweep` or `run_chaos` — and compared byte
@@ -53,23 +60,76 @@ fn sweep_report_and_metrics_match_goldens() {
     check_golden("sweep_s24_metrics.json", &metrics.to_json());
 }
 
+/// One chaos golden: the job the CLI flags describe, and substrings
+/// the document must keep so the golden keeps guarding its paths.
+struct ChaosGolden {
+    file: &'static str,
+    job: fn() -> SweepArgs,
+    must_contain: &'static [&'static str],
+}
+
+fn chaos_job(services: usize, seeds: u64) -> SweepArgs {
+    let mut job = SweepArgs::new(JobKind::Chaos);
+    job.services = Some(services);
+    job.seeds = seeds;
+    job
+}
+
+const CHAOS_GOLDENS: &[ChaosGolden] = &[
+    ChaosGolden {
+        file: "chaos_s24.json",
+        job: || {
+            let mut job = chaos_job(24, 2);
+            job.plans = 4;
+            job.corruption = 2;
+            job
+        },
+        // Every event kind, or the golden stops guarding the fallback
+        // and recovery paths.
+        must_contain: &["artifact rejected", "degraded boot", "recovered after"],
+    },
+    ChaosGolden {
+        file: "chaos_s24_norestart.json",
+        job: || {
+            let mut job = chaos_job(24, 2);
+            job.plans = 3;
+            job.restart = "no".into();
+            job.deadline_ms = Some(4000);
+            job
+        },
+        must_contain: &["missed the deadline", "boot never completed"],
+    },
+    ChaosGolden {
+        file: "chaos_s24_two_profiles.json",
+        job: || {
+            let mut job = chaos_job(24, 2);
+            job.profiles = "ue48h6200,galaxy-s6".into();
+            job.plans = 1;
+            job.corruption = 1;
+            job
+        },
+        must_contain: &[
+            "\"UE48H6200-s24\"",
+            "\"GalaxyS6-s24\"",
+            "artifact rejected",
+            "recovered after",
+        ],
+    },
+];
+
 #[test]
 fn chaos_report_matches_golden() {
-    let mut job = SweepArgs::new(JobKind::Chaos);
-    job.services = Some(24);
-    job.seeds = 2;
-    job.plans = 4;
-    job.corruption = 2;
-    let spec = job.chaos_spec().expect("chaos grid");
-    let outcome = run_chaos(&spec, &PoolConfig::with_workers(2));
-    let json = outcome.report.to_json();
-    // The grid must keep exercising every event kind, or the golden
-    // stops guarding the fallback and recovery paths.
-    for kind in ["artifact rejected", "degraded boot", "recovered after"] {
-        assert!(
-            json.contains(kind),
-            "chaos golden grid lost its {kind:?} events"
-        );
+    for golden in CHAOS_GOLDENS {
+        let spec = (golden.job)().chaos_spec().expect("chaos grid");
+        let outcome = run_chaos(&spec, &PoolConfig::with_workers(2));
+        let json = outcome.report.to_json();
+        for needle in golden.must_contain {
+            assert!(
+                json.contains(needle),
+                "{} lost its {needle:?} content",
+                golden.file
+            );
+        }
+        check_golden(golden.file, &json);
     }
-    check_golden("chaos_s24.json", &json);
 }
