@@ -40,13 +40,18 @@ impl Default for FallbackPolicy {
     fn default() -> Self {
         // Generous relative to the paper's 8.1 s conventional boot: the
         // fallback should fire on genuinely wedged boots, not slow ones.
-        FallbackPolicy {
-            deadline: SimDuration::from_millis(15_000),
-        }
+        FallbackPolicy::with_deadline_ms(15_000)
     }
 }
 
 impl FallbackPolicy {
+    /// A policy whose deadline is `ms` simulated milliseconds.
+    pub fn with_deadline_ms(ms: u64) -> Self {
+        FallbackPolicy {
+            deadline: SimDuration::from_millis(ms),
+        }
+    }
+
     /// Judges a finished attempt: `None` if it met the policy, else why
     /// the supervisor trips and how long it took to notice. A
     /// completed-but-bad boot is noticed at completion (capped at the

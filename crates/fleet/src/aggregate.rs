@@ -2,41 +2,107 @@
 //!
 //! The [`Aggregator`] consumes job results from the pool's channel as
 //! they arrive (any order) and stores them into slots addressed by
-//! `(cell, seed_idx)`. [`Aggregator::finalize`] then computes all
-//! statistics by walking the slots in deterministic order — so the
-//! resulting [`SweepReport`] (and its JSON form) is byte-identical for
-//! any worker count.
+//! `(cell, plan, corruption, seed)`. [`Aggregator::finalize`] then
+//! computes all statistics by walking the slots in deterministic order
+//! — so the resulting [`SweepReport`] (and its JSON form) is
+//! byte-identical for any worker count. The chaos view
+//! ([`crate::ChaosReport`]) is derived from the same slots.
 
 use std::collections::BTreeMap;
 
 use crate::json::{self, Json};
 use crate::pool::{JobFailure, JobOutput};
-use crate::spec::SweepSpec;
+use crate::spec::{Job, SweepSpec};
 
-/// Accumulates job results into seed-addressed slots.
+/// Accumulates job results into slots addressed by `(cell, plan,
+/// corruption, seed)`.
 #[derive(Debug)]
 pub struct Aggregator {
     cells: Vec<CellSlots>,
-    failures: Vec<(usize, usize, u64, String)>, // (cell, seed_idx, seed, reason)
+    failures: Vec<Failure>,
 }
+
+/// A failed job: `(job, seed, reason)`. Sorting these sorts by `(cell,
+/// plan, corruption, seed)`.
+pub(crate) type Failure = (Job, u64, String);
 
 /// One boot's `(span name, duration ns)` lists, one list per config.
 type ConfigSpans = Vec<Vec<(String, u64)>>;
 
+/// The fault and recovery columns of one supervised boot. They travel
+/// beside [`JobOutput`], one record per config, and are empty for plain
+/// cells.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FaultRecord {
+    /// Supervised respawns the attempt took.
+    pub(crate) restarts: u32,
+    /// Why the supervisor fell back to the conventional boot, rendered;
+    /// `None` unless the boot degraded.
+    pub(crate) degraded: Option<String>,
+    /// Artifact recoveries (retried reads included).
+    pub(crate) recoveries: u32,
+    /// Artifacts the integrity chain rejected (subset of `recoveries`).
+    pub(crate) rejected: u32,
+    /// Total priced recovery cost, simulated ns.
+    pub(crate) cost_ns: u64,
+    /// Stable description of the first rejection.
+    pub(crate) rejection: Option<String>,
+}
+
+/// One filled slot: every config of one `(plan, corruption, seed)`.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot {
+    /// Boot time per config, simulated ns (user-visible for degraded
+    /// boots).
+    pub(crate) boots: Vec<u64>,
+    /// Span lists per config; empty unless the sweep collects metrics.
+    spans: ConfigSpans,
+    /// Fault columns per config; empty for plain cells.
+    pub(crate) faults: Vec<FaultRecord>,
+}
+
+/// One cell's slots, `[plan][corruption][seed]` flattened (see
+/// [`crate::CellSpec`]'s axes).
 #[derive(Debug)]
-struct CellSlots {
-    label: String,
-    config_labels: Vec<String>,
-    seeds: Vec<u64>,
-    /// Per seed slot: boot nanoseconds per config, once the job lands.
-    boots: Vec<Option<Vec<u64>>>,
-    /// Per seed slot: `(span name, duration ns)` per config. Stays
-    /// `None` unless the sweep collects metrics.
-    spans: Vec<Option<ConfigSpans>>,
+pub(crate) struct CellSlots {
+    pub(crate) label: String,
+    pub(crate) config_labels: Vec<String>,
+    pub(crate) seeds: Vec<u64>,
+    pub(crate) plan_seeds: Vec<Option<u64>>,
+    pub(crate) corruption_seeds: Vec<Option<u64>>,
+    pub(crate) slots: Vec<Option<Slot>>,
+}
+
+impl CellSlots {
+    /// The flat index of `(plan, corruption, seed)`.
+    fn index(&self, plan: usize, corruption: usize, seed: usize) -> usize {
+        (plan * self.corruption_seeds.len() + corruption) * self.seeds.len() + seed
+    }
+
+    /// The seed slots of one `(plan, corruption)` pair, in seed order.
+    pub(crate) fn seed_slots(&self, plan: usize, corruption: usize) -> &[Option<Slot>] {
+        let start = self.index(plan, corruption, 0);
+        &self.slots[start..start + self.seeds.len()]
+    }
+
+    /// The span lists of every filled slot that carries them.
+    fn spans(&self) -> impl Iterator<Item = &ConfigSpans> {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|s| &s.spans)
+            .filter(|spans| !spans.is_empty())
+    }
+
+    /// Boot times of config `ci` over every filled slot, in slot order.
+    fn samples(&self, ci: usize) -> Vec<u64> {
+        self.slots.iter().flatten().map(|s| s.boots[ci]).collect()
+    }
 }
 
 impl Aggregator {
-    /// Allocates slots for every `(cell, seed)` of `spec`.
+    /// Allocates slots for every `(cell, plan, corruption, seed)` of
+    /// `spec`.
     pub fn new(spec: &SweepSpec) -> Self {
         Aggregator {
             cells: spec
@@ -46,8 +112,9 @@ impl Aggregator {
                     label: c.label.clone(),
                     config_labels: c.configs.iter().map(|(l, _)| l.clone()).collect(),
                     seeds: c.seeds.clone(),
-                    boots: vec![None; c.seeds.len()],
-                    spans: vec![None; c.seeds.len()],
+                    plan_seeds: c.plan_seeds.clone(),
+                    corruption_seeds: c.corruption_seeds.clone(),
+                    slots: vec![None; c.slots()],
                 })
                 .collect(),
             failures: Vec::new(),
@@ -56,27 +123,31 @@ impl Aggregator {
 
     /// Accepts one pool message, in arrival (nondeterministic) order.
     pub fn accept(&mut self, msg: Result<JobOutput, JobFailure>) {
+        self.accept_job(msg.map(|out| (out, Vec::new())));
+    }
+
+    /// Accepts one job result with its fault columns (one record per
+    /// config for supervised cells, none for plain ones).
+    pub(crate) fn accept_job(&mut self, msg: Result<(JobOutput, Vec<FaultRecord>), JobFailure>) {
         match msg {
-            Ok(out) => {
-                let cell = &mut self.cells[out.job.cell];
-                debug_assert!(cell.boots[out.job.seed_idx].is_none(), "slot filled twice");
-                let mut by_config = vec![0u64; cell.config_labels.len()];
+            Ok((out, faults)) => {
+                let job = out.job;
+                let cell = &mut self.cells[job.cell];
+                let slot = cell.index(job.plan_idx, job.corr_idx, job.seed_idx);
+                debug_assert!(cell.slots[slot].is_none(), "slot filled twice");
+                let mut boots = vec![0u64; cell.config_labels.len()];
                 for s in &out.samples {
-                    by_config[s.config] = s.boot_ns;
+                    boots[s.config] = s.boot_ns;
                 }
-                cell.boots[out.job.seed_idx] = Some(by_config);
-                if !out.spans.is_empty() {
-                    cell.spans[out.job.seed_idx] = Some(out.spans);
-                }
+                cell.slots[slot] = Some(Slot {
+                    boots,
+                    spans: out.spans,
+                    faults,
+                });
             }
-            Err(fail) => {
-                self.failures.push((
-                    fail.job.cell,
-                    fail.job.seed_idx,
-                    fail.seed,
-                    fail.kind.reason(),
-                ));
-            }
+            Err(fail) => self
+                .failures
+                .push((fail.job, fail.seed, fail.kind.reason())),
         }
     }
 
@@ -86,23 +157,46 @@ impl Aggregator {
         let filled: usize = self
             .cells
             .iter()
-            .map(|c| c.boots.iter().filter(|b| b.is_some()).count())
+            .map(|c| c.slots.iter().flatten().count())
             .sum();
         filled + self.failures.len()
     }
 
-    /// Computes the final report, walking slots in deterministic order.
-    pub fn finalize(self) -> SweepReport {
+    /// Deterministic totals of the fault columns across every accepted
+    /// boot: `(restarts, recoveries, rejected artifacts)`.
+    pub(crate) fn fault_totals(&self) -> (usize, usize, usize) {
+        let records = self
+            .cells
+            .iter()
+            .flat_map(|c| c.slots.iter().flatten())
+            .flat_map(|s| &s.faults);
+        records.fold((0, 0, 0), |(r, v, x), f| {
+            (
+                r + f.restarts as usize,
+                v + f.recoveries as usize,
+                x + f.rejected as usize,
+            )
+        })
+    }
+
+    /// The slots and the failures, sorted so their order cannot depend
+    /// on scheduling.
+    pub(crate) fn into_parts(self) -> (Vec<CellSlots>, Vec<Failure>) {
         let Aggregator {
-            cells: cell_slots,
+            cells,
             mut failures,
         } = self;
-        // Failure order must not depend on scheduling.
         failures.sort();
+        (cells, failures)
+    }
+
+    /// Computes the final report, walking slots in deterministic order.
+    pub fn finalize(self) -> SweepReport {
+        let (cell_slots, failures) = self.into_parts();
         let failures = failures
             .into_iter()
-            .map(|(cell, _, seed, reason)| FailureReport {
-                cell: cell_slots[cell].label.clone(),
+            .map(|(job, seed, reason)| FailureReport {
+                cell: cell_slots[job.cell].label.clone(),
                 seed,
                 reason,
             })
@@ -112,32 +206,26 @@ impl Aggregator {
         let cells = cell_slots
             .iter()
             .map(|cell| {
-                let completed = cell.boots.iter().flatten().count();
+                let completed = cell.slots.iter().flatten().count();
                 let baseline = cell
                     .config_labels
                     .iter()
                     .position(|l| l == "conventional")
-                    .and_then(|ci| mean_of(cell, ci));
+                    .and_then(|ci| mean_of(&cell.samples(ci)));
                 let configs = cell
                     .config_labels
                     .iter()
                     .enumerate()
                     .map(|(ci, label)| {
-                        // Samples in seed order (slot order), skipping
-                        // failed slots.
-                        let samples: Vec<u64> = cell
-                            .boots
-                            .iter()
-                            .flatten()
-                            .map(|by_config| by_config[ci])
-                            .collect();
+                        // Samples in slot order, skipping failed slots.
+                        let samples = cell.samples(ci);
                         total_boots += samples.len();
                         config_stats(label, &samples, label != "conventional", baseline)
                     })
                     .collect();
                 CellReport {
                     label: cell.label.clone(),
-                    seeds: cell.seeds.len(),
+                    seeds: cell.slots.len(),
                     completed,
                     configs,
                 }
@@ -159,10 +247,7 @@ impl Aggregator {
 /// configs, and seed slots in deterministic order. `None` when no slot
 /// carries span data (metrics collection off).
 fn metrics_of(cell_slots: &[CellSlots]) -> Option<MetricsReport> {
-    if cell_slots
-        .iter()
-        .all(|c| c.spans.iter().all(Option::is_none))
-    {
+    if cell_slots.iter().all(|c| c.spans().next().is_none()) {
         return None;
     }
     let cells = cell_slots
@@ -174,10 +259,10 @@ fn metrics_of(cell_slots: &[CellSlots]) -> Option<MetricsReport> {
                 .iter()
                 .enumerate()
                 .map(|(ci, label)| {
-                    // Span durations keyed by name, accumulated in seed
-                    // (slot) order so arrival order cannot leak in.
+                    // Span durations keyed by name, accumulated in slot
+                    // order so arrival order cannot leak in.
                     let mut by_span: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-                    for per_config in cell.spans.iter().flatten() {
+                    for per_config in cell.spans() {
                         for (name, dur) in &per_config[ci] {
                             by_span.entry(name).or_default().push(*dur);
                         }
@@ -205,13 +290,7 @@ fn metrics_of(cell_slots: &[CellSlots]) -> Option<MetricsReport> {
     Some(MetricsReport { cells })
 }
 
-fn mean_of(cell: &CellSlots, config: usize) -> Option<f64> {
-    let samples: Vec<u64> = cell
-        .boots
-        .iter()
-        .flatten()
-        .map(|by_config| by_config[config])
-        .collect();
+fn mean_of(samples: &[u64]) -> Option<f64> {
     if samples.is_empty() {
         None
     } else {
@@ -379,48 +458,32 @@ impl MetricsReport {
     /// Serializes as deterministic JSON stamped `bb-metrics-v1`.
     pub fn to_json(&self) -> String {
         let mut out = json::open_document(json::SCHEMA_METRICS);
-        out.push_str("  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"label\": \"");
-            out.push_str(&json::escape(&cell.label));
-            out.push_str("\", \"configs\": [");
-            for (j, c) in cell.configs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n      {\"label\": \"");
-                out.push_str(&json::escape(&c.label));
-                out.push_str("\", \"spans\": [");
-                for (k, s) in c.spans.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
+        out.push_str("  \"cells\": ");
+        json::array(&mut out, 4, &self.cells, |out, cell| {
+            out.push_str(&format!(
+                "{{\"label\": \"{}\", \"configs\": ",
+                json::escape(&cell.label)
+            ));
+            json::array(out, 6, &cell.configs, |out, c| {
+                out.push_str(&format!(
+                    "{{\"label\": \"{}\", \"spans\": ",
+                    json::escape(&c.label)
+                ));
+                json::array(out, 8, &c.spans, |out, s| {
                     out.push_str(&format!(
-                        "\n        {{\"name\": \"{}\", \"count\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}",
+                        "{{\"name\": \"{}\", \"count\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}",
                         json::escape(&s.name),
                         s.count,
                         json::ms(s.p50_ns as f64),
                         json::ms(s.p95_ns as f64),
                         json::ms(s.p99_ns as f64),
                     ));
-                }
-                if !c.spans.is_empty() {
-                    out.push_str("\n      ");
-                }
-                out.push_str("]}");
-            }
-            if !cell.configs.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]}");
-        }
-        if !self.cells.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+                });
+                out.push('}');
+            });
+            out.push('}');
+        });
+        out.push_str("\n}\n");
         out
     }
 }
@@ -445,25 +508,18 @@ impl SweepReport {
     /// any worker count.
     pub fn to_json(&self) -> String {
         let mut out = json::open_document(json::SCHEMA_FLEET);
-        out.push_str("  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"label\": \"");
-            out.push_str(&json::escape(&cell.label));
+        out.push_str("  \"cells\": ");
+        json::array(&mut out, 4, &self.cells, |out, cell| {
             out.push_str(&format!(
-                "\", \"seeds\": {}, \"completed\": {}, \"configs\": [",
-                cell.seeds, cell.completed
+                "{{\"label\": \"{}\", \"seeds\": {}, \"completed\": {}, \"configs\": ",
+                json::escape(&cell.label),
+                cell.seeds,
+                cell.completed
             ));
-            for (j, c) in cell.configs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n      {\"label\": \"");
-                out.push_str(&json::escape(&c.label));
+            json::array(out, 6, &cell.configs, |out, c| {
                 out.push_str(&format!(
-                    "\", \"count\": {}, \"mean_ms\": {}, \"stddev_ms\": {}, \"min_ms\": {}, \"max_ms\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}",
+                    "{{\"label\": \"{}\", \"count\": {}, \"mean_ms\": {}, \"stddev_ms\": {}, \"min_ms\": {}, \"max_ms\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}",
+                    json::escape(&c.label),
                     c.count,
                     json::ms(c.mean_ns),
                     json::ms(c.stddev_ns),
@@ -480,34 +536,19 @@ impl SweepReport {
                     ));
                 }
                 out.push('}');
-            }
-            if !cell.configs.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]}");
-        }
-        if !self.cells.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+            });
+            out.push('}');
+        });
+        out.push_str(",\n  \"failures\": ");
+        json::array(&mut out, 4, &self.failures, |out, f| {
             out.push_str(&format!(
-                "\n    {{\"cell\": \"{}\", \"seed\": {}, \"reason\": \"{}\"}}",
+                "{{\"cell\": \"{}\", \"seed\": {}, \"reason\": \"{}\"}}",
                 json::escape(&f.cell),
                 f.seed,
                 json::escape(&f.reason)
             ));
-        }
-        if !self.failures.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"total_boots\": {}\n}}\n",
-            self.total_boots
-        ));
+        });
+        out.push_str(&format!(",\n  \"total_boots\": {}\n}}\n", self.total_boots));
         out
     }
 
@@ -724,20 +765,24 @@ impl std::fmt::Display for DiffEntry {
 mod tests {
     use super::*;
     use crate::pool::{BootSample, FailureKind};
-    use crate::spec::{CellSpec, Job};
-    use bb_workloads::{profiles, TizenParams};
+    use crate::spec::tests::tiny_cell;
 
     fn two_seed_spec() -> SweepSpec {
-        SweepSpec::new().cell(
-            CellSpec::tizen("cell-a", profiles::ue48h6200(), TizenParams::open_source())
-                .seeds([5, 6])
-                .conventional_vs_bb(),
-        )
+        SweepSpec::new().cell(tiny_cell("cell-a").seeds([5, 6]).conventional_vs_bb())
+    }
+
+    fn job(cell: usize, seed_idx: usize) -> Job {
+        Job {
+            cell,
+            plan_idx: 0,
+            corr_idx: 0,
+            seed_idx,
+        }
     }
 
     fn output(cell: usize, seed_idx: usize, seed: u64, boots: &[u64]) -> JobOutput {
         JobOutput {
-            job: Job { cell, seed_idx },
+            job: job(cell, seed_idx),
             seed,
             samples: boots
                 .iter()
@@ -797,10 +842,7 @@ mod tests {
         let spec = two_seed_spec();
         let mut agg = Aggregator::new(&spec);
         agg.accept(Err(JobFailure {
-            job: Job {
-                cell: 0,
-                seed_idx: 1,
-            },
+            job: job(0, 1),
             seed: 6,
             kind: FailureKind::Panic("boom".into()),
         }));
@@ -912,6 +954,42 @@ mod tests {
         let mut plain = Aggregator::new(&spec);
         plain.accept(Ok(output(0, 0, 5, &[8e9 as u64, 3e9 as u64])));
         assert!(plain.finalize().metrics.is_none());
+    }
+
+    #[test]
+    fn supervised_slots_carry_fault_columns_in_plan_order() {
+        // Two fault plans x one seed: slots are addressed by plan, and
+        // the fault columns ride beside the boot samples.
+        let cell = tiny_cell("cell-a").seeds([5]).fault_plans(1, 100);
+        let mut agg = Aggregator::new(&SweepSpec::new().cell(cell.conventional_vs_bb()));
+        let fault = |restarts, degraded: Option<&str>| FaultRecord {
+            restarts,
+            degraded: degraded.map(str::to_owned),
+            recoveries: 1,
+            rejected: 1,
+            ..FaultRecord::default()
+        };
+        let mut plan1 = output(0, 0, 5, &[9_000_000_000, 4_000_000_000]);
+        plan1.job.plan_idx = 1;
+        agg.accept_job(Ok((plan1, vec![fault(2, None), fault(0, Some("late"))])));
+        let failure = (job(0, 0), 5, "panic: boom".to_owned());
+        agg.accept(Err(JobFailure {
+            job: failure.0,
+            seed: 5,
+            kind: FailureKind::Panic("boom".into()),
+        }));
+        assert_eq!((agg.accepted(), agg.fault_totals()), (2, (2, 2, 2)));
+        let (cells, failures) = agg.into_parts();
+        assert_eq!(failures, [failure]);
+        assert!(
+            cells[0].seed_slots(0, 0)[0].is_none(),
+            "control slot failed"
+        );
+        let filled = cells[0].seed_slots(1, 0)[0]
+            .as_ref()
+            .expect("plan 1 landed");
+        assert_eq!(filled.boots, [9_000_000_000, 4_000_000_000]);
+        assert_eq!(filled.faults[1].degraded.as_deref(), Some("late"));
     }
 
     #[test]

@@ -74,6 +74,34 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Appends `items` as a JSON array in the layout every report document
+/// uses: each item on its own line at `indent` spaces, comma-separated,
+/// and the closing bracket on its own line two spaces shallower (`[]`
+/// when empty). `write` renders one item.
+pub(crate) fn array<T>(
+    out: &mut String,
+    indent: usize,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    let mut empty = true;
+    for item in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', indent));
+        write(out, item);
+    }
+    if !empty {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', indent - 2));
+    }
+    out.push(']');
+}
+
 /// Formats a nanosecond quantity as milliseconds with fixed `{:.3}`
 /// precision — the one float format the sweep codec uses, so output is
 /// reproducible byte for byte.

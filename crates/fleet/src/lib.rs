@@ -9,24 +9,29 @@
 //! depend on — **deterministic output**.
 //!
 //! * [`spec`] — [`SweepSpec`]: a grid of cells, each a scenario source
-//!   × seed list × config list. One job boots every config of one
-//!   `(cell, seed)` instance, sharing one generated scenario and one
-//!   [`bb_core::PreParser`] measurement across the config axis.
+//!   × seed list × config list, with optional fault-plan, corruption,
+//!   [`Supervision`], and fallback axes. One job boots every config of
+//!   one `(cell, plan, corruption, seed)` instance, sharing one
+//!   generated scenario and one [`bb_core::PreParser`] measurement
+//!   across the config axis.
 //! * [`service`] — [`FleetService`]: the persistent executor. Long-lived
 //!   workers, a central bounded work queue with per-client round-robin
 //!   fairness, `submit`/`poll`/`wait`/`cancel` tickets, per-client
 //!   quotas, and one service-wide [`FleetCache`] every ticket shares.
 //!   This is what `bbsim serve` runs.
 //! * [`pool`] — the one-shot entry point [`run_sweep`] (a thin client
-//!   that runs a single ticket on a private service) plus the shared
-//!   [`FleetCache`] — compiled boot plans ([`bb_core::PlanCache`]),
-//!   memoized scenarios, deduplicated boot outcomes
-//!   ([`SweepSpec::dedup`]), and service-wide kernel checkpoints
-//!   ([`SweepSpec::fork`]). Per-job panic isolation, per-job wall-clock
-//!   deadlines, a failed-job report path, and observability counters
-//!   ([`PoolStats`]).
+//!   that runs a single ticket on a private service), the one job
+//!   runner (every config one [`bb_core::BootRequest`]; supervised
+//!   cells add the job's fault plan, staged artifact read, and fallback
+//!   supervisor), plus the shared [`FleetCache`] plain cells use —
+//!   compiled boot plans ([`bb_core::PlanCache`]), memoized scenarios,
+//!   deduplicated boot outcomes ([`SweepSpec::dedup`]), and
+//!   service-wide kernel checkpoints ([`SweepSpec::fork`]). Per-job
+//!   panic isolation, per-job wall-clock deadlines, a failed-job report
+//!   path, and observability counters ([`PoolStats`]).
 //! * [`aggregate`] — the streaming [`Aggregator`]: consumes results in
-//!   arrival order into seed-addressed slots, finalizes in slot order.
+//!   arrival order into `(cell, plan, corruption, seed)`-addressed
+//!   slots, finalizes in slot order.
 //!   Count/mean/stddev/min/max and nearest-rank p50/p95/p99 per
 //!   (cell, config), savings vs the cell's `"conventional"` config,
 //!   baseline-comparison mode against a saved report (schema
@@ -37,20 +42,18 @@
 //!   as `bb-init::preparse`; DESIGN.md §4 keeps serde out) plus the
 //!   schema constants every emitter stamps its document with via
 //!   [`json::open_document`].
-//! * [`chaos`] — [`run_chaos`]: the fault-injection sweep, gridding
-//!   `{seed × fault-plan × corruption × config}` through a supervised
-//!   [`bb_core::BootRequest`] (fault plan, fallback policy, staged
-//!   artifact read) and aggregating
+//! * [`chaos`] — [`run_chaos`] and the chaos view of a grid's slots:
 //!   recovery rate, restart counts, degraded-boot rate, artifact
 //!   rejection rates, recovery-cost percentiles, and
-//!   boot-time-under-fault percentiles (schema `bb-fleet-chaos-v2`).
-//!   Chaos grids submit to the same service as plain sweeps
-//!   ([`WorkItem::Chaos`]).
+//!   boot-time-under-fault percentiles per `(cell, plan, corruption,
+//!   config)` (schema `bb-fleet-chaos-v2`). A chaos grid is an ordinary
+//!   [`SweepSpec`] submitted as [`WorkItem::Chaos`]; the variant only
+//!   picks the report view.
 //!
 //! The aggregated report — including its JSON serialization — is
 //! byte-identical for any worker count, any cache state, and any
 //! interleaving of concurrent clients: results land in slots addressed
-//! by `(cell, seed_idx)`, statistics are computed in slot order at
+//! by `(cell, plan, corruption, seed)`, statistics are computed in slot order at
 //! finalize, and nothing host-time-dependent (worker timings, queue
 //! depths) enters the report. Pool observability lives separately in
 //! [`PoolStats`] and [`ServiceStats`].
@@ -85,10 +88,7 @@ pub use aggregate::{
     diff_baseline_json, Aggregator, CellMetrics, CellReport, ConfigMetrics, ConfigStats, DiffEntry,
     DiffVerdict, FailureReport, MetricsReport, SpanStats, SweepReport,
 };
-pub use chaos::{
-    run_chaos, ChaosCellSpec, ChaosConfigStats, ChaosEvent, ChaosFailure, ChaosJob, ChaosOutcome,
-    ChaosReport, ChaosSpec, Supervision,
-};
+pub use chaos::{run_chaos, ChaosConfigStats, ChaosEvent, ChaosOutcome, ChaosReport};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use pool::{
     run_sweep, BootSample, FailureKind, FleetCache, JobFailure, JobOutput, PoolConfig, PoolStats,
@@ -98,4 +98,4 @@ pub use service::{
     ClientId, FleetService, ServiceConfig, ServiceReport, ServiceStats, SubmitError, TicketId,
     TicketStatus, WaitError, WorkItem,
 };
-pub use spec::{CellSpec, Job, ScenarioSource, SweepSpec};
+pub use spec::{CellSpec, Job, ScenarioSource, Supervision, SweepSpec};

@@ -1,13 +1,14 @@
-//! One-shot sweep execution and the shared artifact cache.
+//! One-shot grid execution, the job runner, and the shared artifact
+//! cache.
 //!
-//! Since the fleet API redesign, the long-lived executor lives in
-//! [`crate::service`]: a [`crate::FleetService`] owns the worker
-//! threads, the bounded work queue, and the per-client fairness
-//! machinery. This module keeps the *one-shot* entry point —
-//! [`run_sweep`] spins up a private service, submits the spec as a
-//! single ticket, and waits — plus everything a sweep job needs to
-//! execute: the [`FleetCache`], the job runner, and the observability
-//! types ([`PoolStats`], [`WorkerStats`]).
+//! The long-lived executor lives in [`crate::service`]: a
+//! [`crate::FleetService`] owns the worker threads, the bounded work
+//! queue, and the per-client fairness machinery. This module keeps the
+//! *one-shot* entry point — [`run_sweep`] (and [`crate::run_chaos`])
+//! spin up a private service, submit the spec as a single ticket, and
+//! wait — plus everything a job needs to execute: the [`FleetCache`],
+//! the one job runner for plain and supervised cells, and the
+//! observability types ([`PoolStats`], [`WorkerStats`]).
 //!
 //! Every job runs under [`std::panic::catch_unwind`], so one poisoned
 //! scenario cannot take down a sweep: the panic becomes a
@@ -16,15 +17,15 @@
 //! checked after the job runs — the simulator has no preemption points,
 //! so overruns are detected post-hoc and the result discarded.
 //!
-//! Determinism: results are identified by `(cell, seed_idx)` and the
-//! aggregator stores them into index-addressed slots, so the *output*
-//! of a sweep is identical for any worker count even though execution
-//! order is not.
+//! Determinism: results are identified by `(cell, plan, corruption,
+//! seed)` and the aggregator stores them into index-addressed slots, so
+//! the *output* of a sweep is identical for any worker count even
+//! though execution order is not.
 //!
 //! # Shared artifacts
 //!
-//! Every sweep runs over a [`FleetCache`]: a [`bb_core::PlanCache`] so
-//! each (scenario, config) pair compiles its boot plan once, a
+//! Every plain cell runs over a [`FleetCache`]: a [`bb_core::PlanCache`]
+//! so each (scenario, config) pair compiles its boot plan once, a
 //! scenario memo so jobs with identical sources share one `Arc`'d
 //! scenario (which is what makes the pointer-keyed plan cache hit
 //! across jobs), a boot-outcome cache that lets [`SweepSpec::dedup`]
@@ -34,20 +35,27 @@
 //! All four are keyed by the content fingerprints from [`crate::spec`],
 //! and all four are invisible in the report: simulation is
 //! deterministic, so cached results are bit-identical to fresh ones.
-//! [`run_sweep`] takes the cache explicitly; pass [`FleetCache::fresh`]
-//! for a private per-call cache, or hold one `Arc` across calls (or
-//! behind a [`crate::FleetService`]) to carry artifacts across sweeps.
+//! Supervised cells (fault plans, corruption, supervision, fallback)
+//! leave the cache alone. [`run_sweep`] takes the cache explicitly;
+//! pass [`FleetCache::fresh`] for a private per-call cache, or hold one
+//! `Arc` across calls (or behind a [`crate::FleetService`]) to carry
+//! artifacts across sweeps.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::aggregate::SweepReport;
+use crate::aggregate::{FaultRecord, SweepReport};
 use crate::service::{FleetService, ServiceConfig, ServiceReport, WorkItem};
 use crate::spec::{job_fingerprint, job_scenario, Job, SweepSpec};
 use bb_core::booster::Scenario;
-use bb_core::{BootRequest, Checkpoint, CheckpointPhase, PlanCache, PreParser};
+use bb_core::{
+    fault_targets, ArtifactRead, Boot, BootRequest, Checkpoint, CheckpointPhase, PlanCache,
+    PreParser,
+};
+use bb_init::encode_units;
+use bb_sim::{CorruptionPlan, FaultPlan};
 
 /// Pool sizing for the one-shot entry points ([`run_sweep`],
 /// [`crate::run_chaos`]). The persistent service has its own
@@ -249,7 +257,8 @@ pub struct BootSample {
     pub quiesce_ns: u64,
 }
 
-/// A completed job: every config of one `(cell, seed)` slot.
+/// A completed job: every config of one `(cell, plan, corruption, seed)`
+/// slot.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
     /// Which slot this fills.
@@ -302,9 +311,10 @@ pub struct WorkerStats {
     pub busy: Duration,
 }
 
-/// Pool-level observability for the sweep summary. Host-time based and
-/// therefore *never* part of the deterministic JSON output.
-#[derive(Debug, Clone)]
+/// Pool-level observability for the summary of every ticket, sweep and
+/// chaos alike. Mostly host-time based and therefore *never* part of
+/// the deterministic JSON output.
+#[derive(Debug, Clone, Default)]
 pub struct PoolStats {
     /// Worker thread count.
     pub workers: usize,
@@ -316,10 +326,11 @@ pub struct PoolStats {
     /// jobs were completing (at least this sweep's own job count).
     pub max_queue_depth: usize,
     /// Supervised respawns observed across all boots. Always 0 for
-    /// fault-free sweeps; chaos sweeps count every `Restart=` respawn.
+    /// plain cells; supervised cells count every `Restart=` respawn.
     pub restarts: usize,
     /// Kernel-phase simulations executed across all completed jobs.
-    /// Equals the boot count for a plain sweep; a forked sweep
+    /// Equals the boot count for a plain sweep (a degraded supervised
+    /// boot adds one for its conventional rescue); a forked sweep
     /// ([`SweepSpec::fork`]) simulates the shared prefix once per
     /// distinct prefix key the service-wide memo was missing, so this
     /// drops well below the boot count — the work the checkpoint fork
@@ -346,7 +357,7 @@ pub struct PoolStats {
     /// run to run even though the report never does.
     pub cells_deduped: usize,
     /// Artifact recoveries across all boots (retried reads included).
-    /// Always 0 for sweeps without a corruption axis; see
+    /// Always 0 for cells without a corruption axis; see
     /// [`bb_core::recovery`].
     pub recoveries: usize,
     /// Artifacts the integrity chain rejected outright (subset of
@@ -448,32 +459,81 @@ pub struct SweepOutcome {
 /// Runs `spec` to completion on a private [`FleetService`] of
 /// `pool.workers` threads, over the given [`FleetCache`].
 ///
-/// This is the single one-shot entry point (the historical
-/// `run_sweep`/`run_sweep_cached` pair collapsed into it). Pass
-/// [`FleetCache::fresh`] for the old fresh-cache behavior, or hold one
-/// `Arc<FleetCache>` across calls to carry compiled plans, memoized
+/// This is the one-shot entry point of the plain sweep view (the
+/// historical `run_sweep`/`run_sweep_cached` pair collapsed into it).
+/// Pass [`FleetCache::fresh`] for the old fresh-cache behavior, or hold
+/// one `Arc<FleetCache>` across calls to carry compiled plans, memoized
 /// scenarios, deduplicated boot outcomes, and checkpoints between
 /// sweeps. Reports are unaffected by cache state — a warm cache only
 /// changes how much work the sweep skips (visible in [`PoolStats`]).
 ///
 /// The aggregated report is byte-identical for any worker count: result
-/// slots are addressed by `(cell, seed_idx)` and finalized in slot
-/// order, and nothing host-time-dependent enters the report. Long-lived
-/// callers wanting `submit`/`poll`/`cancel` and cross-client sharing
-/// should hold a [`FleetService`] instead.
+/// slots are addressed by `(cell, plan, corruption, seed)` and finalized
+/// in slot order, and nothing host-time-dependent enters the report.
+/// Long-lived callers wanting `submit`/`poll`/`cancel` and cross-client
+/// sharing should hold a [`FleetService`] instead.
 pub fn run_sweep(spec: &SweepSpec, pool: &PoolConfig, cache: &Arc<FleetCache>) -> SweepOutcome {
-    let service =
-        FleetService::with_cache(ServiceConfig::one_shot(pool.workers), Arc::clone(cache));
-    let ticket = service
-        .submit(0, WorkItem::Sweep(spec.clone()))
-        .expect("a one-shot service accepts a single sweep");
-    match service.wait(ticket) {
-        Ok(ServiceReport::Sweep(outcome)) => outcome,
-        _ => unreachable!("sweep tickets finalize into sweep reports"),
+    match run_grid(WorkItem::Sweep(spec.clone()), pool, cache) {
+        ServiceReport::Sweep(outcome) => outcome,
+        ServiceReport::Chaos(_) => unreachable!("sweep tickets finalize into sweep reports"),
     }
 }
 
+/// The one-shot path behind [`run_sweep`] and [`crate::run_chaos`]:
+/// one ticket on a private [`FleetService`] over `cache`.
+pub(crate) fn run_grid(
+    item: WorkItem,
+    pool: &PoolConfig,
+    cache: &Arc<FleetCache>,
+) -> ServiceReport {
+    let service =
+        FleetService::with_cache(ServiceConfig::one_shot(pool.workers), Arc::clone(cache));
+    let ticket = service
+        .submit(0, item)
+        .expect("a one-shot service accepts a single grid");
+    service
+        .wait(ticket)
+        .expect("a one-shot ticket finalizes into a report")
+}
+
+/// Transient read failures derived from a corruption seed (splitmix64
+/// finalizer, `% 6`): values above [`bb_core::MAX_ARTIFACT_RETRIES`]
+/// exhaust the retry budget and reject the artifact on flakiness alone.
+fn transient_reads(seed: u64) -> u32 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) % 6) as u32
+}
+
+/// The fault and recovery columns of one supervised boot.
+fn fault_record(boot: &Boot) -> FaultRecord {
+    let recoveries = &boot.recoveries;
+    FaultRecord {
+        restarts: boot.restarts(),
+        degraded: boot.degraded.as_ref().map(|d| d.reason.to_string()),
+        recoveries: recoveries.len() as u32,
+        rejected: recoveries.iter().filter(|e| e.rejected()).count() as u32,
+        cost_ns: recoveries.iter().map(|e| e.total_cost().as_nanos()).sum(),
+        rejection: recoveries
+            .iter()
+            .find(|e| e.rejected())
+            .map(bb_core::RecoveryEvent::describe),
+    }
+}
+
+/// What one job produced: its samples plus, for a supervised cell, one
+/// fault record per config.
+pub(crate) type JobResult = Result<(JobOutput, Vec<FaultRecord>), JobFailure>;
+
 /// Executes one job with panic isolation and post-hoc deadline check.
+///
+/// Every config boots as one [`BootRequest`]. A plain cell's boots go
+/// through the [`FleetCache`] (scenario memo, plan cache, dedup, and —
+/// with [`SweepSpec::fork`] — checkpoint forks). A supervised cell's
+/// boots add the job's fault plan, staged artifact read, and fallback
+/// supervisor instead, and skip the cache entirely: the dedup key does
+/// not cover those axes and a checkpoint cannot carry a supervisor.
 pub(crate) fn run_job(
     spec: &SweepSpec,
     shared: &[Option<(Arc<Scenario>, PreParser)>],
@@ -481,20 +541,37 @@ pub(crate) fn run_job(
     cache: &FleetCache,
     job: Job,
     builder: &mut bb_sim::MachineBuilder,
-) -> Result<JobOutput, JobFailure> {
+) -> JobResult {
     let cell = &spec.cells[job.cell];
     let seed = cell.seeds[job.seed_idx];
+    let supervised = cell.supervised();
+    let (dedup, fork) = (spec.dedup && !supervised, spec.fork && !supervised);
     let (base_fp, seed_dependent) = fps[job.cell];
     let fp = job_fingerprint(base_fp, seed_dependent, seed);
     let started = std::time::Instant::now();
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let builder = &mut *builder;
+        let build = || job_scenario(cell, seed, &shared[job.cell]);
         // Jobs with the same fingerprint converge on one Arc'd
         // scenario, which is what lets the pointer-keyed plan cache hit
         // across jobs and cells.
-        let (scenario, pre) = cache.scenario(fp, || job_scenario(cell, seed, &shared[job.cell]));
+        let (scenario, pre) = if supervised {
+            build()
+        } else {
+            cache.scenario(fp, build)
+        };
+        let faults = cell.plan_seeds[job.plan_idx]
+            .map(|ps| FaultPlan::seeded(ps, &fault_targets(&scenario)));
+        // A seeded corruption slot damages the scenario's own encoded
+        // blob and makes the read transiently flaky, both derived from
+        // the seed; the pristine slot stages no artifact at all.
+        let artifact = cell.corruption_seeds[job.corr_idx].map(|cs| {
+            ArtifactRead::corrupted(encode_units(&scenario.units), &CorruptionPlan::seeded(cs))
+                .flaky(transient_reads(cs))
+        });
         let mut samples = Vec::with_capacity(cell.configs.len());
+        let mut records = Vec::new();
         let mut spans = Vec::new();
         let mut kernel_sims = 0usize;
         let mut peak_events = 0usize;
@@ -503,7 +580,7 @@ pub(crate) fn run_job(
             let bits = cfg.bits();
             // Dedup: an identical grid point that already ran anywhere
             // in the sweep replays its (deterministic) outcome.
-            if spec.dedup {
+            if dedup {
                 match cache.boot_lookup(fp, bits, spec.metrics) {
                     Some(CachedBoot::Incomplete) => {
                         return Err(FailureKind::Incomplete {
@@ -532,14 +609,14 @@ pub(crate) fn run_job(
                     None => {}
                 }
             }
-            let boot = if spec.fork {
-                // Forked mode: one checkpoint per distinct (scenario,
-                // prefix key), memoized service-wide in the FleetCache.
-                // Every boot resumes (the first included), so forked ≡
-                // unforked reduces to resume ≡ run — the property
-                // bb-core's checkpoint tests pin.
+            // Forked mode: one checkpoint per distinct (scenario, prefix
+            // key), memoized service-wide in the FleetCache. Every boot
+            // resumes (the first included), so forked ≡ unforked reduces
+            // to resume ≡ run — the property bb-core's checkpoint tests
+            // pin.
+            let checkpoint = if fork {
                 let key = (fp, cfg.prefix_key());
-                let ckpt = match cache.checkpoint(key) {
+                Some(match cache.checkpoint(key) {
                     Some(ckpt) => ckpt,
                     None => {
                         let forked = BootRequest::new(&scenario)
@@ -552,31 +629,50 @@ pub(crate) fn run_job(
                         kernel_sims += 1;
                         cache.checkpoint_insert(key, forked)
                     }
-                };
-                BootRequest::new(&scenario)
-                    .config(*cfg)
-                    .prepared(&pre)
-                    .machine_builder(&mut *builder)
-                    .plan_cache(&cache.plans, &scenario)
-                    .resume(&ckpt)
+                })
             } else {
-                kernel_sims += 1;
-                BootRequest::new(&scenario)
-                    .config(*cfg)
-                    .prepared(&pre)
-                    .machine_builder(&mut *builder)
-                    .plan_cache(&cache.plans, &scenario)
-                    .run()
+                None
+            };
+            let mut request = BootRequest::new(&scenario)
+                .config(*cfg)
+                .prepared(&pre)
+                .machine_builder(&mut *builder);
+            if !supervised {
+                request = request.plan_cache(&cache.plans, &scenario);
+            }
+            if let Some(plan) = &faults {
+                request = request.faults(plan);
+            }
+            if let Some(read) = &artifact {
+                request = request.artifact(read);
+            }
+            if let Some(policy) = cell.fallback {
+                request = request.fallback(policy);
+            }
+            let boot = match &checkpoint {
+                Some(ckpt) => request.resume(ckpt),
+                None => request.run(),
             };
             let boot = boot.map_err(|e| FailureKind::Boost(e.to_string()))?;
+            if checkpoint.is_none() {
+                // The attempt, plus the conventional rescue of a
+                // degraded boot.
+                kernel_sims += 1 + usize::from(boot.degraded.is_some());
+            }
             let peak = boot.machine.event_queue_stats().peak_depth;
             peak_events = peak_events.max(peak);
-            builder.recycle(boot.machine);
-            let report = boot.report;
-            // A boot that never met its completion definition is a
-            // reported failure, not a worker panic (`try_boot_time`).
-            let Some(boot_time) = report.try_boot_time() else {
-                if spec.dedup {
+            if supervised {
+                records.push(fault_record(&boot));
+            }
+            let user_boot = boot.user_boot_time();
+            let Boot {
+                report, machine, ..
+            } = boot;
+            builder.recycle(machine);
+            // A boot (or rescue) that never met its completion
+            // definition is a reported failure, not a worker panic.
+            let Some(boot_time) = user_boot else {
+                if dedup {
                     cache.boot_insert(fp, bits, CachedBoot::Incomplete);
                 }
                 return Err(FailureKind::Incomplete {
@@ -594,7 +690,7 @@ pub(crate) fn run_job(
                 boot_ns: boot_time.as_nanos(),
                 quiesce_ns: report.quiesce_time.as_nanos(),
             });
-            if spec.dedup {
+            if dedup {
                 cache.boot_insert(
                     fp,
                     bits,
@@ -610,7 +706,17 @@ pub(crate) fn run_job(
                 spans.push(s);
             }
         }
-        Ok::<_, FailureKind>((samples, spans, kernel_sims, peak_events, deduped))
+        let output = JobOutput {
+            job,
+            seed,
+            samples,
+            spans,
+            kernel_sims,
+            peak_events,
+            deduped,
+            elapsed: Duration::ZERO,
+        };
+        Ok::<_, FailureKind>((output, records))
     }));
     let elapsed = started.elapsed();
 
@@ -618,23 +724,10 @@ pub(crate) fn run_job(
     match outcome {
         Err(payload) => fail(FailureKind::Panic(panic_message(payload))),
         Ok(Err(kind)) => fail(kind),
-        Ok(Ok((samples, spans, kernel_sims, peak_events, deduped))) => {
-            if let Some(deadline) = spec.deadline {
-                if elapsed > deadline {
-                    return fail(FailureKind::DeadlineExceeded { elapsed });
-                }
-            }
-            Ok(JobOutput {
-                job,
-                seed,
-                samples,
-                spans,
-                kernel_sims,
-                peak_events,
-                deduped,
-                elapsed,
-            })
+        Ok(Ok(_)) if spec.deadline.is_some_and(|d| elapsed > d) => {
+            fail(FailureKind::DeadlineExceeded { elapsed })
         }
+        Ok(Ok((output, records))) => Ok((JobOutput { elapsed, ..output }, records)),
     }
 }
 
@@ -651,23 +744,12 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::spec::tests::{tiny_cell, tiny_scenario};
     use crate::spec::CellSpec;
     use bb_core::BbConfig;
-    use bb_workloads::{profiles, TizenParams};
 
-    fn tiny_spec(seeds: impl IntoIterator<Item = u64>) -> SweepSpec {
-        SweepSpec::new().cell(
-            CellSpec::tizen(
-                "tiny",
-                profiles::ue48h6200(),
-                TizenParams {
-                    services: 24,
-                    ..TizenParams::open_source()
-                },
-            )
-            .seeds(seeds)
-            .conventional_vs_bb(),
-        )
+    pub(crate) fn tiny_spec(seeds: impl IntoIterator<Item = u64>) -> SweepSpec {
+        SweepSpec::new().cell(tiny_cell("tiny").seeds(seeds).conventional_vs_bb())
     }
 
     #[test]
@@ -707,15 +789,8 @@ pub(crate) mod tests {
     pub(crate) fn deadlocked_completion() -> Scenario {
         use bb_init::ServiceBody;
         use bb_sim::{FlagId, Op};
-        use bb_workloads::tv_scenario_with;
 
-        let mut scenario = tv_scenario_with(
-            profiles::ue48h6200(),
-            TizenParams {
-                services: 24,
-                ..TizenParams::open_source()
-            },
-        );
+        let mut scenario = tiny_scenario();
         // Deadlock the completion unit: its body waits on the
         // boot-complete gate (flag 0, the first flag the executor
         // creates), which in turn waits on this unit's readiness. With
@@ -774,23 +849,16 @@ pub(crate) mod tests {
         // A config axis that shares one prefix key forks for real:
         // full BB vs BB-without-bb_group boot the same kernel.
         let shared_prefix = SweepSpec::new().cell(
-            CellSpec::tizen(
-                "tiny",
-                profiles::ue48h6200(),
-                TizenParams {
-                    services: 24,
-                    ..TizenParams::open_source()
-                },
-            )
-            .seeds([1, 2])
-            .config("bb", BbConfig::full())
-            .config(
-                "bb-no-group",
-                BbConfig {
-                    bb_group: false,
-                    ..BbConfig::full()
-                },
-            ),
+            tiny_cell("tiny")
+                .seeds([1, 2])
+                .config("bb", BbConfig::full())
+                .config(
+                    "bb-no-group",
+                    BbConfig {
+                        bb_group: false,
+                        ..BbConfig::full()
+                    },
+                ),
         );
         let plain = run_sweep(&shared_prefix, &pool, &FleetCache::fresh());
         let forked = run_sweep(
@@ -802,6 +870,17 @@ pub(crate) mod tests {
         assert_eq!(plain.stats.kernel_sims, 4, "2 jobs x 2 configs");
         assert_eq!(forked.stats.kernel_sims, 2, "2 jobs x 1 shared prefix");
         assert!(forked.stats.summary().contains("kernel phase simulated"));
+    }
+
+    #[test]
+    fn transient_reads_spread_across_the_retry_budget() {
+        // The derived flakiness must exercise both sides of the retry
+        // bound over a small seed range, or the retry path never runs.
+        let counts: Vec<u32> = (0..32).map(transient_reads).collect();
+        assert!(counts
+            .iter()
+            .any(|&c| c > 0 && c <= bb_core::MAX_ARTIFACT_RETRIES));
+        assert!(counts.iter().any(|&c| c > bb_core::MAX_ARTIFACT_RETRIES));
     }
 
     #[test]
@@ -818,30 +897,8 @@ pub(crate) mod tests {
         // Two cells with the same source and seeds: the whole second
         // cell duplicates the first.
         let spec = SweepSpec::new()
-            .cell(
-                CellSpec::tizen(
-                    "a",
-                    profiles::ue48h6200(),
-                    TizenParams {
-                        services: 24,
-                        ..TizenParams::open_source()
-                    },
-                )
-                .seeds([1, 2])
-                .conventional_vs_bb(),
-            )
-            .cell(
-                CellSpec::tizen(
-                    "b",
-                    profiles::ue48h6200(),
-                    TizenParams {
-                        services: 24,
-                        ..TizenParams::open_source()
-                    },
-                )
-                .seeds([1, 2])
-                .conventional_vs_bb(),
-            );
+            .cell(tiny_cell("a").seeds([1, 2]).conventional_vs_bb())
+            .cell(tiny_cell("b").seeds([1, 2]).conventional_vs_bb());
         // One worker makes the dedup count deterministic: jobs run in
         // order, so cell b's 4 boots are all cache hits.
         let deduped = run_sweep(&spec, &PoolConfig::with_workers(1), &FleetCache::fresh());
@@ -862,14 +919,7 @@ pub(crate) mod tests {
     /// each config once and reuses it from the cache.
     #[test]
     fn plan_cache_compiles_each_scenario_config_pair_once() {
-        use bb_workloads::tv_scenario_with;
-        let scenario = tv_scenario_with(
-            profiles::ue48h6200(),
-            TizenParams {
-                services: 24,
-                ..TizenParams::open_source()
-            },
-        );
+        let scenario = tiny_scenario();
         // Dedup off so every slot really boots; the plan cache is the
         // only sharing layer under test.
         let spec = SweepSpec::new()

@@ -12,8 +12,9 @@
 //!
 //! The API is a ticketed work queue:
 //!
-//! * [`FleetService::submit`] enqueues a [`WorkItem`] (a plain or chaos
-//!   sweep grid) for a client and returns a [`TicketId`], applying
+//! * [`FleetService::submit`] enqueues a [`WorkItem`] (a boot grid and
+//!   the report view it asks for) for a client and returns a
+//!   [`TicketId`], applying
 //!   backpressure ([`SubmitError::Saturated`]) when the queue is full
 //!   and per-client quotas ([`SubmitError::QuotaExceeded`]) when one
 //!   client hoards the service.
@@ -33,8 +34,8 @@
 //! (slot) order.
 //!
 //! **Determinism** is untouched by any of this: results are aggregated
-//! per ticket into slots addressed by `(cell, seed_idx)` (chaos:
-//! `(cell, plan, corruption, seed)`) and finalized in slot order, so a
+//! per ticket into slots addressed by `(cell, plan, corruption, seed)`
+//! and finalized in slot order, so a
 //! ticket's report is byte-identical for any worker count, any client
 //! interleaving, and any cache state. Only [`PoolStats`] /
 //! [`ServiceStats`] — host-side observability, never part of a report —
@@ -46,14 +47,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::aggregate::Aggregator;
-use crate::chaos::{
-    run_chaos_job, ChaosAggregator, ChaosJob, ChaosJobFailure, ChaosJobOutput, ChaosOutcome,
-    ChaosSpec,
-};
+use crate::chaos::{self, ChaosOutcome};
 use crate::json;
-use crate::pool::{
-    lock, run_job, FleetCache, JobFailure, JobOutput, PoolStats, SweepOutcome, WorkerStats,
-};
+use crate::pool::{lock, run_job, FleetCache, JobResult, PoolStats, SweepOutcome, WorkerStats};
 use crate::spec::{cell_fingerprint, Job, SweepSpec};
 use bb_core::booster::Scenario;
 use bb_core::{PlanCacheStats, PreParser};
@@ -119,13 +115,18 @@ impl ServiceConfig {
     }
 }
 
-/// One submittable unit of fleet work.
+/// One submittable unit of fleet work: a boot grid plus the report
+/// view it finalizes into. Both variants run the same jobs the same
+/// way; only the rendered report differs.
 #[derive(Debug, Clone)]
 pub enum WorkItem {
-    /// A plain boot sweep (see [`SweepSpec`]).
+    /// A grid reported as a plain sweep (`bb-fleet-v1`, see
+    /// [`crate::SweepReport`]).
     Sweep(SweepSpec),
-    /// A fault-injection sweep (see [`ChaosSpec`]).
-    Chaos(ChaosSpec),
+    /// A grid reported through the chaos view (`bb-fleet-chaos-v2`, see
+    /// [`crate::ChaosReport`]) — typically one whose cells set fault,
+    /// corruption, supervision, or fallback axes.
+    Chaos(SweepSpec),
 }
 
 /// A finalized ticket's result, matching the submitted [`WorkItem`]
@@ -225,7 +226,7 @@ impl std::fmt::Display for WaitError {
 
 /// Service-wide observability counters, from [`FleetService::stats`].
 /// Everything here is host-side: reports never depend on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Worker thread count.
     pub workers: usize,
@@ -243,7 +244,7 @@ pub struct ServiceStats {
     pub queue_depth: usize,
     /// Deepest the queue has ever been.
     pub queue_peak: usize,
-    /// Kernel-phase simulations executed across all sweep tickets.
+    /// Kernel-phase simulations executed across all tickets.
     pub kernel_sims: u64,
     /// Boot plans compiled in the service's shared cache.
     pub plans_compiled: u64,
@@ -252,11 +253,11 @@ pub struct ServiceStats {
     /// Boots served from the dedup cache — including *cross-client*
     /// hits, when one client's grid overlaps another's.
     pub cells_deduped: u64,
-    /// Supervised respawns across all chaos tickets.
+    /// Supervised respawns across all tickets.
     pub restarts: u64,
-    /// Artifact recoveries across all chaos tickets.
+    /// Artifact recoveries across all tickets.
     pub recoveries: u64,
-    /// Artifacts the integrity chain rejected across all chaos tickets.
+    /// Artifacts the integrity chain rejected across all tickets.
     pub artifacts_rejected: u64,
 }
 
@@ -296,46 +297,27 @@ struct Task {
 }
 
 /// A ticket's expanded execution plan, shared read-only with workers.
-enum Plan {
-    Sweep {
-        spec: SweepSpec,
-        shared: Vec<Option<(Arc<Scenario>, PreParser)>>,
-        fps: Vec<(u64, bool)>,
-        jobs: Vec<Job>,
-    },
-    Chaos {
-        spec: ChaosSpec,
-        jobs: Vec<ChaosJob>,
-    },
-}
-
-/// A ticket's streaming aggregation state.
-enum TicketAgg {
-    Sweep(Aggregator),
-    Chaos(ChaosAggregator),
-}
-
-/// One worker→service result message.
-enum TicketMsg {
-    Sweep(Result<JobOutput, JobFailure>),
-    Chaos(Result<ChaosJobOutput, ChaosJobFailure>),
+struct Plan {
+    spec: SweepSpec,
+    shared: Vec<Option<(Arc<Scenario>, PreParser)>>,
+    fps: Vec<(u64, bool)>,
+    jobs: Vec<Job>,
 }
 
 struct Ticket {
     client: ClientId,
     plan: Arc<Plan>,
-    agg: Option<TicketAgg>,
+    /// Finalize into the chaos view instead of the sweep report.
+    chaos: bool,
+    agg: Option<Aggregator>,
     /// Jobs not yet accepted; 0 means finalized.
     remaining: usize,
-    total: usize,
     cancelled: bool,
     report: Option<ServiceReport>,
     started: Instant,
     plans_before: PlanCacheStats,
-    kernel_sims: usize,
-    peak_events: usize,
-    cells_deduped: usize,
-    max_queue_depth: usize,
+    /// The counters accumulated job by job; finalize fills in the rest.
+    stats: PoolStats,
 }
 
 /// One client's FIFO lane of the central queue.
@@ -387,19 +369,13 @@ struct TicketTable {
     pending: HashMap<ClientId, usize>,
 }
 
-/// Cumulative service counters (see [`ServiceStats`]).
+/// Cumulative service counters: the distinct clients, and the
+/// [`ServiceStats`] counters (the live gauges are filled in when
+/// [`FleetService::stats`] snapshots them).
 #[derive(Default)]
 struct Totals {
     clients: HashSet<ClientId>,
-    tickets_submitted: u64,
-    tickets_completed: u64,
-    tickets_cancelled: u64,
-    jobs_executed: u64,
-    kernel_sims: u64,
-    cells_deduped: u64,
-    restarts: u64,
-    recoveries: u64,
-    artifacts_rejected: u64,
+    counters: ServiceStats,
 }
 
 struct Inner {
@@ -428,30 +404,22 @@ struct Inner {
 
 impl Inner {
     fn submit(&self, client: ClientId, item: WorkItem) -> Result<TicketId, SubmitError> {
-        let (plan, total, agg) = match item {
-            WorkItem::Sweep(spec) => {
-                let jobs = spec.jobs();
-                let total = jobs.len();
-                let shared = spec.shared_templates();
-                let fps = spec.cells.iter().map(cell_fingerprint).collect();
-                let agg = TicketAgg::Sweep(Aggregator::new(&spec));
-                (
-                    Plan::Sweep {
-                        spec,
-                        shared,
-                        fps,
-                        jobs,
-                    },
-                    total,
-                    agg,
-                )
-            }
-            WorkItem::Chaos(spec) => {
-                let jobs = spec.jobs();
-                let total = jobs.len();
-                let agg = TicketAgg::Chaos(ChaosAggregator::new(&spec));
-                (Plan::Chaos { spec, jobs }, total, agg)
-            }
+        let (spec, chaos) = match item {
+            WorkItem::Sweep(spec) => (spec, false),
+            WorkItem::Chaos(spec) => (spec, true),
+        };
+        // Refuse what cannot fit before expanding jobs or allocating
+        // slots: a grid's job count is cheap to compute, its expansion
+        // is not.
+        self.admits(spec.job_count())?;
+        let jobs = spec.jobs();
+        let total = jobs.len();
+        let agg = Aggregator::new(&spec);
+        let plan = Plan {
+            shared: spec.shared_templates(),
+            fps: spec.cells.iter().map(cell_fingerprint).collect(),
+            spec,
+            jobs,
         };
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         {
@@ -469,19 +437,21 @@ impl Inner {
                 Ticket {
                     client,
                     plan: Arc::new(plan),
+                    chaos,
                     agg: Some(agg),
                     remaining: total,
-                    total,
                     cancelled: false,
                     report: None,
                     started: Instant::now(),
                     plans_before: self.cache.plans().stats(),
-                    kernel_sims: 0,
-                    peak_events: 0,
-                    cells_deduped: 0,
-                    // The historical semantic: queue depth is at least
-                    // this ticket's own job count.
-                    max_queue_depth: total,
+                    stats: PoolStats {
+                        workers: self.workers,
+                        jobs: total,
+                        // The historical semantic: queue depth is at
+                        // least this ticket's own job count.
+                        max_queue_depth: total,
+                        ..PoolStats::default()
+                    },
                 },
             );
         }
@@ -504,15 +474,10 @@ impl Inner {
                 self.retract(id, client);
                 return Err(SubmitError::ShuttingDown);
             }
-            let depth = self.queued.load(Ordering::Relaxed);
-            if depth.saturating_add(total) > self.queue_capacity {
+            if let Err(e) = self.admits(total) {
                 drop(q);
                 self.retract(id, client);
-                return Err(SubmitError::Saturated {
-                    queued: depth,
-                    capacity: self.queue_capacity,
-                    jobs: total,
-                });
+                return Err(e);
             }
             let lane = q.lane(client);
             for index in 0..total {
@@ -524,9 +489,23 @@ impl Inner {
             self.work.notify_all();
         }
         let mut totals = lock(&self.totals);
-        totals.tickets_submitted += 1;
+        totals.counters.tickets_submitted += 1;
         totals.clients.insert(client);
         Ok(id)
+    }
+
+    /// Backpressure: refuses `jobs` more jobs when the queue cannot hold
+    /// them.
+    fn admits(&self, jobs: usize) -> Result<(), SubmitError> {
+        let queued = self.queued.load(Ordering::Relaxed);
+        if queued.saturating_add(jobs) > self.queue_capacity {
+            return Err(SubmitError::Saturated {
+                queued,
+                capacity: self.queue_capacity,
+                jobs,
+            });
+        }
+        Ok(())
     }
 
     /// Rolls back a ticket registration whose enqueue was refused.
@@ -556,7 +535,7 @@ impl Inner {
 
     /// Accepts one worker result into its ticket, finalizing on the
     /// last one.
-    fn accept(&self, ticket: TicketId, msg: TicketMsg) {
+    fn accept(&self, ticket: TicketId, result: JobResult) {
         let depth = self.queued.load(Ordering::Relaxed);
         let mut tickets = lock(&self.tickets);
         let table = &mut *tickets;
@@ -567,21 +546,19 @@ impl Inner {
             // The result raced a cancel: discard it.
             return;
         }
-        t.max_queue_depth = t.max_queue_depth.max(depth);
-        match (&mut t.agg, msg) {
-            (Some(TicketAgg::Sweep(agg)), TicketMsg::Sweep(result)) => {
-                if let Ok(out) = &result {
-                    t.kernel_sims += out.kernel_sims;
-                    t.peak_events = t.peak_events.max(out.peak_events);
-                    t.cells_deduped += out.deduped;
-                }
-                agg.accept(result);
-            }
-            (Some(TicketAgg::Chaos(agg)), TicketMsg::Chaos(result)) => agg.accept(result),
-            _ => unreachable!("a ticket's plan and its results are the same kind"),
+        let stats = &mut t.stats;
+        stats.max_queue_depth = stats.max_queue_depth.max(depth);
+        if let Ok((out, _)) = &result {
+            stats.kernel_sims += out.kernel_sims;
+            stats.peak_events = stats.peak_events.max(out.peak_events);
+            stats.cells_deduped += out.deduped;
         }
+        t.agg
+            .as_mut()
+            .expect("unfinished tickets aggregate")
+            .accept_job(result);
         t.remaining -= 1;
-        lock(&self.totals).jobs_executed += 1;
+        lock(&self.totals).counters.jobs_executed += 1;
         if t.remaining == 0 {
             self.finalize_ticket(t);
             let client = t.client;
@@ -595,76 +572,41 @@ impl Inner {
     /// Builds the ticket's report (called with the ticket lock held).
     fn finalize_ticket(&self, t: &mut Ticket) {
         let agg = t.agg.take().expect("tickets finalize exactly once");
-        let wall = t.started.elapsed();
-        let per_worker = lock(&self.worker_stats).clone();
-        let report = match agg {
-            TicketAgg::Sweep(agg) => {
-                let plans = self.cache.plans().stats();
-                ServiceReport::Sweep(SweepOutcome {
-                    report: agg.finalize(),
-                    stats: PoolStats {
-                        workers: self.workers,
-                        wall,
-                        jobs: t.total,
-                        max_queue_depth: t.max_queue_depth,
-                        restarts: 0,
-                        kernel_sims: t.kernel_sims,
-                        peak_events: t.peak_events,
-                        // Counter deltas around this ticket; exact when
-                        // the ticket ran alone, approximate when
-                        // concurrent tickets compiled plans meanwhile.
-                        plans_compiled: plans
-                            .plans_compiled
-                            .saturating_sub(t.plans_before.plans_compiled),
-                        plan_cache_hits: plans.hits.saturating_sub(t.plans_before.hits),
-                        cells_deduped: t.cells_deduped,
-                        recoveries: 0,
-                        artifacts_rejected: 0,
-                        per_worker,
-                    },
-                })
-            }
-            TicketAgg::Chaos(agg) => {
-                let Plan::Chaos { spec, .. } = &*t.plan else {
-                    unreachable!("chaos aggregators belong to chaos plans")
-                };
-                let (report, chaos_totals) = agg.finalize(spec);
-                ServiceReport::Chaos(ChaosOutcome {
-                    report,
-                    stats: PoolStats {
-                        workers: self.workers,
-                        wall,
-                        jobs: t.total,
-                        max_queue_depth: t.max_queue_depth,
-                        restarts: chaos_totals.restarts,
-                        // Chaos boots run under their own fault plans
-                        // and share no cached artifacts.
-                        kernel_sims: 0,
-                        peak_events: 0,
-                        plans_compiled: 0,
-                        plan_cache_hits: 0,
-                        cells_deduped: 0,
-                        recoveries: chaos_totals.recoveries,
-                        artifacts_rejected: chaos_totals.artifacts_rejected,
-                        per_worker,
-                    },
-                })
-            }
+        let plans = self.cache.plans().stats();
+        let (restarts, recoveries, artifacts_rejected) = agg.fault_totals();
+        let stats = PoolStats {
+            wall: t.started.elapsed(),
+            restarts,
+            // Counter deltas around this ticket; exact when the ticket
+            // ran alone, approximate when concurrent tickets compiled
+            // plans meanwhile.
+            plans_compiled: plans
+                .plans_compiled
+                .saturating_sub(t.plans_before.plans_compiled),
+            plan_cache_hits: plans.hits.saturating_sub(t.plans_before.hits),
+            recoveries,
+            artifacts_rejected,
+            per_worker: lock(&self.worker_stats).clone(),
+            ..t.stats.clone()
         };
-        let mut totals = lock(&self.totals);
+        let totals = &mut lock(&self.totals).counters;
         totals.tickets_completed += 1;
-        match &report {
-            ServiceReport::Sweep(o) => {
-                totals.kernel_sims += o.stats.kernel_sims as u64;
-                totals.cells_deduped += o.stats.cells_deduped as u64;
-            }
-            ServiceReport::Chaos(o) => {
-                totals.restarts += o.stats.restarts as u64;
-                totals.recoveries += o.stats.recoveries as u64;
-                totals.artifacts_rejected += o.stats.artifacts_rejected as u64;
-            }
-        }
-        t.report = Some(report);
+        totals.kernel_sims += stats.kernel_sims as u64;
+        totals.cells_deduped += stats.cells_deduped as u64;
+        totals.restarts += stats.restarts as u64;
+        totals.recoveries += stats.recoveries as u64;
+        totals.artifacts_rejected += stats.artifacts_rejected as u64;
+        t.report = Some(if t.chaos {
+            ServiceReport::Chaos(ChaosOutcome {
+                report: chaos::view(agg),
+                stats,
+            })
+        } else {
+            ServiceReport::Sweep(SweepOutcome {
+                report: agg.finalize(),
+                stats,
+            })
+        });
     }
 
     fn wait(&self, id: TicketId) -> Result<ServiceReport, WaitError> {
@@ -695,18 +637,12 @@ impl Inner {
             } else if t.report.is_some() {
                 TicketStatus::Done
             } else {
-                let completed = match &t.agg {
-                    Some(TicketAgg::Sweep(a)) => a.accepted(),
-                    Some(TicketAgg::Chaos(a)) => a.accepted(),
-                    None => t.total,
-                };
+                let total = t.stats.jobs;
+                let completed = t.agg.as_ref().map_or(total, Aggregator::accepted);
                 if completed == 0 {
-                    TicketStatus::Queued { total: t.total }
+                    TicketStatus::Queued { total }
                 } else {
-                    TicketStatus::Running {
-                        completed,
-                        total: t.total,
-                    }
+                    TicketStatus::Running { completed, total }
                 }
             }
         })
@@ -747,7 +683,7 @@ impl Inner {
             *p = p.saturating_sub(1);
         }
         drop(tickets);
-        lock(&self.totals).tickets_cancelled += 1;
+        lock(&self.totals).counters.tickets_cancelled += 1;
         self.done.notify_all();
         true
     }
@@ -757,19 +693,8 @@ impl Inner {
         let snapshot = ServiceStats {
             workers: self.workers,
             clients: totals.clients.len(),
-            tickets_submitted: totals.tickets_submitted,
-            tickets_completed: totals.tickets_completed,
-            tickets_cancelled: totals.tickets_cancelled,
-            jobs_executed: totals.jobs_executed,
             queue_depth: self.queued.load(Ordering::Relaxed),
-            queue_peak: 0,
-            kernel_sims: totals.kernel_sims,
-            plans_compiled: 0,
-            plan_cache_hits: 0,
-            cells_deduped: totals.cells_deduped,
-            restarts: totals.restarts,
-            recoveries: totals.recoveries,
-            artifacts_rejected: totals.artifacts_rejected,
+            ..totals.counters.clone()
         };
         drop(totals);
         let plans = self.cache.plans().stats();
@@ -796,29 +721,21 @@ fn worker_loop(inner: Arc<Inner>, w: usize) {
         // Cancelled or retracted tickets leave orphan tasks; skip them.
         let Some(plan) = plan else { continue };
         let started = Instant::now();
-        let msg = match &*plan {
-            Plan::Sweep {
-                spec,
-                shared,
-                fps,
-                jobs,
-            } => TicketMsg::Sweep(run_job(
-                spec,
-                shared,
-                fps,
-                &inner.cache,
-                jobs[task.index],
-                &mut builder,
-            )),
-            Plan::Chaos { spec, jobs } => TicketMsg::Chaos(run_chaos_job(spec, jobs[task.index])),
-        };
+        let result = run_job(
+            &plan.spec,
+            &plan.shared,
+            &plan.fps,
+            &inner.cache,
+            plan.jobs[task.index],
+            &mut builder,
+        );
         let elapsed = started.elapsed();
         {
             let mut ws = lock(&inner.worker_stats);
             ws[w].jobs += 1;
             ws[w].busy += elapsed;
         }
-        inner.accept(task.ticket, msg);
+        inner.accept(task.ticket, result);
     }
 }
 
@@ -884,9 +801,18 @@ impl FleetService {
 
     /// Enqueues a work item for `client` and returns its ticket.
     /// Applies the queue-capacity and per-client-quota admission policy
-    /// (see [`ServiceConfig`]); an empty grid finalizes immediately.
+    /// (see [`ServiceConfig`]) before expanding the grid; an empty grid
+    /// finalizes immediately.
     pub fn submit(&self, client: ClientId, item: WorkItem) -> Result<TicketId, SubmitError> {
         self.inner.submit(client, item)
+    }
+
+    /// The queue-capacity half of [`submit`](Self::submit)'s admission
+    /// policy for a grid of `jobs` jobs, checked without building the
+    /// grid: [`SubmitError::Saturated`] if the queue cannot hold them
+    /// right now.
+    pub fn admits(&self, jobs: usize) -> Result<(), SubmitError> {
+        self.inner.admits(jobs)
     }
 
     /// Non-blocking progress for a ticket; `None` once the report was
@@ -941,23 +867,7 @@ impl Drop for FleetService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CellSpec;
-    use bb_workloads::{profiles, TizenParams};
-
-    fn tiny_spec(seeds: impl IntoIterator<Item = u64>) -> SweepSpec {
-        SweepSpec::new().cell(
-            CellSpec::tizen(
-                "tiny",
-                profiles::ue48h6200(),
-                TizenParams {
-                    services: 24,
-                    ..TizenParams::open_source()
-                },
-            )
-            .seeds(seeds)
-            .conventional_vs_bb(),
-        )
-    }
+    use crate::pool::tests::tiny_spec;
 
     #[test]
     fn tickets_resolve_and_reports_match_the_one_shot_path() {

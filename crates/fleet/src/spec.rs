@@ -3,17 +3,24 @@
 //! A [`SweepSpec`] is a list of *cells*. Each cell names a scenario
 //! source (a synthetic Tizen workload or a fixed [`Scenario`]), the
 //! seeds to instantiate it with, and the [`BbConfig`]s to boot each
-//! instance under. One *job* is one `(cell, seed)` slot: the worker
-//! builds the scenario once, measures its [`PreParser`] once, and boots
-//! every config against that shared template — the expensive
-//! regeneration work is amortized across the whole config axis instead
-//! of being paid per boot.
+//! instance under. One *job* is one `(cell, plan, corruption, seed)`
+//! slot: the worker builds the scenario once, measures its
+//! [`PreParser`] once, and boots every config against that shared
+//! template — the expensive regeneration work is amortized across the
+//! whole config axis instead of being paid per boot.
+//!
+//! The fault-plan, corruption, supervision, and fallback axes are
+//! optional. A plain cell leaves all four at their defaults and boots
+//! each seed once per config; a *supervised* cell sets at least one of
+//! them — a chaos sweep, whose boots bypass the [`crate::FleetCache`]
+//! and which [`crate::run_chaos`] reports as `bb-fleet-chaos-v2`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bb_core::booster::Scenario;
-use bb_core::{BbConfig, PreParser};
+use bb_core::{with_supervision, BbConfig, FallbackPolicy, PreParser};
+use bb_init::RestartPolicy;
 use bb_sim::{fnv1a, FNV1A_OFFSET};
 use bb_workloads::{tv_scenario_with, MachineProfile, TizenParams};
 
@@ -35,6 +42,27 @@ pub enum ScenarioSource {
     Fixed(Arc<Scenario>),
 }
 
+/// Supervision overlay a supervised cell arms on every service unit.
+#[derive(Debug, Clone, Copy)]
+pub struct Supervision {
+    /// Restart policy to apply.
+    pub restart: RestartPolicy,
+    /// `RestartSec=` backoff, milliseconds.
+    pub restart_sec_ms: u64,
+    /// `StartLimitBurst=` respawn bound.
+    pub start_limit_burst: u32,
+}
+
+impl Default for Supervision {
+    fn default() -> Self {
+        Supervision {
+            restart: RestartPolicy::OnFailure,
+            restart_sec_ms: 100,
+            start_limit_burst: 3,
+        }
+    }
+}
+
 /// One cell of the sweep grid.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
@@ -42,11 +70,28 @@ pub struct CellSpec {
     pub label: String,
     /// Scenario source.
     pub source: ScenarioSource,
-    /// Seeds to instantiate the source with; one job per seed.
+    /// Seeds to instantiate the source with; one job per seed (per
+    /// fault plan and corruption slot).
     pub seeds: Vec<u64>,
     /// `(label, config)` pairs each instance boots under. A config
     /// labeled `"conventional"` becomes the cell's savings baseline.
     pub configs: Vec<(String, BbConfig)>,
+    /// Fault-plan axis: `None` is the fault-free control, `Some(seed)`
+    /// a seeded [`bb_sim::FaultPlan`] over the scenario's own fault
+    /// targets (see [`bb_core::fault_targets`]), so the same plan seed
+    /// means the same faults for every config. Defaults to `[None]`.
+    pub plan_seeds: Vec<Option<u64>>,
+    /// Corruption axis: `None` is the pristine control (no artifact
+    /// read staged, so the integrity chain never runs), `Some(seed)`
+    /// damages the scenario's encoded pre-parse blob with
+    /// [`bb_sim::CorruptionPlan::seeded`] and derives the read's
+    /// transient-failure count from the same seed. Defaults to `[None]`.
+    pub corruption_seeds: Vec<Option<u64>>,
+    /// Supervision overlay; `None` boots the units as authored.
+    pub supervision: Option<Supervision>,
+    /// Boot supervisor judging every attempt (see
+    /// [`bb_core::BootRequest::fallback`]); `None` runs unsupervised.
+    pub fallback: Option<FallbackPolicy>,
 }
 
 impl CellSpec {
@@ -54,22 +99,25 @@ impl CellSpec {
     /// `params.seed` as the only seed; override with [`CellSpec::seeds`].
     pub fn tizen(label: impl Into<String>, profile: MachineProfile, params: TizenParams) -> Self {
         let seed = params.seed;
-        CellSpec {
-            label: label.into(),
-            source: ScenarioSource::Tizen { profile, params },
-            seeds: vec![seed],
-            configs: Vec::new(),
-        }
+        CellSpec::new(label, ScenarioSource::Tizen { profile, params }, seed)
     }
 
     /// A cell booting one fixed scenario. Starts with a single seed 0
     /// (one job); add more to boot the identical scenario repeatedly.
     pub fn fixed(label: impl Into<String>, scenario: Scenario) -> Self {
+        CellSpec::new(label, ScenarioSource::Fixed(Arc::new(scenario)), 0)
+    }
+
+    fn new(label: impl Into<String>, source: ScenarioSource, seed: u64) -> Self {
         CellSpec {
             label: label.into(),
-            source: ScenarioSource::Fixed(Arc::new(scenario)),
-            seeds: vec![0],
+            source,
+            seeds: vec![seed],
             configs: Vec::new(),
+            plan_seeds: vec![None],
+            corruption_seeds: vec![None],
+            supervision: None,
+            fallback: None,
         }
     }
 
@@ -107,9 +155,71 @@ impl CellSpec {
             .pass_selection("bb", &bb_core::STANDARD_PASSES)
     }
 
+    /// Sets the fault-plan axis to the control plan plus `n` seeded
+    /// plans starting at `base`.
+    pub fn fault_plans(mut self, n: u64, base: u64) -> Self {
+        self.plan_seeds = control_plus(n, base);
+        self
+    }
+
+    /// Sets the corruption axis to the pristine control plus `n` seeded
+    /// corruption plans starting at `base`.
+    pub fn corruption_plans(mut self, n: u64, base: u64) -> Self {
+        self.corruption_seeds = control_plus(n, base);
+        self
+    }
+
+    /// Replaces the supervision overlay.
+    pub fn supervision(mut self, s: Option<Supervision>) -> Self {
+        self.supervision = s;
+        self
+    }
+
+    /// Supervises every boot with `policy`.
+    pub fn fallback(mut self, policy: FallbackPolicy) -> Self {
+        self.fallback = Some(policy);
+        self
+    }
+
+    /// True if the cell sets any fault, corruption, supervision, or
+    /// fallback axis. Supervised boots bypass the [`crate::FleetCache`]
+    /// entirely: the dedup and checkpoint keys do not cover those axes,
+    /// and a checkpoint cannot carry a fallback supervisor.
+    pub(crate) fn supervised(&self) -> bool {
+        self.plan_seeds != [None]
+            || self.corruption_seeds != [None]
+            || self.supervision.is_some()
+            || self.fallback.is_some()
+    }
+
     /// Boots this cell contributes to the sweep.
     pub fn boots(&self) -> usize {
-        self.seeds.len() * self.configs.len()
+        self.slots() * self.configs.len()
+    }
+
+    /// Result slots (= jobs) of this cell: one per `(plan, corruption,
+    /// seed)`.
+    pub(crate) fn slots(&self) -> usize {
+        self.plan_seeds.len() * self.corruption_seeds.len() * self.seeds.len()
+    }
+}
+
+/// The control slot plus `n` seeded slots starting at `base`.
+fn control_plus(n: u64, base: u64) -> Vec<Option<u64>> {
+    std::iter::once(None)
+        .chain((0..n).map(|i| Some(base + i)))
+        .collect()
+}
+
+impl Supervision {
+    /// `scenario` with this overlay armed on every service unit.
+    pub(crate) fn apply(&self, scenario: &Scenario) -> Scenario {
+        with_supervision(
+            scenario,
+            self.restart,
+            self.restart_sec_ms,
+            self.start_limit_burst,
+        )
     }
 }
 
@@ -132,7 +242,8 @@ pub struct SweepSpec {
     /// the saved [`bb_core::Checkpoint`] instead of re-simulating it.
     /// Reports are byte-identical to an unforked sweep — resuming a
     /// checkpoint replays the exact prefix timeline — the sweep just
-    /// does less work (see `PoolStats::kernel_sims`).
+    /// does less work (see `PoolStats::kernel_sims`). Plain cells only;
+    /// supervised cells always boot whole.
     pub fork: bool,
     /// Deduplicate identical grid points: two boots with the same
     /// (scenario identity × seed × config) — across cells, across
@@ -141,7 +252,8 @@ pub struct SweepSpec {
     /// Simulation is deterministic, so reports stay byte-identical
     /// with dedup on or off (see `PoolStats::cells_deduped`); on by
     /// default, opt out with [`SweepSpec::with_dedup`] to force every
-    /// slot to re-simulate.
+    /// slot to re-simulate. Plain cells only; supervised cells always
+    /// simulate.
     pub dedup: bool,
 }
 
@@ -199,37 +311,68 @@ impl SweepSpec {
         self.cells.iter().map(CellSpec::boots).sum()
     }
 
-    /// Expands the grid into jobs, in deterministic (cell, seed) order.
+    /// Jobs the grid expands to, counted without expanding it
+    /// (saturating at `usize::MAX`).
+    pub(crate) fn job_count(&self) -> usize {
+        self.cells.iter().fold(0usize, |n, c| {
+            let slots = c
+                .plan_seeds
+                .len()
+                .checked_mul(c.corruption_seeds.len())
+                .and_then(|s| s.checked_mul(c.seeds.len()));
+            slots.map_or(usize::MAX, |s| n.saturating_add(s))
+        })
+    }
+
+    /// Expands the grid into jobs, in deterministic (cell, plan,
+    /// corruption, seed) order — (cell, seed) order for plain cells.
     pub fn jobs(&self) -> Vec<Job> {
         let mut jobs = Vec::new();
         for (cell, c) in self.cells.iter().enumerate() {
-            for seed_idx in 0..c.seeds.len() {
-                jobs.push(Job { cell, seed_idx });
+            for plan_idx in 0..c.plan_seeds.len() {
+                for corr_idx in 0..c.corruption_seeds.len() {
+                    for seed_idx in 0..c.seeds.len() {
+                        jobs.push(Job {
+                            cell,
+                            plan_idx,
+                            corr_idx,
+                            seed_idx,
+                        });
+                    }
+                }
             }
         }
         jobs
     }
 
-    /// Builds the per-cell shared templates: for `Fixed` cells the
-    /// scenario and its [`PreParser`] are measured once here and shared
-    /// by every job; `Tizen` cells are seed-dependent and must build
-    /// per job.
+    /// Builds the per-cell shared templates: for `Fixed` cells without
+    /// a supervision overlay the scenario and its [`PreParser`] are
+    /// measured once here and shared by every job; `Tizen` cells are
+    /// seed-dependent and must build per job, and overlaid cells
+    /// measure the overlaid units.
     pub(crate) fn shared_templates(&self) -> Vec<Option<(Arc<Scenario>, PreParser)>> {
         self.cells
             .iter()
-            .map(|c| match &c.source {
-                ScenarioSource::Fixed(s) => Some((Arc::clone(s), PreParser::build(&s.units))),
-                ScenarioSource::Tizen { .. } => None,
+            .map(|c| match (&c.source, c.supervision) {
+                (ScenarioSource::Fixed(s), None) => {
+                    Some((Arc::clone(s), PreParser::build(&s.units)))
+                }
+                _ => None,
             })
             .collect()
     }
 }
 
-/// One unit of pool work: all configs of one `(cell, seed)` slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One unit of pool work: all configs of one `(cell, plan, corruption,
+/// seed)` slot. Orders by that tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Job {
     /// Index into [`SweepSpec::cells`].
     pub cell: usize,
+    /// Index into that cell's fault-plan list.
+    pub plan_idx: usize,
+    /// Index into that cell's corruption list.
+    pub corr_idx: usize,
     /// Index into that cell's seed list.
     pub seed_idx: usize,
 }
@@ -271,37 +414,54 @@ pub(crate) fn job_fingerprint(base: u64, seed_dependent: bool, seed: u64) -> u64
 }
 
 /// Materializes the scenario a job boots: the shared template for
-/// `Fixed` cells, a freshly generated instance for `Tizen` cells.
+/// `Fixed` cells, a freshly generated instance for `Tizen` cells, with
+/// the cell's supervision overlay armed before the one [`PreParser`]
+/// measurement.
 pub(crate) fn job_scenario(
     cell: &CellSpec,
     seed: u64,
     shared: &Option<(Arc<Scenario>, PreParser)>,
 ) -> (Arc<Scenario>, PreParser) {
-    match (&cell.source, shared) {
-        (ScenarioSource::Fixed(_), Some(tpl)) => tpl.clone(),
-        (ScenarioSource::Tizen { profile, params }, _) => {
-            let scenario = tv_scenario_with(*profile, TizenParams { seed, ..*params });
-            let pre = PreParser::build(&scenario.units);
-            (Arc::new(scenario), pre)
+    let scenario = match (&cell.source, shared) {
+        (_, Some(tpl)) => return tpl.clone(),
+        (ScenarioSource::Fixed(s), None) => Arc::clone(s),
+        (ScenarioSource::Tizen { profile, params }, None) => {
+            Arc::new(tv_scenario_with(*profile, TizenParams { seed, ..*params }))
         }
-        (ScenarioSource::Fixed(s), None) => (Arc::clone(s), PreParser::build(&s.units)),
-    }
+    };
+    let scenario = match cell.supervision {
+        Some(s) => Arc::new(s.apply(&scenario)),
+        None => scenario,
+    };
+    let pre = PreParser::build(&scenario.units);
+    (scenario, pre)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bb_workloads::profiles;
 
+    /// The 24-service open-source TV parameters the fleet tests boot.
+    pub(crate) fn tiny_params() -> TizenParams {
+        TizenParams {
+            services: 24,
+            ..TizenParams::open_source()
+        }
+    }
+
+    /// A plain cell of [`tiny_params`] scenarios on the UE48H6200.
+    pub(crate) fn tiny_cell(label: &str) -> CellSpec {
+        CellSpec::tizen(label, profiles::ue48h6200(), tiny_params())
+    }
+
+    /// One generated [`tiny_params`] scenario.
+    pub(crate) fn tiny_scenario() -> Scenario {
+        tv_scenario_with(profiles::ue48h6200(), tiny_params())
+    }
+
     fn small_cell() -> CellSpec {
-        CellSpec::tizen(
-            "small",
-            profiles::ue48h6200(),
-            TizenParams {
-                services: 24,
-                ..TizenParams::open_source()
-            },
-        )
+        tiny_cell("small")
     }
 
     #[test]
@@ -311,28 +471,55 @@ mod tests {
             .cell(small_cell().seeds([7]).config("bb", BbConfig::full()));
         let jobs = spec.jobs();
         assert_eq!(jobs.len(), 4);
-        assert_eq!(
-            jobs[0],
-            Job {
-                cell: 0,
-                seed_idx: 0
-            }
-        );
-        assert_eq!(
-            jobs[2],
-            Job {
-                cell: 0,
-                seed_idx: 2
-            }
-        );
-        assert_eq!(
-            jobs[3],
-            Job {
-                cell: 1,
-                seed_idx: 0
-            }
-        );
+        assert_eq!(spec.job_count(), 4);
+        let job = |cell, seed_idx| Job {
+            cell,
+            plan_idx: 0,
+            corr_idx: 0,
+            seed_idx,
+        };
+        assert_eq!(jobs[0], job(0, 0));
+        assert_eq!(jobs[2], job(0, 2));
+        assert_eq!(jobs[3], job(1, 0));
         assert_eq!(spec.total_boots(), 3 * 2 + 1);
+        assert!(!spec.cells[0].supervised());
+    }
+
+    #[test]
+    fn supervised_cells_expand_plan_corruption_then_seed() {
+        let cell = small_cell()
+            .seeds([1, 2])
+            .fault_plans(2, 100)
+            .corruption_plans(1, 500)
+            .conventional_vs_bb();
+        assert!(cell.supervised());
+        assert_eq!(cell.plan_seeds, [None, Some(100), Some(101)]);
+        assert_eq!(cell.corruption_seeds, [None, Some(500)]);
+        let spec = SweepSpec::new().cell(cell);
+        let jobs = spec.jobs();
+        assert_eq!(jobs.len(), 3 * 2 * 2);
+        assert_eq!(spec.job_count(), jobs.len());
+        assert_eq!(spec.total_boots(), 3 * 2 * 2 * 2);
+        // Jobs run in [plan][corruption][seed] slot order.
+        let keys: Vec<_> = jobs
+            .iter()
+            .map(|j| (j.plan_idx, j.corr_idx, j.seed_idx))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(
+            (jobs[5].plan_idx, jobs[5].corr_idx, jobs[5].seed_idx),
+            (1, 0, 1)
+        );
+        // Each of the four axes alone makes a cell supervised.
+        assert!(small_cell().fault_plans(1, 0).supervised());
+        assert!(small_cell().corruption_plans(1, 0).supervised());
+        assert!(small_cell()
+            .supervision(Some(Supervision::default()))
+            .supervised());
+        assert!(small_cell()
+            .fallback(FallbackPolicy::default())
+            .supervised());
+        assert!(!small_cell().fault_plans(0, 0).supervised());
     }
 
     #[test]
@@ -372,7 +559,7 @@ mod tests {
             profiles::ue48h6200(),
             TizenParams {
                 services: 25,
-                ..TizenParams::open_source()
+                ..tiny_params()
             },
         );
         assert_ne!(cell_fingerprint(&other).0, fa);
@@ -382,13 +569,7 @@ mod tests {
         assert_eq!(job_fingerprint(fa, false, 1), job_fingerprint(fa, false, 2));
 
         // Fixed sources fingerprint their content, seed-independent.
-        let scenario = tv_scenario_with(
-            profiles::ue48h6200(),
-            TizenParams {
-                services: 24,
-                ..TizenParams::open_source()
-            },
-        );
+        let scenario = tiny_scenario();
         let fixed_a = CellSpec::fixed("a", scenario.clone());
         let fixed_b = CellSpec::fixed("b", scenario);
         let (ga, gdep) = cell_fingerprint(&fixed_a);
@@ -398,13 +579,7 @@ mod tests {
 
     #[test]
     fn fixed_cells_share_one_template() {
-        let scenario = tv_scenario_with(
-            profiles::ue48h6200(),
-            TizenParams {
-                services: 24,
-                ..TizenParams::open_source()
-            },
-        );
+        let scenario = tiny_scenario();
         let spec = SweepSpec::new().cell(
             CellSpec::fixed("pinned", scenario)
                 .seeds([0, 1, 2])

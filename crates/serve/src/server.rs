@@ -270,13 +270,22 @@ fn process_line(
 fn dispatch(req: Request, service: &FleetService, stop: &AtomicBool, client: ClientId) -> String {
     let id = req.id();
     match req {
-        Request::Submit { job, .. } => match job.to_work_item() {
-            Err(e) => wire::render_err(id, &e),
-            Ok(item) => match service.submit(client, item) {
-                Ok(ticket) => wire::render_ok(id, &format!("\"ticket\": {ticket}")),
-                Err(e) => wire::render_err(id, &e.to_string()),
-            },
-        },
+        Request::Submit { job, .. } => {
+            // Weigh the job against the queue before building its grid:
+            // an oversized grid is refused, not allocated. A job that
+            // cannot be counted gets the grid builder's own error.
+            let admitted = match job.jobs() {
+                Ok(jobs) => service.admits(jobs).map_err(|e| e.to_string()),
+                Err(_) => Ok(()),
+            };
+            match admitted.and_then(|()| job.to_work_item()) {
+                Err(e) => wire::render_err(id, &e),
+                Ok(item) => match service.submit(client, item) {
+                    Ok(ticket) => wire::render_ok(id, &format!("\"ticket\": {ticket}")),
+                    Err(e) => wire::render_err(id, &e.to_string()),
+                },
+            }
+        }
         Request::Poll { ticket, .. } => match service.poll(ticket) {
             None => wire::render_err(id, "unknown ticket"),
             Some(status) => {
@@ -318,28 +327,30 @@ fn dispatch(req: Request, service: &FleetService, stop: &AtomicBool, client: Cli
 /// (plus the metrics document for metric-collecting sweeps) as escaped
 /// strings — the client writes them back out byte for byte.
 fn render_report(report: &ServiceReport) -> String {
-    match report {
-        ServiceReport::Sweep(outcome) => {
-            let metrics = match &outcome.report.metrics {
-                None => "null".to_string(),
-                Some(m) => format!("\"{}\"", json::escape(&m.to_json())),
-            };
-            format!(
-                "\"kind\": \"sweep\", \"failures\": {}, \"summary\": \"{}\", \
-                 \"pool_summary\": \"{}\", \"metrics\": {metrics}, \"report\": \"{}\"",
-                outcome.report.failures.len(),
-                json::escape(&outcome.report.summary()),
-                json::escape(&outcome.stats.summary()),
-                json::escape(&outcome.report.to_json()),
-            )
-        }
-        ServiceReport::Chaos(outcome) => format!(
-            "\"kind\": \"chaos\", \"failures\": {}, \"summary\": \"{}\", \
-             \"pool_summary\": \"{}\", \"metrics\": null, \"report\": \"{}\"",
-            outcome.report.failures.len(),
-            json::escape(&outcome.report.summary()),
-            json::escape(&outcome.stats.summary()),
-            json::escape(&outcome.report.to_json()),
+    let (kind, failures, summary, stats, doc, metrics) = match report {
+        ServiceReport::Sweep(o) => (
+            "sweep",
+            o.report.failures.len(),
+            o.report.summary(),
+            &o.stats,
+            o.report.to_json(),
+            o.report.metrics.as_ref().map(|m| m.to_json()),
         ),
-    }
+        ServiceReport::Chaos(o) => (
+            "chaos",
+            o.report.failures.len(),
+            o.report.summary(),
+            &o.stats,
+            o.report.to_json(),
+            None,
+        ),
+    };
+    let metrics = metrics.map_or_else(|| "null".into(), |m| format!("\"{}\"", json::escape(&m)));
+    format!(
+        "\"kind\": \"{kind}\", \"failures\": {failures}, \"summary\": \"{}\", \
+         \"pool_summary\": \"{}\", \"metrics\": {metrics}, \"report\": \"{}\"",
+        json::escape(&summary),
+        json::escape(&stats.summary()),
+        json::escape(&doc),
+    )
 }

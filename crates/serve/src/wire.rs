@@ -7,8 +7,10 @@
 //!    (via [`SweepArgs::parse_flag`]),
 //! 2. the single-line JSON a client sends to `bbsim serve`
 //!    ([`SweepArgs::to_wire_json`] / [`SweepArgs::from_wire`]), and
-//! 3. the [`SweepSpec`]/[`ChaosSpec`] grid the fleet service executes
-//!    ([`SweepArgs::to_work_item`]).
+//! 3. the [`SweepSpec`] grid the fleet service executes
+//!    ([`SweepArgs::sweep_spec`], [`SweepArgs::to_work_item`]) — one
+//!    builder for both kinds, where a chaos job adds the fault-plan,
+//!    corruption, supervision, and fallback axes.
 //!
 //! Because every surface funnels through the same grid builder, a
 //! `bbsim submit` round trip produces byte-identical report JSON to the
@@ -25,7 +27,7 @@ use std::time::Duration;
 
 use bb_core::{BbConfig, FallbackPolicy};
 use bb_fleet::json::{self, Json};
-use bb_fleet::{CellSpec, ChaosCellSpec, ChaosSpec, Supervision, SweepSpec, TicketId, WorkItem};
+use bb_fleet::{CellSpec, Supervision, SweepSpec, TicketId, WorkItem};
 use bb_init::RestartPolicy;
 use bb_workloads::{profiles, MachineProfile, TizenParams};
 
@@ -282,81 +284,104 @@ impl SweepArgs {
         str_field("restart", &mut args.restart);
         args.services = uint(v, "services")?.map(|n| n as usize);
         args.cores = uint(v, "cores")?.map(|n| n as usize);
-        if let Some(n) = uint(v, "seeds")? {
-            args.seeds = n;
-        }
         args.seed = uint(v, "seed")?;
         args.deadline_ms = uint(v, "deadline_ms")?;
         flag(v, "fork", &mut args.fork)?;
         flag(v, "dedup", &mut args.dedup)?;
         flag(v, "metrics", &mut args.metrics)?;
-        if let Some(n) = uint(v, "plans")? {
-            args.plans = n;
-        }
-        if let Some(n) = uint(v, "plan_seed")? {
-            args.plan_seed = n;
-        }
-        if let Some(n) = uint(v, "corruption")? {
-            args.corruption = n;
-        }
-        if let Some(n) = uint(v, "corruption_seed")? {
-            args.corruption_seed = n;
-        }
-        if let Some(n) = uint(v, "restart_sec_ms")? {
-            args.restart_sec_ms = n;
+        for (key, field) in [
+            ("seeds", &mut args.seeds),
+            ("plans", &mut args.plans),
+            ("plan_seed", &mut args.plan_seed),
+            ("corruption", &mut args.corruption),
+            ("corruption_seed", &mut args.corruption_seed),
+            ("restart_sec_ms", &mut args.restart_sec_ms),
+        ] {
+            if let Some(n) = uint(v, key)? {
+                *field = n;
+            }
         }
         if let Some(n) = uint(v, "burst")? {
-            args.burst = n as u32;
+            args.burst = u32::try_from(n)
+                .map_err(|_| format!("job field \"burst\" must be at most {}", u32::MAX))?;
         }
         Ok(args)
     }
 
-    /// Expands a sweep job into its grid — the same grid `bbsim sweep`
-    /// has always built: one cell per profile, `conventional` vs the
-    /// boosted feature set, `{profile}-s{services}` labels.
+    /// Expands the job into its grid — the same grid `bbsim sweep` and
+    /// `bbsim chaos` have always built: one cell per profile,
+    /// `conventional` vs the boosted config, `{profile}-s{services}`
+    /// labels. A sweep job boosts its `--features` and may set the
+    /// wall-clock job deadline, fork, dedup, and metrics; a chaos job
+    /// boosts the full feature set and adds the fault-plan, corruption,
+    /// supervision, and fallback axes (its `--deadline-ms` is the
+    /// fallback deadline). The job count is checked before anything is
+    /// built, so a grid too large to count is an error, not an
+    /// allocation failure.
     pub fn sweep_spec(&self) -> Result<SweepSpec, String> {
         let services = self.services.unwrap_or(136);
         check_services(services)?;
-        let boosted = BbConfig::from_feature_list(&self.features)?;
-        let boosted_label = if self.features == "all" || self.features == "full" {
-            "bb".to_string()
-        } else {
-            self.features.clone()
+        let mut spec = SweepSpec::new();
+        // The boosted config, and for chaos the supervision overlay and
+        // the fallback supervisor.
+        let (boosted_label, boosted, chaos_axes) = match self.kind {
+            JobKind::Chaos => {
+                let policy = self
+                    .deadline_ms
+                    .map_or_else(FallbackPolicy::default, FallbackPolicy::with_deadline_ms);
+                let axes = (self.supervision()?, policy);
+                ("bb".to_string(), BbConfig::full(), Some(axes))
+            }
+            _ => {
+                spec = spec
+                    .with_metrics(self.metrics)
+                    .with_dedup(self.dedup)
+                    .with_fork(self.fork);
+                if let Some(ms) = self.deadline_ms {
+                    spec = spec.deadline(Duration::from_millis(ms));
+                }
+                let boosted = BbConfig::from_feature_list(&self.features)?;
+                let label = if self.features == "all" || self.features == "full" {
+                    "bb".to_string()
+                } else {
+                    self.features.clone()
+                };
+                (label, boosted, None)
+            }
         };
-        let mut spec = SweepSpec::new()
-            .with_metrics(self.metrics)
-            .with_dedup(self.dedup)
-            .with_fork(self.fork);
-        if let Some(ms) = self.deadline_ms {
-            spec = spec.deadline(Duration::from_millis(ms));
-        }
+        let profiles = resolve_profiles(&self.profiles)?;
+        self.job_count(profiles.len())?;
         let seed_base = self.seed.unwrap_or(0);
-        for profile in resolve_profiles(&self.profiles)? {
+        for profile in profiles {
             let label = format!("{}-s{}", profile.name, services);
-            spec = spec.cell(
-                CellSpec::tizen(
-                    label,
-                    profile,
-                    TizenParams {
-                        services,
-                        ..TizenParams::default()
-                    },
-                )
-                .seeds(seed_base..seed_base + self.seeds)
-                .config("conventional", BbConfig::conventional())
-                .config(boosted_label.clone(), boosted),
-            );
+            let mut cell = CellSpec::tizen(
+                label,
+                profile,
+                TizenParams {
+                    services,
+                    ..TizenParams::default()
+                },
+            )
+            .seeds(seed_base..seed_base + self.seeds)
+            .config("conventional", BbConfig::conventional())
+            .config(boosted_label.clone(), boosted);
+            if let Some((supervision, policy)) = chaos_axes {
+                cell = cell
+                    .fault_plans(self.plans, self.plan_seed)
+                    .corruption_plans(self.corruption, self.corruption_seed)
+                    .supervision(supervision)
+                    .fallback(policy);
+            }
+            spec = spec.cell(cell);
         }
         Ok(spec)
     }
 
-    /// Expands a chaos job into its grid — the same grid `bbsim chaos`
-    /// has always built.
-    pub fn chaos_spec(&self) -> Result<ChaosSpec, String> {
-        let services = self.services.unwrap_or(136);
-        check_services(services)?;
+    /// The `--restart` policy as a supervision overlay (`None` for
+    /// `no`).
+    fn supervision(&self) -> Result<Option<Supervision>, String> {
         let restart = match self.restart.as_str() {
-            "no" | "none" => RestartPolicy::No,
+            "no" | "none" => return Ok(None),
             "on-failure" => RestartPolicy::OnFailure,
             "always" => RestartPolicy::Always,
             other => {
@@ -365,47 +390,39 @@ impl SweepArgs {
                 ))
             }
         };
-        let supervision = if restart == RestartPolicy::No {
-            None
-        } else {
-            Some(Supervision {
-                restart,
-                restart_sec_ms: self.restart_sec_ms,
-                start_limit_burst: self.burst,
-            })
+        Ok(Some(Supervision {
+            restart,
+            restart_sec_ms: self.restart_sec_ms,
+            start_limit_burst: self.burst,
+        }))
+    }
+
+    /// Jobs the grid expands to, computed without building it: what the
+    /// server weighs against its queue capacity before expanding a
+    /// submitted job.
+    pub(crate) fn jobs(&self) -> Result<usize, String> {
+        self.job_count(resolve_profiles(&self.profiles)?.len())
+    }
+
+    /// `cells` × seeds (× fault plans × corruption slots for chaos),
+    /// with checked arithmetic.
+    fn job_count(&self, cells: usize) -> Result<usize, String> {
+        let axes = match self.kind {
+            JobKind::Chaos => [self.plans, self.corruption]
+                .iter()
+                .try_fold(1u64, |n, &extra| n.checked_mul(extra.checked_add(1)?)),
+            _ => Some(1),
         };
-        let deadline_ms = self
-            .deadline_ms
-            .unwrap_or_else(|| FallbackPolicy::default().deadline.as_millis());
-        let seed_base = self.seed.unwrap_or(0);
-        let mut spec = ChaosSpec::new();
-        for profile in resolve_profiles(&self.profiles)? {
-            let label = format!("{}-s{}", profile.name, services);
-            spec = spec.cell(
-                ChaosCellSpec::tizen(
-                    label,
-                    profile,
-                    TizenParams {
-                        services,
-                        ..TizenParams::default()
-                    },
-                )
-                .seeds(seed_base..seed_base + self.seeds)
-                .fault_plans(self.plans, self.plan_seed)
-                .corruption_plans(self.corruption, self.corruption_seed)
-                .supervision(supervision)
-                .deadline_ms(deadline_ms)
-                .conventional_vs_bb(),
-            );
-        }
-        Ok(spec)
+        axes.and_then(|n| n.checked_mul(self.seeds))
+            .and_then(|n| usize::try_from(n).ok()?.checked_mul(cells))
+            .ok_or_else(|| "grid too large: its job count overflows".to_string())
     }
 
     /// The submittable [`WorkItem`] this job expands to.
     pub fn to_work_item(&self) -> Result<WorkItem, String> {
         match self.kind {
             JobKind::Sweep => Ok(WorkItem::Sweep(self.sweep_spec()?)),
-            JobKind::Chaos => Ok(WorkItem::Chaos(self.chaos_spec()?)),
+            JobKind::Chaos => Ok(WorkItem::Chaos(self.sweep_spec()?)),
             JobKind::Suspend => {
                 Err("suspend runs locally; the serve queue accepts sweep and chaos jobs".into())
             }
@@ -659,18 +676,65 @@ mod tests {
     }
 
     #[test]
-    fn chaos_spec_builds_the_cli_grid() {
+    fn chaos_jobs_build_supervised_cells() {
         let mut job = SweepArgs::new(JobKind::Chaos);
         job.services = Some(24);
         job.seeds = 2;
-        let spec = job.chaos_spec().unwrap();
+        let spec = job.sweep_spec().unwrap();
         assert_eq!(spec.cells.len(), 1);
         // 2 seeds x (4 plans + control) x (0 corruption + pristine) x 2 configs.
         assert_eq!(spec.total_boots(), 2 * 5 * 2);
+        assert_eq!(job.jobs(), Ok(2 * 5));
+        let cell = &spec.cells[0];
+        assert_eq!(cell.configs[1].0, "bb");
+        assert_eq!(cell.plan_seeds[1], Some(1000));
+        assert!(cell.supervision.is_some());
+        assert_eq!(
+            cell.fallback.map(|p| p.deadline),
+            Some(FallbackPolicy::default().deadline)
+        );
+        // Chaos ignores the sweep-only knobs, and --deadline-ms is the
+        // fallback deadline, not a wall-clock job deadline.
+        job.features = "warp-drive".into();
+        job.deadline_ms = Some(4000);
+        job.restart = "no".into();
+        let spec = job.sweep_spec().unwrap();
+        assert_eq!(spec.deadline, None);
+        assert!(spec.cells[0].supervision.is_none());
+        assert_eq!(
+            spec.cells[0].fallback.map(|p| p.deadline),
+            Some(FallbackPolicy::with_deadline_ms(4000).deadline)
+        );
         job.restart = "sometimes".into();
-        assert!(job.chaos_spec().is_err());
+        assert!(job.sweep_spec().is_err());
         // Suspend jobs never reach the queue.
         assert!(SweepArgs::new(JobKind::Suspend).to_work_item().is_err());
+    }
+
+    #[test]
+    fn oversized_grids_are_counted_not_built() {
+        let mut job = SweepArgs::new(JobKind::Sweep);
+        job.services = Some(24);
+        job.seeds = 1_000_000_000_000_000;
+        assert_eq!(job.jobs(), Ok(1_000_000_000_000_000));
+        job.profiles = "all".into();
+        job.seeds = u64::MAX;
+        assert!(job.jobs().is_err(), "profiles x seeds overflows");
+        assert!(job.sweep_spec().is_err(), "refused before allocating");
+        let mut chaos = SweepArgs::new(JobKind::Chaos);
+        chaos.plans = u64::MAX;
+        assert!(chaos.jobs().is_err(), "the control plan overflows");
+    }
+
+    #[test]
+    fn burst_must_fit_32_bits() {
+        let job = |burst: u64| {
+            let line = format!(r#"{{"kind": "chaos", "burst": {burst}}}"#);
+            SweepArgs::from_wire(&json::parse(&line).unwrap())
+        };
+        assert_eq!(job(u64::from(u32::MAX)).unwrap().burst, u32::MAX);
+        let err = job(4_294_967_299).expect_err("2^32 + 3 must not wrap to 3");
+        assert!(err.contains("burst"), "{err}");
     }
 
     #[test]

@@ -70,10 +70,13 @@ run ./target/release/bbsim sweep --services 24 --seeds 3 \
 run cmp "$chaos_tmp/plain.json" "$chaos_tmp/nodedup.json"
 
 # Serve smoke: a live server on a temp socket must hand two concurrent
-# clients reports byte-identical to the in-process sweep, publish the
+# clients reports byte-identical to the in-process sweep, serve a chaos
+# ticket byte-identical to the in-process chaos run, publish the
 # bb-serve-stats-v1 document, and shut down cleanly on request.
 run ./target/release/bbsim sweep --services 24 --seeds 2 \
     --workers 2 --json "$chaos_tmp/serve-ref.json"
+run ./target/release/bbsim chaos --services 24 --seeds 2 --plans 2 \
+    --corruption 1 --workers 2 --json "$chaos_tmp/serve-chaos-ref.json"
 echo "==> bbsim serve --socket $chaos_tmp/bb.sock --workers 2 &"
 ./target/release/bbsim serve --socket "$chaos_tmp/bb.sock" --workers 2 &
 serve_pid=$!
@@ -91,6 +94,11 @@ client_b=$!
 wait "$client_a" "$client_b"
 run cmp "$chaos_tmp/serve-a.json" "$chaos_tmp/serve-ref.json"
 run cmp "$chaos_tmp/serve-b.json" "$chaos_tmp/serve-ref.json"
+echo "==> bbsim submit chaos --services 24 --seeds 2 --plans 2 --corruption 1"
+./target/release/bbsim submit chaos --socket "$chaos_tmp/bb.sock" \
+    --services 24 --seeds 2 --plans 2 --corruption 1 \
+    --json "$chaos_tmp/serve-chaos.json" >/dev/null
+run cmp "$chaos_tmp/serve-chaos.json" "$chaos_tmp/serve-chaos-ref.json"
 echo "==> bbsim submit --stats | grep bb-serve-stats-v1"
 ./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --stats \
     | grep -q '"schema": "bb-serve-stats-v1"'

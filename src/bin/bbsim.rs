@@ -815,18 +815,42 @@ fn report_diffs(diffs: Vec<booting_booster::fleet::DiffEntry>, tolerance: f64) {
     );
 }
 
-fn run_sweep_cmd(job: SweepArgs, local: LocalFlags) {
+/// `bbsim sweep` and `bbsim chaos`: one grid builder, one engine, and
+/// the report view of the job's kind.
+fn run_grid_cmd(job: SweepArgs, local: LocalFlags) {
     let spec = job.sweep_spec().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         exit(2);
     });
     let pool = pool_config(&local);
+    let chaos = job.kind == JobKind::Chaos;
+    let axes = if chaos {
+        format!(
+            " ({} fault plans + control, {} corruption plans + pristine)",
+            job.plans, job.corruption
+        )
+    } else {
+        String::new()
+    };
     eprintln!(
-        "sweep: {} cells, {} boots, {} workers",
+        "{}: {} cells, {} boots{axes}, {} workers",
+        job.kind.as_str(),
         spec.cells.len(),
         spec.total_boots(),
         pool.workers
     );
+    if chaos {
+        let outcome = run_chaos(&spec, &pool, &FleetCache::fresh());
+        print!("{}", outcome.report.summary());
+        eprintln!("{}", outcome.stats.summary());
+        if let Some(path) = &local.json {
+            write_doc(path, &outcome.report.to_json(), "chaos report");
+        }
+        if !outcome.report.failures.is_empty() {
+            exit(1);
+        }
+        return;
+    }
     let outcome = run_sweep(&spec, &pool, &FleetCache::fresh());
 
     print!("{}", outcome.report.summary());
@@ -1000,37 +1024,6 @@ fn run_suspend_cmd(job: SweepArgs, local: LocalFlags) {
         suspend.standby_watts,
         StandbyPolicy::EU_LIMIT_WATTS
     );
-}
-
-// ---------------------------------------------------------------------
-// chaos subcommand
-// ---------------------------------------------------------------------
-
-fn run_chaos_cmd(job: SweepArgs, local: LocalFlags) {
-    let spec = job.chaos_spec().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(2);
-    });
-    let pool = pool_config(&local);
-    eprintln!(
-        "chaos: {} cells, {} boots ({} fault plans + control, {} corruption plans + pristine), {} workers",
-        spec.cells.len(),
-        spec.total_boots(),
-        job.plans,
-        job.corruption,
-        pool.workers
-    );
-    let outcome = run_chaos(&spec, &pool);
-
-    print!("{}", outcome.report.summary());
-    eprintln!("{}", outcome.stats.summary());
-
-    if let Some(path) = &local.json {
-        write_doc(path, &outcome.report.to_json(), "chaos report");
-    }
-    if !outcome.report.failures.is_empty() {
-        exit(1);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1218,15 +1211,10 @@ fn run_submit_cmd(mut it: std::iter::Peekable<impl Iterator<Item = String>>) {
 fn main() {
     let mut argv = std::env::args().skip(1).peekable();
     match argv.peek().map(String::as_str) {
-        Some("sweep") => {
-            argv.next();
-            let (job, local) = parse_job_args(JobKind::Sweep, argv);
-            run_sweep_cmd(job, local);
-        }
-        Some("chaos") => {
-            argv.next();
-            let (job, local) = parse_job_args(JobKind::Chaos, argv);
-            run_chaos_cmd(job, local);
+        Some("sweep" | "chaos") => {
+            let kind = argv.next().and_then(|k| k.parse().ok());
+            let (job, local) = parse_job_args(kind.expect("a grid kind"), argv);
+            run_grid_cmd(job, local);
         }
         Some("suspend") => {
             argv.next();

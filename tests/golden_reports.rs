@@ -60,76 +60,49 @@ fn sweep_report_and_metrics_match_goldens() {
     check_golden("sweep_s24_metrics.json", &metrics.to_json());
 }
 
-/// One chaos golden: the job the CLI flags describe, and substrings
-/// the document must keep so the golden keeps guarding its paths.
-struct ChaosGolden {
-    file: &'static str,
-    job: fn() -> SweepArgs,
-    must_contain: &'static [&'static str],
-}
-
-fn chaos_job(services: usize, seeds: u64) -> SweepArgs {
-    let mut job = SweepArgs::new(JobKind::Chaos);
-    job.services = Some(services);
-    job.seeds = seeds;
-    job
-}
-
-const CHAOS_GOLDENS: &[ChaosGolden] = &[
-    ChaosGolden {
-        file: "chaos_s24.json",
-        job: || {
-            let mut job = chaos_job(24, 2);
-            job.plans = 4;
-            job.corruption = 2;
-            job
-        },
+/// The chaos goldens: each file, the `bbsim chaos` flags that print it,
+/// and substrings the document must keep so it keeps guarding its
+/// paths.
+const CHAOS_GOLDENS: &[(&str, &str, &[&str])] = &[
+    (
+        "chaos_s24.json",
+        "--services 24 --seeds 2 --plans 4 --corruption 2",
         // Every event kind, or the golden stops guarding the fallback
         // and recovery paths.
-        must_contain: &["artifact rejected", "degraded boot", "recovered after"],
-    },
-    ChaosGolden {
-        file: "chaos_s24_norestart.json",
-        job: || {
-            let mut job = chaos_job(24, 2);
-            job.plans = 3;
-            job.restart = "no".into();
-            job.deadline_ms = Some(4000);
-            job
-        },
-        must_contain: &["missed the deadline", "boot never completed"],
-    },
-    ChaosGolden {
-        file: "chaos_s24_two_profiles.json",
-        job: || {
-            let mut job = chaos_job(24, 2);
-            job.profiles = "ue48h6200,galaxy-s6".into();
-            job.plans = 1;
-            job.corruption = 1;
-            job
-        },
-        must_contain: &[
+        &["artifact rejected", "degraded boot", "recovered after"],
+    ),
+    (
+        "chaos_s24_norestart.json",
+        "--services 24 --seeds 2 --plans 3 --restart no --deadline-ms 4000",
+        &["missed the deadline", "boot never completed"],
+    ),
+    (
+        "chaos_s24_two_profiles.json",
+        "--profiles ue48h6200,galaxy-s6 --services 24 --seeds 2 --plans 1 --corruption 1",
+        &[
             "\"UE48H6200-s24\"",
             "\"GalaxyS6-s24\"",
             "artifact rejected",
             "recovered after",
         ],
-    },
+    ),
 ];
 
 #[test]
 fn chaos_report_matches_golden() {
-    for golden in CHAOS_GOLDENS {
-        let spec = (golden.job)().chaos_spec().expect("chaos grid");
-        let outcome = run_chaos(&spec, &PoolConfig::with_workers(2));
-        let json = outcome.report.to_json();
-        for needle in golden.must_contain {
-            assert!(
-                json.contains(needle),
-                "{} lost its {needle:?} content",
-                golden.file
-            );
+    for &(file, flags, must_contain) in CHAOS_GOLDENS {
+        // The job exactly as `bbsim chaos FLAGS` parses it.
+        let mut job = SweepArgs::new(JobKind::Chaos);
+        let mut args = flags.split_whitespace().map(str::to_owned);
+        while let Some(flag) = args.next() {
+            assert_eq!(job.parse_flag(&flag, &mut || args.next()), Ok(true));
         }
-        check_golden(golden.file, &json);
+        let spec = job.sweep_spec().expect("chaos grid");
+        let outcome = run_chaos(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh());
+        let json = outcome.report.to_json();
+        for needle in must_contain {
+            assert!(json.contains(needle), "{file} lost its {needle:?} content");
+        }
+        check_golden(file, &json);
     }
 }

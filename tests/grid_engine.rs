@@ -1,0 +1,96 @@
+//! The merged grid engine's two invariants: plain and supervised cells
+//! run on one spec, one job runner, one aggregator, and one service
+//! path, yet a supervised cell never touches the shared `FleetCache`,
+//! and cells never leak into each other through the shared slots.
+
+use booting_booster::bb::FallbackPolicy;
+use booting_booster::fleet::{
+    run_chaos, run_sweep, CellSpec, FleetCache, FleetService, PoolConfig, ServiceConfig,
+    ServiceReport, Supervision, SweepSpec,
+};
+use booting_booster::serve::{JobKind, SweepArgs};
+use booting_booster::workloads::{profiles, TizenParams};
+
+/// A chaos ticket and a sweep ticket over the same profile, services,
+/// and seeds share one service: the supervised boots must leave the
+/// `FleetCache` untouched, so the sweep finds nothing to replay.
+#[test]
+fn supervised_cells_leave_the_fleet_cache_alone() {
+    let job = |kind| {
+        let mut job = SweepArgs::new(kind);
+        job.services = Some(24);
+        job.seeds = 2;
+        job.plans = 1;
+        job.corruption = 1;
+        job.to_work_item().expect("work item")
+    };
+    let service = FleetService::start(ServiceConfig::with_workers(2));
+    let ticket = service.submit(1, job(JobKind::Chaos)).expect("admitted");
+    let Ok(ServiceReport::Chaos(chaos)) = service.wait(ticket) else {
+        panic!("chaos tickets finalize into chaos reports");
+    };
+    assert!(chaos.report.failures.is_empty());
+    assert!(chaos.stats.kernel_sims > 0, "chaos boots are counted");
+    assert_eq!(chaos.stats.cells_deduped, 0);
+    assert_eq!(
+        service.cache().plans().stats().entries,
+        0,
+        "supervised boots compile no shared plans"
+    );
+
+    let ticket = service.submit(1, job(JobKind::Sweep)).expect("admitted");
+    let Ok(ServiceReport::Sweep(sweep)) = service.wait(ticket) else {
+        panic!("sweep tickets finalize into sweep reports");
+    };
+    assert_eq!(
+        sweep.stats.cells_deduped, 0,
+        "nothing the chaos ticket booted may be replayed"
+    );
+    assert_eq!(sweep.stats.kernel_sims, 4, "2 seeds x 2 configs simulate");
+}
+
+/// One grid, one plain and one supervised cell: each cell's row in its
+/// own view equals the row a single-kind run produces.
+#[test]
+fn plain_and_supervised_cells_stay_isolated_in_shared_slots() {
+    let cell = |label| {
+        let params = TizenParams {
+            services: 24,
+            ..TizenParams::open_source()
+        };
+        CellSpec::tizen(label, profiles::ue48h6200(), params)
+            .seeds([1, 2])
+            .conventional_vs_bb()
+    };
+    let plain = cell("plain");
+    let supervised = cell("faulted")
+        .fault_plans(2, 100)
+        .corruption_plans(1, 500)
+        .supervision(Some(Supervision::default()))
+        .fallback(FallbackPolicy::default());
+    let mixed = SweepSpec::new()
+        .cell(plain.clone())
+        .cell(supervised.clone());
+    let pool = PoolConfig::with_workers(3);
+    let alone = |cell: CellSpec| SweepSpec::new().cell(cell);
+
+    let plain_only = run_sweep(&alone(plain), &pool, &FleetCache::fresh());
+    let mixed_sweep = run_sweep(&mixed, &pool, &FleetCache::fresh());
+    assert_eq!(mixed_sweep.report.cells[0], plain_only.report.cells[0]);
+
+    let chaos_only = run_chaos(&alone(supervised), &pool, &FleetCache::fresh());
+    let mixed_chaos = run_chaos(&mixed, &pool, &FleetCache::fresh());
+    assert_eq!(mixed_chaos.report.cells[1], chaos_only.report.cells[0]);
+    let faulted: Vec<_> = mixed_chaos
+        .report
+        .events
+        .iter()
+        .filter(|e| e.cell == "faulted")
+        .collect();
+    assert!(!faulted.is_empty(), "the supervised cell exercises events");
+    assert_eq!(faulted, chaos_only.report.events.iter().collect::<Vec<_>>());
+    assert_eq!(
+        mixed_chaos.stats.restarts, chaos_only.stats.restarts,
+        "only the supervised cell restarts"
+    );
+}

@@ -2,13 +2,17 @@
 //! [`FleetService`] must each get a report byte-identical to a
 //! one-shot in-process sweep, the shared cache must dedup *across*
 //! clients, and the socket server must round-trip the same bytes over
-//! the `bb-serve-v1` wire protocol and shut down cleanly.
+//! the `bb-serve-v1` wire protocol — sweep and chaos tickets alike —
+//! refuse oversized grids without going down, and shut down cleanly.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 
 use booting_booster::fleet::{
-    run_sweep, FleetCache, FleetService, PoolConfig, ServiceConfig, ServiceReport, TicketStatus,
+    parse_json, run_chaos, run_sweep, FleetCache, FleetService, Json, PoolConfig, ServiceConfig,
+    ServiceReport, TicketStatus,
 };
 use booting_booster::serve::{BindAddr, Client, JobKind, Server, SweepArgs};
 
@@ -27,6 +31,20 @@ fn reference_report(job: &SweepArgs) -> String {
     run_sweep(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh())
         .report
         .to_json()
+}
+
+/// Binds a TCP server on an ephemeral port and runs it on a thread.
+fn spawn_server(workers: usize) -> (BindAddr, thread::JoinHandle<()>) {
+    let server = Server::bind(
+        &BindAddr::Tcp("127.0.0.1:0".into()),
+        ServiceConfig::with_workers(workers),
+    )
+    .expect("bind");
+    let addr = BindAddr::Tcp(server.tcp_addr().expect("tcp addr").to_string());
+    (
+        addr,
+        thread::spawn(move || server.run().expect("serve loop")),
+    )
 }
 
 #[test]
@@ -100,13 +118,7 @@ fn tickets_poll_through_to_done() {
 #[test]
 fn socket_server_round_trips_the_same_bytes() {
     let reference = reference_report(&small_job());
-    let server = Server::bind(
-        &BindAddr::Tcp("127.0.0.1:0".into()),
-        ServiceConfig::with_workers(2),
-    )
-    .expect("bind");
-    let addr = BindAddr::Tcp(server.tcp_addr().expect("tcp addr").to_string());
-    let server_thread = thread::spawn(move || server.run().expect("serve loop"));
+    let (addr, server_thread) = spawn_server(2);
 
     // One client warms the shared cache, then two fully concurrent
     // clients replay the same grid over the wire.
@@ -151,13 +163,7 @@ fn socket_server_round_trips_the_same_bytes() {
 
 #[test]
 fn wire_errors_are_reported_not_fatal() {
-    let server = Server::bind(
-        &BindAddr::Tcp("127.0.0.1:0".into()),
-        ServiceConfig::with_workers(1),
-    )
-    .expect("bind");
-    let addr = BindAddr::Tcp(server.tcp_addr().expect("tcp addr").to_string());
-    let server_thread = thread::spawn(move || server.run().expect("serve loop"));
+    let (addr, server_thread) = spawn_server(1);
 
     let mut client = Client::connect(&addr).expect("connect");
     // A grid below the 24-service floor is rejected at submit, but the
@@ -174,6 +180,69 @@ fn wire_errors_are_reported_not_fatal() {
     let result = client.run(&good).expect("recovered after the error");
     assert_eq!(result.failures, 0);
 
+    client.shutdown().expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+#[test]
+fn chaos_tickets_round_trip_the_same_bytes() {
+    // The chaos_s24 golden grid: every chaos event kind.
+    let mut job = SweepArgs::new(JobKind::Chaos);
+    job.services = Some(24);
+    job.seeds = 2;
+    job.plans = 4;
+    job.corruption = 2;
+    let spec = job.sweep_spec().expect("chaos grid");
+    let reference = run_chaos(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh())
+        .report
+        .to_json();
+
+    let (addr, server_thread) = spawn_server(2);
+    let mut client = Client::connect(&addr).expect("connect");
+    let result = client.run(&job).expect("chaos job");
+    assert_eq!(result.kind, JobKind::Chaos);
+    assert_eq!(result.failures, 0);
+    assert_eq!(
+        result.report, reference,
+        "the chaos document that crossed the wire must match run_chaos"
+    );
+    client.shutdown().expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+#[test]
+fn oversized_grids_are_refused_and_the_server_survives() {
+    let (addr, server_thread) = spawn_server(1);
+    let BindAddr::Tcp(tcp) = &addr else {
+        unreachable!("spawn_server binds TCP")
+    };
+    // 10^15 seeds would need petabytes of seed list: the server must
+    // weigh the grid against its queue before building it.
+    let mut raw = TcpStream::connect(tcp).expect("connect raw");
+    raw.write_all(
+        b"{\"id\": 2, \"method\": \"submit\", \"job\": \
+          {\"kind\": \"sweep\", \"services\": 24, \"seeds\": 1000000000000000}}\n",
+    )
+    .expect("send oversized submit");
+    let mut line = String::new();
+    BufReader::new(raw.try_clone().expect("clone"))
+        .read_line(&mut line)
+        .expect("read response");
+    let response = parse_json(&line).expect("response is JSON");
+    assert_eq!(response.get("id").and_then(Json::as_f64), Some(2.0));
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+    let error = response.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        error.starts_with("queue saturated") && error.contains("1000000000000000"),
+        "refused with the saturation message: {error}"
+    );
+    drop(raw);
+
+    // The same server still completes a normal ticket.
+    let mut client = Client::connect(&addr).expect("connect");
+    let result = client.run(&small_job()).expect("normal job after refusal");
+    assert_eq!(result.failures, 0);
+    assert_eq!(result.report, reference_report(&small_job()));
     client.shutdown().expect("shutdown");
     server_thread.join().expect("server thread");
 }
