@@ -218,6 +218,52 @@ mod tests {
         assert_eq!(cache.stats().plans_compiled, 2);
     }
 
+    /// Pins how `run`, `checkpoint_at` and `resume` share plans through
+    /// one cache: after every step the (compiled, hits, entries)
+    /// counters match, and every boot equals an uncached boot of its
+    /// config.
+    #[test]
+    fn run_checkpoint_and_resume_share_plans_through_one_cache() {
+        use crate::booster::{Boot, CheckpointPhase::KernelHandoff};
+
+        let cache = PlanCache::new();
+        let s = Arc::new(mini_tv());
+        let full = BbConfig::full();
+        let suffix = BbConfig {
+            bb_group: false,
+            ..full
+        };
+        assert_eq!(suffix.prefix_key(), full.prefix_key());
+        let cached = |cfg: BbConfig| BootRequest::new(&s).config(cfg).plan_cache(&cache, &s);
+        let counts = |expected: (u64, u64, usize)| {
+            let stats = cache.stats();
+            assert_eq!((stats.plans_compiled, stats.hits, stats.entries), expected);
+        };
+        let booted = |boot: Boot, cfg: BbConfig, expected: (u64, u64, usize)| {
+            let fresh = BootRequest::new(&s).config(cfg).run().unwrap().report;
+            assert_eq!(boot.report.try_boot_time(), fresh.try_boot_time());
+            assert_eq!(boot.report.quiesce_time, fresh.quiesce_time);
+            counts(expected);
+        };
+
+        booted(cached(full).run().unwrap(), full, (1, 0, 1));
+        booted(cached(full).run().unwrap(), full, (1, 1, 1));
+        let first = cached(full).checkpoint_at(KernelHandoff).unwrap();
+        counts((1, 2, 1));
+        // The checkpoint's own plan: no lookup.
+        booted(cached(full).resume(&first).unwrap(), full, (1, 2, 1));
+        booted(cached(suffix).resume(&first).unwrap(), suffix, (2, 2, 2));
+        booted(cached(suffix).resume(&first).unwrap(), suffix, (2, 3, 2));
+        // A tweaked plan is private: no lookup, no insert.
+        let tweaked = cached(full).tweak(|_, _, _| {}).run().unwrap();
+        booted(tweaked, full, (2, 3, 2));
+        let second = cached(suffix).checkpoint_at(KernelHandoff).unwrap();
+        counts((2, 4, 2));
+        booted(cached(full).resume(&second).unwrap(), full, (2, 5, 2));
+        let uncached = BootRequest::new(&s).config(full).resume(&first).unwrap();
+        booted(uncached, full, (2, 5, 2));
+    }
+
     #[test]
     fn dropped_scenarios_never_hit_and_get_purged_on_pressure() {
         let cache = PlanCache::new();
