@@ -13,6 +13,8 @@
 //! (fork + execve + dynamic linking) and running the full-BB TV boot
 //! under each strategy applied to the group.
 
+use std::sync::Arc;
+
 use bb_core::{BootRequest, Scenario};
 use bb_init::{ManagerTask, ServiceBody, ServiceType, Unit, UnitName, WorkloadMap};
 use bb_sim::{DeviceId, OpsBuilder, SimDuration, SimTime};
@@ -153,9 +155,9 @@ fn chain_scenario() -> Scenario {
         machine: profiles::ue48h6200().machine,
         storage: profiles::ue48h6200().storage,
         kernel: tv_kernel_plan(),
-        modules: bb_kernel::ModuleCatalog::default(),
+        modules: Arc::default(),
         units,
-        workloads,
+        workloads: Arc::new(workloads),
         target: "tv-boot.target".into(),
         completion: vec![UnitName::new("fasttv.service")],
         manager_costs: bb_init::ManagerCosts::default(),

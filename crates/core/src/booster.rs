@@ -12,7 +12,11 @@
 //! storage ([`BootRequest::artifact`]), validated through the
 //! [`crate::recovery`] chain. Callers that boot in a loop attach a
 //! [`MachineBuilder`] via [`BootRequest::machine_builder`] so each boot
-//! reuses the previous machine's allocations.
+//! reuses the previous machine's allocations, and a [`PlanCache`] via
+//! [`BootRequest::plan_cache`] so every boot of one (scenario, config)
+//! runs one shared plan. Runs, checkpoints and resumes all get their
+//! plan from one lookup step, and a [`Checkpoint`] carries the plan it
+//! was taken with to its resumes.
 //!
 //! [`PlanPass`]: crate::pipeline::PlanPass
 //! [`PassDelta`]: crate::pipeline::PassDelta
@@ -31,10 +35,7 @@ use std::sync::Arc;
 use crate::config::BbConfig;
 use crate::error::Error;
 use crate::fallback::{DegradedBoot, FallbackPolicy};
-use crate::pipeline::{
-    execute_pooled, execute_pooled_owned, execute_prefix_pooled, execute_suffix,
-    execute_suffix_view, BootPlanIr, OwnedPlan, PassDelta, Pipeline, PrefixView, SuffixView,
-};
+use crate::pipeline::{execute_prefix, execute_suffix, PassDelta, Pipeline, SharedPlan};
 use crate::plan_cache::PlanCache;
 use crate::recovery::{
     validate_preparse_blob, ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent,
@@ -56,12 +57,14 @@ pub struct Scenario {
     pub storage: DeviceProfile,
     /// Kernel plan (defer flags are overwritten per config).
     pub kernel: KernelPlan,
-    /// Loadable kernel components.
-    pub modules: ModuleCatalog,
+    /// Loadable kernel components, shared with every plan compiled
+    /// from this scenario.
+    pub modules: Arc<ModuleCatalog>,
     /// The unit set.
     pub units: Vec<Unit>,
-    /// Service workload bodies keyed by `ExecStart=`.
-    pub workloads: WorkloadMap,
+    /// Service workload bodies keyed by `ExecStart=`, shared with every
+    /// plan compiled from this scenario.
+    pub workloads: Arc<WorkloadMap>,
     /// Boot target to expand.
     pub target: String,
     /// Units whose readiness defines boot completion.
@@ -186,15 +189,12 @@ pub struct Checkpoint {
     bytes: Vec<u8>,
     kernel: KernelReport,
     device: DeviceId,
-    cfg: BbConfig,
-    config_hash: u64,
     /// The checkpoint request's full boot plan, kept so a resume under
     /// the same configuration skips re-planning (see
-    /// [`BootRequest::resume`]). Behind an `Arc` so a checkpoint taken
-    /// through a [`PlanCache`] *shares* the cached plan instead of
-    /// cloning the graph and task tables, and so cloning a checkpoint
-    /// to fan it out across workers stays cheap.
-    plan: Arc<OwnedPlan>,
+    /// [`BootRequest::resume`]). Shared with the [`PlanCache`] the
+    /// checkpoint was taken through, if any, and cheap to clone when a
+    /// checkpoint fans out across workers.
+    plan: SharedPlan,
 }
 
 impl Checkpoint {
@@ -206,7 +206,7 @@ impl Checkpoint {
     /// The configuration the prefix was simulated under. A resume may
     /// use any configuration with the same [`BbConfig::prefix_key`].
     pub fn config(&self) -> BbConfig {
-        self.cfg
+        self.plan.0.cfg
     }
 
     /// The serialized machine snapshot (see [`bb_sim::snapshot`] for
@@ -220,7 +220,7 @@ impl Checkpoint {
     /// FNV-1a hash of the machine configuration the snapshot encodes;
     /// [`BootRequest::resume`] rejects scenarios that hash differently.
     pub fn config_hash(&self) -> u64 {
-        self.config_hash
+        snapshot::config_hash(&self.plan.0.machine)
     }
 
     /// Kernel phase timings measured while producing the prefix.
@@ -356,9 +356,10 @@ impl<'s> BootRequest<'s> {
     /// [`checkpoint_at`](Self::checkpoint_at), and
     /// [`resume`](Self::resume) first consult the cache for a plan
     /// compiled for (`scenario`, this request's config) and reuse it
-    /// with zero clones; on a miss they compile once and insert. The
-    /// sweep-wide amortization this enables is why fleet workers hand
-    /// every request the same cache (see `bb-fleet`).
+    /// with zero clones; on a miss they plan once and move the plan
+    /// into the cache. The sweep-wide amortization this enables is why
+    /// fleet workers hand every request the same cache (see
+    /// `bb-fleet`).
     ///
     /// `scenario` is the cache key and **must be the very allocation
     /// this request was built from** (the `Arc` whose contents
@@ -415,7 +416,7 @@ impl<'s> BootRequest<'s> {
     /// artifact was attached (both act on whole boots). Planning errors
     /// surface as usual; snapshot encoding failures as
     /// [`Error::Snapshot`].
-    pub fn checkpoint_at(self, phase: CheckpointPhase) -> Result<Checkpoint, Error> {
+    pub fn checkpoint_at(mut self, phase: CheckpointPhase) -> Result<Checkpoint, Error> {
         let CheckpointPhase::KernelHandoff = phase;
         if self.telemetry {
             return Err(Error::Checkpoint(
@@ -441,48 +442,23 @@ impl<'s> BootRequest<'s> {
                     .into(),
             ));
         }
-        // Resolve the full plan: a cache hit shares the compiled
-        // `Arc<OwnedPlan>` outright; a miss (or no cache) compiles it
-        // once — and a cache-attached request publishes the result so
-        // the *next* checkpoint or run of this (scenario, config)
-        // skips planning.
-        let cached = self
-            .cache
-            .and_then(|(cache, key)| cache.lookup(key, &self.cfg));
-        let plan: Arc<OwnedPlan> = match cached {
-            Some(plan) => plan,
-            None => {
-                let (ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
-                let plan = Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas));
-                if let Some((cache, key)) = self.cache {
-                    cache.insert(key, &self.cfg, Arc::clone(&plan));
-                }
-                plan
-            }
-        };
+        let plan = self.plan()?;
         let no_faults = FaultPlan::none();
         let faults = self.faults.unwrap_or(&no_faults);
-        let mut builder = self.builder;
-        let (machine, kernel, device) = execute_prefix_pooled(
-            PrefixView::of_owned(&plan, self.scenario),
-            faults,
-            false,
-            builder.as_deref_mut(),
-        );
+        let (machine, kernel, device) =
+            execute_prefix(&plan.0, faults, false, self.builder.as_deref_mut());
         let bytes = snapshot::save(&machine)?;
         // The prefix machine's job ends at the snapshot: recycle its
         // allocations for the resumes that follow.
-        if let Some(b) = builder {
+        if let Some(b) = self.builder {
             b.recycle(machine);
         }
         Ok(Checkpoint {
             phase,
-            config_hash: plan.machine_hash(),
             plan,
             bytes,
             kernel,
             device,
-            cfg: self.cfg,
         })
     }
 
@@ -537,10 +513,10 @@ impl<'s> BootRequest<'s> {
                 "the fallback supervisor judges a whole boot; use run() to supervise".into(),
             ));
         }
-        if self.cfg.prefix_key() != checkpoint.cfg.prefix_key() {
+        if self.cfg.prefix_key() != checkpoint.config().prefix_key() {
             return Err(Error::Checkpoint(format!(
                 "prefix key mismatch: checkpoint was taken under {:?}, resume requested {:?}",
-                checkpoint.cfg.prefix_key(),
+                checkpoint.config().prefix_key(),
                 self.cfg.prefix_key()
             )));
         }
@@ -591,48 +567,29 @@ impl<'s> BootRequest<'s> {
     /// Executes the boot suffix on `machine`, restored from
     /// `checkpoint`'s image.
     fn resume_on(mut self, machine: Machine, checkpoint: &Checkpoint) -> Result<Boot, Error> {
-        // Fast path: resuming the checkpoint's own configuration on the
-        // checkpoint's own scenario (with no tweak) reuses the plan the
-        // checkpoint already computed — planning is deterministic, so
-        // re-running it would reproduce the same IR at a double-digit
-        // share of the boot's host cost. Second-fastest: a plan cache
-        // hit for this (scenario, config) — typically a suffix-variant
-        // resume whose plan an earlier job already compiled — with the
-        // checkpoint compatibility pinned by the machine-config hash.
-        // Either way the suffix executor borrows straight out of the
-        // stored plan, so no per-boot graph or task-table clones
-        // happen. Any mismatch falls through to the re-planning path
-        // below, which performs the authoritative validation.
-        if self.tweak.is_none() {
-            let reusable = if checkpoint.plan.covers(self.scenario, &self.cfg) {
-                Some(Arc::clone(&checkpoint.plan))
-            } else {
-                self.cache
-                    .and_then(|(cache, key)| cache.lookup(key, &self.cfg))
-                    .filter(|plan| {
-                        plan.covers(self.scenario, &self.cfg)
-                            && plan.machine_hash() == checkpoint.config_hash
-                    })
-            };
-            if let Some(plan) = reusable {
-                return Ok(Boot::new(execute_suffix_view(
-                    SuffixView::of_owned(&plan, self.scenario),
-                    plan.deltas().to_vec(),
-                    machine,
-                    checkpoint.kernel.clone(),
-                    checkpoint.device,
-                )));
+        // Resuming the checkpoint's own configuration on its own
+        // scenario (with no tweak) reuses the plan the checkpoint
+        // already holds: planning is deterministic, so re-running it
+        // would reproduce the same IR at a double-digit share of the
+        // boot's host cost. Any other resume takes the shared lookup,
+        // and the plan it gets must match the snapshot's machine.
+        let plan = if self.tweak.is_none()
+            && checkpoint.plan.0.reusable_for(self.scenario, &self.cfg)
+        {
+            Arc::clone(&checkpoint.plan)
+        } else {
+            let plan = self.plan()?;
+            if snapshot::config_hash(&plan.0.machine) != checkpoint.config_hash() {
+                return Err(Error::Checkpoint(
+                    "machine config mismatch: the scenario does not match the checkpoint's".into(),
+                ));
             }
-        }
-        let (ir, deltas) = self.plan()?;
-        if snapshot::config_hash(&ir.machine) != checkpoint.config_hash {
-            return Err(Error::Checkpoint(
-                "machine config mismatch: the scenario does not match the checkpoint's".into(),
-            ));
-        }
+            plan
+        };
+        let (ir, deltas) = &*plan;
         Ok(Boot::new(execute_suffix(
-            &ir,
-            deltas,
+            ir,
+            deltas.clone(),
             machine,
             checkpoint.kernel.clone(),
             checkpoint.device,
@@ -683,63 +640,42 @@ impl<'s> BootRequest<'s> {
         Ok(boot)
     }
 
-    /// Plans the boot and applies the tweak, if any. An untweaked plan
-    /// is published to the attached plan cache so the next request
-    /// for this (scenario, config) skips planning.
-    fn plan(&mut self) -> Result<(BootPlanIr<'s>, Vec<PassDelta>), Error> {
-        let (mut ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
-        match self.tweak.take() {
-            Some(tweak) => {
-                let BootPlanIr {
-                    ref graph,
-                    ref transaction,
-                    ref mut overrides,
-                    ..
-                } = ir;
-                tweak(graph, transaction, overrides);
-            }
-            None => {
-                if let Some((cache, key)) = self.cache {
-                    cache.insert(
-                        key,
-                        &self.cfg,
-                        Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas)),
-                    );
-                }
-            }
+    /// The boot's plan, the one lookup [`run`](Self::run),
+    /// [`checkpoint_at`](Self::checkpoint_at) and
+    /// [`resume`](Self::resume) share. A plan-cache hit returns the
+    /// shared `Arc`; a miss plans the boot and, with a cache attached,
+    /// moves the plan into the cache. A tweaked plan is private: it is
+    /// neither looked up nor published.
+    fn plan(&mut self) -> Result<SharedPlan, Error> {
+        let cache = self.cache.filter(|_| self.tweak.is_none());
+        if let Some(plan) = cache.and_then(|(cache, key)| cache.lookup(key, &self.cfg)) {
+            return Ok(plan);
         }
-        Ok((ir, deltas))
+        let (mut ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
+        if let Some(tweak) = self.tweak.take() {
+            tweak(&ir.graph, &ir.transaction, &mut ir.overrides);
+        }
+        let plan = Arc::new((ir, deltas));
+        if let Some((cache, key)) = cache {
+            cache.insert(key, &self.cfg, Arc::clone(&plan));
+        }
+        Ok(plan)
     }
 
-    /// The planning/execution body shared by the cached and plain
-    /// paths (artifact validation already resolved by the caller).
+    /// Plans (or looks up) and executes the boot, artifact validation
+    /// already resolved by the caller.
     fn execute(mut self) -> Result<Boot, Error> {
+        let plan = self.plan()?;
+        let (ir, deltas) = &*plan;
         let no_faults = FaultPlan::none();
         let faults = self.faults.unwrap_or(&no_faults);
-        // Cached path: a plan compiled earlier for this (scenario,
-        // config) is executed as-is — prefix and suffix both borrow out
-        // of the shared `OwnedPlan`, so a cache hit re-plans nothing
-        // and clones nothing. Tweaked requests never share plans.
-        if self.tweak.is_none() {
-            if let Some((cache, key)) = self.cache {
-                if let Some(plan) = cache.lookup(key, &self.cfg) {
-                    return Ok(Boot::new(execute_pooled_owned(
-                        &plan,
-                        self.scenario,
-                        faults,
-                        self.telemetry,
-                        self.builder,
-                    )));
-                }
-            }
-        }
-        let (ir, deltas) = self.plan()?;
-        Ok(Boot::new(execute_pooled(
-            &ir,
-            deltas,
-            faults,
-            self.telemetry,
-            self.builder,
+        let (machine, kernel, device) = execute_prefix(ir, faults, self.telemetry, self.builder);
+        Ok(Boot::new(execute_suffix(
+            ir,
+            deltas.clone(),
+            machine,
+            kernel,
+            device,
         )))
     }
 }
@@ -870,9 +806,9 @@ pub(crate) mod tests {
                 defer_initcalls: false,
                 defer_journal: false,
             },
-            modules: synthetic_catalog(60),
+            modules: Arc::new(synthetic_catalog(60)),
             units,
-            workloads,
+            workloads: Arc::new(workloads),
             target: "tv-boot.target".into(),
             completion: vec![UnitName::new("fasttv.service")],
             manager_costs: ManagerCosts::default(),

@@ -18,15 +18,24 @@
 //! execution is entirely in [`execute`], which replays the exact
 //! op order of the pre-pipeline facade so boot timelines are
 //! bit-identical to the old `boost` path.
+//!
+//! A compiled [`BootPlanIr`] owns its tables and shares the scenario's
+//! large read-only inputs through `Arc` handles, so one value is what a
+//! fresh boot runs, what a [`crate::PlanCache`] shares across a sweep,
+//! and what a [`crate::Checkpoint`] carries to its resumes.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use bb_init::{
     run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, ManagerTask,
     PlanOverrides, Transaction, UnitGraph, UnitName, WorkloadMap,
 };
-use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, ModuleCatalog};
-use bb_sim::{AccessPattern, DeviceProfile, Machine, MachineConfig, Op, SimDuration};
+use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, KernelReport, ModuleCatalog};
+use bb_sim::{
+    snapshot, AccessPattern, DeviceId, DeviceProfile, FaultPlan, Machine, MachineBuilder,
+    MachineConfig, Op, SimDuration,
+};
 
 use crate::booster::{FullBootReport, Scenario};
 use crate::bootup_engine;
@@ -43,12 +52,14 @@ use crate::service_engine::{self, ParseCostParams, PreParser};
 ///
 /// Built by [`Pipeline::plan`] in the *conventional* shape (no BB
 /// mechanism applied); passes then transform it. Large read-only
-/// inputs (module catalog, workload bodies) are borrowed from the
-/// [`Scenario`] so a fleet sweep does not clone them per boot.
+/// inputs (module catalog, workload bodies) are shared with the
+/// [`Scenario`] through `Arc` handles, so a fleet sweep does not clone
+/// them per boot and a plan can outlive the scenario borrow it was
+/// built from.
 #[derive(Debug)]
-pub struct BootPlanIr<'s> {
+pub struct BootPlanIr {
     /// Scenario name, for reports.
-    pub name: &'s str,
+    pub name: String,
     /// The configuration this plan was specialized for.
     pub cfg: BbConfig,
     /// Machine shape (cores, speed, quantum, RCU parameters).
@@ -58,11 +69,11 @@ pub struct BootPlanIr<'s> {
     /// Kernel plan; passes flip its defer knobs.
     pub kernel: KernelPlan,
     /// Loadable kernel components (read-only input).
-    pub modules: &'s ModuleCatalog,
+    pub modules: Arc<ModuleCatalog>,
     /// How the service phase handles kernel modules.
     pub module_strategy: ModuleStrategy,
     /// Service workload bodies keyed by `ExecStart=` (read-only input).
-    pub workloads: &'s WorkloadMap,
+    pub workloads: Arc<WorkloadMap>,
     /// The unit graph.
     pub graph: UnitGraph,
     /// The expanded boot transaction.
@@ -92,13 +103,13 @@ pub struct BootPlanIr<'s> {
     pub boost_rcu: bool,
 }
 
-impl<'s> BootPlanIr<'s> {
+impl BootPlanIr {
     /// Builds the conventional-shape IR for `scenario`.
     ///
     /// `pre` supplies pre-built [`PreParser`] measurements (the
     /// sweep-amortized path); when `None` they are measured here.
     pub fn from_scenario(
-        scenario: &'s Scenario,
+        scenario: &Scenario,
         cfg: &BbConfig,
         pre: Option<&PreParser>,
     ) -> Result<Self, Error> {
@@ -116,16 +127,16 @@ impl<'s> BootPlanIr<'s> {
         init_tasks.extend(bootup_engine::init_tasks(&BbConfig::conventional()));
         let execution_order = transaction.execution_order(&graph);
         Ok(BootPlanIr {
-            name: &scenario.name,
+            name: scenario.name.clone(),
             cfg: *cfg,
             machine: scenario.machine,
             storage: scenario.storage,
             kernel,
-            modules: &scenario.modules,
+            modules: Arc::clone(&scenario.modules),
             module_strategy: ModuleStrategy::ExternalKo {
                 workers: core_engine::MODULE_LOADER_WORKERS,
             },
-            workloads: &scenario.workloads,
+            workloads: Arc::clone(&scenario.workloads),
             graph,
             transaction,
             completion: scenario.completion.clone(),
@@ -139,6 +150,19 @@ impl<'s> BootPlanIr<'s> {
             pre,
             boost_rcu: false,
         })
+    }
+
+    /// Whether booting `scenario` under `cfg` can reuse this plan
+    /// verbatim: same config, scenario name, unit count and
+    /// machine-config hash. Any mismatch sends the caller back to
+    /// planning, which validates authoritatively. Scenario content is
+    /// not compared, so a different scenario that agrees on all four
+    /// passes.
+    pub(crate) fn reusable_for(&self, scenario: &Scenario, cfg: &BbConfig) -> bool {
+        self.cfg == *cfg
+            && self.name == scenario.name
+            && self.graph.len() == scenario.units.len()
+            && snapshot::config_hash(&self.machine) == snapshot::config_hash(&scenario.machine)
     }
 
     fn cores(&self) -> u64 {
@@ -284,7 +308,7 @@ pub trait PlanPass {
     fn enable(&self, cfg: &mut BbConfig);
     /// Transforms the plan, returning what changed. Must be idempotent:
     /// applying twice yields the same plan as applying once.
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta;
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta;
 }
 
 /// Core Engine: initialize only required memory eagerly, the rest in a
@@ -301,7 +325,7 @@ impl PlanPass for DeferMemoryInit {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.defer_memory = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.kernel.defer_memory = true;
         let mut d = PassDelta::new(self.name());
         // Serial kernel-phase work removed exactly.
@@ -330,7 +354,7 @@ impl PlanPass for OnDemandModularizer {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.ondemand_modularizer = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.kernel.defer_initcalls = true;
         ir.module_strategy = ModuleStrategy::DeferredBuiltin;
         let mut d = PassDelta::new(self.name());
@@ -381,7 +405,7 @@ impl PlanPass for RcuBoosterInstall {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.rcu_booster = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.boost_rcu = true;
         let mut d = PassDelta::new(self.name());
         let syncs = ir.boot_rcu_syncs();
@@ -425,7 +449,7 @@ impl PlanPass for DeferredExecutor {
         cfg.deferred_executor = true;
         cfg.defer_journal = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let mut d = PassDelta::new(self.name());
         let mut saving = SimDuration::ZERO;
         if ir.cfg.deferred_executor {
@@ -474,7 +498,7 @@ impl PlanPass for PreParserLoad {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.preparser = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let conv = ir.pre.load_model(&ir.parse_params, false);
         let cached = ir.pre.load_model(&ir.parse_params, true);
         ir.load = cached;
@@ -503,7 +527,7 @@ impl PlanPass for GroupIsolator {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.bb_group = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let group = service_engine::identify_bb_group(&ir.graph, &ir.completion);
         let mut d = PassDelta::new(self.name());
         d.units_touched = group.len();
@@ -552,7 +576,7 @@ impl PlanPass for BbManagerPriority {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.bb_group = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let group = service_engine::identify_bb_group(&ir.graph, &ir.completion);
         // Passes never reshape the transaction, so the order cached at
         // IR construction is current.
@@ -655,12 +679,12 @@ impl Pipeline {
 
     /// Builds the IR for `scenario` and runs the enabled passes over it,
     /// returning the transformed plan and the per-pass deltas.
-    pub fn plan<'s>(
+    pub fn plan(
         &self,
-        scenario: &'s Scenario,
+        scenario: &Scenario,
         cfg: &BbConfig,
         pre: Option<&PreParser>,
-    ) -> Result<(BootPlanIr<'s>, Vec<PassDelta>), Error> {
+    ) -> Result<(BootPlanIr, Vec<PassDelta>), Error> {
         let mut ir = BootPlanIr::from_scenario(scenario, cfg, pre)?;
         let mut deltas = Vec::new();
         for pass in self.enabled(cfg) {
@@ -670,248 +694,103 @@ impl Pipeline {
     }
 }
 
+/// A compiled plan and the pass deltas that produced it: the one value
+/// a [`crate::PlanCache`] shares across boots and a
+/// [`crate::Checkpoint`] carries to its resumes.
+pub(crate) type SharedPlan = Arc<(BootPlanIr, Vec<PassDelta>)>;
+
 /// Executes a (pass-transformed) plan end to end, replaying the exact
 /// machine-op order of the pre-pipeline facade: kernel boot, RCU
 /// Booster Control, module handling, then the init scheme via
 /// [`bb_init::run_boot`]. With [`Pipeline::plan`] this is the layer
 /// split of a [`crate::BootRequest`] boot, for callers that time the
 /// two halves separately.
-pub fn execute(ir: &BootPlanIr<'_>, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
-    execute_pooled(ir, deltas, &bb_sim::FaultPlan::none(), false, None)
-}
-
-/// [`execute`] with a fault plan installed before the kernel boots
-/// (the empty plan is a strict no-op), the telemetry sink optionally
-/// armed before any work runs (off, the hot paths reduce to an
-/// `is_some()` check and timelines are bit-identical), and the machine
-/// drawn from a caller-held [`MachineBuilder`] pool when one is
-/// supplied, so a loop that runs many boots (a fleet cell, a sweep)
-/// reuses one machine's allocations across jobs instead of re-growing
-/// every table from empty. The builder contract guarantees recycled
-/// machines are observationally identical to fresh ones, so results
-/// are bit-identical either way.
-///
-/// [`MachineBuilder`]: bb_sim::MachineBuilder
-pub(crate) fn execute_pooled(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    faults: &bb_sim::FaultPlan,
-    telemetry: bool,
-    builder: Option<&mut bb_sim::MachineBuilder>,
-) -> (FullBootReport, Machine) {
-    let (machine, kernel, device) =
-        execute_prefix_pooled(PrefixView::of_ir(ir), faults, telemetry, builder);
+pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
+    let (machine, kernel, device) = execute_prefix(ir, &FaultPlan::none(), false, None);
     execute_suffix(ir, deltas, machine, kernel, device)
 }
 
-/// Executes a cached [`OwnedPlan`] end to end — the zero-clone path a
-/// [`crate::PlanCache`] hit takes: prefix and suffix both borrow
-/// straight out of the stored plan (plus the scenario's read-only
-/// inputs), so nothing is re-planned and nothing is cloned per boot.
-/// Planning is deterministic, so the timeline is bit-identical to a
-/// fresh [`Pipeline::plan`] + execute of the same (scenario, config).
-pub(crate) fn execute_pooled_owned(
-    plan: &OwnedPlan,
-    scenario: &Scenario,
-    faults: &bb_sim::FaultPlan,
-    telemetry: bool,
-    builder: Option<&mut bb_sim::MachineBuilder>,
-) -> (FullBootReport, Machine) {
-    let (machine, kernel, device) = execute_prefix_pooled(
-        PrefixView::of_owned(plan, scenario),
-        faults,
-        telemetry,
-        builder,
-    );
-    execute_suffix_view(
-        SuffixView::of_owned(plan, scenario),
-        plan.deltas().to_vec(),
-        machine,
-        kernel,
-        device,
-    )
-}
-
-/// Borrowed view of the plan pieces the boot *prefix* needs —
-/// everything up to (and including) the kernel→init handoff: machine
-/// creation, storage, fault plan, kernel boot, the RCU Booster Control
-/// installation, and module loading setup. This is the shared phase a
-/// checkpoint captures; the only prefix products the suffix needs
-/// beyond the machine itself are the kernel report and the
-/// boot-storage device id.
+/// The boot *prefix*: everything up to (and including) the kernel→init
+/// handoff — machine creation, storage, fault plan, kernel boot, the
+/// RCU Booster Control installation, and module-loading setup. This is
+/// the phase a checkpoint captures; beyond the machine, the suffix
+/// needs only the kernel report and the boot-storage device id.
 ///
-/// Constructible
-/// from a fresh [`BootPlanIr`] or straight from an [`OwnedPlan`] — the
-/// [`crate::PlanCache`] hit paths go through the latter so a cached
-/// boot (or checkpoint) never re-plans and never clones the kernel
-/// plan.
-pub(crate) struct PrefixView<'a> {
-    machine: MachineConfig,
-    storage: DeviceProfile,
-    kernel: &'a KernelPlan,
-    modules: &'a ModuleCatalog,
-    module_strategy: ModuleStrategy,
-    boost_rcu: bool,
-}
-
-impl<'a> PrefixView<'a> {
-    pub(crate) fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
-        PrefixView {
-            machine: ir.machine,
-            storage: ir.storage,
-            kernel: &ir.kernel,
-            modules: ir.modules,
-            module_strategy: ir.module_strategy,
-            boost_rcu: ir.boost_rcu,
-        }
-    }
-
-    pub(crate) fn of_owned(plan: &'a OwnedPlan, scenario: &'a Scenario) -> Self {
-        PrefixView {
-            machine: plan.machine,
-            storage: plan.storage,
-            kernel: &plan.kernel,
-            modules: &scenario.modules,
-            module_strategy: plan.module_strategy,
-            boost_rcu: plan.boost_rcu,
-        }
-    }
-}
-
-/// Executes the boot prefix described by `view`, constructing the
-/// machine through `builder` when one is supplied (allocation reuse
-/// across boots).
-pub(crate) fn execute_prefix_pooled(
-    view: PrefixView<'_>,
-    faults: &bb_sim::FaultPlan,
+/// `faults` is installed before the kernel boots (the empty plan is a
+/// strict no-op); `telemetry` arms the metrics sink before any work
+/// runs (off, the hot paths reduce to an `is_some()` check); a
+/// `builder` supplies the machine from its recycling pool, which its
+/// contract makes observationally identical to a fresh one. Timelines
+/// are bit-identical either way.
+pub(crate) fn execute_prefix(
+    ir: &BootPlanIr,
+    faults: &FaultPlan,
     telemetry: bool,
-    builder: Option<&mut bb_sim::MachineBuilder>,
-) -> (Machine, bb_kernel::KernelReport, bb_sim::DeviceId) {
+    builder: Option<&mut MachineBuilder>,
+) -> (Machine, KernelReport, DeviceId) {
     let mut machine = match builder {
-        Some(b) => b.build(view.machine),
-        None => Machine::new(view.machine),
+        Some(b) => b.build(ir.machine),
+        None => Machine::new(ir.machine),
     };
     if telemetry {
         machine.enable_telemetry();
     }
-    let device = machine.add_device("boot-storage", view.storage);
+    let device = machine.add_device("boot-storage", ir.storage);
     machine.install_fault_plan(faults);
     let boot_complete = machine.flag("boot-complete");
 
-    let kernel = execute_kernel_boot(&mut machine, device, view.kernel, boot_complete);
-    bootup_engine::install_rcu_booster_control(&mut machine, view.boost_rcu, boot_complete);
+    let kernel = execute_kernel_boot(&mut machine, device, &ir.kernel, boot_complete);
+    bootup_engine::install_rcu_booster_control(&mut machine, ir.boost_rcu, boot_complete);
     core_engine::install_module_loading(
         &mut machine,
-        view.modules,
+        &ir.modules,
         device,
-        view.module_strategy,
+        ir.module_strategy,
         boot_complete,
     );
     (machine, kernel, device)
 }
 
-/// The boot *suffix*: the init scheme and everything after it, resumed
-/// on a machine that already completed [`execute_prefix`] (freshly, or
-/// restored from a snapshot). Composing prefix + suffix replays the
-/// exact machine-op order of the unsplit path, so boot timelines are
+/// The boot *suffix*: the init scheme and everything after it, on a
+/// machine that completed [`execute_prefix`] (freshly, or restored from
+/// a checkpoint's snapshot). Prefix then suffix replays the exact
+/// machine-op order of the unsplit path, so boot timelines are
 /// bit-identical.
 pub(crate) fn execute_suffix(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    machine: Machine,
-    kernel: bb_kernel::KernelReport,
-    device: bb_sim::DeviceId,
-) -> (FullBootReport, Machine) {
-    execute_suffix_view(SuffixView::of_ir(ir), deltas, machine, kernel, device)
-}
-
-/// Borrowed view of the plan pieces the suffix needs, constructible
-/// from a fresh [`BootPlanIr`] or straight from a [`OwnedPlan`] — the
-/// resume hot path goes through the latter so a fleet job never clones
-/// the unit graph or task tables per boot.
-pub(crate) struct SuffixView<'a> {
-    cfg: BbConfig,
-    graph: &'a UnitGraph,
-    transaction: &'a Transaction,
-    completion: &'a [UnitName],
-    overrides: &'a PlanOverrides,
-    init_tasks: &'a [ManagerTask],
-    service_phase_tasks: &'a [ManagerTask],
-    execution_order: &'a [usize],
-    workloads: &'a WorkloadMap,
-    load: LoadModel,
-    manager_costs: ManagerCosts,
-}
-
-impl<'a> SuffixView<'a> {
-    pub(crate) fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
-        SuffixView {
-            cfg: ir.cfg,
-            graph: &ir.graph,
-            transaction: &ir.transaction,
-            completion: &ir.completion,
-            overrides: &ir.overrides,
-            init_tasks: &ir.init_tasks,
-            service_phase_tasks: &ir.service_phase_tasks,
-            execution_order: &ir.execution_order,
-            workloads: ir.workloads,
-            load: ir.load,
-            manager_costs: ir.manager_costs,
-        }
-    }
-
-    pub(crate) fn of_owned(plan: &'a OwnedPlan, scenario: &'a Scenario) -> Self {
-        SuffixView {
-            cfg: plan.cfg,
-            graph: &plan.graph,
-            transaction: &plan.transaction,
-            completion: &plan.completion,
-            overrides: &plan.overrides,
-            init_tasks: &plan.init_tasks,
-            service_phase_tasks: &plan.service_phase_tasks,
-            execution_order: &plan.execution_order,
-            workloads: &scenario.workloads,
-            load: plan.load,
-            manager_costs: plan.manager_costs,
-        }
-    }
-}
-
-pub(crate) fn execute_suffix_view(
-    view: SuffixView<'_>,
+    ir: &BootPlanIr,
     deltas: Vec<PassDelta>,
     mut machine: Machine,
-    kernel: bb_kernel::KernelReport,
-    device: bb_sim::DeviceId,
+    kernel: KernelReport,
+    device: DeviceId,
 ) -> (FullBootReport, Machine) {
-    let bb_group: Vec<UnitName> = view
+    let bb_group: Vec<UnitName> = ir
         .overrides
         .isolate
         .iter()
-        .map(|&i| view.graph.unit(i).name.clone())
+        .map(|&i| ir.graph.unit(i).name.clone())
         .collect();
     let plan = BootPlan {
-        graph: view.graph,
-        transaction: view.transaction,
-        completion: view.completion,
-        overrides: view.overrides,
-        init_tasks: view.init_tasks,
-        service_phase_tasks: view.service_phase_tasks,
-        execution_order: view.execution_order,
+        graph: &ir.graph,
+        transaction: &ir.transaction,
+        completion: &ir.completion,
+        overrides: &ir.overrides,
+        init_tasks: &ir.init_tasks,
+        service_phase_tasks: &ir.service_phase_tasks,
+        execution_order: &ir.execution_order,
     };
     let engine_cfg = EngineConfig {
         mode: EngineMode::InOrder,
-        load: view.load,
-        costs: view.manager_costs,
+        load: ir.load,
+        costs: ir.manager_costs,
         device,
     };
-    let boot = run_boot(&mut machine, &plan, view.workloads, &engine_cfg);
+    let boot = run_boot(&mut machine, &plan, &ir.workloads, &engine_cfg);
     let quiesce_time = boot.outcome.end_time;
     let rcu = machine.rcu_stats();
 
     (
         FullBootReport {
-            config: view.cfg,
+            config: ir.cfg,
             kernel,
             boot,
             rcu,
@@ -921,100 +800,6 @@ pub(crate) fn execute_suffix_view(
         },
         machine,
     )
-}
-
-/// An owned copy of everything a planned boot needs — the full prefix
-/// (machine shape, storage, transformed kernel plan, module strategy,
-/// RCU install flag) *and* the suffix (graph, transaction, overrides,
-/// task tables, load model) — plus the pass deltas that produced it and
-/// enough scenario identity to tell when it can be reused.
-///
-/// A [`crate::Checkpoint`] carries one behind an `Arc`: resuming under
-/// the checkpoint's own configuration (the common case — a fleet fork
-/// resumes the checkpointing config itself, and a suspend/resume cycle
-/// never changes config) then skips [`Pipeline::plan`] entirely, which
-/// is a double-digit share of a simulated boot's host cost. A
-/// [`crate::PlanCache`] holds them too, so whole sweeps share one
-/// compiled plan per (scenario, config). Planning is deterministic, so
-/// the reused plan is the plan a fresh [`Pipeline::plan`] call would
-/// have produced and the timeline stays bit-identical.
-#[derive(Debug, Clone)]
-pub(crate) struct OwnedPlan {
-    name: String,
-    units_len: usize,
-    scenario_machine_hash: u64,
-    cfg: BbConfig,
-    machine: MachineConfig,
-    storage: DeviceProfile,
-    kernel: KernelPlan,
-    module_strategy: ModuleStrategy,
-    boost_rcu: bool,
-    graph: UnitGraph,
-    transaction: Transaction,
-    completion: Vec<UnitName>,
-    overrides: PlanOverrides,
-    init_tasks: Vec<ManagerTask>,
-    service_phase_tasks: Vec<ManagerTask>,
-    execution_order: Vec<usize>,
-    load: LoadModel,
-    manager_costs: ManagerCosts,
-    deltas: Vec<PassDelta>,
-}
-
-impl OwnedPlan {
-    /// Copies the owned parts of `ir` (freshly planned from `scenario`)
-    /// and the pass deltas into a scenario-independent plan.
-    pub(crate) fn capture(
-        scenario: &Scenario,
-        ir: &BootPlanIr<'_>,
-        deltas: &[PassDelta],
-    ) -> OwnedPlan {
-        OwnedPlan {
-            name: scenario.name.clone(),
-            units_len: scenario.units.len(),
-            scenario_machine_hash: bb_sim::snapshot::config_hash(&scenario.machine),
-            cfg: ir.cfg,
-            machine: ir.machine,
-            storage: ir.storage,
-            kernel: ir.kernel.clone(),
-            module_strategy: ir.module_strategy,
-            boost_rcu: ir.boost_rcu,
-            graph: ir.graph.clone(),
-            transaction: ir.transaction.clone(),
-            completion: ir.completion.clone(),
-            overrides: ir.overrides.clone(),
-            init_tasks: ir.init_tasks.clone(),
-            service_phase_tasks: ir.service_phase_tasks.clone(),
-            execution_order: ir.execution_order.clone(),
-            load: ir.load,
-            manager_costs: ir.manager_costs,
-            deltas: deltas.to_vec(),
-        }
-    }
-
-    /// The pass deltas recorded when this plan was captured.
-    pub(crate) fn deltas(&self) -> &[PassDelta] {
-        &self.deltas
-    }
-
-    /// FNV-1a hash of the machine configuration the plan was built
-    /// from (always the scenario's — no pass edits the machine shape).
-    pub(crate) fn machine_hash(&self) -> u64 {
-        self.scenario_machine_hash
-    }
-
-    /// Whether booting `scenario` under `cfg` can reuse this plan
-    /// verbatim. Conservative: any mismatch (different config, renamed
-    /// scenario, changed unit count or machine shape) sends the caller
-    /// down the re-planning path, which performs the authoritative
-    /// validation — reuse is purely an optimization, never a semantic
-    /// fork.
-    pub(crate) fn covers(&self, scenario: &Scenario, cfg: &BbConfig) -> bool {
-        self.cfg == *cfg
-            && self.name == scenario.name
-            && self.units_len == scenario.units.len()
-            && self.scenario_machine_hash == bb_sim::snapshot::config_hash(&scenario.machine)
-    }
 }
 
 #[cfg(test)]

@@ -4,11 +4,10 @@
 //! on the seed, the fault plan, or which worker runs the boot — yet a
 //! fleet sweep historically re-planned every single boot. A
 //! [`PlanCache`] amortizes that: the first boot of a (scenario, config)
-//! pair compiles the plan once into an [`Arc`]'d owned plan (pass
-//! deltas included, `OwnedPlan` internally) and every
-//! later boot — run, checkpoint, or resume, on any worker — reuses it
-//! with zero clones. Attach one to a request with
-//! [`crate::BootRequest::plan_cache`].
+//! pair plans once and moves its [`crate::BootPlanIr`] (pass deltas
+//! included) into an [`Arc`], and every later boot — run, checkpoint,
+//! or resume, on any worker — reuses it with zero clones. Attach one to
+//! a request with [`crate::BootRequest::plan_cache`].
 //!
 //! # Keying and safety
 //!
@@ -34,7 +33,7 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use crate::booster::Scenario;
 use crate::config::BbConfig;
-use crate::pipeline::OwnedPlan;
+use crate::pipeline::SharedPlan;
 
 /// Entries above which an insert first evicts entries whose scenario
 /// has been dropped. Keeps a long-lived cache (a `bbsim serve`-style
@@ -45,7 +44,7 @@ struct Entry {
     /// Keeps the keyed allocation alive (ABA guard) and tells us when
     /// the scenario is gone and the entry is purgeable.
     scenario: Weak<Scenario>,
-    plan: Arc<OwnedPlan>,
+    plan: SharedPlan,
 }
 
 /// A thread-safe cache of compiled boot plans, shared across every
@@ -86,11 +85,7 @@ impl PlanCache {
 
     /// The cached plan for (`scenario`, `cfg`), if this exact `Arc` was
     /// inserted before.
-    pub(crate) fn lookup(
-        &self,
-        scenario: &Arc<Scenario>,
-        cfg: &BbConfig,
-    ) -> Option<Arc<OwnedPlan>> {
+    pub(crate) fn lookup(&self, scenario: &Arc<Scenario>, cfg: &BbConfig) -> Option<SharedPlan> {
         let map = self.map();
         let entry = map.get(&Self::key(scenario, cfg))?;
         // The weak guard makes a pointer match sufficient: the keyed
@@ -107,7 +102,7 @@ impl PlanCache {
 
     /// Stores a freshly compiled plan for (`scenario`, `cfg`) and
     /// counts the compilation.
-    pub(crate) fn insert(&self, scenario: &Arc<Scenario>, cfg: &BbConfig, plan: Arc<OwnedPlan>) {
+    pub(crate) fn insert(&self, scenario: &Arc<Scenario>, cfg: &BbConfig, plan: SharedPlan) {
         self.compiled.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map();
         if map.len() >= PURGE_THRESHOLD {

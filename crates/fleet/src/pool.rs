@@ -802,7 +802,7 @@ pub(crate) mod tests {
             .find(|u| u.name == name)
             .and_then(|u| u.exec.exec_start.clone())
             .expect("completion unit has an ExecStart");
-        scenario.workloads.insert(
+        Arc::make_mut(&mut scenario.workloads).insert(
             exec,
             ServiceBody {
                 pre_ready: vec![Op::WaitFlag(FlagId::from_raw(0))],

@@ -109,6 +109,23 @@ pub struct UnitGraph {
     missing: BTreeSet<UnitName>,
 }
 
+/// Edge ids grouped by the unit `key` assigns them (edges it maps to
+/// `None` are left out), in id order, each list allocated at its exact
+/// length.
+fn adjacency(n: usize, edges: &[Edge], key: impl Fn(&Edge) -> Option<usize>) -> Vec<Vec<usize>> {
+    let mut lens = vec![0; n];
+    for unit in edges.iter().filter_map(&key) {
+        lens[unit] += 1;
+    }
+    let mut lists: Vec<Vec<usize>> = lens.into_iter().map(Vec::with_capacity).collect();
+    for (id, e) in edges.iter().enumerate() {
+        if let Some(unit) = key(e) {
+            lists[unit].push(id);
+        }
+    }
+    lists
+}
+
 impl UnitGraph {
     /// Builds the graph from parsed units.
     pub fn build(units: Vec<Unit>) -> Result<Self, GraphError> {
@@ -123,9 +140,9 @@ impl UnitGraph {
             units,
             index,
             edges: Vec::new(),
-            order_out: vec![Vec::new(); n],
-            order_in: vec![Vec::new(); n],
-            req_of: vec![Vec::new(); n],
+            order_out: Vec::new(),
+            order_in: Vec::new(),
+            req_of: Vec::new(),
             missing: BTreeSet::new(),
         };
         for i in 0..n {
@@ -188,26 +205,21 @@ impl UnitGraph {
                 });
             }
         }
+        // Tables without growth slack: a compiled boot plan keeps its
+        // graph for as long as a plan cache or checkpoint shares it.
+        g.edges.shrink_to_fit();
+        let ordering = |e: &Edge| e.kind == EdgeKind::Ordering;
+        g.order_out = adjacency(n, &g.edges, |e| ordering(e).then_some(e.src));
+        g.order_in = adjacency(n, &g.edges, |e| ordering(e).then_some(e.dst));
+        g.req_of = adjacency(n, &g.edges, |e| {
+            matches!(e.kind, EdgeKind::RequiresStrong | EdgeKind::RequiresWeak).then_some(e.dst)
+        });
         Ok(g)
     }
 
     fn add_edge(&mut self, other: &UnitName, _this: usize, mk: impl FnOnce(usize) -> Edge) {
         match self.index.get(other) {
-            Some(&o) => {
-                let e = mk(o);
-                let id = self.edges.len();
-                self.edges.push(e);
-                match e.kind {
-                    EdgeKind::Ordering => {
-                        self.order_out[e.src].push(id);
-                        self.order_in[e.dst].push(id);
-                    }
-                    EdgeKind::RequiresStrong | EdgeKind::RequiresWeak => {
-                        self.req_of[e.dst].push(id);
-                    }
-                    EdgeKind::Conflict => {}
-                }
-            }
+            Some(&o) => self.edges.push(mk(o)),
             None => {
                 self.missing.insert(other.clone());
             }

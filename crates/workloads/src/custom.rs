@@ -8,9 +8,11 @@
 //! (ordering, isolation, the BB Group) of a real unit set, not
 //! predicting its absolute boot time.
 
+use std::sync::Arc;
+
 use bb_core::{ParseCostParams, Scenario};
 use bb_init::{ManagerCosts, ServiceBody, Unit, UnitKind, UnitName, WorkloadMap};
-use bb_kernel::{synthetic_catalog, ModuleCatalog};
+use bb_kernel::synthetic_catalog;
 use bb_sim::{DeviceId, OpsBuilder, SimDuration};
 
 use crate::profiles::MachineProfile;
@@ -89,9 +91,9 @@ pub fn custom_scenario(
         machine: profile.machine,
         storage: profile.storage,
         kernel: tv_kernel_plan(),
-        modules: ModuleCatalog::default(),
+        modules: Arc::default(),
         units,
-        workloads,
+        workloads: Arc::new(workloads),
         target: target.to_owned(),
         completion,
         manager_costs: ManagerCosts::default(),
@@ -110,7 +112,7 @@ pub fn custom_scenario_with_modules(
     module_count: usize,
 ) -> Scenario {
     let mut s = custom_scenario(profile, units, target, completion);
-    s.modules = synthetic_catalog(module_count);
+    s.modules = Arc::new(synthetic_catalog(module_count));
     s
 }
 

@@ -1,6 +1,8 @@
 //! Experiment scenarios: full [`Scenario`]s assembled from machine
 //! profiles, kernel plans, and generated workloads.
 
+use std::sync::Arc;
+
 use bb_core::{ParseCostParams, Scenario};
 use bb_init::ManagerCosts;
 use bb_kernel::{
@@ -72,9 +74,9 @@ pub fn tv_scenario_with(profile: MachineProfile, params: TizenParams) -> Scenari
         machine: profile.machine,
         storage: profile.storage,
         kernel: tv_kernel_plan(),
-        modules: synthetic_catalog(408),
+        modules: Arc::new(synthetic_catalog(408)),
         units: workload.units,
-        workloads: workload.workloads,
+        workloads: Arc::new(workload.workloads),
         target: workload.target,
         completion: workload.completion,
         manager_costs: ManagerCosts::default(),
@@ -106,9 +108,9 @@ pub fn camera_scenario() -> Scenario {
         machine: profile.machine,
         storage: profile.storage,
         kernel,
-        modules: synthetic_catalog(120),
+        modules: Arc::new(synthetic_catalog(120)),
         units: workload.units,
-        workloads: workload.workloads,
+        workloads: Arc::new(workload.workloads),
         target: workload.target,
         completion: workload.completion,
         manager_costs: ManagerCosts::default(),

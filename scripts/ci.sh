@@ -41,9 +41,10 @@ run grep -q '"schema": "bb-fleet-chaos-v2"' "$chaos_tmp/c1.json"
 run grep -q 'artifact rejected' "$chaos_tmp/c1.json"
 
 # Integrity & recovery gates: the never-panic/always-detected proptests
-# over the checksummed artifacts, and the golden corrupt-blob fixtures
-# plus the recovered-timeline equivalence property.
+# over the checksummed artifacts and the wire decoders, and the golden
+# corrupt-blob fixtures plus the recovered-timeline equivalence property.
 run cargo test -q --test proptest_units
+run cargo test -q --test proptest_wire
 run cargo test -q --test recovery_chain
 
 # Report goldens: the sweep, span-metrics, and chaos documents of two
@@ -60,6 +61,16 @@ run ./target/release/bbsim sweep --services 24 --seeds 3 \
 run ./target/release/bbsim sweep --services 24 --seeds 3 \
     --workers 2 --fork-from kernel-handoff --json "$chaos_tmp/forked.json"
 run cmp "$chaos_tmp/plain.json" "$chaos_tmp/forked.json"
+# Forks that resume under another config: conventional and the
+# suffix-only features share a prefix key, so the features config
+# resumes the conventional checkpoint on a plan it looks up in the plan
+# cache or plans afresh, never on the checkpoint's own plan.
+run ./target/release/bbsim sweep --services 24 --seeds 3 \
+    --features deferred-executor,preparser,bb-group --json "$chaos_tmp/suffix.json"
+run ./target/release/bbsim sweep --services 24 --seeds 3 \
+    --features deferred-executor,preparser,bb-group \
+    --fork-from kernel-handoff --no-dedup --json "$chaos_tmp/suffix-forked.json"
+run cmp "$chaos_tmp/suffix.json" "$chaos_tmp/suffix-forked.json"
 
 # Shared-artifact gate: grid dedup + plan caching (the sweep defaults)
 # must emit byte-identical JSON to a --no-dedup sweep on any worker

@@ -3,7 +3,8 @@
 //! one-shot in-process sweep, the shared cache must dedup *across*
 //! clients, and the socket server must round-trip the same bytes over
 //! the `bb-serve-v1` wire protocol — sweep and chaos tickets alike —
-//! refuse oversized grids without going down, and shut down cleanly.
+//! refuse oversized grids and hostile lines without going down, and
+//! shut down cleanly.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -216,33 +217,55 @@ fn oversized_grids_are_refused_and_the_server_survives() {
     let BindAddr::Tcp(tcp) = &addr else {
         unreachable!("spawn_server binds TCP")
     };
-    // 10^15 seeds would need petabytes of seed list: the server must
-    // weigh the grid against its queue before building it.
-    let mut raw = TcpStream::connect(tcp).expect("connect raw");
-    raw.write_all(
-        b"{\"id\": 2, \"method\": \"submit\", \"job\": \
-          {\"kind\": \"sweep\", \"services\": 24, \"seeds\": 1000000000000000}}\n",
-    )
-    .expect("send oversized submit");
-    let mut line = String::new();
-    BufReader::new(raw.try_clone().expect("clone"))
-        .read_line(&mut line)
-        .expect("read response");
-    let response = parse_json(&line).expect("response is JSON");
-    assert_eq!(response.get("id").and_then(Json::as_f64), Some(2.0));
-    assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
-    let error = response.get("error").and_then(Json::as_str).unwrap_or("");
-    assert!(
-        error.starts_with("queue saturated") && error.contains("1000000000000000"),
-        "refused with the saturation message: {error}"
-    );
-    drop(raw);
+    let deep = format!("{}\n", "[".repeat(20_000));
+    // Each hostile line, the id its error echoes, and what the error
+    // starts with and names.
+    let rows: [(&str, f64, &str, &str); 2] = [
+        // 10^15 seeds would need petabytes of seed list: the server
+        // must weigh the grid against its queue before building it.
+        (
+            "{\"id\": 2, \"method\": \"submit\", \"job\": \
+             {\"kind\": \"sweep\", \"services\": 24, \"seeds\": 1000000000000000}}\n",
+            2.0,
+            "queue saturated",
+            "1000000000000000",
+        ),
+        // Nesting this deep must be an error, not a stack overflow on
+        // the connection thread that aborts the whole server.
+        (
+            &deep,
+            0.0,
+            "bad request JSON",
+            "nesting deeper than 128 levels",
+        ),
+    ];
+    let reference = reference_report(&small_job());
+    for (line, id, prefix, detail) in rows {
+        let mut raw = TcpStream::connect(tcp).expect("connect raw");
+        raw.write_all(line.as_bytes()).expect("send hostile line");
+        let mut response = String::new();
+        BufReader::new(raw.try_clone().expect("clone"))
+            .read_line(&mut response)
+            .expect("read response");
+        let response = parse_json(&response).expect("response is JSON");
+        assert_eq!(response.get("id").and_then(Json::as_f64), Some(id));
+        assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+        let error = response.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            error.starts_with(prefix) && error.contains(detail),
+            "refused with {prefix:?} naming {detail:?}: {error}"
+        );
+        drop(raw);
 
-    // The same server still completes a normal ticket.
-    let mut client = Client::connect(&addr).expect("connect");
-    let result = client.run(&small_job()).expect("normal job after refusal");
-    assert_eq!(result.failures, 0);
-    assert_eq!(result.report, reference_report(&small_job()));
-    client.shutdown().expect("shutdown");
+        // The same server still completes a normal ticket.
+        let mut client = Client::connect(&addr).expect("connect");
+        let result = client.run(&small_job()).expect("normal job after refusal");
+        assert_eq!(result.failures, 0);
+        assert_eq!(result.report, reference);
+    }
+    Client::connect(&addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     server_thread.join().expect("server thread");
 }
