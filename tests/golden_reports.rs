@@ -1,9 +1,13 @@
 //! Golden report documents: the bytes `bbsim sweep` and `bbsim chaos`
-//! print for two small grids, pinned under `tests/golden/`.
+//! print for a few grids, pinned under `tests/golden/`.
 //!
 //! * `sweep_s24.json` / `sweep_s24_metrics.json` —
 //!   `bbsim sweep --services 24 --seeds 3 --json FILE --metrics FILE`
 //!   (schemas `bb-fleet-v1` and `bb-metrics-v1`).
+//! * `sweep_s1000.json` —
+//!   `bbsim sweep --services 1000 --seeds 4 --json FILE`: a grid large
+//!   enough that planning costs more than the boot it plans, so a
+//!   planner refactor cannot hide behind the 24-service grids.
 //! * `chaos_s24.json` —
 //!   `bbsim chaos --services 24 --seeds 2 --plans 4 --corruption 2 --json FILE`
 //!   (schema `bb-fleet-chaos-v2`). This grid produces all three chaos
@@ -47,17 +51,40 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
+/// Parses `flags` into a job exactly as `bbsim KIND FLAGS` does.
+fn job_from_flags(kind: JobKind, flags: &str) -> SweepArgs {
+    let mut job = SweepArgs::new(kind);
+    let mut args = flags.split_whitespace().map(str::to_owned);
+    while let Some(flag) = args.next() {
+        assert_eq!(job.parse_flag(&flag, &mut || args.next()), Ok(true));
+    }
+    job
+}
+
+/// The sweep goldens: the report file, the span-metrics file when the
+/// grid pins one (`--metrics FILE`), and the `bbsim sweep` flags.
+const SWEEP_GOLDENS: &[(&str, Option<&str>, &str)] = &[
+    (
+        "sweep_s24.json",
+        Some("sweep_s24_metrics.json"),
+        "--services 24 --seeds 3",
+    ),
+    ("sweep_s1000.json", None, "--services 1000 --seeds 4"),
+];
+
 #[test]
 fn sweep_report_and_metrics_match_goldens() {
-    let mut job = SweepArgs::new(JobKind::Sweep);
-    job.services = Some(24);
-    job.seeds = 3;
-    job.metrics = true;
-    let spec = job.sweep_spec().expect("sweep grid");
-    let outcome = run_sweep(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh());
-    check_golden("sweep_s24.json", &outcome.report.to_json());
-    let metrics = outcome.report.metrics.expect("span metrics collected");
-    check_golden("sweep_s24_metrics.json", &metrics.to_json());
+    for &(file, metrics_file, flags) in SWEEP_GOLDENS {
+        let mut job = job_from_flags(JobKind::Sweep, flags);
+        job.metrics = metrics_file.is_some();
+        let spec = job.sweep_spec().expect("sweep grid");
+        let outcome = run_sweep(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh());
+        check_golden(file, &outcome.report.to_json());
+        if let Some(metrics_file) = metrics_file {
+            let metrics = outcome.report.metrics.expect("span metrics collected");
+            check_golden(metrics_file, &metrics.to_json());
+        }
+    }
 }
 
 /// The chaos goldens: each file, the `bbsim chaos` flags that print it,
@@ -91,13 +118,9 @@ const CHAOS_GOLDENS: &[(&str, &str, &[&str])] = &[
 #[test]
 fn chaos_report_matches_golden() {
     for &(file, flags, must_contain) in CHAOS_GOLDENS {
-        // The job exactly as `bbsim chaos FLAGS` parses it.
-        let mut job = SweepArgs::new(JobKind::Chaos);
-        let mut args = flags.split_whitespace().map(str::to_owned);
-        while let Some(flag) = args.next() {
-            assert_eq!(job.parse_flag(&flag, &mut || args.next()), Ok(true));
-        }
-        let spec = job.sweep_spec().expect("chaos grid");
+        let spec = job_from_flags(JobKind::Chaos, flags)
+            .sweep_spec()
+            .expect("chaos grid");
         let outcome = run_chaos(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh());
         let json = outcome.report.to_json();
         for needle in must_contain {
