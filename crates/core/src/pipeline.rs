@@ -875,8 +875,46 @@ mod tests {
         assert!(deltas.is_empty());
         assert!(!ir.kernel.defer_memory && !ir.kernel.defer_initcalls && !ir.kernel.defer_journal);
         assert!(ir.overrides.isolate.is_empty());
+        assert!(ir.overrides.nice.is_empty() && ir.overrides.dispatch_first.is_empty());
         assert!(ir.init_tasks.iter().all(|t| !t.deferred));
         assert!(!ir.boost_rcu);
+    }
+
+    #[test]
+    fn full_bb_plan_prioritizes_and_isolates_the_group() {
+        let s = mini_tv();
+        let (ir, _) = Pipeline::standard()
+            .plan(&s, &BbConfig::full(), None)
+            .unwrap();
+        let o = &ir.overrides;
+        let isolated: Vec<&str> = o
+            .isolate
+            .iter()
+            .map(|&j| ir.graph.unit(j).name.as_str())
+            .collect();
+        assert_eq!(
+            isolated,
+            [
+                "var.mount",
+                "dbus.service",
+                "tuner.service",
+                "fasttv.service"
+            ]
+        );
+        assert!(o.nice.values().all(|&n| n == service_engine::BB_GROUP_NICE));
+        assert!(o
+            .io_class
+            .values()
+            .all(|&c| c == bb_init::IoSchedulingClass::Realtime));
+        // Dispatch-first respects internal order: var.mount before dbus.
+        let pos = |n: &str| {
+            o.dispatch_first
+                .iter()
+                .position(|&j| ir.graph.unit(j).name.as_str() == n)
+                .unwrap()
+        };
+        assert!(pos("var.mount") < pos("dbus.service"));
+        assert!(pos("dbus.service") < pos("fasttv.service"));
     }
 
     #[test]

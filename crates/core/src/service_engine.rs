@@ -3,12 +3,8 @@
 
 use std::collections::BTreeSet;
 
-use bb_init::{
-    encode_units, EdgeKind, LoadModel, PlanOverrides, Transaction, Unit, UnitGraph, UnitName,
-};
+use bb_init::{encode_units, EdgeKind, LoadModel, Unit, UnitGraph, UnitName};
 use bb_sim::{AccessPattern, SimDuration};
-
-use crate::config::BbConfig;
 
 // ---------------------------------------------------------------------
 // BB Group Isolator + Booting Booster Manager
@@ -33,36 +29,6 @@ pub fn identify_bb_group(graph: &UnitGraph, completion: &[UnitName]) -> BTreeSet
 
 /// Nice value the Booting Booster Manager gives BB Group processes.
 pub const BB_GROUP_NICE: i8 = -15;
-
-/// Builds the plan overrides for a configuration: with `bb_group` on,
-/// the group is isolated, prioritized, and dispatched first (in
-/// dependency order, "as a topmost job").
-pub fn plan_overrides(
-    graph: &UnitGraph,
-    transaction: &Transaction,
-    completion: &[UnitName],
-    cfg: &BbConfig,
-) -> PlanOverrides {
-    let mut overrides = PlanOverrides::default();
-    if !cfg.bb_group {
-        return overrides;
-    }
-    let group = identify_bb_group(graph, completion);
-    // Dispatch group members first, respecting their internal order.
-    overrides.dispatch_first = transaction
-        .execution_order(graph)
-        .into_iter()
-        .filter(|j| group.contains(j))
-        .collect();
-    for &j in &group {
-        overrides.nice.insert(j, BB_GROUP_NICE);
-        overrides
-            .io_class
-            .insert(j, bb_init::IoSchedulingClass::Realtime);
-    }
-    overrides.isolate = group;
-    overrides
-}
 
 // ---------------------------------------------------------------------
 // Pre-parser
@@ -334,38 +300,6 @@ mod tests {
                 "fasttv.service"
             ]
         );
-    }
-
-    #[test]
-    fn overrides_prioritize_and_isolate_group() {
-        let g = UnitGraph::build(tv_units()).unwrap();
-        let tx = Transaction::build(&g, "tv-boot.target").unwrap();
-        let completion = vec![UnitName::new("fasttv.service")];
-        let o = plan_overrides(&g, &tx, &completion, &BbConfig::full());
-        assert_eq!(o.isolate.len(), 4);
-        assert!(o.nice.values().all(|&n| n == BB_GROUP_NICE));
-        // Dispatch-first respects internal order: var.mount before dbus.
-        let pos = |n: &str| {
-            o.dispatch_first
-                .iter()
-                .position(|&j| g.unit(j).name.as_str() == n)
-                .unwrap()
-        };
-        assert!(pos("var.mount") < pos("dbus.service"));
-        assert!(pos("dbus.service") < pos("fasttv.service"));
-    }
-
-    #[test]
-    fn conventional_config_gets_no_overrides() {
-        let g = UnitGraph::build(tv_units()).unwrap();
-        let tx = Transaction::build(&g, "tv-boot.target").unwrap();
-        let o = plan_overrides(
-            &g,
-            &tx,
-            &[UnitName::new("fasttv.service")],
-            &BbConfig::conventional(),
-        );
-        assert!(o.isolate.is_empty() && o.nice.is_empty() && o.dispatch_first.is_empty());
     }
 
     #[test]

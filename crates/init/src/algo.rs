@@ -3,18 +3,23 @@
 
 /// Strongly connected components of the directed graph with `n` nodes
 /// and successor function `succ`. Iterative (no recursion), so deep
-/// service chains cannot overflow the stack. Components are returned in
-/// reverse topological order, members sorted ascending.
+/// service chains cannot overflow the stack. `succ` runs once per node,
+/// when the search enters it, so a run is O(n + edges) even through a
+/// hub with a wide fan-out. Components are returned in reverse
+/// topological order, members sorted ascending.
 pub fn tarjan_scc(n: usize, succ: impl Fn(usize) -> Vec<usize>) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    enum Frame {
-        Enter(usize),
-        Resume(usize, usize),
+    /// A node on the search path, its successors and how many of them
+    /// the search has taken.
+    struct Frame {
+        v: usize,
+        succs: Vec<usize>,
+        taken: usize,
     }
     let mut index: Vec<Option<u32>> = vec![None; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
+    let mut path: Vec<Frame> = Vec::new();
     let mut next = 0u32;
     let mut out: Vec<Vec<usize>> = Vec::new();
 
@@ -22,57 +27,52 @@ pub fn tarjan_scc(n: usize, succ: impl Fn(usize) -> Vec<usize>) -> Vec<Vec<usize
         if index[root].is_some() {
             continue;
         }
-        let mut frames = vec![Frame::Enter(root)];
-        while let Some(f) = frames.pop() {
-            match f {
-                Frame::Enter(v) => {
-                    index[v] = Some(next);
-                    low[v] = next;
-                    next += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                    frames.push(Frame::Resume(v, 0));
-                }
-                Frame::Resume(v, start) => {
-                    let succs = succ(v);
-                    let mut descended = false;
-                    let mut ei = start;
-                    while ei < succs.len() {
-                        let w = succs[ei];
-                        ei += 1;
-                        match index[w] {
-                            None => {
-                                frames.push(Frame::Resume(v, ei));
-                                frames.push(Frame::Enter(w));
-                                descended = true;
-                                break;
-                            }
-                            Some(wi) => {
-                                if on_stack[w] {
-                                    low[v] = low[v].min(wi);
-                                }
-                            }
+        let mut entering = Some(root);
+        loop {
+            if let Some(v) = entering.take() {
+                index[v] = Some(next);
+                low[v] = next;
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+                path.push(Frame {
+                    v,
+                    succs: succ(v),
+                    taken: 0,
+                });
+            }
+            let Some(frame) = path.last_mut() else {
+                break;
+            };
+            let v = frame.v;
+            if let Some(&w) = frame.succs.get(frame.taken) {
+                frame.taken += 1;
+                match index[w] {
+                    None => entering = Some(w),
+                    Some(wi) => {
+                        if on_stack[w] {
+                            low[v] = low[v].min(wi);
                         }
                     }
-                    if descended {
-                        continue;
-                    }
-                    if Some(low[v]) == index[v] {
-                        let mut comp = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        out.push(comp);
-                    }
-                    if let Some(Frame::Resume(p, _)) = frames.last().copied() {
-                        low[p] = low[p].min(low[v]);
+                }
+                continue;
+            }
+            // Every successor of `v` is done.
+            path.pop();
+            if Some(low[v]) == index[v] {
+                let mut comp = Vec::new();
+                while let Some(w) = stack.pop() {
+                    on_stack[w] = false;
+                    comp.push(w);
+                    if w == v {
+                        break;
                     }
                 }
+                comp.sort_unstable();
+                out.push(comp);
+            }
+            if let Some(parent) = path.last() {
+                low[parent.v] = low[parent.v].min(low[v]);
             }
         }
     }
@@ -124,6 +124,26 @@ mod tests {
         let succ = |v: usize| if v + 1 < n { vec![v + 1] } else { vec![] };
         let sccs = tarjan_scc(n, succ);
         assert_eq!(sccs.len(), n);
+    }
+
+    #[test]
+    fn successors_are_built_once_per_node() {
+        // A hub 0 → 1..=k, with a chain k → k+1 → … → n-1 hanging off
+        // its last leaf. Rebuilding the hub's list after each child
+        // returned would call `succ` 2k+1 times for the star alone.
+        let (k, n) = (50, 80);
+        let calls = std::cell::Cell::new(0);
+        let succ = |v: usize| {
+            calls.set(calls.get() + 1);
+            match v {
+                0 => (1..=k).collect(),
+                v if v >= k && v + 1 < n => vec![v + 1],
+                _ => vec![],
+            }
+        };
+        let sccs = tarjan_scc(n, succ);
+        assert_eq!(sccs.len(), n);
+        assert_eq!(calls.get(), n);
     }
 
     #[test]

@@ -283,6 +283,12 @@ impl UnitGraph {
             .collect()
     }
 
+    /// Units ordered after `idx` (its ordering successors), one per
+    /// ordering edge, in edge-id order.
+    pub(crate) fn ordering_succs(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        self.order_out[idx].iter().map(|&e| self.edges[e].dst)
+    }
+
     /// Incoming ordering edges of `idx` (with provenance).
     pub fn ordering_in_edges(&self, idx: usize) -> impl Iterator<Item = &Edge> {
         self.order_in[idx].iter().map(|&e| &self.edges[e])
@@ -357,12 +363,7 @@ impl UnitGraph {
     /// in reverse topological order. Components of size > 1 (or with a
     /// self-loop) are dependency cycles.
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        crate::algo::tarjan_scc(self.units.len(), |v| {
-            self.order_out[v]
-                .iter()
-                .map(|&e| self.edges[e].dst)
-                .collect()
-        })
+        crate::algo::tarjan_scc(self.units.len(), |v| self.ordering_succs(v).collect())
     }
 
     /// Ordering cycles: SCCs with more than one member, or self-loops.
@@ -401,8 +402,7 @@ impl UnitGraph {
         let mut out = Vec::with_capacity(n);
         while let Some((_, i)) = frontier.pop_first() {
             out.push(i);
-            for &eid in &self.order_out[i] {
-                let d = self.edges[eid].dst;
+            for d in self.ordering_succs(i) {
                 indeg[d] -= 1;
                 if indeg[d] == 0 {
                     frontier.insert(&self.units[d].name, d);

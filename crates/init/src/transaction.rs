@@ -6,8 +6,12 @@
 //! Conflicting jobs fail the transaction; ordering cycles are broken by
 //! dropping weakly-pulled jobs (systemd deletes non-indispensable jobs
 //! from cycles), and remain fatal when every cycle member is required.
+//!
+//! Planning is linear in the graph: each cycle check and the execution
+//! order read a job's successors from the graph's ordering adjacency,
+//! so both are O(V + E). The cycle check reruns once per dropped job.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::algo::tarjan_scc;
 use crate::graph::{EdgeKind, UnitGraph};
@@ -132,72 +136,57 @@ impl Transaction {
     /// ordering edges restricted to the job set, name-tie-broken). The
     /// transaction is cycle-free by construction.
     pub fn execution_order(&self, graph: &UnitGraph) -> Vec<usize> {
-        let jobs = &self.jobs;
-        let mut indeg: std::collections::HashMap<usize, usize> =
-            jobs.iter().map(|&j| (j, 0)).collect();
-        for e in graph.edges() {
-            if e.kind == EdgeKind::Ordering && jobs.contains(&e.src) && jobs.contains(&e.dst) {
-                *indeg.get_mut(&e.dst).expect("dst in jobs") += 1;
+        let mut in_jobs = vec![false; graph.len()];
+        for &j in &self.jobs {
+            in_jobs[j] = true;
+        }
+        let mut indeg = vec![0usize; graph.len()];
+        for &j in &self.jobs {
+            for d in graph.ordering_succs(j).filter(|&d| in_jobs[d]) {
+                indeg[d] += 1;
             }
         }
-        let mut frontier: std::collections::BTreeMap<&UnitName, usize> = indeg
+        let mut frontier: BTreeMap<&UnitName, usize> = self
+            .jobs
             .iter()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(&j, _)| (&graph.unit(j).name, j))
+            .filter(|&&j| indeg[j] == 0)
+            .map(|&j| (&graph.unit(j).name, j))
             .collect();
-        let mut out = Vec::with_capacity(jobs.len());
+        let mut out = Vec::with_capacity(self.jobs.len());
         while let Some((_, j)) = frontier.pop_first() {
             out.push(j);
-            for e in graph.edges() {
-                if e.kind == EdgeKind::Ordering && e.src == j && jobs.contains(&e.dst) {
-                    let d = indeg.get_mut(&e.dst).expect("dst in jobs");
-                    *d -= 1;
-                    if *d == 0 {
-                        frontier.insert(&graph.unit(e.dst).name, e.dst);
-                    }
+            for d in graph.ordering_succs(j).filter(|&d| in_jobs[d]) {
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
+                    frontier.insert(&graph.unit(d).name, d);
                 }
             }
         }
-        debug_assert_eq!(out.len(), jobs.len(), "transaction was not acyclic");
+        debug_assert_eq!(out.len(), self.jobs.len(), "transaction was not acyclic");
         out
-    }
-
-    /// Ordering predecessors of `job` that are themselves in the job set.
-    pub fn active_preds(&self, graph: &UnitGraph, job: usize) -> Vec<usize> {
-        graph
-            .ordering_preds(job)
-            .into_iter()
-            .filter(|p| self.jobs.contains(p))
-            .collect()
     }
 }
 
 /// Cycles (SCCs of size > 1 or self-loops) of the ordering graph induced
-/// on `jobs`.
+/// on `jobs`, in Tarjan's reverse topological order.
 fn job_cycles(graph: &UnitGraph, jobs: &BTreeSet<usize>) -> Vec<Vec<usize>> {
-    // Compact the job set for the SCC run.
+    // Compact the job set for the SCC run: `pos[unit]` is the unit's
+    // place in `idx_list`, `None` outside the job set.
     let idx_list: Vec<usize> = jobs.iter().copied().collect();
-    let pos: std::collections::HashMap<usize, usize> =
-        idx_list.iter().enumerate().map(|(p, &j)| (j, p)).collect();
+    let mut pos = vec![None; graph.len()];
+    for (p, &j) in idx_list.iter().enumerate() {
+        pos[j] = Some(p);
+    }
     let succ = |p: usize| -> Vec<usize> {
-        let j = idx_list[p];
         graph
-            .edges()
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Ordering && e.src == j)
-            .filter_map(|e| pos.get(&e.dst).copied())
+            .ordering_succs(idx_list[p])
+            .filter_map(|d| pos[d])
             .collect()
     };
-    let self_loops: BTreeSet<usize> = graph
-        .edges()
-        .iter()
-        .filter(|e| e.kind == EdgeKind::Ordering && e.src == e.dst && jobs.contains(&e.src))
-        .map(|e| e.src)
-        .collect();
     tarjan_scc(idx_list.len(), succ)
         .into_iter()
         .map(|comp| comp.into_iter().map(|p| idx_list[p]).collect::<Vec<_>>())
-        .filter(|comp: &Vec<usize>| comp.len() > 1 || comp.iter().any(|v| self_loops.contains(v)))
+        .filter(|comp| comp.len() > 1 || graph.ordering_succs(comp[0]).any(|d| d == comp[0]))
         .collect()
 }
 
@@ -319,18 +308,5 @@ mod tests {
         let pc = names.iter().position(|n| *n == "c.service").unwrap();
         assert!(pa < pb && pb < pc);
         assert_eq!(order.len(), t.jobs.len());
-    }
-
-    #[test]
-    fn active_preds_ignores_outside_jobs() {
-        let g = graph(vec![
-            boot_target(),
-            svc("a.service").wanted_by("multi-user.target"),
-            // outside.service orders itself before a but is not pulled in.
-            svc("outside.service").before("a.service"),
-        ]);
-        let t = Transaction::build(&g, "multi-user.target").unwrap();
-        let preds = t.active_preds(&g, g.idx_of("a.service"));
-        assert!(preds.is_empty());
     }
 }
