@@ -21,14 +21,13 @@ fn bench_graph(c: &mut Criterion) {
             ..TizenParams::default()
         };
         let scenario = tv_scenario_with(profiles::ue48h6200(), params);
-        let units = scenario.units.clone();
-        let graph = UnitGraph::build(units.clone()).expect("valid units");
+        let graph = UnitGraph::build(scenario.units.clone()).expect("valid units");
         let tx = Transaction::build(&graph, &scenario.target).expect("plans");
         let pre = PreParser::build(&scenario.units);
 
         let mut group = c.benchmark_group(format!("graph-{services}"));
         group.bench_function("build", |b| {
-            b.iter(|| black_box(UnitGraph::build(units.clone()).expect("valid")))
+            b.iter(|| black_box(UnitGraph::build(scenario.units.clone()).expect("valid")))
         });
         group.bench_function("sccs", |b| b.iter(|| black_box(graph.sccs())));
         group.bench_function("topo-order", |b| {

@@ -28,9 +28,9 @@ run ./target/release/bbsim chaos --services 24 --seeds 2 --plans 2 \
     --workers 3 --json "$chaos_tmp/w3.json"
 run cmp "$chaos_tmp/w1.json" "$chaos_tmp/w3.json"
 
-# Worker-count determinism at scale: a 1000-service sweep, where
-# planning costs more than the boot it plans, must print the same bytes
-# on one worker as on two.
+# Worker-count determinism at scale: the smokes above and below use 24
+# services; a 1000-service sweep must also print the same bytes on one
+# worker as on two.
 run ./target/release/bbsim sweep --services 1000 --seeds 2 \
     --workers 1 --json "$chaos_tmp/s1000-w1.json"
 run ./target/release/bbsim sweep --services 1000 --seeds 2 \

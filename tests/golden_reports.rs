@@ -6,8 +6,8 @@
 //!   (schemas `bb-fleet-v1` and `bb-metrics-v1`).
 //! * `sweep_s1000.json` —
 //!   `bbsim sweep --services 1000 --seeds 4 --json FILE`: a grid large
-//!   enough that planning costs more than the boot it plans, so a
-//!   planner refactor cannot hide behind the 24-service grids.
+//!   enough for the planner's scaling to matter, which the 24-service
+//!   grids are not.
 //! * `chaos_s24.json` —
 //!   `bbsim chaos --services 24 --seeds 2 --plans 4 --corruption 2 --json FILE`
 //!   (schema `bb-fleet-chaos-v2`). This grid produces all three chaos
