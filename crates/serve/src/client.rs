@@ -2,13 +2,11 @@
 //! jobs, and decodes the streamed result documents.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 
 use bb_fleet::json::{self, Json};
 use bb_fleet::TicketId;
 
-use crate::server::BindAddr;
+use crate::server::{BindAddr, Stream};
 use crate::wire::{JobKind, SweepArgs};
 
 /// Why a client call failed.
@@ -63,60 +61,20 @@ pub struct JobResult {
     pub metrics: Option<String>,
 }
 
-enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
 /// One NDJSON connection to a serve instance. Requests are issued
-/// serially; each call writes one line and reads one line.
+/// serially; each call writes one line and reads one line. TCP
+/// connections set `TCP_NODELAY`.
 pub struct Client {
-    reader: BufReader<Conn>,
-    writer: Conn,
+    /// Reads responses; requests are written through `get_ref`.
+    reader: BufReader<Stream>,
     next_id: u64,
-}
-
-impl io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl io::Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
 }
 
 impl Client {
     /// Connects to a serve instance.
     pub fn connect(addr: &BindAddr) -> Result<Client, ClientError> {
-        let (reader, writer) = match addr {
-            BindAddr::Unix(path) => {
-                let s = UnixStream::connect(path)?;
-                (Conn::Unix(s.try_clone()?), Conn::Unix(s))
-            }
-            BindAddr::Tcp(a) => {
-                let s = TcpStream::connect(a.as_str())?;
-                (Conn::Tcp(s.try_clone()?), Conn::Tcp(s))
-            }
-        };
         Ok(Client {
-            reader: BufReader::new(reader),
-            writer,
+            reader: BufReader::new(Stream::connect(addr)?),
             next_id: 1,
         })
     }
@@ -126,8 +84,8 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let line = format!("{{\"id\": {id}, {body}}}\n");
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
+        let mut writer = self.reader.get_ref();
+        writer.write_all(line.as_bytes())?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(ClientError::Protocol("server closed the connection".into()));

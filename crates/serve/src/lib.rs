@@ -27,7 +27,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError, JobResult};
-pub use server::{BindAddr, Server};
+pub use server::{BindAddr, Server, StopHandle};
 pub use wire::{
     parse_request, render_err, render_ok, resolve_profiles, JobKind, Request, SweepArgs,
 };

@@ -6,26 +6,43 @@
 //! quotas and round-robin fairness apply per connection. The protocol
 //! is NDJSON request/response over the socket (see [`crate::wire`]);
 //! `wait` blocks the connection's thread on the service, never the
-//! accept loop, so slow sweeps don't starve other clients.
+//! accept loop, so slow sweeps don't starve other clients. Each
+//! response leaves in one write, and TCP streams set `TCP_NODELAY`, so
+//! a response is never held back waiting for an ACK.
 //!
-//! A `shutdown` request flips the stop flag: the accept loop closes,
-//! every connection thread finishes its current request and exits, and
-//! the service's worker threads are joined when the last
-//! [`FleetService`] handle drops. Stale Unix socket files from a
-//! previous crash are removed before binding.
+//! Input is bounded: at most 128 connections are served at once (the
+//! next one gets one error line and is closed), and a request line may
+//! hold at most 64 KiB. A longer line is answered with an error and
+//! skipped through its newline without being buffered, and the
+//! connection stays up.
+//!
+//! The accept loop blocks in `accept`. A `shutdown` request, like
+//! [`StopHandle::stop`], sets the stop flag and then connects to the
+//! listener, which wakes the loop: it closes, every connection thread
+//! finishes its current request and exits, and the service's worker
+//! threads are joined when the last [`FleetService`] handle drops.
+//! Stale Unix socket files from a previous crash are removed before
+//! binding.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use bb_fleet::json;
 use bb_fleet::{ClientId, FleetService, ServiceConfig, ServiceReport};
 
 use crate::wire::{self, Request};
+
+/// Longest request line served, its newline not counted. A submit line
+/// is ~400 bytes.
+const MAX_LINE: usize = 64 * 1024;
+/// Most connections served at once.
+const MAX_CONNECTIONS: usize = 128;
 
 /// Where the server listens (or the client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,19 +67,30 @@ enum Listener {
     Tcp(TcpListener),
 }
 
-/// One accepted connection, either flavor. Cloned so one half can be
-/// buffered for reads while the other writes responses.
+/// One connection, either flavor, on the server or the client side.
+/// Reads and writes go through `&Stream`, so one buffered reader and
+/// any number of writers can share it.
 pub(crate) enum Stream {
     Unix(UnixStream),
     Tcp(TcpStream),
 }
 
 impl Stream {
-    pub(crate) fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+    /// Connects to a listening server.
+    pub(crate) fn connect(addr: &BindAddr) -> io::Result<Stream> {
+        Ok(match addr {
+            BindAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+            BindAddr::Tcp(a) => Stream::tcp(TcpStream::connect(a.as_str())?),
         })
+    }
+
+    /// Wraps a TCP stream with Nagle's algorithm off: a response (or
+    /// request) that follows an unacknowledged one would otherwise wait
+    /// for the peer's delayed ACK, ~40 ms. Best effort: without it a
+    /// round trip is only slower.
+    fn tcp(s: TcpStream) -> Stream {
+        let _ = s.set_nodelay(true);
+        Stream::Tcp(s)
     }
 
     fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
@@ -73,28 +101,55 @@ impl Stream {
     }
 }
 
-impl Read for Stream {
+impl Read for &Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => (&*s).read(buf),
+            Stream::Tcp(s) => (&*s).read(buf),
         }
     }
 }
 
-impl Write for Stream {
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self).read(buf)
+    }
+}
+
+impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => (&*s).write(buf),
+            Stream::Tcp(s) => (&*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
+        Ok(())
+    }
+}
+
+/// Stops a running [`Server`] from any thread, as a `shutdown` request
+/// does.
+#[derive(Debug, Clone)]
+pub struct StopHandle {
+    flag: Arc<AtomicBool>,
+    /// The listener's own address, to wake a blocked `accept`.
+    wake: BindAddr,
+}
+
+impl StopHandle {
+    /// Sets the stop flag, then connects to the listener so the accept
+    /// loop wakes and sees it. [`Server::run`] returns once every
+    /// connection has finished its current request.
+    pub fn stop(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        // Fails only if the listener is gone, and then nothing waits.
+        let _ = Stream::connect(&self.wake);
+    }
+
+    fn stopped(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -102,8 +157,7 @@ impl Write for Stream {
 pub struct Server {
     listener: Listener,
     service: Arc<FleetService>,
-    stop: Arc<AtomicBool>,
-    socket_path: Option<PathBuf>,
+    stop: StopHandle,
 }
 
 impl Server {
@@ -111,27 +165,40 @@ impl Server {
     /// workers. For Unix sockets a leftover file at the path is
     /// removed first (a crashed server must not brick its address).
     pub fn bind(addr: &BindAddr, config: ServiceConfig) -> io::Result<Server> {
-        let (listener, socket_path) = match addr {
+        let (listener, wake) = match addr {
             BindAddr::Unix(path) => {
                 if path.exists() {
                     std::fs::remove_file(path)?;
                 }
-                (
-                    Listener::Unix(UnixListener::bind(path)?),
-                    Some(path.clone()),
-                )
+                (Listener::Unix(UnixListener::bind(path)?), addr.clone())
             }
-            BindAddr::Tcp(addr) => (Listener::Tcp(TcpListener::bind(addr.as_str())?), None),
+            BindAddr::Tcp(a) => {
+                let listener = TcpListener::bind(a.as_str())?;
+                // A wildcard listener is reached through loopback.
+                let mut local = listener.local_addr()?;
+                match local {
+                    SocketAddr::V4(_) if local.ip().is_unspecified() => {
+                        local.set_ip(Ipv4Addr::LOCALHOST.into())
+                    }
+                    SocketAddr::V6(_) if local.ip().is_unspecified() => {
+                        local.set_ip(Ipv6Addr::LOCALHOST.into())
+                    }
+                    _ => {}
+                }
+                (Listener::Tcp(listener), BindAddr::Tcp(local.to_string()))
+            }
         };
         Ok(Server {
             listener,
             service: Arc::new(FleetService::start(config)),
-            stop: Arc::new(AtomicBool::new(false)),
-            socket_path,
+            stop: StopHandle {
+                flag: Arc::new(AtomicBool::new(false)),
+                wake,
+            },
         })
     }
 
-    /// The bound TCP address, if listening on TCP — lets tests bind
+    /// The bound TCP address, if listening on TCP — lets callers bind
     /// port 0 and discover the real port.
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
         match &self.listener {
@@ -145,100 +212,129 @@ impl Server {
         &self.service
     }
 
-    /// A flag that stops the accept loop when set (the `shutdown`
-    /// request sets it; embedders may too).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
+    /// A handle that stops the serve loop (for embedders; the
+    /// `shutdown` request uses the same one).
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
     }
 
-    /// Runs the accept loop until a `shutdown` request arrives, then
-    /// drains: connection threads are joined, the socket file is
-    /// unlinked, and the fleet workers stop with the service.
+    /// Runs the accept loop until stopped, then drains: connection
+    /// threads are joined, the socket file is unlinked, and the fleet
+    /// workers stop with the service.
     pub fn run(self) -> io::Result<()> {
-        match &self.listener {
-            Listener::Unix(l) => l.set_nonblocking(true)?,
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-        }
-        let mut conns = Vec::new();
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
         let mut next_client: ClientId = 1;
-        while !self.stop.load(Ordering::SeqCst) {
+        loop {
             let accepted = match &self.listener {
                 Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::tcp(s)),
             };
-            match accepted {
-                Ok(stream) => {
-                    let client = next_client;
-                    next_client += 1;
-                    let service = Arc::clone(&self.service);
-                    let stop = Arc::clone(&self.stop);
-                    conns.push(
-                        std::thread::Builder::new()
-                            .name(format!("bb-serve-{client}"))
-                            .spawn(move || serve_connection(stream, service, stop, client))
-                            .expect("spawn connection thread"),
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
+            if self.stop.stopped() {
+                break;
             }
-            // Reap finished connections so a long-lived server doesn't
-            // accumulate dead handles.
+            let stream = accepted?;
+            // Reap finished connections, which frees their slots.
             conns.retain(|h| !h.is_finished());
+            if conns.len() >= MAX_CONNECTIONS {
+                refuse(
+                    &stream,
+                    &format!("too many connections: {MAX_CONNECTIONS} are open"),
+                );
+                continue;
+            }
+            let client = next_client;
+            next_client += 1;
+            let stream = Arc::new(stream);
+            let conn = Arc::clone(&stream);
+            let service = Arc::clone(&self.service);
+            let stop = self.stop.clone();
+            match thread::Builder::new()
+                .name(format!("bb-serve-{client}"))
+                .spawn(move || serve_connection(&conn, &service, &stop, client))
+            {
+                Ok(handle) => conns.push(handle),
+                Err(e) => refuse(&stream, &format!("cannot serve the connection: {e}")),
+            }
         }
         for conn in conns {
             let _ = conn.join();
         }
-        if let Some(path) = &self.socket_path {
+        if let BindAddr::Unix(path) = &self.stop.wake {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
     }
 }
 
+/// Answers a connection the server will not serve with one error line;
+/// the caller then drops (closes) it.
+fn refuse(stream: &Stream, msg: &str) {
+    respond(stream, wire::render_err(0, msg));
+}
+
+/// Sends one response line in one write; false if the write failed.
+fn respond(mut stream: &Stream, mut response: String) -> bool {
+    response.push('\n');
+    stream.write_all(response.as_bytes()).is_ok()
+}
+
 /// One connection's request loop. Read timeouts keep the thread
-/// checking the stop flag even when the client is idle.
-fn serve_connection(
-    stream: Stream,
-    service: Arc<FleetService>,
-    stop: Arc<AtomicBool>,
-    client: ClientId,
-) {
+/// checking the stop flag even when the client is idle. A line is
+/// buffered up to [`MAX_LINE`] bytes, across timed-out reads too; past
+/// that it is answered once and the rest of it is read and dropped.
+fn serve_connection(stream: &Stream, service: &FleetService, stop: &StopHandle, client: ClientId) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let mut skipping = false;
     loop {
-        match reader.read_line(&mut line) {
-            // EOF: the client hung up.
-            Ok(0) => break,
-            Ok(_) if !line.ends_with('\n') => {
-                // EOF mid-line; fall through to process what arrived.
-                if !process_line(&line, &service, &stop, client, &mut writer) {
-                    break;
-                }
-                break;
-            }
-            Ok(_) => {
-                let done = !process_line(&line, &service, &stop, client, &mut writer);
-                line.clear();
-                if done || stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if stop.load(Ordering::SeqCst) {
+                if stop.stopped() {
                     break;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        if buf.is_empty() {
+            // EOF: the client hung up, maybe after a last line with no
+            // newline, which is still answered.
+            if !skipping && !line.is_empty() {
+                process_line(&line, service, stop, client, stream);
+            }
+            break;
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let text = newline.unwrap_or(buf.len());
+        let taken = newline.map_or(text, |i| i + 1);
+        if !skipping && line.len() + text > MAX_LINE {
+            skipping = true;
+            line.clear();
+            let msg = format!("request line longer than {MAX_LINE} bytes");
+            if !respond(stream, wire::render_err(0, &msg)) {
+                break;
+            }
+        }
+        if !skipping {
+            // The newline stays on the line: error positions count it.
+            line.extend_from_slice(&buf[..taken]);
+        }
+        reader.consume(taken);
+        if newline.is_none() {
+            continue;
+        }
+        if skipping {
+            skipping = false;
+            continue;
+        }
+        let open = process_line(&line, service, stop, client, stream);
+        line.clear();
+        if !open || stop.stopped() {
+            break;
         }
     }
 }
@@ -246,28 +342,28 @@ fn serve_connection(
 /// Handles one request line; returns false when the connection should
 /// close (write failure).
 fn process_line(
-    line: &str,
+    line: &[u8],
     service: &FleetService,
-    stop: &AtomicBool,
+    stop: &StopHandle,
     client: ClientId,
-    writer: &mut Stream,
+    stream: &Stream,
 ) -> bool {
-    if line.trim().is_empty() {
-        return true;
-    }
-    let response = match wire::parse_request(line) {
-        Err(e) => wire::render_err(0, &e),
-        Ok(req) => dispatch(req, service, stop, client),
+    let response = match std::str::from_utf8(line) {
+        Err(e) => wire::render_err(
+            0,
+            &format!("request line is not valid UTF-8 (byte {})", e.valid_up_to()),
+        ),
+        Ok(line) if line.trim().is_empty() => return true,
+        Ok(line) => match wire::parse_request(line) {
+            Err(e) => wire::render_err(0, &e),
+            Ok(req) => dispatch(req, service, stop, client),
+        },
     };
-    writer
-        .write_all(response.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .is_ok()
+    respond(stream, response)
 }
 
 /// Executes one request against the service and renders the response.
-fn dispatch(req: Request, service: &FleetService, stop: &AtomicBool, client: ClientId) -> String {
+fn dispatch(req: Request, service: &FleetService, stop: &StopHandle, client: ClientId) -> String {
     let id = req.id();
     match req {
         Request::Submit { job, .. } => {
@@ -316,7 +412,7 @@ fn dispatch(req: Request, service: &FleetService, stop: &AtomicBool, client: Cli
             wire::render_ok(id, &format!("\"stats\": \"{}\"", json::escape(&doc)))
         }
         Request::Shutdown { .. } => {
-            stop.store(true, Ordering::SeqCst);
+            stop.stop();
             wire::render_ok(id, "\"stopping\": true")
         }
     }

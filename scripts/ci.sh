@@ -124,6 +124,27 @@ echo "==> bbsim submit --stats | grep bb-serve-stats-v1"
     | grep -q '"schema": "bb-serve-stats-v1"'
 run ./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --shutdown
 wait "$serve_pid"
+
+# TCP serve smoke: a server on port 0 names its bound port, a TCP
+# submit matches the in-process sweep, and shutdown wakes the accept
+# loop, which blocks in accept, so the server exits within 10 s.
+echo "==> bbsim serve --tcp 127.0.0.1:0 --workers 2 &"
+./target/release/bbsim serve --tcp 127.0.0.1:0 --workers 2 2>"$chaos_tmp/serve-tcp.log" &
+serve_pid=$!
+tcp_addr=""
+for _ in $(seq 1 100); do
+    tcp_addr="$(sed -n 's/^serving on tcp:\([^ ]*\) .*/\1/p' "$chaos_tmp/serve-tcp.log")"
+    [ -n "$tcp_addr" ] && break
+    sleep 0.1
+done
+[ -n "$tcp_addr" ] || { echo "serve never named its TCP port"; exit 1; }
+echo "==> bbsim submit --tcp $tcp_addr --services 24 --seeds 2"
+./target/release/bbsim submit --tcp "$tcp_addr" \
+    --services 24 --seeds 2 --json "$chaos_tmp/serve-tcp.json" >/dev/null
+run cmp "$chaos_tmp/serve-tcp.json" "$chaos_tmp/serve-ref.json"
+run ./target/release/bbsim submit --tcp "$tcp_addr" --shutdown
+run timeout 10 tail --pid="$serve_pid" -f /dev/null
+wait "$serve_pid"
 run cargo test -q --test serve_service
 
 # Instant-on smoke: suspend must emit a valid bb-snapshot-v1 document.

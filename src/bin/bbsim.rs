@@ -1080,6 +1080,10 @@ fn run_serve_cmd(mut it: impl Iterator<Item = String>) {
         eprintln!("error: cannot bind {addr}: {e}");
         exit(1);
     });
+    // Name the bound port, not the requested one: `--tcp HOST:0` picks it.
+    let addr = server
+        .tcp_addr()
+        .map_or(addr, |bound| BindAddr::Tcp(bound.to_string()));
     eprintln!("serving on {addr} with {workers} workers (submit jobs with: bbsim submit)");
     if let Err(e) = server.run() {
         eprintln!("serve loop failed: {e}");

@@ -3,13 +3,14 @@
 //! one-shot in-process sweep, the shared cache must dedup *across*
 //! clients, and the socket server must round-trip the same bytes over
 //! the `bb-serve-v1` wire protocol — sweep and chaos tickets alike —
-//! refuse oversized grids and hostile lines without going down, and
-//! shut down cleanly.
+//! without Nagle stalls, refuse oversized grids, hostile lines and
+//! connections past its cap without going down, and shut down cleanly.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use booting_booster::fleet::{
     parse_json, run_chaos, run_sweep, FleetCache, FleetService, Json, PoolConfig, ServiceConfig,
@@ -211,6 +212,34 @@ fn chaos_tickets_round_trip_the_same_bytes() {
     server_thread.join().expect("server thread");
 }
 
+/// Sends `line` on `raw` and reads one response line back as JSON.
+fn exchange(raw: &mut BufReader<TcpStream>, line: &[u8]) -> Json {
+    raw.get_mut().write_all(line).expect("send line");
+    read_response(raw)
+}
+
+fn read_response(raw: &mut BufReader<TcpStream>) -> Json {
+    let mut response = String::new();
+    raw.read_line(&mut response).expect("read response");
+    parse_json(&response).expect("response is JSON")
+}
+
+/// The median of `n` timed runs of `f`, in milliseconds.
+fn median_ms(n: usize, mut f: impl FnMut()) -> f64 {
+    let mut ms: Vec<f64> = (0..n)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[n / 2]
+}
+
+/// Longest request line the server reads, its newline not counted.
+const MAX_LINE: usize = 64 * 1024;
+
 #[test]
 fn oversized_grids_are_refused_and_the_server_survives() {
     let (addr, server_thread) = spawn_server(1);
@@ -218,13 +247,16 @@ fn oversized_grids_are_refused_and_the_server_survives() {
         unreachable!("spawn_server binds TCP")
     };
     let deep = format!("{}\n", "[".repeat(20_000));
+    let over_cap = format!("{}\n", "x".repeat(MAX_LINE + 1));
+    let huge = format!("{}\n", "x".repeat(4 << 20));
+    let not_utf8 = b"{\"id\": 4, \"method\": \"stats\", \"x\": \"\xff\"}\n";
     // Each hostile line, the id its error echoes, and what the error
     // starts with and names.
-    let rows: [(&str, f64, &str, &str); 2] = [
+    let rows: [(&[u8], f64, &str, &str); 5] = [
         // 10^15 seeds would need petabytes of seed list: the server
         // must weigh the grid against its queue before building it.
         (
-            "{\"id\": 2, \"method\": \"submit\", \"job\": \
+            b"{\"id\": 2, \"method\": \"submit\", \"job\": \
              {\"kind\": \"sweep\", \"services\": 24, \"seeds\": 1000000000000000}}\n",
             2.0,
             "queue saturated",
@@ -233,21 +265,31 @@ fn oversized_grids_are_refused_and_the_server_survives() {
         // Nesting this deep must be an error, not a stack overflow on
         // the connection thread that aborts the whole server.
         (
-            &deep,
+            deep.as_bytes(),
             0.0,
             "bad request JSON",
             "nesting deeper than 128 levels",
         ),
+        // Lines past the cap are answered, then skipped unbuffered.
+        (
+            over_cap.as_bytes(),
+            0.0,
+            "request line longer than",
+            "65536 bytes",
+        ),
+        (
+            huge.as_bytes(),
+            0.0,
+            "request line longer than",
+            "65536 bytes",
+        ),
+        // Bytes that are not text get an answer, not a silent close.
+        (not_utf8, 0.0, "request line is not valid UTF-8", "byte 35"),
     ];
     let reference = reference_report(&small_job());
     for (line, id, prefix, detail) in rows {
-        let mut raw = TcpStream::connect(tcp).expect("connect raw");
-        raw.write_all(line.as_bytes()).expect("send hostile line");
-        let mut response = String::new();
-        BufReader::new(raw.try_clone().expect("clone"))
-            .read_line(&mut response)
-            .expect("read response");
-        let response = parse_json(&response).expect("response is JSON");
+        let mut raw = BufReader::new(TcpStream::connect(tcp).expect("connect raw"));
+        let response = exchange(&mut raw, line);
         assert_eq!(response.get("id").and_then(Json::as_f64), Some(id));
         assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
         let error = response.get("error").and_then(Json::as_str).unwrap_or("");
@@ -255,17 +297,96 @@ fn oversized_grids_are_refused_and_the_server_survives() {
             error.starts_with(prefix) && error.contains(detail),
             "refused with {prefix:?} naming {detail:?}: {error}"
         );
+        // The connection still serves its next request...
+        let stats = exchange(&mut raw, b"{\"id\": 9, \"method\": \"stats\"}\n");
+        assert_eq!(stats.get("id").and_then(Json::as_f64), Some(9.0));
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "after {prefix:?}");
         drop(raw);
 
-        // The same server still completes a normal ticket.
+        // ...and the same server still completes a normal ticket.
         let mut client = Client::connect(&addr).expect("connect");
         let result = client.run(&small_job()).expect("normal job after refusal");
         assert_eq!(result.failures, 0);
         assert_eq!(result.report, reference);
     }
+    // A line exactly at the cap is served.
+    let request = "{\"id\": 7, \"method\": \"stats\"}";
+    let at_cap = format!("{request}{}\n", " ".repeat(MAX_LINE - request.len()));
+    let mut raw = BufReader::new(TcpStream::connect(tcp).expect("connect raw"));
+    let response = exchange(&mut raw, at_cap.as_bytes());
+    assert_eq!(response.get("id").and_then(Json::as_f64), Some(7.0));
+    assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
+    drop(raw);
+
     Client::connect(&addr)
         .expect("connect")
         .shutdown()
         .expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+#[test]
+fn connections_past_the_cap_are_refused_until_one_closes() {
+    let (addr, server_thread) = spawn_server(1);
+    let BindAddr::Tcp(tcp) = &addr else {
+        unreachable!("spawn_server binds TCP")
+    };
+    // A round trip on each shows the server took it.
+    let mut held: Vec<Client> = (0..128)
+        .map(|_| {
+            let mut client = Client::connect(&addr).expect("connect");
+            client.stats().expect("stats within the cap");
+            client
+        })
+        .collect();
+
+    // The next connection gets one error line, then end of stream.
+    let mut raw = BufReader::new(TcpStream::connect(tcp).expect("connect past the cap"));
+    let refusal = read_response(&mut raw);
+    assert_eq!(refusal.get("id").and_then(Json::as_f64), Some(0.0));
+    let error = refusal.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        error.starts_with("too many connections") && error.contains("128"),
+        "refused naming the cap: {error}"
+    );
+    let mut rest = String::new();
+    assert_eq!(raw.read_line(&mut rest).expect("read to end"), 0, "{rest}");
+
+    // Closing one frees its slot once its thread has seen the close.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut client = Client::connect(&addr).expect("connect");
+        match client.stats() {
+            Ok(_) => break,
+            Err(e) if Instant::now() < deadline => {
+                assert!(e.to_string().contains("too many connections"), "{e}");
+                thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("no slot freed: {e}"),
+        }
+    }
+
+    held[0].shutdown().expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+#[test]
+fn tcp_round_trips_do_not_wait_on_acks() {
+    let (addr, server_thread) = spawn_server(2);
+    let mut client = Client::connect(&addr).expect("connect");
+    let stats = median_ms(50, || {
+        client.stats().expect("stats");
+    });
+    assert!(stats < 5.0, "median stats round trip {stats:.3} ms");
+
+    // Warm the cache, then time dedup-hit tickets: two round trips each.
+    client.run(&small_job()).expect("warm job");
+    let runs = median_ms(20, || {
+        client.run(&small_job()).expect("job");
+    });
+    assert!(runs < 10.0, "median small_job run {runs:.3} ms");
+
+    client.shutdown().expect("shutdown");
     server_thread.join().expect("server thread");
 }
