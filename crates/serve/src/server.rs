@@ -144,7 +144,8 @@ impl StopHandle {
     /// connection has finished its current request.
     pub fn stop(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        // Fails only if the listener is gone, and then nothing waits.
+        // Should the connect fail, the flag still stops the loop at
+        // its next accept.
         let _ = Stream::connect(&self.wake);
     }
 
@@ -176,14 +177,11 @@ impl Server {
                 let listener = TcpListener::bind(a.as_str())?;
                 // A wildcard listener is reached through loopback.
                 let mut local = listener.local_addr()?;
-                match local {
-                    SocketAddr::V4(_) if local.ip().is_unspecified() => {
-                        local.set_ip(Ipv4Addr::LOCALHOST.into())
-                    }
-                    SocketAddr::V6(_) if local.ip().is_unspecified() => {
-                        local.set_ip(Ipv6Addr::LOCALHOST.into())
-                    }
-                    _ => {}
+                if local.ip().is_unspecified() {
+                    local.set_ip(match local {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
                 }
                 (Listener::Tcp(listener), BindAddr::Tcp(local.to_string()))
             }
@@ -235,11 +233,10 @@ impl Server {
             let stream = accepted?;
             // Reap finished connections, which frees their slots.
             conns.retain(|h| !h.is_finished());
+            // A refused stream gets one error line and closes as it drops.
             if conns.len() >= MAX_CONNECTIONS {
-                refuse(
-                    &stream,
-                    &format!("too many connections: {MAX_CONNECTIONS} are open"),
-                );
+                let msg = format!("too many connections: {MAX_CONNECTIONS} are open");
+                respond(&stream, wire::render_err(0, &msg));
                 continue;
             }
             let client = next_client;
@@ -253,7 +250,10 @@ impl Server {
                 .spawn(move || serve_connection(&conn, &service, &stop, client))
             {
                 Ok(handle) => conns.push(handle),
-                Err(e) => refuse(&stream, &format!("cannot serve the connection: {e}")),
+                Err(e) => {
+                    let msg = format!("cannot serve the connection: {e}");
+                    respond(&stream, wire::render_err(0, &msg));
+                }
             }
         }
         for conn in conns {
@@ -264,12 +264,6 @@ impl Server {
         }
         Ok(())
     }
-}
-
-/// Answers a connection the server will not serve with one error line;
-/// the caller then drops (closes) it.
-fn refuse(stream: &Stream, msg: &str) {
-    respond(stream, wire::render_err(0, msg));
 }
 
 /// Sends one response line in one write; false if the write failed.

@@ -212,6 +212,15 @@ fn chaos_tickets_round_trip_the_same_bytes() {
     server_thread.join().expect("server thread");
 }
 
+/// A bare connection whose reads give up after 10 s, so a response the
+/// server never sends fails the test instead of hanging it.
+fn connect_raw(tcp: &str) -> BufReader<TcpStream> {
+    let raw = TcpStream::connect(tcp).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    BufReader::new(raw)
+}
+
 /// Sends `line` on `raw` and reads one response line back as JSON.
 fn exchange(raw: &mut BufReader<TcpStream>, line: &[u8]) -> Json {
     raw.get_mut().write_all(line).expect("send line");
@@ -288,7 +297,7 @@ fn oversized_grids_are_refused_and_the_server_survives() {
     ];
     let reference = reference_report(&small_job());
     for (line, id, prefix, detail) in rows {
-        let mut raw = BufReader::new(TcpStream::connect(tcp).expect("connect raw"));
+        let mut raw = connect_raw(tcp);
         let response = exchange(&mut raw, line);
         assert_eq!(response.get("id").and_then(Json::as_f64), Some(id));
         assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
@@ -312,7 +321,7 @@ fn oversized_grids_are_refused_and_the_server_survives() {
     // A line exactly at the cap is served.
     let request = "{\"id\": 7, \"method\": \"stats\"}";
     let at_cap = format!("{request}{}\n", " ".repeat(MAX_LINE - request.len()));
-    let mut raw = BufReader::new(TcpStream::connect(tcp).expect("connect raw"));
+    let mut raw = connect_raw(tcp);
     let response = exchange(&mut raw, at_cap.as_bytes());
     assert_eq!(response.get("id").and_then(Json::as_f64), Some(7.0));
     assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
@@ -341,7 +350,7 @@ fn connections_past_the_cap_are_refused_until_one_closes() {
         .collect();
 
     // The next connection gets one error line, then end of stream.
-    let mut raw = BufReader::new(TcpStream::connect(tcp).expect("connect past the cap"));
+    let mut raw = connect_raw(tcp);
     let refusal = read_response(&mut raw);
     assert_eq!(refusal.get("id").and_then(Json::as_f64), Some(0.0));
     let error = refusal.get("error").and_then(Json::as_str).unwrap_or("");
