@@ -1,9 +1,11 @@
 //! Deterministic event queue.
 //!
-//! A min-heap keyed on `(time, sequence)`. The sequence number is a
-//! monotone counter assigned at push time, so events scheduled for the
-//! same instant fire in submission order — this makes whole-simulation
-//! runs bit-for-bit reproducible, which the test suite relies on.
+//! Events are keyed on `(time, sequence)`; [`EventQueue`] holds the
+//! earliest in a front slot and the rest in an unordered pool. The
+//! sequence number is a monotone counter assigned at push time, so
+//! events scheduled for the same instant fire in submission order —
+//! this makes whole-simulation runs bit-for-bit reproducible, which the
+//! test suite relies on.
 
 use crate::ids::{CoreId, DeviceId, Pid};
 use crate::time::SimTime;
