@@ -19,8 +19,11 @@
 //! reused by a different scenario while the entry exists. A lookup
 //! therefore hits only when the caller's `Arc` *is* the keyed
 //! allocation — same object, not merely equal content. Callers that
-//! want content-level sharing (the fleet) memoize the `Arc` itself so
-//! equal scenarios become the same allocation.
+//! want content-level sharing memoize the `Arc` itself so equal
+//! scenarios become the same allocation: the fleet keeps one such memo
+//! per ticket, so a plan is shared inside a grid and dies with it. Each
+//! insert evicts the entries whose scenario is gone, so a plan outlives
+//! its scenario by at most one insert.
 //!
 //! Planning is deterministic, so a cache hit returns exactly the plan a
 //! fresh [`crate::Pipeline::plan`] call would produce and timelines are
@@ -34,11 +37,6 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use crate::booster::Scenario;
 use crate::config::BbConfig;
 use crate::pipeline::SharedPlan;
-
-/// Entries above which an insert first evicts entries whose scenario
-/// has been dropped. Keeps a long-lived cache (a `bbsim serve`-style
-/// process, a huge sweep) from accumulating dead weak references.
-const PURGE_THRESHOLD: usize = 1024;
 
 struct Entry {
     /// Keeps the keyed allocation alive (ABA guard) and tells us when
@@ -63,7 +61,8 @@ pub struct PlanCacheStats {
     pub plans_compiled: u64,
     /// Lookups served from the cache without re-planning.
     pub hits: u64,
-    /// Live entries (dropped scenarios included until purged).
+    /// Entries, those of dropped scenarios included until the next
+    /// insert purges them.
     pub entries: usize,
 }
 
@@ -101,13 +100,17 @@ impl PlanCache {
     }
 
     /// Stores a freshly compiled plan for (`scenario`, `cfg`) and
-    /// counts the compilation.
+    /// counts the compilation. Every insert first evicts the entries
+    /// whose scenario has been dropped, so a plan outlives its scenario
+    /// by at most one insert; the evicted plans are freed after the
+    /// lock is released.
     pub(crate) fn insert(&self, scenario: &Arc<Scenario>, cfg: &BbConfig, plan: SharedPlan) {
         self.compiled.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map();
-        if map.len() >= PURGE_THRESHOLD {
-            map.retain(|_, e| e.scenario.strong_count() > 0);
-        }
+        let dead: Vec<Entry> = map
+            .extract_if(|_, e| e.scenario.strong_count() == 0)
+            .map(|(_, e)| e)
+            .collect();
         map.insert(
             Self::key(scenario, cfg),
             Entry {
@@ -115,6 +118,8 @@ impl PlanCache {
                 plan,
             },
         );
+        drop(map);
+        drop(dead);
     }
 
     /// Current counters (monotonic over the cache's lifetime; callers
@@ -260,18 +265,25 @@ mod tests {
     }
 
     #[test]
-    fn dropped_scenarios_never_hit_and_get_purged_on_pressure() {
+    fn dropped_scenarios_never_hit_and_go_at_the_next_insert() {
         let cache = PlanCache::new();
-        let s = Arc::new(mini_tv());
-        BootRequest::new(&s)
-            .config(BbConfig::full())
-            .plan_cache(&cache, &s)
-            .run()
-            .unwrap();
-        drop(s);
+        let plan = |s: &Arc<Scenario>| {
+            BootRequest::new(s)
+                .config(BbConfig::full())
+                .plan_cache(&cache, s)
+                .run()
+                .unwrap();
+        };
+        let a = Arc::new(mini_tv());
+        plan(&a);
+        drop(a);
         // The entry survives (weak guard) but can no longer hit.
-        assert_eq!(cache.len(), 1);
-        let s2 = Arc::new(mini_tv());
-        assert!(cache.lookup(&s2, &BbConfig::full()).is_none());
+        assert_eq!(cache.stats().entries, 1);
+        let b = Arc::new(mini_tv());
+        assert!(cache.lookup(&b, &BbConfig::full()).is_none());
+        // The next insert evicts it.
+        plan(&b);
+        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.stats().plans_compiled, 2);
     }
 }

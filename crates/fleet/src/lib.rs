@@ -24,9 +24,10 @@
 //!   runner (every config one [`bb_core::BootRequest`]; supervised
 //!   cells add the job's fault plan, staged artifact read, and fallback
 //!   supervisor), plus the shared [`FleetCache`] plain cells use —
-//!   compiled boot plans ([`bb_core::PlanCache`]), memoized scenarios,
-//!   deduplicated boot outcomes ([`SweepSpec::dedup`]), and
-//!   service-wide kernel checkpoints ([`SweepSpec::fork`]). Per-job
+//!   deduplicated boot outcomes ([`SweepSpec::dedup`]), compiled boot
+//!   plans ([`bb_core::PlanCache`]), and service-wide kernel
+//!   checkpoints ([`SweepSpec::fork`]); scenarios are memoized per
+//!   ticket. Per-job
 //!   panic isolation, per-job wall-clock deadlines, a failed-job report
 //!   path, and observability counters ([`PoolStats`]).
 //! * [`aggregate`] — the streaming [`Aggregator`]: consumes results in

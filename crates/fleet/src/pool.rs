@@ -24,22 +24,27 @@
 //!
 //! # Shared artifacts
 //!
-//! Every plain cell runs over a [`FleetCache`]: a [`bb_core::PlanCache`]
-//! so each (scenario, config) pair compiles its boot plan once, a
-//! scenario memo so jobs with identical sources share one `Arc`'d
-//! scenario (which is what makes the pointer-keyed plan cache hit
-//! across jobs), a boot-outcome cache that lets [`SweepSpec::dedup`]
-//! serve identical grid points without re-simulating, and a
-//! service-wide checkpoint memo so forked sweeps ([`SweepSpec::fork`])
-//! share kernel-prefix snapshots across jobs, workers, and clients.
-//! All four are keyed by the content fingerprints from [`crate::spec`],
-//! and all four are invisible in the report: simulation is
-//! deterministic, so cached results are bit-identical to fresh ones.
-//! Supervised cells (fault plans, corruption, supervision, fallback)
-//! leave the cache alone. [`run_sweep`] takes the cache explicitly;
-//! pass [`FleetCache::fresh`] for a private per-call cache, or hold one
-//! `Arc` across calls (or behind a [`crate::FleetService`]) to carry
-//! artifacts across sweeps.
+//! Every plain cell runs over three service-wide memos in a
+//! [`FleetCache`] — a boot-outcome cache that lets [`SweepSpec::dedup`]
+//! serve identical grid points without re-simulating, a
+//! [`bb_core::PlanCache`] so each (scenario, config) pair compiles its
+//! boot plan once, and a checkpoint memo so forked sweeps
+//! ([`SweepSpec::fork`]) share kernel-prefix snapshots across jobs,
+//! workers, and clients — plus its ticket's scenario memo, so jobs of
+//! one grid with identical sources share one `Arc`'d scenario (which is
+//! what makes the pointer-keyed plan cache hit across jobs). A job asks
+//! the boot-outcome cache first and builds its scenario only for a
+//! config that misses. The scenario memo lives and dies with its
+//! ticket, and a plan outlives its scenario by at most one plan-cache
+//! insert, so a long-lived service keeps small outcomes, not scenarios
+//! and plans. All four memos are keyed by the content fingerprints from
+//! [`crate::spec`], and all four are invisible in the report:
+//! simulation is deterministic, so cached results are bit-identical to
+//! fresh ones. Supervised cells (fault plans, corruption, supervision,
+//! fallback) leave the memos alone. [`run_sweep`] takes the cache
+//! explicitly; pass [`FleetCache::fresh`] for a private per-call cache,
+//! or hold one `Arc` across calls (or behind a [`crate::FleetService`])
+//! to carry boot outcomes and checkpoints across sweeps.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,12 +52,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::aggregate::{FaultRecord, SweepReport};
-use crate::service::{FleetService, ServiceConfig, ServiceReport, WorkItem};
+use crate::service::{FleetService, Plan, ServiceConfig, ServiceReport, WorkItem};
 use crate::spec::{job_fingerprint, job_scenario, Job, SweepSpec};
-use bb_core::booster::Scenario;
 use bb_core::{
     fault_targets, ArtifactRead, Boot, BootRequest, Checkpoint, CheckpointPhase, PlanCache,
-    PreParser,
 };
 use bb_init::encode_units;
 use bb_sim::{CorruptionPlan, FaultPlan};
@@ -89,11 +92,6 @@ impl PoolConfig {
 /// boot up to the kernel→init handoff.
 pub(crate) type PrefixKey = (bool, bool, bool, bool);
 
-/// Entries above which the scenario memo is reset. Generous: a sweep
-/// holds one entry per distinct (source, seed) pair, and losing an
-/// entry only costs sharing, never correctness.
-const SCENARIO_MEMO_CAP: usize = 4096;
-
 /// Entries above which the boot-outcome cache is reset.
 const BOOT_CACHE_CAP: usize = 65536;
 
@@ -126,20 +124,21 @@ enum CachedBoot {
     Incomplete,
 }
 
-/// Shared artifacts of one or more sweeps: compiled boot plans, memoized
-/// scenarios, deduplicated boot outcomes, and kernel-prefix checkpoints
-/// (see the module docs).
+/// The three service-wide memos of one or more sweeps: deduplicated
+/// boot outcomes, compiled boot plans, and kernel-prefix checkpoints.
+/// The fourth memo, of scenarios, belongs to each ticket (see the
+/// module docs).
 ///
 /// All interior state is behind its own lock, so one cache can back any
 /// number of concurrent workers — and, through [`crate::FleetService`],
 /// any number of concurrent clients: two clients submitting overlapping
-/// grids share plans, scenarios, boot outcomes, and checkpoints.
+/// grids share boot outcomes and checkpoints, and plans while both
+/// tickets hold the scenario they were compiled for.
 /// Everything in here is derived deterministically from scenario
 /// content, so sharing never changes a report.
 #[derive(Debug, Default)]
 pub struct FleetCache {
     plans: PlanCache,
-    scenarios: Mutex<HashMap<u64, (Arc<Scenario>, PreParser)>>,
     boots: Mutex<HashMap<(u64, u8), CachedBoot>>,
     /// Kernel-handoff checkpoints, keyed by (job fingerprint, prefix
     /// key). Promoted from per-worker to service-wide: any worker (or
@@ -169,30 +168,8 @@ impl FleetCache {
     /// Drops every cached artifact.
     pub fn clear(&self) {
         self.plans.clear();
-        lock(&self.scenarios).clear();
         lock(&self.boots).clear();
         lock(&self.checkpoints).clear();
-    }
-
-    /// The memoized `(scenario, preparser)` for job fingerprint `fp`,
-    /// building (outside the lock) and inserting on a miss. On a racing
-    /// double-build the first insert wins, so every job of a fingerprint
-    /// converges on one `Arc` — the pointer identity the plan cache
-    /// keys on.
-    fn scenario(
-        &self,
-        fp: u64,
-        build: impl FnOnce() -> (Arc<Scenario>, PreParser),
-    ) -> (Arc<Scenario>, PreParser) {
-        if let Some(hit) = lock(&self.scenarios).get(&fp) {
-            return hit.clone();
-        }
-        let built = build();
-        let mut map = lock(&self.scenarios);
-        if map.len() >= SCENARIO_MEMO_CAP {
-            map.clear();
-        }
-        map.entry(fp).or_insert(built).clone()
     }
 
     /// The cached outcome for (`fp`, config `bits`), if one exists and
@@ -526,49 +503,49 @@ fn fault_record(boot: &Boot) -> FaultRecord {
 /// fault record per config.
 pub(crate) type JobResult = Result<(JobOutput, Vec<FaultRecord>), JobFailure>;
 
-/// Executes one job with panic isolation and post-hoc deadline check.
+/// Executes one job of `plan` with panic isolation and post-hoc
+/// deadline check.
 ///
-/// Every config boots as one [`BootRequest`]. A plain cell's boots go
-/// through the [`FleetCache`] (scenario memo, plan cache, dedup, and —
-/// with [`SweepSpec::fork`] — checkpoint forks). A supervised cell's
-/// boots add the job's fault plan, staged artifact read, and fallback
-/// supervisor instead, and skip the cache entirely: the dedup key does
-/// not cover those axes and a checkpoint cannot carry a supervisor.
+/// Every config boots as one [`BootRequest`]. A plain cell's configs go
+/// through the [`FleetCache`] (dedup first, then the plan cache and —
+/// with [`SweepSpec::fork`] — checkpoint forks), and its scenario comes
+/// from the ticket's memo, built only for a config the dedup cache
+/// misses. A supervised cell's boots add the job's fault plan, staged
+/// artifact read, and fallback supervisor instead, and skip the memos
+/// entirely: the dedup key does not cover those axes and a checkpoint
+/// cannot carry a supervisor.
 pub(crate) fn run_job(
-    spec: &SweepSpec,
-    shared: &[Option<(Arc<Scenario>, PreParser)>],
-    fps: &[(u64, bool)],
+    plan: &Plan,
     cache: &FleetCache,
     job: Job,
     builder: &mut bb_sim::MachineBuilder,
 ) -> JobResult {
+    let spec = &plan.spec;
     let cell = &spec.cells[job.cell];
     let seed = cell.seeds[job.seed_idx];
     let supervised = cell.supervised();
     let (dedup, fork) = (spec.dedup && !supervised, spec.fork && !supervised);
-    let (base_fp, seed_dependent) = fps[job.cell];
+    let (base_fp, seed_dependent) = plan.fps[job.cell];
     let fp = job_fingerprint(base_fp, seed_dependent, seed);
     let started = std::time::Instant::now();
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let builder = &mut *builder;
-        let build = || job_scenario(cell, seed, &shared[job.cell]);
-        // Jobs with the same fingerprint converge on one Arc'd
-        // scenario, which is what lets the pointer-keyed plan cache hit
-        // across jobs and cells.
-        let (scenario, pre) = if supervised {
-            build()
-        } else {
-            cache.scenario(fp, build)
-        };
-        let faults = cell.plan_seeds[job.plan_idx]
-            .map(|ps| FaultPlan::seeded(ps, &fault_targets(&scenario)));
+        let build = || job_scenario(cell, seed, &plan.shared[job.cell]);
+        // A supervised job builds its scenario, fault plan and artifact
+        // up front; a plain job's scenario waits for its first miss.
+        let mut built = supervised.then(build);
+        let faults = built.as_ref().and_then(|(scenario, _)| {
+            cell.plan_seeds[job.plan_idx].map(|ps| FaultPlan::seeded(ps, &fault_targets(scenario)))
+        });
         // A seeded corruption slot damages the scenario's own encoded
         // blob and makes the read transiently flaky, both derived from
         // the seed; the pristine slot stages no artifact at all.
-        let artifact = cell.corruption_seeds[job.corr_idx].map(|cs| {
-            ArtifactRead::corrupted(encode_units(&scenario.units), &CorruptionPlan::seeded(cs))
-                .flaky(transient_reads(cs))
+        let artifact = built.as_ref().and_then(|(scenario, _)| {
+            cell.corruption_seeds[job.corr_idx].map(|cs| {
+                ArtifactRead::corrupted(encode_units(&scenario.units), &CorruptionPlan::seeded(cs))
+                    .flaky(transient_reads(cs))
+            })
         });
         let mut samples = Vec::with_capacity(cell.configs.len());
         let mut records = Vec::new();
@@ -609,6 +586,10 @@ pub(crate) fn run_job(
                     None => {}
                 }
             }
+            // Jobs with the same fingerprint converge on one Arc'd
+            // scenario, which is what lets the pointer-keyed plan cache
+            // hit across the ticket's jobs and cells.
+            let (scenario, pre) = &*built.get_or_insert_with(|| plan.scenario(fp, build));
             // Forked mode: one checkpoint per distinct (scenario, prefix
             // key), memoized service-wide in the FleetCache. Every boot
             // resumes (the first included), so forked ≡ unforked reduces
@@ -619,11 +600,11 @@ pub(crate) fn run_job(
                 Some(match cache.checkpoint(key) {
                     Some(ckpt) => ckpt,
                     None => {
-                        let forked = BootRequest::new(&scenario)
+                        let forked = BootRequest::new(scenario)
                             .config(*cfg)
-                            .prepared(&pre)
+                            .prepared(pre)
                             .machine_builder(&mut *builder)
-                            .plan_cache(&cache.plans, &scenario)
+                            .plan_cache(&cache.plans, scenario)
                             .checkpoint_at(CheckpointPhase::KernelHandoff)
                             .map_err(|e| FailureKind::Boost(e.to_string()))?;
                         kernel_sims += 1;
@@ -633,12 +614,12 @@ pub(crate) fn run_job(
             } else {
                 None
             };
-            let mut request = BootRequest::new(&scenario)
+            let mut request = BootRequest::new(scenario)
                 .config(*cfg)
-                .prepared(&pre)
+                .prepared(pre)
                 .machine_builder(&mut *builder);
             if !supervised {
-                request = request.plan_cache(&cache.plans, &scenario);
+                request = request.plan_cache(&cache.plans, scenario);
             }
             if let Some(plan) = &faults {
                 request = request.faults(plan);
@@ -745,7 +726,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub(crate) mod tests {
     use super::*;
     use crate::spec::tests::{tiny_cell, tiny_scenario};
-    use crate::spec::CellSpec;
+    use crate::spec::{CellSpec, ScenarioSource};
+    use bb_core::booster::Scenario;
     use bb_core::BbConfig;
 
     pub(crate) fn tiny_spec(seeds: impl IntoIterator<Item = u64>) -> SweepSpec {
@@ -956,6 +938,26 @@ pub(crate) mod tests {
         assert!(cache.plans().is_empty());
         let third = run_sweep(&spec, &pool, &cache);
         assert_eq!(third.stats.cells_deduped, 0, "clear() really clears");
+    }
+
+    /// A caller-held cache keeps no scenario past its sweep: the memo
+    /// that shares a fixed cell's scenario across jobs belongs to the
+    /// ticket and goes with it.
+    #[test]
+    fn a_held_cache_keeps_no_scenario_after_its_sweep() {
+        let spec = SweepSpec::new().cell(
+            CellSpec::fixed("pinned", tiny_scenario())
+                .seeds([0, 1, 2])
+                .conventional_vs_bb(),
+        );
+        let ScenarioSource::Fixed(scenario) = &spec.cells[0].source else {
+            unreachable!("a fixed cell holds its scenario")
+        };
+        let before = Arc::strong_count(scenario);
+        let cache = FleetCache::fresh();
+        let outcome = run_sweep(&spec, &PoolConfig::with_workers(2), &cache);
+        assert_eq!(outcome.report.total_boots, 6);
+        assert_eq!(Arc::strong_count(scenario), before);
     }
 
     /// The checkpoint memo lives in the cache now: a second forked

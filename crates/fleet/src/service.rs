@@ -3,12 +3,14 @@
 //!
 //! A [`FleetService`] owns long-lived worker threads, a central bounded
 //! work queue with per-client round-robin fairness, and one shared
-//! [`FleetCache`] — so every ticket it executes shares compiled boot
-//! plans, memoized scenarios, deduplicated boot outcomes, and kernel
-//! checkpoints with every other ticket, across submissions and across
-//! clients. This is the fleet-scale shape the paper's deployment story
-//! implies: millions of near-identical boot jobs amortizing their
-//! shared artifacts, not one process per sweep.
+//! [`FleetCache`] — so every ticket it executes shares deduplicated
+//! boot outcomes and kernel checkpoints with every other ticket, across
+//! submissions and across clients. Scenarios, and the boot plans
+//! compiled for them, live only as long as the ticket that built them:
+//! each ticket memoizes its own scenarios and drops the memo when it
+//! finalizes or is cancelled. This is the fleet-scale shape the paper's
+//! deployment story implies: millions of near-identical boot jobs
+//! amortizing their shared artifacts, not one process per sweep.
 //!
 //! The API is a ticketed work queue:
 //!
@@ -23,6 +25,8 @@
 //!   returns its [`ServiceReport`].
 //! * [`FleetService::cancel`] retracts a ticket: queued jobs are
 //!   dropped, in-flight results discarded.
+//! * [`FleetService::disconnect`] forgets every ticket a client has
+//!   not collected, cancelling the unfinished ones.
 //! * [`FleetService::stats`] snapshots service-wide observability
 //!   (rendered as the `bb-serve-stats-v1` document by
 //!   [`ServiceStats::to_json`]).
@@ -53,6 +57,9 @@ use crate::pool::{lock, run_job, FleetCache, JobResult, PoolStats, SweepOutcome,
 use crate::spec::{cell_fingerprint, Job, SweepSpec};
 use bb_core::booster::Scenario;
 use bb_core::{PlanCacheStats, PreParser};
+
+/// A memoized scenario and its pre-parser measurement.
+type Built = (Arc<Scenario>, PreParser);
 
 /// Identifies a submitting client. The serve layer assigns one per
 /// connection; in-process callers pick their own (quotas and fairness
@@ -296,17 +303,38 @@ struct Task {
     index: usize,
 }
 
-/// A ticket's expanded execution plan, shared read-only with workers.
-struct Plan {
-    spec: SweepSpec,
-    shared: Vec<Option<(Arc<Scenario>, PreParser)>>,
-    fps: Vec<(u64, bool)>,
+/// A ticket's expanded execution plan, shared with the workers running
+/// its jobs. The ticket drops it when it finalizes or is cancelled; an
+/// in-flight job holds it until that job ends.
+pub(crate) struct Plan {
+    pub(crate) spec: SweepSpec,
+    pub(crate) shared: Vec<Option<Built>>,
+    pub(crate) fps: Vec<(u64, bool)>,
     jobs: Vec<Job>,
+    /// The ticket's scenario memo, keyed by job fingerprint.
+    scenarios: Mutex<HashMap<u64, Built>>,
+}
+
+impl Plan {
+    /// The memoized `(scenario, preparser)` for job fingerprint `fp`,
+    /// building (outside the lock) and inserting on a miss. On a racing
+    /// double-build the first insert wins, so every job of a fingerprint
+    /// converges on one `Arc` — the pointer identity the plan cache
+    /// keys on.
+    pub(crate) fn scenario(&self, fp: u64, build: impl FnOnce() -> Built) -> Built {
+        if let Some(hit) = lock(&self.scenarios).get(&fp) {
+            return hit.clone();
+        }
+        let built = build();
+        lock(&self.scenarios).entry(fp).or_insert(built).clone()
+    }
 }
 
 struct Ticket {
     client: ClientId,
-    plan: Arc<Plan>,
+    /// The jobs' plan while any are left to run; `None` once the
+    /// ticket finalized or was cancelled.
+    plan: Option<Arc<Plan>>,
     /// Finalize into the chaos view instead of the sweep report.
     chaos: bool,
     agg: Option<Aggregator>,
@@ -335,9 +363,8 @@ struct QueueState {
 }
 
 impl QueueState {
-    /// The lane for `client`, created on first submission. Lanes are
-    /// never removed: the rotation stays stable and the cost is one
-    /// empty `VecDeque` per client ever seen.
+    /// The lane for `client`, created on first submission and removed
+    /// when the client disconnects.
     fn lane(&mut self, client: ClientId) -> &mut Lane {
         if let Some(i) = self.lanes.iter().position(|l| l.client == client) {
             return &mut self.lanes[i];
@@ -420,6 +447,7 @@ impl Inner {
             fps: spec.cells.iter().map(cell_fingerprint).collect(),
             spec,
             jobs,
+            scenarios: Mutex::default(),
         };
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         {
@@ -436,7 +464,7 @@ impl Inner {
                 id,
                 Ticket {
                     client,
-                    plan: Arc::new(plan),
+                    plan: Some(Arc::new(plan)),
                     chaos,
                     agg: Some(agg),
                     remaining: total,
@@ -459,13 +487,14 @@ impl Inner {
             // An empty grid finalizes immediately, matching the one-shot
             // entry points (zero boots, empty report).
             let mut tickets = lock(&self.tickets);
-            let table = &mut *tickets;
-            if let Some(t) = table.entries.get_mut(&id) {
+            if let Some(t) = tickets.entries.get_mut(&id) {
+                t.plan = None;
                 self.finalize_ticket(t);
-                if let Some(p) = table.pending.get_mut(&client) {
+                if let Some(p) = tickets.pending.get_mut(&client) {
                     *p = p.saturating_sub(1);
                 }
             }
+            drop(tickets);
             self.done.notify_all();
         } else {
             let mut q = lock(&self.queue);
@@ -560,12 +589,17 @@ impl Inner {
         t.remaining -= 1;
         lock(&self.totals).counters.jobs_executed += 1;
         if t.remaining == 0 {
+            let plan = t.plan.take();
             self.finalize_ticket(t);
             let client = t.client;
             if let Some(p) = table.pending.get_mut(&client) {
                 *p = p.saturating_sub(1);
             }
+            drop(tickets);
             self.done.notify_all();
+            // The memo's scenarios go after the waiter is woken: here,
+            // or with the last in-flight job's reference.
+            drop(plan);
         }
     }
 
@@ -677,6 +711,7 @@ impl Inner {
             return false;
         }
         t.cancelled = true;
+        let plan = t.plan.take();
         // The quota slot frees immediately: a cancelled ticket is no
         // longer "pending" even while in-flight jobs drain.
         if let Some(p) = table.pending.get_mut(&t.client) {
@@ -685,7 +720,44 @@ impl Inner {
         drop(tickets);
         lock(&self.totals).counters.tickets_cancelled += 1;
         self.done.notify_all();
+        drop(plan);
         true
+    }
+
+    fn disconnect(&self, client: ClientId) {
+        // The client's lane holds only its own queued jobs.
+        let removed = {
+            let mut q = lock(&self.queue);
+            match q.lanes.iter().position(|l| l.client == client) {
+                Some(i) => {
+                    let lane = q.lanes.remove(i);
+                    if i < q.next {
+                        q.next -= 1;
+                    }
+                    if q.next >= q.lanes.len() {
+                        q.next = 0;
+                    }
+                    lane.tasks.len()
+                }
+                None => 0,
+            }
+        };
+        self.queued.fetch_sub(removed, Ordering::Relaxed);
+        let mut tickets = lock(&self.tickets);
+        let forgotten: Vec<Ticket> = tickets
+            .entries
+            .extract_if(|_, t| t.client == client)
+            .map(|(_, t)| t)
+            .collect();
+        tickets.pending.remove(&client);
+        drop(tickets);
+        let unfinished = forgotten
+            .iter()
+            .filter(|t| !t.cancelled && t.report.is_none())
+            .count();
+        lock(&self.totals).counters.tickets_cancelled += unfinished as u64;
+        self.done.notify_all();
+        drop(forgotten);
     }
 
     fn stats(&self) -> ServiceStats {
@@ -715,20 +787,13 @@ fn worker_loop(inner: Arc<Inner>, w: usize) {
             tickets
                 .entries
                 .get(&task.ticket)
-                .filter(|t| !t.cancelled)
-                .map(|t| Arc::clone(&t.plan))
+                .and_then(|t| t.plan.clone())
         };
-        // Cancelled or retracted tickets leave orphan tasks; skip them.
+        // Cancelled, forgotten or retracted tickets leave orphan tasks;
+        // skip them.
         let Some(plan) = plan else { continue };
         let started = Instant::now();
-        let result = run_job(
-            &plan.spec,
-            &plan.shared,
-            &plan.fps,
-            &inner.cache,
-            plan.jobs[task.index],
-            &mut builder,
-        );
+        let result = run_job(&plan, &inner.cache, plan.jobs[task.index], &mut builder);
         let elapsed = started.elapsed();
         {
             let mut ws = lock(&inner.worker_stats);
@@ -834,6 +899,17 @@ impl FleetService {
     /// unknown.
     pub fn cancel(&self, ticket: TicketId) -> bool {
         self.inner.cancel(ticket)
+    }
+
+    /// Forgets every ticket `client` submitted and has not collected,
+    /// once the client can no longer collect them (the serve layer
+    /// calls this when a connection ends). Unfinished tickets are
+    /// cancelled: queued jobs are dropped and in-flight results
+    /// discarded. Finished reports are dropped, and the client's quota
+    /// slots and queue lane are freed. Call it after the client's last
+    /// submission; a ticket submitted concurrently may be missed.
+    pub fn disconnect(&self, client: ClientId) {
+        self.inner.disconnect(client)
     }
 
     /// Snapshots service-wide observability counters.
@@ -993,6 +1069,49 @@ mod tests {
             .submit(1, WorkItem::Sweep(tiny_spec([3])))
             .expect("admitted after cancel");
         assert!(service.wait(next).is_ok());
+    }
+
+    #[test]
+    fn disconnect_forgets_only_that_clients_tickets() {
+        let config = ServiceConfig {
+            workers: 1,
+            max_pending_per_client: 1,
+            ..ServiceConfig::default()
+        };
+        let service = FleetService::start(config);
+        let done = service
+            .submit(1, WorkItem::Sweep(tiny_spec([1])))
+            .expect("admitted");
+        while service.poll(done) != Some(TicketStatus::Done) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let unfinished = service
+            .submit(1, WorkItem::Sweep(tiny_spec(0..64)))
+            .expect("admitted");
+        let other = service
+            .submit(2, WorkItem::Sweep(tiny_spec([50])))
+            .expect("admitted");
+        service.disconnect(1);
+        assert_eq!(service.poll(done), None);
+        assert_eq!(service.poll(unfinished), None);
+        assert!(matches!(
+            service.wait(unfinished),
+            Err(WaitError::UnknownTicket)
+        ));
+        assert!(service.poll(other).is_some(), "client 2 is untouched");
+        assert!(service.wait(other).is_ok());
+        // Client 1's quota slot is free again.
+        let again = service
+            .submit(1, WorkItem::Sweep(tiny_spec([2])))
+            .expect("quota slot freed");
+        assert!(service.wait(again).is_ok());
+        // Every ticket finalized or was cancelled, exactly once.
+        let stats = service.stats();
+        assert_eq!(stats.queue_depth, 0);
+        assert_eq!(
+            stats.tickets_completed + stats.tickets_cancelled,
+            stats.tickets_submitted
+        );
     }
 
     #[test]

@@ -379,8 +379,8 @@ pub struct Job {
 
 /// Content fingerprint of a cell's scenario *source*: `(hash,
 /// seed_dependent)`. Two cells with equal fingerprints instantiate
-/// identical scenarios for equal seeds — the sharing key behind the
-/// sweep-wide scenario memo, the cross-job checkpoint memo, and grid
+/// identical scenarios for equal seeds — the sharing key behind each
+/// ticket's scenario memo, the cross-job checkpoint memo, and grid
 /// dedup (see [`SweepSpec::dedup`]).
 ///
 /// `Tizen` sources hash the profile and the parameters with the seed

@@ -1,10 +1,10 @@
 //! # bb-serve — persistent boot-simulation service
 //!
 //! `bbsim serve` keeps one [`bb_fleet::FleetService`] — long-lived
-//! workers, a shared [`bb_fleet::FleetCache`] of compiled plans,
-//! memoized scenarios, deduplicated boots, and kernel checkpoints —
-//! alive behind a socket, so sweeps submitted over time and from many
-//! clients reuse each other's work instead of re-simulating it.
+//! workers and a shared [`bb_fleet::FleetCache`] of deduplicated boots
+//! and kernel checkpoints — alive behind a socket, so sweeps submitted
+//! over time and from many clients reuse each other's work instead of
+//! re-simulating it.
 //!
 //! * [`wire`] — the `bb-serve-v1` NDJSON protocol: [`SweepArgs`] (the
 //!   one job description shared by the `bbsim` CLI flags, the wire

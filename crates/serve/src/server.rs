@@ -3,7 +3,10 @@
 //!
 //! Each accepted connection gets its own thread and its own
 //! [`ClientId`] (the connection counter), so the service's per-client
-//! quotas and round-robin fairness apply per connection. The protocol
+//! quotas and round-robin fairness apply per connection. A ticket lives
+//! as long as the connection that submitted it: when the connection
+//! ends, the service forgets every ticket it has not collected
+//! ([`FleetService::disconnect`]). The protocol
 //! is NDJSON request/response over the socket (see [`crate::wire`]);
 //! `wait` blocks the connection's thread on the service, never the
 //! accept loop, so slow sweeps don't starve other clients. Each
@@ -19,8 +22,9 @@
 //! The accept loop blocks in `accept`. A `shutdown` request, like
 //! [`StopHandle::stop`], sets the stop flag and then connects to the
 //! listener, which wakes the loop: it closes, every connection thread
-//! finishes its current request and exits, and the service's worker
-//! threads are joined when the last [`FleetService`] handle drops.
+//! finishes its current request and exits, taking its uncollected
+//! tickets with it, and the service's worker threads are joined when
+//! the last [`FleetService`] handle drops.
 //! Stale Unix socket files from a previous crash are removed before
 //! binding.
 
@@ -276,6 +280,7 @@ fn respond(mut stream: &Stream, mut response: String) -> bool {
 /// checking the stop flag even when the client is idle. A line is
 /// buffered up to [`MAX_LINE`] bytes, across timed-out reads too; past
 /// that it is answered once and the rest of it is read and dropped.
+/// When the loop ends, the connection's uncollected tickets go with it.
 fn serve_connection(stream: &Stream, service: &FleetService, stop: &StopHandle, client: ClientId) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut reader = BufReader::new(stream);
@@ -331,6 +336,7 @@ fn serve_connection(stream: &Stream, service: &FleetService, stop: &StopHandle, 
             break;
         }
     }
+    service.disconnect(client);
 }
 
 /// Handles one request line; returns false when the connection should

@@ -35,8 +35,9 @@
 //! ```
 //!
 //! `serve` runs the persistent fleet service: one shared cache of
-//! compiled plans, memoized scenarios, deduplicated boots, and kernel
-//! checkpoints across every job any client submits. `submit` speaks
+//! deduplicated boots and kernel checkpoints across every job any
+//! client submits (scenarios and compiled plans live as long as their
+//! ticket, and a ticket as long as its connection). `submit` speaks
 //! the `bb-serve-v1` NDJSON protocol to it; a submitted sweep's
 //! `--json` output is byte-identical to the in-process
 //! `bbsim sweep --json` for the same flags. `submit --stats` prints

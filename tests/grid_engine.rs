@@ -1,7 +1,8 @@
-//! The merged grid engine's two invariants: plain and supervised cells
-//! run on one spec, one job runner, one aggregator, and one service
-//! path, yet a supervised cell never touches the shared `FleetCache`,
-//! and cells never leak into each other through the shared slots.
+//! The merged grid engine's invariants: plain and supervised cells run
+//! on one spec, one job runner, one aggregator, and one service path,
+//! yet a supervised cell never touches the shared `FleetCache`, cells
+//! never leak into each other through the shared slots, and a ticket's
+//! scenarios and plans do not outlive it.
 
 use booting_booster::bb::FallbackPolicy;
 use booting_booster::fleet::{
@@ -93,4 +94,29 @@ fn plain_and_supervised_cells_stay_isolated_in_shared_slots() {
         mixed_chaos.stats.restarts, chaos_only.stats.restarts,
         "only the supervised cell restarts"
     );
+}
+
+/// Fresh tickets run one after another on one service: each compiles
+/// its own plans, and the plans of the tickets before it go at its
+/// first insert, so the plan cache never holds more than one ticket's.
+#[test]
+fn plans_do_not_outlive_their_ticket() {
+    let service = FleetService::start(ServiceConfig::with_workers(2));
+    for first_seed in [1, 3, 5, 7] {
+        let mut job = SweepArgs::new(JobKind::Sweep);
+        job.services = Some(24);
+        job.seeds = 2;
+        job.seed = Some(first_seed);
+        let item = job.to_work_item().expect("work item");
+        let ticket = service.submit(1, item).expect("admitted");
+        let Ok(ServiceReport::Sweep(sweep)) = service.wait(ticket) else {
+            panic!("sweep tickets finalize into sweep reports");
+        };
+        assert_eq!(sweep.stats.kernel_sims, 4, "2 fresh seeds x 2 configs");
+        let entries = service.cache().plans().stats().entries;
+        assert!(
+            entries <= 4,
+            "{entries} plans held after the ticket from seed {first_seed}"
+        );
+    }
 }

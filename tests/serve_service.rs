@@ -4,7 +4,8 @@
 //! clients, and the socket server must round-trip the same bytes over
 //! the `bb-serve-v1` wire protocol — sweep and chaos tickets alike —
 //! without Nagle stalls, refuse oversized grids, hostile lines and
-//! connections past its cap without going down, and shut down cleanly.
+//! connections past its cap without going down, forget the tickets of
+//! a connection that ends, and shut down cleanly.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -397,5 +398,34 @@ fn tcp_round_trips_do_not_wait_on_acks() {
     assert!(runs < 10.0, "median small_job run {runs:.3} ms");
 
     client.shutdown().expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+#[test]
+fn a_closed_connection_takes_its_tickets_with_it() {
+    let (addr, server_thread) = spawn_server(1);
+    let ticket = {
+        let mut a = Client::connect(&addr).expect("connect a");
+        a.submit(&small_job()).expect("submit")
+    };
+    // Connection a is closed; its ticket goes once the server sees it.
+    let mut b = Client::connect(&addr).expect("connect b");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match b.poll(ticket) {
+            Err(e) if e.to_string().contains("unknown ticket") => break,
+            Ok(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(10)),
+            other => panic!("ticket {ticket} outlived its connection: {other:?}"),
+        }
+    }
+    let stats = parse_json(&b.stats().expect("stats")).expect("stats JSON");
+    assert_eq!(
+        stats
+            .get("queue")
+            .and_then(|q| q.get("depth"))
+            .and_then(Json::as_f64),
+        Some(0.0)
+    );
+    b.shutdown().expect("shutdown");
     server_thread.join().expect("server thread");
 }
