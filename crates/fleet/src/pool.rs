@@ -37,8 +37,8 @@
 //! config that misses. The scenario memo lives and dies with its
 //! ticket, and a plan outlives its scenario by at most one plan-cache
 //! insert, so a long-lived service keeps small outcomes, not scenarios
-//! and plans. All four memos are keyed by the content fingerprints from
-//! [`crate::spec`], and all four are invisible in the report:
+//! and plans. The memos other than the plan cache are keyed by the
+//! fingerprints of [`crate::spec`], and all four are invisible in the report:
 //! simulation is deterministic, so cached results are bit-identical to
 //! fresh ones. Supervised cells (fault plans, corruption, supervision,
 //! fallback) leave the memos alone. [`run_sweep`] takes the cache

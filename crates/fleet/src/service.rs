@@ -215,8 +215,8 @@ impl std::fmt::Display for SubmitError {
 /// Why [`FleetService::wait`] returned no report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitError {
-    /// The ticket id was never issued, or its report was already
-    /// collected.
+    /// The ticket id was never issued, its report was already
+    /// collected, or its client disconnected.
     UnknownTicket,
     /// The ticket was cancelled.
     Cancelled,
@@ -243,7 +243,8 @@ pub struct ServiceStats {
     pub tickets_submitted: u64,
     /// Tickets that finalized a report.
     pub tickets_completed: u64,
-    /// Tickets cancelled before finalizing.
+    /// Tickets cancelled before finalizing, by [`FleetService::cancel`]
+    /// or by their client's [`FleetService::disconnect`].
     pub tickets_cancelled: u64,
     /// Jobs executed (completed + failed, across all tickets).
     pub jobs_executed: u64,
@@ -881,7 +882,8 @@ impl FleetService {
     }
 
     /// Non-blocking progress for a ticket; `None` once the report was
-    /// collected (or the id was never issued).
+    /// collected or its client disconnected (or the id was never
+    /// issued).
     pub fn poll(&self, ticket: TicketId) -> Option<TicketStatus> {
         self.inner.poll(ticket)
     }
