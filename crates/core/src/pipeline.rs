@@ -108,7 +108,7 @@ impl BootPlanIr {
     ///
     /// `pre` supplies pre-built [`PreParser`] measurements (the
     /// sweep-amortized path); when `None` they are measured here.
-    pub fn from_scenario(
+    fn from_scenario(
         scenario: &Scenario,
         cfg: &BbConfig,
         pre: Option<&PreParser>,
@@ -170,7 +170,7 @@ impl BootPlanIr {
     }
 
     /// Storage service time for one request.
-    pub fn io_time(&self, bytes: u64, pattern: AccessPattern) -> SimDuration {
+    fn io_time(&self, bytes: u64, pattern: AccessPattern) -> SimDuration {
         self.storage.service_time(bytes, pattern)
     }
 

@@ -79,7 +79,7 @@ impl Comparison {
     }
 
     /// Total saving.
-    pub fn total_saving(&self) -> SimDuration {
+    fn total_saving(&self) -> SimDuration {
         SimTime::saturating_since(self.conventional_total, self.boosted_total)
     }
 

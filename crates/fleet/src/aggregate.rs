@@ -16,7 +16,7 @@ use crate::spec::{Job, SweepSpec};
 
 /// Accumulates job results into slots addressed by `(cell, plan,
 /// corruption, seed)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Aggregator {
     cells: Vec<CellSlots>,
     failures: Vec<Failure>,
@@ -63,7 +63,7 @@ pub(crate) struct Slot {
 
 /// One cell's slots, `[plan][corruption][seed]` flattened (see
 /// [`crate::CellSpec`]'s axes).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CellSlots {
     pub(crate) label: String,
     pub(crate) config_labels: Vec<String>,

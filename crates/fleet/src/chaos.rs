@@ -69,7 +69,7 @@ pub struct ChaosConfigStats {
 
 impl ChaosConfigStats {
     /// Degraded-boot rate over completed boots.
-    pub fn degraded_rate(&self) -> f64 {
+    fn degraded_rate(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -79,7 +79,7 @@ impl ChaosConfigStats {
 
     /// Of the boots a fault actually hit (recovered or degraded), the
     /// fraction supervision rescued without a fallback.
-    pub fn recovery_rate(&self) -> f64 {
+    fn recovery_rate(&self) -> f64 {
         let hit = self.recovered + self.degraded;
         if hit == 0 {
             1.0
@@ -90,7 +90,7 @@ impl ChaosConfigStats {
 
     /// Fraction of boots whose artifact the integrity chain rejected
     /// (every one of them still completed, via re-parse or cold boot).
-    pub fn artifact_rejection_rate(&self) -> f64 {
+    fn artifact_rejection_rate(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -275,7 +275,7 @@ fn labeled(label: &str, list: &str) -> String {
 }
 
 /// Everything a chaos sweep returns.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChaosOutcome {
     /// Aggregated, deterministic results (JSON-stable).
     pub report: ChaosReport,

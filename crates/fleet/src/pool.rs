@@ -348,7 +348,7 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Jobs per wall-clock second.
-    pub fn jobs_per_sec(&self) -> f64 {
+    fn jobs_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
             self.jobs as f64 / secs
@@ -425,7 +425,7 @@ impl PoolStats {
 
 /// Everything a sweep returns: the deterministic report and the
 /// host-time pool statistics.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// Aggregated, deterministic results (JSON-stable).
     pub report: SweepReport,

@@ -19,7 +19,7 @@
 //!   [`TicketId`], applying
 //!   backpressure ([`SubmitError::Saturated`]) when the queue is full
 //!   and per-client quotas ([`SubmitError::QuotaExceeded`]) when one
-//!   client hoards the service.
+//!   client holds too many tickets.
 //! * [`FleetService::poll`] reports ticket progress without blocking.
 //! * [`FleetService::wait`] blocks until the ticket finalizes and
 //!   returns its [`ServiceReport`].
@@ -37,6 +37,19 @@
 //! client submitting a 4-job one. Within a lane, jobs run in submission
 //! (slot) order.
 //!
+//! **One state, one lock.** The ticket table, the client lanes, the
+//! round-robin cursor and every counter form one plain `State` behind
+//! one mutex, beside two condvars (`work` wakes workers, `done` wakes
+//! waiters). Each call makes its change as one `State` transition under
+//! the lock, so a ticket and its queued jobs never disagree; plans and
+//! forgotten tickets are dropped after the lock is released. A ticket
+//! is `Running`, `Done` or `Cancelled`, and the queue depth and a
+//! client's quota count are computed from the lanes and the table.
+//! `State` holds no thread, lock or cache, so a unit test drives it
+//! directly through every interleaving of submit, dispatch, finish,
+//! cancel, collect and disconnect for two clients, two tickets each and
+//! two workers, checking the invariants after every step.
+//!
 //! **Determinism** is untouched by any of this: results are aggregated
 //! per ticket into slots addressed by `(cell, plan, corruption, seed)`
 //! and finalized in slot order, so a
@@ -45,10 +58,10 @@
 //! [`ServiceStats`] — host-side observability, never part of a report —
 //! can vary.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::aggregate::Aggregator;
 use crate::chaos::{self, ChaosOutcome};
@@ -80,10 +93,14 @@ pub struct ServiceConfig {
     ///
     /// [`submit`]: FleetService::submit
     pub queue_capacity: usize,
-    /// Maximum unfinished tickets per client before [`submit`] returns
-    /// [`SubmitError::QuotaExceeded`].
+    /// Maximum tickets a client holds before [`submit`] returns
+    /// [`SubmitError::QuotaExceeded`]. A ticket is held from its
+    /// submission, running, finished or cancelled, until [`wait`]
+    /// returns for it or the client disconnects; so the ticket table
+    /// never holds more than this many tickets per client.
     ///
     /// [`submit`]: FleetService::submit
+    /// [`wait`]: FleetService::wait
     pub max_pending_per_client: usize,
 }
 
@@ -138,7 +155,7 @@ pub enum WorkItem {
 
 /// A finalized ticket's result, matching the submitted [`WorkItem`]
 /// kind.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ServiceReport {
     /// Result of a [`WorkItem::Sweep`].
     Sweep(SweepOutcome),
@@ -179,9 +196,12 @@ pub enum SubmitError {
         /// Jobs this item would have added.
         jobs: usize,
     },
-    /// The client already has too many unfinished tickets.
+    /// The client already holds its quota of tickets, counting finished
+    /// and cancelled ones it has not collected. A slot frees when
+    /// [`FleetService::wait`] returns for one of them or the client
+    /// disconnects.
     QuotaExceeded {
-        /// Unfinished tickets the client holds.
+        /// Tickets the client holds.
         pending: usize,
         /// The configured bound
         /// ([`ServiceConfig::max_pending_per_client`]).
@@ -205,7 +225,7 @@ impl std::fmt::Display for SubmitError {
             ),
             SubmitError::QuotaExceeded { pending, quota } => write!(
                 f,
-                "client quota exceeded: {pending} unfinished ticket(s) of {quota} allowed"
+                "client quota exceeded: {pending} uncollected ticket(s) of {quota} allowed"
             ),
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
@@ -237,7 +257,11 @@ impl std::fmt::Display for WaitError {
 pub struct ServiceStats {
     /// Worker thread count.
     pub workers: usize,
-    /// Distinct clients that have submitted work.
+    /// Client lanes opened. A lane opens at a client's first submission
+    /// and closes when the client disconnects, so an id that submits
+    /// again after [`FleetService::disconnect`] counts twice. The server
+    /// gives every connection a fresh id, so there this counts the
+    /// connections that submitted work.
     pub clients: usize,
     /// Tickets admitted since the service started.
     pub tickets_submitted: u64,
@@ -298,7 +322,7 @@ impl ServiceStats {
 }
 
 /// One queued job: `index` into its ticket's job list.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Task {
     ticket: TicketId,
     index: usize,
@@ -312,7 +336,8 @@ pub(crate) struct Plan {
     pub(crate) shared: Vec<Option<Built>>,
     pub(crate) fps: Vec<(u64, bool)>,
     jobs: Vec<Job>,
-    /// The ticket's scenario memo, keyed by job fingerprint.
+    /// The ticket's scenario memo, keyed by job fingerprint. Workers
+    /// use it outside the state lock, so it has a lock of its own.
     scenarios: Mutex<HashMap<u64, Built>>,
 }
 
@@ -331,115 +356,42 @@ impl Plan {
     }
 }
 
+/// Where a ticket is in its life.
+#[derive(Clone)]
+enum Phase {
+    /// Jobs are queued or in flight; `remaining` results are still to
+    /// come into `agg`.
+    Running {
+        plan: Arc<Plan>,
+        agg: Aggregator,
+        remaining: usize,
+    },
+    /// Finalized; the report waits for [`FleetService::wait`].
+    Done(ServiceReport),
+    /// Cancelled; no report will come.
+    Cancelled,
+}
+
+#[derive(Clone)]
 struct Ticket {
     client: ClientId,
-    /// The jobs' plan while any are left to run; `None` once the
-    /// ticket finalized or was cancelled.
-    plan: Option<Arc<Plan>>,
     /// Finalize into the chaos view instead of the sweep report.
     chaos: bool,
-    agg: Option<Aggregator>,
-    /// Jobs not yet accepted; 0 means finalized.
-    remaining: usize,
-    cancelled: bool,
-    report: Option<ServiceReport>,
     started: Instant,
     plans_before: PlanCacheStats,
     /// The counters accumulated job by job; finalize fills in the rest.
     stats: PoolStats,
+    phase: Phase,
 }
 
-/// One client's FIFO lane of the central queue.
-struct Lane {
-    client: ClientId,
-    tasks: VecDeque<Task>,
-}
-
-struct QueueState {
-    lanes: Vec<Lane>,
-    /// Round-robin cursor over lanes.
-    next: usize,
-    peak: usize,
-    shutdown: bool,
-}
-
-impl QueueState {
-    /// The lane for `client`, created on first submission and removed
-    /// when the client disconnects.
-    fn lane(&mut self, client: ClientId) -> &mut Lane {
-        if let Some(i) = self.lanes.iter().position(|l| l.client == client) {
-            return &mut self.lanes[i];
-        }
-        self.lanes.push(Lane {
-            client,
-            tasks: VecDeque::new(),
-        });
-        self.lanes.last_mut().expect("just pushed")
-    }
-
-    /// Pops the next task round-robin across client lanes.
-    fn pop(&mut self) -> Option<Task> {
-        let n = self.lanes.len();
-        for probe in 0..n {
-            let i = (self.next + probe) % n;
-            if let Some(task) = self.lanes[i].tasks.pop_front() {
-                self.next = (i + 1) % n;
-                return Some(task);
-            }
-        }
-        None
-    }
-}
-
-struct TicketTable {
-    entries: HashMap<TicketId, Ticket>,
-    /// Unfinished tickets per client (the quota counter).
-    pending: HashMap<ClientId, usize>,
-}
-
-/// Cumulative service counters: the distinct clients, and the
-/// [`ServiceStats`] counters (the live gauges are filled in when
-/// [`FleetService::stats`] snapshots them).
-#[derive(Default)]
-struct Totals {
-    clients: HashSet<ClientId>,
-    counters: ServiceStats,
-}
-
-struct Inner {
-    workers: usize,
-    queue_capacity: usize,
-    quota: usize,
-    cache: Arc<FleetCache>,
-    queue: Mutex<QueueState>,
-    /// Signals workers that the queue changed (paired with `queue`).
-    work: Condvar,
-    /// Mirror of total queued tasks, for lock-free depth sampling.
-    queued: AtomicUsize,
-    tickets: Mutex<TicketTable>,
-    /// Signals waiters that a ticket finalized (paired with `tickets`).
-    done: Condvar,
-    next_ticket: AtomicU64,
-    worker_stats: Mutex<Vec<WorkerStats>>,
-    totals: Mutex<Totals>,
-}
-
-// Lock discipline: `queue`, `tickets`, `worker_stats`, and `totals` are
-// never acquired in conflicting orders — `queue` is always taken alone,
-// and `worker_stats`/`totals` only ever nest *inside* `tickets` (in
-// accept/finalize). Waiters block on `done` holding `tickets`, which the
-// condvar releases.
-
-impl Inner {
-    fn submit(&self, client: ClientId, item: WorkItem) -> Result<TicketId, SubmitError> {
+impl Ticket {
+    /// A running ticket for `item`: jobs expanded, slots allocated and
+    /// plan built, all before the state lock is taken.
+    fn new(client: ClientId, item: WorkItem, plans_before: PlanCacheStats) -> Ticket {
         let (spec, chaos) = match item {
             WorkItem::Sweep(spec) => (spec, false),
             WorkItem::Chaos(spec) => (spec, true),
         };
-        // Refuse what cannot fit before expanding jobs or allocating
-        // slots: a grid's job count is cheap to compute, its expansion
-        // is not.
-        self.admits(spec.job_count())?;
         let jobs = spec.jobs();
         let total = jobs.len();
         let agg = Aggregator::new(&spec);
@@ -450,188 +402,63 @@ impl Inner {
             jobs,
             scenarios: Mutex::default(),
         };
-        let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut tickets = lock(&self.tickets);
-            let pending = tickets.pending.entry(client).or_insert(0);
-            if *pending >= self.quota {
-                return Err(SubmitError::QuotaExceeded {
-                    pending: *pending,
-                    quota: self.quota,
-                });
-            }
-            *pending += 1;
-            tickets.entries.insert(
-                id,
-                Ticket {
-                    client,
-                    plan: Some(Arc::new(plan)),
-                    chaos,
-                    agg: Some(agg),
-                    remaining: total,
-                    cancelled: false,
-                    report: None,
-                    started: Instant::now(),
-                    plans_before: self.cache.plans().stats(),
-                    stats: PoolStats {
-                        workers: self.workers,
-                        jobs: total,
-                        // The historical semantic: queue depth is at
-                        // least this ticket's own job count.
-                        max_queue_depth: total,
-                        ..PoolStats::default()
-                    },
-                },
-            );
-        }
-        if total == 0 {
-            // An empty grid finalizes immediately, matching the one-shot
-            // entry points (zero boots, empty report).
-            let mut tickets = lock(&self.tickets);
-            if let Some(t) = tickets.entries.get_mut(&id) {
-                t.plan = None;
-                self.finalize_ticket(t);
-                if let Some(p) = tickets.pending.get_mut(&client) {
-                    *p = p.saturating_sub(1);
-                }
-            }
-            drop(tickets);
-            self.done.notify_all();
-        } else {
-            let mut q = lock(&self.queue);
-            if q.shutdown {
-                drop(q);
-                self.retract(id, client);
-                return Err(SubmitError::ShuttingDown);
-            }
-            if let Err(e) = self.admits(total) {
-                drop(q);
-                self.retract(id, client);
-                return Err(e);
-            }
-            let lane = q.lane(client);
-            for index in 0..total {
-                lane.tasks.push_back(Task { ticket: id, index });
-            }
-            let depth = self.queued.fetch_add(total, Ordering::Relaxed) + total;
-            q.peak = q.peak.max(depth);
-            drop(q);
-            self.work.notify_all();
-        }
-        let mut totals = lock(&self.totals);
-        totals.counters.tickets_submitted += 1;
-        totals.clients.insert(client);
-        Ok(id)
-    }
-
-    /// Backpressure: refuses `jobs` more jobs when the queue cannot hold
-    /// them.
-    fn admits(&self, jobs: usize) -> Result<(), SubmitError> {
-        let queued = self.queued.load(Ordering::Relaxed);
-        if queued.saturating_add(jobs) > self.queue_capacity {
-            return Err(SubmitError::Saturated {
-                queued,
-                capacity: self.queue_capacity,
-                jobs,
-            });
-        }
-        Ok(())
-    }
-
-    /// Rolls back a ticket registration whose enqueue was refused.
-    fn retract(&self, id: TicketId, client: ClientId) {
-        let mut tickets = lock(&self.tickets);
-        tickets.entries.remove(&id);
-        if let Some(p) = tickets.pending.get_mut(&client) {
-            *p = p.saturating_sub(1);
+        Ticket {
+            client,
+            chaos,
+            started: Instant::now(),
+            plans_before,
+            stats: PoolStats {
+                jobs: total,
+                // The historical semantic: queue depth is at least this
+                // ticket's own job count.
+                max_queue_depth: total,
+                ..PoolStats::default()
+            },
+            phase: Phase::Running {
+                plan: Arc::new(plan),
+                agg,
+                remaining: total,
+            },
         }
     }
 
-    /// Blocks for the next task; `None` means shutdown *and* an empty
-    /// queue — shutdown drains accepted work before stopping.
-    fn next_task(&self) -> Option<Task> {
-        let mut q = lock(&self.queue);
-        loop {
-            if let Some(task) = q.pop() {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                return Some(task);
-            }
-            if q.shutdown {
-                return None;
-            }
-            q = self.work.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Accepts one worker result into its ticket, finalizing on the
-    /// last one.
-    fn accept(&self, ticket: TicketId, result: JobResult) {
-        let depth = self.queued.load(Ordering::Relaxed);
-        let mut tickets = lock(&self.tickets);
-        let table = &mut *tickets;
-        let Some(t) = table.entries.get_mut(&ticket) else {
-            return;
+    /// Turns a running ticket into its report, adds it to the service
+    /// `totals`, and returns its plan for the caller to drop after
+    /// releasing the state lock.
+    fn finalize(
+        &mut self,
+        plans: PlanCacheStats,
+        per_worker: &[WorkerStats],
+        totals: &mut ServiceStats,
+    ) -> Arc<Plan> {
+        let Phase::Running { plan, agg, .. } = std::mem::replace(&mut self.phase, Phase::Cancelled)
+        else {
+            unreachable!("only running tickets finalize");
         };
-        if t.cancelled {
-            // The result raced a cancel: discard it.
-            return;
-        }
-        let stats = &mut t.stats;
-        stats.max_queue_depth = stats.max_queue_depth.max(depth);
-        if let Ok((out, _)) = &result {
-            stats.kernel_sims += out.kernel_sims;
-            stats.peak_events = stats.peak_events.max(out.peak_events);
-            stats.cells_deduped += out.deduped;
-        }
-        t.agg
-            .as_mut()
-            .expect("unfinished tickets aggregate")
-            .accept_job(result);
-        t.remaining -= 1;
-        lock(&self.totals).counters.jobs_executed += 1;
-        if t.remaining == 0 {
-            let plan = t.plan.take();
-            self.finalize_ticket(t);
-            let client = t.client;
-            if let Some(p) = table.pending.get_mut(&client) {
-                *p = p.saturating_sub(1);
-            }
-            drop(tickets);
-            self.done.notify_all();
-            // The memo's scenarios go after the waiter is woken: here,
-            // or with the last in-flight job's reference.
-            drop(plan);
-        }
-    }
-
-    /// Builds the ticket's report (called with the ticket lock held).
-    fn finalize_ticket(&self, t: &mut Ticket) {
-        let agg = t.agg.take().expect("tickets finalize exactly once");
-        let plans = self.cache.plans().stats();
         let (restarts, recoveries, artifacts_rejected) = agg.fault_totals();
         let stats = PoolStats {
-            wall: t.started.elapsed(),
+            workers: per_worker.len(),
+            wall: self.started.elapsed(),
             restarts,
             // Counter deltas around this ticket; exact when the ticket
             // ran alone, approximate when concurrent tickets compiled
             // plans meanwhile.
             plans_compiled: plans
                 .plans_compiled
-                .saturating_sub(t.plans_before.plans_compiled),
-            plan_cache_hits: plans.hits.saturating_sub(t.plans_before.hits),
+                .saturating_sub(self.plans_before.plans_compiled),
+            plan_cache_hits: plans.hits.saturating_sub(self.plans_before.hits),
             recoveries,
             artifacts_rejected,
-            per_worker: lock(&self.worker_stats).clone(),
-            ..t.stats.clone()
+            per_worker: per_worker.to_vec(),
+            ..std::mem::take(&mut self.stats)
         };
-        let totals = &mut lock(&self.totals).counters;
         totals.tickets_completed += 1;
         totals.kernel_sims += stats.kernel_sims as u64;
         totals.cells_deduped += stats.cells_deduped as u64;
         totals.restarts += stats.restarts as u64;
         totals.recoveries += stats.recoveries as u64;
         totals.artifacts_rejected += stats.artifacts_rejected as u64;
-        t.report = Some(if t.chaos {
+        self.phase = Phase::Done(if self.chaos {
             ServiceReport::Chaos(ChaosOutcome {
                 report: chaos::view(agg),
                 stats,
@@ -642,166 +469,298 @@ impl Inner {
                 stats,
             })
         });
+        plan
+    }
+}
+
+/// One client's FIFO lane of the central queue.
+#[derive(Clone)]
+struct Lane {
+    client: ClientId,
+    tasks: VecDeque<Task>,
+}
+
+/// The service's whole state: the ticket table, the client lanes, the
+/// round-robin cursor, and the per-worker and service counters. It has
+/// no thread, lock or cache inside: [`FleetService`] keeps it behind one
+/// mutex and makes each call one transition, taking plan-cache numbers
+/// as arguments, and the unit tests drive it directly.
+#[derive(Clone)]
+struct State {
+    /// Maximum jobs queued across all clients.
+    capacity: usize,
+    /// Maximum tickets one client holds.
+    quota: usize,
+    tickets: HashMap<TicketId, Ticket>,
+    lanes: Vec<Lane>,
+    /// Round-robin cursor over `lanes`.
+    next_lane: usize,
+    next_ticket: TicketId,
+    per_worker: Vec<WorkerStats>,
+    /// The cumulative counters; [`State::stats`] fills in the gauges.
+    counters: ServiceStats,
+    shutdown: bool,
+}
+
+impl State {
+    fn new(config: &ServiceConfig) -> State {
+        let workers = config.workers.max(1);
+        State {
+            capacity: config.queue_capacity,
+            quota: config.max_pending_per_client.max(1),
+            tickets: HashMap::new(),
+            lanes: Vec::new(),
+            next_lane: 0,
+            next_ticket: 1,
+            per_worker: vec![WorkerStats::default(); workers],
+            counters: ServiceStats {
+                workers,
+                ..ServiceStats::default()
+            },
+            shutdown: false,
+        }
     }
 
-    fn wait(&self, id: TicketId) -> Result<ServiceReport, WaitError> {
-        let mut tickets = lock(&self.tickets);
-        loop {
-            match tickets.entries.get(&id) {
-                None => return Err(WaitError::UnknownTicket),
-                Some(t) if t.cancelled => {
-                    tickets.entries.remove(&id);
-                    return Err(WaitError::Cancelled);
-                }
-                Some(t) if t.report.is_some() => {
-                    let t = tickets.entries.remove(&id).expect("entry just observed");
-                    return Ok(t.report.expect("report just observed"));
-                }
-                Some(_) => {
-                    tickets = self.done.wait(tickets).unwrap_or_else(|p| p.into_inner());
-                }
+    /// Jobs queued right now, across every lane.
+    fn depth(&self) -> usize {
+        self.lanes.iter().map(|l| l.tasks.len()).sum()
+    }
+
+    /// Backpressure: refuses `jobs` more jobs when the queue cannot hold
+    /// them.
+    fn admits(&self, jobs: usize) -> Result<(), SubmitError> {
+        let queued = self.depth();
+        if queued.saturating_add(jobs) > self.capacity {
+            return Err(SubmitError::Saturated {
+                queued,
+                capacity: self.capacity,
+                jobs,
+            });
+        }
+        Ok(())
+    }
+
+    /// Admits `ticket` under the quota and the queue bound, queues its
+    /// jobs on its client's lane (opening the lane on the client's first
+    /// submission), and finalizes an empty grid at once.
+    fn submit(&mut self, mut ticket: Ticket) -> Result<TicketId, SubmitError> {
+        if self.shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        let client = ticket.client;
+        let held = self.tickets.values().filter(|t| t.client == client).count();
+        if held >= self.quota {
+            return Err(SubmitError::QuotaExceeded {
+                pending: held,
+                quota: self.quota,
+            });
+        }
+        let total = ticket.stats.jobs;
+        self.admits(total)?;
+        let id = self.next_ticket;
+        self.next_ticket += 1;
+        let lane = match self.lanes.iter().position(|l| l.client == client) {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.counters.clients += 1;
+                self.lanes.push(Lane {
+                    client,
+                    tasks: VecDeque::new(),
+                });
+                self.lanes.last_mut().expect("just pushed")
             }
+        };
+        lane.tasks
+            .extend((0..total).map(|index| Task { ticket: id, index }));
+        self.counters.tickets_submitted += 1;
+        self.counters.queue_peak = self.counters.queue_peak.max(self.depth());
+        if total == 0 {
+            // An empty grid finalizes immediately, matching the one-shot
+            // entry points (zero boots, empty report).
+            let plans = ticket.plans_before;
+            ticket.finalize(plans, &self.per_worker, &mut self.counters);
+        }
+        self.tickets.insert(id, ticket);
+        Ok(id)
+    }
+
+    /// Pops the next task round-robin across client lanes, with the plan
+    /// its job runs in.
+    fn dispatch(&mut self) -> Option<(Task, Arc<Plan>)> {
+        let n = self.lanes.len();
+        for probe in 0..n {
+            let i = (self.next_lane + probe) % n;
+            if let Some(task) = self.lanes[i].tasks.pop_front() {
+                self.next_lane = (i + 1) % n;
+                let Some(Phase::Running { plan, .. }) =
+                    self.tickets.get(&task.ticket).map(|t| &t.phase)
+                else {
+                    unreachable!("queued tasks belong to running tickets");
+                };
+                return Some((task, Arc::clone(plan)));
+            }
+        }
+        None
+    }
+
+    /// Takes `worker`'s result for `task`, which kept it busy for `busy`.
+    /// A result for a cancelled or forgotten ticket is discarded. The
+    /// ticket's last result finalizes it, and its plan is returned for
+    /// the caller to drop after releasing the state lock.
+    fn finish(
+        &mut self,
+        task: Task,
+        worker: usize,
+        busy: Duration,
+        result: JobResult,
+        plans: PlanCacheStats,
+    ) -> Option<Arc<Plan>> {
+        let ws = &mut self.per_worker[worker];
+        ws.jobs += 1;
+        ws.busy += busy;
+        let depth = self.depth();
+        let t = self.tickets.get_mut(&task.ticket)?;
+        let Phase::Running { agg, remaining, .. } = &mut t.phase else {
+            return None;
+        };
+        let stats = &mut t.stats;
+        stats.max_queue_depth = stats.max_queue_depth.max(depth);
+        if let Ok((out, _)) = &result {
+            stats.kernel_sims += out.kernel_sims;
+            stats.peak_events = stats.peak_events.max(out.peak_events);
+            stats.cells_deduped += out.deduped;
+        }
+        agg.accept_job(result);
+        *remaining -= 1;
+        self.counters.jobs_executed += 1;
+        if *remaining > 0 {
+            return None;
+        }
+        Some(t.finalize(plans, &self.per_worker, &mut self.counters))
+    }
+
+    /// Hands over a finished ticket's outcome and forgets the ticket;
+    /// `None` while it is still running.
+    fn collect(&mut self, id: TicketId) -> Option<Result<ServiceReport, WaitError>> {
+        match self.tickets.entry(id) {
+            Entry::Vacant(_) => Some(Err(WaitError::UnknownTicket)),
+            Entry::Occupied(e) if matches!(e.get().phase, Phase::Running { .. }) => None,
+            Entry::Occupied(e) => match e.remove().phase {
+                Phase::Done(report) => Some(Ok(report)),
+                _ => Some(Err(WaitError::Cancelled)),
+            },
         }
     }
 
     fn poll(&self, id: TicketId) -> Option<TicketStatus> {
-        let tickets = lock(&self.tickets);
-        tickets.entries.get(&id).map(|t| {
-            if t.cancelled {
-                TicketStatus::Cancelled
-            } else if t.report.is_some() {
-                TicketStatus::Done
-            } else {
+        let t = self.tickets.get(&id)?;
+        Some(match &t.phase {
+            Phase::Cancelled => TicketStatus::Cancelled,
+            Phase::Done(_) => TicketStatus::Done,
+            Phase::Running { remaining, .. } => {
                 let total = t.stats.jobs;
-                let completed = t.agg.as_ref().map_or(total, Aggregator::accepted);
-                if completed == 0 {
-                    TicketStatus::Queued { total }
-                } else {
-                    TicketStatus::Running { completed, total }
+                match total - remaining {
+                    0 => TicketStatus::Queued { total },
+                    completed => TicketStatus::Running { completed, total },
                 }
             }
         })
     }
 
-    fn cancel(&self, id: TicketId) -> bool {
-        // Retract queued jobs first; anything already in flight is
-        // discarded at accept time.
-        let mut removed = 0usize;
-        {
-            let mut q = lock(&self.queue);
-            for lane in &mut q.lanes {
-                lane.tasks.retain(|t| {
-                    if t.ticket == id {
-                        removed += 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
+    /// Cancels a running ticket and retracts its queued jobs. Returns
+    /// its plan, for the caller to drop after releasing the state lock,
+    /// or `None` if the ticket is not running.
+    fn cancel(&mut self, id: TicketId) -> Option<Arc<Plan>> {
+        let t = self.tickets.get_mut(&id)?;
+        let plan = match std::mem::replace(&mut t.phase, Phase::Cancelled) {
+            Phase::Running { plan, .. } => plan,
+            finished => {
+                t.phase = finished;
+                return None;
             }
-        }
-        if removed > 0 {
-            self.queued.fetch_sub(removed, Ordering::Relaxed);
-        }
-        let mut tickets = lock(&self.tickets);
-        let table = &mut *tickets;
-        let Some(t) = table.entries.get_mut(&id) else {
-            return false;
         };
-        if t.cancelled || t.report.is_some() {
-            return false;
+        let client = t.client;
+        self.counters.tickets_cancelled += 1;
+        // A ticket's tasks all sit in its client's lane.
+        if let Some(lane) = self.lanes.iter_mut().find(|l| l.client == client) {
+            lane.tasks.retain(|task| task.ticket != id);
         }
-        t.cancelled = true;
-        let plan = t.plan.take();
-        // The quota slot frees immediately: a cancelled ticket is no
-        // longer "pending" even while in-flight jobs drain.
-        if let Some(p) = table.pending.get_mut(&t.client) {
-            *p = p.saturating_sub(1);
-        }
-        drop(tickets);
-        lock(&self.totals).counters.tickets_cancelled += 1;
-        self.done.notify_all();
-        drop(plan);
-        true
+        Some(plan)
     }
 
-    fn disconnect(&self, client: ClientId) {
-        // The client's lane holds only its own queued jobs.
-        let removed = {
-            let mut q = lock(&self.queue);
-            match q.lanes.iter().position(|l| l.client == client) {
-                Some(i) => {
-                    let lane = q.lanes.remove(i);
-                    if i < q.next {
-                        q.next -= 1;
-                    }
-                    if q.next >= q.lanes.len() {
-                        q.next = 0;
-                    }
-                    lane.tasks.len()
-                }
-                None => 0,
+    /// Closes `client`'s lane and forgets its tickets, counting the
+    /// running ones as cancelled. Returns them for the caller to drop
+    /// after releasing the state lock.
+    fn disconnect(&mut self, client: ClientId) -> Vec<Ticket> {
+        if let Some(i) = self.lanes.iter().position(|l| l.client == client) {
+            self.lanes.remove(i);
+            if i < self.next_lane {
+                self.next_lane -= 1;
             }
-        };
-        self.queued.fetch_sub(removed, Ordering::Relaxed);
-        let mut tickets = lock(&self.tickets);
-        let forgotten: Vec<Ticket> = tickets
-            .entries
+            if self.next_lane >= self.lanes.len() {
+                self.next_lane = 0;
+            }
+        }
+        let forgotten: Vec<Ticket> = self
+            .tickets
             .extract_if(|_, t| t.client == client)
             .map(|(_, t)| t)
             .collect();
-        tickets.pending.remove(&client);
-        drop(tickets);
-        let unfinished = forgotten
+        let running = forgotten
             .iter()
-            .filter(|t| !t.cancelled && t.report.is_none())
+            .filter(|t| matches!(t.phase, Phase::Running { .. }))
             .count();
-        lock(&self.totals).counters.tickets_cancelled += unfinished as u64;
-        self.done.notify_all();
-        drop(forgotten);
+        self.counters.tickets_cancelled += running as u64;
+        forgotten
     }
 
-    fn stats(&self) -> ServiceStats {
-        let totals = lock(&self.totals);
-        let snapshot = ServiceStats {
-            workers: self.workers,
-            clients: totals.clients.len(),
-            queue_depth: self.queued.load(Ordering::Relaxed),
-            ..totals.counters.clone()
-        };
-        drop(totals);
-        let plans = self.cache.plans().stats();
+    fn stats(&self, plans: PlanCacheStats) -> ServiceStats {
         ServiceStats {
-            queue_peak: lock(&self.queue).peak,
+            queue_depth: self.depth(),
             plans_compiled: plans.plans_compiled,
             plan_cache_hits: plans.hits,
-            ..snapshot
+            ..self.counters.clone()
         }
     }
 }
 
+/// What the service's threads share.
+struct Inner {
+    cache: Arc<FleetCache>,
+    state: Mutex<State>,
+    /// Signals workers that jobs were queued or shutdown began.
+    work: Condvar,
+    /// Signals waiters that a ticket finalized, was cancelled or was
+    /// forgotten.
+    done: Condvar,
+}
+
 fn worker_loop(inner: Arc<Inner>, w: usize) {
     let mut builder = bb_sim::MachineBuilder::new();
-    while let Some(task) = inner.next_task() {
-        let plan = {
-            let tickets = lock(&inner.tickets);
-            tickets
-                .entries
-                .get(&task.ticket)
-                .and_then(|t| t.plan.clone())
+    loop {
+        let (task, plan) = {
+            let mut state = lock(&inner.state);
+            loop {
+                // Shutdown drains accepted work before stopping.
+                if let Some(next) = state.dispatch() {
+                    break next;
+                }
+                if state.shutdown {
+                    return;
+                }
+                state = inner.work.wait(state).unwrap_or_else(|p| p.into_inner());
+            }
         };
-        // Cancelled, forgotten or retracted tickets leave orphan tasks;
-        // skip them.
-        let Some(plan) = plan else { continue };
         let started = Instant::now();
         let result = run_job(&plan, &inner.cache, plan.jobs[task.index], &mut builder);
-        let elapsed = started.elapsed();
-        {
-            let mut ws = lock(&inner.worker_stats);
-            ws[w].jobs += 1;
-            ws[w].busy += elapsed;
+        let busy = started.elapsed();
+        let plans = inner.cache.plans().stats();
+        let finalized = lock(&inner.state).finish(task, w, busy, result, plans);
+        if finalized.is_some() {
+            inner.done.notify_all();
         }
-        inner.accept(task.ticket, result);
+        // The memo's scenarios go after the waiter is woken: with the
+        // ticket's reference here, or with the last in-flight job's.
     }
 }
 
@@ -825,28 +784,13 @@ impl FleetService {
     /// survive service restarts, and multiple services can (read: tests
     /// do) share one cache.
     pub fn with_cache(config: ServiceConfig, cache: Arc<FleetCache>) -> Self {
-        let workers = config.workers.max(1);
+        let state = State::new(&config);
+        let workers = state.per_worker.len();
         let inner = Arc::new(Inner {
-            workers,
-            queue_capacity: config.queue_capacity,
-            quota: config.max_pending_per_client.max(1),
             cache,
-            queue: Mutex::new(QueueState {
-                lanes: Vec::new(),
-                next: 0,
-                peak: 0,
-                shutdown: false,
-            }),
+            state: Mutex::new(state),
             work: Condvar::new(),
-            queued: AtomicUsize::new(0),
-            tickets: Mutex::new(TicketTable {
-                entries: HashMap::new(),
-                pending: HashMap::new(),
-            }),
             done: Condvar::new(),
-            next_ticket: AtomicU64::new(1),
-            worker_stats: Mutex::new(vec![WorkerStats::default(); workers]),
-            totals: Mutex::new(Totals::default()),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -867,10 +811,21 @@ impl FleetService {
 
     /// Enqueues a work item for `client` and returns its ticket.
     /// Applies the queue-capacity and per-client-quota admission policy
-    /// (see [`ServiceConfig`]) before expanding the grid; an empty grid
-    /// finalizes immediately.
+    /// (see [`ServiceConfig`]); the queue bound is checked before the
+    /// grid is expanded as well. An empty grid finalizes immediately.
     pub fn submit(&self, client: ClientId, item: WorkItem) -> Result<TicketId, SubmitError> {
-        self.inner.submit(client, item)
+        // Refuse what cannot fit before expanding jobs or allocating
+        // slots: a grid's job count is cheap to compute, its expansion
+        // is not.
+        let (WorkItem::Sweep(spec) | WorkItem::Chaos(spec)) = &item;
+        self.admits(spec.job_count())?;
+        let ticket = Ticket::new(client, item, self.inner.cache.plans().stats());
+        let queued = ticket.stats.jobs > 0;
+        let id = lock(&self.inner.state).submit(ticket)?;
+        if queued {
+            self.inner.work.notify_all();
+        }
+        Ok(id)
     }
 
     /// The queue-capacity half of [`submit`](Self::submit)'s admission
@@ -878,29 +833,46 @@ impl FleetService {
     /// grid: [`SubmitError::Saturated`] if the queue cannot hold them
     /// right now.
     pub fn admits(&self, jobs: usize) -> Result<(), SubmitError> {
-        self.inner.admits(jobs)
+        lock(&self.inner.state).admits(jobs)
     }
 
     /// Non-blocking progress for a ticket; `None` once the report was
     /// collected or its client disconnected (or the id was never
     /// issued).
     pub fn poll(&self, ticket: TicketId) -> Option<TicketStatus> {
-        self.inner.poll(ticket)
+        lock(&self.inner.state).poll(ticket)
     }
 
     /// Blocks until the ticket finalizes and returns its report. Each
     /// report can be collected once; a second wait on the same id
-    /// returns [`WaitError::UnknownTicket`].
+    /// returns [`WaitError::UnknownTicket`]. Returning, with the report
+    /// or with [`WaitError::Cancelled`], frees the ticket's quota slot.
     pub fn wait(&self, ticket: TicketId) -> Result<ServiceReport, WaitError> {
-        self.inner.wait(ticket)
+        let mut state = lock(&self.inner.state);
+        loop {
+            if let Some(outcome) = state.collect(ticket) {
+                return outcome;
+            }
+            state = self
+                .inner
+                .done
+                .wait(state)
+                .unwrap_or_else(|p| p.into_inner());
+        }
     }
 
-    /// Cancels a ticket: queued jobs are dropped, in-flight results
-    /// discarded, the client's quota slot freed. Returns `false` if the
-    /// ticket already finalized (its report stays collectable) or is
-    /// unknown.
+    /// Cancels a ticket: queued jobs are dropped and in-flight results
+    /// discarded. The ticket keeps its client's quota slot until
+    /// [`wait`](Self::wait) collects the cancellation or the client
+    /// disconnects. Returns `false` if the ticket already finalized (its
+    /// report stays collectable), was already cancelled, or is unknown.
     pub fn cancel(&self, ticket: TicketId) -> bool {
-        self.inner.cancel(ticket)
+        let plan = lock(&self.inner.state).cancel(ticket);
+        if plan.is_none() {
+            return false;
+        }
+        self.inner.done.notify_all();
+        true
     }
 
     /// Forgets every ticket `client` submitted and has not collected,
@@ -908,15 +880,19 @@ impl FleetService {
     /// calls this when a connection ends). Unfinished tickets are
     /// cancelled: queued jobs are dropped and in-flight results
     /// discarded. Finished reports are dropped, and the client's quota
-    /// slots and queue lane are freed. Call it after the client's last
-    /// submission; a ticket submitted concurrently may be missed.
+    /// slots and queue lane are freed. A later submission under the same
+    /// id opens a new lane.
     pub fn disconnect(&self, client: ClientId) {
-        self.inner.disconnect(client)
+        let forgotten = lock(&self.inner.state).disconnect(client);
+        if !forgotten.is_empty() {
+            self.inner.done.notify_all();
+        }
     }
 
     /// Snapshots service-wide observability counters.
     pub fn stats(&self) -> ServiceStats {
-        self.inner.stats()
+        let plans = self.inner.cache.plans().stats();
+        lock(&self.inner.state).stats(plans)
     }
 
     /// Stops admission, drains accepted work, and joins the workers.
@@ -925,10 +901,7 @@ impl FleetService {
     }
 
     fn stop(&mut self) {
-        {
-            let mut q = lock(&self.inner.queue);
-            q.shutdown = true;
-        }
+        lock(&self.inner.state).shutdown = true;
         self.inner.work.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -946,6 +919,8 @@ impl Drop for FleetService {
 mod tests {
     use super::*;
     use crate::pool::tests::tiny_spec;
+    use crate::pool::JobFailure;
+    use std::collections::HashSet;
 
     #[test]
     fn tickets_resolve_and_reports_match_the_one_shot_path() {
@@ -1024,6 +999,58 @@ mod tests {
     }
 
     #[test]
+    fn uncollected_tickets_hold_the_quota_until_wait() {
+        let config = ServiceConfig {
+            workers: 1,
+            max_pending_per_client: 1,
+            ..ServiceConfig::default()
+        };
+        let service = FleetService::start(config);
+        let refused = Err(SubmitError::QuotaExceeded {
+            pending: 1,
+            quota: 1,
+        });
+        let first = service
+            .submit(1, WorkItem::Sweep(tiny_spec([1])))
+            .expect("admitted");
+        while service.poll(first) != Some(TicketStatus::Done) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // A finished report the client has not collected holds its slot.
+        assert_eq!(service.submit(1, WorkItem::Sweep(tiny_spec([2]))), refused);
+        assert!(service.wait(first).is_ok());
+        // So does a cancellation, until `wait` collects it.
+        let second = service
+            .submit(1, WorkItem::Sweep(tiny_spec(0..8)))
+            .expect("admitted once the report was collected");
+        assert!(service.cancel(second));
+        assert_eq!(service.submit(1, WorkItem::Sweep(tiny_spec([2]))), refused);
+        assert!(matches!(service.wait(second), Err(WaitError::Cancelled)));
+        let third = service
+            .submit(1, WorkItem::Sweep(tiny_spec([2])))
+            .expect("admitted once the cancellation was collected");
+        assert!(service.wait(third).is_ok());
+    }
+
+    #[test]
+    fn clients_count_lane_openings() {
+        let service = FleetService::start(ServiceConfig::with_workers(1));
+        let run = |client| {
+            let t = service
+                .submit(client, WorkItem::Sweep(tiny_spec([1])))
+                .expect("admitted");
+            assert!(service.wait(t).is_ok());
+        };
+        run(7);
+        run(7);
+        assert_eq!(service.stats().clients, 1, "one lane while 7 is connected");
+        service.disconnect(7);
+        // Reusing the id after its disconnect opens a second lane.
+        run(7);
+        assert_eq!(service.stats().clients, 2);
+    }
+
+    #[test]
     fn saturated_queues_push_back() {
         let config = ServiceConfig {
             workers: 1,
@@ -1075,9 +1102,11 @@ mod tests {
 
     #[test]
     fn disconnect_forgets_only_that_clients_tickets() {
+        // Quota 2: the finished ticket holds one slot while the second
+        // submission takes the other.
         let config = ServiceConfig {
             workers: 1,
-            max_pending_per_client: 1,
+            max_pending_per_client: 2,
             ..ServiceConfig::default()
         };
         let service = FleetService::start(config);
@@ -1183,5 +1212,302 @@ mod tests {
                 .and_then(crate::json::Json::as_f64),
             Some(1.0)
         );
+    }
+
+    /// The interleaving check's scope. Each ticket is a two-job grid and
+    /// each client's quota is one ticket.
+    const CLIENTS: usize = 2;
+    const TICKETS_PER_CLIENT: usize = 2;
+    const WORKERS: usize = 2;
+
+    /// One caller or worker action against the state.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// The client submits its next ticket.
+        Submit(usize),
+        /// An idle worker takes the next task.
+        Dispatch(usize),
+        /// A busy worker's result arrives.
+        Finish(usize),
+        Cancel(TicketId),
+        /// A `wait` that does not block: the ticket is not running.
+        Collect(TicketId),
+        Disconnect(usize),
+    }
+
+    /// The state plus what its callers and workers have done and seen.
+    #[derive(Clone)]
+    struct World {
+        state: State,
+        /// The task each worker has in flight.
+        flight: [Option<Task>; WORKERS],
+        /// Tickets admitted per client.
+        submitted: [usize; CLIENTS],
+        /// Whether the client submitted since it last disconnected (or
+        /// has not disconnected yet).
+        connected: [bool; CLIENTS],
+        /// Bit `id`: a collect returned the ticket's report.
+        reported: u8,
+        /// Bit `id`: a cancel of the ticket returned true.
+        cancelled: u8,
+    }
+
+    impl World {
+        fn steps(&self) -> Vec<Step> {
+            let mut steps = Vec::new();
+            for c in 0..CLIENTS {
+                if self.submitted[c] < TICKETS_PER_CLIENT {
+                    steps.push(Step::Submit(c));
+                }
+                if self.connected[c] {
+                    steps.push(Step::Disconnect(c));
+                }
+            }
+            for (w, task) in self.flight.iter().enumerate() {
+                match task {
+                    None if self.state.depth() > 0 => steps.push(Step::Dispatch(w)),
+                    None => {}
+                    Some(_) => steps.push(Step::Finish(w)),
+                }
+            }
+            for id in 1..self.state.next_ticket {
+                if let Some(t) = self.state.tickets.get(&id) {
+                    steps.push(Step::Cancel(id));
+                    if !matches!(t.phase, Phase::Running { .. }) {
+                        steps.push(Step::Collect(id));
+                    }
+                }
+            }
+            steps
+        }
+
+        /// Applies `step`, checking what the call returned.
+        fn apply(&mut self, step: Step, proto: &Ticket) -> Result<(), String> {
+            let state = &mut self.state;
+            match step {
+                Step::Submit(c) => {
+                    let client = c as ClientId;
+                    let held = state.tickets.values().filter(|t| t.client == client);
+                    let held = held.count();
+                    let ticket = Ticket {
+                        client,
+                        ..proto.clone()
+                    };
+                    match state.submit(ticket) {
+                        Ok(_) if held < state.quota => {
+                            self.submitted[c] += 1;
+                            self.connected[c] = true;
+                        }
+                        Err(SubmitError::QuotaExceeded { pending, .. })
+                            if pending == held && held >= state.quota => {}
+                        other => return Err(format!("submit with {held} held: {other:?}")),
+                    }
+                }
+                Step::Dispatch(w) => {
+                    let (task, _) = state.dispatch().ok_or("nothing to dispatch")?;
+                    self.flight[w] = Some(task);
+                }
+                Step::Finish(w) => {
+                    let task = self.flight[w].take().expect("a task in flight");
+                    let fail = JobFailure {
+                        job: proto_plan(proto).jobs[task.index],
+                        seed: task.index as u64,
+                        kind: crate::FailureKind::Panic("synthetic".into()),
+                    };
+                    let plans = proto.plans_before;
+                    let finalized = state.finish(task, w, Duration::ZERO, Err(fail), plans);
+                    let done = state
+                        .tickets
+                        .get(&task.ticket)
+                        .is_some_and(|t| matches!(t.phase, Phase::Done(_)));
+                    if finalized.is_some() != done {
+                        return Err(format!("finish returned a plan: {}", finalized.is_some()));
+                    }
+                }
+                Step::Cancel(id) => {
+                    let running = state
+                        .tickets
+                        .get(&id)
+                        .is_some_and(|t| matches!(t.phase, Phase::Running { .. }));
+                    let cancelled = state.cancel(id).is_some();
+                    if cancelled != running {
+                        return Err(format!("cancel of ticket {id} returned {cancelled}"));
+                    }
+                    if cancelled {
+                        self.cancelled |= 1 << id;
+                    }
+                }
+                Step::Collect(id) => {
+                    let bit = 1 << id;
+                    match state.collect(id) {
+                        Some(Ok(_)) if self.reported & bit != 0 => {
+                            return Err(format!("ticket {id} reported twice"));
+                        }
+                        Some(Ok(_)) if self.cancelled & bit != 0 => {
+                            return Err(format!("ticket {id} reported after its cancel"));
+                        }
+                        Some(Ok(_)) => self.reported |= bit,
+                        Some(Err(WaitError::Cancelled)) if self.cancelled & bit != 0 => {}
+                        other => return Err(format!("collect of ticket {id}: {other:?}")),
+                    }
+                }
+                Step::Disconnect(c) => {
+                    state.disconnect(c as ClientId);
+                    self.connected[c] = false;
+                }
+            }
+            Ok(())
+        }
+
+        /// The invariants that hold between any two steps.
+        fn check(&self) -> Result<(), String> {
+            let state = &self.state;
+            for c in 0..CLIENTS as ClientId {
+                let held = state.tickets.values().filter(|t| t.client == c).count();
+                if held > state.quota {
+                    return Err(format!("client {c} holds {held} tickets"));
+                }
+            }
+            for lane in &state.lanes {
+                for task in &lane.tasks {
+                    match state.tickets.get(&task.ticket) {
+                        Some(t) if t.client == lane.client => {
+                            if !matches!(t.phase, Phase::Running { .. }) {
+                                return Err(format!("{task:?} is queued for a stopped ticket"));
+                            }
+                        }
+                        _ => return Err(format!("{task:?} is queued in a stranger's lane")),
+                    }
+                }
+            }
+            let mut running = 0;
+            for (&id, t) in &state.tickets {
+                match &t.phase {
+                    Phase::Running { remaining, .. } => {
+                        running += 1;
+                        let queued = state.lanes.iter().flat_map(|l| &l.tasks);
+                        let queued = queued.filter(|task| task.ticket == id).count();
+                        let flying = self.flight.iter().flatten();
+                        let flying = flying.filter(|task| task.ticket == id).count();
+                        if *remaining != queued + flying {
+                            return Err(format!(
+                                "ticket {id}: {remaining} remaining, {queued} queued, {flying} in flight"
+                            ));
+                        }
+                    }
+                    Phase::Done(_) if self.cancelled & (1 << id) != 0 => {
+                        return Err(format!("ticket {id} finalized after its cancel"));
+                    }
+                    _ => {}
+                }
+            }
+            let n = &state.counters;
+            if n.tickets_submitted != n.tickets_completed + n.tickets_cancelled + running {
+                return Err(format!(
+                    "{} submitted, {} completed, {} cancelled, {running} running",
+                    n.tickets_submitted, n.tickets_completed, n.tickets_cancelled
+                ));
+            }
+            let quiet = self.connected == [false; CLIENTS] && self.flight == [None; WORKERS];
+            if quiet && !(state.tickets.is_empty() && state.lanes.is_empty()) {
+                return Err(format!(
+                    "{} tickets and {} lanes outlive every client",
+                    state.tickets.len(),
+                    state.lanes.len()
+                ));
+            }
+            Ok(())
+        }
+
+        /// Everything [`World::steps`], [`World::apply`] and
+        /// [`World::check`] read, so equal keys have equal futures.
+        fn key(&self) -> Vec<u8> {
+            let state = &self.state;
+            let task = |t: &Task| (t.ticket * 2 + t.index as u64) as u8;
+            let n = &state.counters;
+            let mut key = vec![
+                self.reported,
+                self.cancelled,
+                state.next_ticket as u8,
+                n.tickets_submitted as u8,
+                n.tickets_completed as u8,
+                n.tickets_cancelled as u8,
+                state.next_lane as u8,
+            ];
+            key.extend(self.submitted.iter().map(|&s| s as u8));
+            key.extend(self.connected.iter().map(|&c| u8::from(c)));
+            key.extend(self.flight.iter().map(|f| f.as_ref().map_or(0, task)));
+            for id in 1..state.next_ticket {
+                key.push(match state.tickets.get(&id) {
+                    None => 0,
+                    Some(t) => {
+                        let phase = match &t.phase {
+                            Phase::Running { remaining, .. } => 1 + *remaining as u8,
+                            Phase::Done(_) => 8,
+                            Phase::Cancelled => 9,
+                        };
+                        (t.client as u8) << 4 | phase
+                    }
+                });
+            }
+            for lane in &state.lanes {
+                key.push(0x80 | lane.client as u8);
+                key.extend(lane.tasks.iter().map(task));
+            }
+            key
+        }
+    }
+
+    fn proto_plan(proto: &Ticket) -> &Plan {
+        match &proto.phase {
+            Phase::Running { plan, .. } => plan,
+            _ => unreachable!("the prototype ticket runs"),
+        }
+    }
+
+    /// Depth-first over every step order from `world`, skipping states
+    /// already seen; panics with the path to the first violation.
+    fn explore(world: &World, proto: &Ticket, path: &mut Vec<Step>, seen: &mut HashSet<Vec<u8>>) {
+        for step in world.steps() {
+            path.push(step);
+            let mut next = world.clone();
+            if let Err(e) = next.apply(step, proto) {
+                panic!("{e}, after {path:?}");
+            }
+            if seen.insert(next.key()) {
+                if let Err(e) = next.check() {
+                    panic!("{e}, after {path:?}");
+                }
+                explore(&next, proto, path, seen);
+            }
+            path.pop();
+        }
+    }
+
+    #[test]
+    fn every_interleaving_keeps_the_ticket_invariants() {
+        let config = ServiceConfig {
+            workers: WORKERS,
+            queue_capacity: 64,
+            max_pending_per_client: 1,
+        };
+        let proto = Ticket::new(
+            0,
+            WorkItem::Sweep(tiny_spec([1, 2])),
+            FleetCache::fresh().plans().stats(),
+        );
+        let start = World {
+            state: State::new(&config),
+            flight: [None; WORKERS],
+            submitted: [0; CLIENTS],
+            connected: [true; CLIENTS],
+            reported: 0,
+            cancelled: 0,
+        };
+        let mut seen = HashSet::from([start.key()]);
+        explore(&start, &proto, &mut Vec::new(), &mut seen);
+        // Pins the search's reach: a change that loses states shrinks
+        // what the check covers.
+        assert_eq!(seen.len(), 147_016);
     }
 }

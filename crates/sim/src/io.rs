@@ -153,12 +153,14 @@ impl Device {
     }
 
     /// True if a request is in flight.
-    pub fn is_busy(&self) -> bool {
+    #[cfg(test)]
+    fn is_busy(&self) -> bool {
         self.busy_until.is_some()
     }
 
     /// Number of requests waiting or in flight.
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.queue.len() + usize::from(self.in_flight.is_some())
     }
 

@@ -155,7 +155,8 @@ impl ProcessSpec {
 
     /// Total reference CPU time of all `Compute` and `RcuReadHold` ops;
     /// useful for workload reports.
-    pub fn total_compute(&self) -> SimDuration {
+    #[cfg(test)]
+    fn total_compute(&self) -> SimDuration {
         self.ops
             .iter()
             .map(|op| match op {

@@ -136,7 +136,8 @@ impl Histogram {
     }
 
     /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    #[cfg(test)]
+    fn merge(&mut self, other: &Histogram) {
         self.samples.extend_from_slice(&other.samples);
     }
 }

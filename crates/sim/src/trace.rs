@@ -122,7 +122,8 @@ impl Trace {
     }
 
     /// Time the given flag was set, if it was.
-    pub fn flag_set_time(&self, flag: FlagId) -> Option<SimTime> {
+    #[cfg(test)]
+    fn flag_set_time(&self, flag: FlagId) -> Option<SimTime> {
         self.events.iter().find_map(|e| match e.kind {
             TraceKind::FlagSet { flag: f } if f == flag => Some(e.time),
             _ => None,
@@ -149,7 +150,7 @@ impl Trace {
     }
 
     /// Total busy time summed over all cores within `[start, end)`.
-    pub fn busy_time_in(&self, start: SimTime, end: SimTime) -> SimDuration {
+    fn busy_time_in(&self, start: SimTime, end: SimTime) -> SimDuration {
         self.spans
             .iter()
             .map(|s| {

@@ -60,6 +60,11 @@ run cargo test -q --test recovery_chain
 # small grids must keep their committed bytes.
 run cargo test -q --test golden_reports
 
+# Ticket state machine: every interleaving of submit, dispatch, finish,
+# cancel, collect and disconnect for 2 clients x 2 tickets x 2 jobs on
+# 2 workers keeps the service's invariants.
+run cargo test -q -p bb-fleet --lib service::tests::every_interleaving_keeps_the_ticket_invariants
+
 # Snapshot gates: checkpoint-forked sweeps must be byte-identical to
 # unforked ones, the snapshot round-trip must stay deterministic
 # (proptests), and the goldens must pin the v2 format byte-for-byte
@@ -119,9 +124,16 @@ echo "==> bbsim submit chaos --services 24 --seeds 2 --plans 2 --corruption 1"
     --services 24 --seeds 2 --plans 2 --corruption 1 \
     --json "$chaos_tmp/serve-chaos.json" >/dev/null
 run cmp "$chaos_tmp/serve-chaos.json" "$chaos_tmp/serve-chaos-ref.json"
-echo "==> bbsim submit --stats | grep bb-serve-stats-v1"
-./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --stats \
-    | grep -q '"schema": "bb-serve-stats-v1"'
+# Once the clients are done, every ticket the server admitted has
+# completed or been cancelled, and nothing is left queued.
+echo "==> bbsim submit --stats >serve-stats.json"
+./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --stats >"$chaos_tmp/serve-stats.json"
+run grep -q '"schema": "bb-serve-stats-v1"' "$chaos_tmp/serve-stats.json"
+echo "==> tickets.submitted == completed + cancelled, queue.depth == 0"
+awk '/"tickets":/ { gsub(/[^0-9]+/, " "); s = $1; c = $2; x = $3; t = 1 }
+     /"queue":/ { gsub(/[^0-9]+/, " "); d = $1; q = 1 }
+     END { if (!(t && q && s > 0 && s == c + x && d == 0)) exit 1 }' "$chaos_tmp/serve-stats.json" ||
+    { echo "serve stats do not balance:"; cat "$chaos_tmp/serve-stats.json"; exit 1; }
 run ./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --shutdown
 wait "$serve_pid"
 
