@@ -8,9 +8,10 @@
 //! event queue. The boot benchmarks measure the fleet inner loop on the
 //! calibration TV scenario two ways: a cold boot (plan + kernel + user
 //! space, fresh machine) and the hot-path boot a `bb-fleet` forked
-//! sweep actually runs per job — plan reuse from a checkpoint, snapshot
-//! restore into a recycled machine (`MachineBuilder`), suffix
-//! simulation only.
+//! sweep actually runs per job — the checkpoint request's plan taken
+//! from the `PlanCache` both are attached to, as `run_job` attaches
+//! them, snapshot restore into a recycled machine (`MachineBuilder`),
+//! suffix simulation only.
 //!
 //! Besides the criterion timings this bench writes `BENCH_hotpath.json`
 //! at the repo root — the committed scheduler-level perf baseline that
@@ -23,9 +24,10 @@
 //! `cargo bench --bench hotpath`
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bb_core::{BbConfig, BootRequest, CheckpointPhase, PreParser, Scenario};
+use bb_core::{BbConfig, BootRequest, CheckpointPhase, PlanCache, PreParser, Scenario};
 use bb_fleet::json;
 use bb_sim::{
     DeviceProfile, Machine, MachineBuilder, MachineConfig, OpsBuilder, ProcessSpec, SimDuration,
@@ -96,12 +98,17 @@ fn storm_machine(procs: u64, rounds: u64) -> Machine {
 }
 
 fn bench_hotpath(c: &mut Criterion) {
-    let s = scenario();
+    let s = Arc::new(scenario());
     let cfg = BbConfig::full();
     let pre = PreParser::build(&s.units);
+    // The checkpoint and every resume share one plan cache, as a forked
+    // fleet job's do; cold boots stay uncached because they measure
+    // planning.
+    let cache = PlanCache::new();
     let ckpt = BootRequest::new(&s)
         .config(cfg)
         .prepared(&pre)
+        .plan_cache(&cache, &s)
         .checkpoint_at(CheckpointPhase::KernelHandoff)
         .expect("checkpoint");
 
@@ -131,6 +138,7 @@ fn bench_hotpath(c: &mut Criterion) {
                 .config(cfg)
                 .prepared(&pre)
                 .machine_builder(&mut builder)
+                .plan_cache(&cache, &s)
                 .resume(&ckpt)
                 .expect("resumes");
             black_box(boot.report.quiesce_time);
@@ -189,6 +197,7 @@ fn bench_hotpath(c: &mut Criterion) {
             .config(cfg)
             .prepared(&pre)
             .machine_builder(&mut builder)
+            .plan_cache(&cache, &s)
             .resume(&ckpt)
             .expect("resumes");
         black_box(boot.report.quiesce_time);

@@ -4,7 +4,9 @@
 //! A forked boot resumes a [`bb_core::Checkpoint`] taken at the
 //! kernel→init handoff instead of re-planning and re-simulating the
 //! kernel phase (restoring the snapshot replaces the kernel simulation,
-//! and the checkpoint's stored plan replaces planning), so it should
+//! and the checkpoint request's plan, taken from the
+//! [`bb_core::PlanCache`] the checkpoint and every resume are attached
+//! to as a forked fleet job's are, replaces planning), so it should
 //! always beat the full boot. Besides the criterion timings this bench
 //! writes `BENCH_snapshot.json` at the repo root — the committed
 //! baseline the CI gate and future optimizations diff against.
@@ -13,9 +15,10 @@
 //! `cargo bench --bench snapshot_fork`
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bb_core::{BbConfig, BootRequest, CheckpointPhase, PreParser, Scenario};
+use bb_core::{BbConfig, BootRequest, CheckpointPhase, PlanCache, PreParser, Scenario};
 use bb_fleet::json;
 use bb_workloads::{profiles, tv_scenario_with, TizenParams};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -31,15 +34,20 @@ fn scenario() -> Scenario {
 }
 
 fn bench_snapshot_fork(c: &mut Criterion) {
-    let s = scenario();
+    let s = Arc::new(scenario());
     let cfg = BbConfig::full();
     // Both paths reuse pre-built parser measurements, exactly like the
     // fleet pool does — otherwise PreParser::build dominates every
     // iteration and drowns the kernel phase both paths differ in.
     let pre = PreParser::build(&s.units);
+    // The checkpoint and every resume share one plan cache, as a forked
+    // fleet job's do; full boots stay uncached because they measure
+    // planning.
+    let cache = PlanCache::new();
     let ckpt = BootRequest::new(&s)
         .config(cfg)
         .prepared(&pre)
+        .plan_cache(&cache, &s)
         .checkpoint_at(CheckpointPhase::KernelHandoff)
         .expect("checkpoint");
 
@@ -60,6 +68,7 @@ fn bench_snapshot_fork(c: &mut Criterion) {
             let boot = BootRequest::new(&s)
                 .config(cfg)
                 .prepared(&pre)
+                .plan_cache(&cache, &s)
                 .resume(&ckpt)
                 .expect("resumes");
             black_box(boot.report.quiesce_time)
@@ -92,6 +101,7 @@ fn bench_snapshot_fork(c: &mut Criterion) {
         let boot = BootRequest::new(&s)
             .config(cfg)
             .prepared(&pre)
+            .plan_cache(&cache, &s)
             .resume(&ckpt)
             .expect("resumes");
         black_box(boot.report.quiesce_time);

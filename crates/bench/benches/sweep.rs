@@ -112,8 +112,8 @@ fn bench_sweep(c: &mut Criterion) {
     let (cells_per_sec, stats) = measure(&spec.clone().with_fork(true), iters);
     // Dedup and forking off: every grid point runs a full boot and the
     // plan cache is the only sharing layer — isolates its contribution
-    // and makes its counters fully visible (a forked sweep reuses the
-    // checkpoint's own plan before ever consulting the cache).
+    // and makes its counters count one lookup per boot (a forked sweep
+    // adds a lookup for each checkpoint it takes).
     let (nodedup_cells_per_sec, nodedup_stats) = measure(&spec.clone().with_dedup(false), iters);
 
     let boots = spec.total_boots();

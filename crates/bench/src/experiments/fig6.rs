@@ -42,7 +42,7 @@ pub struct Fig6 {
 /// prioritization), Deferred Executor 496 + 124 init tasks + 35
 /// journal deferral, On-demand Modularizer 428, Pre-parser 381
 /// (150+231), memory init 260 (370→110).
-pub fn paper_savings(pass: &str) -> Option<u64> {
+fn paper_savings(pass: &str) -> Option<u64> {
     Some(match pass {
         "rcu-booster" => 1828,
         "group-isolator" => 1101,

@@ -35,23 +35,17 @@ pub mod costs {
     }
 
     /// Dynamic linking (ld.so relocation of cold libraries).
-    pub fn dynlink_cold() -> SimDuration {
+    pub(super) fn dynlink_cold() -> SimDuration {
         SimDuration::from_millis(2)
     }
 
-    /// Dynamic linking when the libraries were pre-relocated *and* are
-    /// already warm in memory — pre-link's best case.
-    pub fn dynlink_prelinked_warm() -> SimDuration {
-        SimDuration::from_micros(700)
-    }
-
     /// Per-service cost of setting up a pre-fork zygote at init start.
-    pub fn prefork_setup() -> SimDuration {
+    pub(super) fn prefork_setup() -> SimDuration {
         SimDuration::from_millis(5)
     }
 
     /// Launch cost from a ready zygote.
-    pub fn prefork_launch() -> SimDuration {
+    pub(super) fn prefork_launch() -> SimDuration {
         SimDuration::from_micros(300)
     }
 }

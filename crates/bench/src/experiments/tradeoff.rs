@@ -85,7 +85,7 @@ fn app_latencies(n: usize, deferred: bool, task_cost: SimDuration) -> Vec<SimDur
 }
 
 /// Runs the deferred-overhead measurement.
-pub fn deferred_overhead() -> DeferredOverhead {
+fn deferred_overhead() -> DeferredOverhead {
     let n = 32;
     let task_cost = SimDuration::from_millis(180);
     let with = app_latencies(n, true, task_cost);
@@ -124,7 +124,7 @@ pub struct RcuCpuCost {
 }
 
 /// Runs `writers` processes each doing 20 syncs on a 4-core machine.
-pub fn rcu_cpu_cost(writers: usize) -> RcuCpuCost {
+fn rcu_cpu_cost(writers: usize) -> RcuCpuCost {
     let run = |mode: RcuMode| {
         let mut m = Machine::new(MachineConfig {
             cores: 4,

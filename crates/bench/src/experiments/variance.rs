@@ -43,7 +43,7 @@ impl Spread {
     }
 
     /// Coefficient of variation in percent.
-    pub fn cv_percent(&self) -> f64 {
+    fn cv_percent(&self) -> f64 {
         100.0 * self.stddev_s / self.mean_s
     }
 }
@@ -60,7 +60,7 @@ pub struct Variance {
 }
 
 /// Runs the experiment over `instances` regenerated workloads.
-pub fn run_with(instances: usize) -> Variance {
+fn run_with(instances: usize) -> Variance {
     let spec = SweepSpec::new().cell(
         CellSpec::tizen("variance", profiles::ue48h6200(), TizenParams::commercial())
             .seeds((0..instances as u64).map(|i| 9000 + i))

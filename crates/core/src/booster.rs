@@ -15,8 +15,8 @@
 //! reuses the previous machine's allocations, and a [`PlanCache`] via
 //! [`BootRequest::plan_cache`] so every boot of one (scenario, config)
 //! runs one shared plan. Runs, checkpoints and resumes all get their
-//! plan from one lookup step, and a [`Checkpoint`] carries the plan it
-//! was taken with to its resumes.
+//! plan from one lookup step; a [`Checkpoint`] carries no plan, so a
+//! resume gets its plan the way a run does.
 //!
 //! [`PlanPass`]: crate::pipeline::PlanPass
 //! [`PassDelta`]: crate::pipeline::PassDelta
@@ -183,18 +183,18 @@ pub enum CheckpointPhase {
 /// to fork, and safe to hand to other threads, which is what lets a
 /// fleet sweep simulate the shared kernel phase once per prefix key
 /// instead of once per configuration.
+///
+/// A checkpoint holds no boot plan, and so nothing of its scenario:
+/// each resume plans, or takes its plan from the [`PlanCache`] attached
+/// to it, exactly as a run does.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     phase: CheckpointPhase,
     bytes: Vec<u8>,
     kernel: KernelReport,
     device: DeviceId,
-    /// The checkpoint request's full boot plan, kept so a resume under
-    /// the same configuration skips re-planning (see
-    /// [`BootRequest::resume`]). Shared with the [`PlanCache`] the
-    /// checkpoint was taken through, if any, and cheap to clone when a
-    /// checkpoint fans out across workers.
-    plan: SharedPlan,
+    config: BbConfig,
+    config_hash: u64,
 }
 
 impl Checkpoint {
@@ -206,7 +206,7 @@ impl Checkpoint {
     /// The configuration the prefix was simulated under. A resume may
     /// use any configuration with the same [`BbConfig::prefix_key`].
     pub fn config(&self) -> BbConfig {
-        self.plan.0.cfg
+        self.config
     }
 
     /// The serialized machine snapshot (see [`bb_sim::snapshot`] for
@@ -220,7 +220,7 @@ impl Checkpoint {
     /// FNV-1a hash of the machine configuration the snapshot encodes;
     /// [`BootRequest::resume`] rejects scenarios that hash differently.
     pub fn config_hash(&self) -> u64 {
-        snapshot::config_hash(&self.plan.0.machine)
+        self.config_hash
     }
 
     /// Kernel phase timings measured while producing the prefix.
@@ -455,10 +455,11 @@ impl<'s> BootRequest<'s> {
         }
         Ok(Checkpoint {
             phase,
-            plan,
             bytes,
             kernel,
             device,
+            config: self.cfg,
+            config_hash: snapshot::config_hash(&plan.0.machine),
         })
     }
 
@@ -474,11 +475,10 @@ impl<'s> BootRequest<'s> {
     /// service-phase variants. A [`tweak`](Self::tweak) is applied to
     /// the resumed plan as usual.
     ///
-    /// Resuming the checkpoint's own configuration on its own scenario
-    /// (no tweak) additionally reuses the checkpoint's stored boot
-    /// plan instead of re-planning — planning is deterministic, so the
-    /// timeline is unchanged but the host-side cost drops; this is why
-    /// forked boots beat full boots in `BENCH_snapshot.json`.
+    /// The resume gets its plan as [`run`](Self::run) does: from the
+    /// attached [`plan_cache`](Self::plan_cache), or by planning afresh.
+    /// Attach the cache the checkpoint was taken through, and every
+    /// resume of its configuration reuses the checkpoint request's plan.
     ///
     /// With an [`artifact`](Self::artifact) the image is restored from
     /// that read instead of the checkpoint's own bytes; a damaged or
@@ -567,25 +567,12 @@ impl<'s> BootRequest<'s> {
     /// Executes the boot suffix on `machine`, restored from
     /// `checkpoint`'s image.
     fn resume_on(mut self, machine: Machine, checkpoint: &Checkpoint) -> Result<Boot, Error> {
-        // Resuming the checkpoint's own configuration on its own
-        // scenario (with no tweak) reuses the plan the checkpoint
-        // already holds: planning is deterministic, so re-running it
-        // would reproduce the same IR at a double-digit share of the
-        // boot's host cost. Any other resume takes the shared lookup,
-        // and the plan it gets must match the snapshot's machine.
-        let plan = if self.tweak.is_none()
-            && checkpoint.plan.0.reusable_for(self.scenario, &self.cfg)
-        {
-            Arc::clone(&checkpoint.plan)
-        } else {
-            let plan = self.plan()?;
-            if snapshot::config_hash(&plan.0.machine) != checkpoint.config_hash() {
-                return Err(Error::Checkpoint(
-                    "machine config mismatch: the scenario does not match the checkpoint's".into(),
-                ));
-            }
-            plan
-        };
+        let plan = self.plan()?;
+        if snapshot::config_hash(&plan.0.machine) != checkpoint.config_hash {
+            return Err(Error::Checkpoint(
+                "machine config mismatch: the scenario does not match the checkpoint's".into(),
+            ));
+        }
         let (ir, deltas) = &*plan;
         Ok(Boot::new(execute_suffix(
             ir,

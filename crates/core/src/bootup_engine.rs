@@ -48,7 +48,8 @@ pub fn init_tasks(cfg: &BbConfig) -> Vec<ManagerTask> {
 }
 
 /// Total init-phase time (serial) implied by [`init_tasks`].
-pub fn init_phase_cost(cfg: &BbConfig) -> SimDuration {
+#[cfg(test)]
+fn init_phase_cost(cfg: &BbConfig) -> SimDuration {
     init_tasks(cfg)
         .iter()
         .filter(|t| !t.deferred)

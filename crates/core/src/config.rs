@@ -157,7 +157,8 @@ impl BbConfig {
     /// that [`BbConfig::from_feature_list`] round-trips: `"all"`,
     /// `"none"`, or the active subset of [`BbConfig::FEATURE_NAMES`] in
     /// `bits()` order.
-    pub fn feature_list(&self) -> String {
+    #[cfg(test)]
+    fn feature_list(&self) -> String {
         if *self == BbConfig::full() {
             return "all".to_owned();
         }

@@ -21,8 +21,8 @@
 //!
 //! A compiled [`BootPlanIr`] owns its tables and shares the scenario's
 //! large read-only inputs through `Arc` handles, so one value is what a
-//! fresh boot runs, what a [`crate::PlanCache`] shares across a sweep,
-//! and what a [`crate::Checkpoint`] carries to its resumes.
+//! fresh boot runs and what a [`crate::PlanCache`] shares across a
+//! sweep's runs, checkpoints and resumes.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -33,8 +33,8 @@ use bb_init::{
 };
 use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, KernelReport, ModuleCatalog};
 use bb_sim::{
-    snapshot, AccessPattern, DeviceId, DeviceProfile, FaultPlan, Machine, MachineBuilder,
-    MachineConfig, Op, SimDuration,
+    AccessPattern, DeviceId, DeviceProfile, FaultPlan, Machine, MachineBuilder, MachineConfig, Op,
+    SimDuration,
 };
 
 use crate::booster::{FullBootReport, Scenario};
@@ -150,19 +150,6 @@ impl BootPlanIr {
             pre,
             boost_rcu: false,
         })
-    }
-
-    /// Whether booting `scenario` under `cfg` can reuse this plan
-    /// verbatim: same config, scenario name, unit count and
-    /// machine-config hash. Any mismatch sends the caller back to
-    /// planning, which validates authoritatively. Scenario content is
-    /// not compared, so a different scenario that agrees on all four
-    /// passes.
-    pub(crate) fn reusable_for(&self, scenario: &Scenario, cfg: &BbConfig) -> bool {
-        self.cfg == *cfg
-            && self.name == scenario.name
-            && self.graph.len() == scenario.units.len()
-            && snapshot::config_hash(&self.machine) == snapshot::config_hash(&scenario.machine)
     }
 
     fn cores(&self) -> u64 {
@@ -695,8 +682,7 @@ impl Pipeline {
 }
 
 /// A compiled plan and the pass deltas that produced it: the one value
-/// a [`crate::PlanCache`] shares across boots and a
-/// [`crate::Checkpoint`] carries to its resumes.
+/// a [`crate::PlanCache`] shares across runs, checkpoints and resumes.
 pub(crate) type SharedPlan = Arc<(BootPlanIr, Vec<PassDelta>)>;
 
 /// Executes a (pass-transformed) plan end to end, replaying the exact

@@ -7,7 +7,10 @@
 //! pair plans once and moves its [`crate::BootPlanIr`] (pass deltas
 //! included) into an [`Arc`], and every later boot — run, checkpoint,
 //! or resume, on any worker — reuses it with zero clones. Attach one to
-//! a request with [`crate::BootRequest::plan_cache`].
+//! a request with [`crate::BootRequest::plan_cache`]. A
+//! [`crate::Checkpoint`] holds no plan, so attaching the same cache to
+//! the checkpoint request and to its resumes is how a resume of the
+//! checkpoint's own config skips planning.
 //!
 //! # Keying and safety
 //!
@@ -250,18 +253,43 @@ mod tests {
         booted(cached(full).run().unwrap(), full, (1, 1, 1));
         let first = cached(full).checkpoint_at(KernelHandoff).unwrap();
         counts((1, 2, 1));
-        // The checkpoint's own plan: no lookup.
-        booted(cached(full).resume(&first).unwrap(), full, (1, 2, 1));
-        booted(cached(suffix).resume(&first).unwrap(), suffix, (2, 2, 2));
+        // A checkpoint holds no plan: its own config is a cache hit.
+        booted(cached(full).resume(&first).unwrap(), full, (1, 3, 1));
         booted(cached(suffix).resume(&first).unwrap(), suffix, (2, 3, 2));
+        booted(cached(suffix).resume(&first).unwrap(), suffix, (2, 4, 2));
         // A tweaked plan is private: no lookup, no insert.
         let tweaked = cached(full).tweak(|_, _, _| {}).run().unwrap();
-        booted(tweaked, full, (2, 3, 2));
+        booted(tweaked, full, (2, 4, 2));
         let second = cached(suffix).checkpoint_at(KernelHandoff).unwrap();
-        counts((2, 4, 2));
-        booted(cached(full).resume(&second).unwrap(), full, (2, 5, 2));
+        counts((2, 5, 2));
+        booted(cached(full).resume(&second).unwrap(), full, (2, 6, 2));
         let uncached = BootRequest::new(&s).config(full).resume(&first).unwrap();
-        booted(uncached, full, (2, 5, 2));
+        booted(uncached, full, (2, 6, 2));
+    }
+
+    /// A checkpoint keeps nothing of its scenario alive: once the
+    /// scenario and the cache's plans are gone, the checkpoint still
+    /// resumes a fresh equal scenario to the uncached run's boot time.
+    #[test]
+    fn a_checkpoint_holds_no_plan() {
+        use crate::booster::CheckpointPhase::KernelHandoff;
+
+        let cache = PlanCache::new();
+        let s = Arc::new(mini_tv());
+        let workloads = Arc::clone(&s.workloads);
+        let ckpt = BootRequest::new(&s)
+            .plan_cache(&cache, &s)
+            .checkpoint_at(KernelHandoff)
+            .unwrap();
+        drop(s);
+        cache.clear();
+        assert_eq!(Arc::strong_count(&workloads), 1);
+
+        let fresh = mini_tv();
+        let resumed = BootRequest::new(&fresh).resume(&ckpt).unwrap().report;
+        let straight = BootRequest::new(&fresh).run().unwrap().report;
+        assert_eq!(resumed.try_boot_time(), straight.try_boot_time());
+        assert_eq!(resumed.quiesce_time, straight.quiesce_time);
     }
 
     #[test]

@@ -32,19 +32,22 @@
 //! ([`SweepSpec::fork`]) share kernel-prefix snapshots across jobs,
 //! workers, and clients — plus its ticket's scenario memo, so jobs of
 //! one grid with identical sources share one `Arc`'d scenario (which is
-//! what makes the pointer-keyed plan cache hit across jobs). A job asks
-//! the boot-outcome cache first and builds its scenario only for a
-//! config that misses. The scenario memo lives and dies with its
+//! what makes the pointer-keyed plan cache hit across jobs). A plain
+//! job asks the boot-outcome cache first and builds its scenario only
+//! for a config that misses. The scenario memo lives and dies with its
 //! ticket, and a plan outlives its scenario by at most one plan-cache
-//! insert, so a long-lived service keeps small outcomes, not scenarios
-//! and plans. The memos other than the plan cache are keyed by the
-//! fingerprints of [`crate::spec`], and all four are invisible in the report:
-//! simulation is deterministic, so cached results are bit-identical to
-//! fresh ones. Supervised cells (fault plans, corruption, supervision,
-//! fallback) leave the memos alone. [`run_sweep`] takes the cache
-//! explicitly; pass [`FleetCache::fresh`] for a private per-call cache,
-//! or hold one `Arc` across calls (or behind a [`crate::FleetService`])
-//! to carry boot outcomes and checkpoints across sweeps.
+//! insert; a checkpoint holds no plan, so a long-lived service keeps
+//! small outcomes and snapshots, not scenarios and plans. The memos
+//! other than the plan cache key on one `ScenarioKey` (see
+//! [`crate::spec`]) and compare all of it on a hit, and all four are
+//! invisible in the report: simulation is deterministic, so cached
+//! results are bit-identical to fresh ones. Supervised cells (fault
+//! plans, corruption, supervision, fallback) take their scenario from
+//! the ticket's memo too, and leave the other memos alone.
+//! [`run_sweep`] takes the cache explicitly; pass [`FleetCache::fresh`]
+//! for a private per-call cache, or hold one `Arc` across calls (or
+//! behind a [`crate::FleetService`]) to carry boot outcomes and
+//! checkpoints across sweeps.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +56,7 @@ use std::time::Duration;
 
 use crate::aggregate::{FaultRecord, SweepReport};
 use crate::service::{FleetService, Plan, ServiceConfig, ServiceReport, WorkItem};
-use crate::spec::{job_fingerprint, job_scenario, Job, SweepSpec};
+use crate::spec::{job_scenario, Job, ScenarioKey, SweepSpec};
 use bb_core::{
     fault_targets, ArtifactRead, Boot, BootRequest, Checkpoint, CheckpointPhase, PlanCache,
 };
@@ -92,7 +95,7 @@ impl PoolConfig {
 /// boot up to the kernel→init handoff.
 pub(crate) type PrefixKey = (bool, bool, bool, bool);
 
-/// Entries above which the boot-outcome cache is reset.
+/// Outcomes above which the boot-outcome cache is reset.
 const BOOT_CACHE_CAP: usize = 65536;
 
 /// Checkpoints the service-wide memo keeps before resetting. Small
@@ -101,8 +104,8 @@ const BOOT_CACHE_CAP: usize = 65536;
 const CHECKPOINT_MEMO_CAP: usize = 256;
 
 /// One memoized boot outcome (everything a job extracts from a boot),
-/// fanned out to every grid point that requests the same
-/// (scenario-fingerprint, config) pair.
+/// fanned out to every grid point that requests the same (scenario,
+/// config) pair.
 #[derive(Debug, Clone)]
 enum CachedBoot {
     /// The boot completed; these values are deterministic functions of
@@ -139,12 +142,22 @@ enum CachedBoot {
 #[derive(Debug, Default)]
 pub struct FleetCache {
     plans: PlanCache,
-    boots: Mutex<HashMap<(u64, u8), CachedBoot>>,
-    /// Kernel-handoff checkpoints, keyed by (job fingerprint, prefix
-    /// key). Promoted from per-worker to service-wide: any worker (or
-    /// client) forking the same scenario prefix resumes from one shared
+    boots: Mutex<BootMemo>,
+    /// Kernel-handoff checkpoints, keyed by (scenario, prefix key).
+    /// Promoted from per-worker to service-wide: any worker (or client)
+    /// forking the same scenario prefix resumes from one shared
     /// snapshot.
-    checkpoints: Mutex<HashMap<(u64, PrefixKey), Arc<Checkpoint>>>,
+    checkpoints: Mutex<HashMap<(ScenarioKey, PrefixKey), Arc<Checkpoint>>>,
+}
+
+/// The boot-outcome memo: one entry per scenario, holding its outcomes
+/// by config bits, so a scenario's key is stored once however many
+/// configs it booted under.
+#[derive(Debug, Default)]
+struct BootMemo {
+    scenarios: HashMap<ScenarioKey, Vec<(u8, CachedBoot)>>,
+    /// Outcomes across every scenario, bounded by [`BOOT_CACHE_CAP`].
+    outcomes: usize,
 }
 
 impl FleetCache {
@@ -168,15 +181,16 @@ impl FleetCache {
     /// Drops every cached artifact.
     pub fn clear(&self) {
         self.plans.clear();
-        lock(&self.boots).clear();
+        *lock(&self.boots) = BootMemo::default();
         lock(&self.checkpoints).clear();
     }
 
-    /// The cached outcome for (`fp`, config `bits`), if one exists and
+    /// The cached outcome for (`key`, config `bits`), if one exists and
     /// carries the telemetry this sweep needs.
-    fn boot_lookup(&self, fp: u64, bits: u8, metrics: bool) -> Option<CachedBoot> {
-        let map = lock(&self.boots);
-        let hit = map.get(&(fp, bits))?;
+    fn boot_lookup(&self, key: &ScenarioKey, bits: u8, metrics: bool) -> Option<CachedBoot> {
+        let memo = lock(&self.boots);
+        let outcomes = memo.scenarios.get(key)?;
+        let (_, hit) = outcomes.iter().find(|(b, _)| *b == bits)?;
         if metrics {
             // A span-less entry (cached by a metrics-off sweep) cannot
             // serve a metrics sweep; re-simulate and upgrade it.
@@ -187,19 +201,26 @@ impl FleetCache {
         Some(hit.clone())
     }
 
-    /// Stores (or upgrades) the outcome for (`fp`, config `bits`).
-    fn boot_insert(&self, fp: u64, bits: u8, outcome: CachedBoot) {
-        let mut map = lock(&self.boots);
-        if map.len() >= BOOT_CACHE_CAP {
-            map.clear();
+    /// Stores (or upgrades) the outcome for (`key`, config `bits`).
+    fn boot_insert(&self, key: &ScenarioKey, bits: u8, outcome: CachedBoot) {
+        let mut memo = lock(&self.boots);
+        if memo.outcomes >= BOOT_CACHE_CAP {
+            *memo = BootMemo::default();
         }
-        map.insert((fp, bits), outcome);
+        let outcomes = memo.scenarios.entry(key.clone()).or_default();
+        match outcomes.iter_mut().find(|(b, _)| *b == bits) {
+            Some((_, old)) => *old = outcome,
+            None => {
+                outcomes.push((bits, outcome));
+                memo.outcomes += 1;
+            }
+        }
     }
 
     /// The memoized kernel-handoff checkpoint for `key`, if any worker
     /// has forked it already.
-    fn checkpoint(&self, key: (u64, PrefixKey)) -> Option<Arc<Checkpoint>> {
-        lock(&self.checkpoints).get(&key).cloned()
+    fn checkpoint(&self, key: &(ScenarioKey, PrefixKey)) -> Option<Arc<Checkpoint>> {
+        lock(&self.checkpoints).get(key).cloned()
     }
 
     /// Memoizes a freshly forked checkpoint. First insert wins: on a
@@ -207,7 +228,11 @@ impl FleetCache {
     /// snapshots are deterministic and identical, so the race is
     /// invisible in reports — only the kernel-simulation *count* can
     /// vary, and that is host-side observability).
-    fn checkpoint_insert(&self, key: (u64, PrefixKey), ckpt: Checkpoint) -> Arc<Checkpoint> {
+    fn checkpoint_insert(
+        &self,
+        key: (ScenarioKey, PrefixKey),
+        ckpt: Checkpoint,
+    ) -> Arc<Checkpoint> {
         let mut map = lock(&self.checkpoints);
         if map.len() >= CHECKPOINT_MEMO_CAP {
             map.clear();
@@ -506,14 +531,15 @@ pub(crate) type JobResult = Result<(JobOutput, Vec<FaultRecord>), JobFailure>;
 /// Executes one job of `plan` with panic isolation and post-hoc
 /// deadline check.
 ///
-/// Every config boots as one [`BootRequest`]. A plain cell's configs go
-/// through the [`FleetCache`] (dedup first, then the plan cache and —
-/// with [`SweepSpec::fork`] — checkpoint forks), and its scenario comes
-/// from the ticket's memo, built only for a config the dedup cache
-/// misses. A supervised cell's boots add the job's fault plan, staged
-/// artifact read, and fallback supervisor instead, and skip the memos
-/// entirely: the dedup key does not cover those axes and a checkpoint
-/// cannot carry a supervisor.
+/// Every config boots as one [`BootRequest`], on the scenario the
+/// ticket's memo holds for the job's [`ScenarioKey`]. A plain cell's
+/// configs go through the [`FleetCache`] (dedup first, then the plan
+/// cache and — with [`SweepSpec::fork`] — checkpoint forks), and its
+/// scenario is fetched only for a config the dedup cache misses. A
+/// supervised cell fetches its scenario up front and adds the job's
+/// fault plan, staged artifact read, and fallback supervisor to every
+/// boot, skipping the cache's memos: the dedup key does not cover those
+/// axes and a checkpoint cannot carry a supervisor.
 pub(crate) fn run_job(
     plan: &Plan,
     cache: &FleetCache,
@@ -525,16 +551,19 @@ pub(crate) fn run_job(
     let seed = cell.seeds[job.seed_idx];
     let supervised = cell.supervised();
     let (dedup, fork) = (spec.dedup && !supervised, spec.fork && !supervised);
-    let (base_fp, seed_dependent) = plan.fps[job.cell];
-    let fp = job_fingerprint(base_fp, seed_dependent, seed);
+    let key = ScenarioKey::new(cell, seed);
     let started = std::time::Instant::now();
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let builder = &mut *builder;
-        let build = || job_scenario(cell, seed, &plan.shared[job.cell]);
-        // A supervised job builds its scenario, fault plan and artifact
-        // up front; a plain job's scenario waits for its first miss.
-        let mut built = supervised.then(build);
+        // Jobs with equal keys converge on one Arc'd scenario, which is
+        // what lets the pointer-keyed plan cache hit across the ticket's
+        // jobs and cells.
+        let fetch = || plan.scenario(&key, || job_scenario(cell, seed));
+        // A supervised job fetches its scenario, and builds its fault
+        // plan and artifact, up front; a plain job's scenario waits for
+        // its first miss.
+        let mut built = supervised.then(fetch);
         let faults = built.as_ref().and_then(|(scenario, _)| {
             cell.plan_seeds[job.plan_idx].map(|ps| FaultPlan::seeded(ps, &fault_targets(scenario)))
         });
@@ -558,7 +587,7 @@ pub(crate) fn run_job(
             // Dedup: an identical grid point that already ran anywhere
             // in the sweep replays its (deterministic) outcome.
             if dedup {
-                match cache.boot_lookup(fp, bits, spec.metrics) {
+                match cache.boot_lookup(&key, bits, spec.metrics) {
                     Some(CachedBoot::Incomplete) => {
                         return Err(FailureKind::Incomplete {
                             config: label.clone(),
@@ -586,18 +615,17 @@ pub(crate) fn run_job(
                     None => {}
                 }
             }
-            // Jobs with the same fingerprint converge on one Arc'd
-            // scenario, which is what lets the pointer-keyed plan cache
-            // hit across the ticket's jobs and cells.
-            let (scenario, pre) = &*built.get_or_insert_with(|| plan.scenario(fp, build));
+            let (scenario, pre) = &*built.get_or_insert_with(fetch);
             // Forked mode: one checkpoint per distinct (scenario, prefix
             // key), memoized service-wide in the FleetCache. Every boot
             // resumes (the first included), so forked ≡ unforked reduces
             // to resume ≡ run — the property bb-core's checkpoint tests
-            // pin.
+            // pin. The checkpoint holds no plan: it and every resume
+            // take theirs from the plan cache, so each (scenario,
+            // config) pair still plans once.
             let checkpoint = if fork {
-                let key = (fp, cfg.prefix_key());
-                Some(match cache.checkpoint(key) {
+                let ckpt_key = (key.clone(), cfg.prefix_key());
+                Some(match cache.checkpoint(&ckpt_key) {
                     Some(ckpt) => ckpt,
                     None => {
                         let forked = BootRequest::new(scenario)
@@ -608,7 +636,7 @@ pub(crate) fn run_job(
                             .checkpoint_at(CheckpointPhase::KernelHandoff)
                             .map_err(|e| FailureKind::Boost(e.to_string()))?;
                         kernel_sims += 1;
-                        cache.checkpoint_insert(key, forked)
+                        cache.checkpoint_insert(ckpt_key, forked)
                     }
                 })
             } else {
@@ -654,7 +682,7 @@ pub(crate) fn run_job(
             // definition is a reported failure, not a worker panic.
             let Some(boot_time) = user_boot else {
                 if dedup {
-                    cache.boot_insert(fp, bits, CachedBoot::Incomplete);
+                    cache.boot_insert(&key, bits, CachedBoot::Incomplete);
                 }
                 return Err(FailureKind::Incomplete {
                     config: label.clone(),
@@ -673,7 +701,7 @@ pub(crate) fn run_job(
             });
             if dedup {
                 cache.boot_insert(
-                    fp,
+                    &key,
                     bits,
                     CachedBoot::Done {
                         boot_ns: boot_time.as_nanos(),

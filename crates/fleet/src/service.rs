@@ -8,7 +8,8 @@
 //! submissions and across clients. Scenarios, and the boot plans
 //! compiled for them, live only as long as the ticket that built them:
 //! each ticket memoizes its own scenarios and drops the memo when it
-//! finalizes or is cancelled. This is the fleet-scale shape the paper's
+//! finalizes or is cancelled, and a shared checkpoint holds no plan, so
+//! it keeps no scenario alive. This is the fleet-scale shape the paper's
 //! deployment story implies: millions of near-identical boot jobs
 //! amortizing their shared artifacts, not one process per sweep.
 //!
@@ -67,12 +68,8 @@ use crate::aggregate::Aggregator;
 use crate::chaos::{self, ChaosOutcome};
 use crate::json;
 use crate::pool::{lock, run_job, FleetCache, JobResult, PoolStats, SweepOutcome, WorkerStats};
-use crate::spec::{cell_fingerprint, Job, SweepSpec};
-use bb_core::booster::Scenario;
-use bb_core::{PlanCacheStats, PreParser};
-
-/// A memoized scenario and its pre-parser measurement.
-type Built = (Arc<Scenario>, PreParser);
+use crate::spec::{Built, Job, ScenarioKey, SweepSpec};
+use bb_core::PlanCacheStats;
 
 /// Identifies a submitting client. The serve layer assigns one per
 /// connection; in-process callers pick their own (quotas and fairness
@@ -207,8 +204,6 @@ pub enum SubmitError {
         /// ([`ServiceConfig::max_pending_per_client`]).
         quota: usize,
     },
-    /// The service is shutting down and admits no new work.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -227,7 +222,6 @@ impl std::fmt::Display for SubmitError {
                 f,
                 "client quota exceeded: {pending} uncollected ticket(s) of {quota} allowed"
             ),
-            SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
 }
@@ -333,26 +327,27 @@ struct Task {
 /// in-flight job holds it until that job ends.
 pub(crate) struct Plan {
     pub(crate) spec: SweepSpec,
-    pub(crate) shared: Vec<Option<Built>>,
-    pub(crate) fps: Vec<(u64, bool)>,
     jobs: Vec<Job>,
-    /// The ticket's scenario memo, keyed by job fingerprint. Workers
-    /// use it outside the state lock, so it has a lock of its own.
-    scenarios: Mutex<HashMap<u64, Built>>,
+    /// The ticket's scenario memo, the only way its jobs, plain and
+    /// supervised, obtain a scenario. Workers use it outside the state
+    /// lock, so it has a lock of its own.
+    scenarios: Mutex<HashMap<ScenarioKey, Built>>,
 }
 
 impl Plan {
-    /// The memoized `(scenario, preparser)` for job fingerprint `fp`,
-    /// building (outside the lock) and inserting on a miss. On a racing
-    /// double-build the first insert wins, so every job of a fingerprint
-    /// converges on one `Arc` — the pointer identity the plan cache
-    /// keys on.
-    pub(crate) fn scenario(&self, fp: u64, build: impl FnOnce() -> Built) -> Built {
-        if let Some(hit) = lock(&self.scenarios).get(&fp) {
+    /// The memoized `(scenario, preparser)` for `key`, building (outside
+    /// the lock) and inserting on a miss. On a racing double-build the
+    /// first insert wins, so every job of a key converges on one `Arc` —
+    /// the pointer identity the plan cache keys on.
+    pub(crate) fn scenario(&self, key: &ScenarioKey, build: impl FnOnce() -> Built) -> Built {
+        if let Some(hit) = lock(&self.scenarios).get(key) {
             return hit.clone();
         }
         let built = build();
-        lock(&self.scenarios).entry(fp).or_insert(built).clone()
+        lock(&self.scenarios)
+            .entry(key.clone())
+            .or_insert(built)
+            .clone()
     }
 }
 
@@ -396,8 +391,6 @@ impl Ticket {
         let total = jobs.len();
         let agg = Aggregator::new(&spec);
         let plan = Plan {
-            shared: spec.shared_templates(),
-            fps: spec.cells.iter().map(cell_fingerprint).collect(),
             spec,
             jobs,
             scenarios: Mutex::default(),
@@ -544,9 +537,6 @@ impl State {
     /// jobs on its client's lane (opening the lane on the client's first
     /// submission), and finalizes an empty grid at once.
     fn submit(&mut self, mut ticket: Ticket) -> Result<TicketId, SubmitError> {
-        if self.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
         let client = ticket.client;
         let held = self.tickets.values().filter(|t| t.client == client).count();
         if held >= self.quota {
@@ -1212,6 +1202,28 @@ mod tests {
                 .and_then(crate::json::Json::as_f64),
             Some(1.0)
         );
+    }
+
+    /// Supervised jobs take their scenario from the ticket's memo, as
+    /// plain jobs do: a chaos ticket of one seed, three fault-plan slots
+    /// and two corruption slots builds its scenario once.
+    #[test]
+    fn a_chaos_tickets_jobs_share_one_scenario() {
+        let cell = crate::spec::tests::tiny_cell("chaos")
+            .fault_plans(2, 100)
+            .corruption_plans(1, 500)
+            .conventional_vs_bb();
+        let item = WorkItem::Chaos(SweepSpec::new().cell(cell));
+        let ticket = Ticket::new(1, item, FleetCache::fresh().plans().stats());
+        let plan = proto_plan(&ticket);
+        let cache = FleetCache::new();
+        let mut builder = bb_sim::MachineBuilder::new();
+        assert_eq!(plan.jobs.len(), 6);
+        for &job in &plan.jobs {
+            // Some fault plans hang a boot; only the scenario matters.
+            let _ = run_job(plan, &cache, job, &mut builder);
+        }
+        assert_eq!(lock(&plan.scenarios).len(), 1);
     }
 
     /// The interleaving check's scope. Each ticket is a two-job grid and

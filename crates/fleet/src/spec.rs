@@ -14,14 +14,20 @@
 //! each seed once per config; a *supervised* cell sets at least one of
 //! them — a chaos sweep, whose boots bypass the [`crate::FleetCache`]
 //! and which [`crate::run_chaos`] reports as `bb-fleet-chaos-v2`.
+//!
+//! Every memo of the fleet names what a job boots by one `ScenarioKey`:
+//! the cell's source with the job's seed, plus the cell's supervision
+//! overlay. The ticket's scenario memo, the boot-outcome memo and the
+//! checkpoint memo key on it, and a hit compares the whole key, never a
+//! hash of it.
 
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bb_core::booster::Scenario;
 use bb_core::{with_supervision, BbConfig, FallbackPolicy, PreParser};
 use bb_init::RestartPolicy;
-use bb_sim::{fnv1a, FNV1A_OFFSET};
 use bb_workloads::{tv_scenario_with, MachineProfile, TizenParams};
 
 /// Where a cell's boot scenarios come from.
@@ -43,7 +49,7 @@ pub enum ScenarioSource {
 }
 
 /// Supervision overlay a supervised cell arms on every service unit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Supervision {
     /// Restart policy to apply.
     pub restart: RestartPolicy,
@@ -183,8 +189,9 @@ impl CellSpec {
 
     /// True if the cell sets any fault, corruption, supervision, or
     /// fallback axis. Supervised boots bypass the [`crate::FleetCache`]
-    /// entirely: the dedup and checkpoint keys do not cover those axes,
-    /// and a checkpoint cannot carry a fallback supervisor.
+    /// entirely: the dedup and checkpoint keys do not cover the fault,
+    /// corruption and fallback axes, and a checkpoint cannot carry a
+    /// fallback supervisor.
     pub(crate) fn supervised(&self) -> bool {
         self.plan_seeds != [None]
             || self.corruption_seeds != [None]
@@ -245,10 +252,11 @@ pub struct SweepSpec {
     /// does less work (see `PoolStats::kernel_sims`). Plain cells only;
     /// supervised cells always boot whole.
     pub fork: bool,
-    /// Deduplicate identical grid points: two boots with the same
-    /// (scenario identity × seed × config) — across cells, across
-    /// seed slots of a [`ScenarioSource::Fixed`] cell — are simulated
-    /// once and the result is fanned out to every requesting slot.
+    /// Deduplicate identical grid points: two boots of the same
+    /// scenario under the same config — across cells with equal
+    /// generated sources, across seed slots of a
+    /// [`ScenarioSource::Fixed`] cell — are simulated once and the
+    /// result is fanned out to every requesting slot.
     /// Simulation is deterministic, so reports stay byte-identical
     /// with dedup on or off (see `PoolStats::cells_deduped`); on by
     /// default, opt out with [`SweepSpec::with_dedup`] to force every
@@ -344,23 +352,6 @@ impl SweepSpec {
         }
         jobs
     }
-
-    /// Builds the per-cell shared templates: for `Fixed` cells without
-    /// a supervision overlay the scenario and its [`PreParser`] are
-    /// measured once here and shared by every job; `Tizen` cells are
-    /// seed-dependent and must build per job, and overlaid cells
-    /// measure the overlaid units.
-    pub(crate) fn shared_templates(&self) -> Vec<Option<(Arc<Scenario>, PreParser)>> {
-        self.cells
-            .iter()
-            .map(|c| match (&c.source, c.supervision) {
-                (ScenarioSource::Fixed(s), None) => {
-                    Some((Arc::clone(s), PreParser::build(&s.units)))
-                }
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// One unit of pool work: all configs of one `(cell, plan, corruption,
@@ -377,55 +368,86 @@ pub struct Job {
     pub seed_idx: usize,
 }
 
-/// Content fingerprint of a cell's scenario *source*: `(hash,
-/// seed_dependent)`. Two cells with equal fingerprints instantiate
-/// identical scenarios for equal seeds — the sharing key behind each
-/// ticket's scenario memo, the cross-job checkpoint memo, and grid
-/// dedup (see [`SweepSpec::dedup`]).
+/// A memoized scenario and its pre-parser measurement.
+pub(crate) type Built = (Arc<Scenario>, PreParser);
+
+/// What one job boots: the cell's source with the job's seed, plus the
+/// cell's supervision overlay. Jobs with equal keys boot identical
+/// scenarios, so the ticket's scenario memo, the boot-outcome memo and
+/// the checkpoint memo all key on it, and a hit compares the whole key.
 ///
-/// `Tizen` sources hash the profile and the parameters with the seed
-/// field canonicalized to zero (the per-job seed is mixed in by
-/// [`job_fingerprint`], because the generator derives durations, I/O
-/// sizes, *and* false-ordering edges from it). `Fixed` sources hash the
-/// scenario content itself and are seed-independent: every seed slot
-/// boots the very same template.
-pub(crate) fn cell_fingerprint(cell: &CellSpec) -> (u64, bool) {
-    match &cell.source {
-        ScenarioSource::Tizen { profile, params } => {
-            let canonical = TizenParams { seed: 0, ..*params };
-            let h = fnv1a(
-                FNV1A_OFFSET,
-                format!("{profile:?}|{canonical:?}").as_bytes(),
-            );
-            (h, true)
+/// A generated source keys on its profile and its parameters, every
+/// field compared by the types' derived `PartialEq`, with the job's seed
+/// in place of the parameters' own. A NaN parameter never equals itself,
+/// so its key only ever misses. A fixed source keys on the cell's own
+/// `Arc`, held as a `Weak` the way [`bb_core::PlanCache`] holds its
+/// scenarios: the allocation cannot be reused while the key lives, so an
+/// equal address is the same scenario. Every seed slot of a fixed cell
+/// has the same key, and two fixed cells share a key only if they share
+/// the `Arc`.
+#[derive(Debug, Clone)]
+pub(crate) struct ScenarioKey {
+    source: SourceKey,
+    supervision: Option<Supervision>,
+}
+
+#[derive(Debug, Clone)]
+enum SourceKey {
+    Generated(MachineProfile, TizenParams),
+    Fixed(Weak<Scenario>),
+}
+
+impl ScenarioKey {
+    /// The key of `cell`'s job with seed `seed`.
+    pub(crate) fn new(cell: &CellSpec, seed: u64) -> ScenarioKey {
+        let source = match &cell.source {
+            ScenarioSource::Tizen { profile, params } => {
+                SourceKey::Generated(*profile, TizenParams { seed, ..*params })
+            }
+            ScenarioSource::Fixed(s) => SourceKey::Fixed(Arc::downgrade(s)),
+        };
+        ScenarioKey {
+            source,
+            supervision: cell.supervision,
         }
-        ScenarioSource::Fixed(s) => (fnv1a(FNV1A_OFFSET, format!("{s:?}").as_bytes()), false),
     }
 }
 
-/// Mixes a job's seed into its cell's source fingerprint (identity for
-/// seed-independent sources).
-pub(crate) fn job_fingerprint(base: u64, seed_dependent: bool, seed: u64) -> u64 {
-    if seed_dependent {
-        fnv1a(base, &seed.to_le_bytes())
-    } else {
-        base
+impl PartialEq for ScenarioKey {
+    fn eq(&self, other: &Self) -> bool {
+        let source = match (&self.source, &other.source) {
+            (SourceKey::Generated(p, t), SourceKey::Generated(q, u)) => p == q && t == u,
+            (SourceKey::Fixed(a), SourceKey::Fixed(b)) => a.ptr_eq(b),
+            _ => false,
+        };
+        source && self.supervision == other.supervision
     }
 }
 
-/// Materializes the scenario a job boots: the shared template for
-/// `Fixed` cells, a freshly generated instance for `Tizen` cells, with
-/// the cell's supervision overlay armed before the one [`PreParser`]
-/// measurement.
-pub(crate) fn job_scenario(
-    cell: &CellSpec,
-    seed: u64,
-    shared: &Option<(Arc<Scenario>, PreParser)>,
-) -> (Arc<Scenario>, PreParser) {
-    let scenario = match (&cell.source, shared) {
-        (_, Some(tpl)) => return tpl.clone(),
-        (ScenarioSource::Fixed(s), None) => Arc::clone(s),
-        (ScenarioSource::Tizen { profile, params }, None) => {
+impl Eq for ScenarioKey {}
+
+impl Hash for ScenarioKey {
+    /// Hashes a part of what `eq` compares (floats left out), so equal
+    /// keys hash equal and `eq` settles the rest.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match &self.source {
+            SourceKey::Generated(profile, params) => {
+                (profile.name, params.services, params.seed).hash(state)
+            }
+            SourceKey::Fixed(s) => s.as_ptr().hash(state),
+        }
+        self.supervision.hash(state);
+    }
+}
+
+/// Builds the scenario a job boots: the cell's own `Arc` for a `Fixed`
+/// cell, a freshly generated instance for a `Tizen` cell, with the
+/// cell's supervision overlay armed before the one [`PreParser`]
+/// measurement. Jobs call it through their ticket's scenario memo.
+pub(crate) fn job_scenario(cell: &CellSpec, seed: u64) -> Built {
+    let scenario = match &cell.source {
+        ScenarioSource::Fixed(s) => Arc::clone(s),
+        ScenarioSource::Tizen { profile, params } => {
             Arc::new(tv_scenario_with(*profile, TizenParams { seed, ..*params }))
         }
     };
@@ -441,6 +463,8 @@ pub(crate) fn job_scenario(
 pub(crate) mod tests {
     use super::*;
     use bb_workloads::profiles;
+    use std::collections::HashMap;
+    use std::hash::BuildHasherDefault;
 
     /// The 24-service open-source TV parameters the fleet tests boot.
     pub(crate) fn tiny_params() -> TizenParams {
@@ -525,8 +549,8 @@ pub(crate) mod tests {
     #[test]
     fn tizen_jobs_regenerate_per_seed() {
         let cell = small_cell().seeds([10, 11]).conventional_vs_bb();
-        let (a, _) = job_scenario(&cell, 10, &None);
-        let (b, _) = job_scenario(&cell, 11, &None);
+        let (a, _) = job_scenario(&cell, 10);
+        let (b, _) = job_scenario(&cell, 11);
         // Different seeds draw different service durations.
         assert_ne!(
             format!("{:?}", a.workloads),
@@ -535,63 +559,102 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn fingerprints_key_source_content_not_labels() {
-        // Same source, different labels: identical fingerprints — the
-        // sharing key must not split on presentation.
-        let (fa, dep_a) = cell_fingerprint(&small_cell());
-        let (fb, dep_b) =
-            cell_fingerprint(&small_cell().seeds([9, 10]).config("bb", BbConfig::full()));
-        assert_eq!((fa, dep_a), (fb, dep_b));
-        assert!(dep_a, "Tizen sources are seed-dependent");
+    /// A hasher that sends every key to the same bucket.
+    #[derive(Default)]
+    struct OneBucket;
 
-        // The params seed field is canonicalized away: only the job
-        // seed (mixed by job_fingerprint) distinguishes instances.
-        let mut reseeded = small_cell();
-        if let ScenarioSource::Tizen { params, .. } = &mut reseeded.source {
-            params.seed = 999;
+    impl Hasher for OneBucket {
+        fn finish(&self) -> u64 {
+            0
         }
-        assert_eq!(cell_fingerprint(&reseeded).0, fa);
+        fn write(&mut self, _: &[u8]) {}
+    }
 
-        // Different generator parameters split.
-        let other = CellSpec::tizen(
-            "other",
+    #[test]
+    fn scenario_keys_compare_what_a_job_boots() {
+        let key = ScenarioKey::new;
+        let base = key(&small_cell(), 1);
+
+        // Labels, seed lists and configs do not split a key.
+        let relabeled = CellSpec::tizen("other", profiles::ue48h6200(), tiny_params())
+            .seeds([9, 10])
+            .config("bb", BbConfig::full());
+        assert_eq!(key(&relabeled, 1), base);
+
+        // The job seed replaces the params seed.
+        let reseeded = CellSpec::tizen(
+            "small",
             profiles::ue48h6200(),
+            TizenParams {
+                seed: 999,
+                ..tiny_params()
+            },
+        );
+        assert_eq!(key(&reseeded, 1), base);
+
+        // A different seed, any parameter, the profile, or an overlay
+        // splits the key.
+        assert_ne!(key(&small_cell(), 2), base);
+        let params = |p: TizenParams| CellSpec::tizen("small", profiles::ue48h6200(), p);
+        for other in [
             TizenParams {
                 services: 25,
                 ..tiny_params()
             },
+            TizenParams {
+                false_ordering_edges: 13,
+                ..tiny_params()
+            },
+            TizenParams {
+                work_scale: 1.000_000_1,
+                ..tiny_params()
+            },
+            TizenParams {
+                rcu_scale: 2.0,
+                ..tiny_params()
+            },
+            TizenParams {
+                io_scale: 0.5,
+                ..tiny_params()
+            },
+        ] {
+            assert_ne!(key(&params(other), 1), base, "{other:?}");
+        }
+        let mut faster = profiles::ue48h6200();
+        faster.machine.core_speed = 1.5;
+        assert_ne!(
+            key(&CellSpec::tizen("small", faster, tiny_params()), 1),
+            base
         );
-        assert_ne!(cell_fingerprint(&other).0, fa);
+        let overlaid = small_cell().supervision(Some(Supervision::default()));
+        assert_ne!(key(&overlaid, 1), base);
+        let other_overlay = small_cell().supervision(Some(Supervision {
+            start_limit_burst: 4,
+            ..Supervision::default()
+        }));
+        assert_ne!(key(&other_overlay, 1), key(&overlaid, 1));
 
-        // Seeds split seed-dependent sources, never fixed ones.
-        assert_ne!(job_fingerprint(fa, true, 1), job_fingerprint(fa, true, 2));
-        assert_eq!(job_fingerprint(fa, false, 1), job_fingerprint(fa, false, 2));
-
-        // Fixed sources fingerprint their content, seed-independent.
+        // A fixed cell's key is its own `Arc`, the same for every seed;
+        // an equal scenario in another `Arc` is another key.
         let scenario = tiny_scenario();
-        let fixed_a = CellSpec::fixed("a", scenario.clone());
-        let fixed_b = CellSpec::fixed("b", scenario);
-        let (ga, gdep) = cell_fingerprint(&fixed_a);
-        assert_eq!(ga, cell_fingerprint(&fixed_b).0);
-        assert!(!gdep);
-    }
+        let fixed = CellSpec::fixed("a", scenario.clone());
+        assert_eq!(key(&fixed, 0), key(&fixed, 7));
+        let relabeled = CellSpec {
+            label: "b".into(),
+            ..fixed.clone()
+        };
+        assert_eq!(key(&relabeled, 3), key(&fixed, 0));
+        assert_ne!(key(&CellSpec::fixed("a", scenario), 0), key(&fixed, 0));
 
-    #[test]
-    fn fixed_cells_share_one_template() {
-        let scenario = tiny_scenario();
-        let spec = SweepSpec::new().cell(
-            CellSpec::fixed("pinned", scenario)
-                .seeds([0, 1, 2])
-                .config("bb", BbConfig::full()),
-        );
-        let shared = spec.shared_templates();
-        let (a, pre_a) = job_scenario(&spec.cells[0], 0, &shared[0]);
-        let (b, pre_b) = job_scenario(&spec.cells[0], 1, &shared[0]);
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "fixed cells must not clone the scenario"
-        );
-        assert_eq!(pre_a, pre_b);
+        // Keys whose hashes collide still keep their own entries.
+        let mut map: HashMap<ScenarioKey, u64, BuildHasherDefault<OneBucket>> = HashMap::default();
+        for seed in [1, 2] {
+            map.insert(key(&small_cell(), seed), seed);
+        }
+        map.insert(key(&fixed, 0), 0);
+        assert_eq!(map.len(), 3);
+        assert_eq!(map[&key(&small_cell(), 1)], 1);
+        assert_eq!(map[&key(&small_cell(), 2)], 2);
+        assert_eq!(map[&key(&fixed, 5)], 0);
     }
 }

@@ -49,7 +49,8 @@ impl UnitName {
     }
 
     /// The name without its suffix (`dbus` for `dbus.service`).
-    pub fn stem(&self) -> &str {
+    #[cfg(test)]
+    fn stem(&self) -> &str {
         self.0.rsplit_once('.').expect("suffix exists").0
     }
 }
@@ -77,7 +78,7 @@ pub enum UnitKind {
 
 impl UnitKind {
     /// Parses the kind from a unit name's suffix.
-    pub fn from_name(name: &str) -> Option<UnitKind> {
+    fn from_name(name: &str) -> Option<UnitKind> {
         let (_, suffix) = name.rsplit_once('.')?;
         Some(match suffix {
             "service" => UnitKind::Service,
@@ -161,7 +162,7 @@ impl IoSchedulingClass {
 }
 
 /// `Restart=` policy: when a dead service is respawned (v208 subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RestartPolicy {
     /// Never respawn (systemd's default).
     #[default]

@@ -105,7 +105,7 @@ impl InitcallRegistry {
     }
 
     /// All calls in level order (stable within a level).
-    pub fn in_order(&self) -> Vec<&Initcall> {
+    fn in_order(&self) -> Vec<&Initcall> {
         let mut v: Vec<&Initcall> = self.calls.iter().collect();
         v.sort_by_key(|c| c.level);
         v

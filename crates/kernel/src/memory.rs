@@ -50,7 +50,7 @@ impl MemoryPlan {
     }
 
     /// Cost of the deferred remainder (runs post-boot in background).
-    pub fn deferred_init_cost(&self) -> SimDuration {
+    fn deferred_init_cost(&self) -> SimDuration {
         self.per_mib_cost * (self.total_mib - self.required_mib)
     }
 

@@ -81,7 +81,7 @@ impl ModuleCatalog {
 
     /// CPU overhead of loading one module as an external `.ko`
     /// (syscalls + linking), excluding flash I/O and the init routine.
-    pub fn external_overhead(&self, m: &KernelModule) -> SimDuration {
+    fn external_overhead(&self, m: &KernelModule) -> SimDuration {
         let syscalls = self.costs.syscall_cost * u64::from(self.costs.syscalls_per_module);
         let link = self.costs.link_cost_per_kib * m.image_bytes.div_ceil(1024);
         syscalls + link

@@ -6,7 +6,7 @@
 //! 1. the `bbsim sweep` / `bbsim chaos` / `bbsim suspend` CLI flags
 //!    (via [`SweepArgs::parse_flag`]),
 //! 2. the single-line JSON a client sends to `bbsim serve`
-//!    ([`SweepArgs::to_wire_json`] / [`SweepArgs::from_wire`]), and
+//!    ([`SweepArgs::to_wire_json`], decoded by [`parse_request`]), and
 //! 3. the [`SweepSpec`] grid the fleet service executes
 //!    ([`SweepArgs::sweep_spec`], [`SweepArgs::to_work_item`]) — one
 //!    builder for both kinds, where a chaos job adds the fault-plan,
@@ -249,7 +249,7 @@ impl SweepArgs {
 
     /// Decodes a wire job object. Missing fields take the `new(kind)`
     /// defaults, so older clients can omit knobs they don't set.
-    pub fn from_wire(v: &Json) -> Result<Self, String> {
+    fn from_wire(v: &Json) -> Result<Self, String> {
         let kind = v
             .get("kind")
             .and_then(Json::as_str)

@@ -35,7 +35,7 @@ pub enum IoPriority {
 }
 
 /// Static performance parameters of a storage device.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceProfile {
     /// Sequential read bandwidth in bytes per second.
     pub seq_read_bps: u64,

@@ -35,7 +35,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{CoreSpan, Trace, TraceKind};
 
 /// Static machine parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Number of CPU cores.
     pub cores: usize,

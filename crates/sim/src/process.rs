@@ -253,7 +253,8 @@ impl Process {
     }
 
     /// Effective scheduling priority: lower sorts first (runs earlier).
-    pub fn priority_key(&self) -> (i8, u64) {
+    #[cfg(test)]
+    fn priority_key(&self) -> (i8, u64) {
         (self.nice, self.ready_seq)
     }
 }

@@ -41,7 +41,7 @@ pub enum RcuMode {
 }
 
 /// Cost parameters of the RCU engine.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RcuParams {
     /// Minimum grace-period length with no active readers.
     pub base_grace_period: SimDuration,
@@ -257,7 +257,7 @@ impl RcuEngine {
     }
 
     /// Length of a grace period starting now, given current reader load.
-    pub fn grace_period_length(&self) -> SimDuration {
+    fn grace_period_length(&self) -> SimDuration {
         self.params.base_grace_period
             + self.params.per_reader_extension * u64::from(self.active_readers)
     }

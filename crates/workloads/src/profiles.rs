@@ -7,7 +7,7 @@
 use bb_sim::{DeviceProfile, MachineConfig, RcuMode, RcuParams, SimDuration};
 
 /// A named machine profile: CPU shape plus boot storage.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineProfile {
     /// Profile name.
     pub name: &'static str,

@@ -163,26 +163,36 @@ run cargo test -q --test serve_service
 # seeds each, none repeated) must leave the server's peak RSS (VmHWM)
 # at or under 48 MiB. A ticket's scenarios and plans go with the
 # ticket; a server that kept them would grow ~0.8 MB per fresh seed.
-echo "==> bbsim serve --socket $chaos_tmp/mem.sock --workers 2 &"
-./target/release/bbsim serve --socket "$chaos_tmp/mem.sock" --workers 2 2>/dev/null &
-serve_pid=$!
-for _ in $(seq 1 100); do
-    [ -S "$chaos_tmp/mem.sock" ] && break
-    sleep 0.1
-done
-[ -S "$chaos_tmp/mem.sock" ] || { echo "serve socket never appeared"; exit 1; }
-echo "==> 24 x bbsim submit sweep --services 136 --seeds 4 --seed N"
-for n in $(seq 0 23); do
-    seed=$((n * 4 + 1))
-    ./target/release/bbsim submit sweep --socket "$chaos_tmp/mem.sock" \
-        --services 136 --seeds 4 --seed "$seed" >/dev/null 2>&1 ||
-        { echo "submit --seed $seed failed"; exit 1; }
-done
-hwm_kb="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$serve_pid/status")"
-run ./target/release/bbsim submit --socket "$chaos_tmp/mem.sock" --shutdown
-wait "$serve_pid"
-echo "serve peak RSS ${hwm_kb} kB (bound 49152 kB)"
-[ "$hwm_kb" -le 49152 ] || { echo "serve peak RSS above 48 MiB"; exit 1; }
+# The second server forks every ticket from kernel checkpoints, which
+# it keeps across tickets: a checkpoint holds no plan, so it must keep
+# no scenario alive either.
+# Usage: serve_mem_smoke NAME [SUBMIT FLAG...]
+serve_mem_smoke() {
+    sock="$chaos_tmp/mem-$1.sock"
+    shift
+    echo "==> bbsim serve --socket $sock --workers 2 &"
+    ./target/release/bbsim serve --socket "$sock" --workers 2 2>/dev/null &
+    serve_pid=$!
+    for _ in $(seq 1 100); do
+        [ -S "$sock" ] && break
+        sleep 0.1
+    done
+    [ -S "$sock" ] || { echo "serve socket never appeared"; exit 1; }
+    echo "==> 24 x bbsim submit sweep --services 136 --seeds 4 --seed N $*"
+    for n in $(seq 0 23); do
+        seed=$((n * 4 + 1))
+        ./target/release/bbsim submit sweep --socket "$sock" \
+            --services 136 --seeds 4 --seed "$seed" "$@" >/dev/null 2>&1 ||
+            { echo "submit --seed $seed $* failed"; exit 1; }
+    done
+    hwm_kb="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$serve_pid/status")"
+    run ./target/release/bbsim submit --socket "$sock" --shutdown
+    wait "$serve_pid"
+    echo "serve peak RSS ${hwm_kb} kB (bound 49152 kB)"
+    [ "$hwm_kb" -le 49152 ] || { echo "serve peak RSS above 48 MiB"; exit 1; }
+}
+serve_mem_smoke plain
+serve_mem_smoke forked --fork-from kernel-handoff
 
 # Instant-on smoke: suspend must emit a valid bb-snapshot-v1 document.
 echo "==> bbsim suspend --services 24 --json | grep schema"

@@ -202,6 +202,38 @@ proptest! {
     }
 }
 
+/// A checkpoint holds no plan, so a resume plans the scenario it is
+/// given: a seed-2 Tizen-136 boot resumed from a seed-1 checkpoint under
+/// the same config reads what a fresh seed-2 run reads, not seed 1's
+/// timeline.
+#[test]
+fn resuming_another_seed_plans_that_seed() {
+    let tv136 = |seed| {
+        tv_scenario_with(
+            profiles::ue48h6200(),
+            TizenParams {
+                services: 136,
+                seed,
+                ..TizenParams::open_source()
+            },
+        )
+    };
+    let (one, two) = (tv136(1), tv136(2));
+    let cfg = BbConfig::full();
+    let ckpt = BootRequest::new(&one)
+        .config(cfg)
+        .checkpoint_at(CheckpointPhase::KernelHandoff)
+        .expect("checkpoint");
+    let resumed = BootRequest::new(&two)
+        .config(cfg)
+        .resume(&ckpt)
+        .expect("resume");
+    let straight = BootRequest::new(&two).config(cfg).run().expect("run");
+    assert_eq!(resumed.report.boot_time(), straight.report.boot_time());
+    assert_eq!(resumed.report.quiesce_time, straight.report.quiesce_time);
+    assert_eq!(resumed.report.boot_time().to_string(), "3195.572ms");
+}
+
 // ---------------------------------------------------------------------
 // 3. Golden snapshot: the v1 format, pinned byte for byte.
 // ---------------------------------------------------------------------
