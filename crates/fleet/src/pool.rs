@@ -622,7 +622,7 @@ pub(crate) fn run_job(
             // to resume ≡ run — the property bb-core's checkpoint tests
             // pin. The checkpoint holds no plan: it and every resume
             // take theirs from the plan cache, so each (scenario,
-            // config) pair still plans once.
+            // config) pair plans once.
             let checkpoint = if fork {
                 let ckpt_key = (key.clone(), cfg.prefix_key());
                 Some(match cache.checkpoint(&ckpt_key) {
