@@ -8,9 +8,9 @@
 //! event queue. The boot benchmarks measure the fleet inner loop on the
 //! calibration TV scenario two ways: a cold boot (plan + kernel + user
 //! space, fresh machine) and the hot-path boot a `bb-fleet` forked
-//! sweep actually runs per job — the checkpoint request's plan taken
-//! from the `PlanCache` both are attached to, as `run_job` attaches
-//! them, snapshot restore into a recycled machine (`MachineBuilder`),
+//! sweep actually runs per job — the plan taken from the `PlanCache`
+//! the checkpoint was taken through (`run_job` attaches one cache to
+//! both), snapshot restore into a recycled machine (`MachineBuilder`),
 //! suffix simulation only.
 //!
 //! Besides the criterion timings this bench writes `BENCH_hotpath.json`

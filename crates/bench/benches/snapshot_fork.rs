@@ -4,12 +4,12 @@
 //! A forked boot resumes a [`bb_core::Checkpoint`] taken at the
 //! kernel→init handoff instead of re-planning and re-simulating the
 //! kernel phase (restoring the snapshot replaces the kernel simulation,
-//! and the checkpoint request's plan, taken from the
-//! [`bb_core::PlanCache`] the checkpoint and every resume are attached
-//! to as a forked fleet job's are, replaces planning), so it should
-//! always beat the full boot. Besides the criterion timings this bench
-//! writes `BENCH_snapshot.json` at the repo root — the committed
-//! baseline the CI gate and future optimizations diff against.
+//! and the plan taken from the [`bb_core::PlanCache`] the checkpoint
+//! was taken through replaces planning, as in a forked fleet job), so
+//! it should always beat the full boot. Besides the criterion timings
+//! this bench writes `BENCH_snapshot.json` at the repo root — the
+//! committed baseline the CI gate and future optimizations diff
+//! against.
 //! Iteration count: `BB_BENCH_ITERS` (default 200).
 //!
 //! `cargo bench --bench snapshot_fork`
