@@ -7,7 +7,7 @@
 //! configs collapse to 16 distinct (scenario, config) pairs per seed,
 //! so grid dedup serves the duplicate conventional boots from cache,
 //! the `PlanCache` compiles each distinct pair once, and checkpoint
-//! forking simulates each distinct kernel prefix once per worker.
+//! forking simulates each distinct kernel prefix once per seed.
 //!
 //! Besides the criterion timings this bench writes `BENCH_sweep.json`
 //! at the repo root — the committed sweep-level perf baseline that
