@@ -13,7 +13,7 @@ fn compute_storm(procs: usize) {
         cores: 4,
         ..MachineConfig::default()
     });
-    m.disable_span_recording();
+    m.record_spans(false);
     for i in 0..procs {
         m.spawn(ProcessSpec::new(
             format!("p{i}"),
@@ -29,7 +29,7 @@ fn mixed_workload(procs: usize) {
         cores: 4,
         ..MachineConfig::default()
     });
-    m.disable_span_recording();
+    m.record_spans(false);
     let dev = m.add_device("emmc", DeviceProfile::tv_emmc());
     let gate = m.flag("gate");
     m.spawn(ProcessSpec::new(

@@ -48,8 +48,10 @@ fn side(name: &'static str, rcu_booster: bool) -> Side {
         rcu_booster,
         ..BbConfig::conventional()
     };
+    // The bootchart's CPU row reads the machine's core spans.
     let boot = BootRequest::new(&scenario)
         .config(cfg)
+        .core_spans(true)
         .run()
         .expect("scenario valid");
     let (report, machine) = (boot.report, boot.machine);

@@ -44,7 +44,8 @@ pub struct Fig7 {
 fn measure(name: &'static str, isolate_var_mount: bool) -> Side {
     let scenario = tv_scenario();
     let cfg = BbConfig::conventional();
-    let mut request = BootRequest::new(&scenario).config(cfg);
+    // The bootchart's CPU row reads the machine's core spans.
+    let mut request = BootRequest::new(&scenario).config(cfg).core_spans(true);
     if isolate_var_mount {
         request = request.tweak(|graph, transaction, overrides| {
             let var = graph.idx_of("var.mount");

@@ -234,7 +234,7 @@ impl Checkpoint {
 ///
 /// Defaults: the full BB configuration, no pre-built parser
 /// measurements, no faults, no fallback supervisor, no artifact,
-/// telemetry off, no plan tweak.
+/// telemetry off, core spans off, no plan tweak.
 ///
 /// # Examples
 ///
@@ -257,6 +257,7 @@ pub struct BootRequest<'s> {
     fallback: Option<FallbackPolicy>,
     artifact: Option<&'s ArtifactRead>,
     telemetry: bool,
+    core_spans: bool,
     builder: Option<&'s mut MachineBuilder>,
     cache: Option<(&'s PlanCache, &'s Arc<Scenario>)>,
     #[allow(clippy::type_complexity)]
@@ -274,6 +275,7 @@ impl<'s> BootRequest<'s> {
             fallback: None,
             artifact: None,
             telemetry: false,
+            core_spans: false,
             builder: None,
             cache: None,
             tweak: None,
@@ -390,6 +392,18 @@ impl<'s> BootRequest<'s> {
         self
     }
 
+    /// Records core busy spans ([`bb_sim::CoreSpan`]) on the boot's
+    /// machine: the CPU-utilization rows of a [`bb_init::Bootchart`] and
+    /// the slices of a [`bb_sim::chrome_trace`]. Off by default, because
+    /// no report reads them and a 1000-service boot dispatches ~74,000
+    /// times; the timeline is the same either way. A checkpoint holds
+    /// the spans of its prefix only if its request asked, and a resume
+    /// records spans from the handoff on only if its own request asks.
+    pub fn core_spans(mut self, enabled: bool) -> Self {
+        self.core_spans = enabled;
+        self
+    }
+
     /// Adjusts the plan overrides after the passes ran — e.g. the
     /// paper's §4.2 experiment that manually adds *only* `var.mount` to
     /// the BB Group without enabling the full isolator.
@@ -445,8 +459,13 @@ impl<'s> BootRequest<'s> {
         let plan = self.plan()?;
         let no_faults = FaultPlan::none();
         let faults = self.faults.unwrap_or(&no_faults);
-        let (machine, kernel, device) =
-            execute_prefix(&plan.0, faults, false, self.builder.as_deref_mut());
+        let (machine, kernel, device) = execute_prefix(
+            &plan.0,
+            faults,
+            false,
+            self.core_spans,
+            self.builder.as_deref_mut(),
+        );
         let bytes = snapshot::save(&machine)?;
         // The prefix machine's job ends at the snapshot: recycle its
         // allocations for the resumes that follow.
@@ -556,12 +575,15 @@ impl<'s> BootRequest<'s> {
     }
 
     /// Restores a snapshot image, through the request's machine
-    /// builder when one is attached.
+    /// builder when one is attached, recording core spans from here on
+    /// only if this request asked.
     fn restore(&mut self, bytes: &[u8]) -> Result<Machine, bb_sim::SnapshotError> {
-        match self.builder.as_deref_mut() {
+        let mut machine = match self.builder.as_deref_mut() {
             Some(b) => b.restore(bytes),
             None => snapshot::restore(bytes),
-        }
+        }?;
+        machine.record_spans(self.core_spans);
+        Ok(machine)
     }
 
     /// Executes the boot suffix on `machine`, restored from
@@ -656,7 +678,8 @@ impl<'s> BootRequest<'s> {
         let (ir, deltas) = &*plan;
         let no_faults = FaultPlan::none();
         let faults = self.faults.unwrap_or(&no_faults);
-        let (machine, kernel, device) = execute_prefix(ir, faults, self.telemetry, self.builder);
+        let (machine, kernel, device) =
+            execute_prefix(ir, faults, self.telemetry, self.core_spans, self.builder);
         Ok(Boot::new(execute_suffix(
             ir,
             deltas.clone(),
@@ -908,6 +931,36 @@ pub(crate) mod tests {
                 assert_eq!(x, y, "trace event diverges");
             }
         }
+    }
+
+    #[test]
+    fn core_spans_are_recorded_only_on_request() {
+        let s = mini_tv();
+        let plain = BootRequest::new(&s).run().unwrap();
+        let spans = BootRequest::new(&s).core_spans(true).run().unwrap();
+        assert!(plain.machine.trace().spans().is_empty());
+        assert!(!spans.machine.trace().spans().is_empty());
+        // Spans are bookkeeping only: the timeline is the same.
+        assert_eq!(
+            plain.machine.trace().events(),
+            spans.machine.trace().events()
+        );
+        assert_eq!(plain.report.quiesce_time, spans.report.quiesce_time);
+        // A checkpoint keeps the spans of its prefix only if asked, and
+        // a resume records its own only if it asks.
+        let ckpt = |spans| {
+            BootRequest::new(&s)
+                .core_spans(spans)
+                .checkpoint_at(CheckpointPhase::KernelHandoff)
+                .unwrap()
+        };
+        let (bare, with_spans) = (ckpt(false), ckpt(true));
+        // The recording switch travels in the image.
+        assert_ne!(bare.bytes(), with_spans.bytes());
+        let resumed = BootRequest::new(&s).resume(&bare).unwrap();
+        assert!(resumed.machine.trace().spans().is_empty());
+        let resumed = BootRequest::new(&s).core_spans(true).resume(&bare).unwrap();
+        assert!(!resumed.machine.trace().spans().is_empty());
     }
 
     #[test]

@@ -690,9 +690,10 @@ pub(crate) type SharedPlan = Arc<(BootPlanIr, Vec<PassDelta>)>;
 /// Booster Control, module handling, then the init scheme via
 /// [`bb_init::run_boot`]. With [`Pipeline::plan`] this is the layer
 /// split of a [`crate::BootRequest`] boot, for callers that time the
-/// two halves separately.
+/// two halves separately; like a default request, it records no core
+/// spans.
 pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
-    let (machine, kernel, device) = execute_prefix(ir, &FaultPlan::none(), false, None);
+    let (machine, kernel, device) = execute_prefix(ir, &FaultPlan::none(), false, false, None);
     execute_suffix(ir, deltas, machine, kernel, device)
 }
 
@@ -704,7 +705,8 @@ pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Mach
 ///
 /// `faults` is installed before the kernel boots (the empty plan is a
 /// strict no-op); `telemetry` arms the metrics sink before any work
-/// runs (off, the hot paths reduce to an `is_some()` check); a
+/// runs (off, the hot paths reduce to an `is_some()` check);
+/// `core_spans` says whether the machine records core busy spans; a
 /// `builder` supplies the machine from its recycling pool, which its
 /// contract makes observationally identical to a fresh one. Timelines
 /// are bit-identical either way.
@@ -712,12 +714,14 @@ pub(crate) fn execute_prefix(
     ir: &BootPlanIr,
     faults: &FaultPlan,
     telemetry: bool,
+    core_spans: bool,
     builder: Option<&mut MachineBuilder>,
 ) -> (Machine, KernelReport, DeviceId) {
     let mut machine = match builder {
         Some(b) => b.build(ir.machine),
         None => Machine::new(ir.machine),
     };
+    machine.record_spans(core_spans);
     if telemetry {
         machine.enable_telemetry();
     }

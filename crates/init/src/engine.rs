@@ -153,6 +153,41 @@ impl std::ops::Index<&usize> for JobFlags {
     }
 }
 
+/// The ordering predecessors of one service, deduplicated in edge
+/// order: a marker table over graph slots plus the list, both reused
+/// for every service of a boot, so building a service's program
+/// allocates nothing for its dependencies.
+struct DepScratch {
+    /// `marks[slot] == stamp` iff `slot` is already in `deps`.
+    marks: Vec<u32>,
+    stamp: u32,
+    deps: Vec<usize>,
+}
+
+impl DepScratch {
+    fn new(slots: usize) -> Self {
+        DepScratch {
+            marks: vec![0; slots],
+            stamp: 0,
+            deps: Vec::new(),
+        }
+    }
+
+    /// Starts the next service's (empty) list.
+    fn begin(&mut self) {
+        self.stamp += 1;
+        self.deps.clear();
+    }
+
+    /// Appends `slot` unless the current list already holds it.
+    fn add(&mut self, slot: usize) {
+        if self.marks[slot] != self.stamp {
+            self.marks[slot] = self.stamp;
+            self.deps.push(slot);
+        }
+    }
+}
+
 /// Everything the engine needs to run one boot.
 ///
 /// All fields borrow from the planning layer: the engine is the
@@ -425,7 +460,9 @@ pub fn run_boot(
     }
 
     // Dispatch every job (services self-gate), then spawn service-phase
-    // housekeeping.
+    // housekeeping. The manager issues a compute and a spawn per job.
+    manager_ops.reserve(2 * order.len() + plan.service_phase_tasks.len());
+    let mut scratch = DepScratch::new(graph.len());
     let mut prev_ready: Option<FlagId> = None;
     let mut has_timeouts = false;
     // Per supervised job: (start-limit flag, escalation flag if any).
@@ -442,9 +479,10 @@ pub fn run_boot(
             &cond_flags,
             boot_complete,
             prev_ready,
+            &mut scratch,
         );
         manager_ops.push(Op::Compute(cfg.costs.dispatch_cpu_per_job));
-        manager_ops.push(Op::Spawn(spec));
+        manager_ops.push(Op::Spawn(Box::new(spec)));
         // TimeoutStartSec=: a watchdog forces the readiness flag when the
         // timeout expires, so dependents are released even if the service
         // hangs (recorded as `timed_out` when the watchdog fired first).
@@ -453,7 +491,7 @@ pub fn run_boot(
         let timeout_ms = graph.unit(j).exec.timeout_ms;
         if timeout_ms > 0 {
             has_timeouts = true;
-            manager_ops.push(Op::Spawn(ProcessSpec::new(
+            manager_ops.push(Op::Spawn(Box::new(ProcessSpec::new(
                 format!("timeout:{}", graph.unit(j).name),
                 vec![
                     Op::TimedWaitFlag {
@@ -462,7 +500,7 @@ pub fn run_boot(
                     },
                     Op::SetFlag(ready_flags[&j]),
                 ],
-            )));
+            ))));
         }
         // Restart=/OnFailure= supervision: a crashed incarnation sets
         // `fault:crashed:<name>` (see bb-sim fault injection); a chain of
@@ -492,13 +530,14 @@ pub fn run_boot(
                     &cond_flags,
                     boot_complete,
                     None,
+                    &mut scratch,
                 );
                 respawn.name = attempt.clone();
                 let mut w_ops = vec![Op::WaitFlag(crashed_prev)];
                 if exec.restart_sec_ms > 0 {
                     w_ops.push(Op::Sleep(SimDuration::from_millis(exec.restart_sec_ms)));
                 }
-                w_ops.push(Op::Spawn(respawn));
+                w_ops.push(Op::Spawn(Box::new(respawn)));
                 machine.spawn(
                     ProcessSpec::new(format!("restart:{attempt}"), w_ops)
                         .with_nice(cfg.costs.manager_nice),
@@ -513,13 +552,13 @@ pub fn run_boot(
             } else {
                 for target in &graph.unit(j).on_failure {
                     let target_ready = machine.flag(format!("ready:{target}"));
-                    w_ops.push(Op::Spawn(escalation_spec(
+                    w_ops.push(Op::Spawn(Box::new(escalation_spec(
                         graph,
                         workloads,
                         cfg,
                         target,
                         target_ready,
-                    )));
+                    ))));
                 }
                 let flag = machine.flag(format!("escalated:{unit_name}"));
                 w_ops.push(Op::SetFlag(flag));
@@ -541,9 +580,9 @@ pub fn run_boot(
             ops.push(Op::WaitFlag(boot_complete));
         }
         ops.push(Op::Compute(task.cost));
-        manager_ops.push(Op::Spawn(
+        manager_ops.push(Op::Spawn(Box::new(
             ProcessSpec::new(format!("systemd:{}", task.name), ops).with_nice(0),
-        ));
+        )));
     }
     machine
         .spawn(ProcessSpec::new("systemd-manager", manager_ops).with_nice(cfg.costs.manager_nice));
@@ -659,7 +698,9 @@ pub fn run_boot(
     }
 }
 
-/// Builds the simulated process for one job.
+/// Builds the simulated process for one job. Its op list is allocated
+/// once, at its final length, and the workload body is copied into it
+/// from the shared map, never cloned as a whole.
 #[allow(clippy::too_many_arguments)]
 fn service_spec(
     graph: &UnitGraph,
@@ -672,119 +713,104 @@ fn service_spec(
     cond_flags: &[Option<FlagId>],
     boot_complete: FlagId,
     serial_prev: Option<FlagId>,
+    scratch: &mut DepScratch,
 ) -> ProcessSpec {
     let unit = graph.unit(job);
-    let isolated = plan.overrides.isolate.contains(&job);
+    let overrides = plan.overrides;
 
-    // Ordering predecessors this service waits for.
-    let deps: Vec<usize> = match cfg.mode {
-        EngineMode::Serial | EngineMode::OutOfOrder { .. } => Vec::new(),
-        EngineMode::InOrder => {
-            let mut seen = BTreeSet::new();
-            graph
-                .ordering_in_edges(job)
-                .filter(|e| is_job[e.src])
-                .filter(|e| !plan.overrides.drop_edges.contains(&(e.src, e.dst)))
-                .filter(|e| {
-                    // BB Group isolation: members ignore foreign
-                    // declarations and never wait on non-members.
-                    !isolated
-                        || (plan.overrides.isolate.contains(&e.src)
-                            && plan.overrides.isolate.contains(&e.declared_by))
-                })
-                .map(|e| e.src)
-                .filter(|s| seen.insert(*s))
-                .collect()
-        }
-    };
-
-    let mut ops: Vec<Op> = Vec::new();
-    if plan.overrides.defer.contains(&job) {
-        ops.push(Op::WaitFlag(boot_complete));
-    }
-    if let Some(prev) = serial_prev {
-        ops.push(Op::WaitFlag(prev));
-    }
+    // Ordering predecessors this service waits for (in order) or checks
+    // (out of order, with path-check or assert).
+    scratch.begin();
     match cfg.mode {
         EngineMode::InOrder => {
-            for d in &deps {
-                ops.push(Op::WaitFlag(ready_flags[d]));
+            let isolated = overrides.isolate.contains(&job);
+            for e in graph.ordering_in_edges(job) {
+                // BB Group isolation: members ignore foreign
+                // declarations and never wait on non-members.
+                if is_job[e.src]
+                    && !overrides.drop_edges.contains(&(e.src, e.dst))
+                    && (!isolated
+                        || (overrides.isolate.contains(&e.src)
+                            && overrides.isolate.contains(&e.declared_by)))
+                {
+                    scratch.add(e.src);
+                }
             }
         }
         EngineMode::OutOfOrder {
             path_check,
             assert_deps,
-        } => {
-            let mut seen = BTreeSet::new();
-            let raw_deps: Vec<usize> = graph
-                .ordering_in_edges(job)
-                .filter(|e| is_job[e.src])
-                .map(|e| e.src)
-                .filter(|s| seen.insert(*s))
-                .collect();
-            for d in raw_deps {
-                if path_check {
-                    ops.push(Op::PollFlag {
-                        flag: ready_flags[&d],
-                        interval: SimDuration::from_millis(50),
-                        poll_cost: SimDuration::from_micros(80),
-                    });
-                } else if assert_deps {
-                    ops.push(Op::AssertFlag(ready_flags[&d]));
+        } if path_check || assert_deps => {
+            for e in graph.ordering_in_edges(job) {
+                if is_job[e.src] {
+                    scratch.add(e.src);
                 }
             }
         }
-        EngineMode::Serial => {}
+        EngineMode::OutOfOrder { .. } | EngineMode::Serial => {}
     }
 
-    let fork_cost = plan
-        .overrides
+    let (pre_ready, post_ready) = body_of(workloads, unit.exec.exec_start.as_deref());
+    let cond = cond_flags[job];
+    let deferred = overrides.defer.contains(&job);
+    let len = usize::from(deferred)
+        + usize::from(serial_prev.is_some())
+        + scratch.deps.len()
+        + 2 // fork+exec compute, readiness flag
+        + conditional_len(cond, pre_ready)
+        + conditional_len(cond, post_ready);
+    let mut ops: Vec<Op> = Vec::with_capacity(len);
+    if deferred {
+        ops.push(Op::WaitFlag(boot_complete));
+    }
+    if let Some(prev) = serial_prev {
+        ops.push(Op::WaitFlag(prev));
+    }
+    ops.extend(scratch.deps.iter().map(|d| {
+        let flag = ready_flags[d];
+        match cfg.mode {
+            EngineMode::OutOfOrder {
+                path_check: true, ..
+            } => Op::PollFlag {
+                flag,
+                interval: SimDuration::from_millis(50),
+                poll_cost: SimDuration::from_micros(80),
+            },
+            EngineMode::OutOfOrder { .. } => Op::AssertFlag(flag),
+            EngineMode::InOrder | EngineMode::Serial => Op::WaitFlag(flag),
+        }
+    }));
+
+    let fork_cost = overrides
         .fork_cost
         .get(&job)
         .copied()
         .unwrap_or(cfg.costs.fork_exec_cost);
     ops.push(Op::Compute(fork_cost));
 
-    let body = unit
-        .exec
-        .exec_start
-        .as_deref()
-        .and_then(|e| workloads.get(e))
-        .cloned()
-        .unwrap_or_else(|| ServiceBody {
-            pre_ready: vec![Op::Compute(SimDuration::from_millis(2))],
-            post_ready: Vec::new(),
-        });
     let ready = ready_flags[&job];
-    let cond = cond_flags[job];
-
     match unit.exec.service_type {
         ServiceType::Simple => {
             // Ready as soon as exec starts; condition skips the body.
             ops.push(Op::SetFlag(ready));
-            push_conditional(&mut ops, cond, body.pre_ready);
-            push_conditional(&mut ops, cond, body.post_ready);
+            push_conditional(&mut ops, cond, pre_ready);
+            push_conditional(&mut ops, cond, post_ready);
         }
         ServiceType::Forking | ServiceType::Notify => {
-            push_conditional(&mut ops, cond, body.pre_ready);
+            push_conditional(&mut ops, cond, pre_ready);
             ops.push(Op::SetFlag(ready));
-            push_conditional(&mut ops, cond, body.post_ready);
+            push_conditional(&mut ops, cond, post_ready);
         }
         ServiceType::Oneshot => {
-            push_conditional(&mut ops, cond, body.pre_ready);
-            push_conditional(&mut ops, cond, body.post_ready);
+            push_conditional(&mut ops, cond, pre_ready);
+            push_conditional(&mut ops, cond, post_ready);
             ops.push(Op::SetFlag(ready));
         }
     }
+    debug_assert_eq!(ops.len(), len, "service op list sized exactly");
 
-    let nice = plan
-        .overrides
-        .nice
-        .get(&job)
-        .copied()
-        .unwrap_or(unit.exec.nice);
-    let io_class = plan
-        .overrides
+    let nice = overrides.nice.get(&job).copied().unwrap_or(unit.exec.nice);
+    let io_class = overrides
         .io_class
         .get(&job)
         .copied()
@@ -799,6 +825,17 @@ fn service_spec(
         .with_io_priority(io_priority)
 }
 
+/// The `(pre_ready, post_ready)` ops a unit runs: its `ExecStart=`
+/// workload body, or a small default (2 ms of compute before readiness)
+/// for units the map does not name.
+fn body_of<'w>(workloads: &'w WorkloadMap, exec_start: Option<&str>) -> (&'w [Op], &'w [Op]) {
+    const DEFAULT_PRE_READY: &[Op] = &[Op::Compute(SimDuration::from_millis(2))];
+    match exec_start.and_then(|e| workloads.get(e)) {
+        Some(body) => (&body.pre_ready, &body.post_ready),
+        None => (DEFAULT_PRE_READY, &[]),
+    }
+}
+
 /// Builds the process activating one `OnFailure=` unit. The target need
 /// not be part of the transaction: if it is unknown (a rescue shell, a
 /// reboot helper) it gets the default small body. Its readiness flag is
@@ -810,24 +847,28 @@ fn escalation_spec(
     target: &UnitName,
     target_ready: FlagId,
 ) -> ProcessSpec {
-    let body = graph
+    let exec_start = graph
         .idx(target)
-        .and_then(|i| graph.unit(i).exec.exec_start.as_deref())
-        .and_then(|e| workloads.get(e))
-        .cloned()
-        .unwrap_or_else(|| ServiceBody {
-            pre_ready: vec![Op::Compute(SimDuration::from_millis(2))],
-            post_ready: Vec::new(),
-        });
-    let mut ops = vec![Op::Compute(cfg.costs.fork_exec_cost)];
-    ops.extend(body.pre_ready);
+        .and_then(|i| graph.unit(i).exec.exec_start.as_deref());
+    let (pre_ready, post_ready) = body_of(workloads, exec_start);
+    let mut ops = Vec::with_capacity(2 + pre_ready.len() + post_ready.len());
+    ops.push(Op::Compute(cfg.costs.fork_exec_cost));
+    ops.extend_from_slice(pre_ready);
     ops.push(Op::SetFlag(target_ready));
-    ops.extend(body.post_ready);
+    ops.extend_from_slice(post_ready);
     ProcessSpec::new(target.as_str(), ops)
 }
 
+/// Ops [`push_conditional`] appends for `body`.
+fn conditional_len(cond: Option<FlagId>, body: &[Op]) -> usize {
+    match body.len() {
+        0 => 0,
+        n => n + usize::from(cond.is_some()),
+    }
+}
+
 /// Appends `body`, wrapped in a conditional skip when `cond` is present.
-fn push_conditional(ops: &mut Vec<Op>, cond: Option<FlagId>, body: Vec<Op>) {
+fn push_conditional(ops: &mut Vec<Op>, cond: Option<FlagId>, body: &[Op]) {
     if body.is_empty() {
         return;
     }
@@ -837,7 +878,7 @@ fn push_conditional(ops: &mut Vec<Op>, cond: Option<FlagId>, body: Vec<Op>) {
             skip_ops: body.len() as u32,
         });
     }
-    ops.extend(body);
+    ops.extend_from_slice(body);
 }
 
 #[cfg(test)]

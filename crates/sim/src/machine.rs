@@ -29,7 +29,7 @@ use crate::fault::{Fault, FaultPlan};
 use crate::ids::{CoreId, DeviceId, FlagId, Pid};
 use crate::io::{Device, DeviceProfile, IoRequest};
 use crate::process::{BlockReason, Op, ProcState, Process, ProcessSpec};
-use crate::rcu::{RcuEngine, RcuMode, RcuParams, RcuStats};
+use crate::rcu::{RcuEngine, RcuMode, RcuParams, RcuStats, WaitKind, Waiter};
 use crate::telemetry::{self, Telemetry};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CoreSpan, Trace, TraceKind};
@@ -102,44 +102,59 @@ pub(crate) struct FlagState {
     pub(crate) waiters: SmallVec<Pid, FLAG_WAITERS_INLINE>,
 }
 
-/// The run queue: one FIFO ring per distinct nice level, levels sorted
-/// by nice. A boot uses only a handful of distinct nice values, so push
-/// and pop are O(#levels) scans with no per-element sifting — much
-/// cheaper than the binary heap this replaces. Because `ready_seq` is
-/// globally monotonic, entries within a level arrive FIFO in seq order,
-/// and draining levels lowest-nice-first reproduces the old heap's
-/// `(nice, seq, pid)` order exactly.
-#[derive(Debug, Default)]
+/// Number of distinct nice values: the whole `i8` range. A spec's
+/// `nice` field is public and snapshot decode accepts any byte, so the
+/// queue covers every value, not just the Unix range −20..=19.
+const NICE_LEVELS: usize = 256;
+
+/// The run queue: one FIFO ring per nice value, indexed directly by the
+/// value, plus an occupancy bitmap with one bit per ring. Push is an
+/// index and an append; pop takes the ring of the lowest set bit. Because
+/// `ready_seq` is globally monotonic, entries within a ring arrive in seq
+/// order, so draining rings lowest-nice-first yields the `(nice, seq)`
+/// order the snapshot format stores.
+#[derive(Debug)]
 pub(crate) struct ReadyQueue {
-    levels: Vec<(i8, VecDeque<(u64, u32)>)>,
+    rings: Vec<VecDeque<(u64, u32)>>,
+    occupied: [u64; NICE_LEVELS / 64],
     len: usize,
 }
 
+impl Default for ReadyQueue {
+    fn default() -> Self {
+        ReadyQueue {
+            rings: (0..NICE_LEVELS).map(|_| VecDeque::new()).collect(),
+            occupied: [0; NICE_LEVELS / 64],
+            len: 0,
+        }
+    }
+}
+
 impl ReadyQueue {
+    /// Ring index of `nice`: −128 maps to 0 and 127 to 255, so index
+    /// order is nice order.
+    fn ring(nice: i8) -> usize {
+        usize::from(nice as u8 ^ 0x80)
+    }
+
     pub(crate) fn push(&mut self, nice: i8, seq: u64, raw: u32) {
-        let idx = match self.levels.binary_search_by_key(&nice, |l| l.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.levels.insert(i, (nice, VecDeque::new()));
-                i
-            }
-        };
-        self.levels[idx].1.push_back((seq, raw));
+        let i = Self::ring(nice);
+        self.rings[i].push_back((seq, raw));
+        self.occupied[i / 64] |= 1 << (i % 64);
         self.len += 1;
     }
 
     /// Pops the pid of the `(nice, seq)`-minimal entry.
     pub(crate) fn pop(&mut self) -> Option<u32> {
-        if self.len == 0 {
-            return None;
+        let word = self.occupied.iter().position(|&w| w != 0)?;
+        let i = word * 64 + self.occupied[word].trailing_zeros() as usize;
+        let ring = &mut self.rings[i];
+        let (_, raw) = ring.pop_front().expect("occupied ring has an entry");
+        if ring.is_empty() {
+            self.occupied[word] &= !(1 << (i % 64));
         }
-        for (_, q) in &mut self.levels {
-            if let Some((_, raw)) = q.pop_front() {
-                self.len -= 1;
-                return Some(raw);
-            }
-        }
-        unreachable!("ready len out of sync with levels")
+        self.len -= 1;
+        Some(raw)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -150,19 +165,21 @@ impl ReadyQueue {
         self.len == 0
     }
 
-    /// Empties the queue, keeping level rings allocated (recycling).
+    /// Empties the queue, keeping the rings allocated (recycling).
     pub(crate) fn clear(&mut self) {
-        for (_, q) in &mut self.levels {
-            q.clear();
+        for ring in &mut self.rings {
+            ring.clear();
         }
+        self.occupied = [0; NICE_LEVELS / 64];
         self.len = 0;
     }
 
     /// Entries in canonical `(nice, seq, pid)` order (snapshot encode).
     pub(crate) fn iter_sorted(&self) -> impl Iterator<Item = (i8, u64, u32)> + '_ {
-        self.levels
-            .iter()
-            .flat_map(|(n, q)| q.iter().map(move |&(s, r)| (*n, s, r)))
+        self.rings.iter().enumerate().flat_map(|(i, ring)| {
+            let nice = (i as u8 ^ 0x80) as i8;
+            ring.iter().map(move |&(seq, raw)| (nice, seq, raw))
+        })
     }
 }
 
@@ -222,6 +239,10 @@ pub struct Machine {
     /// the simulation loop itself only ever touches `FlagId` indices.
     pub(crate) flag_lookup: Vec<FlagId>,
     pub(crate) rcu: RcuEngine,
+    /// Waiters of the grace period being completed: the RCU engine moves
+    /// them here and `on_grace_done` drains them, so the buffer keeps its
+    /// capacity across grace periods. Always empty between events.
+    pub(crate) rcu_released: Vec<Waiter>,
     pub(crate) trace: Trace,
     pub(crate) pending_spawns: Vec<Option<ProcessSpec>>,
     pub(crate) work: Vec<Pid>,
@@ -246,6 +267,7 @@ impl Machine {
         Machine {
             cores: vec![None; cfg.cores],
             rcu: RcuEngine::new(cfg.rcu_mode, cfg.rcu_params),
+            rcu_released: Vec::new(),
             cfg,
             now: SimTime::ZERO,
             events: EventQueue::with_capacity(EVENT_QUEUE_CAPACITY),
@@ -277,8 +299,9 @@ impl Machine {
 
     /// Resets the machine to the pristine state [`Machine::new`]`(cfg)`
     /// would produce, but keeps the backing allocations of every arena
-    /// (event heap, process table, running slab, ready queue, trace,
-    /// work lists) so a recycled machine boots without reallocating.
+    /// (event heap, process table, running slab, ready queue, RCU
+    /// batches, trace, work lists) so a recycled machine boots without
+    /// reallocating. Span recording is back on, as on a new machine.
     /// Observationally identical to a fresh machine: the recycling
     /// proptests pin trace-for-trace equality.
     ///
@@ -289,7 +312,7 @@ impl Machine {
         Self::check_config(&cfg);
         self.cores.clear();
         self.cores.resize(cfg.cores, None);
-        self.rcu = RcuEngine::new(cfg.rcu_mode, cfg.rcu_params);
+        self.rcu.reset(cfg.rcu_mode, cfg.rcu_params);
         self.cfg = cfg;
         self.now = SimTime::ZERO;
         self.events.reset();
@@ -324,9 +347,14 @@ impl Machine {
         &self.trace
     }
 
-    /// Disables core-span recording (for very long runs).
-    pub fn disable_span_recording(&mut self) {
-        self.trace.record_spans = false;
+    /// Turns core-span recording on or off from now on. A new or reset
+    /// machine records spans. Only CPU-utilization readers use them (the
+    /// bootchart rows and the Chrome trace's slices), and a boot
+    /// dispatches tens of thousands of times, so callers that read no
+    /// spans switch them off. Spans already recorded stay in the trace,
+    /// and the setting travels in snapshots.
+    pub fn record_spans(&mut self, on: bool) {
+        self.trace.record_spans = on;
     }
 
     /// RCU statistics so far.
@@ -838,11 +866,11 @@ impl Machine {
     }
 
     fn on_grace_done(&mut self) {
-        let (released, next) = self.rcu.complete_grace_period(self.now);
-        if let Some(next_end) = next {
+        let mut released = std::mem::take(&mut self.rcu_released);
+        if let Some(next_end) = self.rcu.complete_grace_period(self.now, &mut released) {
             self.events.push(next_end, EventKind::RcuGraceDone);
         }
-        for waiter in released {
+        for waiter in released.drain(..) {
             let waited = self.now.saturating_since(waiter.submitted_at);
             if let Some(t) = self.telemetry.as_mut() {
                 t.metrics.add(telemetry::RCU_SYNCS, 1);
@@ -852,7 +880,7 @@ impl Machine {
             self.trace
                 .push(self.now, waiter.pid, TraceKind::RcuSyncDone { waited });
             match waiter.kind {
-                crate::rcu::WaitKind::Spinning => {
+                WaitKind::Spinning => {
                     // The waiter burned its core the whole time; charge
                     // and free it.
                     let run = self.running[waiter.pid.index()].expect("spinning waiter runs");
@@ -860,12 +888,12 @@ impl Machine {
                     self.release_core(waiter.pid, run.core);
                     self.work.push(waiter.pid);
                 }
-                crate::rcu::WaitKind::SleepingClassic => {
+                WaitKind::SleepingClassic => {
                     let p = &mut self.procs[waiter.pid.index()];
                     debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::RcuBlocked));
                     self.work.push(waiter.pid);
                 }
-                crate::rcu::WaitKind::SleepingBoosted => {
+                WaitKind::SleepingBoosted => {
                     // Wake the sleeper; it pays a context switch on-CPU.
                     let p = &mut self.procs[waiter.pid.index()];
                     debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::RcuBlocked));
@@ -877,6 +905,7 @@ impl Machine {
                 }
             }
         }
+        self.rcu_released = released;
     }
 
     fn on_flag_wait_timeout(&mut self, pid: Pid, seq: u64) {
@@ -922,7 +951,7 @@ impl Machine {
     ///
     /// Allocation-free: every arm borrows the front op and copies only
     /// its scalar payload; `Spawn` — the one op with heap payload —
-    /// pops the op and *moves* the spec into the child instead of
+    /// pops the op and *moves* the boxed spec into the child instead of
     /// deep-cloning it.
     fn step_process(&mut self, pid: Pid) {
         loop {
@@ -1048,7 +1077,7 @@ impl Machine {
                     let Some(Op::Spawn(spec)) = self.procs[pid.index()].ops.pop_front() else {
                         unreachable!("front op changed under us");
                     };
-                    let child = self.add_process(spec);
+                    let child = self.add_process(*spec);
                     self.work.push(child);
                 }
                 Some(&Op::Yield) => {
@@ -1170,12 +1199,11 @@ impl Machine {
                     self.events.push(end, EventKind::RcuGraceDone);
                 }
                 match kind {
-                    crate::rcu::WaitKind::Spinning => {
+                    WaitKind::Spinning => {
                         // Busy-wait: keep the core until the grace period
                         // releases this waiter (handled in on_grace_done).
                     }
-                    crate::rcu::WaitKind::SleepingClassic
-                    | crate::rcu::WaitKind::SleepingBoosted => {
+                    WaitKind::SleepingClassic | WaitKind::SleepingBoosted => {
                         self.release_core(pid, core);
                         self.procs[pid.index()].state = ProcState::Blocked(BlockReason::RcuBlocked);
                     }
@@ -1287,6 +1315,8 @@ impl Machine {
             events,
             procs,
             running,
+            rcu,
+            rcu_released,
             flags,
             flag_lookup,
             trace,
@@ -1298,6 +1328,9 @@ impl Machine {
         self.events.adopt_capacity(events);
         graft(&mut self.procs, procs);
         graft(&mut self.running, running);
+        graft(&mut self.rcu.current, rcu.current);
+        graft(&mut self.rcu.next, rcu.next);
+        graft(&mut self.rcu_released, rcu_released);
         graft(&mut self.flags, flags);
         graft(&mut self.flag_lookup, flag_lookup);
         graft(&mut self.trace.events, trace.events);

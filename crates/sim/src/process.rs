@@ -101,7 +101,10 @@ pub enum Op {
     SetFlag(FlagId),
     /// Spawn a child process that becomes ready immediately. Free; the
     /// fork cost, if any, should be modelled as an explicit `Compute`.
-    Spawn(ProcessSpec),
+    ///
+    /// The spec is boxed so that one rare variant does not set the size
+    /// of every op: unboxed, `Op` is 56 bytes; boxed, 24.
+    Spawn(Box<ProcessSpec>),
     /// Relinquish the core and go to the back of the ready queue.
     Yield,
     /// Switch the machine's RCU waiter mode. Free.
@@ -111,6 +114,9 @@ pub enum Op {
     /// control process disables it at boot completion (§3.2).
     SetRcuMode(crate::rcu::RcuMode),
 }
+
+// Every op list is a `Vec<Op>`/`VecDeque<Op>`; keep the op small.
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
 
 /// Static description of a process: what to run and how urgent it is.
 #[derive(Debug, Clone)]
@@ -373,7 +379,7 @@ impl OpsBuilder {
 
     /// Appends a child spawn.
     pub fn spawn(mut self, spec: ProcessSpec) -> Self {
-        self.ops.push(Op::Spawn(spec));
+        self.ops.push(Op::Spawn(Box::new(spec)));
         self
     }
 

@@ -227,17 +227,25 @@ impl RcuEngine {
         (kind, started)
     }
 
-    /// Completes the in-flight grace period: releases its waiters and,
-    /// if more arrived meanwhile, starts the next one.
+    /// Completes the in-flight grace period: appends its waiters to
+    /// `released`, in submission order, and, if more arrived meanwhile,
+    /// starts the next grace period and returns its end time.
+    ///
+    /// Allocation-free once warm: the waiters move into the caller's
+    /// buffer, and the two batches swap instead of being replaced, so
+    /// both keep their capacity from one grace period to the next.
     ///
     /// # Panics
     ///
     /// Panics if no grace period is in flight.
-    pub fn complete_grace_period(&mut self, now: SimTime) -> (Vec<Waiter>, Option<SimTime>) {
+    pub fn complete_grace_period(
+        &mut self,
+        now: SimTime,
+        released: &mut Vec<Waiter>,
+    ) -> Option<SimTime> {
         assert!(self.grace_end.is_some(), "grace completion on idle engine");
         self.grace_end = None;
-        let released = std::mem::take(&mut self.current);
-        for w in &released {
+        for w in &self.current {
             let waited = now.saturating_since(w.submitted_at);
             self.stats.syncs_completed += 1;
             self.stats.total_wait += waited;
@@ -247,13 +255,26 @@ impl RcuEngine {
                 WaitKind::SleepingBoosted => self.stats.boosted_syncs += 1,
             }
         }
-        let next_end = if self.next.is_empty() {
+        released.append(&mut self.current);
+        std::mem::swap(&mut self.current, &mut self.next);
+        if self.current.is_empty() {
             None
         } else {
-            self.current = std::mem::take(&mut self.next);
             Some(self.start_grace_period(now))
-        };
-        (released, next_end)
+        }
+    }
+
+    /// Returns the engine to the [`RcuEngine::new`] state for `mode` and
+    /// `params`, keeping the waiter buffers' capacity (machine
+    /// recycling).
+    pub(crate) fn reset(&mut self, mode: RcuMode, params: RcuParams) {
+        self.mode = mode;
+        self.params = params;
+        self.current.clear();
+        self.next.clear();
+        self.grace_end = None;
+        self.active_readers = 0;
+        self.stats = RcuStats::default();
     }
 
     /// Length of a grace period starting now, given current reader load.
@@ -293,7 +314,8 @@ mod tests {
         assert_eq!(kind, WaitKind::SleepingClassic);
         let end = end.unwrap();
         assert_eq!(end.as_millis(), 1);
-        let (released, next) = e.complete_grace_period(end);
+        let mut released = Vec::new();
+        let next = e.complete_grace_period(end, &mut released);
         assert_eq!(released.len(), 1);
         assert!(next.is_none());
         assert_eq!(e.stats().syncs_completed, 1);
@@ -326,11 +348,13 @@ mod tests {
             assert!(started.is_none());
         }
         assert_eq!(e.pending(), 4);
-        let (released1, end2) = e.complete_grace_period(end1);
+        let mut released1 = Vec::new();
+        let end2 = e.complete_grace_period(end1, &mut released1);
         assert_eq!(released1.len(), 1);
         let end2 = end2.unwrap();
         assert_eq!(end2.as_millis(), 2);
-        let (released2, none) = e.complete_grace_period(end2);
+        let mut released2 = Vec::new();
+        let none = e.complete_grace_period(end2, &mut released2);
         assert_eq!(released2.len(), 3);
         assert!(none.is_none());
         // Four syncs, only two grace periods: batching works.
@@ -359,10 +383,11 @@ mod tests {
         e.set_mode(RcuMode::Boosted);
         let (k2, _) = e.submit(Pid::from_raw(2), SimTime::ZERO);
         assert_eq!(k2, WaitKind::SleepingBoosted);
-        let (r1, end2) = e.complete_grace_period(end1.unwrap());
-        assert_eq!(r1[0].kind, WaitKind::SleepingClassic);
-        let (r2, _) = e.complete_grace_period(end2.unwrap());
-        assert_eq!(r2[0].kind, WaitKind::SleepingBoosted);
+        let mut released = Vec::new();
+        let end2 = e.complete_grace_period(end1.unwrap(), &mut released);
+        e.complete_grace_period(end2.unwrap(), &mut released);
+        assert_eq!(released[0].kind, WaitKind::SleepingClassic);
+        assert_eq!(released[1].kind, WaitKind::SleepingBoosted);
         assert_eq!(e.stats().classic_syncs, 1);
         assert_eq!(e.stats().boosted_syncs, 1);
     }
@@ -384,6 +409,40 @@ mod tests {
     #[test]
     #[should_panic(expected = "grace completion on idle engine")]
     fn completion_on_idle_panics() {
-        engine(RcuMode::Boosted).complete_grace_period(SimTime::ZERO);
+        engine(RcuMode::Boosted).complete_grace_period(SimTime::ZERO, &mut Vec::new());
+    }
+
+    #[test]
+    fn back_to_back_grace_periods_release_in_submission_order_and_keep_capacity() {
+        let mut e = engine(RcuMode::Boosted);
+        let pids = |ws: &[Waiter]| ws.iter().map(|w| w.pid.as_raw()).collect::<Vec<_>>();
+        // Batch 1 is pid 1 alone; pids 2..=5 queue behind it.
+        let end1 = e.submit(Pid::from_raw(1), SimTime::ZERO).1.unwrap();
+        for pid in 2..=5 {
+            e.submit(Pid::from_raw(pid), SimTime::ZERO);
+        }
+        let mut released = Vec::new();
+        let end2 = e.complete_grace_period(end1, &mut released).unwrap();
+        assert_eq!(pids(&released), [1]);
+        // Pids 6 and 7 arrive during the second grace period.
+        e.submit(Pid::from_raw(6), end1);
+        e.submit(Pid::from_raw(7), end1);
+        released.clear();
+        let end3 = e.complete_grace_period(end2, &mut released).unwrap();
+        assert_eq!(pids(&released), [2, 3, 4, 5]);
+        let released_cap = released.capacity();
+        let (current_cap, next_cap) = (e.current.capacity(), e.next.capacity());
+        assert!(current_cap >= 2 && next_cap >= 4, "batches lost capacity");
+        released.clear();
+        assert!(e.complete_grace_period(end3, &mut released).is_none());
+        assert_eq!(pids(&released), [6, 7]);
+        // Nothing was reallocated: the batches swapped, the caller's
+        // buffer reused its storage.
+        assert_eq!(released.capacity(), released_cap);
+        assert_eq!(
+            (e.current.capacity(), e.next.capacity()),
+            (next_cap, current_cap)
+        );
+        assert_eq!(e.pending(), 0);
     }
 }

@@ -491,6 +491,7 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
         flags,
         flag_lookup,
         rcu,
+        rcu_released: Vec::new(),
         trace,
         pending_spawns,
         work,
@@ -813,7 +814,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<Op, SnapshotError> {
             skip_ops: r.u32()?,
         },
         10 => Op::SetFlag(FlagId::from_raw(r.u32()?)),
-        11 => Op::Spawn(decode_spec(r)?),
+        11 => Op::Spawn(Box::new(decode_spec(r)?)),
         12 => Op::Yield,
         13 => Op::SetRcuMode(decode_rcu_mode(r.u8()?)?),
         _ => return Err(SnapshotError::Corrupt("op tag")),
@@ -1543,6 +1544,81 @@ mod tests {
         assert_eq!(a.sched_stats(), b.sched_stats());
         assert_eq!(a.rcu_stats().syncs_completed, b.rcu_stats().syncs_completed);
         assert_eq!(a.rcu_stats().grace_periods, b.rcu_stats().grace_periods);
+    }
+
+    /// A spec built as a literal: `with_nice` checks the Unix range, the
+    /// public field does not.
+    fn spec_at(name: &str, nice: i8, ms: u64) -> ProcessSpec {
+        ProcessSpec {
+            name: name.into(),
+            nice,
+            io_priority: IoPriority::BestEffort,
+            ops: OpsBuilder::new().compute_ms(ms).build(),
+        }
+    }
+
+    #[test]
+    fn every_nice_value_dispatches_in_nice_then_fifo_order_across_a_round_trip() {
+        let mut m = Machine::new(MachineConfig {
+            cores: 1,
+            ..MachineConfig::default()
+        });
+        // Two processes per level, levels spawned out of order.
+        for (i, nice) in [19, 127, -20, 0, -128, 19, 127, -20, 0, -128]
+            .into_iter()
+            .enumerate()
+        {
+            m.spawn(spec_at(&format!("p{i}@{nice}"), nice, 1));
+        }
+        let bytes = save(&m).expect("snapshot");
+        let restored = restore(&bytes).expect("restore");
+        assert_eq!(save(&restored).expect("re-snapshot"), bytes);
+        let mut original = restore(&bytes).expect("restore");
+        original.run();
+        let order: Vec<String> = original
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::FirstRun)
+            .map(|e| original.process(e.pid).name.clone())
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "p4@-128", "p9@-128", "p2@-20", "p7@-20", "p3@0", "p8@0", "p0@19", "p5@19",
+                "p1@127", "p6@127"
+            ]
+        );
+        assert_same_outcome(m, restored);
+    }
+
+    #[test]
+    fn any_nice_byte_restores_or_is_rejected_without_panic() {
+        for byte in 0..=u8::MAX {
+            let nice = byte as i8;
+            let mut m = Machine::new(MachineConfig {
+                cores: 1,
+                ..MachineConfig::default()
+            });
+            m.spawn(spec_at("a", nice, 2));
+            m.spawn(spec_at("b", nice.wrapping_add(64), 2));
+            // Queue entries whose nice bytes disagree with their
+            // processes': a snapshot may carry any byte in either place.
+            let entries: Vec<_> = m.ready.iter_sorted().collect();
+            m.ready.clear();
+            for (seq_nice, (_, seq, raw)) in [nice.wrapping_neg(), nice].into_iter().zip(entries) {
+                m.ready.push(seq_nice, seq, raw);
+            }
+            let bytes = save(&m).expect("snapshot");
+            if let Ok(mut restored) = restore(&bytes) {
+                let out = restored.run();
+                assert!(out.blocked.is_empty() && out.failed.is_empty());
+                assert!(restored
+                    .processes()
+                    .iter()
+                    .all(|p| p.state == ProcState::Done));
+            }
+        }
     }
 
     #[test]

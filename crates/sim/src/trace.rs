@@ -77,13 +77,14 @@ pub struct CoreSpan {
 pub struct Trace {
     pub(crate) events: Vec<TraceEvent>,
     pub(crate) spans: Vec<CoreSpan>,
-    /// Disable span recording for very long runs.
-    pub record_spans: bool,
+    /// Whether [`Trace::push_span`] keeps spans; set through
+    /// [`crate::Machine::record_spans`].
+    pub(crate) record_spans: bool,
 }
 
 impl Trace {
     /// Creates an empty trace with span recording enabled.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Trace {
             events: Vec::new(),
             spans: Vec::new(),
@@ -100,12 +101,12 @@ impl Trace {
     }
 
     /// Appends an event.
-    pub fn push(&mut self, time: SimTime, pid: Pid, kind: TraceKind) {
+    pub(crate) fn push(&mut self, time: SimTime, pid: Pid, kind: TraceKind) {
         self.events.push(TraceEvent { time, pid, kind });
     }
 
     /// Appends a core busy span (no-op if span recording is off).
-    pub fn push_span(&mut self, span: CoreSpan) {
+    pub(crate) fn push_span(&mut self, span: CoreSpan) {
         if self.record_spans {
             self.spans.push(span);
         }

@@ -21,8 +21,10 @@ fn main() {
     };
     // The 136-service open-source graph keeps the chart readable.
     let scenario = tv_scenario_open_source();
+    // The chart's CPU row reads the machine's core spans.
     let boot = BootRequest::new(&scenario)
         .config(cfg)
+        .core_spans(true)
         .run()
         .expect("valid scenario");
     let (report, machine) = (boot.report, boot.machine);

@@ -2,15 +2,18 @@
 # Perf smoke gate over the committed bench baselines.
 #
 # Runs the hotpath and sweep criterion benches with a reduced iteration
-# count (quick, not publication-grade), checks that each regenerated
-# BENCH_*.json carries its schema and every field the committed baseline
-# promises, and fails if a freshly measured throughput regressed more
-# than the tolerance against the committed numbers. CI hosts are noisy
-# and shared, so the tolerance is deliberately loose: this gate catches
-# "someone made the engine 2x slower", not single-digit drift.
-# Deterministic counters (storm events, kernel sims, dedup and
-# plan-cache counts) are gated exactly — they move only when the
-# simulation or the sharing layer itself changes.
+# count (quick, not publication-grade), then checks that each
+# regenerated BENCH_*.json carries its schema and every field the
+# committed baseline promises, that every deterministic counter (storm
+# events, kernel sims, dedup and plan-cache counts) equals the committed
+# one exactly (they move only when the simulation or the sharing layer
+# itself changes), and last that no freshly measured throughput
+# regressed more than the tolerance against the committed numbers. CI
+# hosts are noisy and shared, so the tolerance is deliberately loose:
+# this gate catches "someone made the engine 2x slower", not
+# single-digit drift. Every check runs and reports; the script exits 1
+# at the end if any failed, so a slow host cannot hide a counter change
+# behind a throughput failure.
 #
 # Usage:
 #   scripts/bench_smoke.sh            # 20% tolerance, 50 iters
@@ -28,20 +31,22 @@ field() {
     sed -n "s/^.*\"$1\": *\([0-9.]*\).*$/\1/p" "$2" | head -n 1
 }
 
+# Failed checks so far; each is reported when it fails and the script
+# exits 1 at the end.
+failures=0
+fail() {
+    echo "bench_smoke: $*" >&2
+    failures=$((failures + 1))
+}
+
 # check_schema FILE SCHEMA FIELD...
 check_schema() {
     f="$1" schema="$2"
     shift 2
-    grep -q "\"schema\": \"$schema\"" "$f" || {
-        echo "bench_smoke: $f lacks the $schema schema stamp" >&2
-        exit 1
-    }
+    grep -q "\"schema\": \"$schema\"" "$f" || fail "$f lacks the $schema schema stamp"
     for key in "$@"; do
         v="$(field "$key" "$f")"
-        [ -n "$v" ] || {
-            echo "bench_smoke: $f is missing field \"$key\"" >&2
-            exit 1
-        }
+        [ -n "$v" ] || fail "$f is missing field \"$key\""
     done
 }
 
@@ -56,16 +61,17 @@ gate() {
             exit 1
         }
         printf "    %s: %.1f vs committed %.1f (floor %.1f) ok\n", n, f, c, floor
-    }' || exit 1
+    }' || failures=$((failures + 1))
 }
 
 # exact NAME FRESH COMMITTED HINT — deterministic counters must not move.
 exact() {
     name="$1" fresh="$2" committed="$3" hint="$4"
-    [ "$fresh" = "$committed" ] || {
-        echo "bench_smoke: $name changed ($committed -> $fresh); $hint" >&2
-        exit 1
-    }
+    if [ "$fresh" = "$committed" ]; then
+        echo "    $name: $fresh ok"
+    else
+        fail "$name changed ($committed -> $fresh); $hint"
+    fi
 }
 
 HOTPATH_FIELDS="storm_events events_per_sec full_boots_per_sec \
@@ -84,12 +90,16 @@ for b in hotpath sweep; do
     }
 done
 
+# A committed baseline without its schema or fields cannot be compared
+# against: stop before spending time on the benches.
+# shellcheck disable=SC2086
+check_schema BENCH_hotpath.json bb-hotpath-v1 $HOTPATH_FIELDS
+# shellcheck disable=SC2086
+check_schema BENCH_sweep.json bb-sweep-v1 $SWEEP_FIELDS
+[ "$failures" -eq 0 ] || exit 1
+
 # ---------------------------------------------------------------- hotpath
 BASELINE=BENCH_hotpath.json
-echo "==> validating committed $BASELINE"
-# shellcheck disable=SC2086
-check_schema "$BASELINE" bb-hotpath-v1 $HOTPATH_FIELDS
-
 committed_full="$(field full_boots_per_sec "$BASELINE")"
 committed_hot="$(field hotpath_boots_per_sec "$BASELINE")"
 committed_events="$(field storm_events "$BASELINE")"
@@ -109,20 +119,8 @@ fresh_events="$(field storm_events "$BASELINE")"
 # copy so a smoke run never dirties the tree.
 git checkout -- "$BASELINE" 2>/dev/null || true
 
-# The storm is deterministic: its event count must not move at all.
-exact storm_events "$fresh_events" "$committed_events" \
-    "the simulation itself changed, re-bless BENCH_hotpath.json deliberately"
-
-echo "==> hotpath regression gate (${TOLERANCE}% tolerance)"
-gate full_boots_per_sec "$fresh_full" "$committed_full"
-gate hotpath_boots_per_sec "$fresh_hot" "$committed_hot"
-
 # ------------------------------------------------------------------ sweep
 BASELINE=BENCH_sweep.json
-echo "==> validating committed $BASELINE"
-# shellcheck disable=SC2086
-check_schema "$BASELINE" bb-sweep-v1 $SWEEP_FIELDS
-
 committed_cells="$(field cells_per_sec "$BASELINE")"
 committed_nodedup="$(field cells_per_sec_no_dedup "$BASELINE")"
 committed_sims="$(field kernel_sims "$BASELINE")"
@@ -146,6 +144,11 @@ fresh_hits="$(field plan_cache_hits "$BASELINE")"
 
 git checkout -- "$BASELINE" 2>/dev/null || true
 
+# ------------------------------------------------------- exact counters
+echo "==> deterministic counters"
+# The storm is deterministic: its event count must not move at all.
+exact storm_events "$fresh_events" "$committed_events" \
+    "the simulation itself changed, re-bless BENCH_hotpath.json deliberately"
 # The sharing layer is deterministic on a 1-worker pool: the work
 # counters must not move at all.
 blesshint="the sharing layer changed, re-bless BENCH_sweep.json deliberately"
@@ -154,8 +157,15 @@ exact cells_deduped "$fresh_deduped" "$committed_deduped" "$blesshint"
 exact plans_compiled "$fresh_plans" "$committed_plans" "$blesshint"
 exact plan_cache_hits "$fresh_hits" "$committed_hits" "$blesshint"
 
-echo "==> sweep regression gate (${TOLERANCE}% tolerance)"
+# ----------------------------------------------------- throughput gates
+echo "==> throughput regression gates (${TOLERANCE}% tolerance)"
+gate full_boots_per_sec "$fresh_full" "$committed_full"
+gate hotpath_boots_per_sec "$fresh_hot" "$committed_hot"
 gate cells_per_sec "$fresh_cells" "$committed_cells"
 gate cells_per_sec_no_dedup "$fresh_nodedup" "$committed_nodedup"
 
+if [ "$failures" -gt 0 ]; then
+    echo "bench smoke failed: $failures check(s) above" >&2
+    exit 1
+fi
 echo "bench smoke passed."

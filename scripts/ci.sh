@@ -60,6 +60,19 @@ run cargo test -q --test recovery_chain
 # small grids must keep their committed bytes.
 run cargo test -q --test golden_reports
 
+# Figures golden: the paper-reproduction harness must print the
+# committed text for all 14 experiments, and regenerating its figures
+# must leave artifacts/ as committed (the bootcharts of Figures 5(a)
+# and 7 draw their CPU rows from core spans, which only those boots
+# record). Release only: the harness boots the TV scenario dozens of
+# times. To re-bless, commit the new output as tests/golden/figures.txt
+# together with the regenerated artifacts/, and give the reason in
+# CHANGES.md.
+echo "==> cargo run --release -q -p bb-bench --bin figures -- all >figures.txt"
+cargo run --release -q -p bb-bench --bin figures -- all >"$chaos_tmp/figures.txt"
+run cmp tests/golden/figures.txt "$chaos_tmp/figures.txt"
+run git diff --exit-code artifacts/
+
 # Ticket state machine: every interleaving of submit, dispatch, finish,
 # cancel, collect and disconnect for 2 clients x 2 tickets x 2 jobs on
 # 2 workers keeps the service's invariants.

@@ -565,6 +565,7 @@ fn run_boot(args: Args) {
     let boot = match BootRequest::new(&scenario)
         .config(cfg)
         .telemetry(args.metrics)
+        .core_spans(args.chart.is_some() || args.trace.is_some())
         .run()
     {
         Ok(b) => b,
@@ -948,9 +949,12 @@ fn run_suspend_cmd(job: SweepArgs, local: LocalFlags) {
     };
     let scenario = build_scenario(&boot_args);
 
+    // The image below is the whole booted machine, core spans included,
+    // so the boots record them and the reported image size counts them.
     let boot = |cfg: BbConfig| {
         BootRequest::new(&scenario)
             .config(cfg)
+            .core_spans(true)
             .run()
             .unwrap_or_else(|e| {
                 eprintln!("boot failed: {e}");

@@ -1,0 +1,143 @@
+//! Allocation budget of one simulated boot.
+//!
+//! A fleet worker boots the same few plans thousands of times on one
+//! recycled machine, so what a boot allocates beyond its plan is paid
+//! per boot. This binary counts the heap allocations (`alloc`,
+//! `alloc_zeroed` and `realloc` calls) of one `BootRequest::run` on a
+//! warm `MachineBuilder` with a `PlanCache` hit, up to and including
+//! handing the machine back through `recycle`: simulating the Tizen TV
+//! scenario on the UE48H6200 and building its report.
+//!
+//! The counter is a `const` thread-local, so tests running in parallel
+//! on other threads do not add to it. Each budget is the count measured
+//! when it was set plus 5%: 1,512 (conventional) and 1,539 (full BB)
+//! allocations at 136 services, 7,799 and 7,795 at 1000. Before the
+//! simulator's per-boot path was cut down, the same boots made 3,278
+//! and 2,875 at 136 services and 21,042 and 20,937 at 1000 (over three
+//! other seeds, 3,300 / 2,874 and ~21,000): a waiter list dropped and
+//! regrown per RCU grace period, and per service a cloned workload body,
+//! a regrown op list of 56-byte ops, and a dependency list with its
+//! dedupe set.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use booting_booster::bb::{BbConfig, BootRequest, PlanCache, Scenario};
+use booting_booster::sim::MachineBuilder;
+use booting_booster::workloads::{profiles, tv_scenario_with, TizenParams};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting allocations per thread.
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the slot is gone while the thread's locals are torn
+    // down, and an allocation then must still succeed.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while `f` runs.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Allocations of one boot of `scenario` under `cfg` on a recycled
+/// machine whose plan is already cached.
+fn boot_allocations(scenario: &Arc<Scenario>, cfg: BbConfig) -> u64 {
+    let cache = PlanCache::new();
+    let mut builder = MachineBuilder::new();
+    let boot = |builder: &mut MachineBuilder| {
+        let done = BootRequest::new(scenario)
+            .config(cfg)
+            .machine_builder(builder)
+            .plan_cache(&cache, scenario)
+            .run()
+            .expect("the scenario boots");
+        assert!(done.report.try_boot_time().is_some(), "boot completed");
+        builder.recycle(done.machine);
+    };
+    // The first boot plans and fills the cache, the second grows the
+    // recycled machine to this scenario's high-water mark.
+    boot(&mut builder);
+    boot(&mut builder);
+    let n = allocations_in(|| boot(&mut builder));
+    assert_eq!(cache.stats().plans_compiled, 1, "one plan, then cache hits");
+    n
+}
+
+fn scenario(services: usize) -> Arc<Scenario> {
+    Arc::new(tv_scenario_with(
+        profiles::ue48h6200(),
+        TizenParams {
+            services,
+            seed: 7,
+            ..TizenParams::default()
+        },
+    ))
+}
+
+fn check(services: usize, budgets: [(&str, BbConfig, u64); 2]) {
+    let scenario = scenario(services);
+    for (name, cfg, budget) in budgets {
+        let n = boot_allocations(&scenario, cfg);
+        println!("{services} services, {name}: {n} allocations (budget {budget})");
+        assert!(
+            n <= budget,
+            "{services}-service {name} boot made {n} allocations, budget {budget}"
+        );
+    }
+}
+
+#[test]
+fn a_136_service_boot_stays_within_its_allocation_budget() {
+    check(
+        136,
+        [
+            ("conventional", BbConfig::conventional(), 1_588),
+            ("full BB", BbConfig::full(), 1_616),
+        ],
+    );
+}
+
+#[test]
+fn a_1000_service_boot_stays_within_its_allocation_budget() {
+    check(
+        1000,
+        [
+            ("conventional", BbConfig::conventional(), 8_189),
+            ("full BB", BbConfig::full(), 8_185),
+        ],
+    );
+}

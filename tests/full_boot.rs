@@ -130,10 +130,19 @@ fn deferred_work_runs_after_completion_without_breaking_it() {
 #[test]
 fn bootchart_and_analysis_tools_work_on_real_runs() {
     let scenario = tv_scenario_open_source();
-    let boot = BootRequest::new(&scenario).run().expect("valid");
+    let boot = BootRequest::new(&scenario)
+        .core_spans(true)
+        .run()
+        .expect("valid");
     let (report, machine) = (boot.report, boot.machine);
     let chart = Bootchart::build(&report.boot, &machine);
     assert!(chart.rows.len() > 100, "chart rows {}", chart.rows.len());
+    // The CPU row comes from the core spans the request asked for; on
+    // an empty span list every sample would read zero.
+    assert!(
+        chart.utilization.iter().any(|&u| u > 0.0),
+        "no utilization sample is non-zero"
+    );
     assert!(chart.to_ascii(80).contains("var.mount"));
     assert!(chart.to_svg().contains("</svg>"));
 
