@@ -83,6 +83,10 @@ run cargo test -q -p bb-fleet --lib service::tests::every_interleaving_keeps_the
 # (proptests), and the goldens must pin the v2 format byte-for-byte
 # while the committed v1 image keeps restoring.
 run cargo test -q --test proptest_snapshot
+# Simulator pin: the traces, core spans, scheduler and event-queue
+# counters, per-process accounting and snapshot bytes of 40 seeded
+# machines must match tests/golden/sim_digests.txt.
+run cargo test -q --test proptest_sim simulator_digests_match_golden
 run ./target/release/bbsim sweep --services 24 --seeds 3 \
     --workers 2 --json "$chaos_tmp/plain.json"
 run ./target/release/bbsim sweep --services 24 --seeds 3 \
