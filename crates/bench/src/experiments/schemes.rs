@@ -70,7 +70,7 @@ fn run_mode(name: &'static str, mode: EngineMode) -> SchemeResult {
         name,
         boot_time: record.completion_time,
         failed_services: record.failed_services().len(),
-        total_cpu: machine.processes().iter().map(|p| p.cpu_time).sum(),
+        total_cpu: machine.processes().map(|p| p.cpu_time()).sum(),
     }
 }
 

@@ -141,7 +141,7 @@ fn rcu_cpu_cost(writers: usize) -> RcuCpuCost {
             ));
         }
         let out = m.run();
-        let cpu: SimDuration = m.processes().iter().map(|p| p.cpu_time).sum();
+        let cpu: SimDuration = m.processes().map(|p| p.cpu_time()).sum();
         (cpu, out.end_time.saturating_since(bb_sim::SimTime::ZERO))
     };
     let (classic_cpu, classic_wall) = run(RcuMode::ClassicSpin);

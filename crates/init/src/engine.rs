@@ -628,7 +628,7 @@ pub fn run_boot(
     }
     let pid_at = |i: usize| bb_sim::Pid::from_raw(i as u32);
     let by_name: HashMap<&str, usize> = (0..n_procs)
-        .map(|i| (machine.process(pid_at(i)).name.as_str(), i))
+        .map(|i| (machine.process(pid_at(i)).name(), i))
         .collect();
     // Who set each readiness flag (to attribute timeout releases); only
     // needed when a timeout watchdog could have forced one.
@@ -651,7 +651,7 @@ pub fn run_boot(
         let timed_out = has_timeouts
             && flag_setters
                 .get(&ready_flag)
-                .is_some_and(|&pid| machine.process(pid).name.starts_with("timeout:"));
+                .is_some_and(|&pid| machine.process(pid).name().starts_with("timeout:"));
         let mut rec = ServiceRecord {
             ready: machine.flag_set_at(ready_flag),
             timed_out,
@@ -671,7 +671,7 @@ pub fn run_boot(
                 .filter(|&i| {
                     machine
                         .process(pid_at(i))
-                        .name
+                        .name()
                         .strip_prefix(&restart_prefix)
                         .is_some_and(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
                 })

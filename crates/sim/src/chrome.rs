@@ -43,7 +43,7 @@ pub fn chrome_trace(machine: &Machine) -> String {
 
     // Core busy spans: pid 1 = "machine", tid = core index.
     for span in machine.trace().spans() {
-        let name = escape(&machine.process(span.pid).name);
+        let name = escape(machine.process(span.pid).name());
         let ts = span.start.as_nanos() as f64 / 1000.0;
         let dur = span.end.saturating_since(span.start).as_nanos() as f64 / 1000.0;
         push(

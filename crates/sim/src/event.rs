@@ -1,6 +1,6 @@
 //! Deterministic event queue.
 //!
-//! Events are keyed on `(time, sequence)`; [`EventQueue`] holds the
+//! Events are keyed on `(time, sequence)`; `EventQueue` holds the
 //! earliest in a front slot and the rest in an unordered pool. The
 //! sequence number is a monotone counter assigned at push time, so
 //! events scheduled for the same instant fire in submission order —
@@ -12,7 +12,7 @@ use crate::time::SimTime;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// The current compute slice of `pid` on `core` finished.
     SliceDone {
         /// Process whose slice ended.
@@ -94,7 +94,7 @@ impl PartialOrd for QueuedEvent {
     }
 }
 
-/// Host-side observability counters for an [`EventQueue`].
+/// Host-side observability counters for the machine's event queue.
 ///
 /// These describe the host's view of a run (how much work the queue
 /// did), not simulated state: they are *not* serialized into snapshots,
@@ -118,14 +118,14 @@ pub struct EventQueueStats {
 /// compares over contiguous memory — beats a binary heap's sift
 /// bookkeeping, and `push` is a plain append instead of an up-sift.
 /// The dominant pop/push pattern of the simulation loop then costs one
-/// scan plus one append, and the common drained-queue checks
-/// (`peek_time`, `is_empty`) never touch the pool at all. Invariant:
+/// scan plus one append, and the common drained-queue check
+/// (`peek_time`) never touches the pool at all. Invariant:
 /// `front` is `None` only when the pool is empty, and
 /// `*front <= min(pool)` otherwise. Pool order is irrelevant to
 /// behavior: extraction always takes the true minimum, and keys are
 /// unique (the seq counter), so runs are deterministic.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     front: Option<QueuedEvent>,
     pool: Vec<QueuedEvent>,
     next_seq: u64,
@@ -133,13 +133,8 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates an empty queue pre-sized for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         EventQueue {
             front: None,
             pool: Vec::with_capacity(cap.saturating_sub(1)),
@@ -149,7 +144,7 @@ impl EventQueue {
     }
 
     /// Schedules `kind` to fire at `time`.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
+    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind) {
         let e = QueuedEvent::new(time, self.next_seq, kind);
         self.next_seq += 1;
         match &mut self.front {
@@ -181,29 +176,24 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event, or `None` when drained.
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         let e = self.front.take()?;
         self.refill_front();
         Some((e.time(), e.kind))
     }
 
     /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.front.map(|e| e.time())
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pool.len() + usize::from(self.front.is_some())
     }
 
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.front.is_none()
-    }
-
     /// Observability counters (total scheduled, peak depth).
-    pub fn stats(&self) -> EventQueueStats {
+    pub(crate) fn stats(&self) -> EventQueueStats {
         EventQueueStats {
             scheduled: self.next_seq,
             peak_depth: self.peak_depth,
@@ -272,7 +262,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_nanos(30), EventKind::RcuGraceDone);
         q.push(
             SimTime::from_nanos(10),
@@ -294,7 +284,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_submission_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let t = SimTime::from_nanos(5);
         for i in 0..4 {
             q.push(
@@ -317,7 +307,7 @@ mod tests {
     fn interleaved_push_pop_keeps_global_order() {
         // Exercises the front-slot swap: later pushes that beat the
         // held minimum must evict it back into the heap.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_nanos(50), EventKind::RcuGraceDone);
         q.push(SimTime::from_nanos(10), EventKind::RcuGraceDone);
         assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(10));
@@ -328,7 +318,7 @@ mod tests {
             .map(|(t, _)| t.as_nanos())
             .collect();
         assert_eq!(times, vec![5, 20, 50, 60]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
     }
 
@@ -371,8 +361,8 @@ mod tests {
 
     #[test]
     fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        let mut q = EventQueue::default();
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_nanos(9), EventKind::RcuGraceDone);
         assert_eq!(q.len(), 1);

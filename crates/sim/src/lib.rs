@@ -47,12 +47,12 @@ pub mod trace;
 
 pub use chrome::chrome_trace;
 pub use corrupt::{Corruption, CorruptionPlan};
-pub use event::{EventKind, EventQueue, EventQueueStats};
+pub use event::EventQueueStats;
 pub use fault::{Fault, FaultPlan, FaultTargets};
 pub use ids::{CoreId, DeviceId, FlagId, Pid};
 pub use io::{Device, DeviceProfile, IoPriority, MIB};
-pub use machine::{Machine, MachineBuilder, MachineConfig, RunOutcome, SchedStats};
-pub use process::{AccessPattern, Op, OpsBuilder, ProcessSpec};
+pub use machine::{Machine, MachineBuilder, MachineConfig, RunOutcome, SchedStats, MAX_CORES};
+pub use process::{AccessPattern, Op, OpsBuilder, Process, ProcessSpec};
 pub use rcu::{RcuMode, RcuParams, RcuStats};
 pub use snapshot::{fnv1a, SnapshotError, SnapshotHeader, FNV1A_OFFSET};
 pub use telemetry::{Histogram, MetricsRegistry, Span, Telemetry};

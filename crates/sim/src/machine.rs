@@ -28,7 +28,9 @@ use crate::event::{EventKind, EventQueue, EventQueueStats};
 use crate::fault::{Fault, FaultPlan};
 use crate::ids::{CoreId, DeviceId, FlagId, Pid};
 use crate::io::{Device, DeviceProfile, IoRequest};
-use crate::process::{BlockReason, Op, ProcState, Process, ProcessSpec};
+use crate::process::{
+    self, BlockReason, Op, ProcRecord, ProcState, Process, ProcessSpec, SchedRecord,
+};
 use crate::rcu::{RcuEngine, RcuMode, RcuParams, RcuStats, WaitKind, Waiter};
 use crate::telemetry::{self, Telemetry};
 use crate::time::{SimDuration, SimTime};
@@ -37,7 +39,7 @@ use crate::trace::{CoreSpan, Trace, TraceKind};
 /// Static machine parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
-    /// Number of CPU cores.
+    /// Number of CPU cores: 1 to [`MAX_CORES`].
     pub cores: usize,
     /// Core speed as a multiple of the reference CPU (1.0 = reference;
     /// `Compute` durations are divided by this).
@@ -85,6 +87,9 @@ pub struct RunOutcome {
     /// Processes that aborted on a failed `AssertFlag`.
     pub failed: Vec<Pid>,
 }
+
+/// Most cores a machine can have: one bit each in the idle-core word.
+pub const MAX_CORES: usize = u64::BITS as usize;
 
 /// Pre-sized event-queue capacity: full TV boots keep well under this
 /// many pending events, so the heap never reallocates mid-run.
@@ -183,11 +188,46 @@ impl ReadyQueue {
     }
 }
 
-/// Where a core-occupying span started, per running process.
+/// Wall times the dispatch path charges, derived once per machine from
+/// its config and RCU parameters (in `new`, `reset` and restore), so a
+/// slice neither divides by the core speed nor rounds.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Running {
-    pub(crate) core: CoreId,
-    pub(crate) since: SimTime,
+pub(crate) struct SliceWalls {
+    /// `1.0 / core_speed`: every reference duration scales by it.
+    inv_speed: f64,
+    /// A full quantum's wall time.
+    quantum: SimDuration,
+    /// The RCU submit overhead's wall time under classic waiters.
+    rcu_classic: SimDuration,
+    /// The same under boosted waiters.
+    rcu_boosted: SimDuration,
+}
+
+impl SliceWalls {
+    /// `cfg` must have passed [`Machine::check_config`], so the speed's
+    /// inverse is finite and every `scale` below is defined.
+    pub(crate) fn new(cfg: &MachineConfig, rcu: &RcuParams) -> Self {
+        let inv_speed = 1.0 / cfg.core_speed;
+        SliceWalls {
+            inv_speed,
+            quantum: cfg.quantum.scale(inv_speed),
+            rcu_classic: rcu.classic_overhead.scale(inv_speed),
+            rcu_boosted: rcu.boosted_overhead.scale(inv_speed),
+        }
+    }
+
+    /// The RCU submit overhead's wall time for a caller in `mode`.
+    fn rcu_submit(&self, mode: RcuMode) -> SimDuration {
+        match mode {
+            RcuMode::ClassicSpin => self.rcu_classic,
+            RcuMode::Boosted => self.rcu_boosted,
+        }
+    }
+}
+
+/// The idle-core word of an all-idle `cores`-core machine.
+pub(crate) fn all_idle(cores: usize) -> u64 {
+    u64::MAX >> (MAX_CORES - cores)
 }
 
 /// An armed crash/hang fault against a process name.
@@ -223,13 +263,17 @@ pub struct Machine {
     pub(crate) cfg: MachineConfig,
     pub(crate) now: SimTime,
     pub(crate) events: EventQueue,
-    pub(crate) procs: Vec<Process>,
+    /// Scheduler records, indexed by pid: all a slice touches.
+    pub(crate) sched: Vec<SchedRecord>,
+    /// The rest of each process, indexed by pid like `sched`.
+    pub(crate) procs: Vec<ProcRecord>,
     /// `Some(pid)` per busy core.
     pub(crate) cores: Vec<Option<Pid>>,
-    /// Dispatch bookkeeping for busy processes: a dense slab indexed by
-    /// pid (`running[pid] == Some(..)` iff the process holds a core),
-    /// kept `procs.len()` long. No hashing on the dispatch path.
-    pub(crate) running: Vec<Option<Running>>,
+    /// Bit `i` is set iff core `i` is idle (`cores[i]` is `None`), so
+    /// dispatch finds the lowest idle core with one `trailing_zeros`.
+    pub(crate) idle: u64,
+    /// Per-machine slice constants.
+    pub(crate) walls: SliceWalls,
     pub(crate) ready: ReadyQueue,
     pub(crate) ready_seq: u64,
     pub(crate) devices: Vec<Device>,
@@ -260,19 +304,21 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (no cores, zero speed,
-    /// zero quantum).
+    /// Panics if the configuration is degenerate (no cores or more than
+    /// [`MAX_CORES`], zero speed, zero quantum).
     pub fn new(cfg: MachineConfig) -> Self {
         Self::check_config(&cfg);
         Machine {
             cores: vec![None; cfg.cores],
+            idle: all_idle(cfg.cores),
+            walls: SliceWalls::new(&cfg, &cfg.rcu_params),
             rcu: RcuEngine::new(cfg.rcu_mode, cfg.rcu_params),
             rcu_released: Vec::new(),
             cfg,
             now: SimTime::ZERO,
             events: EventQueue::with_capacity(EVENT_QUEUE_CAPACITY),
+            sched: Vec::new(),
             procs: Vec::new(),
-            running: Vec::new(),
             ready: ReadyQueue::default(),
             ready_seq: 0,
             devices: Vec::new(),
@@ -289,9 +335,15 @@ impl Machine {
     }
 
     fn check_config(cfg: &MachineConfig) {
-        assert!(cfg.cores > 0, "machine needs at least one core");
         assert!(
-            cfg.core_speed.is_finite() && cfg.core_speed > 0.0,
+            (1..=MAX_CORES).contains(&cfg.cores),
+            "machine needs 1 to {MAX_CORES} cores, not {}",
+            cfg.cores
+        );
+        // A normal speed has a finite inverse; a subnormal one would
+        // make every slice's wall time infinite.
+        assert!(
+            cfg.core_speed.is_normal() && cfg.core_speed > 0.0,
             "core speed must be positive"
         );
         assert!(!cfg.quantum.is_zero(), "quantum must be nonzero");
@@ -299,7 +351,7 @@ impl Machine {
 
     /// Resets the machine to the pristine state [`Machine::new`]`(cfg)`
     /// would produce, but keeps the backing allocations of every arena
-    /// (event heap, process table, running slab, ready queue, RCU
+    /// (event heap, process tables, ready queue, RCU
     /// batches, trace, work lists) so a recycled machine boots without
     /// reallocating. Span recording is back on, as on a new machine.
     /// Observationally identical to a fresh machine: the recycling
@@ -312,12 +364,14 @@ impl Machine {
         Self::check_config(&cfg);
         self.cores.clear();
         self.cores.resize(cfg.cores, None);
+        self.idle = all_idle(cfg.cores);
+        self.walls = SliceWalls::new(&cfg, &cfg.rcu_params);
         self.rcu.reset(cfg.rcu_mode, cfg.rcu_params);
         self.cfg = cfg;
         self.now = SimTime::ZERO;
         self.events.reset();
+        self.sched.clear();
         self.procs.clear();
-        self.running.clear();
         self.ready.clear();
         self.ready_seq = 0;
         self.devices.clear();
@@ -456,14 +510,20 @@ impl Machine {
         self.procs.len()
     }
 
-    /// Read-only access to a process (for stats and assertions).
-    pub fn process(&self, pid: Pid) -> &Process {
-        &self.procs[pid.index()]
+    /// Read-only view of a process (for stats and assertions).
+    pub fn process(&self, pid: Pid) -> Process<'_> {
+        Process {
+            sched: &self.sched[pid.index()],
+            info: &self.procs[pid.index()],
+        }
     }
 
-    /// All processes, for reports.
-    pub fn processes(&self) -> &[Process] {
-        &self.procs
+    /// All processes in pid order, for reports.
+    pub fn processes(&self) -> impl ExactSizeIterator<Item = Process<'_>> {
+        self.sched
+            .iter()
+            .zip(&self.procs)
+            .map(|(sched, info)| Process { sched, info })
     }
 
     /// Spawns a process, ready at the current time. Returns its pid.
@@ -474,8 +534,8 @@ impl Machine {
         pid
     }
 
-    /// Creates the process record for `spec` (trace entry, process
-    /// table, running-slab slot) without making it runnable.
+    /// Creates the process records for `spec` (trace entry, scheduler
+    /// and bookkeeping records) without making it runnable.
     fn add_process(&mut self, spec: ProcessSpec) -> Pid {
         let pid = Pid::from_raw(self.procs.len() as u32);
         self.trace.push(
@@ -485,8 +545,9 @@ impl Machine {
                 name: spec.name.clone(),
             },
         );
-        self.procs.push(Process::from_spec(pid, spec, self.now));
-        self.running.push(None);
+        let (sched, info) = process::from_spec(spec, self.now);
+        self.sched.push(sched);
+        self.procs.push(info);
         pid
     }
 
@@ -620,10 +681,13 @@ impl Machine {
                     description: format!("hang before ready: {name}"),
                 },
             );
-            let p = &mut self.procs[pid.index()];
-            p.ops.clear();
-            p.ops.push_back(Op::WaitFlag(flag));
-            // The caller's step loop re-reads the front op and blocks.
+            // The current op (the `SetFlag`) becomes the last: a wait
+            // for the flag nobody sets. The caller's step loop re-reads
+            // it and blocks.
+            let pc = self.sched[pid.index()].pc as usize;
+            let ops = &mut self.procs[pid.index()].ops;
+            ops.truncate(pc + 1);
+            ops[pc] = Op::WaitFlag(flag);
         } else {
             self.trace.push(
                 self.now,
@@ -632,11 +696,7 @@ impl Machine {
                     description: format!("crash at readiness: {name}"),
                 },
             );
-            let p = &mut self.procs[pid.index()];
-            p.ops.clear();
-            p.state = ProcState::Done;
-            p.finished_at = Some(self.now);
-            self.failed.push(pid);
+            self.finish_failed(pid);
             self.trace
                 .push(self.now, pid, TraceKind::Failed { flag: ready_flag });
             // Signal supervision watchers (if any) that this incarnation
@@ -705,11 +765,9 @@ impl Machine {
             self.drain_work();
             self.dispatch();
         }
-        let blocked = self
-            .procs
-            .iter()
-            .filter(|p| matches!(p.state, ProcState::Blocked(_)))
-            .map(|p| p.pid)
+        let blocked = (0..self.sched.len() as u32)
+            .map(Pid::from_raw)
+            .filter(|pid| matches!(self.sched[pid.index()].state, ProcState::Blocked(_)))
             .collect();
         RunOutcome {
             end_time: self.now,
@@ -771,28 +829,27 @@ impl Machine {
     }
 
     fn on_slice_done(&mut self, pid: Pid, core: CoreId) {
-        if !self.procs[pid.index()].compute_left.is_zero() {
+        if !self.sched[pid.index()].compute_left.is_zero() {
             // Preemption point: requeue with remaining work.
             self.sched_stats.preemptions += 1;
             // Same-core continuation: with nothing else ready and every
             // lower-indexed core busy, release + requeue + dispatch
             // provably re-grants this core to this process, so skip the
-            // ready-heap and core churn. Every side effect of the slow
+            // ready-queue and core churn. Every side effect of the slow
             // path (ready_seq, span boundary, stats, telemetry, event
             // push order) is replicated exactly, keeping timelines and
             // snapshots bit-identical.
-            if self.ready.is_empty() && self.cores[..core.index()].iter().all(Option::is_some) {
+            if self.ready.is_empty() && self.idle & ((1 << core.index()) - 1) == 0 {
                 let seq = self.ready_seq;
                 self.ready_seq += 1;
                 self.sched_stats.dispatches += 1;
                 if let Some(t) = self.telemetry.as_mut() {
                     t.metrics.record(telemetry::RUN_QUEUE_DEPTH, 0);
                 }
-                let run = self.running[pid.index()]
-                    .as_mut()
-                    .expect("sliced process is running");
-                let since = run.since;
-                run.since = self.now;
+                let s = &mut self.sched[pid.index()];
+                debug_assert_eq!(s.core, Some(core), "sliced process runs on its core");
+                s.ready_seq = seq;
+                let since = std::mem::replace(&mut s.since, self.now);
                 if since < self.now {
                     self.trace.push_span(CoreSpan {
                         core,
@@ -801,15 +858,7 @@ impl Machine {
                         end: self.now,
                     });
                 }
-                let speed = self.cfg.core_speed;
-                let p = &mut self.procs[pid.index()];
-                p.ready_seq = seq;
-                let slice = p.compute_left.min(self.cfg.quantum);
-                p.compute_left = p.compute_left - slice;
-                let wall = slice.scale(1.0 / speed);
-                p.cpu_time += wall;
-                self.events
-                    .push(self.now + wall, EventKind::SliceDone { pid, core });
+                self.run_slice(pid, core);
             } else {
                 self.release_core(pid, core);
                 self.make_ready(pid);
@@ -817,20 +866,18 @@ impl Machine {
             return;
         }
         self.release_core(pid, core);
-        let p = &mut self.procs[pid.index()];
         // Compute op finished (or a PollFlag check completed).
-        match p.ops.front() {
+        match self.front_op(pid) {
             Some(Op::Compute(_)) => {
-                p.ops.pop_front();
+                self.pop_op(pid);
                 self.work.push(pid);
             }
-            Some(Op::PollFlag { flag, interval, .. }) => {
-                let (flag, interval) = (*flag, *interval);
+            Some(&Op::PollFlag { flag, interval, .. }) => {
                 if self.flags[flag.index()].set_at.is_some() {
-                    self.procs[pid.index()].ops.pop_front();
+                    self.pop_op(pid);
                     self.work.push(pid);
                 } else {
-                    self.procs[pid.index()].state = ProcState::Blocked(BlockReason::Sleep);
+                    self.sched[pid.index()].state = ProcState::Blocked(BlockReason::Sleep);
                     self.events
                         .push(self.now + interval, EventKind::WakeUp { pid });
                 }
@@ -842,9 +889,8 @@ impl Machine {
     fn on_read_hold_done(&mut self, pid: Pid, core: CoreId) {
         self.rcu.reader_exit();
         self.release_core(pid, core);
-        let p = &mut self.procs[pid.index()];
-        debug_assert!(matches!(p.ops.front(), Some(Op::RcuReadHold(_))));
-        p.ops.pop_front();
+        debug_assert!(matches!(self.front_op(pid), Some(Op::RcuReadHold(_))));
+        self.pop_op(pid);
         self.work.push(pid);
     }
 
@@ -858,10 +904,12 @@ impl Machine {
             t.metrics
                 .record(telemetry::IO_REQUEST_LATENCY_NS, latency.as_nanos());
         }
-        let p = &mut self.procs[done.pid.index()];
-        debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::Io));
-        debug_assert!(matches!(p.ops.front(), Some(Op::IoRead { .. })));
-        p.ops.pop_front();
+        debug_assert_eq!(
+            self.sched[done.pid.index()].state,
+            ProcState::Blocked(BlockReason::Io)
+        );
+        debug_assert!(matches!(self.front_op(done.pid), Some(Op::IoRead { .. })));
+        self.pop_op(done.pid);
         self.work.push(done.pid);
     }
 
@@ -883,23 +931,28 @@ impl Machine {
                 WaitKind::Spinning => {
                     // The waiter burned its core the whole time; charge
                     // and free it.
-                    let run = self.running[waiter.pid.index()].expect("spinning waiter runs");
-                    self.procs[waiter.pid.index()].cpu_time += self.now.saturating_since(run.since);
-                    self.release_core(waiter.pid, run.core);
+                    let s = &mut self.sched[waiter.pid.index()];
+                    let core = s.core.expect("spinning waiter runs");
+                    s.cpu_time += self.now.saturating_since(s.since);
+                    self.release_core(waiter.pid, core);
                     self.work.push(waiter.pid);
                 }
                 WaitKind::SleepingClassic => {
-                    let p = &mut self.procs[waiter.pid.index()];
-                    debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::RcuBlocked));
+                    debug_assert_eq!(
+                        self.sched[waiter.pid.index()].state,
+                        ProcState::Blocked(BlockReason::RcuBlocked)
+                    );
                     self.work.push(waiter.pid);
                 }
                 WaitKind::SleepingBoosted => {
                     // Wake the sleeper; it pays a context switch on-CPU.
-                    let p = &mut self.procs[waiter.pid.index()];
-                    debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::RcuBlocked));
+                    debug_assert_eq!(
+                        self.sched[waiter.pid.index()].state,
+                        ProcState::Blocked(BlockReason::RcuBlocked)
+                    );
                     let ctx = self.rcu.params().ctx_switch_cost;
                     if !ctx.is_zero() {
-                        p.ops.push_front(Op::Compute(ctx));
+                        self.push_front_op(waiter.pid, Op::Compute(ctx));
                     }
                     self.work.push(waiter.pid);
                 }
@@ -911,31 +964,77 @@ impl Machine {
     fn on_flag_wait_timeout(&mut self, pid: Pid, seq: u64) {
         // Stale timeouts are filtered before time advances (see `run`),
         // so a firing here is for the currently parked wait.
-        let p = &mut self.procs[pid.index()];
-        debug_assert_eq!(p.timed_wait_seq, seq);
-        let Some(&Op::TimedWaitFlag { flag, .. }) = p.ops.front() else {
+        debug_assert_eq!(self.procs[pid.index()].timed_wait_seq, seq);
+        let Some(&Op::TimedWaitFlag { flag, .. }) = self.front_op(pid) else {
             unreachable!("timed-wait timeout with unexpected front op");
         };
-        debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::Flag(flag)));
-        p.timed_wait_seq += 1;
-        p.ops.pop_front();
+        debug_assert_eq!(
+            self.sched[pid.index()].state,
+            ProcState::Blocked(BlockReason::Flag(flag))
+        );
+        self.procs[pid.index()].timed_wait_seq += 1;
+        self.pop_op(pid);
         self.flags[flag.index()].waiters.retain(|&w| w != pid);
         self.work.push(pid);
     }
 
     fn on_wake(&mut self, pid: Pid) {
-        let p = &mut self.procs[pid.index()];
-        debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::Sleep));
-        match p.ops.front() {
-            Some(Op::Sleep(_)) => {
-                p.ops.pop_front();
-            }
+        debug_assert_eq!(
+            self.sched[pid.index()].state,
+            ProcState::Blocked(BlockReason::Sleep)
+        );
+        match self.front_op(pid) {
+            Some(Op::Sleep(_)) => self.pop_op(pid),
             // A PollFlag sleeper re-checks on wake (the op stays at front
             // and is re-dispatched for its next on-CPU check).
             Some(Op::PollFlag { .. }) => {}
             other => unreachable!("wake with unexpected front op {other:?}"),
         }
         self.work.push(pid);
+    }
+
+    // ---- internal: the op list -----------------------------------------
+
+    /// The op at `pid`'s cursor, if any remain.
+    fn front_op(&self, pid: Pid) -> Option<&Op> {
+        self.procs[pid.index()]
+            .ops
+            .get(self.sched[pid.index()].pc as usize)
+    }
+
+    /// Moves `pid`'s cursor past up to `n` ops, stopping at the end of
+    /// its list.
+    fn skip_ops(&mut self, pid: Pid, n: u32) {
+        let len = self.procs[pid.index()].ops.len() as u32;
+        let s = &mut self.sched[pid.index()];
+        s.pc = s.pc.saturating_add(n).min(len);
+    }
+
+    /// Moves `pid`'s cursor past its current op.
+    fn pop_op(&mut self, pid: Pid) {
+        self.skip_ops(pid, 1);
+    }
+
+    /// Puts `op` in front of `pid`'s current op: into the spent slot
+    /// before the cursor when there is one, else at the list's head.
+    fn push_front_op(&mut self, pid: Pid, op: Op) {
+        let s = &mut self.sched[pid.index()];
+        let ops = &mut self.procs[pid.index()].ops;
+        if s.pc == 0 {
+            ops.insert(0, op);
+        } else {
+            s.pc -= 1;
+            ops[s.pc as usize] = op;
+        }
+    }
+
+    /// Ends `pid` as failed now: no ops left, done, on the failed list.
+    /// The caller records why in the trace.
+    fn finish_failed(&mut self, pid: Pid) {
+        self.sched[pid.index()].pc = self.procs[pid.index()].ops.len() as u32;
+        self.sched[pid.index()].state = ProcState::Done;
+        self.procs[pid.index()].finished_at = Some(self.now);
+        self.failed.push(pid);
     }
 
     // ---- internal: process advancement ---------------------------------
@@ -951,24 +1050,24 @@ impl Machine {
     ///
     /// Allocation-free: every arm borrows the front op and copies only
     /// its scalar payload; `Spawn` — the one op with heap payload —
-    /// pops the op and *moves* the boxed spec into the child instead of
-    /// deep-cloning it.
+    /// moves the boxed spec out of its spent slot into the child
+    /// instead of deep-cloning it.
     fn step_process(&mut self, pid: Pid) {
         loop {
-            match self.procs[pid.index()].ops.front() {
+            match self.front_op(pid) {
                 None => {
-                    let p = &mut self.procs[pid.index()];
-                    if p.state != ProcState::Done {
-                        p.state = ProcState::Done;
-                        p.finished_at = Some(self.now);
+                    let s = &mut self.sched[pid.index()];
+                    if s.state != ProcState::Done {
+                        s.state = ProcState::Done;
+                        self.procs[pid.index()].finished_at = Some(self.now);
                         self.trace.push(self.now, pid, TraceKind::Finished);
                     }
                     return;
                 }
                 Some(&Op::Compute(d)) => {
-                    let p = &mut self.procs[pid.index()];
-                    if p.compute_left.is_zero() {
-                        p.compute_left = d;
+                    let s = &mut self.sched[pid.index()];
+                    if s.compute_left.is_zero() {
+                        s.compute_left = d;
                     }
                     self.make_ready(pid);
                     return;
@@ -976,13 +1075,13 @@ impl Machine {
                 Some(&Op::PollFlag { flag, .. }) => {
                     // PollFlag with an already-set flag can skip the check.
                     if self.flags[flag.index()].set_at.is_some() {
-                        self.procs[pid.index()].ops.pop_front();
+                        self.pop_op(pid);
                         continue;
                     }
                     self.make_ready(pid);
                     return;
                 }
-                Some(&Op::RcuReadHold(_)) | Some(&Op::RcuSync) => {
+                Some(Op::RcuReadHold(_)) | Some(Op::RcuSync) => {
                     self.make_ready(pid);
                     return;
                 }
@@ -993,7 +1092,7 @@ impl Machine {
                 }) => {
                     if let Some(delay) = self.try_inject_io_fault(pid, device) {
                         // Failed read: back off, then retry the same op.
-                        self.procs[pid.index()].ops.push_front(Op::Sleep(delay));
+                        self.push_front_op(pid, Op::Sleep(delay));
                         continue;
                     }
                     let req = IoRequest {
@@ -1003,7 +1102,7 @@ impl Machine {
                         priority: self.procs[pid.index()].io_priority,
                         submitted_at: self.now,
                     };
-                    self.procs[pid.index()].state = ProcState::Blocked(BlockReason::Io);
+                    self.sched[pid.index()].state = ProcState::Blocked(BlockReason::Io);
                     self.sched_stats.io_requests += 1;
                     if let Some(done_at) = self.devices[device.index()].submit(req, self.now) {
                         self.events.push(done_at, EventKind::IoDone { device });
@@ -1011,27 +1110,26 @@ impl Machine {
                     return;
                 }
                 Some(&Op::Sleep(d)) => {
-                    self.procs[pid.index()].state = ProcState::Blocked(BlockReason::Sleep);
+                    self.sched[pid.index()].state = ProcState::Blocked(BlockReason::Sleep);
                     self.events.push(self.now + d, EventKind::WakeUp { pid });
                     return;
                 }
                 Some(&Op::WaitFlag(flag)) => {
                     if self.flags[flag.index()].set_at.is_some() {
-                        self.procs[pid.index()].ops.pop_front();
+                        self.pop_op(pid);
                         continue;
                     }
-                    self.procs[pid.index()].state = ProcState::Blocked(BlockReason::Flag(flag));
+                    self.sched[pid.index()].state = ProcState::Blocked(BlockReason::Flag(flag));
                     self.flags[flag.index()].waiters.push(pid);
                     return;
                 }
                 Some(&Op::TimedWaitFlag { flag, timeout }) => {
                     if self.flags[flag.index()].set_at.is_some() {
-                        self.procs[pid.index()].ops.pop_front();
+                        self.pop_op(pid);
                         continue;
                     }
-                    let p = &mut self.procs[pid.index()];
-                    p.state = ProcState::Blocked(BlockReason::Flag(flag));
-                    let seq = p.timed_wait_seq;
+                    self.sched[pid.index()].state = ProcState::Blocked(BlockReason::Flag(flag));
+                    let seq = self.procs[pid.index()].timed_wait_seq;
                     self.flags[flag.index()].waiters.push(pid);
                     self.events
                         .push(self.now + timeout, EventKind::FlagWaitTimeout { pid, seq });
@@ -1039,54 +1137,48 @@ impl Machine {
                 }
                 Some(&Op::AssertFlag(flag)) => {
                     if self.flags[flag.index()].set_at.is_some() {
-                        self.procs[pid.index()].ops.pop_front();
+                        self.pop_op(pid);
                         continue;
                     }
-                    let p = &mut self.procs[pid.index()];
-                    p.ops.clear();
-                    p.state = ProcState::Done;
-                    p.finished_at = Some(self.now);
-                    self.failed.push(pid);
+                    self.finish_failed(pid);
                     self.trace.push(self.now, pid, TraceKind::Failed { flag });
                     return;
                 }
                 Some(&Op::CondSkip { flag, skip_ops }) => {
-                    let p = &mut self.procs[pid.index()];
-                    p.ops.pop_front();
+                    self.pop_op(pid);
                     if self.flags[flag.index()].set_at.is_none() {
-                        for _ in 0..skip_ops {
-                            if self.procs[pid.index()].ops.pop_front().is_none() {
-                                break;
-                            }
-                        }
+                        self.skip_ops(pid, skip_ops);
                     }
                 }
                 Some(&Op::SetFlag(flag)) => {
                     if self.try_inject_readiness_fault(pid, flag) {
                         // Crashed processes are done; hung ones now have a
                         // fresh front op to park on.
-                        if self.procs[pid.index()].state == ProcState::Done {
+                        if self.sched[pid.index()].state == ProcState::Done {
                             return;
                         }
                         continue;
                     }
-                    self.procs[pid.index()].ops.pop_front();
+                    self.pop_op(pid);
                     self.do_set_flag(flag, pid);
                 }
-                Some(&Op::Spawn(_)) => {
-                    let Some(Op::Spawn(spec)) = self.procs[pid.index()].ops.pop_front() else {
+                Some(Op::Spawn(_)) => {
+                    let pc = self.sched[pid.index()].pc as usize;
+                    let spent = std::mem::replace(&mut self.procs[pid.index()].ops[pc], Op::Yield);
+                    self.pop_op(pid);
+                    let Op::Spawn(spec) = spent else {
                         unreachable!("front op changed under us");
                     };
                     let child = self.add_process(*spec);
                     self.work.push(child);
                 }
-                Some(&Op::Yield) => {
-                    self.procs[pid.index()].ops.pop_front();
+                Some(Op::Yield) => {
+                    self.pop_op(pid);
                     // A bare requeue: if the next op needs a core it will
                     // naturally arrive behind current ready peers.
                 }
                 Some(&Op::SetRcuMode(mode)) => {
-                    self.procs[pid.index()].ops.pop_front();
+                    self.pop_op(pid);
                     self.rcu.set_mode(mode);
                 }
             }
@@ -1103,19 +1195,19 @@ impl Machine {
             .push(self.now, setter, TraceKind::FlagSet { flag });
         for waiter in std::mem::take(&mut f.waiters) {
             self.sched_stats.flag_wakeups += 1;
-            let p = &mut self.procs[waiter.index()];
-            debug_assert_eq!(p.state, ProcState::Blocked(BlockReason::Flag(flag)));
-            match p.ops.front() {
-                Some(Op::WaitFlag(_)) => {
-                    p.ops.pop_front();
-                }
+            debug_assert_eq!(
+                self.sched[waiter.index()].state,
+                ProcState::Blocked(BlockReason::Flag(flag))
+            );
+            match self.front_op(waiter) {
+                Some(Op::WaitFlag(_)) => {}
                 Some(Op::TimedWaitFlag { .. }) => {
                     // Invalidate the pending timeout event for this wait.
-                    p.timed_wait_seq += 1;
-                    p.ops.pop_front();
+                    self.procs[waiter.index()].timed_wait_seq += 1;
                 }
                 other => unreachable!("flag waiter with unexpected front op {other:?}"),
             }
+            self.pop_op(waiter);
             self.work.push(waiter);
         }
     }
@@ -1123,24 +1215,21 @@ impl Machine {
     fn make_ready(&mut self, pid: Pid) {
         let seq = self.ready_seq;
         self.ready_seq += 1;
-        let p = &mut self.procs[pid.index()];
-        p.state = ProcState::Ready;
-        p.ready_seq = seq;
-        self.ready.push(p.nice, seq, pid.as_raw());
+        let s = &mut self.sched[pid.index()];
+        s.state = ProcState::Ready;
+        s.ready_seq = seq;
+        self.ready.push(s.nice, seq, pid.as_raw());
     }
 
     // ---- internal: dispatching -----------------------------------------
 
     fn dispatch(&mut self) {
-        loop {
-            let Some(core) = self.cores.iter().position(Option::is_none) else {
-                return;
-            };
+        while self.idle != 0 {
             let Some(raw) = self.ready.pop() else {
                 return;
             };
-            let pid = Pid::from_raw(raw);
-            self.start_on_core(pid, CoreId::from_raw(core as u32));
+            let core = CoreId::from_raw(self.idle.trailing_zeros());
+            self.start_on_core(Pid::from_raw(raw), core);
         }
     }
 
@@ -1153,44 +1242,44 @@ impl Machine {
                 .record(telemetry::RUN_QUEUE_DEPTH, self.ready.len() as u64);
         }
         self.cores[core.index()] = Some(pid);
-        self.running[pid.index()] = Some(Running {
-            core,
-            since: self.now,
-        });
-        let speed = self.cfg.core_speed;
-        let p = &mut self.procs[pid.index()];
-        p.state = ProcState::Running;
-        if !p.first_dispatched {
-            p.first_dispatched = true;
+        self.idle &= !(1 << core.index());
+        let s = &mut self.sched[pid.index()];
+        s.core = Some(core);
+        s.since = self.now;
+        s.state = ProcState::Running;
+        if !s.first_dispatched {
+            s.first_dispatched = true;
             self.trace.push(self.now, pid, TraceKind::FirstRun);
         }
-        match self.procs[pid.index()].ops.front() {
-            Some(&Op::Compute(_)) => {
-                let p = &mut self.procs[pid.index()];
-                let slice = p.compute_left.min(self.cfg.quantum);
-                p.compute_left = p.compute_left - slice;
-                let wall = slice.scale(1.0 / speed);
-                p.cpu_time += wall;
-                self.events
-                    .push(self.now + wall, EventKind::SliceDone { pid, core });
-            }
+        if !s.compute_left.is_zero() {
+            // A compute that is preempted or not yet started: the cursor
+            // is on its op, so the op list need not be read.
+            debug_assert!(matches!(self.front_op(pid), Some(Op::Compute(_))));
+            self.run_slice(pid, core);
+            return;
+        }
+        match self.front_op(pid) {
+            // A zero-length compute: one empty slice.
+            Some(Op::Compute(_)) => self.run_slice(pid, core),
             Some(&Op::PollFlag { poll_cost, .. }) => {
-                let wall = poll_cost.scale(1.0 / speed).max(SimDuration::from_nanos(1));
-                self.procs[pid.index()].cpu_time += wall;
+                let wall = poll_cost
+                    .scale(self.walls.inv_speed)
+                    .max(SimDuration::from_nanos(1));
+                self.sched[pid.index()].cpu_time += wall;
                 self.events
                     .push(self.now + wall, EventKind::SliceDone { pid, core });
             }
             Some(&Op::RcuReadHold(d)) => {
                 self.rcu.reader_enter();
-                let wall = d.scale(1.0 / speed);
-                self.procs[pid.index()].cpu_time += wall;
+                let wall = d.scale(self.walls.inv_speed);
+                self.sched[pid.index()].cpu_time += wall;
                 self.events
                     .push(self.now + wall, EventKind::ReadHoldDone { pid, core });
             }
-            Some(&Op::RcuSync) => {
-                self.procs[pid.index()].ops.pop_front();
-                let overhead = self.rcu.submit_overhead().scale(1.0 / speed);
-                self.procs[pid.index()].cpu_time += overhead;
+            Some(Op::RcuSync) => {
+                self.pop_op(pid);
+                let overhead = self.walls.rcu_submit(self.rcu.mode());
+                self.sched[pid.index()].cpu_time += overhead;
                 let submit_at = self.now + overhead;
                 // The overhead is tiny; fold it by submitting now but
                 // starting the grace period after the overhead.
@@ -1205,7 +1294,7 @@ impl Machine {
                     }
                     WaitKind::SleepingClassic | WaitKind::SleepingBoosted => {
                         self.release_core(pid, core);
-                        self.procs[pid.index()].state = ProcState::Blocked(BlockReason::RcuBlocked);
+                        self.sched[pid.index()].state = ProcState::Blocked(BlockReason::RcuBlocked);
                     }
                 }
             }
@@ -1213,18 +1302,34 @@ impl Machine {
         }
     }
 
+    /// Runs `pid`'s next compute slice on `core`: at most a quantum of
+    /// `compute_left`, charged as wall time, ending in a `SliceDone`.
+    fn run_slice(&mut self, pid: Pid, core: CoreId) {
+        let quantum = self.cfg.quantum;
+        let s = &mut self.sched[pid.index()];
+        let wall = if s.compute_left >= quantum {
+            s.compute_left = s.compute_left - quantum;
+            self.walls.quantum
+        } else {
+            std::mem::replace(&mut s.compute_left, SimDuration::ZERO).scale(self.walls.inv_speed)
+        };
+        s.cpu_time += wall;
+        self.events
+            .push(self.now + wall, EventKind::SliceDone { pid, core });
+    }
+
     fn release_core(&mut self, pid: Pid, core: CoreId) {
         debug_assert_eq!(self.cores[core.index()], Some(pid));
         self.cores[core.index()] = None;
-        if let Some(run) = self.running[pid.index()].take() {
-            if run.since < self.now {
-                self.trace.push_span(CoreSpan {
-                    core,
-                    pid,
-                    start: run.since,
-                    end: self.now,
-                });
-            }
+        self.idle |= 1 << core.index();
+        let s = &mut self.sched[pid.index()];
+        if s.core.take().is_some() && s.since < self.now {
+            self.trace.push_span(CoreSpan {
+                core,
+                pid,
+                start: s.since,
+                end: self.now,
+            });
         }
     }
 }
@@ -1313,8 +1418,8 @@ impl Machine {
     fn adopt_capacity(&mut self, spare: Machine) {
         let Machine {
             events,
+            sched,
             procs,
-            running,
             rcu,
             rcu_released,
             flags,
@@ -1326,8 +1431,8 @@ impl Machine {
             ..
         } = spare;
         self.events.adopt_capacity(events);
+        graft(&mut self.sched, sched);
         graft(&mut self.procs, procs);
-        graft(&mut self.running, running);
         graft(&mut self.rcu.current, rcu.current);
         graft(&mut self.rcu.next, rcu.next);
         graft(&mut self.rcu_released, rcu_released);
@@ -1363,8 +1468,31 @@ mod tests {
         let out = m.run();
         assert_eq!(out.end_time.as_millis(), 5);
         assert!(out.blocked.is_empty());
-        assert_eq!(m.process(pid).state, ProcState::Done);
-        assert_eq!(m.process(pid).cpu_time.as_millis(), 5);
+        assert_eq!(m.process(pid).state(), ProcState::Done);
+        assert_eq!(m.process(pid).cpu_time().as_millis(), 5);
+    }
+
+    #[test]
+    fn every_core_of_the_widest_machine_dispatches() {
+        let mut m = machine(MAX_CORES);
+        for i in 0..MAX_CORES + 1 {
+            m.spawn(ProcessSpec::new(
+                format!("p{i}"),
+                OpsBuilder::new().compute_ms(2).build(),
+            ));
+        }
+        let out = m.run();
+        // 130 ms of work on 64 cores in 1 ms quanta: the 65th process
+        // takes core 0 at the first preemption, so two processes still
+        // need a third quantum.
+        assert_eq!(out.end_time.as_millis(), 3);
+        assert_eq!(m.idle, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine needs 1 to 64 cores, not 65")]
+    fn more_cores_than_the_idle_word_holds_is_refused() {
+        machine(MAX_CORES + 1);
     }
 
     #[test]
@@ -1576,7 +1704,7 @@ mod tests {
         ));
         let out = m.run();
         assert_eq!(out.end_time.as_millis(), 10);
-        assert!(m.process(Pid::from_raw(0)).cpu_time.as_millis() < 1);
+        assert!(m.process(Pid::from_raw(0)).cpu_time().as_millis() < 1);
     }
 
     #[test]
@@ -1596,7 +1724,7 @@ mod tests {
         // (0..20); the worker only then gets the core (20..35).
         assert_eq!(out.end_time.as_millis(), 35);
         let spinner = m.process(Pid::from_raw(1));
-        assert_eq!(spinner.cpu_time.as_millis(), 20);
+        assert_eq!(spinner.cpu_time().as_millis(), 20);
     }
 
     #[test]
@@ -1611,7 +1739,7 @@ mod tests {
         let out = m.run();
         // Worker runs 0..15 in parallel with both sleeping waiters.
         assert_eq!(out.end_time.as_millis(), 20);
-        assert!(m.process(Pid::from_raw(1)).cpu_time.as_millis() < 1);
+        assert!(m.process(Pid::from_raw(1)).cpu_time().as_millis() < 1);
     }
 
     #[test]
@@ -1673,9 +1801,9 @@ mod tests {
         // Poller checked at ~0, ~10, ~20, then saw the flag at ~30.
         let poller = m.process(Pid::from_raw(0));
         assert!(
-            poller.cpu_time.as_micros() >= 1300,
+            poller.cpu_time().as_micros() >= 1300,
             "cpu {}",
-            poller.cpu_time
+            poller.cpu_time()
         );
         assert!(out.end_time.as_millis() >= 30);
     }

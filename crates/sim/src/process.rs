@@ -8,9 +8,7 @@
 //! expressed with flags ([`Op::WaitFlag`]/[`Op::SetFlag`]) and process
 //! spawning ([`Op::Spawn`]).
 
-use std::collections::VecDeque;
-
-use crate::ids::{DeviceId, FlagId, Pid};
+use crate::ids::{CoreId, DeviceId, FlagId};
 use crate::time::{SimDuration, SimTime};
 
 /// Storage access pattern, selecting which bandwidth figure of a device
@@ -115,7 +113,7 @@ pub enum Op {
     SetRcuMode(crate::rcu::RcuMode),
 }
 
-// Every op list is a `Vec<Op>`/`VecDeque<Op>`; keep the op small.
+// Every op list is a `Vec<Op>`; keep the op small.
 const _: () = assert!(std::mem::size_of::<Op>() <= 24);
 
 /// Static description of a process: what to run and how urgent it is.
@@ -199,69 +197,122 @@ pub enum ProcState {
     Done,
 }
 
-/// A live process inside the simulator.
-#[derive(Debug)]
-pub struct Process {
-    /// This process's id.
-    pub pid: Pid,
-    /// Name from the spec.
-    pub name: String,
-    /// Nice value from the spec.
-    pub nice: i8,
-    /// I/O scheduling class from the spec.
-    pub io_priority: crate::io::IoPriority,
-    /// Remaining ops; front is the current op.
-    pub ops: VecDeque<Op>,
-    /// Remaining reference CPU time of the *current* compute op, if it
-    /// was partially executed before being preempted.
-    pub compute_left: SimDuration,
-    /// Scheduling state.
-    pub state: ProcState,
-    /// When the process was spawned.
-    pub spawned_at: SimTime,
-    /// When the process finished, if done.
-    pub finished_at: Option<SimTime>,
-    /// Monotone counter used for FIFO ordering within a priority level.
-    pub ready_seq: u64,
-    /// True once the process has been dispatched onto a core.
-    pub first_dispatched: bool,
+/// A process's scheduler record: every field a compute slice, a
+/// preemption or a dispatch reads or writes. The machine keeps one per
+/// process in a dense pid-indexed table, so a slice touches one
+/// 56-byte entry and nothing else of the process.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SchedRecord {
+    /// Remaining reference CPU time of the `Compute` op at the cursor.
+    /// Nonzero only while that op is current, so a dispatch that finds
+    /// it nonzero resumes the compute without reading the op list.
+    pub(crate) compute_left: SimDuration,
     /// Accumulated on-CPU time (including spin-waiting), for reports.
-    pub cpu_time: SimDuration,
+    pub(crate) cpu_time: SimDuration,
+    /// Monotone counter used for FIFO ordering within a priority level.
+    pub(crate) ready_seq: u64,
+    /// When the process took its core; meaningful while `core` is set.
+    pub(crate) since: SimTime,
+    /// The core the process holds, if any.
+    pub(crate) core: Option<CoreId>,
+    /// Cursor: index of the current op in [`ProcRecord::ops`].
+    pub(crate) pc: u32,
+    /// Scheduling state.
+    pub(crate) state: ProcState,
+    /// Nice value from the spec.
+    pub(crate) nice: i8,
+    /// True once the process has been dispatched onto a core.
+    pub(crate) first_dispatched: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<SchedRecord>() <= 56);
+
+/// The rest of a process: what spawning, op folding, faults, snapshots
+/// and reports read, once per op at most, never once per slice.
+#[derive(Debug)]
+pub(crate) struct ProcRecord {
+    /// Name from the spec.
+    pub(crate) name: String,
+    /// I/O scheduling class from the spec.
+    pub(crate) io_priority: crate::io::IoPriority,
+    /// The op list; the ops from the scheduler record's cursor on
+    /// remain. Slots before the cursor are spent.
+    pub(crate) ops: Vec<Op>,
+    /// When the process was spawned.
+    pub(crate) spawned_at: SimTime,
+    /// When the process finished, if done.
+    pub(crate) finished_at: Option<SimTime>,
     /// Generation counter for [`Op::TimedWaitFlag`]: incremented on every
     /// wake (flag or timeout) so stale timeout events can be recognized
     /// and dropped.
-    pub timed_wait_seq: u64,
+    pub(crate) timed_wait_seq: u64,
 }
 
-impl Process {
-    /// Instantiates a spec into a live process.
-    pub fn from_spec(pid: Pid, spec: ProcessSpec, now: SimTime) -> Self {
-        Process {
-            pid,
-            name: spec.name,
-            nice: spec.nice,
-            io_priority: spec.io_priority,
-            ops: spec.ops.into(),
-            compute_left: SimDuration::ZERO,
-            state: ProcState::Ready,
-            spawned_at: now,
-            finished_at: None,
-            ready_seq: 0,
-            first_dispatched: false,
-            cpu_time: SimDuration::ZERO,
-            timed_wait_seq: 0,
-        }
+/// Instantiates a spec into the two records of a live process.
+///
+/// # Panics
+///
+/// Panics if the op list is too long for the `u32` cursor.
+pub(crate) fn from_spec(spec: ProcessSpec, now: SimTime) -> (SchedRecord, ProcRecord) {
+    assert!(
+        u32::try_from(spec.ops.len()).is_ok(),
+        "op list too long for its cursor"
+    );
+    let sched = SchedRecord {
+        compute_left: SimDuration::ZERO,
+        cpu_time: SimDuration::ZERO,
+        ready_seq: 0,
+        since: SimTime::ZERO,
+        core: None,
+        pc: 0,
+        state: ProcState::Ready,
+        nice: spec.nice,
+        first_dispatched: false,
+    };
+    let info = ProcRecord {
+        name: spec.name,
+        io_priority: spec.io_priority,
+        ops: spec.ops,
+        spawned_at: now,
+        finished_at: None,
+        timed_wait_seq: 0,
+    };
+    (sched, info)
+}
+
+/// A read-only view of one simulated process (for reports and
+/// assertions), assembled from its scheduler and bookkeeping records.
+#[derive(Debug, Clone, Copy)]
+pub struct Process<'a> {
+    pub(crate) sched: &'a SchedRecord,
+    pub(crate) info: &'a ProcRecord,
+}
+
+impl<'a> Process<'a> {
+    /// Name from the spec.
+    pub fn name(&self) -> &'a str {
+        &self.info.name
     }
 
-    /// True if there are no ops left to execute.
-    pub fn is_finished(&self) -> bool {
-        self.ops.is_empty() && self.compute_left.is_zero()
+    /// Scheduling state.
+    pub fn state(&self) -> ProcState {
+        self.sched.state
     }
 
-    /// Effective scheduling priority: lower sorts first (runs earlier).
-    #[cfg(test)]
-    fn priority_key(&self) -> (i8, u64) {
-        (self.nice, self.ready_seq)
+    /// Accumulated on-CPU time (including spin-waiting).
+    pub fn cpu_time(&self) -> SimDuration {
+        self.sched.cpu_time
+    }
+
+    /// Arrival sequence of the process's latest run-queue entry: FIFO
+    /// order within a nice level.
+    pub fn ready_seq(&self) -> u64 {
+        self.sched.ready_seq
+    }
+
+    /// When the process finished or failed, if it has.
+    pub fn finished_at(&self) -> Option<SimTime> {
+        self.info.finished_at
     }
 }
 
@@ -422,28 +473,16 @@ mod tests {
     }
 
     #[test]
-    fn process_lifecycle_flags() {
-        let spec = ProcessSpec::new("p", vec![Op::Compute(SimDuration::from_millis(1))]);
-        let mut p = Process::from_spec(Pid::from_raw(0), spec, SimTime::ZERO);
-        assert_eq!(p.state, ProcState::Ready);
-        assert!(!p.is_finished());
-        p.ops.pop_front();
-        assert!(p.is_finished());
-    }
-
-    #[test]
-    fn priority_key_orders_by_nice_then_fifo() {
-        let mk = |nice, seq| {
-            let mut p = Process::from_spec(
-                Pid::from_raw(0),
-                ProcessSpec::new("p", vec![]).with_nice(nice),
-                SimTime::ZERO,
-            );
-            p.ready_seq = seq;
-            p
-        };
-        assert!(mk(-20, 9).priority_key() < mk(0, 1).priority_key());
-        assert!(mk(0, 1).priority_key() < mk(0, 2).priority_key());
+    fn a_spec_splits_into_a_ready_process_at_its_first_op() {
+        let spec =
+            ProcessSpec::new("p", vec![Op::Compute(SimDuration::from_millis(1))]).with_nice(3);
+        let (sched, info) = from_spec(spec, SimTime::from_nanos(5));
+        assert_eq!(sched.state, ProcState::Ready);
+        assert_eq!((sched.nice, sched.pc, sched.core), (3, 0, None));
+        assert!(sched.compute_left.is_zero() && !sched.first_dispatched);
+        assert_eq!(info.ops.len(), 1);
+        assert_eq!(info.spawned_at, SimTime::from_nanos(5));
+        assert_eq!(info.finished_at, None);
     }
 
     #[test]

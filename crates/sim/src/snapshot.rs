@@ -60,9 +60,12 @@ use crate::event::{EventKind, EventQueue, QueuedEvent};
 use crate::ids::{CoreId, DeviceId, FlagId, Pid};
 use crate::io::{Device, DeviceProfile, IoPriority, IoRequest};
 use crate::machine::{
-    FaultState, FlagState, IoFaultArm, Machine, MachineConfig, ProcFaultArm, ReadyQueue, Running,
+    all_idle, FaultState, FlagState, IoFaultArm, Machine, MachineConfig, ProcFaultArm, ReadyQueue,
+    SliceWalls, MAX_CORES,
 };
-use crate::process::{AccessPattern, BlockReason, Op, ProcState, Process, ProcessSpec};
+use crate::process::{
+    AccessPattern, BlockReason, Op, ProcRecord, ProcState, ProcessSpec, SchedRecord,
+};
 use crate::rcu::{RcuEngine, RcuMode, RcuParams, RcuStats, WaitKind, Waiter};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CoreSpan, Trace, TraceEvent, TraceKind};
@@ -275,8 +278,8 @@ pub fn save(machine: &Machine) -> Result<Vec<u8>, SnapshotError> {
 
     let mut w = Writer::new();
     w.len(machine.procs.len());
-    for p in &machine.procs {
-        encode_process(&mut w, p);
+    for (i, (sched, info)) in machine.sched.iter().zip(&machine.procs).enumerate() {
+        encode_process(&mut w, Pid::from_raw(i as u32), sched, info);
     }
     payload.section(SEC_PROCS, w);
 
@@ -408,16 +411,24 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
 
     let mut sec = r.section(SEC_PROCS)?;
     let n = sec.vec_len(8)?;
+    let mut sched = Vec::with_capacity(n);
     let mut procs = Vec::with_capacity(n);
-    for _ in 0..n {
-        procs.push(decode_process(&mut sec)?);
+    for i in 0..n {
+        let (hot, cold) = decode_process(&mut sec, i)?;
+        sched.push(hot);
+        procs.push(cold);
     }
     sec.finish()?;
 
     let mut sec = r.section(SEC_SCHED)?;
-    let (cores, running, ready, ready_seq, work, failed, sched_stats) =
-        decode_sched(&mut sec, cfg.cores, procs.len())?;
+    let (cores, ready, ready_seq, work, failed, sched_stats) =
+        decode_sched(&mut sec, cfg.cores, &mut sched)?;
     sec.finish()?;
+    let idle = cores
+        .iter()
+        .enumerate()
+        .filter(|(_, slot)| slot.is_some())
+        .fold(all_idle(cfg.cores), |idle, (i, _)| idle & !(1 << i));
 
     let mut sec = r.section(SEC_DEVICES)?;
     let n = sec.vec_len(8)?;
@@ -479,12 +490,14 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
     }
 
     Ok(Machine {
+        walls: SliceWalls::new(&cfg, rcu.params()),
         cfg,
         now,
         events,
+        sched,
         procs,
         cores,
-        running,
+        idle,
         ready,
         ready_seq,
         devices,
@@ -517,13 +530,21 @@ fn encode_config(w: &mut Writer, cfg: &MachineConfig) {
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<MachineConfig, SnapshotError> {
-    let cores = r.u64()? as usize;
+    let cores = r.u64()?;
     if cores == 0 {
         return Err(SnapshotError::Corrupt("zero cores"));
     }
+    if cores > MAX_CORES as u64 {
+        return Err(SnapshotError::Corrupt(
+            "more cores than the idle-core word holds",
+        ));
+    }
+    let cores = cores as usize;
     let core_speed = r.f64()?;
-    if !core_speed.is_finite() || core_speed <= 0.0 {
-        return Err(SnapshotError::Corrupt("non-positive core speed"));
+    if !core_speed.is_normal() || core_speed <= 0.0 {
+        return Err(SnapshotError::Corrupt(
+            "core speed not a positive normal number",
+        ));
     }
     let quantum = SimDuration::from_nanos(r.u64()?);
     if quantum.is_zero() {
@@ -636,50 +657,76 @@ fn decode_event_kind(r: &mut Reader<'_>) -> Result<EventKind, SnapshotError> {
     })
 }
 
-fn encode_process(w: &mut Writer, p: &Process) {
-    w.u32(p.pid.as_raw());
-    w.str(&p.name);
-    w.i8(p.nice);
-    w.u8(io_priority_tag(p.io_priority));
-    w.len(p.ops.len());
-    for op in &p.ops {
+fn encode_process(w: &mut Writer, pid: Pid, sched: &SchedRecord, info: &ProcRecord) {
+    w.u32(pid.as_raw());
+    w.str(&info.name);
+    w.i8(sched.nice);
+    w.u8(io_priority_tag(info.io_priority));
+    // Only the ops from the cursor on: spent slots are not state.
+    let ops = &info.ops[sched.pc as usize..];
+    w.len(ops.len());
+    for op in ops {
         encode_op(w, op);
     }
-    w.u64(p.compute_left.as_nanos());
-    encode_proc_state(w, p.state);
-    w.u64(p.spawned_at.as_nanos());
-    w.opt_u64(p.finished_at.map(SimTime::as_nanos));
-    w.u64(p.ready_seq);
-    w.bool(p.first_dispatched);
-    w.u64(p.cpu_time.as_nanos());
-    w.u64(p.timed_wait_seq);
+    w.u64(sched.compute_left.as_nanos());
+    encode_proc_state(w, sched.state);
+    w.u64(info.spawned_at.as_nanos());
+    w.opt_u64(info.finished_at.map(SimTime::as_nanos));
+    w.u64(sched.ready_seq);
+    w.bool(sched.first_dispatched);
+    w.u64(sched.cpu_time.as_nanos());
+    w.u64(info.timed_wait_seq);
 }
 
-fn decode_process(r: &mut Reader<'_>) -> Result<Process, SnapshotError> {
-    let pid = Pid::from_raw(r.u32()?);
+/// Decodes the process with pid `index`. Its records start outside any
+/// core; the sched section places the running ones.
+fn decode_process(
+    r: &mut Reader<'_>,
+    index: usize,
+) -> Result<(SchedRecord, ProcRecord), SnapshotError> {
+    if r.u32()? as usize != index {
+        return Err(SnapshotError::Corrupt("process pid out of order"));
+    }
     let name = r.str()?;
     let nice = r.i8()?;
     let io_priority = decode_io_priority(r.u8()?)?;
     let n = r.vec_len(1)?;
-    let mut ops = std::collections::VecDeque::with_capacity(n);
-    for _ in 0..n {
-        ops.push_back(decode_op(r)?);
+    if u32::try_from(n).is_err() {
+        return Err(SnapshotError::Corrupt("op list too long"));
     }
-    Ok(Process {
-        pid,
-        name,
-        nice,
-        io_priority,
-        ops,
-        compute_left: SimDuration::from_nanos(r.u64()?),
-        state: decode_proc_state(r)?,
-        spawned_at: SimTime::from_nanos(r.u64()?),
-        finished_at: r.opt_u64()?.map(SimTime::from_nanos),
+    let mut ops = Vec::with_capacity(n);
+    for _ in 0..n {
+        ops.push(decode_op(r)?);
+    }
+    let compute_left = SimDuration::from_nanos(r.u64()?);
+    // The scheduler resumes a nonzero `compute_left` without reading
+    // the op list, trusting that the current op is its `Compute`.
+    if !compute_left.is_zero() && !matches!(ops.first(), Some(Op::Compute(_))) {
+        return Err(SnapshotError::Corrupt("compute left without a compute op"));
+    }
+    let state = decode_proc_state(r)?;
+    let spawned_at = SimTime::from_nanos(r.u64()?);
+    let finished_at = r.opt_u64()?.map(SimTime::from_nanos);
+    let sched = SchedRecord {
+        compute_left,
+        state,
         ready_seq: r.u64()?,
         first_dispatched: r.bool()?,
         cpu_time: SimDuration::from_nanos(r.u64()?),
+        since: SimTime::ZERO,
+        core: None,
+        pc: 0,
+        nice,
+    };
+    let info = ProcRecord {
+        name,
+        io_priority,
+        ops,
+        spawned_at,
+        finished_at,
         timed_wait_seq: r.u64()?,
-    })
+    };
+    Ok((sched, info))
 }
 
 fn encode_proc_state(w: &mut Writer, state: ProcState) {
@@ -848,15 +895,16 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ProcessSpec, SnapshotError> {
     })
 }
 
+/// Decodes the sched section, placing each running process of `sched`
+/// on its core.
 #[allow(clippy::type_complexity)]
 fn decode_sched(
     r: &mut Reader<'_>,
     cores_cfg: usize,
-    n_procs: usize,
+    sched: &mut [SchedRecord],
 ) -> Result<
     (
         Vec<Option<Pid>>,
-        Vec<Option<Running>>,
         ReadyQueue,
         u64,
         Vec<Pid>,
@@ -875,17 +923,18 @@ fn decode_sched(
     }
     let n = r.vec_len(16)?;
     // The on-disk form stays the sparse pid-sorted triple list; the
-    // in-memory slab is rebuilt here. Pids are bounds-checked against
-    // the decoded process table so corrupt inputs error, never panic.
-    let mut running: Vec<Option<Running>> = vec![None; n_procs];
+    // scheduler records carry it in memory. Pids are bounds-checked
+    // against the decoded process table so corrupt inputs error, never
+    // panic.
     for _ in 0..n {
         let pid = Pid::from_raw(r.u32()?);
         let core = CoreId::from_raw(r.u32()?);
         let since = SimTime::from_nanos(r.u64()?);
-        let slot = running
+        let s = sched
             .get_mut(pid.index())
             .ok_or(SnapshotError::Corrupt("running pid out of range"))?;
-        *slot = Some(Running { core, since });
+        s.core = Some(core);
+        s.since = since;
     }
     let n = r.vec_len(13)?;
     let mut entries: Vec<(i8, u64, u32)> = Vec::with_capacity(n);
@@ -919,7 +968,7 @@ fn decode_sched(
         io_requests: r.u64()?,
         flag_wakeups: r.u64()?,
     };
-    Ok((cores, running, ready, ready_seq, work, failed, sched_stats))
+    Ok((cores, ready, ready_seq, work, failed, sched_stats))
 }
 
 fn encode_sched(w: &mut Writer, machine: &Machine) {
@@ -927,19 +976,20 @@ fn encode_sched(w: &mut Writer, machine: &Machine) {
     for slot in &machine.cores {
         w.opt_u32(slot.map(Pid::as_raw));
     }
-    // The running slab is indexed by pid, so walking it in order yields
-    // the same pid-sorted sparse triple list v1 has always stored.
-    let running: Vec<(Pid, Running)> = machine
-        .running
+    // The scheduler records are indexed by pid, so walking them in
+    // order yields the same pid-sorted sparse triple list v1 has always
+    // stored.
+    let running: Vec<(Pid, CoreId, SimTime)> = machine
+        .sched
         .iter()
         .enumerate()
-        .filter_map(|(i, slot)| slot.map(|run| (Pid::from_raw(i as u32), run)))
+        .filter_map(|(i, s)| s.core.map(|core| (Pid::from_raw(i as u32), core, s.since)))
         .collect();
     w.len(running.len());
-    for (pid, run) in running {
+    for (pid, core, since) in running {
         w.u32(pid.as_raw());
-        w.u32(run.core.as_raw());
-        w.u64(run.since.as_nanos());
+        w.u32(core.as_raw());
+        w.u64(since.as_nanos());
     }
     // Same canonical-sorted treatment as the event queue: the bucketed
     // run queue iterates in `(nice, seq)` order, which is v1's sort.
@@ -1580,7 +1630,7 @@ mod tests {
             .events()
             .iter()
             .filter(|e| e.kind == TraceKind::FirstRun)
-            .map(|e| original.process(e.pid).name.clone())
+            .map(|e| original.process(e.pid).name().to_owned())
             .collect();
         assert_eq!(
             order,
@@ -1613,10 +1663,7 @@ mod tests {
             if let Ok(mut restored) = restore(&bytes) {
                 let out = restored.run();
                 assert!(out.blocked.is_empty() && out.failed.is_empty());
-                assert!(restored
-                    .processes()
-                    .iter()
-                    .all(|p| p.state == ProcState::Done));
+                assert!(restored.processes().all(|p| p.state() == ProcState::Done));
             }
         }
     }
@@ -1796,6 +1843,49 @@ mod tests {
         assert_eq!(oa.failed, ob.failed);
         assert_eq!(oa.end_time, ob.end_time);
         assert_eq!(reference.trace().events(), restored.trace().events());
+    }
+
+    /// A machine wider than the idle-core word, or slower than a
+    /// positive normal speed, decodes as corrupt instead of panicking
+    /// when the restored machine derives its dispatch state.
+    #[test]
+    fn configs_the_scheduler_cannot_run_are_corrupt() {
+        let good = save(&Machine::new(MachineConfig::default())).expect("snapshot");
+        // The config section's body follows its id and length.
+        let body = HEADER_LEN + 4 + 8;
+        let reseal = |mut bytes: Vec<u8>| {
+            let len = u64::from_le_bytes(bytes[HEADER_LEN + 4..body].try_into().unwrap());
+            let hash = fnv1a(FNV1A_OFFSET, &bytes[body..body + len as usize]);
+            bytes[12..20].copy_from_slice(&hash.to_le_bytes());
+            let end = bytes.len() - CHECKSUM_LEN;
+            let sum = fnv1a(FNV1A_OFFSET, &bytes[HEADER_LEN..end]);
+            bytes[end..].copy_from_slice(&sum.to_le_bytes());
+            bytes
+        };
+        let mut wide = good.clone();
+        wide[body..body + 8].copy_from_slice(&(MAX_CORES as u64 + 1).to_le_bytes());
+        assert_eq!(
+            restore(&reseal(wide)).err(),
+            Some(SnapshotError::Corrupt(
+                "more cores than the idle-core word holds"
+            ))
+        );
+        let mut widest = good.clone();
+        widest[body..body + 8].copy_from_slice(&(MAX_CORES as u64).to_le_bytes());
+        // The core table still says 4, so the width itself is accepted.
+        assert_eq!(
+            restore(&reseal(widest)).err(),
+            Some(SnapshotError::Corrupt("core table size"))
+        );
+        let mut crawling = good;
+        crawling[body + 8..body + 16]
+            .copy_from_slice(&f64::MIN_POSITIVE.to_bits().wrapping_sub(1).to_le_bytes());
+        assert_eq!(
+            restore(&reseal(crawling)).err(),
+            Some(SnapshotError::Corrupt(
+                "core speed not a positive normal number"
+            ))
+        );
     }
 
     #[test]

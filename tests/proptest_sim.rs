@@ -228,7 +228,7 @@ proptest! {
         let times: Vec<SimTime> = m.trace().events().iter().map(|e| e.time).collect();
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
         // CPU conservation.
-        let total_cpu: u64 = m.processes().iter().map(|p| p.cpu_time.as_nanos()).sum();
+        let total_cpu: u64 = m.processes().map(|p| p.cpu_time().as_nanos()).sum();
         let budget = out.end_time.as_nanos().saturating_mul(cores as u64);
         prop_assert!(
             total_cpu <= budget,
@@ -410,8 +410,7 @@ fn golden_case(i: u32, fired: &mut [bool; 4]) -> String {
         digest(m.trace().spans()),
         digest(
             m.processes()
-                .iter()
-                .map(|p| (p.cpu_time, p.ready_seq, p.finished_at))
+                .map(|p| (p.cpu_time(), p.ready_seq(), p.finished_at()))
         ),
         digest(snapshot::save(&m).expect("snapshot")),
     )
