@@ -29,6 +29,7 @@ use bb_core::{BbConfig, FallbackPolicy};
 use bb_fleet::json::{self, Json};
 use bb_fleet::{CellSpec, Supervision, SweepSpec, TicketId, WorkItem};
 use bb_init::RestartPolicy;
+use bb_sim::MAX_CORES;
 use bb_workloads::{profiles, MachineProfile, TizenParams};
 
 // ---------------------------------------------------------------------
@@ -172,8 +173,12 @@ impl SweepArgs {
         match (flag, self.kind) {
             ("--profiles", _) if grid => self.profiles = value("--profiles")?,
             ("--scenario", JobKind::Suspend) => self.scenario = value("--scenario")?,
-            ("--services", _) => self.services = Some(num("--services", value("--services")?)?),
-            ("--cores", JobKind::Suspend) => self.cores = Some(num("--cores", value("--cores")?)?),
+            ("--services", _) => {
+                self.services = Some(check_services(num("--services", value("--services")?)?)?)
+            }
+            ("--cores", JobKind::Suspend) => {
+                self.cores = Some(check_cores(num("--cores", value("--cores")?)?)?)
+            }
             ("--seeds", _) if grid => self.seeds = num("--seeds", value("--seeds")?)?,
             ("--seed", _) => self.seed = Some(num("--seed", value("--seed")?)?),
             ("--features", JobKind::Sweep) => self.features = value("--features")?,
@@ -319,8 +324,7 @@ impl SweepArgs {
     /// built, so a grid too large to count is an error, not an
     /// allocation failure.
     pub fn sweep_spec(&self) -> Result<SweepSpec, String> {
-        let services = self.services.unwrap_or(136);
-        check_services(services)?;
+        let services = check_services(self.services.unwrap_or(136))?;
         let mut spec = SweepSpec::new();
         // The boosted config, and for chaos the supervision overlay and
         // the fallback supervisor.
@@ -430,11 +434,38 @@ impl SweepArgs {
     }
 }
 
-fn check_services(services: usize) -> Result<(), String> {
-    if services < 24 {
-        return Err("--services must be at least 24 (the TV backbone alone needs that)".into());
+/// The fewest services a generated TV scenario has: its backbone alone
+/// needs 24.
+const MIN_SERVICES: usize = 24;
+
+/// The most services a generated TV scenario may have: five times the
+/// 4,000 the graph bench plans. A one-seed sweep at 20,000 services
+/// (two boots) takes about a second and peaks at ~133 MiB on one core;
+/// an unbounded count reaches the allocator first (10^11 services ask
+/// for ~35 TB) and aborts the process, a serving one included.
+const MAX_SERVICES: usize = 20_000;
+
+/// Checks a `--services` count (a CLI flag or a wire job's field)
+/// before anything is sized by it.
+pub fn check_services(services: usize) -> Result<usize, String> {
+    if !(MIN_SERVICES..=MAX_SERVICES).contains(&services) {
+        return Err(format!(
+            "--services {services} is out of range: a generated TV scenario has \
+             {MIN_SERVICES} (its backbone) to {MAX_SERVICES} services"
+        ));
     }
-    Ok(())
+    Ok(services)
+}
+
+/// Checks a `--cores` count: the simulator tracks idle cores in one
+/// 64-bit word.
+pub fn check_cores(cores: usize) -> Result<usize, String> {
+    if !(1..=MAX_CORES).contains(&cores) {
+        return Err(format!(
+            "--cores {cores} is out of range: a simulated machine has 1 to {MAX_CORES} cores"
+        ));
+    }
+    Ok(cores)
 }
 
 /// Resolves a `--profiles` spec (`all` or a comma list, any
@@ -648,6 +679,27 @@ mod tests {
         assert!(sweep
             .parse_flag("--fork-from", &mut feed(&["userspace"]))
             .is_err());
+    }
+
+    #[test]
+    fn counts_are_checked_where_they_enter() {
+        let feed = |v: &'static str| move || Some(v.to_string());
+        let mut sweep = SweepArgs::new(JobKind::Sweep);
+        assert_eq!(sweep.parse_flag("--services", &mut feed("20000")), Ok(true));
+        assert_eq!(sweep.services, Some(20_000));
+        for bad in ["23", "20001", "100000000000"] {
+            let err = sweep.parse_flag("--services", &mut feed(bad)).unwrap_err();
+            assert!(err.contains("out of range"), "{err}");
+        }
+        let mut suspend = SweepArgs::new(JobKind::Suspend);
+        assert_eq!(suspend.parse_flag("--cores", &mut feed("64")), Ok(true));
+        assert_eq!(suspend.cores, Some(64));
+        for bad in ["0", "65"] {
+            assert!(suspend.parse_flag("--cores", &mut feed(bad)).is_err());
+        }
+        // A wire job's count meets the same check when its grid is built.
+        sweep.services = Some(100_000_000_000);
+        assert!(sweep.sweep_spec().unwrap_err().contains("out of range"));
     }
 
     #[test]

@@ -110,7 +110,9 @@ use booting_booster::fleet::{
 use booting_booster::init::{
     blame, parse_unit_dir_with_warnings, time_summary, Bootchart, UnitGraph, UnitName,
 };
-use booting_booster::serve::{BindAddr, Client, JobKind, Server, SweepArgs};
+use booting_booster::serve::{
+    check_cores, check_services, BindAddr, Client, JobKind, Server, SweepArgs,
+};
 use booting_booster::workloads::{
     camera_scenario, custom_scenario, profiles, tv_scenario, tv_scenario_open_source,
     tv_scenario_with, TizenParams,
@@ -197,10 +199,8 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
             "--target" => args.target = value("--target"),
             "--completion" => args.completion = Some(value("--completion")),
             "--features" => args.features = value("--features"),
-            "--services" => {
-                args.services = Some(value("--services").parse().unwrap_or_else(|_| usage()))
-            }
-            "--cores" => args.cores = Some(value("--cores").parse().unwrap_or_else(|_| usage())),
+            "--services" => args.services = Some(bounded(&value("--services"), check_services)),
+            "--cores" => args.cores = Some(bounded(&value("--cores"), check_cores)),
             "--seed" => args.seed = Some(value("--seed").parse().unwrap_or_else(|_| usage())),
             "--compare" => args.compare = true,
             "--explain" => args.explain = true,
@@ -219,6 +219,15 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
         }
     }
     args
+}
+
+/// Parses a count and checks its range, or prints usage and exits 2.
+fn bounded(raw: &str, check: fn(usize) -> Result<usize, String>) -> usize {
+    let n = raw.parse().unwrap_or_else(|_| usage());
+    check(n).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage()
+    })
 }
 
 fn parse_features(spec: &str) -> BbConfig {
@@ -320,10 +329,6 @@ fn build_scenario(args: &Args) -> booting_booster::bb::Scenario {
         return scenario;
     }
     let services = args.services.unwrap_or(base_params.services);
-    if services < 24 {
-        eprintln!("error: --services must be at least 24 (the TV backbone alone needs that)");
-        exit(2);
-    }
     let mut profile = profiles::ue48h6200();
     if let Some(cores) = args.cores {
         profile.machine.cores = cores;

@@ -262,7 +262,7 @@ fn oversized_grids_are_refused_and_the_server_survives() {
     let not_utf8 = b"{\"id\": 4, \"method\": \"stats\", \"x\": \"\xff\"}\n";
     // Each hostile line, the id its error echoes, and what the error
     // starts with and names.
-    let rows: [(&[u8], f64, &str, &str); 5] = [
+    let rows: [(&[u8], f64, &str, &str); 6] = [
         // 10^15 seeds would need petabytes of seed list: the server
         // must weigh the grid against its queue before building it.
         (
@@ -271,6 +271,15 @@ fn oversized_grids_are_refused_and_the_server_survives() {
             2.0,
             "queue saturated",
             "1000000000000000",
+        ),
+        // 10^11 services would ask a worker for ~35 TB of scenario, an
+        // allocation failure that aborts past any unwind guard.
+        (
+            b"{\"id\": 3, \"method\": \"submit\", \"job\": \
+             {\"kind\": \"sweep\", \"services\": 100000000000, \"seeds\": 1}}\n",
+            3.0,
+            "--services 100000000000 is out of range",
+            "24 (its backbone) to 20000",
         ),
         // Nesting this deep must be an error, not a stack overflow on
         // the connection thread that aborts the whole server.
