@@ -216,7 +216,8 @@ impl SliceWalls {
         }
     }
 
-    /// The RCU submit overhead's wall time for a caller in `mode`.
+    /// The fixed on-CPU overhead charged to an RCU caller before it
+    /// waits, in the mode that will govern its wait, as wall time.
     fn rcu_submit(&self, mode: RcuMode) -> SimDuration {
         match mode {
             RcuMode::ClassicSpin => self.rcu_classic,
@@ -1493,6 +1494,31 @@ mod tests {
     #[should_panic(expected = "machine needs 1 to 64 cores, not 65")]
     fn more_cores_than_the_idle_word_holds_is_refused() {
         machine(MAX_CORES + 1);
+    }
+
+    #[test]
+    fn slice_walls_are_the_scaled_config() {
+        let params = RcuParams::default();
+        let at = |core_speed| {
+            let cfg = MachineConfig {
+                core_speed,
+                ..MachineConfig::default()
+            };
+            SliceWalls::new(&cfg, &params)
+        };
+        let w = at(1.6);
+        assert_eq!(w.quantum, SimDuration::from_micros(625));
+        // 1 ms / 1.3 = 769,230.77 ns: a full quantum rounds once, here.
+        assert_eq!(at(1.3).quantum, SimDuration::from_nanos(769_231));
+        assert_eq!(
+            w.rcu_submit(RcuMode::ClassicSpin),
+            params.classic_overhead.scale(1.0 / 1.6)
+        );
+        assert_eq!(
+            w.rcu_submit(RcuMode::Boosted),
+            params.boosted_overhead.scale(1.0 / 1.6)
+        );
+        assert!(w.rcu_submit(RcuMode::Boosted) > w.rcu_submit(RcuMode::ClassicSpin));
     }
 
     #[test]

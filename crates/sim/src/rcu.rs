@@ -173,15 +173,6 @@ impl RcuEngine {
         self.active_readers
     }
 
-    /// Fixed on-CPU overhead charged to a caller *before* waiting, by the
-    /// mode that will govern its wait.
-    pub fn submit_overhead(&self) -> SimDuration {
-        match self.mode {
-            RcuMode::ClassicSpin => self.params.classic_overhead,
-            RcuMode::Boosted => self.params.boosted_overhead,
-        }
-    }
-
     /// Registers entry into a read-side critical section.
     pub fn reader_enter(&mut self) {
         self.active_readers += 1;
@@ -390,14 +381,6 @@ mod tests {
         assert_eq!(released[1].kind, WaitKind::SleepingBoosted);
         assert_eq!(e.stats().classic_syncs, 1);
         assert_eq!(e.stats().boosted_syncs, 1);
-    }
-
-    #[test]
-    fn submit_overhead_follows_mode() {
-        let mut e = engine(RcuMode::ClassicSpin);
-        let classic = e.submit_overhead();
-        e.set_mode(RcuMode::Boosted);
-        assert!(e.submit_overhead() > classic);
     }
 
     #[test]
