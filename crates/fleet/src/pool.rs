@@ -279,8 +279,8 @@ pub struct JobOutput {
     /// the dedup cache simulate nothing at all.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across this job's boots
-    /// (the machine's high-water mark, a sizing signal for
-    /// `EventQueue::with_capacity`).
+    /// (the machine's high-water mark, a sizing signal for the queue's
+    /// preallocated capacity).
     pub peak_events: usize,
     /// Boots served from the dedup cache instead of simulated (see
     /// [`SweepSpec::dedup`]).

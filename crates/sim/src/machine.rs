@@ -227,7 +227,7 @@ impl SliceWalls {
 }
 
 /// The idle-core word of an all-idle `cores`-core machine.
-pub(crate) fn all_idle(cores: usize) -> u64 {
+fn all_idle(cores: usize) -> u64 {
     u64::MAX >> (MAX_CORES - cores)
 }
 

@@ -60,7 +60,7 @@ use crate::event::{EventKind, EventQueue, QueuedEvent};
 use crate::ids::{CoreId, DeviceId, FlagId, Pid};
 use crate::io::{Device, DeviceProfile, IoPriority, IoRequest};
 use crate::machine::{
-    all_idle, FaultState, FlagState, IoFaultArm, Machine, MachineConfig, ProcFaultArm, ReadyQueue,
+    FaultState, FlagState, IoFaultArm, Machine, MachineConfig, ProcFaultArm, ReadyQueue,
     SliceWalls, MAX_CORES,
 };
 use crate::process::{
@@ -427,8 +427,8 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
     let idle = cores
         .iter()
         .enumerate()
-        .filter(|(_, slot)| slot.is_some())
-        .fold(all_idle(cfg.cores), |idle, (i, _)| idle & !(1 << i));
+        .filter(|(_, slot)| slot.is_none())
+        .fold(0, |idle, (i, _)| idle | 1 << i);
 
     let mut sec = r.section(SEC_DEVICES)?;
     let n = sec.vec_len(8)?;
