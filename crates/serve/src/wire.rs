@@ -440,9 +440,10 @@ const MIN_SERVICES: usize = 24;
 
 /// The most services a generated TV scenario may have: five times the
 /// 4,000 the graph bench plans. A one-seed sweep at 20,000 services
-/// (two boots) takes about a second and peaks at ~133 MiB on one core;
-/// an unbounded count reaches the allocator first (10^11 services ask
-/// for ~35 TB) and aborts the process, a serving one included.
+/// (two boots) takes about a second and peaks at ~133 MiB on one core
+/// of a 2-vCPU x86-64 VM. An unbounded count sizes the scenario's
+/// tables, and a failed allocation aborts the process, a serving one
+/// included.
 const MAX_SERVICES: usize = 20_000;
 
 /// Checks a `--services` count (a CLI flag or a wire job's field)

@@ -272,8 +272,8 @@ fn oversized_grids_are_refused_and_the_server_survives() {
             "queue saturated",
             "1000000000000000",
         ),
-        // 10^11 services would ask a worker for ~35 TB of scenario, an
-        // allocation failure that aborts past any unwind guard.
+        // 10^11 services would size a worker's scenario tables, and a
+        // failed allocation aborts past any unwind guard.
         (
             b"{\"id\": 3, \"method\": \"submit\", \"job\": \
              {\"kind\": \"sweep\", \"services\": 100000000000, \"seeds\": 1}}\n",
