@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use bb_core::{BootRequest, Scenario};
+use bb_core::{BootRequest, Scenario, UnitPlanSlot};
 use bb_init::{ManagerTask, ServiceBody, ServiceType, Unit, UnitName, WorkloadMap};
 use bb_sim::{DeviceId, OpsBuilder, SimDuration, SimTime};
 use bb_workloads::{profiles, tv_kernel_plan};
@@ -150,13 +150,14 @@ fn chain_scenario() -> Scenario {
         storage: profiles::ue48h6200().storage,
         kernel: tv_kernel_plan(),
         modules: Arc::default(),
-        units,
+        units: Arc::new(units),
         workloads: Arc::new(workloads),
         target: "tv-boot.target".into(),
         completion: vec![UnitName::new("fasttv.service")],
         manager_costs: bb_init::ManagerCosts::default(),
         parse_params: bb_core::ParseCostParams::default(),
         extra_init_tasks: Vec::new(),
+        unit_plan_slot: UnitPlanSlot::default(),
     }
 }
 

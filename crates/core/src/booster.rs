@@ -35,7 +35,9 @@ use std::sync::Arc;
 use crate::config::BbConfig;
 use crate::error::Error;
 use crate::fallback::{DegradedBoot, FallbackPolicy};
-use crate::pipeline::{execute_prefix, execute_suffix, PassDelta, Pipeline, SharedPlan};
+use crate::pipeline::{
+    execute_prefix, execute_suffix, PassDelta, Pipeline, SharedPlan, UnitPlanSlot,
+};
 use crate::plan_cache::PlanCache;
 use crate::recovery::{
     validate_preparse_blob, ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent,
@@ -60,8 +62,9 @@ pub struct Scenario {
     /// Loadable kernel components, shared with every plan compiled
     /// from this scenario.
     pub modules: Arc<ModuleCatalog>,
-    /// The unit set.
-    pub units: Vec<Unit>,
+    /// The unit set, shared with the graph of the scenario's
+    /// [`crate::pipeline::UnitPlan`]. Edit it through [`Arc::make_mut`].
+    pub units: Arc<Vec<Unit>>,
     /// Service workload bodies keyed by `ExecStart=`, shared with every
     /// plan compiled from this scenario.
     pub workloads: Arc<WorkloadMap>,
@@ -76,6 +79,9 @@ pub struct Scenario {
     /// Additional init-phase tasks prepended to the Boot-up Engine's
     /// table (experiment hooks, e.g. pre-fork zygote setup).
     pub extra_init_tasks: Vec<bb_init::ManagerTask>,
+    /// Memo of the unit plan [`Scenario::unit_plan`] builds; start it
+    /// empty with `UnitPlanSlot::default()`.
+    pub unit_plan_slot: UnitPlanSlot,
 }
 
 /// Everything measured from one boosted (or conventional) boot.
@@ -290,9 +296,8 @@ impl<'s> BootRequest<'s> {
 
     /// Reuses pre-built [`PreParser`] measurements — the sweep-friendly
     /// path: a fleet runs thousands of boots of the same scenario, and
-    /// building the Pre-parser blob (rendering every unit file and
-    /// encoding the binary cache) once instead of per boot removes the
-    /// dominant per-boot setup cost.
+    /// measuring the unit files and the binary cache once instead of
+    /// per boot saves a walk of every unit per boot.
     ///
     /// `pre` must describe the scenario's units; it is the caller's job
     /// to keep them in sync (use [`PreParser::build`] on the same set).
@@ -662,7 +667,8 @@ impl<'s> BootRequest<'s> {
         }
         let (mut ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
         if let Some(tweak) = self.tweak.take() {
-            tweak(&ir.graph, &ir.transaction, &mut ir.overrides);
+            let units = &ir.unit_plan;
+            tweak(&units.graph, &units.transaction, &mut ir.overrides);
         }
         let plan = Arc::new((ir, deltas));
         if let Some((cache, key)) = cache {
@@ -817,13 +823,14 @@ pub(crate) mod tests {
                 defer_journal: false,
             },
             modules: Arc::new(synthetic_catalog(60)),
-            units,
+            units: Arc::new(units),
             workloads: Arc::new(workloads),
             target: "tv-boot.target".into(),
             completion: vec![UnitName::new("fasttv.service")],
             manager_costs: ManagerCosts::default(),
             parse_params: ParseCostParams::default(),
             extra_init_tasks: Vec::new(),
+            unit_plan_slot: UnitPlanSlot::default(),
         }
     }
 

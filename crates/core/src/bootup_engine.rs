@@ -27,7 +27,7 @@ const DEFERRABLE_INIT_TASKS: [(&str, u64); 6] = [
 /// Whether `name` is one of the init-phase tasks the Deferred Executor
 /// is allowed to postpone (the paper's six; the `init-core` residual
 /// and scenario extras are not).
-pub fn is_deferrable_init_task(name: &str) -> bool {
+pub(crate) fn is_deferrable_init_task(name: &str) -> bool {
     DEFERRABLE_INIT_TASKS.iter().any(|&(n, _)| n == name)
 }
 
@@ -89,7 +89,11 @@ pub fn service_phase_tasks(cfg: &BbConfig) -> Vec<ManagerTask> {
 /// control process that reverts to the classic mode at boot completion —
 /// after boot there are rarely concurrent synchronizers, where the spin
 /// path is cheaper (§4.3).
-pub fn install_rcu_booster_control(machine: &mut Machine, boost: bool, boot_complete: FlagId) {
+pub(crate) fn install_rcu_booster_control(
+    machine: &mut Machine,
+    boost: bool,
+    boot_complete: FlagId,
+) {
     if !boost {
         machine.set_rcu_mode(RcuMode::ClassicSpin);
         return;

@@ -8,8 +8,7 @@
 //!   [`crate::pipeline`] passes; this module provides the machine-side
 //!   installation.
 //! * *RCU Booster* installation is a machine-level mode switch; its
-//!   user-space control half lives in
-//!   [`crate::bootup_engine::install_rcu_booster_control`].
+//!   user-space control half lives in [`crate::bootup_engine`].
 
 use bb_kernel::ModuleCatalog;
 use bb_sim::{DeviceId, FlagId, Machine, Op, ProcessSpec};
@@ -39,7 +38,7 @@ pub enum ModuleStrategy {
 /// services for CPU — and, conventionally, for storage too.
 ///
 /// Returns the number of processes spawned.
-pub fn install_module_loading(
+pub(crate) fn install_module_loading(
     machine: &mut Machine,
     catalog: &ModuleCatalog,
     device: DeviceId,

@@ -23,6 +23,8 @@
 //!
 //! [`BootRequest::fallback`]: crate::booster::BootRequest::fallback
 
+use std::sync::Arc;
+
 use bb_sim::{FaultTargets, SimDuration, SimTime};
 
 use crate::booster::{FullBootReport, Scenario};
@@ -137,7 +139,9 @@ pub fn with_supervision(
     start_limit_burst: u32,
 ) -> Scenario {
     let mut s = scenario.clone();
-    for u in &mut s.units {
+    // The clone shares its units with `scenario`, so this copies them
+    // once; the copy no longer matches `scenario`'s unit plan.
+    for u in Arc::make_mut(&mut s.units) {
         if u.exec.exec_start.is_some() {
             u.exec.restart = restart;
             u.exec.restart_sec_ms = restart_sec_ms;

@@ -58,14 +58,16 @@ pub use config::BbConfig;
 pub use error::{Error, JobError};
 pub use fallback::{fault_targets, with_supervision, DegradedBoot, FallbackPolicy, FallbackReason};
 pub use miner::{mine, EdgeSlack, MiningReport};
-pub use pipeline::{BootPlanIr, PassDelta, Pipeline, PlanPass, STANDARD_PASSES};
+pub use pipeline::{
+    BootPlanIr, PassDelta, Pipeline, PlanPass, UnitPlan, UnitPlanSlot, STANDARD_PASSES,
+};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use recovery::{
     ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent, RecoveryReason, MAX_ARTIFACT_RETRIES,
 };
 pub use report::{attribution_table, Comparison, Row};
 pub use service_engine::{
-    analyze, analyze_directives, identify_bb_group, load_model, Finding, ParseCostParams, PreParser,
+    analyze, analyze_directives, identify_bb_group, Finding, ParseCostParams, PreParser,
 };
 pub use telemetry::{
     boot_spans, critical_path, metrics_snapshot, ordering_edge_slacks, pass_spans, profile,

@@ -60,8 +60,7 @@ pub fn mine(
     // 1. Observe: the critical-path profiler's shared slack computation
     // classifies every ordering edge from one instrumented boot.
     let baseline = BootRequest::new(scenario).config(*cfg).run()?.report;
-    let graph = bb_init::UnitGraph::build(scenario.units.clone()).map_err(Error::Graph)?;
-    let edges = ordering_edge_slacks(&graph, &baseline.boot);
+    let edges = ordering_edge_slacks(&scenario.unit_plan()?.graph, &baseline.boot);
 
     // 2. Verify candidates one at a time (conservative: each edge is
     // tested against the otherwise-unmodified boot).

@@ -19,17 +19,20 @@
 //! op order of the pre-pipeline facade so boot timelines are
 //! bit-identical to the old `boost` path.
 //!
-//! A compiled [`BootPlanIr`] owns its tables and shares the scenario's
-//! large read-only inputs through `Arc` handles, so one value is what a
-//! fresh boot runs and what a [`crate::PlanCache`] shares across a
-//! sweep's runs, checkpoints and resumes.
+//! A compiled [`BootPlanIr`] owns the tables its passes rewrite and
+//! shares the rest through `Arc` handles: the scenario's large
+//! read-only inputs, and its [`UnitPlan`] — the unit graph, transaction
+//! and dispatch order, which depend on the unit set and target alone
+//! and are built once per scenario ([`Scenario::unit_plan`]). One value
+//! is what a fresh boot runs and what a [`crate::PlanCache`] shares
+//! across a sweep's runs, checkpoints and resumes.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bb_init::{
     run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, ManagerTask,
-    PlanOverrides, Transaction, UnitGraph, UnitName, WorkloadMap,
+    PlanOverrides, Transaction, Unit, UnitGraph, UnitName, WorkloadMap,
 };
 use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, KernelReport, ModuleCatalog};
 use bb_sim::{
@@ -45,6 +48,113 @@ use crate::error::Error;
 use crate::service_engine::{self, ParseCostParams, PreParser};
 
 // ---------------------------------------------------------------------
+// The unit plan
+// ---------------------------------------------------------------------
+
+/// The scenario-only half of every boot plan: the unit graph over the
+/// scenario's own units, the transaction its target expands to, and the
+/// transaction's dispatch order. No pass reshapes any of them, so one
+/// value serves every config's [`BootPlanIr`]; [`Scenario::unit_plan`]
+/// builds it on first use and shares it by `Arc` after.
+#[derive(Debug)]
+pub struct UnitPlan {
+    /// The unit graph; it reads the scenario's units, not copies.
+    pub graph: UnitGraph,
+    /// The expanded boot transaction.
+    pub transaction: Transaction,
+    /// The transaction's jobs in dispatch order, computed once so no
+    /// boot repeats the Kahn walk (plan tweaks only touch
+    /// [`PlanOverrides`], which the order does not depend on).
+    pub execution_order: Vec<usize>,
+    /// The unit set the plan was built from, held so the allocation
+    /// cannot be freed and its address reused while the plan lives.
+    units: Arc<Vec<Unit>>,
+    /// The target the transaction was expanded from.
+    target: String,
+}
+
+impl UnitPlan {
+    fn build(units: &Arc<Vec<Unit>>, target: &str) -> Result<UnitPlan, Error> {
+        let graph = UnitGraph::build(Arc::clone(units))?;
+        let transaction = Transaction::build(&graph, target)?;
+        let execution_order = transaction.execution_order(&graph);
+        Ok(UnitPlan {
+            graph,
+            transaction,
+            execution_order,
+            units: Arc::clone(units),
+            target: target.to_owned(),
+        })
+    }
+
+    /// Whether this plan was built from this very unit allocation and
+    /// this target, the only key under which it may be reused.
+    fn built_from(&self, units: &Arc<Vec<Unit>>, target: &str) -> bool {
+        Arc::ptr_eq(&self.units, units) && self.target == target
+    }
+}
+
+/// A [`Scenario`]'s lazily filled memo of its [`UnitPlan`]; start it
+/// empty with `UnitPlanSlot::default()`. A clone starts with the same
+/// plan, which it reuses only while its units and target are the ones
+/// the plan was built from.
+#[derive(Default)]
+pub struct UnitPlanSlot(Mutex<Option<Arc<UnitPlan>>>);
+
+impl UnitPlanSlot {
+    fn lock(&self) -> MutexGuard<'_, Option<Arc<UnitPlan>>> {
+        // The slot is only ever replaced whole, so a panic elsewhere
+        // cannot leave it half-written.
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+impl Clone for UnitPlanSlot {
+    fn clone(&self) -> Self {
+        UnitPlanSlot(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl std::fmt::Debug for UnitPlanSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let filled = self.lock().is_some();
+        f.debug_struct("UnitPlanSlot")
+            .field("filled", &filled)
+            .finish()
+    }
+}
+
+impl Scenario {
+    /// The scenario's [`UnitPlan`]: built on the first call, then the
+    /// same `Arc` for every later call — every config's plan, the
+    /// fallback rescue, the dependency miner and [`crate::profile`].
+    ///
+    /// The memo answers only for the unit allocation and target it was
+    /// built from. Editing the units (through [`Arc::make_mut`], which
+    /// copies them, since the memo holds them too) or replacing them or
+    /// the target makes the next call build a new plan, so an edited
+    /// scenario never reads an old graph.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Graph`] for a duplicate unit name and
+    /// [`Error::Transaction`] for a target the transaction cannot
+    /// expand; a failed build leaves the memo as it was.
+    pub fn unit_plan(&self) -> Result<Arc<UnitPlan>, Error> {
+        let mut slot = self.unit_plan_slot.lock();
+        if let Some(plan) = slot
+            .as_ref()
+            .filter(|p| p.built_from(&self.units, &self.target))
+        {
+            return Ok(Arc::clone(plan));
+        }
+        let plan = Arc::new(UnitPlan::build(&self.units, &self.target)?);
+        *slot = Some(Arc::clone(&plan));
+        Ok(plan)
+    }
+}
+
+// ---------------------------------------------------------------------
 // The IR
 // ---------------------------------------------------------------------
 
@@ -52,10 +162,10 @@ use crate::service_engine::{self, ParseCostParams, PreParser};
 ///
 /// Built by [`Pipeline::plan`] in the *conventional* shape (no BB
 /// mechanism applied); passes then transform it. Large read-only
-/// inputs (module catalog, workload bodies) are shared with the
-/// [`Scenario`] through `Arc` handles, so a fleet sweep does not clone
-/// them per boot and a plan can outlive the scenario borrow it was
-/// built from.
+/// inputs (module catalog, workload bodies, the [`UnitPlan`]) are
+/// shared with the [`Scenario`] through `Arc` handles, so a fleet sweep
+/// does not clone them per boot and a plan can outlive the scenario
+/// borrow it was built from.
 #[derive(Debug)]
 pub struct BootPlanIr {
     /// Scenario name, for reports.
@@ -74,10 +184,8 @@ pub struct BootPlanIr {
     pub module_strategy: ModuleStrategy,
     /// Service workload bodies keyed by `ExecStart=` (read-only input).
     pub workloads: Arc<WorkloadMap>,
-    /// The unit graph.
-    pub graph: UnitGraph,
-    /// The expanded boot transaction.
-    pub transaction: Transaction,
+    /// The scenario's unit graph, transaction and dispatch order.
+    pub unit_plan: Arc<UnitPlan>,
     /// Units whose readiness defines boot completion.
     pub completion: Vec<UnitName>,
     /// Plan overrides (isolation, priorities, dispatch order, …).
@@ -86,11 +194,6 @@ pub struct BootPlanIr {
     pub init_tasks: Vec<ManagerTask>,
     /// Service-phase housekeeping task table.
     pub service_phase_tasks: Vec<ManagerTask>,
-    /// Dispatch order of the transaction, recomputed by
-    /// [`Pipeline::plan`] after the passes run so every boot of this
-    /// plan skips the per-boot Kahn/SCC walk (plan tweaks only mutate
-    /// [`PlanOverrides`], which the base order does not depend on).
-    pub execution_order: Vec<usize>,
     /// Unit-configuration load model.
     pub load: LoadModel,
     /// Manager cost knobs.
@@ -113,9 +216,7 @@ impl BootPlanIr {
         cfg: &BbConfig,
         pre: Option<&PreParser>,
     ) -> Result<Self, Error> {
-        let graph = UnitGraph::build(scenario.units.clone()).map_err(Error::Graph)?;
-        let transaction =
-            Transaction::build(&graph, &scenario.target).map_err(Error::Transaction)?;
+        let unit_plan = scenario.unit_plan()?;
         let pre = pre
             .copied()
             .unwrap_or_else(|| PreParser::build(&scenario.units));
@@ -125,7 +226,6 @@ impl BootPlanIr {
         kernel.defer_journal = false;
         let mut init_tasks = scenario.extra_init_tasks.clone();
         init_tasks.extend(bootup_engine::init_tasks(&BbConfig::conventional()));
-        let execution_order = transaction.execution_order(&graph);
         Ok(BootPlanIr {
             name: scenario.name.clone(),
             cfg: *cfg,
@@ -137,13 +237,11 @@ impl BootPlanIr {
                 workers: core_engine::MODULE_LOADER_WORKERS,
             },
             workloads: Arc::clone(&scenario.workloads),
-            graph,
-            transaction,
+            unit_plan,
             completion: scenario.completion.clone(),
             overrides: PlanOverrides::default(),
             init_tasks,
             service_phase_tasks: bootup_engine::service_phase_tasks(&BbConfig::conventional()),
-            execution_order,
             load: pre.load_model(&scenario.parse_params, false),
             manager_costs: scenario.manager_costs,
             parse_params: scenario.parse_params,
@@ -188,7 +286,8 @@ impl BootPlanIr {
     }
 
     fn job_body(&self, job: usize) -> Option<&bb_init::ServiceBody> {
-        self.graph
+        self.unit_plan
+            .graph
             .unit(job)
             .exec
             .exec_start
@@ -196,20 +295,23 @@ impl BootPlanIr {
             .and_then(|e| self.workloads.get(e))
     }
 
-    /// `synchronize_rcu` calls issued by transaction jobs during boot.
-    fn boot_rcu_syncs(&self) -> u64 {
-        let mut syncs = 0;
-        for &j in &self.transaction.jobs {
+    /// `synchronize_rcu` calls issued by transaction jobs during boot,
+    /// and how many jobs issue any.
+    fn boot_rcu_syncs(&self) -> (u64, usize) {
+        let (mut syncs, mut jobs) = (0, 0);
+        for &j in &self.unit_plan.transaction.jobs {
             if let Some(body) = self.job_body(j) {
-                syncs += body
+                let n = body
                     .pre_ready
                     .iter()
                     .chain(body.post_ready.iter())
                     .filter(|op| matches!(op, Op::RcuSync))
-                    .count() as u64;
+                    .count();
+                syncs += n as u64;
+                jobs += usize::from(n > 0);
             }
         }
-        syncs
+        (syncs, jobs)
     }
 }
 
@@ -395,20 +497,8 @@ impl PlanPass for RcuBoosterInstall {
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.boost_rcu = true;
         let mut d = PassDelta::new(self.name());
-        let syncs = ir.boot_rcu_syncs();
-        d.units_touched = ir
-            .transaction
-            .jobs
-            .iter()
-            .filter(|&&j| {
-                ir.job_body(j).is_some_and(|b| {
-                    b.pre_ready
-                        .iter()
-                        .chain(b.post_ready.iter())
-                        .any(|op| matches!(op, Op::RcuSync))
-                })
-            })
-            .count();
+        let (syncs, issuers) = ir.boot_rcu_syncs();
+        d.units_touched = issuers;
         // Classic contended waiters spin on-CPU for their whole queue
         // wait; with W writers racing, the queue makes the average wait
         // a multiple of the base grace period. The boosted path sleeps
@@ -515,7 +605,8 @@ impl PlanPass for GroupIsolator {
         cfg.bb_group = true;
     }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
-        let group = service_engine::identify_bb_group(&ir.graph, &ir.completion);
+        let units = &ir.unit_plan;
+        let group = service_engine::identify_bb_group(&units.graph, &ir.completion);
         let mut d = PassDelta::new(self.name());
         d.units_touched = group.len();
         // Count the ordering in-edges the engine's isolation filter will
@@ -525,8 +616,8 @@ impl PlanPass for GroupIsolator {
         let mut stripped_srcs: BTreeSet<usize> = BTreeSet::new();
         for &j in &group {
             let mut seen = BTreeSet::new();
-            for e in ir.graph.ordering_in_edges(j) {
-                if !ir.transaction.jobs.contains(&e.src) {
+            for e in units.graph.ordering_in_edges(j) {
+                if !units.transaction.jobs.contains(&e.src) {
                     continue;
                 }
                 let kept = group.contains(&e.src) && group.contains(&e.declared_by);
@@ -564,10 +655,11 @@ impl PlanPass for BbManagerPriority {
         cfg.bb_group = true;
     }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
-        let group = service_engine::identify_bb_group(&ir.graph, &ir.completion);
-        // Passes never reshape the transaction, so the order cached at
-        // IR construction is current.
-        let order = ir.execution_order.clone();
+        // Passes never reshape the transaction, so the unit plan's
+        // order is current.
+        let units = Arc::clone(&ir.unit_plan);
+        let group = service_engine::identify_bb_group(&units.graph, &ir.completion);
+        let order = &units.execution_order;
         ir.overrides.dispatch_first = order
             .iter()
             .copied()
@@ -594,7 +686,7 @@ impl PlanPass for BbManagerPriority {
         // transaction instead of time-sharing with it, so the foreign
         // pre-ready work stops stretching the critical path.
         let mut foreign = SimDuration::ZERO;
-        for &j in &ir.transaction.jobs {
+        for &j in &units.transaction.jobs {
             if !group.contains(&j) {
                 foreign += ir.job_body_cost(j);
             }
@@ -753,20 +845,21 @@ pub(crate) fn execute_suffix(
     kernel: KernelReport,
     device: DeviceId,
 ) -> (FullBootReport, Machine) {
+    let units = &ir.unit_plan;
     let bb_group: Vec<UnitName> = ir
         .overrides
         .isolate
         .iter()
-        .map(|&i| ir.graph.unit(i).name.clone())
+        .map(|&i| units.graph.unit(i).name.clone())
         .collect();
     let plan = BootPlan {
-        graph: &ir.graph,
-        transaction: &ir.transaction,
+        graph: &units.graph,
+        transaction: &units.transaction,
         completion: &ir.completion,
         overrides: &ir.overrides,
         init_tasks: &ir.init_tasks,
         service_phase_tasks: &ir.service_phase_tasks,
-        execution_order: &ir.execution_order,
+        execution_order: &units.execution_order,
     };
     let engine_cfg = EngineConfig {
         mode: EngineMode::InOrder,
@@ -880,7 +973,7 @@ mod tests {
         let isolated: Vec<&str> = o
             .isolate
             .iter()
-            .map(|&j| ir.graph.unit(j).name.as_str())
+            .map(|&j| ir.unit_plan.graph.unit(j).name.as_str())
             .collect();
         assert_eq!(
             isolated,
@@ -900,11 +993,91 @@ mod tests {
         let pos = |n: &str| {
             o.dispatch_first
                 .iter()
-                .position(|&j| ir.graph.unit(j).name.as_str() == n)
+                .position(|&j| ir.unit_plan.graph.unit(j).name.as_str() == n)
                 .unwrap()
         };
         assert!(pos("var.mount") < pos("dbus.service"));
         assert!(pos("dbus.service") < pos("fasttv.service"));
+    }
+
+    #[test]
+    fn every_config_of_a_scenario_shares_one_unit_plan() {
+        let s = mini_tv();
+        let p = Pipeline::standard();
+        let (conv, _) = p.plan(&s, &BbConfig::conventional(), None).unwrap();
+        let (full, _) = p.plan(&s, &BbConfig::full(), None).unwrap();
+        assert!(Arc::ptr_eq(&conv.unit_plan, &full.unit_plan));
+        assert!(Arc::ptr_eq(&conv.unit_plan, &s.unit_plan().unwrap()));
+        // The graph reads the scenario's units, not copies of them.
+        assert!(std::ptr::eq(
+            conv.unit_plan.graph.units().as_ptr(),
+            s.units.as_ptr()
+        ));
+        // A clone that changes nothing keeps sharing.
+        let copy = s.clone();
+        let (again, _) = p.plan(&copy, &BbConfig::full(), None).unwrap();
+        assert!(Arc::ptr_eq(&again.unit_plan, &full.unit_plan));
+    }
+
+    fn restart_of(ir: &BootPlanIr, unit: &str) -> bb_init::RestartPolicy {
+        let graph = &ir.unit_plan.graph;
+        graph.unit(graph.idx_of(unit)).exec.restart
+    }
+
+    #[test]
+    fn a_supervised_copy_plans_its_edited_units() {
+        use bb_init::RestartPolicy;
+        let s = mini_tv();
+        let p = Pipeline::standard();
+        let (plain, _) = p.plan(&s, &BbConfig::full(), None).unwrap();
+        // The copy starts with the original's filled slot.
+        let supervised = crate::with_supervision(&s, RestartPolicy::OnFailure, 50, 3);
+        let (conv, _) = p
+            .plan(&supervised, &BbConfig::conventional(), None)
+            .unwrap();
+        let (full, _) = p.plan(&supervised, &BbConfig::full(), None).unwrap();
+        assert_eq!(restart_of(&conv, "dbus.service"), RestartPolicy::OnFailure);
+        assert!(!Arc::ptr_eq(&conv.unit_plan, &plain.unit_plan));
+        assert!(Arc::ptr_eq(&conv.unit_plan, &full.unit_plan));
+        // The original still plans its own units.
+        let (again, _) = p.plan(&s, &BbConfig::full(), None).unwrap();
+        assert_eq!(restart_of(&again, "dbus.service"), RestartPolicy::No);
+        assert!(Arc::ptr_eq(&again.unit_plan, &plain.unit_plan));
+    }
+
+    #[test]
+    fn edited_units_or_target_plan_afresh() {
+        let p = Pipeline::standard();
+        let s = mini_tv();
+        p.plan(&s, &BbConfig::full(), None).unwrap();
+        // A clone whose units change through `Arc::make_mut`.
+        let mut copy = s.clone();
+        Arc::make_mut(&mut copy.units).retain(|u| !matches!(u.name.as_str(), "browser.service"));
+        Arc::make_mut(&mut copy.units)[0]
+            .requires
+            .retain(|n| n.as_str() != "browser.service");
+        let (ir, _) = p.plan(&copy, &BbConfig::full(), None).unwrap();
+        assert_eq!(ir.unit_plan.graph.len(), s.units.len() - 1);
+        assert_eq!(ir.unit_plan.transaction.jobs.len(), s.units.len() - 1);
+        // The planned scenario itself, edited in place: its memo holds
+        // the units too, so `make_mut` copies them and the next plan
+        // sees the edit.
+        let mut s = s;
+        Arc::make_mut(&mut s.units)[2].exec.nice = 7;
+        let (ir, _) = p.plan(&s, &BbConfig::conventional(), None).unwrap();
+        let graph = &ir.unit_plan.graph;
+        assert_eq!(graph.unit(graph.idx_of("dbus.service")).exec.nice, 7);
+        // A new target expands anew, and an unknown one is an error.
+        s.target = "fasttv.service".into();
+        let (ir, _) = p.plan(&s, &BbConfig::conventional(), None).unwrap();
+        assert_eq!(ir.unit_plan.transaction.jobs.len(), 4);
+        s.target = "foo".into();
+        assert!(matches!(
+            p.plan(&s, &BbConfig::conventional(), None),
+            Err(Error::Transaction(
+                bb_init::TransactionError::UnknownTarget(_)
+            ))
+        ));
     }
 
     #[test]

@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn stale_blob_is_rejected_with_both_hashes() {
         let mut other = mini_tv();
-        other.units.pop();
+        std::sync::Arc::make_mut(&mut other.units).pop();
         let s = mini_tv();
         let pre = PreParser::build(&s.units);
         // A valid blob from a *different* unit generation.

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use bb_init::{encode_units, EdgeKind, LoadModel, Unit, UnitGraph, UnitName};
+use bb_init::{encoded_len, EdgeKind, LoadModel, Unit, UnitGraph, UnitName};
 use bb_sim::{AccessPattern, SimDuration};
 
 // ---------------------------------------------------------------------
@@ -65,12 +65,14 @@ impl Default for ParseCostParams {
 
 /// Pre-computed Pre-parser measurements for a unit set: the byte sizes
 /// that drive the boot-time [`LoadModel`], captured once so thousands
-/// of boots of the same scenario (a bb-fleet sweep) do not re-render
-/// the unit-file text or re-encode the binary cache per boot.
+/// of boots of the same scenario (a bb-fleet sweep) do not measure the
+/// unit-file text or the binary cache per boot.
 ///
-/// Built from *real* byte counts: the rendered unit-file text for the
-/// conventional path and the actual [`encode_units`] blob for the
-/// cached path.
+/// Built from *real* byte counts: the unit-file text
+/// [`Unit::to_unit_file`] renders for the conventional path and the
+/// [`bb_init::encode_units`] blob for the cached path. Both are counted
+/// by the renderer and the encoder themselves as they write, so no text
+/// or blob is built ([`Unit::unit_file_len`], [`encoded_len`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreParser {
     /// Number of units in the set.
@@ -82,8 +84,9 @@ pub struct PreParser {
 }
 
 impl PreParser {
-    /// Measures `units` once. This is the expensive step a sweep
-    /// amortizes across boots.
+    /// Measures `units` once, without allocating: a walk of every unit
+    /// through the renderer and the encoder, which a sweep amortizes
+    /// across boots.
     ///
     /// The blob's constant integrity envelope (content hash + CRC,
     /// [`bb_init::INTEGRITY_OVERHEAD`]) is excluded from the modelled
@@ -93,8 +96,8 @@ impl PreParser {
     pub fn build(units: &[Unit]) -> PreParser {
         PreParser {
             unit_count: units.len(),
-            text_bytes: units.iter().map(|u| u.to_unit_file().len() as u64).sum(),
-            blob_bytes: (encode_units(units).len() - bb_init::INTEGRITY_OVERHEAD) as u64,
+            text_bytes: units.iter().map(|u| u.unit_file_len() as u64).sum(),
+            blob_bytes: (encoded_len(units) - bb_init::INTEGRITY_OVERHEAD) as u64,
         }
     }
 
@@ -116,12 +119,6 @@ impl PreParser {
             }
         }
     }
-}
-
-/// Computes the boot-time [`LoadModel`] for a unit set (one-shot form
-/// of [`PreParser::build`] + [`PreParser::load_model`]).
-pub fn load_model(units: &[Unit], params: &ParseCostParams, preparsed: bool) -> LoadModel {
-    PreParser::build(units).load_model(params, preparsed)
 }
 
 // ---------------------------------------------------------------------
@@ -306,8 +303,9 @@ mod tests {
     fn preparsed_load_model_is_much_cheaper() {
         let units = tv_units();
         let params = ParseCostParams::default();
-        let conv = load_model(&units, &params, false);
-        let cached = load_model(&units, &params, true);
+        let pre = PreParser::build(&units);
+        let conv = pre.load_model(&params, false);
+        let cached = pre.load_model(&params, true);
         assert!(conv.cpu > cached.cpu * 5, "{} vs {}", conv.cpu, cached.cpu);
         assert_eq!(cached.pattern, AccessPattern::Sequential);
         assert_eq!(conv.pattern, AccessPattern::Random);

@@ -452,14 +452,14 @@ pub fn profile(
     report: &FullBootReport,
     machine: Option<&Machine>,
 ) -> Result<BootProfile, Error> {
-    let graph = UnitGraph::build(scenario.units.clone())?;
+    let units = scenario.unit_plan()?;
     let mut spans = boot_spans(report);
     if let Some(m) = machine {
         spans.extend(pass_spans(report, m));
     }
     Ok(BootProfile {
         spans,
-        critical_path: critical_path(&graph, report),
+        critical_path: critical_path(&units.graph, report),
     })
 }
 

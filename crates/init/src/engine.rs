@@ -30,7 +30,7 @@ use crate::transaction::Transaction;
 use crate::unit::{IoSchedulingClass, ServiceType, UnitName};
 
 /// How unit configuration reaches the manager at boot.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadModel {
     /// Total bytes read from storage for unit configuration.
     pub io_bytes: u64,
@@ -107,7 +107,7 @@ pub enum EngineMode {
 }
 
 /// The Booting Booster's service-engine adjustments to a plan.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanOverrides {
     /// Per-unit nice overrides (BB Manager prioritization).
     pub nice: BTreeMap<usize, i8>,

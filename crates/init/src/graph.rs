@@ -15,6 +15,7 @@
 //! touching the group members' own files (§3.3, §4.2).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use crate::unit::{Unit, UnitName};
 
@@ -80,6 +81,9 @@ pub struct GraphStats {
 
 /// The dependency graph over a fixed unit set.
 ///
+/// The graph holds its unit set by `Arc`: built from a caller's shared
+/// set, it reads those units rather than copies of them.
+///
 /// # Examples
 ///
 /// ```
@@ -96,7 +100,7 @@ pub struct GraphStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnitGraph {
-    units: Vec<Unit>,
+    units: Arc<Vec<Unit>>,
     index: HashMap<UnitName, usize>,
     edges: Vec<Edge>,
     /// Outgoing ordering adjacency: `order_out[src]` lists edge ids.
@@ -127,103 +131,63 @@ fn adjacency(n: usize, edges: &[Edge], key: impl Fn(&Edge) -> Option<usize>) -> 
 }
 
 impl UnitGraph {
-    /// Builds the graph from parsed units.
-    pub fn build(units: Vec<Unit>) -> Result<Self, GraphError> {
+    /// Builds the graph from parsed units: a `Vec<Unit>`, or an
+    /// `Arc<Vec<Unit>>` the graph then shares with its caller.
+    pub fn build(units: impl Into<Arc<Vec<Unit>>>) -> Result<Self, GraphError> {
+        let units: Arc<Vec<Unit>> = units.into();
         let mut index = HashMap::with_capacity(units.len());
         for (i, u) in units.iter().enumerate() {
             if index.insert(u.name.clone(), i).is_some() {
                 return Err(GraphError::DuplicateUnit(u.name.clone()));
             }
         }
-        let n = units.len();
-        let mut g = UnitGraph {
-            units,
-            index,
-            edges: Vec::new(),
-            order_out: Vec::new(),
-            order_in: Vec::new(),
-            req_of: Vec::new(),
-            missing: BTreeSet::new(),
-        };
-        for i in 0..n {
-            let u = g.units[i].clone();
-            for dep in &u.after {
-                g.add_edge(dep, i, |src| Edge {
-                    src,
-                    dst: i,
-                    kind: EdgeKind::Ordering,
-                    declared_by: i,
-                });
-            }
-            for dep in &u.before {
-                g.add_edge(dep, i, |dst| Edge {
-                    src: i,
-                    dst,
-                    kind: EdgeKind::Ordering,
-                    declared_by: i,
-                });
-            }
-            for dep in &u.requires {
-                g.add_edge(dep, i, |src| Edge {
-                    src,
-                    dst: i,
-                    kind: EdgeKind::RequiresStrong,
-                    declared_by: i,
-                });
-            }
-            for dep in &u.wants {
-                g.add_edge(dep, i, |src| Edge {
-                    src,
-                    dst: i,
-                    kind: EdgeKind::RequiresWeak,
-                    declared_by: i,
-                });
-            }
-            for dep in &u.conflicts {
-                g.add_edge(dep, i, |dst| Edge {
-                    src: i,
-                    dst,
-                    kind: EdgeKind::Conflict,
-                    declared_by: i,
-                });
-            }
-            // [Install] reverses: `unit` is wanted/required by a target.
-            for target in &u.wanted_by {
-                g.add_edge(target, i, |dst| Edge {
-                    src: i,
-                    dst,
-                    kind: EdgeKind::RequiresWeak,
-                    declared_by: i,
-                });
-            }
-            for target in &u.required_by {
-                g.add_edge(target, i, |dst| Edge {
-                    src: i,
-                    dst,
-                    kind: EdgeKind::RequiresStrong,
-                    declared_by: i,
-                });
+        let mut edges = Vec::new();
+        let mut missing = BTreeSet::new();
+        for (i, u) in units.iter().enumerate() {
+            // Each declaration list, its edge kind, and whether the named
+            // unit is the edge's source (else this unit is).
+            let lists: [(&[UnitName], EdgeKind, bool); 7] = [
+                (&u.after, EdgeKind::Ordering, true),
+                (&u.before, EdgeKind::Ordering, false),
+                (&u.requires, EdgeKind::RequiresStrong, true),
+                (&u.wants, EdgeKind::RequiresWeak, true),
+                (&u.conflicts, EdgeKind::Conflict, false),
+                // [Install] reverses: `unit` is wanted/required by a target.
+                (&u.wanted_by, EdgeKind::RequiresWeak, false),
+                (&u.required_by, EdgeKind::RequiresStrong, false),
+            ];
+            for (names, kind, named_is_src) in lists {
+                for name in names {
+                    let Some(&other) = index.get(name) else {
+                        missing.insert(name.clone());
+                        continue;
+                    };
+                    let (src, dst) = if named_is_src { (other, i) } else { (i, other) };
+                    edges.push(Edge {
+                        src,
+                        dst,
+                        kind,
+                        declared_by: i,
+                    });
+                }
             }
         }
         // Tables without growth slack: a compiled boot plan keeps its
-        // graph for as long as a plan cache or checkpoint shares it.
-        g.edges.shrink_to_fit();
+        // graph for as long as its scenario or a plan cache shares it.
+        edges.shrink_to_fit();
+        let n = units.len();
         let ordering = |e: &Edge| e.kind == EdgeKind::Ordering;
-        g.order_out = adjacency(n, &g.edges, |e| ordering(e).then_some(e.src));
-        g.order_in = adjacency(n, &g.edges, |e| ordering(e).then_some(e.dst));
-        g.req_of = adjacency(n, &g.edges, |e| {
-            matches!(e.kind, EdgeKind::RequiresStrong | EdgeKind::RequiresWeak).then_some(e.dst)
-        });
-        Ok(g)
-    }
-
-    fn add_edge(&mut self, other: &UnitName, _this: usize, mk: impl FnOnce(usize) -> Edge) {
-        match self.index.get(other) {
-            Some(&o) => self.edges.push(mk(o)),
-            None => {
-                self.missing.insert(other.clone());
-            }
-        }
+        Ok(UnitGraph {
+            order_out: adjacency(n, &edges, |e| ordering(e).then_some(e.src)),
+            order_in: adjacency(n, &edges, |e| ordering(e).then_some(e.dst)),
+            req_of: adjacency(n, &edges, |e| {
+                matches!(e.kind, EdgeKind::RequiresStrong | EdgeKind::RequiresWeak).then_some(e.dst)
+            }),
+            units,
+            index,
+            edges,
+            missing,
+        })
     }
 
     /// Number of units.

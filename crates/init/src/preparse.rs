@@ -123,7 +123,7 @@ impl std::error::Error for CodecError {}
 /// assert_eq!(decode_units(&blob).unwrap(), units);
 /// ```
 pub fn encode_units(units: &[Unit]) -> Vec<u8> {
-    let payload = encode_unit_payload(units);
+    let payload = unit_payload(units);
     let mut out = Vec::with_capacity(MIN_BLOB_LEN + payload.len());
     out.extend_from_slice(MAGIC);
     put_u64(&mut out, fnv1a(FNV1A_OFFSET, &payload));
@@ -140,7 +140,15 @@ pub fn encode_units(units: &[Unit]) -> Vec<u8> {
 /// live unit set ([`blob_content_hash`] reads the stored stamp for the
 /// comparison).
 pub fn unit_set_hash(units: &[Unit]) -> u64 {
-    fnv1a(FNV1A_OFFSET, &encode_unit_payload(units))
+    fnv1a(FNV1A_OFFSET, &unit_payload(units))
+}
+
+/// Length of [`encode_units`]'s blob for `units`, counted by the same
+/// payload encoder without writing, hashing or checksumming a byte.
+pub fn encoded_len(units: &[Unit]) -> usize {
+    let mut len = ByteCount(MIN_BLOB_LEN);
+    encode_unit_payload(units, &mut len);
+    len.0
 }
 
 /// The content hash stored in `blob`'s header, after validating the
@@ -193,13 +201,48 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
     hash
 }
 
-/// Encodes the unit records alone — the bytes the content hash covers.
-fn encode_unit_payload(units: &[Unit]) -> Vec<u8> {
+/// Where the payload encoder puts its bytes: a buffer, or a counter
+/// when only the length is wanted.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
+    fn push(&mut self, byte: u8) {
+        self.put(&[byte]);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+}
+
+/// A [`Sink`] that keeps only the number of bytes put.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// The unit records alone — the bytes the content hash covers.
+fn unit_payload(units: &[Unit]) -> Vec<u8> {
     let mut out = Vec::with_capacity(units.len() * 128);
+    encode_unit_payload(units, &mut out);
+    out
+}
+
+/// Encodes the unit records into `out`.
+fn encode_unit_payload(units: &[Unit], out: &mut impl Sink) {
     for u in units {
-        put_str(&mut out, u.name.as_str());
-        put_str(&mut out, &u.description);
-        put_str_list(&mut out, &u.documentation);
+        put_str(out, u.name.as_str());
+        put_str(out, &u.description);
+        put_str_list(out, &u.documentation);
         for list in [
             &u.after,
             &u.before,
@@ -209,12 +252,12 @@ fn encode_unit_payload(units: &[Unit]) -> Vec<u8> {
             &u.wanted_by,
             &u.required_by,
         ] {
-            put_name_list(&mut out, list);
+            put_name_list(out, list);
         }
         match &u.condition_path_exists {
             Some(p) => {
                 out.push(1);
-                put_str(&mut out, p);
+                put_str(out, p);
             }
             None => out.push(0),
         }
@@ -240,7 +283,7 @@ fn encode_unit_payload(units: &[Unit]) -> Vec<u8> {
         match &u.exec.exec_start {
             Some(e) => {
                 out.push(1);
-                put_str(&mut out, e);
+                put_str(out, e);
             }
             None => out.push(0),
         }
@@ -250,22 +293,21 @@ fn encode_unit_payload(units: &[Unit]) -> Vec<u8> {
             IoSchedulingClass::Idle => 1,
             IoSchedulingClass::Realtime => 2,
         });
-        put_u64(&mut out, u.exec.timeout_ms);
+        put_u64(out, u.exec.timeout_ms);
         if supervised {
             out.push(match u.exec.restart {
                 RestartPolicy::No => 0,
                 RestartPolicy::OnFailure => 1,
                 RestartPolicy::Always => 2,
             });
-            put_u64(&mut out, u.exec.restart_sec_ms);
-            put_u32(&mut out, u.exec.start_limit_burst);
-            put_u64(&mut out, u.exec.start_limit_interval_ms);
+            put_u64(out, u.exec.restart_sec_ms);
+            put_u32(out, u.exec.start_limit_burst);
+            put_u64(out, u.exec.start_limit_interval_ms);
         }
         if !u.on_failure.is_empty() {
-            put_name_list(&mut out, &u.on_failure);
+            put_name_list(out, &u.on_failure);
         }
     }
-    out
 }
 
 /// Decodes a cache blob back into units.
@@ -350,27 +392,27 @@ pub fn decode_units(blob: &[u8]) -> Result<Vec<Unit>, CodecError> {
     Ok(units)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_str(out: &mut impl Sink, s: &str) {
     put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
-fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
+fn put_str_list(out: &mut impl Sink, list: &[String]) {
     put_u32(out, list.len() as u32);
     for s in list {
         put_str(out, s);
     }
 }
 
-fn put_name_list(out: &mut Vec<u8>, list: &[UnitName]) {
+fn put_name_list(out: &mut impl Sink, list: &[UnitName]) {
     put_u32(out, list.len() as u32);
     for n in list {
         put_str(out, n.as_str());
@@ -472,6 +514,13 @@ mod tests {
         let blob = encode_units(&units);
         let back = decode_units(&blob).unwrap();
         assert_eq!(back, units);
+    }
+
+    #[test]
+    fn encoded_len_counts_the_blob() {
+        for units in [sample_units(), Vec::new()] {
+            assert_eq!(encoded_len(&units), encode_units(&units).len());
+        }
     }
 
     #[test]

@@ -49,8 +49,9 @@ pub struct Transaction {
 /// Why a transaction could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransactionError {
-    /// The requested target is not defined.
-    UnknownTarget(UnitName),
+    /// The requested target is not defined, or is no unit name at all
+    /// (no recognized type suffix).
+    UnknownTarget(String),
     /// Two queued jobs conflict (`Conflicts=`).
     ConflictingJobs(UnitName, UnitName),
     /// An ordering cycle among required jobs that cannot be broken.
@@ -78,12 +79,13 @@ impl std::fmt::Display for TransactionError {
 impl std::error::Error for TransactionError {}
 
 impl Transaction {
-    /// Builds the transaction for `target_name` over `graph`.
+    /// Builds the transaction for `target_name` over `graph`. A name
+    /// without a unit suffix names no unit, so it is an unknown target.
     pub fn build(graph: &UnitGraph, target_name: &str) -> Result<Self, TransactionError> {
-        let target_name = UnitName::new(target_name);
-        let target = graph
-            .idx(&target_name)
-            .ok_or(TransactionError::UnknownTarget(target_name))?;
+        let target = UnitName::parse(target_name)
+            .ok()
+            .and_then(|name| graph.idx(&name))
+            .ok_or_else(|| TransactionError::UnknownTarget(target_name.to_owned()))?;
 
         let mut jobs = graph.requirement_closure([target], true);
         let required = graph.requirement_closure([target], false);
@@ -230,6 +232,15 @@ mod tests {
             Transaction::build(&g, "nope.target"),
             Err(TransactionError::UnknownTarget(_))
         ));
+    }
+
+    #[test]
+    fn a_target_without_a_unit_suffix_is_unknown() {
+        let g = graph(vec![svc("a.service")]);
+        assert_eq!(
+            Transaction::build(&g, "foo").unwrap_err(),
+            TransactionError::UnknownTarget("foo".into())
+        );
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl RestartPolicy {
     }
 
     /// True if a crashed service with this policy is respawned.
-    pub fn restarts_on_crash(self) -> bool {
+    pub(crate) fn restarts_on_crash(self) -> bool {
         !matches!(self, RestartPolicy::No)
     }
 }
@@ -377,72 +377,103 @@ impl Unit {
     /// Renders the unit back to systemd unit-file syntax. Parsing the
     /// output reproduces the unit (round-trip property tested).
     pub fn to_unit_file(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::new();
-        s.push_str("[Unit]\n");
+        self.write_unit_file(&mut s)
+            .expect("writing to a String cannot fail");
+        s
+    }
+
+    /// Length in bytes of [`to_unit_file`](Self::to_unit_file)'s text,
+    /// counted as it is written, without building the string.
+    pub fn unit_file_len(&self) -> usize {
+        let mut len = ByteCount(0);
+        self.write_unit_file(&mut len)
+            .expect("counting bytes cannot fail");
+        len.0
+    }
+
+    /// Writes the unit-file text to `out`: the one renderer behind
+    /// [`to_unit_file`](Self::to_unit_file) and
+    /// [`unit_file_len`](Self::unit_file_len).
+    fn write_unit_file(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str("[Unit]\n")?;
         if !self.description.is_empty() {
-            let _ = writeln!(s, "Description={}", self.description);
+            writeln!(out, "Description={}", self.description)?;
         }
         for d in &self.documentation {
-            let _ = writeln!(s, "Documentation={d}");
+            writeln!(out, "Documentation={d}")?;
         }
-        let list = |s: &mut String, key: &str, items: &[UnitName]| {
-            if !items.is_empty() {
-                let names: Vec<&str> = items.iter().map(UnitName::as_str).collect();
-                let _ = writeln!(s, "{key}={}", names.join(" "));
+        fn list(out: &mut impl fmt::Write, key: &str, items: &[UnitName]) -> fmt::Result {
+            let Some((first, rest)) = items.split_first() else {
+                return Ok(());
+            };
+            write!(out, "{key}={first}")?;
+            for name in rest {
+                write!(out, " {name}")?;
             }
-        };
-        list(&mut s, "After", &self.after);
-        list(&mut s, "Before", &self.before);
-        list(&mut s, "Requires", &self.requires);
-        list(&mut s, "Wants", &self.wants);
-        list(&mut s, "Conflicts", &self.conflicts);
-        list(&mut s, "OnFailure", &self.on_failure);
+            out.write_char('\n')
+        }
+        list(out, "After", &self.after)?;
+        list(out, "Before", &self.before)?;
+        list(out, "Requires", &self.requires)?;
+        list(out, "Wants", &self.wants)?;
+        list(out, "Conflicts", &self.conflicts)?;
+        list(out, "OnFailure", &self.on_failure)?;
         if let Some(p) = &self.condition_path_exists {
-            let _ = writeln!(s, "ConditionPathExists={p}");
+            writeln!(out, "ConditionPathExists={p}")?;
         }
         if !self.default_dependencies {
-            s.push_str("DefaultDependencies=no\n");
+            out.write_str("DefaultDependencies=no\n")?;
         }
         if self.name.kind() == UnitKind::Service || self.exec != ExecConfig::default() {
-            s.push_str("\n[Service]\n");
-            let _ = writeln!(s, "Type={}", self.exec.service_type.as_str());
+            out.write_str("\n[Service]\n")?;
+            writeln!(out, "Type={}", self.exec.service_type.as_str())?;
             if let Some(e) = &self.exec.exec_start {
-                let _ = writeln!(s, "ExecStart={e}");
+                writeln!(out, "ExecStart={e}")?;
             }
             if self.exec.nice != 0 {
-                let _ = writeln!(s, "Nice={}", self.exec.nice);
+                writeln!(out, "Nice={}", self.exec.nice)?;
             }
             if self.exec.io_class != IoSchedulingClass::BestEffort {
-                let _ = writeln!(s, "IOSchedulingClass={}", self.exec.io_class.as_str());
+                writeln!(out, "IOSchedulingClass={}", self.exec.io_class.as_str())?;
             }
             if self.exec.timeout_ms != 0 {
-                let _ = writeln!(s, "TimeoutStartSec={}ms", self.exec.timeout_ms);
+                writeln!(out, "TimeoutStartSec={}ms", self.exec.timeout_ms)?;
             }
             let defaults = ExecConfig::default();
             if self.exec.restart != defaults.restart {
-                let _ = writeln!(s, "Restart={}", self.exec.restart.as_str());
+                writeln!(out, "Restart={}", self.exec.restart.as_str())?;
             }
             if self.exec.restart_sec_ms != defaults.restart_sec_ms {
-                let _ = writeln!(s, "RestartSec={}ms", self.exec.restart_sec_ms);
+                writeln!(out, "RestartSec={}ms", self.exec.restart_sec_ms)?;
             }
             if self.exec.start_limit_burst != defaults.start_limit_burst {
-                let _ = writeln!(s, "StartLimitBurst={}", self.exec.start_limit_burst);
+                writeln!(out, "StartLimitBurst={}", self.exec.start_limit_burst)?;
             }
             if self.exec.start_limit_interval_ms != defaults.start_limit_interval_ms {
-                let _ = writeln!(
-                    s,
+                writeln!(
+                    out,
                     "StartLimitIntervalSec={}ms",
                     self.exec.start_limit_interval_ms
-                );
+                )?;
             }
         }
         if !self.wanted_by.is_empty() || !self.required_by.is_empty() {
-            s.push_str("\n[Install]\n");
-            list(&mut s, "WantedBy", &self.wanted_by);
-            list(&mut s, "RequiredBy", &self.required_by);
+            out.write_str("\n[Install]\n")?;
+            list(out, "WantedBy", &self.wanted_by)?;
+            list(out, "RequiredBy", &self.required_by)?;
         }
-        s
+        Ok(())
+    }
+}
+
+/// A [`fmt::Write`] sink that keeps only the number of bytes written.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -504,6 +535,7 @@ mod tests {
         assert!(text.contains("Type=oneshot"));
         assert!(text.contains("ExecStart=/usr/bin/myapp-service-daemon"));
         assert!(text.contains("WantedBy=multi-user.target"));
+        assert_eq!(u.unit_file_len(), text.len());
     }
 
     #[test]

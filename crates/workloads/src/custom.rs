@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use bb_core::{ParseCostParams, Scenario};
+use bb_core::{ParseCostParams, Scenario, UnitPlanSlot};
 use bb_init::{ManagerCosts, ServiceBody, Unit, UnitKind, UnitName, WorkloadMap};
 use bb_kernel::synthetic_catalog;
 use bb_sim::{DeviceId, OpsBuilder, SimDuration};
@@ -92,13 +92,14 @@ pub fn custom_scenario(
         storage: profile.storage,
         kernel: tv_kernel_plan(),
         modules: Arc::default(),
-        units,
+        units: Arc::new(units),
         workloads: Arc::new(workloads),
         target: target.to_owned(),
         completion,
         manager_costs: ManagerCosts::default(),
         parse_params: ParseCostParams::default(),
         extra_init_tasks: Vec::new(),
+        unit_plan_slot: UnitPlanSlot::default(),
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use bb_core::{ParseCostParams, Scenario};
+use bb_core::{ParseCostParams, Scenario, UnitPlanSlot};
 use bb_init::ManagerCosts;
 use bb_kernel::{
     synthetic_catalog, Criticality, Initcall, InitcallLevel, InitcallRegistry, KernelPlan,
@@ -75,13 +75,14 @@ pub fn tv_scenario_with(profile: MachineProfile, params: TizenParams) -> Scenari
         storage: profile.storage,
         kernel: tv_kernel_plan(),
         modules: Arc::new(synthetic_catalog(408)),
-        units: workload.units,
+        units: Arc::new(workload.units),
         workloads: Arc::new(workload.workloads),
         target: workload.target,
         completion: workload.completion,
         manager_costs: ManagerCosts::default(),
         parse_params: ParseCostParams::default(),
         extra_init_tasks: Vec::new(),
+        unit_plan_slot: UnitPlanSlot::default(),
     }
 }
 
@@ -109,13 +110,14 @@ pub fn camera_scenario() -> Scenario {
         storage: profile.storage,
         kernel,
         modules: Arc::new(synthetic_catalog(120)),
-        units: workload.units,
+        units: Arc::new(workload.units),
         workloads: Arc::new(workload.workloads),
         target: workload.target,
         completion: workload.completion,
         manager_costs: ManagerCosts::default(),
         parse_params: ParseCostParams::default(),
         extra_init_tasks: Vec::new(),
+        unit_plan_slot: UnitPlanSlot::default(),
     }
 }
 

@@ -50,9 +50,12 @@ run grep -q '"schema": "bb-fleet-chaos-v2"' "$chaos_tmp/c1.json"
 run grep -q 'artifact rejected' "$chaos_tmp/c1.json"
 
 # Integrity & recovery gates: the never-panic/always-detected proptests
-# over the checksummed artifacts and the wire decoders, and the golden
-# corrupt-blob fixtures plus the recovered-timeline equivalence property.
+# over the checksummed artifacts and the wire decoders, the shared unit
+# plan against a fresh one and the Pre-parser's counted sizes against
+# the rendered ones, and the golden corrupt-blob fixtures plus the
+# recovered-timeline equivalence property.
 run cargo test -q --test proptest_units
+run cargo test -q --test proptest_unit_plan
 run cargo test -q --test proptest_wire
 run cargo test -q --test recovery_chain
 

@@ -196,7 +196,13 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
         match flag.as_str() {
             "--scenario" => args.scenario = value("--scenario"),
             "--units" => args.units_dir = Some(value("--units")),
-            "--target" => args.target = value("--target"),
+            "--target" => {
+                args.target = value("--target");
+                if let Err(e) = UnitName::parse(&args.target) {
+                    eprintln!("error: --target: {e}");
+                    usage()
+                }
+            }
             "--completion" => args.completion = Some(value("--completion")),
             "--features" => args.features = value("--features"),
             "--services" => args.services = Some(bounded(&value("--services"), check_services)),
@@ -698,8 +704,8 @@ fn run_boot(args: Args) {
         println!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
     }
     if let Some(path) = &args.dot {
-        let graph = UnitGraph::build(scenario.units.clone()).expect("valid units");
-        let group = booting_booster::bb::identify_bb_group(&graph, &scenario.completion);
+        let graph = &scenario.unit_plan().expect("the scenario booted").graph;
+        let group = booting_booster::bb::identify_bb_group(graph, &scenario.completion);
         std::fs::write(path, graph.to_dot(Some(&group))).expect("write dot");
         println!("dependency graph written to {path}");
     }

@@ -1,4 +1,4 @@
-//! Allocation budget of one simulated boot.
+//! Allocation budgets of one simulated boot and of planning one.
 //!
 //! A fleet worker boots the same few plans thousands of times on one
 //! recycled machine, so what a boot allocates beyond its plan is paid
@@ -7,6 +7,17 @@
 //! warm `MachineBuilder` with a `PlanCache` hit, up to and including
 //! handing the machine back through `recycle`: simulating the Tizen TV
 //! scenario on the UE48H6200 and building its report.
+//!
+//! It also counts what every scenario pays before its first boot: the
+//! Pre-parser's measurement of its units, the first config's plan,
+//! which builds the scenario's unit plan (graph, transaction, dispatch
+//! order), and a second config's plan, which shares it. Those budgets
+//! are the counts measured when they were set plus 5%: no allocation
+//! for the pre-parse, 761 and 55 for the two plans at 136 services and
+//! 5,072 and 55 at 1000. When every config planned its own copy of the
+//! units and the pre-parse rendered and encoded them, the same calls
+//! made 1,556, 3,530 and 3,556 at 136 services and 11,689, 25,567 and
+//! 25,593 at 1000.
 //!
 //! The counter is a `const` thread-local, so tests running in parallel
 //! on other threads do not add to it. Each budget is the count measured
@@ -23,7 +34,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use booting_booster::bb::{BbConfig, BootRequest, PlanCache, Scenario};
+use booting_booster::bb::{BbConfig, BootRequest, Pipeline, PlanCache, PreParser, Scenario};
 use booting_booster::sim::MachineBuilder;
 use booting_booster::workloads::{profiles, tv_scenario_with, TizenParams};
 
@@ -140,4 +151,56 @@ fn a_1000_service_boot_stays_within_its_allocation_budget() {
             ("full BB", BbConfig::full(), 8_185),
         ],
     );
+}
+
+/// Allocations of the pre-parse of a fresh `services`-service scenario,
+/// of its first (conventional) plan and of its second (full BB) plan.
+fn planning_allocations(services: usize) -> [u64; 3] {
+    let scenario = scenario(services);
+    let pipeline = Pipeline::standard();
+    let mut pre = None;
+    let preparse = allocations_in(|| pre = Some(PreParser::build(&scenario.units)));
+    let pre = pre.expect("measured");
+    let mut plans = Vec::with_capacity(2);
+    let mut plan = |cfg| {
+        allocations_in(|| {
+            plans.push(
+                pipeline
+                    .plan(&scenario, &cfg, Some(&pre))
+                    .expect("the scenario plans"),
+            )
+        })
+    };
+    let first = plan(BbConfig::conventional());
+    let second = plan(BbConfig::full());
+    assert!(
+        Arc::ptr_eq(&plans[0].0.unit_plan, &plans[1].0.unit_plan),
+        "both configs share one unit plan"
+    );
+    [preparse, first, second]
+}
+
+fn check_planning(services: usize, budgets: [u64; 3]) {
+    let counts = planning_allocations(services);
+    for ((what, n), budget) in ["pre-parse", "first plan", "second plan"]
+        .into_iter()
+        .zip(counts)
+        .zip(budgets)
+    {
+        println!("{services} services, {what}: {n} allocations (budget {budget})");
+        assert!(
+            n <= budget,
+            "{services}-service {what} made {n} allocations, budget {budget}"
+        );
+    }
+}
+
+#[test]
+fn planning_a_136_service_scenario_stays_within_its_allocation_budget() {
+    check_planning(136, [0, 799, 57]);
+}
+
+#[test]
+fn planning_a_1000_service_scenario_stays_within_its_allocation_budget() {
+    check_planning(1000, [0, 5_325, 57]);
 }
