@@ -13,7 +13,9 @@
 //! exactly; the `preparser` Criterion bench measures real text-parse vs
 //! cache-load time on this code.
 
-use crate::unit::{ExecConfig, IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName};
+use crate::unit::{
+    ByteCount, ExecConfig, IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName,
+};
 use bb_sim::{fnv1a, FNV1A_OFFSET};
 
 /// Magic + version header of a cache blob. Version 2 added the
@@ -215,14 +217,7 @@ impl Sink for Vec<u8> {
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
-
-    fn push(&mut self, byte: u8) {
-        Vec::push(self, byte);
-    }
 }
-
-/// A [`Sink`] that keeps only the number of bytes put.
-struct ByteCount(usize);
 
 impl Sink for ByteCount {
     fn put(&mut self, bytes: &[u8]) {

@@ -467,8 +467,10 @@ impl Unit {
     }
 }
 
-/// A [`fmt::Write`] sink that keeps only the number of bytes written.
-struct ByteCount(usize);
+/// A sink that keeps only the number of bytes written to it: a
+/// [`fmt::Write`] here, and the cache encoder's sink in
+/// [`crate::preparse`].
+pub(crate) struct ByteCount(pub(crate) usize);
 
 impl fmt::Write for ByteCount {
     fn write_str(&mut self, s: &str) -> fmt::Result {
