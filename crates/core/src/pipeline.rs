@@ -1052,7 +1052,7 @@ mod tests {
         p.plan(&s, &BbConfig::full(), None).unwrap();
         // A clone whose units change through `Arc::make_mut`.
         let mut copy = s.clone();
-        Arc::make_mut(&mut copy.units).retain(|u| !matches!(u.name.as_str(), "browser.service"));
+        Arc::make_mut(&mut copy.units).retain(|u| u.name.as_str() != "browser.service");
         Arc::make_mut(&mut copy.units)[0]
             .requires
             .retain(|n| n.as_str() != "browser.service");
