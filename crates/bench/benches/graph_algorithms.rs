@@ -1,6 +1,9 @@
 //! Graph-machinery benchmarks: the Service Engine's algorithms at the
 //! paper's scales (136 → 250 services) and beyond (1000 to 4000, the
-//! "will surely grow" case of §5), up to a whole `Pipeline::plan`.
+//! "will surely grow" case of §5), up to a whole `Pipeline::plan`:
+//! `pipeline-plan` plans a scenario whose unit plan is not yet built
+//! (each iteration starts from a clone with an empty slot), and
+//! `pipeline-plan-shared` a config of a scenario that already built it.
 //!
 //! `cargo bench -p bb-bench --bench graph_algorithms` prints the mean
 //! of each step per scale; `BB_BENCH_ITERS` sets the iteration count.
@@ -9,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bb_core::service_engine::{analyze, identify_bb_group};
-use bb_core::{BbConfig, Pipeline, PreParser};
+use bb_core::{BbConfig, Pipeline, PreParser, UnitPlanSlot};
 use bb_init::{Transaction, UnitGraph};
 use bb_workloads::{profiles, tv_scenario_with, TizenParams};
 
@@ -46,6 +49,17 @@ fn bench_graph(c: &mut Criterion) {
             b.iter(|| black_box(analyze(&graph)))
         });
         group.bench_function("pipeline-plan", |b| {
+            b.iter(|| {
+                let mut fresh = scenario.clone();
+                fresh.unit_plan_slot = UnitPlanSlot::default();
+                black_box(
+                    pipeline
+                        .plan(&fresh, &BbConfig::full(), Some(&pre))
+                        .expect("plans"),
+                )
+            })
+        });
+        group.bench_function("pipeline-plan-shared", |b| {
             b.iter(|| {
                 black_box(
                     pipeline
