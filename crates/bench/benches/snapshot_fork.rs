@@ -37,12 +37,11 @@ fn bench_snapshot_fork(c: &mut Criterion) {
     let s = Arc::new(scenario());
     let cfg = BbConfig::full();
     // Both paths reuse pre-built parser measurements, exactly like the
-    // fleet pool does — otherwise PreParser::build dominates every
-    // iteration and drowns the kernel phase both paths differ in.
+    // fleet pool does.
     let pre = PreParser::build(&s.units);
     // The checkpoint and every resume share one plan cache, as a forked
-    // fleet job's do; full boots stay uncached because they measure
-    // planning.
+    // fleet job's do; full boots stay uncached, so each plans its config
+    // on the scenario's shared unit plan.
     let cache = PlanCache::new();
     let ckpt = BootRequest::new(&s)
         .config(cfg)
