@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bb_core::service_engine::{analyze, identify_bb_group};
-use bb_core::{BbConfig, Pipeline, PreParser, UnitPlanSlot};
+use bb_core::{BbConfig, Pipeline, UnitPlanSlot};
 use bb_init::{Transaction, UnitGraph};
 use bb_workloads::{profiles, tv_scenario_with, TizenParams};
 
@@ -26,7 +26,11 @@ fn bench_graph(c: &mut Criterion) {
         let scenario = tv_scenario_with(profiles::ue48h6200(), params);
         let graph = UnitGraph::build(scenario.units.clone()).expect("valid units");
         let tx = Transaction::build(&graph, &scenario.target).expect("plans");
-        let pre = PreParser::build(&scenario.units);
+        let completion: Vec<usize> = scenario
+            .completion
+            .iter()
+            .map(|n| graph.idx_of(n.as_str()))
+            .collect();
 
         let mut group = c.benchmark_group(format!("graph-{services}"));
         group.bench_function("build", |b| {
@@ -37,7 +41,7 @@ fn bench_graph(c: &mut Criterion) {
             b.iter(|| black_box(graph.topo_order().expect("acyclic")))
         });
         group.bench_function("bb-group-isolation", |b| {
-            b.iter(|| black_box(identify_bb_group(&graph, &scenario.completion)))
+            b.iter(|| black_box(identify_bb_group(&graph, &completion)))
         });
         group.bench_function("transaction", |b| {
             b.iter(|| black_box(Transaction::build(&graph, &scenario.target).expect("ok")))
@@ -54,7 +58,7 @@ fn bench_graph(c: &mut Criterion) {
                 fresh.unit_plan_slot = UnitPlanSlot::default();
                 black_box(
                     pipeline
-                        .plan(&fresh, &BbConfig::full(), Some(&pre))
+                        .plan(&fresh, &BbConfig::full(), None)
                         .expect("plans"),
                 )
             })
@@ -63,7 +67,7 @@ fn bench_graph(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     pipeline
-                        .plan(&scenario, &BbConfig::full(), Some(&pre))
+                        .plan(&scenario, &BbConfig::full(), None)
                         .expect("plans"),
                 )
             })

@@ -27,7 +27,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bb_core::{BbConfig, BootRequest, CheckpointPhase, PlanCache, PreParser, Scenario};
+use bb_core::{BbConfig, BootRequest, CheckpointPhase, PlanCache, Scenario};
 use bb_fleet::json;
 use bb_sim::{
     DeviceProfile, Machine, MachineBuilder, MachineConfig, OpsBuilder, ProcessSpec, SimDuration,
@@ -100,14 +100,12 @@ fn storm_machine(procs: u64, rounds: u64) -> Machine {
 fn bench_hotpath(c: &mut Criterion) {
     let s = Arc::new(scenario());
     let cfg = BbConfig::full();
-    let pre = PreParser::build(&s.units);
     // The checkpoint and every resume share one plan cache, as a forked
     // fleet job's do; cold boots stay uncached because they measure
     // planning.
     let cache = PlanCache::new();
     let ckpt = BootRequest::new(&s)
         .config(cfg)
-        .prepared(&pre)
         .plan_cache(&cache, &s)
         .checkpoint_at(CheckpointPhase::KernelHandoff)
         .expect("checkpoint");
@@ -123,11 +121,7 @@ fn bench_hotpath(c: &mut Criterion) {
     });
     group.bench_function("full-bb-boot", |b| {
         b.iter(|| {
-            let boot = BootRequest::new(&s)
-                .config(cfg)
-                .prepared(&pre)
-                .run()
-                .expect("boots");
+            let boot = BootRequest::new(&s).config(cfg).run().expect("boots");
             black_box(boot.report.quiesce_time)
         })
     });
@@ -136,7 +130,6 @@ fn bench_hotpath(c: &mut Criterion) {
         b.iter(|| {
             let boot = BootRequest::new(&s)
                 .config(cfg)
-                .prepared(&pre)
                 .machine_builder(&mut builder)
                 .plan_cache(&cache, &s)
                 .resume(&ckpt)
@@ -184,18 +177,13 @@ fn bench_hotpath(c: &mut Criterion) {
     let mut pairs: Vec<(Duration, Duration)> = Vec::with_capacity(iters as usize);
     for i in 0..iters + 20 {
         let t0 = Instant::now();
-        let boot = BootRequest::new(&s)
-            .config(cfg)
-            .prepared(&pre)
-            .run()
-            .expect("boots");
+        let boot = BootRequest::new(&s).config(cfg).run().expect("boots");
         black_box(boot.report.quiesce_time);
         let d_full = t0.elapsed();
         drop(boot);
         let t0 = Instant::now();
         let boot = BootRequest::new(&s)
             .config(cfg)
-            .prepared(&pre)
             .machine_builder(&mut builder)
             .plan_cache(&cache, &s)
             .resume(&ckpt)

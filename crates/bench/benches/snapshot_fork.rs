@@ -18,7 +18,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bb_core::{BbConfig, BootRequest, CheckpointPhase, PlanCache, PreParser, Scenario};
+use bb_core::{BbConfig, BootRequest, CheckpointPhase, PlanCache, Scenario};
 use bb_fleet::json;
 use bb_workloads::{profiles, tv_scenario_with, TizenParams};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -36,16 +36,12 @@ fn scenario() -> Scenario {
 fn bench_snapshot_fork(c: &mut Criterion) {
     let s = Arc::new(scenario());
     let cfg = BbConfig::full();
-    // Both paths reuse pre-built parser measurements, exactly like the
-    // fleet pool does.
-    let pre = PreParser::build(&s.units);
     // The checkpoint and every resume share one plan cache, as a forked
     // fleet job's do; full boots stay uncached, so each plans its config
     // on the scenario's shared unit plan.
     let cache = PlanCache::new();
     let ckpt = BootRequest::new(&s)
         .config(cfg)
-        .prepared(&pre)
         .plan_cache(&cache, &s)
         .checkpoint_at(CheckpointPhase::KernelHandoff)
         .expect("checkpoint");
@@ -54,11 +50,7 @@ fn bench_snapshot_fork(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("full-boot", |b| {
         b.iter(|| {
-            let boot = BootRequest::new(&s)
-                .config(cfg)
-                .prepared(&pre)
-                .run()
-                .expect("boots");
+            let boot = BootRequest::new(&s).config(cfg).run().expect("boots");
             black_box(boot.report.quiesce_time)
         })
     });
@@ -66,7 +58,6 @@ fn bench_snapshot_fork(c: &mut Criterion) {
         b.iter(|| {
             let boot = BootRequest::new(&s)
                 .config(cfg)
-                .prepared(&pre)
                 .plan_cache(&cache, &s)
                 .resume(&ckpt)
                 .expect("resumes");
@@ -86,11 +77,7 @@ fn bench_snapshot_fork(c: &mut Criterion) {
     let mut pairs: Vec<(Duration, Duration)> = Vec::with_capacity(iters as usize);
     for i in 0..iters + 20 {
         let t0 = Instant::now();
-        let boot = BootRequest::new(&s)
-            .config(cfg)
-            .prepared(&pre)
-            .run()
-            .expect("boots");
+        let boot = BootRequest::new(&s).config(cfg).run().expect("boots");
         black_box(boot.report.quiesce_time);
         let d_full = t0.elapsed();
         // Free this boot's machine before timing the next one, so the
@@ -99,7 +86,6 @@ fn bench_snapshot_fork(c: &mut Criterion) {
         let t0 = Instant::now();
         let boot = BootRequest::new(&s)
             .config(cfg)
-            .prepared(&pre)
             .plan_cache(&cache, &s)
             .resume(&ckpt)
             .expect("resumes");

@@ -70,9 +70,9 @@ fn boot_time(units: Vec<Unit>) -> SimTime {
             post_ready: Vec::new(),
         },
     );
-    let completion = vec![
-        UnitName::new(format!("a{}.service", GROUP - 1)),
-        UnitName::new(format!("b{}.service", GROUP - 1)),
+    let completion = [
+        graph.idx_of(&format!("a{}.service", GROUP - 1)),
+        graph.idx_of(&format!("b{}.service", GROUP - 1)),
     ];
     let execution_order = transaction.execution_order(&graph);
     let overrides = PlanOverrides::default();

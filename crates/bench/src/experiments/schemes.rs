@@ -45,11 +45,16 @@ fn run_mode(name: &'static str, mode: EngineMode) -> SchemeResult {
     let graph = UnitGraph::build(workload.units.clone()).expect("valid units");
     let transaction = Transaction::build(&graph, &workload.target).expect("acyclic");
     let execution_order = transaction.execution_order(&graph);
+    let completion: Vec<usize> = workload
+        .completion
+        .iter()
+        .map(|n| graph.idx_of(n.as_str()))
+        .collect();
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
         graph: &graph,
         transaction: &transaction,
-        completion: &workload.completion,
+        completion: &completion,
         overrides: &overrides,
         init_tasks: &[],
         service_phase_tasks: &[],

@@ -43,7 +43,7 @@ use crate::recovery::{
     validate_preparse_blob, ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent,
     RecoveryReason,
 };
-use crate::service_engine::{ParseCostParams, PreParser};
+use crate::service_engine::ParseCostParams;
 
 /// A complete boot scenario (hardware + software + completion policy).
 ///
@@ -238,9 +238,9 @@ impl Checkpoint {
 /// The single entry point for booting a scenario: a builder over every
 /// knob the old `boost_*` family spread across four functions.
 ///
-/// Defaults: the full BB configuration, no pre-built parser
-/// measurements, no faults, no fallback supervisor, no artifact,
-/// telemetry off, core spans off, no plan tweak.
+/// Defaults: the full BB configuration, no faults, no fallback
+/// supervisor, no artifact, telemetry off, core spans off, no plan
+/// tweak.
 ///
 /// # Examples
 ///
@@ -258,7 +258,6 @@ impl Checkpoint {
 pub struct BootRequest<'s> {
     scenario: &'s Scenario,
     cfg: BbConfig,
-    pre: Option<&'s PreParser>,
     faults: Option<&'s FaultPlan>,
     fallback: Option<FallbackPolicy>,
     artifact: Option<&'s ArtifactRead>,
@@ -276,7 +275,6 @@ impl<'s> BootRequest<'s> {
         BootRequest {
             scenario,
             cfg: BbConfig::full(),
-            pre: None,
             faults: None,
             fallback: None,
             artifact: None,
@@ -291,18 +289,6 @@ impl<'s> BootRequest<'s> {
     /// Boots under `cfg` instead of the default full BB configuration.
     pub fn config(mut self, cfg: BbConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Reuses pre-built [`PreParser`] measurements — the sweep-friendly
-    /// path: a fleet runs thousands of boots of the same scenario, and
-    /// measuring the unit files and the binary cache once instead of
-    /// per boot saves a walk of every unit per boot.
-    ///
-    /// `pre` must describe the scenario's units; it is the caller's job
-    /// to keep them in sync (use [`PreParser::build`] on the same set).
-    pub fn prepared(mut self, pre: &'s PreParser) -> Self {
-        self.pre = Some(pre);
         self
     }
 
@@ -618,15 +604,7 @@ impl<'s> BootRequest<'s> {
     pub fn run(mut self) -> Result<Boot, Error> {
         let mut recoveries = Vec::new();
         if let Some(read) = self.artifact.take().filter(|_| self.cfg.preparser) {
-            let built;
-            let pre = match self.pre {
-                Some(p) => p,
-                None => {
-                    built = PreParser::build(&self.scenario.units);
-                    &built
-                }
-            };
-            match validate_preparse_blob(read, self.scenario, pre) {
+            match validate_preparse_blob(read, self.scenario)? {
                 Ok(retried) => recoveries.extend(retried),
                 Err(rejected) => {
                     // The cache is gone; this boot pays the
@@ -637,14 +615,11 @@ impl<'s> BootRequest<'s> {
                 }
             }
         }
-        let (scenario, pre, fallback) = (self.scenario, self.pre, self.fallback);
+        let (scenario, fallback) = (self.scenario, self.fallback);
         let mut boot = self.execute()?;
         boot.recoveries = recoveries;
         if let Some((reason, detected_after)) = fallback.and_then(|p| p.judge(&boot.report)) {
-            let mut rescue = BootRequest::new(scenario).config(BbConfig::conventional());
-            if let Some(pre) = pre {
-                rescue = rescue.prepared(pre);
-            }
+            let rescue = BootRequest::new(scenario).config(BbConfig::conventional());
             boot.degraded = Some(Box::new(DegradedBoot {
                 rescue: rescue.run()?.report,
                 reason,
@@ -665,7 +640,7 @@ impl<'s> BootRequest<'s> {
         if let Some(plan) = cache.and_then(|(cache, key)| cache.lookup(key, &self.cfg)) {
             return Ok(plan);
         }
-        let (mut ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
+        let (mut ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, None)?;
         if let Some(tweak) = self.tweak.take() {
             let units = &ir.unit_plan;
             tweak(&units.graph, &units.transaction, &mut ir.overrides);
@@ -968,18 +943,6 @@ pub(crate) mod tests {
         assert!(resumed.machine.trace().spans().is_empty());
         let resumed = BootRequest::new(&s).core_spans(true).resume(&bare).unwrap();
         assert!(!resumed.machine.trace().spans().is_empty());
-    }
-
-    #[test]
-    fn builder_prepared_matches_unprepared() {
-        let s = mini_tv();
-        let pre = PreParser::build(&s.units);
-        let plain = BootRequest::new(&s).run().unwrap();
-        let prepared = BootRequest::new(&s).prepared(&pre).run().unwrap();
-        assert_eq!(
-            plain.report.boot.completion_time,
-            prepared.report.boot.completion_time
-        );
     }
 
     #[test]

@@ -12,27 +12,29 @@
 //! sweeps — and every future mechanism (miner-driven edge removal,
 //! pre-fork zygote) lands as one new pass.
 //!
-//! Pass order is fixed and significant only where passes share IR
-//! fields (the two `bb_group` passes both derive the group; the
-//! isolator runs first). Passes only transform the IR; machine-visible
-//! execution is entirely in [`execute`], which replays the exact
-//! op order of the pre-pipeline facade so boot timelines are
+//! Pass order is fixed, and it is the order of a plan's deltas; no two
+//! passes write the same IR field (the two BB-group passes read the
+//! group the unit plan holds). Passes only transform the IR;
+//! machine-visible execution is entirely in [`execute`], which replays
+//! the exact op order of the pre-pipeline facade so boot timelines are
 //! bit-identical to the old `boost` path.
 //!
 //! A compiled [`BootPlanIr`] owns the tables its passes rewrite and
 //! shares the rest through `Arc` handles: the scenario's large
-//! read-only inputs, and its [`UnitPlan`] — the unit graph, transaction
-//! and dispatch order, which depend on the unit set and target alone
-//! and are built once per scenario ([`Scenario::unit_plan`]). One value
-//! is what a fresh boot runs and what a [`crate::PlanCache`] shares
-//! across a sweep's runs, checkpoints and resumes.
+//! read-only inputs, and its [`UnitPlan`] — every fact that depends on
+//! the unit set, target and completion definition alone (the unit
+//! graph, transaction, dispatch order, resolved completion, BB Group
+//! and Pre-parser sizes), built once per scenario
+//! ([`Scenario::unit_plan`]). One value is what a fresh boot runs and
+//! what a [`crate::PlanCache`] shares across a sweep's runs,
+//! checkpoints and resumes.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bb_init::{
     run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, ManagerTask,
-    PlanOverrides, Transaction, Unit, UnitGraph, UnitName, WorkloadMap,
+    PlanOverrides, Transaction, TransactionError, Unit, UnitGraph, UnitName, WorkloadMap,
 };
 use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, KernelReport, ModuleCatalog};
 use bb_sim::{
@@ -51,11 +53,11 @@ use crate::service_engine::{self, ParseCostParams, PreParser};
 // The unit plan
 // ---------------------------------------------------------------------
 
-/// The scenario-only half of every boot plan: the unit graph over the
-/// scenario's own units, the transaction its target expands to, and the
-/// transaction's dispatch order. No pass reshapes any of them, so one
-/// value serves every config's [`BootPlanIr`]; [`Scenario::unit_plan`]
-/// builds it on first use and shares it by `Arc` after.
+/// The scenario-only half of every boot plan: every fact that depends
+/// on the scenario's units, target and completion definition alone. No
+/// pass reshapes any of them, so one value serves every config's
+/// [`BootPlanIr`]; [`Scenario::unit_plan`] builds it on first use and
+/// shares it by `Arc` after.
 #[derive(Debug)]
 pub struct UnitPlan {
     /// The unit graph; it reads the scenario's units, not copies.
@@ -66,6 +68,14 @@ pub struct UnitPlan {
     /// boot repeats the Kahn walk (plan tweaks only touch
     /// [`PlanOverrides`], which the order does not depend on).
     pub execution_order: Vec<usize>,
+    /// The completion definition as graph indices, in the scenario's
+    /// order; every one is a job of the transaction.
+    pub completion: Vec<usize>,
+    /// The BB Group: the strong closure of the completion units (§3.3,
+    /// [`service_engine::identify_bb_group`]).
+    pub bb_group: BTreeSet<usize>,
+    /// The Pre-parser's measurements of the unit set.
+    pub pre: PreParser,
     /// The unit set the plan was built from, held so the allocation
     /// cannot be freed and its address reused while the plan lives.
     units: Arc<Vec<Unit>>,
@@ -74,30 +84,67 @@ pub struct UnitPlan {
 }
 
 impl UnitPlan {
-    fn build(units: &Arc<Vec<Unit>>, target: &str) -> Result<UnitPlan, Error> {
+    fn build(
+        units: &Arc<Vec<Unit>>,
+        target: &str,
+        completion: &[UnitName],
+    ) -> Result<UnitPlan, Error> {
         let graph = UnitGraph::build(Arc::clone(units))?;
         let transaction = Transaction::build(&graph, target)?;
         let execution_order = transaction.execution_order(&graph);
+        let completion = resolve_completion(&graph, &transaction, completion)?;
+        let bb_group = service_engine::identify_bb_group(&graph, &completion);
         Ok(UnitPlan {
+            pre: PreParser::build(units),
             graph,
             transaction,
             execution_order,
+            completion,
+            bb_group,
             units: Arc::clone(units),
             target: target.to_owned(),
         })
     }
 
-    /// Whether this plan was built from this very unit allocation and
-    /// this target, the only key under which it may be reused.
-    fn built_from(&self, units: &Arc<Vec<Unit>>, target: &str) -> bool {
-        Arc::ptr_eq(&self.units, units) && self.target == target
+    /// Whether this plan was built from this very unit allocation, this
+    /// target and this completion definition, the only key under which
+    /// it may be reused. The resolved indices name the completion units
+    /// of the plan's own graph, so they stand for the names.
+    fn built_from(&self, units: &Arc<Vec<Unit>>, target: &str, completion: &[UnitName]) -> bool {
+        Arc::ptr_eq(&self.units, units)
+            && self.target == target
+            && self
+                .completion
+                .iter()
+                .map(|&j| &self.graph.unit(j).name)
+                .eq(completion)
     }
+}
+
+/// The one place a completion definition becomes graph indices: each
+/// name must be a unit the graph defines and a job of the transaction,
+/// or no boot could ever meet the definition.
+fn resolve_completion(
+    graph: &UnitGraph,
+    transaction: &Transaction,
+    completion: &[UnitName],
+) -> Result<Vec<usize>, TransactionError> {
+    completion
+        .iter()
+        .map(|name| match graph.idx(name) {
+            None => Err(TransactionError::UnknownCompletion(name.clone())),
+            Some(j) if !transaction.jobs.contains(&j) => {
+                Err(TransactionError::CompletionNotInTransaction(name.clone()))
+            }
+            Some(j) => Ok(j),
+        })
+        .collect()
 }
 
 /// A [`Scenario`]'s lazily filled memo of its [`UnitPlan`]; start it
 /// empty with `UnitPlanSlot::default()`. A clone starts with the same
-/// plan, which it reuses only while its units and target are the ones
-/// the plan was built from.
+/// plan, which it reuses only while its units, target and completion
+/// are the ones the plan was built from.
 #[derive(Default)]
 pub struct UnitPlanSlot(Mutex<Option<Arc<UnitPlan>>>);
 
@@ -127,28 +174,35 @@ impl std::fmt::Debug for UnitPlanSlot {
 impl Scenario {
     /// The scenario's [`UnitPlan`]: built on the first call, then the
     /// same `Arc` for every later call — every config's plan, the
-    /// fallback rescue, the dependency miner and [`crate::profile`].
+    /// artifact check, the fallback rescue, the dependency miner and
+    /// [`crate::profile`].
     ///
-    /// The memo answers only for the unit allocation and target it was
-    /// built from. Editing the units (through [`Arc::make_mut`], which
-    /// copies them, since the memo holds them too) or replacing them or
-    /// the target makes the next call build a new plan, so an edited
-    /// scenario never reads an old graph.
+    /// The memo answers only for the unit allocation, target and
+    /// completion definition it was built from. Editing the units
+    /// (through [`Arc::make_mut`], which copies them, since the memo
+    /// holds them too) or replacing them, the target or the completion
+    /// makes the next call build a new plan, so an edited scenario never
+    /// reads an old graph.
     ///
     /// # Errors
     ///
-    /// [`Error::Graph`] for a duplicate unit name and
-    /// [`Error::Transaction`] for a target the transaction cannot
-    /// expand; a failed build leaves the memo as it was.
+    /// [`Error::Graph`] for a duplicate unit name, and
+    /// [`Error::Transaction`] for a target the transaction cannot expand
+    /// or a completion unit that is undefined or outside the
+    /// transaction; a failed build leaves the memo as it was.
     pub fn unit_plan(&self) -> Result<Arc<UnitPlan>, Error> {
         let mut slot = self.unit_plan_slot.lock();
         if let Some(plan) = slot
             .as_ref()
-            .filter(|p| p.built_from(&self.units, &self.target))
+            .filter(|p| p.built_from(&self.units, &self.target, &self.completion))
         {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(UnitPlan::build(&self.units, &self.target)?);
+        let plan = Arc::new(UnitPlan::build(
+            &self.units,
+            &self.target,
+            &self.completion,
+        )?);
         *slot = Some(Arc::clone(&plan));
         Ok(plan)
     }
@@ -184,10 +238,9 @@ pub struct BootPlanIr {
     pub module_strategy: ModuleStrategy,
     /// Service workload bodies keyed by `ExecStart=` (read-only input).
     pub workloads: Arc<WorkloadMap>,
-    /// The scenario's unit graph, transaction and dispatch order.
+    /// The scenario's unit graph, transaction, dispatch order,
+    /// completion and BB Group.
     pub unit_plan: Arc<UnitPlan>,
-    /// Units whose readiness defines boot completion.
-    pub completion: Vec<UnitName>,
     /// Plan overrides (isolation, priorities, dispatch order, …).
     pub overrides: PlanOverrides,
     /// Serial init-phase task table.
@@ -200,26 +253,23 @@ pub struct BootPlanIr {
     pub manager_costs: ManagerCosts,
     /// Parse cost parameters (kept for passes that recompute `load`).
     pub parse_params: ParseCostParams,
-    /// Pre-parser measurements of the unit set.
+    /// Pre-parser measurements of the unit set (the unit plan's, unless
+    /// [`Pipeline::plan`] was handed others).
     pub pre: PreParser,
     /// Whether the RCU Booster mode switch is installed at kernel boot.
     pub boost_rcu: bool,
 }
 
 impl BootPlanIr {
-    /// Builds the conventional-shape IR for `scenario`.
-    ///
-    /// `pre` supplies pre-built [`PreParser`] measurements (the
-    /// sweep-amortized path); when `None` they are measured here.
+    /// Builds the conventional-shape IR for `scenario`, with `pre` in
+    /// place of the unit plan's Pre-parser sizes when given.
     fn from_scenario(
         scenario: &Scenario,
         cfg: &BbConfig,
         pre: Option<&PreParser>,
     ) -> Result<Self, Error> {
         let unit_plan = scenario.unit_plan()?;
-        let pre = pre
-            .copied()
-            .unwrap_or_else(|| PreParser::build(&scenario.units));
+        let pre = pre.copied().unwrap_or(unit_plan.pre);
         let mut kernel = scenario.kernel.clone();
         kernel.defer_memory = false;
         kernel.defer_initcalls = false;
@@ -238,7 +288,6 @@ impl BootPlanIr {
             },
             workloads: Arc::clone(&scenario.workloads),
             unit_plan,
-            completion: scenario.completion.clone(),
             overrides: PlanOverrides::default(),
             init_tasks,
             service_phase_tasks: bootup_engine::service_phase_tasks(&BbConfig::conventional()),
@@ -606,7 +655,7 @@ impl PlanPass for GroupIsolator {
     }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let units = &ir.unit_plan;
-        let group = service_engine::identify_bb_group(&units.graph, &ir.completion);
+        let group = &units.bb_group;
         let mut d = PassDelta::new(self.name());
         d.units_touched = group.len();
         // Count the ordering in-edges the engine's isolation filter will
@@ -614,7 +663,7 @@ impl PlanPass for GroupIsolator {
         // dst) like the engine's per-dependency dedup) and estimate the
         // wait the stripped gates no longer impose on the group chain.
         let mut stripped_srcs: BTreeSet<usize> = BTreeSet::new();
-        for &j in &group {
+        for &j in group {
             let mut seen = BTreeSet::new();
             for e in units.graph.ordering_in_edges(j) {
                 if !units.transaction.jobs.contains(&e.src) {
@@ -634,7 +683,7 @@ impl PlanPass for GroupIsolator {
         // Stripped prerequisites still run, just concurrently with the
         // group instead of ahead of it.
         d.estimated_saving = gate_cost.scale(1.0 / ir.cores() as f64);
-        ir.overrides.isolate = group;
+        ir.overrides.isolate = group.clone();
         d
     }
 }
@@ -658,14 +707,14 @@ impl PlanPass for BbManagerPriority {
         // Passes never reshape the transaction, so the unit plan's
         // order is current.
         let units = Arc::clone(&ir.unit_plan);
-        let group = service_engine::identify_bb_group(&units.graph, &ir.completion);
+        let group = &units.bb_group;
         let order = &units.execution_order;
         ir.overrides.dispatch_first = order
             .iter()
             .copied()
             .filter(|j| group.contains(j))
             .collect();
-        for &j in &group {
+        for &j in group {
             ir.overrides.nice.insert(j, service_engine::BB_GROUP_NICE);
             ir.overrides
                 .io_class
@@ -758,6 +807,10 @@ impl Pipeline {
 
     /// Builds the IR for `scenario` and runs the enabled passes over it,
     /// returning the transformed plan and the per-pass deltas.
+    ///
+    /// `pre`, when given, stands in for the unit plan's Pre-parser
+    /// sizes; a layer replay that times [`PreParser::build`] on its own
+    /// passes the sizes it measured. Every other caller passes `None`.
     pub fn plan(
         &self,
         scenario: &Scenario,
@@ -855,7 +908,7 @@ pub(crate) fn execute_suffix(
     let plan = BootPlan {
         graph: &units.graph,
         transaction: &units.transaction,
-        completion: &ir.completion,
+        completion: &units.completion,
         overrides: &ir.overrides,
         init_tasks: &ir.init_tasks,
         service_phase_tasks: &ir.service_phase_tasks,
@@ -984,6 +1037,9 @@ mod tests {
                 "fasttv.service"
             ]
         );
+        // Both BB-group passes act on the group the unit plan holds.
+        assert_eq!(o.isolate, ir.unit_plan.bb_group);
+        assert!(o.nice.keys().eq(&ir.unit_plan.bb_group));
         assert!(o.nice.values().all(|&n| n == service_engine::BB_GROUP_NICE));
         assert!(o
             .io_class
@@ -1078,6 +1134,70 @@ mod tests {
                 bb_init::TransactionError::UnknownTarget(_)
             ))
         ));
+    }
+
+    #[test]
+    fn edited_completion_plans_afresh() {
+        let p = Pipeline::standard();
+        let s = mini_tv();
+        let (ir, _) = p.plan(&s, &BbConfig::full(), None).unwrap();
+        let graph = &ir.unit_plan.graph;
+        assert_eq!(ir.unit_plan.completion, [graph.idx_of("fasttv.service")]);
+        // A clone given another completion unit: its group shrinks.
+        let mut copy = s.clone();
+        copy.completion = vec![UnitName::new("dbus.service")];
+        let (edited, _) = p.plan(&copy, &BbConfig::full(), None).unwrap();
+        let graph = &edited.unit_plan.graph;
+        assert_eq!(edited.unit_plan.completion, [graph.idx_of("dbus.service")]);
+        assert_eq!(
+            edited.unit_plan.bb_group,
+            [graph.idx_of("var.mount"), graph.idx_of("dbus.service")].into()
+        );
+        // The scenario itself, edited in place.
+        let mut s = s;
+        s.completion.push(UnitName::new("store.service"));
+        let (grown, _) = p.plan(&s, &BbConfig::full(), None).unwrap();
+        assert!(!Arc::ptr_eq(&grown.unit_plan, &ir.unit_plan));
+        assert_eq!(grown.unit_plan.completion.len(), 2);
+        assert_eq!(grown.unit_plan.bb_group.len(), 5);
+    }
+
+    #[test]
+    fn a_completion_unit_outside_the_transaction_is_an_error() {
+        let p = Pipeline::standard();
+        let mut s = mini_tv();
+        s.completion = vec![UnitName::new("nosuch.service")];
+        assert!(matches!(
+            p.plan(&s, &BbConfig::full(), None),
+            Err(Error::Transaction(TransactionError::UnknownCompletion(n)))
+                if n.as_str() == "nosuch.service"
+        ));
+        // Defined, but the target does not pull it in.
+        s.target = "dbus.service".into();
+        s.completion = vec![UnitName::new("fasttv.service")];
+        assert!(matches!(
+            p.plan(&s, &BbConfig::conventional(), None),
+            Err(Error::Transaction(TransactionError::CompletionNotInTransaction(n)))
+                if n.as_str() == "fasttv.service"
+        ));
+        // A failed build leaves no plan behind.
+        s.completion = vec![UnitName::new("dbus.service")];
+        let (ir, _) = p.plan(&s, &BbConfig::full(), None).unwrap();
+        assert_eq!(ir.unit_plan.bb_group.len(), 2);
+    }
+
+    #[test]
+    fn a_supervised_copy_measures_its_own_sizes() {
+        use bb_init::RestartPolicy;
+        let s = mini_tv();
+        let plain = s.unit_plan().unwrap();
+        assert_eq!(plain.pre, PreParser::build(&s.units));
+        let supervised = crate::with_supervision(&s, RestartPolicy::OnFailure, 50, 3);
+        let own = supervised.unit_plan().unwrap();
+        assert_eq!(own.pre, PreParser::build(&supervised.units));
+        // The supervision fields ride in the blob's v2 tail.
+        assert!(own.pre.blob_bytes > plain.pre.blob_bytes);
+        assert_eq!(own.pre.unit_count, plain.pre.unit_count);
     }
 
     #[test]

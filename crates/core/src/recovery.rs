@@ -37,6 +37,7 @@ use bb_init::{blob_content_hash, decode_units, unit_set_hash, LoadModel};
 use bb_sim::{AccessPattern, CorruptionPlan, DeviceProfile, SimDuration};
 
 use crate::booster::Scenario;
+use crate::error::Error;
 use crate::service_engine::{ParseCostParams, PreParser};
 
 /// How many times a transiently failing artifact read is retried before
@@ -281,14 +282,14 @@ fn preparse_penalty(
 
 /// Validates a pre-parse blob read against the scenario's current unit
 /// set: bounded transient-read retries, then container/CRC validation,
-/// then the content-hash staleness check. `Ok` carries the retry bill
-/// of a usable blob, `Err` the priced rejection (`pre` measures the
-/// scenario's units, for pricing it).
+/// then the content-hash staleness check. `Ok(Ok(..))` carries the
+/// retry bill of a usable blob, `Ok(Err(..))` the rejection, priced
+/// with the sizes of the scenario's unit plan; `Err` is the error of
+/// building that plan, which the boot would have failed on anyway.
 pub(crate) fn validate_preparse_blob(
     read: &ArtifactRead,
     scenario: &Scenario,
-    pre: &PreParser,
-) -> Result<Option<RecoveryEvent>, RecoveryEvent> {
+) -> Result<Result<Option<RecoveryEvent>, RecoveryEvent>, Error> {
     let reason = if let Some(reason) = read.unreadable() {
         reason
     } else if let Err(e) = decode_units(&read.bytes) {
@@ -299,17 +300,18 @@ pub(crate) fn validate_preparse_blob(
         let found = blob_content_hash(&read.bytes).expect("container was just validated");
         let expected = unit_set_hash(&scenario.units);
         if found == expected {
-            return Ok(read.retried(ArtifactKind::PreparseBlob));
+            return Ok(Ok(read.retried(ArtifactKind::PreparseBlob)));
         }
         RecoveryReason::Stale { found, expected }
     };
-    let penalty = preparse_penalty(pre, &scenario.parse_params, &scenario.storage);
-    Err(read.recovery(
+    let pre = scenario.unit_plan()?.pre;
+    let penalty = preparse_penalty(&pre, &scenario.parse_params, &scenario.storage);
+    Ok(Err(read.recovery(
         ArtifactKind::PreparseBlob,
         reason,
         RecoveryAction::Reparsed,
         penalty,
-    ))
+    )))
 }
 
 #[cfg(test)]
@@ -329,9 +331,8 @@ mod tests {
     #[test]
     fn clean_artifact_is_accepted_silently() {
         let s = mini_tv();
-        let pre = PreParser::build(&s.units);
         let read = ArtifactRead::clean(blob(&s));
-        assert_eq!(validate_preparse_blob(&read, &s, &pre), Ok(None));
+        assert_eq!(validate_preparse_blob(&read, &s).unwrap(), Ok(None));
         let boot = BootRequest::new(&s).artifact(&read).run().unwrap();
         assert!(boot.recoveries.is_empty());
     }
@@ -370,10 +371,9 @@ mod tests {
         let mut other = mini_tv();
         std::sync::Arc::make_mut(&mut other.units).pop();
         let s = mini_tv();
-        let pre = PreParser::build(&s.units);
         // A valid blob from a *different* unit generation.
         let read = ArtifactRead::clean(blob(&other));
-        let Err(ev) = validate_preparse_blob(&read, &s, &pre) else {
+        let Err(ev) = validate_preparse_blob(&read, &s).unwrap() else {
             panic!("stale blob must be rejected");
         };
         assert!(matches!(

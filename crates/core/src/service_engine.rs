@@ -11,20 +11,14 @@ use bb_sim::{AccessPattern, SimDuration};
 // ---------------------------------------------------------------------
 
 /// Identifies the BB Group: the boot-critical services spanning from the
-/// boot-completion definition (§3.3). Follows strong requirements and
-/// self-declared `After=` orderings; foreign declarations are excluded
-/// by construction, so developers cannot "play games with the critical
-/// path by creating false dependencies".
-pub fn identify_bb_group(graph: &UnitGraph, completion: &[UnitName]) -> BTreeSet<usize> {
-    let seeds: Vec<usize> = completion
-        .iter()
-        .map(|n| {
-            graph
-                .idx(n)
-                .unwrap_or_else(|| panic!("completion unit {n} not defined"))
-        })
-        .collect();
-    graph.strong_closure(seeds)
+/// boot-completion definition (§3.3), given as graph indices. Follows
+/// strong requirements and self-declared `After=` orderings; foreign
+/// declarations are excluded by construction, so developers cannot
+/// "play games with the critical path by creating false dependencies".
+/// A scenario's group is computed once, into its
+/// [`crate::pipeline::UnitPlan`].
+pub fn identify_bb_group(graph: &UnitGraph, completion: &[usize]) -> BTreeSet<usize> {
+    graph.strong_closure(completion.iter().copied())
 }
 
 /// Nice value the Booting Booster Manager gives BB Group processes.
@@ -64,9 +58,9 @@ impl Default for ParseCostParams {
 }
 
 /// Pre-computed Pre-parser measurements for a unit set: the byte sizes
-/// that drive the boot-time [`LoadModel`], captured once so thousands
-/// of boots of the same scenario (a bb-fleet sweep) do not measure the
-/// unit-file text or the binary cache per boot.
+/// that drive the boot-time [`LoadModel`]. A scenario's
+/// [`crate::pipeline::UnitPlan`] measures them once, so no boot of it
+/// measures the unit-file text or the binary cache again.
 ///
 /// Built from *real* byte counts: the unit-file text
 /// [`Unit::to_unit_file`] renders for the conventional path and the
@@ -84,9 +78,8 @@ pub struct PreParser {
 }
 
 impl PreParser {
-    /// Measures `units` once, without allocating: a walk of every unit
-    /// through the renderer and the encoder, which a sweep amortizes
-    /// across boots.
+    /// Measures `units` without allocating: a walk of every unit
+    /// through the renderer and the encoder.
     ///
     /// The blob's constant integrity envelope (content hash + CRC,
     /// [`bb_init::INTEGRITY_OVERHEAD`]) is excluded from the modelled
@@ -286,7 +279,7 @@ mod tests {
     #[test]
     fn bb_group_is_the_strong_closure_of_completion() {
         let g = UnitGraph::build(tv_units()).unwrap();
-        let group = identify_bb_group(&g, &[UnitName::new("fasttv.service")]);
+        let group = identify_bb_group(&g, &[g.idx_of("fasttv.service")]);
         let names: Vec<&str> = group.iter().map(|&i| g.unit(i).name.as_str()).collect();
         assert_eq!(
             names,

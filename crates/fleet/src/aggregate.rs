@@ -595,31 +595,14 @@ impl SweepReport {
         let _ = writeln!(out, "total boots aggregated: {}", self.total_boots);
         out
     }
-
-    /// Compares this report against a previously saved JSON baseline.
-    /// Entries whose mean drifted more than `tolerance_pct` percent are
-    /// flagged as regressions (slower) or improvements (faster).
-    pub fn diff_baseline(
-        &self,
-        baseline_json: &str,
-        tolerance_pct: f64,
-    ) -> Result<Vec<DiffEntry>, json::JsonError> {
-        let baseline = json::parse(baseline_json)?;
-        let rows = self.cells.iter().flat_map(|cell| {
-            cell.configs
-                .iter()
-                .map(move |cfg| (cell.label.clone(), cfg.label.clone(), cfg.mean_ns / 1e6))
-        });
-        diff_rows(rows, &baseline, tolerance_pct)
-    }
 }
 
-/// Compares a saved `bb-fleet-v1` document against a baseline document
-/// without reconstructing the report — what `bbsim submit --baseline`
-/// runs on the streamed artifact. Means are read back from the
-/// document's fixed `{:.3}` formatting, so a verdict sitting exactly
-/// on the tolerance edge can differ from the in-process
-/// [`SweepReport::diff_baseline`] by one rounding ulp.
+/// Compares a saved `bb-fleet-v1` document against a baseline document.
+/// Each (cell, config) mean that drifted more than `tolerance_pct`
+/// percent is flagged as a regression (slower) or an improvement
+/// (faster). `bbsim sweep --baseline` and `bbsim submit --baseline` both
+/// diff the rendered document, so both read the same `{:.3}` means and
+/// reach the same verdicts.
 pub fn diff_baseline_json(
     current_json: &str,
     baseline_json: &str,
@@ -627,94 +610,62 @@ pub fn diff_baseline_json(
 ) -> Result<Vec<DiffEntry>, json::JsonError> {
     let current = json::parse(current_json)?;
     let baseline = json::parse(baseline_json)?;
-    let cells = current
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or(json::JsonError {
-            pos: 0,
-            msg: "report has no cells array".into(),
-        })?;
-    let mut rows = Vec::new();
-    for cell in cells {
-        let label = cell
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_owned();
-        for cfg in cell.get("configs").and_then(Json::as_arr).unwrap_or(&[]) {
-            let cfg_label = cfg
-                .get("label")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned();
-            let mean_ms = cfg.get("mean_ms").and_then(Json::as_f64).unwrap_or(0.0);
-            rows.push((label.clone(), cfg_label, mean_ms));
-        }
-    }
-    diff_rows(rows.into_iter(), &baseline, tolerance_pct)
-}
-
-/// The shared comparison: each row is `(cell label, config label,
-/// current mean ms)`, looked up against the baseline document's cells.
-fn diff_rows(
-    rows: impl Iterator<Item = (String, String, f64)>,
-    baseline: &Json,
-    tolerance_pct: f64,
-) -> Result<Vec<DiffEntry>, json::JsonError> {
-    let cells = baseline
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or(json::JsonError {
-            pos: 0,
-            msg: "baseline has no cells array".into(),
-        })?;
+    let current_cells = cells_of(&current, "report")?;
+    let baseline_cells = cells_of(&baseline, "baseline")?;
     let mut diffs = Vec::new();
-    for (cell_label, cfg_label, current_ms) in rows {
-        let base_mean_ms = cells
-            .iter()
-            .find(|c| c.get("label").and_then(Json::as_str) == Some(cell_label.as_str()))
-            .and_then(|bc| bc.get("configs"))
-            .and_then(Json::as_arr)
-            .and_then(|cfgs| {
-                cfgs.iter()
-                    .find(|c| c.get("label").and_then(Json::as_str) == Some(cfg_label.as_str()))
-            })
-            .and_then(|c| c.get("mean_ms"))
-            .and_then(Json::as_f64);
-        diffs.push(match base_mean_ms {
-            None => DiffEntry {
-                cell: cell_label,
-                config: cfg_label,
-                baseline_ms: None,
-                current_ms,
-                delta_pct: None,
-                verdict: DiffVerdict::NewCell,
-            },
-            Some(base) => {
-                let delta_pct = if base > 0.0 {
+    for cell in current_cells {
+        let label = cell.get("label").and_then(Json::as_str).unwrap_or_default();
+        for cfg in cell.get("configs").and_then(Json::as_arr).unwrap_or(&[]) {
+            let cfg_label = cfg.get("label").and_then(Json::as_str).unwrap_or_default();
+            let current_ms = cfg.get("mean_ms").and_then(Json::as_f64).unwrap_or(0.0);
+            let baseline_ms = labeled(baseline_cells, label)
+                .and_then(|c| c.get("configs"))
+                .and_then(Json::as_arr)
+                .and_then(|cfgs| labeled(cfgs, cfg_label))
+                .and_then(|c| c.get("mean_ms"))
+                .and_then(Json::as_f64);
+            let delta_pct = baseline_ms.map(|base| {
+                if base > 0.0 {
                     100.0 * (current_ms - base) / base
                 } else {
                     0.0
-                };
-                let verdict = if delta_pct > tolerance_pct {
-                    DiffVerdict::Regression
-                } else if delta_pct < -tolerance_pct {
-                    DiffVerdict::Improvement
-                } else {
-                    DiffVerdict::Unchanged
-                };
-                DiffEntry {
-                    cell: cell_label,
-                    config: cfg_label,
-                    baseline_ms: Some(base),
-                    current_ms,
-                    delta_pct: Some(delta_pct),
-                    verdict,
                 }
-            }
-        });
+            });
+            let verdict = match delta_pct {
+                None => DiffVerdict::NewCell,
+                Some(d) if d > tolerance_pct => DiffVerdict::Regression,
+                Some(d) if d < -tolerance_pct => DiffVerdict::Improvement,
+                Some(_) => DiffVerdict::Unchanged,
+            };
+            diffs.push(DiffEntry {
+                cell: label.to_owned(),
+                config: cfg_label.to_owned(),
+                baseline_ms,
+                current_ms,
+                delta_pct,
+                verdict,
+            });
+        }
     }
     Ok(diffs)
+}
+
+/// The `cells` array of a `bb-fleet-v1` document (`what` names the
+/// document in the error).
+fn cells_of<'a>(doc: &'a Json, what: &str) -> Result<&'a [Json], json::JsonError> {
+    doc.get("cells")
+        .and_then(Json::as_arr)
+        .ok_or(json::JsonError {
+            pos: 0,
+            msg: format!("{what} has no cells array"),
+        })
+}
+
+/// The entry of a document array whose `label` is `label`.
+fn labeled<'a>(entries: &'a [Json], label: &str) -> Option<&'a Json> {
+    entries
+        .iter()
+        .find(|e| e.get("label").and_then(Json::as_str) == Some(label))
 }
 
 /// How one (cell, config) mean compares against the baseline.
@@ -882,25 +833,31 @@ mod tests {
         let mut agg = Aggregator::new(&spec);
         agg.accept(Ok(output(0, 0, 5, &[8_000_000_000, 3_000_000_000])));
         agg.accept(Ok(output(0, 1, 6, &[9_000_000_000, 3_200_000_000])));
-        let report = agg.finalize();
-        let baseline = report.to_json();
+        let report = agg.finalize().to_json();
+        let diff = |baseline: &str| diff_baseline_json(&report, baseline, 1.0);
 
         // Same data → everything unchanged.
-        let diffs = report.diff_baseline(&baseline, 1.0).unwrap();
+        let diffs = diff(&report).unwrap();
+        assert_eq!(diffs.len(), 2);
         assert!(diffs.iter().all(|d| d.verdict == DiffVerdict::Unchanged));
 
-        // A much faster baseline → we look like a regression.
-        let fast = baseline.replace("\"mean_ms\": 8500.000", "\"mean_ms\": 4000.000");
-        let diffs = report.diff_baseline(&fast, 1.0).unwrap();
+        // A much faster baseline → we look like a regression; a much
+        // slower one → an improvement.
+        let fast = report.replace("\"mean_ms\": 8500.000", "\"mean_ms\": 4000.000");
+        let diffs = diff(&fast).unwrap();
         assert_eq!(diffs[0].verdict, DiffVerdict::Regression);
         assert!(diffs[0].to_string().contains('%'));
+        let slow = report.replace("\"mean_ms\": 8500.000", "\"mean_ms\": 9000.000");
+        assert_eq!(diff(&slow).unwrap()[0].verdict, DiffVerdict::Improvement);
 
         // Unknown baseline cell → NewCell.
-        let diffs = report.diff_baseline("{\"cells\": []}", 1.0).unwrap();
+        let diffs = diff("{\"cells\": []}").unwrap();
         assert!(diffs.iter().all(|d| d.verdict == DiffVerdict::NewCell));
 
-        // Garbage baseline → error.
-        assert!(report.diff_baseline("not json", 1.0).is_err());
+        // Garbage or cell-less documents → error.
+        assert!(diff("not json").is_err());
+        assert!(diff("{}").is_err());
+        assert!(diff_baseline_json("{}", &report, 1.0).is_err());
     }
 
     #[test]

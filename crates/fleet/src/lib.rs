@@ -12,8 +12,8 @@
 //!   × seed list × config list, with optional fault-plan, corruption,
 //!   [`Supervision`], and fallback axes. One job boots every config of
 //!   one `(cell, plan, corruption, seed)` instance, sharing one
-//!   generated scenario and one [`bb_core::PreParser`] measurement
-//!   across the config axis.
+//!   generated scenario, and with it one unit plan
+//!   ([`bb_core::pipeline::UnitPlan`]), across the config axis.
 //! * [`service`] — [`FleetService`]: the persistent executor. Long-lived
 //!   workers, a central bounded work queue with per-client round-robin
 //!   fairness, `submit`/`poll`/`wait`/`cancel` tickets, per-client

@@ -59,6 +59,7 @@ use crate::service::{FleetService, Plan, ServiceConfig, ServiceReport, WorkItem}
 use crate::spec::{job_scenario, Job, ScenarioKey, SweepSpec};
 use bb_core::{
     fault_targets, ArtifactRead, Boot, BootRequest, Checkpoint, CheckpointPhase, PlanCache,
+    Scenario,
 };
 use bb_init::encode_units;
 use bb_sim::{CorruptionPlan, FaultPlan};
@@ -564,13 +565,13 @@ pub(crate) fn run_job(
         // plan and artifact, up front; a plain job's scenario waits for
         // its first miss.
         let mut built = supervised.then(fetch);
-        let faults = built.as_ref().and_then(|(scenario, _)| {
+        let faults = built.as_ref().and_then(|scenario| {
             cell.plan_seeds[job.plan_idx].map(|ps| FaultPlan::seeded(ps, &fault_targets(scenario)))
         });
         // A seeded corruption slot damages the scenario's own encoded
         // blob and makes the read transiently flaky, both derived from
         // the seed; the pristine slot stages no artifact at all.
-        let artifact = built.as_ref().and_then(|(scenario, _)| {
+        let artifact = built.as_ref().and_then(|scenario| {
             cell.corruption_seeds[job.corr_idx].map(|cs| {
                 ArtifactRead::corrupted(encode_units(&scenario.units), &CorruptionPlan::seeded(cs))
                     .flaky(transient_reads(cs))
@@ -615,7 +616,7 @@ pub(crate) fn run_job(
                     None => {}
                 }
             }
-            let (scenario, pre) = &*built.get_or_insert_with(fetch);
+            let scenario: &Arc<Scenario> = built.get_or_insert_with(fetch);
             // Forked mode: one checkpoint per distinct (scenario, prefix
             // key), memoized service-wide in the FleetCache. Every boot
             // resumes (the first included), so forked ≡ unforked reduces
@@ -630,7 +631,6 @@ pub(crate) fn run_job(
                     None => {
                         let forked = BootRequest::new(scenario)
                             .config(*cfg)
-                            .prepared(pre)
                             .machine_builder(&mut *builder)
                             .plan_cache(&cache.plans, scenario)
                             .checkpoint_at(CheckpointPhase::KernelHandoff)
@@ -644,7 +644,6 @@ pub(crate) fn run_job(
             };
             let mut request = BootRequest::new(scenario)
                 .config(*cfg)
-                .prepared(pre)
                 .machine_builder(&mut *builder);
             if !supervised {
                 request = request.plan_cache(&cache.plans, scenario);

@@ -68,8 +68,8 @@ use crate::aggregate::Aggregator;
 use crate::chaos::{self, ChaosOutcome};
 use crate::json;
 use crate::pool::{lock, run_job, FleetCache, JobResult, PoolStats, SweepOutcome, WorkerStats};
-use crate::spec::{Built, Job, ScenarioKey, SweepSpec};
-use bb_core::PlanCacheStats;
+use crate::spec::{Job, ScenarioKey, SweepSpec};
+use bb_core::{PlanCacheStats, Scenario};
 
 /// Identifies a submitting client. The serve layer assigns one per
 /// connection; in-process callers pick their own (quotas and fairness
@@ -331,15 +331,19 @@ pub(crate) struct Plan {
     /// The ticket's scenario memo, the only way its jobs, plain and
     /// supervised, obtain a scenario. Workers use it outside the state
     /// lock, so it has a lock of its own.
-    scenarios: Mutex<HashMap<ScenarioKey, Built>>,
+    scenarios: Mutex<HashMap<ScenarioKey, Arc<Scenario>>>,
 }
 
 impl Plan {
-    /// The memoized `(scenario, preparser)` for `key`, building (outside
-    /// the lock) and inserting on a miss. On a racing double-build the
-    /// first insert wins, so every job of a key converges on one `Arc` —
-    /// the pointer identity the plan cache keys on.
-    pub(crate) fn scenario(&self, key: &ScenarioKey, build: impl FnOnce() -> Built) -> Built {
+    /// The memoized scenario for `key`, building (outside the lock) and
+    /// inserting on a miss. On a racing double-build the first insert
+    /// wins, so every job of a key converges on one `Arc` — the pointer
+    /// identity the plan cache keys on — and so on one unit plan.
+    pub(crate) fn scenario(
+        &self,
+        key: &ScenarioKey,
+        build: impl FnOnce() -> Arc<Scenario>,
+    ) -> Arc<Scenario> {
         if let Some(hit) = lock(&self.scenarios).get(key) {
             return hit.clone();
         }

@@ -4,10 +4,10 @@
 //! source (a synthetic Tizen workload or a fixed [`Scenario`]), the
 //! seeds to instantiate it with, and the [`BbConfig`]s to boot each
 //! instance under. One *job* is one `(cell, plan, corruption, seed)`
-//! slot: the worker builds the scenario once, measures its
-//! [`PreParser`] once, and boots every config against that shared
-//! template — the expensive regeneration work is amortized across the
-//! whole config axis instead of being paid per boot.
+//! slot: the worker builds the scenario once and boots every config
+//! against that shared template, which plans its units once — the
+//! expensive regeneration work is amortized across the whole config
+//! axis instead of being paid per boot.
 //!
 //! The fault-plan, corruption, supervision, and fallback axes are
 //! optional. A plain cell leaves all four at their defaults and boots
@@ -26,7 +26,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bb_core::booster::Scenario;
-use bb_core::{with_supervision, BbConfig, FallbackPolicy, PreParser};
+use bb_core::{with_supervision, BbConfig, FallbackPolicy};
 use bb_init::RestartPolicy;
 use bb_workloads::{tv_scenario_with, MachineProfile, TizenParams};
 
@@ -368,9 +368,6 @@ pub struct Job {
     pub seed_idx: usize,
 }
 
-/// A memoized scenario and its pre-parser measurement.
-pub(crate) type Built = (Arc<Scenario>, PreParser);
-
 /// What one job boots: the cell's source with the job's seed, plus the
 /// cell's supervision overlay. Jobs with equal keys boot identical
 /// scenarios, so the ticket's scenario memo, the boot-outcome memo and
@@ -442,21 +439,19 @@ impl Hash for ScenarioKey {
 
 /// Builds the scenario a job boots: the cell's own `Arc` for a `Fixed`
 /// cell, a freshly generated instance for a `Tizen` cell, with the
-/// cell's supervision overlay armed before the one [`PreParser`]
-/// measurement. Jobs call it through their ticket's scenario memo.
-pub(crate) fn job_scenario(cell: &CellSpec, seed: u64) -> Built {
+/// cell's supervision overlay armed. Jobs call it through their
+/// ticket's scenario memo.
+pub(crate) fn job_scenario(cell: &CellSpec, seed: u64) -> Arc<Scenario> {
     let scenario = match &cell.source {
         ScenarioSource::Fixed(s) => Arc::clone(s),
         ScenarioSource::Tizen { profile, params } => {
             Arc::new(tv_scenario_with(*profile, TizenParams { seed, ..*params }))
         }
     };
-    let scenario = match cell.supervision {
+    match cell.supervision {
         Some(s) => Arc::new(s.apply(&scenario)),
         None => scenario,
-    };
-    let pre = PreParser::build(&scenario.units);
-    (scenario, pre)
+    }
 }
 
 #[cfg(test)]
@@ -549,8 +544,8 @@ pub(crate) mod tests {
     #[test]
     fn tizen_jobs_regenerate_per_seed() {
         let cell = small_cell().seeds([10, 11]).conventional_vs_bb();
-        let (a, _) = job_scenario(&cell, 10);
-        let (b, _) = job_scenario(&cell, 11);
+        let a = job_scenario(&cell, 10);
+        let b = job_scenario(&cell, 11);
         // Different seeds draw different service durations.
         assert_ne!(
             format!("{:?}", a.workloads),

@@ -310,7 +310,7 @@ mod tests {
         }
         let transaction = Transaction::build(&graph, "boot.target").unwrap();
         let execution_order = transaction.execution_order(&graph);
-        let completion = vec![UnitName::new("b.service")];
+        let completion = [graph.idx_of("b.service")];
         let overrides = PlanOverrides::default();
         let plan = BootPlan {
             graph: &graph,

@@ -199,10 +199,11 @@ pub struct BootPlan<'g> {
     pub graph: &'g UnitGraph,
     /// The transaction to execute.
     pub transaction: &'g Transaction,
-    /// Units whose readiness defines boot completion (§2: "the video and
-    /// audio of a broadcast channel is played and it responds to remote
-    /// control inputs").
-    pub completion: &'g [UnitName],
+    /// Graph indices of the units whose readiness defines boot
+    /// completion (§2: "the video and audio of a broadcast channel is
+    /// played and it responds to remote control inputs"). Each must be a
+    /// job of the transaction.
+    pub completion: &'g [usize],
     /// Service-engine adjustments.
     pub overrides: &'g PlanOverrides,
     /// Serial init-phase tasks run before unit loading (Figure 6(b)).
@@ -591,16 +592,7 @@ pub fn run_boot(
     let completion_waits: Vec<Op> = plan
         .completion
         .iter()
-        .map(|name| {
-            let idx = graph
-                .idx(name)
-                .unwrap_or_else(|| panic!("completion unit {name} not in graph"));
-            assert!(
-                jobs.contains(&idx),
-                "completion unit {name} not in the transaction"
-            );
-            Op::WaitFlag(ready_flags[&idx])
-        })
+        .map(|j| Op::WaitFlag(ready_flags[j]))
         .chain([Op::SetFlag(boot_complete)])
         .collect();
     machine.spawn(ProcessSpec::new("boot-complete-watcher", completion_waits).with_nice(-20));
@@ -950,7 +942,7 @@ mod tests {
     /// tests build (and freely mutate) this and borrow a view per boot.
     struct TestPlan {
         transaction: Transaction,
-        completion: Vec<UnitName>,
+        completion: Vec<usize>,
         overrides: PlanOverrides,
         init_tasks: Vec<ManagerTask>,
         execution_order: Vec<usize>,
@@ -977,7 +969,7 @@ mod tests {
         let execution_order = transaction.execution_order(graph);
         TestPlan {
             transaction,
-            completion: completion.iter().map(|c| UnitName::new(*c)).collect(),
+            completion: completion.iter().map(|c| graph.idx_of(c)).collect(),
             overrides: PlanOverrides::default(),
             init_tasks: Vec::new(),
             execution_order,

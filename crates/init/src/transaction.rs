@@ -56,6 +56,11 @@ pub enum TransactionError {
     ConflictingJobs(UnitName, UnitName),
     /// An ordering cycle among required jobs that cannot be broken.
     OrderingCycle(Vec<UnitName>),
+    /// A boot-completion unit that the unit set does not define.
+    UnknownCompletion(UnitName),
+    /// A boot-completion unit that the target does not pull in, so no
+    /// job of the transaction ever makes it ready.
+    CompletionNotInTransaction(UnitName),
 }
 
 impl std::fmt::Display for TransactionError {
@@ -71,6 +76,12 @@ impl std::fmt::Display for TransactionError {
                     write!(f, " {u}")?;
                 }
                 Ok(())
+            }
+            TransactionError::UnknownCompletion(u) => {
+                write!(f, "completion unit {u} is not defined")
+            }
+            TransactionError::CompletionNotInTransaction(u) => {
+                write!(f, "completion unit {u} is not in the transaction")
             }
         }
     }

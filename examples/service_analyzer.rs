@@ -84,8 +84,8 @@ fn main() {
 
     // Highlight the BB Group if a completion-defining app is present.
     let completion = UnitName::new("fasttv.service");
-    let group: BTreeSet<usize> = if graph.idx(&completion).is_some() {
-        let g = identify_bb_group(&graph, std::slice::from_ref(&completion));
+    let group: BTreeSet<usize> = if let Some(j) = graph.idx(&completion) {
+        let g = identify_bb_group(&graph, &[j]);
         println!("\nBB Group from {completion}:");
         for &i in &g {
             println!("  {}", graph.unit(i).name);

@@ -1,5 +1,7 @@
 #!/bin/sh
-# Local CI gate: everything .github/workflows/ci.yml runs, in order.
+# The CI gate: every check, in order. .github/workflows/ci.yml runs
+# this script after installing the toolchain, so CI and a local run
+# are one definition.
 # Usage: scripts/ci.sh   (from anywhere inside the repo)
 set -eu
 

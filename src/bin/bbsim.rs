@@ -704,9 +704,8 @@ fn run_boot(args: Args) {
         println!("chrome trace written to {path} (open in chrome://tracing or Perfetto)");
     }
     if let Some(path) = &args.dot {
-        let graph = &scenario.unit_plan().expect("the scenario booted").graph;
-        let group = booting_booster::bb::identify_bb_group(graph, &scenario.completion);
-        std::fs::write(path, graph.to_dot(Some(&group))).expect("write dot");
+        let units = scenario.unit_plan().expect("the scenario booted");
+        std::fs::write(path, units.graph.to_dot(Some(&units.bb_group))).expect("write dot");
         println!("dependency graph written to {path}");
     }
 }
@@ -799,16 +798,20 @@ fn write_doc(path: &str, doc: &str, what: &str) {
     }
 }
 
-fn read_baseline(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
+/// Diffs a rendered sweep report against the baseline document at
+/// `path`, prints the drift, and exits 1 on a regression. The
+/// in-process sweep and `submit` both diff the rendered document, so
+/// they reach the same verdicts.
+fn check_baseline(report: &str, path: &str, tolerance: f64) {
+    let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read baseline {path}: {e}");
         exit(1);
-    })
-}
-
-/// Prints baseline drift and exits 1 on regression. Shared by the
-/// in-process sweep and `submit`.
-fn report_diffs(diffs: Vec<booting_booster::fleet::DiffEntry>, tolerance: f64) {
+    });
+    let diffs = booting_booster::fleet::diff_baseline_json(report, &baseline, tolerance)
+        .unwrap_or_else(|e| {
+            eprintln!("error: bad baseline or report JSON: {e}");
+            exit(1);
+        });
     let mut regressions = 0;
     for d in &diffs {
         if d.verdict != DiffVerdict::Unchanged {
@@ -879,14 +882,7 @@ fn run_grid_cmd(job: SweepArgs, local: LocalFlags) {
         }
     }
     if let Some(path) = &local.baseline {
-        let diffs = outcome
-            .report
-            .diff_baseline(&read_baseline(path), local.tolerance)
-            .unwrap_or_else(|e| {
-                eprintln!("error: bad baseline JSON: {e}");
-                exit(1);
-            });
-        report_diffs(diffs, local.tolerance);
+        check_baseline(&outcome.report.to_json(), path, local.tolerance);
     }
 }
 
@@ -1210,16 +1206,7 @@ fn run_submit_cmd(mut it: std::iter::Peekable<impl Iterator<Item = String>>) {
         }
     }
     if let Some(path) = &baseline {
-        let diffs = booting_booster::fleet::diff_baseline_json(
-            &result.report,
-            &read_baseline(path),
-            tolerance,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: bad baseline or report JSON: {e}");
-            exit(1);
-        });
-        report_diffs(diffs, tolerance);
+        check_baseline(&result.report, path, tolerance);
     }
     // A chaos grid that failed boots is a failed run, same as the
     // in-process `bbsim chaos`.

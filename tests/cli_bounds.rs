@@ -1,7 +1,9 @@
 //! `bbsim` refuses a `--services` or `--cores` count outside what the
 //! simulator can build, and a `--target` that is no unit name, with a
 //! usage message and exit status 2, before anything is sized or planned
-//! by it: no panic, no abort on a failed allocation.
+//! by it: no panic, no abort on a failed allocation. A `--completion`
+//! unit the boot can never reach fails planning instead: exit status 1
+//! with the transaction error, and no panic.
 
 use std::process::Command;
 
@@ -20,6 +22,26 @@ fn refused(cases: &[(&[&str], &str)]) {
             "bbsim {args:?} names the bad value: {stderr}"
         );
         assert!(stderr.contains("usage: bbsim"), "bbsim {args:?}: {stderr}");
+    }
+}
+
+/// Runs `bbsim` once per row; each run must exit 1 with a
+/// `transaction error:` line that says the row's text, and not panic.
+fn fails_to_plan(cases: &[(&[&str], &str)]) {
+    for &(args, says) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_bbsim"))
+            .args(args)
+            .output()
+            .expect("run bbsim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "bbsim {args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.contains("transaction error:") && l.contains(says)),
+            "bbsim {args:?} names the bad unit: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "bbsim {args:?}: {stderr}");
     }
 }
 
@@ -54,5 +76,21 @@ fn a_target_without_a_unit_suffix_prints_usage_and_exits_2() {
             ],
             no_suffix,
         ),
+    ]);
+}
+
+#[test]
+fn an_unreachable_completion_unit_fails_with_a_transaction_error() {
+    let units = ["--units", "examples/units", "--target", "tv-boot.target"];
+    let with = |extra: &[&'static str]| -> Vec<&'static str> {
+        units.iter().chain(extra).copied().collect()
+    };
+    let undefined = with(&["--completion", "nosuch.service"]);
+    let undefined_conventional = with(&["--completion", "nosuch.service", "--features", "none"]);
+    let not_pulled_in = with(&["--completion", "myapp.service"]);
+    fails_to_plan(&[
+        (&undefined, "nosuch.service is not defined"),
+        (&undefined_conventional, "nosuch.service is not defined"),
+        (&not_pulled_in, "myapp.service is not in the transaction"),
     ]);
 }

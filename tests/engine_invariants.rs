@@ -65,7 +65,7 @@ fn boot(w: &RandomWorkload, mode: EngineMode, cores: usize) -> booting_booster::
     });
     let device = machine.add_device("emmc", DeviceProfile::tv_emmc());
     let execution_order = transaction.execution_order(&graph);
-    let completion = vec![w.completion.clone()];
+    let completion = [graph.idx_of(w.completion.as_str())];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
         graph: &graph,

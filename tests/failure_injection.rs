@@ -72,7 +72,7 @@ fn boot(timeout_ms: u64) -> booting_booster::init::BootRecord {
     let mut s = setup();
     let workloads = wl(&mut s.machine);
     let execution_order = transaction.execution_order(&graph);
-    let completion = vec![UnitName::new("app.service")];
+    let completion = [graph.idx_of("app.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
         graph: &graph,
@@ -129,7 +129,7 @@ fn healthy_service_with_timeout_is_not_marked() {
         },
     );
     let execution_order = transaction.execution_order(&graph);
-    let completion = vec![UnitName::new("app.service")];
+    let completion = [graph.idx_of("app.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
         graph: &graph,
@@ -158,7 +158,7 @@ fn crashing_service_fails_loud_in_out_of_order_mode() {
     };
     let workloads = wl(&mut s.machine);
     let execution_order = transaction.execution_order(&graph);
-    let completion = vec![UnitName::new("app.service")];
+    let completion = [graph.idx_of("app.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
         graph: &graph,

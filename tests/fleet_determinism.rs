@@ -101,11 +101,15 @@ fn span_metrics_json_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn panicking_job_is_reported_and_sweep_completes() {
-    // A scenario whose completion unit does not exist panics inside the
-    // booster (identify_bb_group) when bb-group is enabled — the kind of
-    // poisoned cell a big sweep must survive.
-    let mut poisoned = tv_scenario_with(profiles::ue48h6200(), small_params(0));
-    poisoned.completion = vec![UnitName::new("no-such-unit.service")];
+    // A machine with no cores panics inside the simulator (Machine::new
+    // refuses it by assertion) — the kind of poisoned cell a big sweep
+    // must survive.
+    let mut panicking = tv_scenario_with(profiles::ue48h6200(), small_params(0));
+    panicking.machine.cores = 0;
+    // A completion unit that does not exist fails the plan instead: a
+    // transaction error, reported as a failed boost.
+    let mut undefined = tv_scenario_with(profiles::ue48h6200(), small_params(0));
+    undefined.completion = vec![UnitName::new("no-such-unit.service")];
 
     let spec = SweepSpec::new()
         .cell(
@@ -113,20 +117,32 @@ fn panicking_job_is_reported_and_sweep_completes() {
                 .seeds([1, 2])
                 .conventional_vs_bb(),
         )
-        .cell(CellSpec::fixed("poisoned", poisoned).config("bb", BbConfig::full()));
+        .cell(CellSpec::fixed("panicking", panicking).config("bb", BbConfig::full()))
+        .cell(CellSpec::fixed("undefined", undefined).config("bb", BbConfig::full()));
 
     let outcome = run_sweep(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh());
     // The healthy cell aggregated fully...
     assert_eq!(outcome.report.cells[0].completed, 2);
     assert_eq!(outcome.report.total_boots, 4);
-    // ...and the poisoned job is a reported failure, not a crash.
-    assert_eq!(outcome.report.failures.len(), 1);
-    let failure = &outcome.report.failures[0];
-    assert_eq!(failure.cell, "poisoned");
+    // ...and each poisoned job is a reported failure, not a crash.
+    let reasons: Vec<(&str, &str)> = outcome
+        .report
+        .failures
+        .iter()
+        .map(|f| (f.cell.as_str(), f.reason.as_str()))
+        .collect();
+    assert_eq!(reasons.len(), 2, "{reasons:?}");
+    let (cell, reason) = reasons[0];
+    assert_eq!(cell, "panicking");
     assert!(
-        failure.reason.starts_with("panic:") && failure.reason.contains("no-such-unit"),
-        "unexpected reason: {}",
-        failure.reason
+        reason.starts_with("panic:") && reason.contains("cores"),
+        "unexpected reason: {reason}"
+    );
+    let (cell, reason) = reasons[1];
+    assert_eq!(cell, "undefined");
+    assert!(
+        reason.starts_with("boost: transaction error:") && reason.contains("no-such-unit"),
+        "unexpected reason: {reason}"
     );
 }
 

@@ -186,7 +186,7 @@ proptest! {
             seed: 0,
         });
         let execution_order = transaction.execution_order(&graph);
-        let completion = vec![w.completion.clone()];
+        let completion = [graph.idx_of(w.completion.as_str())];
         let overrides = PlanOverrides::default();
         let plan = BootPlan {
             graph: &graph,

@@ -1,11 +1,15 @@
 //! Property tests of planning a scenario once.
 //!
 //! 1. Every config of a scenario shares the scenario's unit plan (its
-//!    graph, transaction and dispatch order), and a plan built on that
-//!    shared value is the plan a fresh scenario with the same units
-//!    makes: same graph edges and missing names, same transaction and
-//!    dropped jobs, same execution order, same overrides, pass deltas
-//!    and load model, and the same boot when executed.
+//!    graph, transaction, dispatch order, resolved completion, BB Group
+//!    and Pre-parser sizes), and a plan built on that shared value is
+//!    the plan a fresh scenario with the same units makes: same graph
+//!    edges and missing names, same transaction and dropped jobs, same
+//!    execution order, completion, group and sizes, same overrides,
+//!    pass deltas and load model, and the same boot when executed. The
+//!    sizes equal `PreParser::build` of the scenario's units, and the
+//!    completion and group equal the completion names resolved by hand
+//!    and their strong closure.
 //! 2. The Pre-parser's sizes, counted as the renderer and the encoder
 //!    write, equal the lengths of the rendered unit files and of the
 //!    encoded blob they stand for.
@@ -87,6 +91,17 @@ fn plans_like_a_fresh_scenario(
     prop_assert_eq!(&x.transaction.jobs, &y.transaction.jobs);
     prop_assert_eq!(&x.transaction.dropped_jobs, &y.transaction.dropped_jobs);
     prop_assert_eq!(&x.execution_order, &y.execution_order);
+    prop_assert_eq!(x.pre, y.pre);
+    prop_assert_eq!(x.pre, PreParser::build(&shared.units));
+    let by_hand: Vec<usize> = shared
+        .completion
+        .iter()
+        .map(|n| x.graph.idx(n).expect("the completion unit is defined"))
+        .collect();
+    prop_assert_eq!(&x.completion, &y.completion);
+    prop_assert_eq!(&x.completion, &by_hand);
+    prop_assert_eq!(&x.bb_group, &y.bb_group);
+    prop_assert_eq!(&x.bb_group, &x.graph.strong_closure(by_hand));
     prop_assert_eq!(&ir.overrides, &fresh_ir.overrides);
     prop_assert_eq!(&deltas, &fresh_deltas);
     prop_assert_eq!(ir.load, fresh_ir.load);

@@ -255,6 +255,10 @@ fn planner_matches_reference(units: Vec<Unit>) -> Result<Outcome, TestCaseError>
                 TransactionError::ConflictingJobs(..) => Outcome::Conflict,
                 TransactionError::OrderingCycle(_) => Outcome::HardCycle,
                 TransactionError::UnknownTarget(_) => unreachable!("the target is always defined"),
+                TransactionError::UnknownCompletion(_)
+                | TransactionError::CompletionNotInTransaction(_) => {
+                    unreachable!("a transaction alone resolves no completion")
+                }
             })
         }
         (got, reference) => Err(TestCaseError::fail(format!(

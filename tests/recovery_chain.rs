@@ -14,9 +14,7 @@
 
 use proptest::prelude::*;
 
-use booting_booster::bb::{
-    ArtifactRead, BbConfig, BootRequest, FallbackPolicy, PreParser, Scenario,
-};
+use booting_booster::bb::{ArtifactRead, BbConfig, BootRequest, FallbackPolicy, Scenario};
 use booting_booster::init::{decode_units, encode_units};
 use booting_booster::sim::{CorruptionPlan, FaultPlan};
 use booting_booster::workloads::{profiles, tv_scenario_with, TizenParams};
@@ -125,7 +123,6 @@ proptest! {
         flaky in 0u32..6,
     ) {
         let scenario = fixture_scenario();
-        let pre = PreParser::build(&scenario.units);
         let faults = FaultPlan::none();
         let policy = FallbackPolicy::default();
 
@@ -137,7 +134,6 @@ proptest! {
 
         let outcome = BootRequest::new(&scenario)
             .config(BbConfig::full())
-            .prepared(&pre)
             .artifact(&artifact)
             .faults(&faults)
             .fallback(policy)
@@ -154,7 +150,6 @@ proptest! {
         };
         let baseline = BootRequest::new(&scenario)
             .config(baseline_cfg)
-            .prepared(&pre)
             .faults(&faults)
             .fallback(policy)
             .run()

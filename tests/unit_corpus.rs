@@ -81,7 +81,7 @@ fn corpus_graph_is_clean_and_bb_group_matches() {
             .all(|f| !matches!(f, Finding::OrderingCycle(_))),
         "unexpected cycle: {findings:?}"
     );
-    let group = identify_bb_group(&graph, &[UnitName::new("fasttv.service")]);
+    let group = identify_bb_group(&graph, &[graph.idx_of("fasttv.service")]);
     let names: BTreeSet<&str> = group.iter().map(|&i| graph.unit(i).name.as_str()).collect();
     let expected: BTreeSet<&str> = [
         "var.mount",
@@ -112,7 +112,7 @@ fn corpus_boots_on_the_simulator() {
     let mut machine = Machine::new(MachineConfig::default());
     let device = machine.add_device("emmc", DeviceProfile::tv_emmc());
     let execution_order = transaction.execution_order(&graph);
-    let completion = vec![UnitName::new("fasttv.service")];
+    let completion = [graph.idx_of("fasttv.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
         graph: &graph,
