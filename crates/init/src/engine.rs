@@ -1274,6 +1274,94 @@ mod tests {
     }
 
     #[test]
+    fn escalating_to_a_job_of_the_transaction_rewrites_its_record() {
+        // b exhausts its one respawn and escalates to d, a job of the
+        // transaction that waits on b and so never readies itself. The
+        // escalation process carries d's name and sets d's own
+        // readiness flag; spawned after d's process, it is the process
+        // d's record reads.
+        let mut units = chain_units();
+        units[2] = svc("b.service")
+            .needs("a.service")
+            .with_type(ServiceType::Forking)
+            .with_restart(crate::unit::RestartPolicy::OnFailure)
+            .with_restart_sec_ms(20)
+            .with_start_limit_burst(1)
+            .on_failure("d.service");
+        units[4] = svc("d.service")
+            .needs("b.service")
+            .with_type(ServiceType::Forking);
+        let graph = UnitGraph::build(units).unwrap();
+        let mut s = setup(4);
+        s.machine.install_fault_plan(&bb_sim::FaultPlan {
+            faults: vec![bb_sim::Fault::CrashAtReadiness {
+                process: "b.service".into(),
+                hits: 10,
+            }],
+            seed: 0,
+        });
+        let p = plan(&graph, &["c.service"]);
+        let record = run_boot(&mut s.machine, &p.as_plan(&graph), &workloads(10), &s.cfg);
+        let at = |t: Option<SimTime>| t.map(SimTime::as_nanos);
+        let b = record.service("b.service");
+        assert_eq!(b.outcome(), UnitOutcome::Escalated);
+        assert_eq!((b.restarts, b.start_limit_hit, b.failed), (1, true, true));
+        assert_eq!(
+            (at(b.spawned), at(b.started), at(b.ready), at(b.finished)),
+            (Some(7_639_190), Some(20_239_190), None, None)
+        );
+        // d's own process never ran past its wait on b: every time in
+        // its record is the escalation's, and its readiness is the
+        // escalation's `SetFlag` on d's flag.
+        let d = record.service("d.service");
+        assert_eq!(d.outcome(), UnitOutcome::Clean);
+        assert_eq!(
+            (at(d.spawned), at(d.started), at(d.ready), at(d.finished)),
+            (
+                Some(66_239_190),
+                Some(66_239_190),
+                Some(79_239_190),
+                Some(79_239_190)
+            )
+        );
+        assert!(record.completion_time.is_none());
+    }
+
+    #[test]
+    fn a_start_timeout_releases_a_crashed_supervised_unit_before_its_respawn() {
+        let mut units = chain_units();
+        let mut b = svc("b.service")
+            .needs("a.service")
+            .with_type(ServiceType::Forking)
+            .with_restart(crate::unit::RestartPolicy::OnFailure)
+            .with_restart_sec_ms(100);
+        b.exec.timeout_ms = 40;
+        units[2] = b;
+        let graph = UnitGraph::build(units).unwrap();
+        let mut s = setup(4);
+        s.machine.install_fault_plan(&bb_sim::FaultPlan {
+            faults: vec![bb_sim::Fault::CrashAtReadiness {
+                process: "b.service".into(),
+                hits: 1,
+            }],
+            seed: 0,
+        });
+        let p = plan(&graph, &["c.service"]);
+        let record = run_boot(&mut s.machine, &p.as_plan(&graph), &workloads(10), &s.cfg);
+        // The watchdog forces b ready 40 ms after its spawn, before the
+        // respawn that follows the 100 ms backoff; c waits on the
+        // forced flag.
+        let b = record.service("b.service");
+        assert_eq!((b.restarts, b.timed_out, b.failed), (1, true, true));
+        assert_eq!(b.ready.map(SimTime::as_nanos), Some(47_639_190));
+        assert_eq!(b.outcome(), UnitOutcome::TimedOut);
+        assert_eq!(
+            record.completion_time.map(SimTime::as_nanos),
+            Some(60_639_190)
+        );
+    }
+
+    #[test]
     fn unsupervised_crash_is_attributed_as_failed() {
         let graph = UnitGraph::build(chain_units()).unwrap();
         let mut s = setup(4);

@@ -19,6 +19,11 @@
 //! * `chaos_s24_two_profiles.json` —
 //!   `bbsim chaos --profiles ue48h6200,galaxy-s6 --services 24 --seeds 2 --plans 1 --corruption 1`:
 //!   two cells, pinning multi-cell slot order.
+//! * `chaos_s136.json` —
+//!   `bbsim chaos --services 136 --seeds 1 --plans 2 --corruption 1`:
+//!   the shape of a served chaos ticket, twelve supervised boots of a
+//!   full-size TV, long enough for the engine's per-process
+//!   bookkeeping to matter, which the 24-service grids are not.
 //!
 //! Each grid is built in process the way the CLI builds it — through
 //! [`SweepArgs`], then `run_sweep` or `run_chaos` — and compared byte
@@ -112,6 +117,11 @@ const CHAOS_GOLDENS: &[(&str, &str, &[&str])] = &[
             "artifact rejected",
             "recovered after",
         ],
+    ),
+    (
+        "chaos_s136.json",
+        "--services 136 --seeds 1 --plans 2 --corruption 1",
+        &["artifact rejected", "recovered after 3 restart(s)"],
     ),
 ];
 
