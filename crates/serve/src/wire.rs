@@ -183,7 +183,8 @@ impl SweepArgs {
             ("--seed", _) => self.seed = Some(num("--seed", value("--seed")?)?),
             ("--features", JobKind::Sweep) => self.features = value("--features")?,
             ("--deadline-ms", _) if grid => {
-                self.deadline_ms = Some(num("--deadline-ms", value("--deadline-ms")?)?)
+                let ms = num("--deadline-ms", value("--deadline-ms")?)?;
+                self.deadline_ms = Some(self.check_deadline_ms(ms)?)
             }
             ("--fork-from", JobKind::Sweep) => match value("--fork-from")?.as_str() {
                 "kernel" | "kernel-handoff" => self.fork = true,
@@ -206,9 +207,13 @@ impl SweepArgs {
             }
             ("--restart", JobKind::Chaos) => self.restart = value("--restart")?,
             ("--restart-sec-ms", JobKind::Chaos) => {
-                self.restart_sec_ms = num("--restart-sec-ms", value("--restart-sec-ms")?)?
+                let ms = num("--restart-sec-ms", value("--restart-sec-ms")?)?;
+                self.restart_sec_ms = check_supervision("--restart-sec-ms", ms)?
             }
-            ("--burst", JobKind::Chaos) => self.burst = num("--burst", value("--burst")?)?,
+            ("--burst", JobKind::Chaos) => {
+                self.burst =
+                    check_supervision("--burst", num("--burst", value("--burst")?)?)? as u32
+            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -290,7 +295,10 @@ impl SweepArgs {
         args.services = uint(v, "services")?.map(|n| n as usize);
         args.cores = uint(v, "cores")?.map(|n| n as usize);
         args.seed = uint(v, "seed")?;
-        args.deadline_ms = uint(v, "deadline_ms")?;
+        args.deadline_ms = match uint(v, "deadline_ms")? {
+            Some(ms) => Some(args.check_deadline_ms(ms)?),
+            None => None,
+        };
         flag(v, "fork", &mut args.fork)?;
         flag(v, "dedup", &mut args.dedup)?;
         flag(v, "metrics", &mut args.metrics)?;
@@ -300,17 +308,28 @@ impl SweepArgs {
             ("plan_seed", &mut args.plan_seed),
             ("corruption", &mut args.corruption),
             ("corruption_seed", &mut args.corruption_seed),
-            ("restart_sec_ms", &mut args.restart_sec_ms),
         ] {
             if let Some(n) = uint(v, key)? {
                 *field = n;
             }
         }
+        if let Some(ms) = uint(v, "restart_sec_ms")? {
+            args.restart_sec_ms = check_supervision("--restart-sec-ms", ms)?;
+        }
         if let Some(n) = uint(v, "burst")? {
-            args.burst = u32::try_from(n)
-                .map_err(|_| format!("job field \"burst\" must be at most {}", u32::MAX))?;
+            args.burst = check_supervision("--burst", n)? as u32;
         }
         Ok(args)
+    }
+
+    /// A chaos job's `--deadline-ms` is the simulated fallback
+    /// deadline, so [`check_supervision`] bounds it; a sweep's is a
+    /// wall-clock job deadline and is taken as given.
+    fn check_deadline_ms(&self, ms: u64) -> Result<u64, String> {
+        match self.kind {
+            JobKind::Chaos => check_supervision("--deadline-ms", ms),
+            _ => Ok(ms),
+        }
     }
 
     /// Expands the job into its grid — the same grid `bbsim sweep` and
@@ -467,6 +486,33 @@ pub fn check_cores(cores: usize) -> Result<usize, String> {
         ));
     }
     Ok(cores)
+}
+
+/// The most respawns `--burst` may allow a service: twenty times
+/// systemd's default `StartLimitBurst=5`. Supervision spawns a watcher
+/// per allowed respawn, per service and boot, before anything crashes.
+const MAX_BURST: u64 = 100;
+
+/// The longest simulated span, in milliseconds, a chaos job's
+/// `--restart-sec-ms` backoff or `--deadline-ms` fallback deadline may
+/// name: one hour. Simulated time counts nanoseconds in a `u64`, which
+/// a millisecond count past ~1.8·10^13 would overflow.
+const MAX_SIM_MS: u64 = 3_600_000;
+
+/// Checks a chaos job's supervision knob `flag` (a CLI flag or a wire
+/// job's field): `--burst` against [`MAX_BURST`], the simulated spans
+/// `--restart-sec-ms` and `--deadline-ms` against [`MAX_SIM_MS`].
+fn check_supervision(flag: &str, value: u64) -> Result<u64, String> {
+    let (max, what) = match flag {
+        "--burst" => (MAX_BURST, "respawns a service may get"),
+        _ => (MAX_SIM_MS, "ms, one hour of simulated time"),
+    };
+    if value > max {
+        return Err(format!(
+            "{flag} {value} is out of range: at most {max} {what}"
+        ));
+    }
+    Ok(value)
 }
 
 /// Resolves a `--profiles` spec (`all` or a comma list, any
@@ -780,14 +826,42 @@ mod tests {
     }
 
     #[test]
-    fn burst_must_fit_32_bits() {
-        let job = |burst: u64| {
-            let line = format!(r#"{{"kind": "chaos", "burst": {burst}}}"#);
+    fn supervision_knobs_are_capped_where_they_enter() {
+        let job = |field: &str, value: u64| {
+            let line = format!(r#"{{"kind": "chaos", "{field}": {value}}}"#);
             SweepArgs::from_wire(&json::parse(&line).unwrap())
         };
-        assert_eq!(job(u64::from(u32::MAX)).unwrap().burst, u32::MAX);
-        let err = job(4_294_967_299).expect_err("2^32 + 3 must not wrap to 3");
-        assert!(err.contains("burst"), "{err}");
+        // Every allowed respawn is a watcher process per service and
+        // boot, so the cap applies before the value is narrowed or used:
+        // 2^32 + 3 must not wrap to 3 either.
+        assert_eq!(job("burst", 100).unwrap().burst, 100);
+        for burst in [101, u64::from(u32::MAX), 4_294_967_299] {
+            let err = job("burst", burst).expect_err("burst over the cap");
+            assert!(
+                err.starts_with(&format!("--burst {burst} is out of range")),
+                "{err}"
+            );
+        }
+        // Simulated spans stop at one hour, short of overflowing the
+        // nanosecond clock.
+        for field in ["restart_sec_ms", "deadline_ms"] {
+            assert!(job(field, 3_600_000).is_ok(), "{field}");
+            let err = job(field, 3_600_001).expect_err("span over the cap");
+            assert!(err.contains("is out of range"), "{field}: {err}");
+        }
+        // A sweep's deadline is wall-clock time and stays unbounded.
+        let line = r#"{"kind": "sweep", "deadline_ms": 18446744073709551615}"#;
+        assert!(SweepArgs::from_wire(&json::parse(line).unwrap()).is_ok());
+        // The CLI takes the same checks.
+        let mut cli = SweepArgs::new(JobKind::Chaos);
+        let mut refuse = |flag: &str, value: &str| {
+            let mut next = Some(value.to_string());
+            cli.parse_flag(flag, &mut || next.take())
+                .expect_err("over the cap")
+        };
+        assert!(refuse("--burst", "101").contains("out of range"));
+        assert!(refuse("--restart-sec-ms", "3600001").contains("out of range"));
+        assert!(refuse("--deadline-ms", "18446744073709551615").contains("out of range"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `bbsim` refuses a `--services` or `--cores` count outside what the
-//! simulator can build, and a `--target` that is no unit name, with a
-//! usage message and exit status 2, before anything is sized or planned
-//! by it: no panic, no abort on a failed allocation. A `--completion`
+//! simulator can build, a chaos `--burst`, `--restart-sec-ms` or
+//! `--deadline-ms` past its cap, and a `--target` that is no unit name,
+//! with a usage message and exit status 2, before anything is sized or
+//! planned by it: no panic, no abort on a failed allocation. A `--completion`
 //! unit the boot can never reach fails planning instead: exit status 1
 //! with the transaction error, and no panic.
 
@@ -57,6 +58,22 @@ fn out_of_range_counts_print_usage_and_exit_2() {
         (&["--services", "100000000000"], out_of_range),
         (&["sweep", "--services", "100000000000"], out_of_range),
         (&["chaos", "--services", "20001"], out_of_range),
+    ]);
+}
+
+#[test]
+fn out_of_range_supervision_knobs_print_usage_and_exit_2() {
+    let out_of_range = "is out of range: at most";
+    refused(&[
+        (&["chaos", "--burst", "101"], out_of_range),
+        (&["chaos", "--burst", "4294967295"], out_of_range),
+        (&["chaos", "--restart-sec-ms", "3600001"], out_of_range),
+        (
+            &["chaos", "--restart-sec-ms", "18446744073709551615"],
+            out_of_range,
+        ),
+        (&["chaos", "--deadline-ms", "20000000000000"], out_of_range),
+        (&["submit", "chaos", "--burst", "4294967295"], out_of_range),
     ]);
 }
 

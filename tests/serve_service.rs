@@ -262,7 +262,7 @@ fn oversized_grids_are_refused_and_the_server_survives() {
     let not_utf8 = b"{\"id\": 4, \"method\": \"stats\", \"x\": \"\xff\"}\n";
     // Each hostile line, the id its error echoes, and what the error
     // starts with and names.
-    let rows: [(&[u8], f64, &str, &str); 6] = [
+    let rows: [(&[u8], f64, &str, &str); 8] = [
         // 10^15 seeds would need petabytes of seed list: the server
         // must weigh the grid against its queue before building it.
         (
@@ -280,6 +280,24 @@ fn oversized_grids_are_refused_and_the_server_survives() {
             3.0,
             "--services 100000000000 is out of range",
             "24 (its backbone) to 20000",
+        ),
+        // A burst this large would ask a worker for ~4.3 billion
+        // watcher processes per service, and a backoff this long would
+        // overflow the simulated nanosecond clock: both are refused
+        // while the request is decoded.
+        (
+            b"{\"id\": 5, \"method\": \"submit\", \"job\": \
+             {\"kind\": \"chaos\", \"services\": 24, \"burst\": 4294967295}}\n",
+            0.0,
+            "--burst 4294967295 is out of range",
+            "at most 100",
+        ),
+        (
+            b"{\"id\": 6, \"method\": \"submit\", \"job\": \
+             {\"kind\": \"chaos\", \"services\": 24, \"restart_sec_ms\": 20000000000000}}\n",
+            0.0,
+            "--restart-sec-ms 20000000000000 is out of range",
+            "one hour of simulated time",
         ),
         // Nesting this deep must be an error, not a stack overflow on
         // the connection thread that aborts the whole server.
