@@ -1,13 +1,13 @@
 //! Experiment scenarios: full [`Scenario`]s assembled from machine
 //! profiles, kernel plans, and generated workloads.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bb_core::{ParseCostParams, Scenario, UnitPlanSlot};
 use bb_init::ManagerCosts;
 use bb_kernel::{
     synthetic_catalog, Criticality, Initcall, InitcallLevel, InitcallRegistry, KernelPlan,
-    MemoryPlan, RootfsPlan,
+    MemoryPlan, ModuleCatalog, RootfsPlan,
 };
 use bb_sim::{DeviceId, SimDuration, MIB};
 
@@ -52,6 +52,18 @@ pub fn tv_kernel_plan() -> KernelPlan {
     }
 }
 
+/// The TV's 408 loadable modules and the camera's 120.
+static TV_MODULES: OnceLock<Arc<ModuleCatalog>> = OnceLock::new();
+static CAMERA_MODULES: OnceLock<Arc<ModuleCatalog>> = OnceLock::new();
+
+/// The synthetic catalog of `n` modules held in `cell`, built on the
+/// first call and shared by every scenario after: it depends on the
+/// count alone, and no scenario mutates its catalog, so a sweep or a
+/// served ticket does not re-format its module names per scenario.
+fn shared_catalog(cell: &'static OnceLock<Arc<ModuleCatalog>>, n: usize) -> Arc<ModuleCatalog> {
+    Arc::clone(cell.get_or_init(|| Arc::new(synthetic_catalog(n))))
+}
+
 /// The headline scenario: the UE48H6200 running the commercialized
 /// (250-service) Tizen TV software stack with 408 loadable kernel
 /// modules — the configuration behind the paper's Figure 6.
@@ -74,7 +86,7 @@ pub fn tv_scenario_with(profile: MachineProfile, params: TizenParams) -> Scenari
         machine: profile.machine,
         storage: profile.storage,
         kernel: tv_kernel_plan(),
-        modules: Arc::new(synthetic_catalog(408)),
+        modules: shared_catalog(&TV_MODULES, 408),
         units: Arc::new(workload.units),
         workloads: Arc::new(workload.workloads),
         target: workload.target,
@@ -109,7 +121,7 @@ pub fn camera_scenario() -> Scenario {
         machine: profile.machine,
         storage: profile.storage,
         kernel,
-        modules: Arc::new(synthetic_catalog(120)),
+        modules: shared_catalog(&CAMERA_MODULES, 120),
         units: Arc::new(workload.units),
         workloads: Arc::new(workload.workloads),
         target: workload.target,
@@ -128,6 +140,16 @@ mod tests {
 
     fn boost(s: &Scenario, cfg: &BbConfig) -> Result<FullBootReport, bb_core::Error> {
         Ok(BootRequest::new(s).config(*cfg).run()?.report)
+    }
+
+    #[test]
+    fn fixed_catalogs_are_built_once_per_count() {
+        let tv = tv_scenario_open_source();
+        assert!(Arc::ptr_eq(&tv.modules, &tv_scenario().modules));
+        assert_eq!(tv.modules.modules.len(), 408);
+        let camera = camera_scenario();
+        assert!(Arc::ptr_eq(&camera.modules, &camera_scenario().modules));
+        assert_eq!(camera.modules.modules.len(), 120);
     }
 
     #[test]
