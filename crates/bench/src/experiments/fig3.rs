@@ -14,7 +14,7 @@
 
 use bb_core::service_engine::{analyze, Finding};
 use bb_init::{
-    run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
+    run_boot, BootPlan, EngineConfig, EngineMode, JobNames, LoadModel, ManagerCosts, PlanOverrides,
     ServiceBody, ServiceType, Transaction, TransactionError, Unit, UnitGraph, UnitName,
     WorkloadMap,
 };
@@ -75,6 +75,7 @@ fn boot_time(units: Vec<Unit>) -> SimTime {
         graph.idx_of(&format!("b{}.service", GROUP - 1)),
     ];
     let execution_order = transaction.execution_order(&graph);
+    let names = JobNames::build(&graph, &transaction);
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
         graph: &graph,
@@ -84,6 +85,7 @@ fn boot_time(units: Vec<Unit>) -> SimTime {
         init_tasks: &[],
         service_phase_tasks: &[],
         execution_order: &execution_order,
+        names: &names,
     };
     let cfg = EngineConfig {
         mode: EngineMode::InOrder,

@@ -7,7 +7,7 @@
 //! the performance ordering.
 
 use bb_init::{
-    run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
+    run_boot, BootPlan, EngineConfig, EngineMode, JobNames, LoadModel, ManagerCosts, PlanOverrides,
     Transaction, UnitGraph,
 };
 use bb_sim::{AccessPattern, Machine, SimDuration, SimTime};
@@ -45,6 +45,7 @@ fn run_mode(name: &'static str, mode: EngineMode) -> SchemeResult {
     let graph = UnitGraph::build(workload.units.clone()).expect("valid units");
     let transaction = Transaction::build(&graph, &workload.target).expect("acyclic");
     let execution_order = transaction.execution_order(&graph);
+    let names = JobNames::build(&graph, &transaction);
     let completion: Vec<usize> = workload
         .completion
         .iter()
@@ -59,6 +60,7 @@ fn run_mode(name: &'static str, mode: EngineMode) -> SchemeResult {
         init_tasks: &[],
         service_phase_tasks: &[],
         execution_order: &execution_order,
+        names: &names,
     };
     let cfg = EngineConfig {
         mode,

@@ -68,12 +68,12 @@ fn app_latencies(n: usize, deferred: bool, task_cost: SimDuration) -> Vec<SimDur
     }
     m.run();
     let tl = m.trace().process_timeline();
-    let mut latencies: Vec<(String, SimDuration)> = tl
+    let mut latencies: Vec<(&str, SimDuration)> = tl
         .values()
         .filter(|t| t.name.starts_with("app-"))
         .map(|t| {
             (
-                t.name.clone(),
+                &*t.name,
                 t.finished
                     .expect("apps finish")
                     .since(t.spawned.expect("apps spawn")),

@@ -30,10 +30,10 @@
 //! checkpoints and resumes.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use bb_init::{
-    run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, ManagerTask,
+    run_boot, BootPlan, EngineConfig, EngineMode, JobNames, LoadModel, ManagerCosts, ManagerTask,
     PlanOverrides, Transaction, TransactionError, Unit, UnitGraph, UnitName, WorkloadMap,
 };
 use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, KernelReport, ModuleCatalog};
@@ -68,6 +68,10 @@ pub struct UnitPlan {
     /// boot repeats the Kahn walk (plan tweaks only touch
     /// [`PlanOverrides`], which the order does not depend on).
     pub execution_order: Vec<usize>,
+    /// The names the engine gives the jobs' flags and processes,
+    /// formatted by the scenario's first boot and shared by every boot
+    /// after (planning alone needs none of them).
+    names: OnceLock<JobNames>,
     /// The completion definition as graph indices, in the scenario's
     /// order; every one is a job of the transaction.
     pub completion: Vec<usize>,
@@ -99,11 +103,18 @@ impl UnitPlan {
             graph,
             transaction,
             execution_order,
+            names: OnceLock::new(),
             completion,
             bb_group,
             units: Arc::clone(units),
             target: target.to_owned(),
         })
+    }
+
+    /// The jobs' flag and process names, formatted on first use.
+    pub(crate) fn names(&self) -> &JobNames {
+        self.names
+            .get_or_init(|| JobNames::build(&self.graph, &self.transaction))
     }
 
     /// Whether this plan was built from this very unit allocation, this
@@ -913,6 +924,7 @@ pub(crate) fn execute_suffix(
         init_tasks: &ir.init_tasks,
         service_phase_tasks: &ir.service_phase_tasks,
         execution_order: &units.execution_order,
+        names: units.names(),
     };
     let engine_cfg = EngineConfig {
         mode: EngineMode::InOrder,

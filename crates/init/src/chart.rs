@@ -280,6 +280,7 @@ mod tests {
         run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
         ServiceBody, WorkloadMap,
     };
+    use crate::names::JobNames;
     use crate::transaction::Transaction;
     use crate::unit::{ServiceType, Unit};
     use bb_sim::{AccessPattern, DeviceProfile, MachineConfig, OpsBuilder, SimDuration};
@@ -312,6 +313,7 @@ mod tests {
         let execution_order = transaction.execution_order(&graph);
         let completion = [graph.idx_of("b.service")];
         let overrides = PlanOverrides::default();
+        let names = JobNames::build(&graph, &transaction);
         let plan = BootPlan {
             graph: &graph,
             transaction: &transaction,
@@ -320,6 +322,7 @@ mod tests {
             init_tasks: &[],
             service_phase_tasks: &[],
             execution_order: &execution_order,
+            names: &names,
         };
         let cfg = EngineConfig {
             mode: EngineMode::InOrder,

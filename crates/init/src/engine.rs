@@ -20,12 +20,15 @@
 //! completion (Deferred Executor).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use bb_sim::{
-    AccessPattern, DeviceId, FlagId, Machine, Op, ProcessSpec, RunOutcome, SimDuration, SimTime,
+    AccessPattern, DeviceId, FlagId, Machine, Op, Pid, ProcessSpec, RunOutcome, SimDuration,
+    SimTime, TraceKind,
 };
 
 use crate::graph::UnitGraph;
+use crate::names::{JobNames, NameRole, OnFailure};
 use crate::transaction::Transaction;
 use crate::unit::{IoSchedulingClass, ServiceType, UnitName};
 
@@ -216,6 +219,10 @@ pub struct BootPlan<'g> {
     /// Kahn + SCC checks inside every boot. Out-of-order engines ignore
     /// it (they dispatch in name order by design).
     pub execution_order: &'g [usize],
+    /// The names of the jobs' flags and processes, formatted once
+    /// ([`JobNames::build`] from this graph and transaction) so a boot
+    /// copies no name.
+    pub names: &'g JobNames,
 }
 
 /// Engine configuration.
@@ -364,20 +371,26 @@ pub fn run_boot(
     let userspace_start = machine.now();
     let graph = plan.graph;
     let jobs = &plan.transaction.jobs;
+    let names = plan.names;
+    assert_eq!(
+        names.slots(),
+        graph.len(),
+        "BootPlan::names must name the plan's graph (build it with JobNames::build)"
+    );
 
     // Flags: readiness per job + the boot-completion gate. Dense tables
     // indexed by graph slot — no hashing on the per-service paths.
     let boot_complete = machine.flag("boot-complete");
     let mut ready_flags: Vec<Option<FlagId>> = vec![None; graph.len()];
     for &j in jobs.iter() {
-        ready_flags[j] = Some(machine.flag(format!("ready:{}", graph.unit(j).name)));
+        ready_flags[j] = Some(machine.flag(Arc::clone(&names.job(j).ready)));
     }
     let ready_flags = JobFlags(ready_flags);
     // Condition flags (ConditionPathExists= stands in for path presence).
     let mut cond_flags: Vec<Option<FlagId>> = vec![None; graph.len()];
     for &j in jobs.iter() {
-        if let Some(p) = graph.unit(j).condition_path_exists.as_ref() {
-            cond_flags[j] = Some(machine.flag(format!("path:{p}")));
+        if let Some(path) = &names.job(j).path {
+            cond_flags[j] = Some(machine.flag(Arc::clone(path)));
         }
     }
 
@@ -426,7 +439,6 @@ pub fn run_boot(
     }
 
     // Dispatch order.
-    let ooo_order: Vec<usize>;
     let base_order: &[usize] = match cfg.mode {
         EngineMode::Serial | EngineMode::InOrder => {
             assert_eq!(
@@ -437,14 +449,9 @@ pub fn run_boot(
             );
             plan.execution_order
         }
-        EngineMode::OutOfOrder { .. } => {
-            // Out-of-order engines use declaration order (name order for
-            // determinism), ignoring dependencies.
-            let mut v: Vec<usize> = jobs.iter().copied().collect();
-            v.sort_by(|&a, &b| graph.unit(a).name.cmp(&graph.unit(b).name));
-            ooo_order = v;
-            &ooo_order
-        }
+        // Out-of-order engines use declaration order (name order for
+        // determinism), ignoring dependencies.
+        EngineMode::OutOfOrder { .. } => names.by_name(),
     };
     let mut order: Vec<usize> = Vec::with_capacity(base_order.len());
     let mut seen = vec![false; graph.len()];
@@ -467,8 +474,9 @@ pub fn run_boot(
     let mut prev_ready: Option<FlagId> = None;
     let mut has_timeouts = false;
     // Per supervised job: (start-limit flag, escalation flag if any).
-    let mut supervised: HashMap<usize, (FlagId, Option<FlagId>)> = HashMap::new();
+    let mut supervised: Vec<Option<(FlagId, Option<FlagId>)>> = vec![None; graph.len()];
     for &j in &order {
+        let job_names = names.job(j);
         let spec = service_spec(
             graph,
             plan,
@@ -482,6 +490,28 @@ pub fn run_boot(
             prev_ready,
             &mut scratch,
         );
+        // A respawn runs the job's own program, bar serial mode's wait
+        // on its predecessor, which respawns never carry.
+        let respawn_ops = job_names.restart.as_ref().map(|_| match prev_ready {
+            None => spec.ops.clone(),
+            Some(_) => {
+                service_spec(
+                    graph,
+                    plan,
+                    workloads,
+                    cfg,
+                    j,
+                    &is_job,
+                    &ready_flags,
+                    &cond_flags,
+                    boot_complete,
+                    None,
+                    &mut scratch,
+                )
+                .ops
+            }
+        });
+        let (nice, io_priority) = (spec.nice, spec.io_priority);
         manager_ops.push(Op::Compute(cfg.costs.dispatch_cpu_per_job));
         manager_ops.push(Op::Spawn(Box::new(spec)));
         // TimeoutStartSec=: a watchdog forces the readiness flag when the
@@ -489,15 +519,14 @@ pub fn run_boot(
         // hangs (recorded as `timed_out` when the watchdog fired first).
         // Built on `TimedWaitFlag` so a watchdog whose service becomes
         // ready exits immediately and never outlives the boot.
-        let timeout_ms = graph.unit(j).exec.timeout_ms;
-        if timeout_ms > 0 {
+        if let Some(watchdog) = &job_names.timeout {
             has_timeouts = true;
             manager_ops.push(Op::Spawn(Box::new(ProcessSpec::new(
-                format!("timeout:{}", graph.unit(j).name),
+                Arc::clone(watchdog),
                 vec![
                     Op::TimedWaitFlag {
                         flag: ready_flags[&j],
-                        timeout: SimDuration::from_millis(timeout_ms),
+                        timeout: SimDuration::from_millis(graph.unit(j).exec.timeout_ms),
                     },
                     Op::SetFlag(ready_flags[&j]),
                 ],
@@ -512,47 +541,46 @@ pub fn run_boot(
         // not extend the run. `StartLimitIntervalSec=` is parsed but a
         // single boot always falls inside one interval, so the burst
         // alone bounds respawns here.
-        let exec = &graph.unit(j).exec;
-        if exec.restart.restarts_on_crash() {
-            let unit_name = graph.unit(j).name.clone();
-            let burst = exec.start_limit_burst.max(1);
-            let mut prev_attempt = unit_name.as_str().to_string();
-            for k in 1..=burst {
-                let attempt = format!("{unit_name}#{k}");
-                let crashed_prev = machine.flag(format!("fault:crashed:{prev_attempt}"));
-                let mut respawn = service_spec(
-                    graph,
-                    plan,
-                    workloads,
-                    cfg,
-                    j,
-                    &is_job,
-                    &ready_flags,
-                    &cond_flags,
-                    boot_complete,
-                    None,
-                    &mut scratch,
-                );
-                respawn.name = attempt.clone();
-                let mut w_ops = vec![Op::WaitFlag(crashed_prev)];
-                if exec.restart_sec_ms > 0 {
-                    w_ops.push(Op::Sleep(SimDuration::from_millis(exec.restart_sec_ms)));
+        if let (Some(restart), Some(mut respawn_ops)) = (&job_names.restart, respawn_ops) {
+            let restart_sec_ms = graph.unit(j).exec.restart_sec_ms;
+            let last = restart.respawns.len() - 1;
+            for (k, (respawn, watcher)) in
+                restart.respawns.iter().zip(&restart.watchers).enumerate()
+            {
+                let crashed_prev = machine.flag(Arc::clone(&restart.crashed[k]));
+                let mut w_ops = Vec::with_capacity(3);
+                w_ops.push(Op::WaitFlag(crashed_prev));
+                if restart_sec_ms > 0 {
+                    w_ops.push(Op::Sleep(SimDuration::from_millis(restart_sec_ms)));
                 }
-                w_ops.push(Op::Spawn(Box::new(respawn)));
+                let ops = if k == last {
+                    std::mem::take(&mut respawn_ops)
+                } else {
+                    respawn_ops.clone()
+                };
+                w_ops.push(Op::Spawn(Box::new(ProcessSpec {
+                    name: Arc::clone(respawn),
+                    nice,
+                    io_priority,
+                    ops,
+                })));
                 machine.spawn(
-                    ProcessSpec::new(format!("restart:{attempt}"), w_ops)
-                        .with_nice(cfg.costs.manager_nice),
+                    ProcessSpec::new(Arc::clone(watcher), w_ops).with_nice(cfg.costs.manager_nice),
                 );
-                prev_attempt = attempt;
             }
-            let crashed_last = machine.flag(format!("fault:crashed:{prev_attempt}"));
-            let limit_flag = machine.flag(format!("start-limit:{unit_name}"));
+            let crashed_last = machine.flag(Arc::clone(
+                restart
+                    .crashed
+                    .last()
+                    .expect("one crash flag per incarnation"),
+            ));
+            let limit_flag = machine.flag(Arc::clone(&restart.start_limit));
             let mut w_ops = vec![Op::WaitFlag(crashed_last), Op::SetFlag(limit_flag)];
-            let escalate_flag = if graph.unit(j).on_failure.is_empty() {
+            let escalate_flag = if restart.on_failure.is_empty() {
                 None
             } else {
-                for target in &graph.unit(j).on_failure {
-                    let target_ready = machine.flag(format!("ready:{target}"));
+                for target in &restart.on_failure {
+                    let target_ready = machine.flag(Arc::clone(&target.ready));
                     w_ops.push(Op::Spawn(Box::new(escalation_spec(
                         graph,
                         workloads,
@@ -561,15 +589,15 @@ pub fn run_boot(
                         target_ready,
                     ))));
                 }
-                let flag = machine.flag(format!("escalated:{unit_name}"));
+                let flag = machine.flag(Arc::clone(&restart.escalated));
                 w_ops.push(Op::SetFlag(flag));
                 Some(flag)
             };
             machine.spawn(
-                ProcessSpec::new(format!("restart-limit:{unit_name}"), w_ops)
+                ProcessSpec::new(Arc::clone(&restart.limit_watcher), w_ops)
                     .with_nice(cfg.costs.manager_nice),
             );
-            supervised.insert(j, (limit_flag, escalate_flag));
+            supervised[j] = Some((limit_flag, escalate_flag));
         }
         if cfg.mode == EngineMode::Serial {
             prev_ready = Some(ready_flags[&j]);
@@ -599,82 +627,56 @@ pub fn run_boot(
 
     let outcome = machine.run();
 
-    // Assemble records from the trace, via dense pid-indexed lifecycle
-    // tables — no per-process name clones or per-job full scans on the
-    // common (no-restart, no-timeout) path.
-    let mut services: BTreeMap<UnitName, ServiceRecord> = BTreeMap::new();
-    let n_procs = machine.process_count();
-    let mut spawned_at: Vec<Option<SimTime>> = vec![None; n_procs];
-    let mut started_at: Vec<Option<SimTime>> = vec![None; n_procs];
-    let mut finished_at: Vec<Option<SimTime>> = vec![None; n_procs];
-    let mut proc_failed = vec![false; n_procs];
+    // Assemble the records. One pass over the processes gives each job
+    // the last process spawned under its name and counts its respawns;
+    // one pass over the trace gives every process its lifecycle and
+    // each flag its setter (read only to attribute timeout releases).
+    let mut proc_of: Vec<Option<usize>> = vec![None; graph.len()];
+    let mut restarts = vec![0u32; graph.len()];
+    for (pid, process) in machine.processes().enumerate() {
+        match names.role(graph, process.name()) {
+            NameRole::Job(j) => proc_of[j] = Some(pid),
+            NameRole::Respawn(j) => restarts[j] += 1,
+            NameRole::Other => {}
+        }
+    }
+    let mut life = vec![ServiceRecord::default(); machine.process_count()];
+    let mut setters: Vec<Option<Pid>> = Vec::new();
     for e in machine.trace().events() {
-        let i = e.pid.index();
         match e.kind {
-            bb_sim::TraceKind::Spawned { .. } => spawned_at[i] = Some(e.time),
-            bb_sim::TraceKind::FirstRun => started_at[i] = Some(e.time),
-            bb_sim::TraceKind::Finished => finished_at[i] = Some(e.time),
-            bb_sim::TraceKind::Failed { .. } => proc_failed[i] = true,
+            TraceKind::Spawned { .. } => life[e.pid.index()].spawned = Some(e.time),
+            TraceKind::FirstRun => life[e.pid.index()].started = Some(e.time),
+            TraceKind::Finished => life[e.pid.index()].finished = Some(e.time),
+            TraceKind::Failed { .. } => life[e.pid.index()].failed = true,
+            TraceKind::FlagSet { flag } if has_timeouts => {
+                if setters.len() <= flag.index() {
+                    setters.resize(flag.index() + 1, None);
+                }
+                setters[flag.index()] = Some(e.pid);
+            }
             _ => {}
         }
     }
-    let pid_at = |i: usize| bb_sim::Pid::from_raw(i as u32);
-    let by_name: HashMap<&str, usize> = (0..n_procs)
-        .map(|i| (machine.process(pid_at(i)).name(), i))
+    let services = names
+        .by_name()
+        .iter()
+        .map(|&j| {
+            let ready_flag = ready_flags[&j];
+            let mut rec = proc_of[j].map_or_else(ServiceRecord::default, |pid| life[pid].clone());
+            rec.ready = machine.flag_set_at(ready_flag);
+            rec.timed_out = setters
+                .get(ready_flag.index())
+                .copied()
+                .flatten()
+                .is_some_and(|pid| machine.process(pid).name().starts_with("timeout:"));
+            rec.restarts = restarts[j];
+            if let Some((limit_flag, escalate_flag)) = supervised[j] {
+                rec.start_limit_hit = machine.flag_set_at(limit_flag).is_some();
+                rec.escalated = escalate_flag.is_some_and(|f| machine.flag_set_at(f).is_some());
+            }
+            (names.job(j).unit.clone(), rec)
+        })
         .collect();
-    // Who set each readiness flag (to attribute timeout releases); only
-    // needed when a timeout watchdog could have forced one.
-    let flag_setters: HashMap<FlagId, bb_sim::Pid> = if has_timeouts {
-        machine
-            .trace()
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                bb_sim::TraceKind::FlagSet { flag } => Some((flag, e.pid)),
-                _ => None,
-            })
-            .collect()
-    } else {
-        HashMap::new()
-    };
-    for &j in jobs.iter() {
-        let name = &graph.unit(j).name;
-        let ready_flag = ready_flags[&j];
-        let timed_out = has_timeouts
-            && flag_setters
-                .get(&ready_flag)
-                .is_some_and(|&pid| machine.process(pid).name().starts_with("timeout:"));
-        let mut rec = ServiceRecord {
-            ready: machine.flag_set_at(ready_flag),
-            timed_out,
-            ..ServiceRecord::default()
-        };
-        if let Some(&i) = by_name.get(name.as_str()) {
-            rec.spawned = spawned_at[i];
-            rec.started = started_at[i];
-            rec.finished = finished_at[i];
-            rec.failed = proc_failed[i];
-        }
-        // Respawned incarnations are named `<unit>#<k>`; only supervised
-        // units can have any.
-        if graph.unit(j).exec.restart.restarts_on_crash() {
-            let restart_prefix = format!("{name}#");
-            rec.restarts = (0..n_procs)
-                .filter(|&i| {
-                    machine
-                        .process(pid_at(i))
-                        .name()
-                        .strip_prefix(&restart_prefix)
-                        .is_some_and(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
-                })
-                .count() as u32;
-        }
-        if let Some(&(limit_flag, escalate_flag)) = supervised.get(&j) {
-            rec.start_limit_hit = machine.flag_set_at(limit_flag).is_some();
-            rec.escalated = escalate_flag.is_some_and(|f| machine.flag_set_at(f).is_some());
-        }
-        services.insert(name.clone(), rec);
-    }
 
     BootRecord {
         services,
@@ -812,7 +814,7 @@ fn service_spec(
         IoSchedulingClass::BestEffort => bb_sim::IoPriority::BestEffort,
         IoSchedulingClass::Idle => bb_sim::IoPriority::Idle,
     };
-    ProcessSpec::new(unit.name.as_str(), ops)
+    ProcessSpec::new(Arc::clone(unit.name.as_arc()), ops)
         .with_nice(nice)
         .with_io_priority(io_priority)
 }
@@ -836,11 +838,11 @@ fn escalation_spec(
     graph: &UnitGraph,
     workloads: &WorkloadMap,
     cfg: &EngineConfig,
-    target: &UnitName,
+    target: &OnFailure,
     target_ready: FlagId,
 ) -> ProcessSpec {
-    let exec_start = graph
-        .idx(target)
+    let exec_start = target
+        .slot
         .and_then(|i| graph.unit(i).exec.exec_start.as_deref());
     let (pre_ready, post_ready) = body_of(workloads, exec_start);
     let mut ops = Vec::with_capacity(2 + pre_ready.len() + post_ready.len());
@@ -848,7 +850,7 @@ fn escalation_spec(
     ops.extend_from_slice(pre_ready);
     ops.push(Op::SetFlag(target_ready));
     ops.extend_from_slice(post_ready);
-    ProcessSpec::new(target.as_str(), ops)
+    ProcessSpec::new(Arc::clone(target.unit.as_arc()), ops)
 }
 
 /// Ops [`push_conditional`] appends for `body`.
@@ -946,6 +948,7 @@ mod tests {
         overrides: PlanOverrides,
         init_tasks: Vec<ManagerTask>,
         execution_order: Vec<usize>,
+        names: JobNames,
     }
 
     impl TestPlan {
@@ -958,6 +961,7 @@ mod tests {
                 init_tasks: &self.init_tasks,
                 service_phase_tasks: &[],
                 execution_order: &self.execution_order,
+                names: &self.names,
             }
         }
     }
@@ -968,6 +972,7 @@ mod tests {
         let transaction = Transaction::build(graph, "boot.target").unwrap();
         let execution_order = transaction.execution_order(graph);
         TestPlan {
+            names: JobNames::build(graph, &transaction),
             transaction,
             completion: completion.iter().map(|c| graph.idx_of(c)).collect(),
             overrides: PlanOverrides::default(),

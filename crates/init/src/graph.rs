@@ -220,6 +220,11 @@ impl UnitGraph {
         self.index.get(name).copied()
     }
 
+    /// [`UnitGraph::idx`] for a name held as text.
+    pub(crate) fn idx_str(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
+    }
+
     /// Index of a unit by string name.
     ///
     /// # Panics

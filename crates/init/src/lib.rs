@@ -13,7 +13,8 @@
 //!   weak-job cycle breaking, as systemd transactions do.
 //! * [`engine`] — three job engines (in-order systemd-like,
 //!   out-of-order with optional path-check, serial rcS) executing a
-//!   transaction on a [`bb_sim::Machine`].
+//!   transaction on a [`bb_sim::Machine`], with the flag and process
+//!   names of its jobs formatted once per scenario ([`JobNames`]).
 //! * [`preparse`] — the Pre-parser's binary unit cache.
 //! * [`chart`] — systemd-bootchart-style ASCII/SVG rendering plus
 //!   blame / critical-chain analysis.
@@ -22,6 +23,7 @@ pub mod algo;
 pub mod chart;
 pub mod engine;
 pub mod graph;
+mod names;
 pub mod parser;
 pub mod preparse;
 pub mod transaction;
@@ -33,6 +35,7 @@ pub use engine::{
     PlanOverrides, ServiceBody, ServiceRecord, UnitOutcome, WorkloadMap,
 };
 pub use graph::{Edge, EdgeKind, GraphError, GraphStats, UnitGraph};
+pub use names::JobNames;
 pub use parser::{
     parse_unit, parse_unit_dir, parse_unit_dir_with_warnings, parse_unit_set, DirectiveWarning,
     DirectiveWarningKind, FileWarnings, ParseError, ParseErrorKind, Parsed, UnitDirError,

@@ -7,12 +7,17 @@
 //! service types (`simple`/`forking`/`oneshot`/`notify`), and resource
 //! policy knobs (`Nice=`, `IOSchedulingClass=`).
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A unit's name, including its type suffix (`dbus.service`,
 /// `var.mount`, `sockets.target`).
+///
+/// The text is shared: a clone is a refcount, so the unit, its job's
+/// process and its boot record's key hold one allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct UnitName(String);
+pub struct UnitName(Arc<str>);
 
 impl UnitName {
     /// Creates a name; the suffix determines the unit kind.
@@ -26,13 +31,13 @@ impl UnitName {
             UnitKind::from_name(&name).is_some(),
             "unit name without a recognized suffix: {name}"
         );
-        UnitName(name)
+        UnitName(name.into())
     }
 
     /// Fallible constructor.
     pub fn parse(name: &str) -> Result<Self, String> {
         if UnitKind::from_name(name).is_some() {
-            Ok(UnitName(name.to_owned()))
+            Ok(UnitName(name.into()))
         } else {
             Err(format!("unit name without a recognized suffix: {name}"))
         }
@@ -40,6 +45,11 @@ impl UnitName {
 
     /// The full name including suffix.
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// The shared text, for a process spawned under this name.
+    pub(crate) fn as_arc(&self) -> &Arc<str> {
         &self.0
     }
 
@@ -52,6 +62,14 @@ impl UnitName {
     #[cfg(test)]
     fn stem(&self) -> &str {
         self.0.rsplit_once('.').expect("suffix exists").0
+    }
+}
+
+// Names hash and compare as their text, so a map keyed by names can be
+// searched with a `&str`.
+impl Borrow<str> for UnitName {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 

@@ -20,7 +20,8 @@
 //! (nice, arrival sequence); two runs of the same scenario produce
 //! identical traces.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use smallvec::SmallVec;
 
@@ -102,7 +103,7 @@ pub(crate) const FLAG_WAITERS_INLINE: usize = 4;
 
 #[derive(Debug, Default)]
 pub(crate) struct FlagState {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) set_at: Option<SimTime>,
     pub(crate) waiters: SmallVec<Pid, FLAG_WAITERS_INLINE>,
 }
@@ -279,10 +280,10 @@ pub struct Machine {
     pub(crate) ready_seq: u64,
     pub(crate) devices: Vec<Device>,
     pub(crate) flags: Vec<FlagState>,
-    /// String→flag interner: flag ids sorted by flag name, binary-
-    /// searched on (re)interning. Names are interned once at build time;
-    /// the simulation loop itself only ever touches `FlagId` indices.
-    pub(crate) flag_lookup: Vec<FlagId>,
+    /// Name→flag interner, keyed by the flag's own name allocation.
+    /// Names are interned at build time; the simulation loop itself only
+    /// ever touches `FlagId` indices.
+    pub(crate) flag_lookup: HashMap<Arc<str>, FlagId>,
     pub(crate) rcu: RcuEngine,
     /// Waiters of the grace period being completed: the RCU engine moves
     /// them here and `on_grace_done` drains them, so the buffer keeps its
@@ -324,7 +325,7 @@ impl Machine {
             ready_seq: 0,
             devices: Vec::new(),
             flags: Vec::new(),
-            flag_lookup: Vec::new(),
+            flag_lookup: HashMap::new(),
             trace: Trace::new(),
             pending_spawns: Vec::new(),
             work: Vec::new(),
@@ -467,33 +468,26 @@ impl Machine {
     }
 
     /// Returns the flag with the given name, creating (interning) it if
-    /// needed. Interning happens at machine-build time; after that the
-    /// returned `FlagId` is a plain index and the name is never hashed
-    /// or compared again.
-    pub fn flag(&mut self, name: impl Into<String>) -> FlagId {
-        let name = name.into();
-        match self.lookup_flag(&name) {
-            Ok(id) => id,
-            Err(slot) => {
-                let id = FlagId::from_raw(self.flags.len() as u32);
-                self.flags.push(FlagState {
-                    name,
-                    set_at: None,
-                    waiters: SmallVec::new(),
-                });
-                self.flag_lookup.insert(slot, id);
-                id
-            }
+    /// needed: a known name keeps its id, a new one takes the next id,
+    /// so ids follow creation order. Interning is a hash lookup at
+    /// machine-build time; after that the returned `FlagId` is a plain
+    /// index and the name is never hashed or compared again. A new
+    /// flag keeps `name` itself, so a caller that names its flags the
+    /// same way on every boot can hand the same allocation over each
+    /// time.
+    pub fn flag<N: AsRef<str> + Into<Arc<str>>>(&mut self, name: N) -> FlagId {
+        if let Some(&id) = self.flag_lookup.get(name.as_ref()) {
+            return id;
         }
-    }
-
-    /// Binary-searches the name interner. `Ok(id)` if interned,
-    /// `Err(insertion_slot)` otherwise.
-    fn lookup_flag(&self, name: &str) -> Result<FlagId, usize> {
-        let flags = &self.flags;
-        self.flag_lookup
-            .binary_search_by(|&id| flags[id.index()].name.as_str().cmp(name))
-            .map(|i| self.flag_lookup[i])
+        let name: Arc<str> = name.into();
+        let id = FlagId::from_raw(self.flags.len() as u32);
+        self.flags.push(FlagState {
+            name: Arc::clone(&name),
+            set_at: None,
+            waiters: SmallVec::new(),
+        });
+        self.flag_lookup.insert(name, id);
+        id
     }
 
     /// Name of a flag.
@@ -543,7 +537,7 @@ impl Machine {
             self.now,
             pid,
             TraceKind::Spawned {
-                name: spec.name.clone(),
+                name: Arc::clone(&spec.name),
             },
         );
         let (sched, info) = process::from_spec(spec, self.now);
@@ -656,16 +650,18 @@ impl Machine {
         let Some(state) = self.faults.as_mut() else {
             return false;
         };
-        let name = self.procs[pid.index()].name.clone();
+        let name = &self.procs[pid.index()].name;
         let Some(arm) = state
             .proc_arms
             .iter_mut()
-            .find(|a| a.hits_left > 0 && Self::fault_matches(&a.process, &name))
+            .find(|a| a.hits_left > 0 && Self::fault_matches(&a.process, name))
         else {
             return false;
         };
         arm.hits_left -= 1;
         let hang = arm.hang;
+        // Only a fault that fires needs the name past this point.
+        let name = Arc::clone(name);
         if hang {
             let flag = match state.hang_flag {
                 Some(f) => f,
@@ -1438,7 +1434,12 @@ impl Machine {
         graft(&mut self.rcu.next, rcu.next);
         graft(&mut self.rcu_released, rcu_released);
         graft(&mut self.flags, flags);
-        graft(&mut self.flag_lookup, flag_lookup);
+        if flag_lookup.capacity() > self.flag_lookup.capacity() {
+            let mut spare = flag_lookup;
+            spare.clear();
+            spare.extend(self.flag_lookup.drain());
+            self.flag_lookup = spare;
+        }
         graft(&mut self.trace.events, trace.events);
         graft(&mut self.trace.spans, trace.spans);
         graft(&mut self.pending_spawns, pending_spawns);
@@ -1564,7 +1565,7 @@ mod tests {
         let tl = m.trace().process_timeline();
         let high_done = tl
             .values()
-            .find(|t| t.name == "high")
+            .find(|t| &*t.name == "high")
             .and_then(|t| t.finished)
             .unwrap();
         // High-priority work finishes long before the 10 ms low job would
@@ -2027,7 +2028,7 @@ mod tests {
         // 2000 ms timeout event is dropped without moving the clock.
         assert_eq!(out.end_time.as_millis(), 3);
         let tl = m.trace().process_timeline();
-        let wd = tl.values().find(|t| t.name == "watchdog").unwrap();
+        let wd = tl.values().find(|t| &*t.name == "watchdog").unwrap();
         assert_eq!(wd.finished.unwrap().as_millis(), 3);
     }
 

@@ -8,6 +8,8 @@
 //! expressed with flags ([`Op::WaitFlag`]/[`Op::SetFlag`]) and process
 //! spawning ([`Op::Spawn`]).
 
+use std::sync::Arc;
+
 use crate::ids::{CoreId, DeviceId, FlagId};
 use crate::time::{SimDuration, SimTime};
 
@@ -120,7 +122,10 @@ const _: () = assert!(std::mem::size_of::<Op>() <= 24);
 #[derive(Debug, Clone)]
 pub struct ProcessSpec {
     /// Human-readable name, recorded in traces (e.g. `dbus.service`).
-    pub name: String,
+    /// Shared, not copied: the process record and its trace entry hold
+    /// the same allocation, and a caller that spawns the same name on
+    /// every boot can keep one and hand it over by refcount.
+    pub name: Arc<str>,
     /// Unix-style nice value: −20 (highest priority) to 19 (lowest).
     pub nice: i8,
     /// I/O scheduling class for the process's storage requests.
@@ -131,7 +136,7 @@ pub struct ProcessSpec {
 
 impl ProcessSpec {
     /// Creates a spec with default priority (nice 0).
-    pub fn new(name: impl Into<String>, ops: Vec<Op>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, ops: Vec<Op>) -> Self {
         ProcessSpec {
             name: name.into(),
             nice: 0,
@@ -232,7 +237,7 @@ const _: () = assert!(std::mem::size_of::<SchedRecord>() <= 56);
 #[derive(Debug)]
 pub(crate) struct ProcRecord {
     /// Name from the spec.
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     /// I/O scheduling class from the spec.
     pub(crate) io_priority: crate::io::IoPriority,
     /// The op list; the ops from the scheduler record's cursor on
@@ -291,6 +296,12 @@ pub struct Process<'a> {
 impl<'a> Process<'a> {
     /// Name from the spec.
     pub fn name(&self) -> &'a str {
+        &self.info.name
+    }
+
+    /// The spec's name itself, the allocation the spawner handed over:
+    /// callers that named their processes can recognize them by it.
+    pub fn name_arc(&self) -> &'a Arc<str> {
         &self.info.name
     }
 

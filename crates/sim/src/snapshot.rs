@@ -52,7 +52,9 @@
 //! * **Derived state is rebuilt, not stored.** The flag name index is
 //!   reconstructed from the flag table on restore.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use smallvec::SmallVec;
 
@@ -450,16 +452,21 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
             waiters.push(Pid::from_raw(sec.u32()?));
         }
         flags.push(FlagState {
-            name,
+            name: name.into(),
             set_at,
             waiters,
         });
     }
     sec.finish()?;
     // The name interner is derived state (not serialized): rebuild it
-    // by sorting the flag ids by name.
-    let mut flag_lookup: Vec<FlagId> = (0..flags.len() as u32).map(FlagId::from_raw).collect();
-    flag_lookup.sort_by(|a, b| flags[a.index()].name.cmp(&flags[b.index()].name));
+    // from the flag table. A machine never holds two flags of one name;
+    // should a blob name one twice, the first id answers for it.
+    let mut flag_lookup = HashMap::with_capacity(flags.len());
+    for (i, f) in flags.iter().enumerate() {
+        flag_lookup
+            .entry(Arc::clone(&f.name))
+            .or_insert(FlagId::from_raw(i as u32));
+    }
 
     let mut sec = r.section(SEC_RCU)?;
     let rcu = decode_rcu(&mut sec)?;
@@ -719,7 +726,7 @@ fn decode_process(
         nice,
     };
     let info = ProcRecord {
-        name,
+        name: name.into(),
         io_priority,
         ops,
         spawned_at,
@@ -888,7 +895,7 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ProcessSpec, SnapshotError> {
         ops.push(decode_op(r)?);
     }
     Ok(ProcessSpec {
-        name,
+        name: name.into(),
         nice,
         io_priority,
         ops,
@@ -1227,7 +1234,9 @@ fn decode_trace(r: &mut Reader<'_>) -> Result<Trace, SnapshotError> {
         let time = SimTime::from_nanos(r.u64()?);
         let pid = Pid::from_raw(r.u32()?);
         let kind = match r.u8()? {
-            0 => TraceKind::Spawned { name: r.str()? },
+            0 => TraceKind::Spawned {
+                name: r.str()?.into(),
+            },
             1 => TraceKind::FirstRun,
             2 => TraceKind::Finished,
             3 => TraceKind::Failed {

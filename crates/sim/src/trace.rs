@@ -7,6 +7,7 @@
 //! systemd-bootchart graphs, Figure 5(a) / Figure 7 of the paper).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ids::{CoreId, FlagId, Pid};
 use crate::time::{SimDuration, SimTime};
@@ -16,8 +17,8 @@ use crate::time::{SimDuration, SimTime};
 pub enum TraceKind {
     /// A process was created.
     Spawned {
-        /// Process name from its spec.
-        name: String,
+        /// Process name from its spec (the same allocation).
+        name: Arc<str>,
     },
     /// A process was dispatched onto a core for the first time.
     FirstRun,
@@ -138,7 +139,7 @@ impl Trace {
             let entry = map.entry(e.pid).or_default();
             match &e.kind {
                 TraceKind::Spawned { name } => {
-                    entry.name = name.clone();
+                    entry.name = Arc::clone(name);
                     entry.spawned = Some(e.time);
                 }
                 TraceKind::FirstRun => entry.first_run = Some(e.time),
@@ -177,7 +178,7 @@ impl Trace {
 #[derive(Debug, Clone, Default)]
 pub struct ProcessTimeline {
     /// Process name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Spawn time.
     pub spawned: Option<SimTime>,
     /// First dispatch onto a core.
@@ -217,7 +218,7 @@ mod tests {
         t.push(SimTime::from_nanos(4), p, TraceKind::FirstRun);
         t.push(SimTime::from_nanos(9), p, TraceKind::Finished);
         let tl = &t.process_timeline()[&p];
-        assert_eq!(tl.name, "svc");
+        assert_eq!(&*tl.name, "svc");
         assert_eq!(tl.spawned.unwrap().as_nanos(), 1);
         assert_eq!(tl.first_run.unwrap().as_nanos(), 4);
         assert_eq!(tl.finished.unwrap().as_nanos(), 9);

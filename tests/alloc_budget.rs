@@ -14,30 +14,39 @@
 //! order, resolved completion, BB Group and Pre-parser sizes), and a
 //! second config's plan, which shares it. Those budgets are the counts
 //! measured when they were set plus 5%: no allocation for the
-//! pre-parse, 761 for the first plan at 136 services and 5,072 at 1000
-//! (765 and 5,076 since the unit plan also holds the completion and the
-//! group), and 44 for the second at both sizes (55 when both BB-group
-//! passes computed the group afresh). When every config planned its own
-//! copy of the units and the pre-parse rendered and encoded them, the
-//! same calls made 1,556, 3,530 and 3,556 at 136 services and 11,689,
-//! 25,567 and 25,593 at 1000.
+//! pre-parse, 628 for the first plan at 136 services and 4,075 at 1000,
+//! and 44 for the second at both sizes. The first plan made 765 and
+//! 5,076 while every clone of a unit name copied its text; 761 and
+//! 5,072 before the unit plan held the completion and the group; and
+//! 44 was 55 when both BB-group passes computed the group afresh. When
+//! every config planned its own copy of the units and the pre-parse
+//! rendered and encoded them, the same calls made 1,556, 3,530 and
+//! 3,556 at 136 services and 11,689, 25,567 and 25,593 at 1000.
 //!
 //! The counter is a `const` thread-local, so tests running in parallel
-//! on other threads do not add to it. Each budget is the count measured
-//! when it was set plus 5%: 1,512 (conventional) and 1,539 (full BB)
-//! allocations at 136 services, 7,799 and 7,795 at 1000. Before the
-//! simulator's per-boot path was cut down, the same boots made 3,278
-//! and 2,875 at 136 services and 21,042 and 20,937 at 1000 (over three
-//! other seeds, 3,300 / 2,874 and ~21,000): a waiter list dropped and
-//! regrown per RCU grace period, and per service a cloned workload body,
-//! a regrown op list of 56-byte ops, and a dependency list with its
-//! dedupe set.
+//! on other threads do not add to it. Each boot budget is the count
+//! measured when it was set plus 5%: 816 (conventional) and 831 (full
+//! BB) allocations at 136 services, 2,732 and 2,716 at 1000, and 2,185
+//! and 2,200 for the 136-service boot under supervision. The boot's
+//! flag and process names now come from a table its scenario formats
+//! once, and a respawn copies its job's program; while each boot
+//! formatted its names and rebuilt every respawn's program, the same
+//! boots made 1,512 and 1,539, 7,799 and 7,795, and 8,328 and 8,355
+//! supervised. Before the simulator's per-boot path was cut down, the
+//! plain boots made 3,278 and 2,875 at 136 services and 21,042 and
+//! 20,937 at 1000 (over three other seeds, 3,300 / 2,874 and ~21,000):
+//! a waiter list dropped and regrown per RCU grace period, and per
+//! service a cloned workload body, a regrown op list of 56-byte ops, and
+//! a dependency list with its dedupe set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use booting_booster::bb::{BbConfig, BootRequest, Pipeline, PlanCache, PreParser, Scenario};
+use booting_booster::bb::{
+    with_supervision, BbConfig, BootRequest, Pipeline, PlanCache, PreParser, Scenario,
+};
+use booting_booster::init::RestartPolicy;
 use booting_booster::sim::MachineBuilder;
 use booting_booster::workloads::{profiles, tv_scenario_with, TizenParams};
 
@@ -122,14 +131,13 @@ fn scenario(services: usize) -> Arc<Scenario> {
     ))
 }
 
-fn check(services: usize, budgets: [(&str, BbConfig, u64); 2]) {
-    let scenario = scenario(services);
+fn check(scenario: &Arc<Scenario>, what: &str, budgets: [(&str, BbConfig, u64); 2]) {
     for (name, cfg, budget) in budgets {
-        let n = boot_allocations(&scenario, cfg);
-        println!("{services} services, {name}: {n} allocations (budget {budget})");
+        let n = boot_allocations(scenario, cfg);
+        println!("{what}, {name}: {n} allocations (budget {budget})");
         assert!(
             n <= budget,
-            "{services}-service {name} boot made {n} allocations, budget {budget}"
+            "{what} {name} boot made {n} allocations, budget {budget}"
         );
     }
 }
@@ -137,10 +145,11 @@ fn check(services: usize, budgets: [(&str, BbConfig, u64); 2]) {
 #[test]
 fn a_136_service_boot_stays_within_its_allocation_budget() {
     check(
-        136,
+        &scenario(136),
+        "136 services",
         [
-            ("conventional", BbConfig::conventional(), 1_588),
-            ("full BB", BbConfig::full(), 1_616),
+            ("conventional", BbConfig::conventional(), 857),
+            ("full BB", BbConfig::full(), 873),
         ],
     );
 }
@@ -148,10 +157,28 @@ fn a_136_service_boot_stays_within_its_allocation_budget() {
 #[test]
 fn a_1000_service_boot_stays_within_its_allocation_budget() {
     check(
-        1000,
+        &scenario(1000),
+        "1000 services",
         [
-            ("conventional", BbConfig::conventional(), 8_189),
-            ("full BB", BbConfig::full(), 8_185),
+            ("conventional", BbConfig::conventional(), 2_869),
+            ("full BB", BbConfig::full(), 2_852),
+        ],
+    );
+}
+
+/// The 136-service boot as a chaos ticket supervises it: every service
+/// under `Restart=on-failure` with a 100 ms backoff and a burst of
+/// three, so each one adds three respawn watchers and a start-limit
+/// watcher, and their flags.
+#[test]
+fn a_supervised_136_service_boot_stays_within_its_allocation_budget() {
+    let supervised = with_supervision(&scenario(136), RestartPolicy::OnFailure, 100, 3);
+    check(
+        &Arc::new(supervised),
+        "136 supervised services",
+        [
+            ("conventional", BbConfig::conventional(), 2_294),
+            ("full BB", BbConfig::full(), 2_310),
         ],
     );
 }
@@ -200,10 +227,10 @@ fn check_planning(services: usize, budgets: [u64; 3]) {
 
 #[test]
 fn planning_a_136_service_scenario_stays_within_its_allocation_budget() {
-    check_planning(136, [0, 799, 46]);
+    check_planning(136, [0, 659, 46]);
 }
 
 #[test]
 fn planning_a_1000_service_scenario_stays_within_its_allocation_budget() {
-    check_planning(1000, [0, 5_325, 46]);
+    check_planning(1000, [0, 4_279, 46]);
 }

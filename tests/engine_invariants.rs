@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 use booting_booster::init::{
-    run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
+    run_boot, BootPlan, EngineConfig, EngineMode, JobNames, LoadModel, ManagerCosts, PlanOverrides,
     ServiceBody, ServiceType, Transaction, Unit, UnitGraph, UnitName, WorkloadMap,
 };
 use booting_booster::sim::{
@@ -65,6 +65,7 @@ fn boot(w: &RandomWorkload, mode: EngineMode, cores: usize) -> booting_booster::
     });
     let device = machine.add_device("emmc", DeviceProfile::tv_emmc());
     let execution_order = transaction.execution_order(&graph);
+    let names = JobNames::build(&graph, &transaction);
     let completion = [graph.idx_of(w.completion.as_str())];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
@@ -75,6 +76,7 @@ fn boot(w: &RandomWorkload, mode: EngineMode, cores: usize) -> booting_booster::
         init_tasks: &[],
         service_phase_tasks: &[],
         execution_order: &execution_order,
+        names: &names,
     };
     let cfg = EngineConfig {
         mode,

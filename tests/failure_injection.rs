@@ -2,7 +2,7 @@
 //! release, and how the boot degrades (never silently).
 
 use booting_booster::init::{
-    run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
+    run_boot, BootPlan, EngineConfig, EngineMode, JobNames, LoadModel, ManagerCosts, PlanOverrides,
     ServiceBody, ServiceType, Transaction, Unit, UnitGraph, UnitName, WorkloadMap,
 };
 use booting_booster::sim::{
@@ -72,6 +72,7 @@ fn boot(timeout_ms: u64) -> booting_booster::init::BootRecord {
     let mut s = setup();
     let workloads = wl(&mut s.machine);
     let execution_order = transaction.execution_order(&graph);
+    let names = JobNames::build(&graph, &transaction);
     let completion = [graph.idx_of("app.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
@@ -82,6 +83,7 @@ fn boot(timeout_ms: u64) -> booting_booster::init::BootRecord {
         init_tasks: &[],
         service_phase_tasks: &[],
         execution_order: &execution_order,
+        names: &names,
     };
     run_boot(&mut s.machine, &plan, &workloads, &s.cfg)
 }
@@ -129,6 +131,7 @@ fn healthy_service_with_timeout_is_not_marked() {
         },
     );
     let execution_order = transaction.execution_order(&graph);
+    let names = JobNames::build(&graph, &transaction);
     let completion = [graph.idx_of("app.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
@@ -139,6 +142,7 @@ fn healthy_service_with_timeout_is_not_marked() {
         init_tasks: &[],
         service_phase_tasks: &[],
         execution_order: &execution_order,
+        names: &names,
     };
     let record = run_boot(&mut s.machine, &plan, &workloads, &s.cfg);
     assert!(!record.service("broken.service").timed_out);
@@ -158,6 +162,7 @@ fn crashing_service_fails_loud_in_out_of_order_mode() {
     };
     let workloads = wl(&mut s.machine);
     let execution_order = transaction.execution_order(&graph);
+    let names = JobNames::build(&graph, &transaction);
     let completion = [graph.idx_of("app.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
@@ -168,6 +173,7 @@ fn crashing_service_fails_loud_in_out_of_order_mode() {
         init_tasks: &[],
         service_phase_tasks: &[],
         execution_order: &execution_order,
+        names: &names,
     };
     let record = run_boot(&mut s.machine, &plan, &workloads, &s.cfg);
     assert!(record.service("app.service").failed);

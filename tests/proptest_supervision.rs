@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use booting_booster::bb::{fault_targets, with_supervision, Boot, BootRequest, FallbackPolicy};
 use booting_booster::init::{
-    run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
+    run_boot, BootPlan, EngineConfig, EngineMode, JobNames, LoadModel, ManagerCosts, PlanOverrides,
     RestartPolicy, ServiceBody, ServiceType, Transaction, Unit, UnitGraph, UnitName, WorkloadMap,
 };
 use booting_booster::sim::{
@@ -186,6 +186,7 @@ proptest! {
             seed: 0,
         });
         let execution_order = transaction.execution_order(&graph);
+        let names = JobNames::build(&graph, &transaction);
         let completion = [graph.idx_of(w.completion.as_str())];
         let overrides = PlanOverrides::default();
         let plan = BootPlan {
@@ -196,6 +197,7 @@ proptest! {
             init_tasks: &[],
             service_phase_tasks: &[],
             execution_order: &execution_order,
+            names: &names,
         };
         let cfg = EngineConfig {
             mode: EngineMode::InOrder,

@@ -6,8 +6,8 @@ use std::collections::BTreeSet;
 use booting_booster::bb::service_engine::{analyze, identify_bb_group, Finding};
 use booting_booster::init::{
     decode_units, encode_units, parse_unit, run_boot, BootPlan, EngineConfig, EngineMode,
-    IoSchedulingClass, LoadModel, ManagerCosts, PlanOverrides, ServiceType, Transaction, UnitGraph,
-    UnitName, WorkloadMap,
+    IoSchedulingClass, JobNames, LoadModel, ManagerCosts, PlanOverrides, ServiceType, Transaction,
+    UnitGraph, UnitName, WorkloadMap,
 };
 use booting_booster::sim::{AccessPattern, DeviceProfile, Machine, MachineConfig, SimDuration};
 
@@ -112,6 +112,7 @@ fn corpus_boots_on_the_simulator() {
     let mut machine = Machine::new(MachineConfig::default());
     let device = machine.add_device("emmc", DeviceProfile::tv_emmc());
     let execution_order = transaction.execution_order(&graph);
+    let names = JobNames::build(&graph, &transaction);
     let completion = [graph.idx_of("fasttv.service")];
     let overrides = PlanOverrides::default();
     let plan = BootPlan {
@@ -122,6 +123,7 @@ fn corpus_boots_on_the_simulator() {
         init_tasks: &[],
         service_phase_tasks: &[],
         execution_order: &execution_order,
+        names: &names,
     };
     let cfg = EngineConfig {
         mode: EngineMode::InOrder,
