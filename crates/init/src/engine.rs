@@ -490,48 +490,6 @@ pub fn run_boot(
             prev_ready,
             &mut scratch,
         );
-        // A respawn runs the job's own program, bar serial mode's wait
-        // on its predecessor, which respawns never carry.
-        let respawn_ops = job_names.restart.as_ref().map(|_| match prev_ready {
-            None => spec.ops.clone(),
-            Some(_) => {
-                service_spec(
-                    graph,
-                    plan,
-                    workloads,
-                    cfg,
-                    j,
-                    &is_job,
-                    &ready_flags,
-                    &cond_flags,
-                    boot_complete,
-                    None,
-                    &mut scratch,
-                )
-                .ops
-            }
-        });
-        let (nice, io_priority) = (spec.nice, spec.io_priority);
-        manager_ops.push(Op::Compute(cfg.costs.dispatch_cpu_per_job));
-        manager_ops.push(Op::Spawn(Box::new(spec)));
-        // TimeoutStartSec=: a watchdog forces the readiness flag when the
-        // timeout expires, so dependents are released even if the service
-        // hangs (recorded as `timed_out` when the watchdog fired first).
-        // Built on `TimedWaitFlag` so a watchdog whose service becomes
-        // ready exits immediately and never outlives the boot.
-        if let Some(watchdog) = &job_names.timeout {
-            has_timeouts = true;
-            manager_ops.push(Op::Spawn(Box::new(ProcessSpec::new(
-                Arc::clone(watchdog),
-                vec![
-                    Op::TimedWaitFlag {
-                        flag: ready_flags[&j],
-                        timeout: SimDuration::from_millis(graph.unit(j).exec.timeout_ms),
-                    },
-                    Op::SetFlag(ready_flags[&j]),
-                ],
-            ))));
-        }
         // Restart=/OnFailure= supervision: a crashed incarnation sets
         // `fault:crashed:<name>` (see bb-sim fault injection); a chain of
         // watchers respawns the unit — attempt k named `<unit>#k`, after
@@ -541,9 +499,31 @@ pub fn run_boot(
         // not extend the run. `StartLimitIntervalSec=` is parsed but a
         // single boot always falls inside one interval, so the burst
         // alone bounds respawns here.
-        if let (Some(restart), Some(mut respawn_ops)) = (&job_names.restart, respawn_ops) {
+        if let Some(restart) = &job_names.restart {
+            // A respawn runs the job's own program, bar serial mode's
+            // wait on its predecessor, which respawns never carry.
+            let without_serial_wait;
+            let program = match prev_ready {
+                None => &spec.ops,
+                Some(_) => {
+                    without_serial_wait = service_spec(
+                        graph,
+                        plan,
+                        workloads,
+                        cfg,
+                        j,
+                        &is_job,
+                        &ready_flags,
+                        &cond_flags,
+                        boot_complete,
+                        None,
+                        &mut scratch,
+                    )
+                    .ops;
+                    &without_serial_wait
+                }
+            };
             let restart_sec_ms = graph.unit(j).exec.restart_sec_ms;
-            let last = restart.respawns.len() - 1;
             for (k, (respawn, watcher)) in
                 restart.respawns.iter().zip(&restart.watchers).enumerate()
             {
@@ -553,16 +533,11 @@ pub fn run_boot(
                 if restart_sec_ms > 0 {
                     w_ops.push(Op::Sleep(SimDuration::from_millis(restart_sec_ms)));
                 }
-                let ops = if k == last {
-                    std::mem::take(&mut respawn_ops)
-                } else {
-                    respawn_ops.clone()
-                };
                 w_ops.push(Op::Spawn(Box::new(ProcessSpec {
                     name: Arc::clone(respawn),
-                    nice,
-                    io_priority,
-                    ops,
+                    nice: spec.nice,
+                    io_priority: spec.io_priority,
+                    ops: program.clone(),
                 })));
                 machine.spawn(
                     ProcessSpec::new(Arc::clone(watcher), w_ops).with_nice(cfg.costs.manager_nice),
@@ -598,6 +573,28 @@ pub fn run_boot(
                     .with_nice(cfg.costs.manager_nice),
             );
             supervised[j] = Some((limit_flag, escalate_flag));
+        }
+        // The manager's ops reach the machine only when it spawns, after
+        // this loop, so the job's own spawn can follow its watchers here.
+        manager_ops.push(Op::Compute(cfg.costs.dispatch_cpu_per_job));
+        manager_ops.push(Op::Spawn(Box::new(spec)));
+        // TimeoutStartSec=: a watchdog forces the readiness flag when the
+        // timeout expires, so dependents are released even if the service
+        // hangs (recorded as `timed_out` when the watchdog fired first).
+        // Built on `TimedWaitFlag` so a watchdog whose service becomes
+        // ready exits immediately and never outlives the boot.
+        if let Some(watchdog) = &job_names.timeout {
+            has_timeouts = true;
+            manager_ops.push(Op::Spawn(Box::new(ProcessSpec::new(
+                Arc::clone(watchdog),
+                vec![
+                    Op::TimedWaitFlag {
+                        flag: ready_flags[&j],
+                        timeout: SimDuration::from_millis(graph.unit(j).exec.timeout_ms),
+                    },
+                    Op::SetFlag(ready_flags[&j]),
+                ],
+            ))));
         }
         if cfg.mode == EngineMode::Serial {
             prev_ready = Some(ready_flags[&j]);

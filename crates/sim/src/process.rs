@@ -299,12 +299,6 @@ impl<'a> Process<'a> {
         &self.info.name
     }
 
-    /// The spec's name itself, the allocation the spawner handed over:
-    /// callers that named their processes can recognize them by it.
-    pub fn name_arc(&self) -> &'a Arc<str> {
-        &self.info.name
-    }
-
     /// Scheduling state.
     pub fn state(&self) -> ProcState {
         self.sched.state
