@@ -14,7 +14,9 @@
 //! `declared_by` is outside the group, and can be ignored without
 //! touching the group members' own files (§3.3, §4.2).
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::unit::{Unit, UnitName};
@@ -215,13 +217,12 @@ impl UnitGraph {
         &self.missing
     }
 
-    /// Index of a unit by name.
-    pub fn idx(&self, name: &UnitName) -> Option<usize> {
-        self.index.get(name).copied()
-    }
-
-    /// [`UnitGraph::idx`] for a name held as text.
-    pub(crate) fn idx_str(&self, name: &str) -> Option<usize> {
+    /// Index of a unit by name, held as a [`UnitName`] or as text.
+    pub fn idx<Q>(&self, name: &Q) -> Option<usize>
+    where
+        UnitName: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.index.get(name).copied()
     }
 
@@ -231,8 +232,7 @@ impl UnitGraph {
     ///
     /// Panics if the unit does not exist (experiment wiring error).
     pub fn idx_of(&self, name: &str) -> usize {
-        let name = UnitName::new(name);
-        self.idx(&name)
+        self.idx(name)
             .unwrap_or_else(|| panic!("unknown unit {name}"))
     }
 

@@ -1,8 +1,6 @@
 //! The names a boot gives its jobs' flags and processes, made once per
 //! scenario: [`JobNames`].
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::graph::UnitGraph;
@@ -18,8 +16,8 @@ use crate::unit::UnitName;
 /// table formats all of them once, from the unit graph and transaction
 /// alone, so every boot of a scenario hands the same names to the
 /// machine by refcount instead of formatting and freeing them. It also
-/// tells a boot's record what each process name means (a job's own
-/// process, a respawn, or neither) without hashing the name.
+/// tells a boot's record what each process name means: a job's own
+/// process, a respawn, or neither.
 ///
 /// Build it with [`JobNames::build`] from the same graph and transaction
 /// a [`crate::BootPlan`] carries; the plan borrows it the way it borrows
@@ -30,11 +28,6 @@ pub struct JobNames {
     jobs: Vec<Option<Names>>,
     /// The jobs in unit-name order.
     by_name: Vec<usize>,
-    /// [`JobNames::read`] of every process name the table issues, keyed
-    /// by the address of the name's text. A process spawned under one
-    /// of these names holds that very allocation, and no other live
-    /// name shares its address, so the key stands for the text.
-    roles: HashMap<usize, NameRole, BuildHasherDefault<AddrHasher>>,
 }
 
 /// One job's names.
@@ -50,23 +43,6 @@ pub(crate) struct Names {
     pub(crate) path: Option<Arc<str>>,
     /// Supervision's names, for a unit whose `Restart=` restarts.
     pub(crate) restart: Option<Box<RestartNames>>,
-}
-
-impl Names {
-    /// The names the job's processes are spawned under: its own, its
-    /// watchdog's, and supervision's respawns, watchers and escalations.
-    fn processes(&self) -> impl Iterator<Item = &Arc<str>> {
-        let restart = self.restart.iter().flat_map(|r| {
-            let targets = r.on_failure.iter().map(|t| t.unit.as_arc());
-            (r.respawns.iter().chain(&r.watchers))
-                .chain([&r.limit_watcher])
-                .chain(targets)
-        });
-        [self.unit.as_arc()]
-            .into_iter()
-            .chain(&self.timeout)
-            .chain(restart)
-    }
 }
 
 /// The names supervision gives one unit, for its `StartLimitBurst=`
@@ -162,20 +138,7 @@ impl JobNames {
         }
         let mut by_name: Vec<usize> = transaction.jobs.iter().copied().collect();
         by_name.sort_by(|&a, &b| graph.unit(a).name.cmp(&graph.unit(b).name));
-        let mut table = JobNames {
-            jobs,
-            by_name,
-            roles: HashMap::default(),
-        };
-        let roles = table
-            .jobs
-            .iter()
-            .flatten()
-            .flat_map(Names::processes)
-            .map(|name| (address(name), table.read(graph, name)))
-            .collect();
-        table.roles = roles;
-        table
+        JobNames { jobs, by_name }
     }
 
     /// Graph slots the table covers.
@@ -197,21 +160,12 @@ impl JobNames {
         &self.by_name
     }
 
-    /// What process name `name` means to the record: remembered for
-    /// the names the table issued, read from the text for any other.
+    /// What process name `name` means to the record: a job's own name
+    /// is that job's, and `<unit>#<digits>` is a respawn of the
+    /// supervised job `<unit>`. A unit name ends in its type suffix,
+    /// never in `#<digits>`, so no name is both.
     pub(crate) fn role(&self, graph: &UnitGraph, name: &str) -> NameRole {
-        match self.roles.get(&address(name)) {
-            Some(&role) => role,
-            None => self.read(graph, name),
-        }
-    }
-
-    /// The record's rule for a process name: a job's own name is that
-    /// job's, and `<unit>#<digits>` is a respawn of the supervised job
-    /// `<unit>`. A unit name ends in its type suffix, never in
-    /// `#<digits>`, so no name is both.
-    fn read(&self, graph: &UnitGraph, name: &str) -> NameRole {
-        let job = |n: &str| graph.idx_str(n).filter(|&j| self.jobs[j].is_some());
+        let job = |n: &str| graph.idx(n).filter(|&j| self.jobs[j].is_some());
         match name.rsplit_once('#') {
             Some((unit, k)) if !k.is_empty() && k.bytes().all(|b| b.is_ascii_digit()) => {
                 match job(unit) {
@@ -221,34 +175,6 @@ impl JobNames {
             }
             _ => job(name).map_or(NameRole::Other, NameRole::Job),
         }
-    }
-}
-
-/// The address of a name's text: the role memo's key.
-fn address(name: &str) -> usize {
-    name.as_ptr() as usize
-}
-
-/// Hashes the role memo's addresses. An address is already unique, so
-/// one multiply spreads it; folding the high half down keeps the low
-/// bits, which allocation alignment zeroes, from crowding the buckets.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(self.0 as usize ^ usize::from(b));
-        }
-    }
-
-    fn write_usize(&mut self, addr: usize) {
-        let h = (addr as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
     }
 }
 
@@ -318,8 +244,7 @@ mod tests {
     fn a_process_name_means_what_its_text_says() {
         let (graph, names) = table();
         let (a, t) = (graph.idx_of("a.service"), graph.idx_of("timeout:a.service"));
-        // Fresh copies of the text, so no remembered address answers.
-        let role = |name: &str| names.role(&graph, &String::from(name));
+        let role = |name: &str| names.role(&graph, name);
         assert_eq!(role("a.service"), NameRole::Job(a));
         assert_eq!(role("a.service#2"), NameRole::Respawn(a));
         assert_eq!(role("a.service#17"), NameRole::Respawn(a));
@@ -334,25 +259,5 @@ mod tests {
         ] {
             assert_eq!(role(other), NameRole::Other, "{other}");
         }
-        // Every name the table issued is remembered as its text reads,
-        // the watchdog that shares a job's name included.
-        let issued: Vec<&Arc<str>> = names
-            .jobs
-            .iter()
-            .flatten()
-            .flat_map(Names::processes)
-            .collect();
-        assert_eq!(names.roles.len(), issued.len());
-        for name in issued {
-            assert_eq!(
-                names.roles[&address(name)],
-                names.read(&graph, name),
-                "{name}"
-            );
-        }
-        assert_eq!(
-            names.role(&graph, names.job(a).timeout.as_deref().unwrap()),
-            NameRole::Job(t)
-        );
     }
 }
