@@ -208,11 +208,10 @@ impl SweepArgs {
             ("--restart", JobKind::Chaos) => self.restart = value("--restart")?,
             ("--restart-sec-ms", JobKind::Chaos) => {
                 let ms = num("--restart-sec-ms", value("--restart-sec-ms")?)?;
-                self.restart_sec_ms = check_supervision("--restart-sec-ms", ms)?
+                self.restart_sec_ms = check_sim_ms("--restart-sec-ms", ms)?
             }
             ("--burst", JobKind::Chaos) => {
-                self.burst =
-                    check_supervision("--burst", num("--burst", value("--burst")?)?)? as u32
+                self.burst = check_burst(num("--burst", value("--burst")?)?)?
             }
             _ => return Ok(false),
         }
@@ -314,20 +313,20 @@ impl SweepArgs {
             }
         }
         if let Some(ms) = uint(v, "restart_sec_ms")? {
-            args.restart_sec_ms = check_supervision("--restart-sec-ms", ms)?;
+            args.restart_sec_ms = check_sim_ms("--restart-sec-ms", ms)?;
         }
         if let Some(n) = uint(v, "burst")? {
-            args.burst = check_supervision("--burst", n)? as u32;
+            args.burst = check_burst(n)?;
         }
         Ok(args)
     }
 
     /// A chaos job's `--deadline-ms` is the simulated fallback
-    /// deadline, so [`check_supervision`] bounds it; a sweep's is a
+    /// deadline, so [`check_sim_ms`] bounds it; a sweep's is a
     /// wall-clock job deadline and is taken as given.
     fn check_deadline_ms(&self, ms: u64) -> Result<u64, String> {
         match self.kind {
-            JobKind::Chaos => check_supervision("--deadline-ms", ms),
+            JobKind::Chaos => check_sim_ms("--deadline-ms", ms),
             _ => Ok(ms),
         }
     }
@@ -499,20 +498,27 @@ const MAX_BURST: u64 = 100;
 /// a millisecond count past ~1.8·10^13 would overflow.
 const MAX_SIM_MS: u64 = 3_600_000;
 
-/// Checks a chaos job's supervision knob `flag` (a CLI flag or a wire
-/// job's field): `--burst` against [`MAX_BURST`], the simulated spans
-/// `--restart-sec-ms` and `--deadline-ms` against [`MAX_SIM_MS`].
-fn check_supervision(flag: &str, value: u64) -> Result<u64, String> {
-    let (max, what) = match flag {
-        "--burst" => (MAX_BURST, "respawns a service may get"),
-        _ => (MAX_SIM_MS, "ms, one hour of simulated time"),
-    };
-    if value > max {
+/// Checks a chaos job's `--burst` (a CLI flag or a wire job's field)
+/// against [`MAX_BURST`].
+fn check_burst(burst: u64) -> Result<u32, String> {
+    if burst > MAX_BURST {
         return Err(format!(
-            "{flag} {value} is out of range: at most {max} {what}"
+            "--burst {burst} is out of range: at most {MAX_BURST} respawns a service may get"
         ));
     }
-    Ok(value)
+    Ok(burst as u32)
+}
+
+/// Checks a chaos job's simulated span `flag` (`--restart-sec-ms` or
+/// `--deadline-ms`, a CLI flag or a wire job's field) against
+/// [`MAX_SIM_MS`].
+fn check_sim_ms(flag: &str, ms: u64) -> Result<u64, String> {
+    if ms > MAX_SIM_MS {
+        return Err(format!(
+            "{flag} {ms} is out of range: at most {MAX_SIM_MS} ms, one hour of simulated time"
+        ));
+    }
+    Ok(ms)
 }
 
 /// Resolves a `--profiles` spec (`all` or a comma list, any
