@@ -51,6 +51,15 @@ run cmp "$chaos_tmp/c1.json" "$chaos_tmp/c4.json"
 run grep -q '"schema": "bb-fleet-chaos-v2"' "$chaos_tmp/c1.json"
 run grep -q 'artifact rejected' "$chaos_tmp/c1.json"
 
+# Served chaos shape: the grid of a served chaos ticket must print its
+# golden's bytes on one worker, where jobs run in slot order, and on
+# four, where the most jobs race.
+for w in 1 4; do
+    run ./target/release/bbsim chaos --services 136 --seeds 1 --plans 2 \
+        --corruption 1 --workers "$w" --json "$chaos_tmp/c136-w$w.json"
+    run cmp tests/golden/chaos_s136.json "$chaos_tmp/c136-w$w.json"
+done
+
 # Integrity & recovery gates: the never-panic/always-detected proptests
 # over the checksummed artifacts and the wire decoders, the shared unit
 # plan against a fresh one and the Pre-parser's counted sizes against
