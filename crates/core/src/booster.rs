@@ -603,7 +603,7 @@ impl<'s> BootRequest<'s> {
     /// conventional rescue on [`Boot::degraded`].
     pub fn run(mut self) -> Result<Boot, Error> {
         let mut recoveries = Vec::new();
-        if let Some(read) = self.artifact.take().filter(|_| self.cfg.preparser) {
+        if let Some(read) = self.artifact.take().filter(|_| self.cfg.reads_artifact()) {
             match validate_preparse_blob(read, self.scenario)? {
                 Ok(retried) => recoveries.extend(retried),
                 Err(rejected) => {

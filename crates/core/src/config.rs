@@ -89,6 +89,16 @@ impl BbConfig {
             | (self.bb_group as u8) << 6
     }
 
+    /// Whether a [`crate::BootRequest::run`] under this config reads
+    /// the staged [`crate::BootRequest::artifact`]. Only the Pre-parser
+    /// loads the build-time unit blob (§3.3); any other boot parses the
+    /// unit files, so what the read returns, damaged or not, cannot
+    /// change it, and the fleet shares its outcome across a ticket's
+    /// corruption slots.
+    pub fn reads_artifact(&self) -> bool {
+        self.preparser
+    }
+
     /// The features that shape the boot *prefix* — everything simulated
     /// before the kernel→init handoff (kernel boot, RCU Booster Control
     /// installation, module loading setup). Two configurations with

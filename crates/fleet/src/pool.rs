@@ -108,7 +108,7 @@ const CHECKPOINT_MEMO_CAP: usize = 256;
 /// fanned out to every grid point that requests the same (scenario,
 /// config) pair.
 #[derive(Debug, Clone)]
-enum CachedBoot {
+pub(crate) enum CachedBoot {
     /// The boot completed; these values are deterministic functions of
     /// the (scenario, config) pair, so replaying them is bit-identical
     /// to re-simulating.
@@ -127,6 +127,30 @@ enum CachedBoot {
     /// slot reports the failure under its own config label.
     Incomplete,
 }
+
+/// Names a supervised boot up to its corruption slot: the job with its
+/// corruption index cleared (so its cell, fault-plan slot and seed
+/// slot) and the config's index in the cell. Keying on the cell, not on
+/// its scenario, keeps two cells with equal scenarios but different
+/// fallback policies apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct OutcomeKey {
+    job: Job,
+    config: usize,
+}
+
+impl OutcomeKey {
+    fn new(job: Job, config: usize) -> OutcomeKey {
+        OutcomeKey {
+            job: Job { corr_idx: 0, ..job },
+            config,
+        }
+    }
+}
+
+/// A supervised boot memoized on its ticket's [`Plan`]: the outcome
+/// and, for a boot that completed, its fault record.
+pub(crate) type SharedBoot = (CachedBoot, Option<FaultRecord>);
 
 /// The three service-wide memos of one or more sweeps: deduplicated
 /// boot outcomes, compiled boot plans, and kernel-prefix checkpoints.
@@ -540,7 +564,11 @@ pub(crate) type JobResult = Result<(JobOutput, Vec<FaultRecord>), JobFailure>;
 /// supervised cell fetches its scenario up front and adds the job's
 /// fault plan, staged artifact read, and fallback supervisor to every
 /// boot, skipping the cache's memos: the dedup key does not cover those
-/// axes and a checkpoint cannot carry a supervisor.
+/// axes and a checkpoint cannot carry a supervisor. A supervised config
+/// that never reads the artifact ([`bb_core::BbConfig::reads_artifact`])
+/// boots alike in every corruption slot, so in a cell with more than
+/// one slot it goes through the ticket's outcome memo instead
+/// ([`Plan::outcome`]), keyed by the job without its corruption slot.
 pub(crate) fn run_job(
     plan: &Plan,
     cache: &FleetCache,
@@ -552,6 +580,8 @@ pub(crate) fn run_job(
     let seed = cell.seeds[job.seed_idx];
     let supervised = cell.supervised();
     let (dedup, fork) = (spec.dedup && !supervised, spec.fork && !supervised);
+    // Only a cell with another corruption slot has a boot to share.
+    let share = supervised && cell.corruption_seeds.len() > 1;
     let key = ScenarioKey::new(cell, seed);
     let started = std::time::Instant::now();
 
@@ -585,37 +615,55 @@ pub(crate) fn run_job(
         let mut deduped = 0usize;
         for (config, (label, cfg)) in cell.configs.iter().enumerate() {
             let bits = cfg.bits();
+            let shared = (share && !cfg.reads_artifact()).then_some(OutcomeKey::new(job, config));
             // Dedup: an identical grid point that already ran anywhere
-            // in the sweep replays its (deterministic) outcome.
-            if dedup {
-                match cache.boot_lookup(&key, bits, spec.metrics) {
-                    Some(CachedBoot::Incomplete) => {
-                        return Err(FailureKind::Incomplete {
-                            config: label.clone(),
-                        })
-                    }
-                    Some(CachedBoot::Done {
+            // in the sweep, or this boot in another corruption slot of
+            // the ticket, replays its (deterministic) outcome.
+            let hit = if dedup {
+                cache
+                    .boot_lookup(&key, bits, spec.metrics)
+                    .map(|b| (b, None))
+            } else {
+                shared.and_then(|k| plan.outcome(&k))
+            };
+            match hit {
+                Some((CachedBoot::Incomplete, _)) => {
+                    return Err(FailureKind::Incomplete {
+                        config: label.clone(),
+                    })
+                }
+                Some((
+                    CachedBoot::Done {
                         boot_ns,
                         quiesce_ns,
                         peak_events: peak,
                         spans: cached_spans,
-                    }) => {
-                        samples.push(BootSample {
-                            config,
-                            boot_ns,
-                            quiesce_ns,
-                        });
-                        peak_events = peak_events.max(peak);
-                        if spec.metrics {
-                            spans
-                                .push(cached_spans.expect("boot_lookup filters span-less entries"));
-                        }
-                        deduped += 1;
-                        continue;
+                    },
+                    record,
+                )) => {
+                    samples.push(BootSample {
+                        config,
+                        boot_ns,
+                        quiesce_ns,
+                    });
+                    peak_events = peak_events.max(peak);
+                    if spec.metrics {
+                        spans.push(cached_spans.expect("a metrics job finds spans in its memo"));
                     }
-                    None => {}
+                    records.extend(record);
+                    deduped += 1;
+                    continue;
                 }
+                None => {}
             }
+            // Where this config's outcome goes for the next asker.
+            let remember = |outcome, record| {
+                if dedup {
+                    cache.boot_insert(&key, bits, outcome);
+                } else if let Some(k) = shared {
+                    plan.remember(k, (outcome, record));
+                }
+            };
             let scenario: &Arc<Scenario> = built.get_or_insert_with(fetch);
             // Forked mode: one checkpoint per distinct (scenario, prefix
             // key), memoized service-wide in the FleetCache. Every boot
@@ -669,9 +717,7 @@ pub(crate) fn run_job(
             }
             let peak = boot.machine.event_queue_stats().peak_depth;
             peak_events = peak_events.max(peak);
-            if supervised {
-                records.push(fault_record(&boot));
-            }
+            let record = supervised.then(|| fault_record(&boot));
             let user_boot = boot.user_boot_time();
             let Boot {
                 report, machine, ..
@@ -680,9 +726,7 @@ pub(crate) fn run_job(
             // A boot (or rescue) that never met its completion
             // definition is a reported failure, not a worker panic.
             let Some(boot_time) = user_boot else {
-                if dedup {
-                    cache.boot_insert(&key, bits, CachedBoot::Incomplete);
-                }
+                remember(CachedBoot::Incomplete, None);
                 return Err(FailureKind::Incomplete {
                     config: label.clone(),
                 });
@@ -698,18 +742,16 @@ pub(crate) fn run_job(
                 boot_ns: boot_time.as_nanos(),
                 quiesce_ns: report.quiesce_time.as_nanos(),
             });
-            if dedup {
-                cache.boot_insert(
-                    &key,
-                    bits,
-                    CachedBoot::Done {
-                        boot_ns: boot_time.as_nanos(),
-                        quiesce_ns: report.quiesce_time.as_nanos(),
-                        peak_events: peak,
-                        spans: boot_spans.clone(),
-                    },
-                );
+            if dedup || shared.is_some() {
+                let outcome = CachedBoot::Done {
+                    boot_ns: boot_time.as_nanos(),
+                    quiesce_ns: report.quiesce_time.as_nanos(),
+                    peak_events: peak,
+                    spans: boot_spans.clone(),
+                };
+                remember(outcome, record.clone());
             }
+            records.extend(record);
             if let Some(s) = boot_spans {
                 spans.push(s);
             }

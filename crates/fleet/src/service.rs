@@ -67,7 +67,10 @@ use std::time::{Duration, Instant};
 use crate::aggregate::Aggregator;
 use crate::chaos::{self, ChaosOutcome};
 use crate::json;
-use crate::pool::{lock, run_job, FleetCache, JobResult, PoolStats, SweepOutcome, WorkerStats};
+use crate::pool::{
+    lock, run_job, FleetCache, JobResult, OutcomeKey, PoolStats, SharedBoot, SweepOutcome,
+    WorkerStats,
+};
 use crate::spec::{Job, ScenarioKey, SweepSpec};
 use bb_core::{PlanCacheStats, Scenario};
 
@@ -332,6 +335,10 @@ pub(crate) struct Plan {
     /// supervised, obtain a scenario. Workers use it outside the state
     /// lock, so it has a lock of its own.
     scenarios: Mutex<HashMap<ScenarioKey, Arc<Scenario>>>,
+    /// The ticket's supervised outcome memo: a boot that never reads
+    /// its staged artifact is the same in every corruption slot of its
+    /// cell, so the slots after the first replay it (see [`run_job`]).
+    outcomes: Mutex<HashMap<OutcomeKey, SharedBoot>>,
 }
 
 impl Plan {
@@ -352,6 +359,19 @@ impl Plan {
             .entry(key.clone())
             .or_insert(built)
             .clone()
+    }
+
+    /// The memoized outcome of the supervised boot `key` names, if a
+    /// job of another corruption slot ran it.
+    pub(crate) fn outcome(&self, key: &OutcomeKey) -> Option<SharedBoot> {
+        lock(&self.outcomes).get(key).cloned()
+    }
+
+    /// Memoizes a supervised boot's outcome. First insert wins, as in
+    /// the checkpoint memo: two slots that raced both simulated the
+    /// same deterministic boot, so only the counters can tell.
+    pub(crate) fn remember(&self, key: OutcomeKey, outcome: SharedBoot) {
+        lock(&self.outcomes).entry(key).or_insert(outcome);
     }
 }
 
@@ -398,6 +418,7 @@ impl Ticket {
             spec,
             jobs,
             scenarios: Mutex::default(),
+            outcomes: Mutex::default(),
         };
         Ticket {
             client,
@@ -1228,6 +1249,43 @@ mod tests {
             let _ = run_job(plan, &cache, job, &mut builder);
         }
         assert_eq!(lock(&plan.scenarios).len(), 1);
+    }
+
+    /// A supervised boot that never reads its staged artifact runs once
+    /// per ticket across its cell's corruption slots: the memo holds
+    /// one outcome per seed and fault-plan slot, the conventional
+    /// config's and never the Pre-parser's, and both corrupted slots
+    /// replay it. A cell with one corruption slot memoizes nothing.
+    #[test]
+    fn artifact_blind_boots_are_shared_across_corruption_slots() {
+        let cell = |corruption| {
+            crate::spec::tests::tiny_cell("chaos")
+                .seeds([1, 2])
+                .fault_plans(1, 100)
+                .corruption_plans(corruption, 500)
+                .supervision(Some(crate::Supervision::default()))
+                .fallback(bb_core::FallbackPolicy::default())
+                .conventional_vs_bb()
+        };
+        let cache = FleetCache::new();
+        let mut builder = bb_sim::MachineBuilder::new();
+        // Runs the ticket's jobs in queue order: (memo entries, boots
+        // replayed).
+        let mut run = |corruption| {
+            let item = WorkItem::Chaos(SweepSpec::new().cell(cell(corruption)));
+            let ticket = Ticket::new(1, item, cache.plans().stats());
+            let plan = proto_plan(&ticket);
+            let mut replayed = 0;
+            for &job in &plan.jobs {
+                let (out, records) = run_job(plan, &cache, job, &mut builder).expect("boots");
+                assert_eq!(records.len(), 2, "a replayed boot keeps its record");
+                replayed += out.deduped;
+            }
+            let memoized = lock(&plan.outcomes).len();
+            (memoized, replayed)
+        };
+        assert_eq!(run(2), (2 * 2, 2 * 2 * 2));
+        assert_eq!(run(0), (0, 0));
     }
 
     /// The interleaving check's scope. Each ticket is a two-job grid and

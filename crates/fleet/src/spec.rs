@@ -332,13 +332,16 @@ impl SweepSpec {
         })
     }
 
-    /// Expands the grid into jobs, in deterministic (cell, plan,
-    /// corruption, seed) order — (cell, seed) order for plain cells.
+    /// Expands the grid into jobs, in deterministic (cell, corruption,
+    /// plan, seed) order — (cell, seed) order for plain cells. A
+    /// supervised cell's pristine slots queue first, so a boot that
+    /// never reads the artifact has run, and is in the ticket's outcome
+    /// memo, by the time a corrupted slot asks for it.
     pub fn jobs(&self) -> Vec<Job> {
         let mut jobs = Vec::new();
         for (cell, c) in self.cells.iter().enumerate() {
-            for plan_idx in 0..c.plan_seeds.len() {
-                for corr_idx in 0..c.corruption_seeds.len() {
+            for corr_idx in 0..c.corruption_seeds.len() {
+                for plan_idx in 0..c.plan_seeds.len() {
                     for seed_idx in 0..c.seeds.len() {
                         jobs.push(Job {
                             cell,
@@ -355,8 +358,9 @@ impl SweepSpec {
 }
 
 /// One unit of pool work: all configs of one `(cell, plan, corruption,
-/// seed)` slot. Orders by that tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// seed)` slot. Orders by that tuple, the order of report slots and
+/// failures; [`SweepSpec::jobs`] queues them in another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Job {
     /// Index into [`SweepSpec::cells`].
     pub cell: usize,
@@ -505,7 +509,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn supervised_cells_expand_plan_corruption_then_seed() {
+    fn supervised_cells_expand_corruption_plan_then_seed() {
         let cell = small_cell()
             .seeds([1, 2])
             .fault_plans(2, 100)
@@ -519,16 +523,24 @@ pub(crate) mod tests {
         assert_eq!(jobs.len(), 3 * 2 * 2);
         assert_eq!(spec.job_count(), jobs.len());
         assert_eq!(spec.total_boots(), 3 * 2 * 2 * 2);
-        // Jobs run in [plan][corruption][seed] slot order.
+        // Jobs queue in [corruption][plan][seed] order: every pristine
+        // slot before the first corrupted one.
         let keys: Vec<_> = jobs
             .iter()
-            .map(|j| (j.plan_idx, j.corr_idx, j.seed_idx))
+            .map(|j| (j.corr_idx, j.plan_idx, j.seed_idx))
             .collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(keys[5], (0, 2, 1));
+        assert_eq!(keys[7], (1, 0, 1));
+        // Each job is one slot, in slot order once sorted.
+        let mut slots = jobs.clone();
+        slots.sort();
         assert_eq!(
-            (jobs[5].plan_idx, jobs[5].corr_idx, jobs[5].seed_idx),
+            (slots[5].plan_idx, slots[5].corr_idx, slots[5].seed_idx),
             (1, 0, 1)
         );
+        slots.dedup();
+        assert_eq!(slots.len(), jobs.len());
         // Each of the four axes alone makes a cell supervised.
         assert!(small_cell().fault_plans(1, 0).supervised());
         assert!(small_cell().corruption_plans(1, 0).supervised());

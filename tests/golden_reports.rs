@@ -125,17 +125,25 @@ const CHAOS_GOLDENS: &[(&str, &str, &[&str])] = &[
     ),
 ];
 
+/// Each chaos grid runs on one, two and four workers: a corrupted slot
+/// replays the pristine slot's artifact-blind boots when that slot ran
+/// first, and re-simulates them when it raced it, and the bytes may
+/// depend on neither.
 #[test]
 fn chaos_report_matches_golden() {
     for &(file, flags, must_contain) in CHAOS_GOLDENS {
         let spec = job_from_flags(JobKind::Chaos, flags)
             .sweep_spec()
             .expect("chaos grid");
-        let outcome = run_chaos(&spec, &PoolConfig::with_workers(2), &FleetCache::fresh());
-        let json = outcome.report.to_json();
-        for needle in must_contain {
-            assert!(json.contains(needle), "{file} lost its {needle:?} content");
+        for workers in [2, 1, 4] {
+            let pool = PoolConfig::with_workers(workers);
+            let json = run_chaos(&spec, &pool, &FleetCache::fresh())
+                .report
+                .to_json();
+            for needle in must_contain {
+                assert!(json.contains(needle), "{file} lost its {needle:?} content");
+            }
+            check_golden(file, &json);
         }
-        check_golden(file, &json);
     }
 }

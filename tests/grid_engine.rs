@@ -14,7 +14,12 @@ use booting_booster::workloads::{profiles, TizenParams};
 
 /// A chaos ticket and a sweep ticket over the same profile, services,
 /// and seeds share one service: the supervised boots must leave the
-/// `FleetCache` untouched, so the sweep finds nothing to replay.
+/// `FleetCache` untouched, so the sweep finds nothing to replay. The
+/// chaos ticket replays only its own boots: the conventional boot of
+/// each seed and fault plan runs in the pristine slot, and the
+/// corrupted slot, which stages an artifact that boot never reads,
+/// replays it. One worker runs the jobs in order, so the count is
+/// exact.
 #[test]
 fn supervised_cells_leave_the_fleet_cache_alone() {
     let job = |kind| {
@@ -25,14 +30,17 @@ fn supervised_cells_leave_the_fleet_cache_alone() {
         job.corruption = 1;
         job.to_work_item().expect("work item")
     };
-    let service = FleetService::start(ServiceConfig::with_workers(2));
+    let service = FleetService::start(ServiceConfig::with_workers(1));
     let ticket = service.submit(1, job(JobKind::Chaos)).expect("admitted");
     let Ok(ServiceReport::Chaos(chaos)) = service.wait(ticket) else {
         panic!("chaos tickets finalize into chaos reports");
     };
     assert!(chaos.report.failures.is_empty());
     assert!(chaos.stats.kernel_sims > 0, "chaos boots are counted");
-    assert_eq!(chaos.stats.cells_deduped, 0);
+    assert_eq!(
+        chaos.stats.cells_deduped, 4,
+        "2 seeds x 2 fault-plan slots replay their conventional boot"
+    );
     assert_eq!(
         service.cache().plans().stats().entries,
         0,
@@ -48,6 +56,37 @@ fn supervised_cells_leave_the_fleet_cache_alone() {
         "nothing the chaos ticket booted may be replayed"
     );
     assert_eq!(sweep.stats.kernel_sims, 4, "2 seeds x 2 configs simulate");
+}
+
+/// The grid of a served chaos ticket, `bbsim chaos --services 136
+/// --seeds 1 --plans 2 --corruption 1` (whose report
+/// `tests/golden/chaos_s136.json` pins): the conventional boot of each
+/// of the three fault-plan slots never reads the staged artifact, so
+/// the corrupted slot replays the pristine slot's boot. One worker
+/// simulates 9 of the 12 boots and replays 3, while the fault columns
+/// still count all 12.
+#[test]
+fn a_served_chaos_grid_simulates_each_artifact_blind_boot_once() {
+    let mut job = SweepArgs::new(JobKind::Chaos);
+    job.services = Some(136);
+    job.seeds = 1;
+    job.plans = 2;
+    job.corruption = 1;
+    let spec = job.sweep_spec().expect("chaos grid");
+    let chaos = run_chaos(&spec, &PoolConfig::with_workers(1), &FleetCache::fresh());
+    assert!(chaos.report.failures.is_empty());
+    assert_eq!(chaos.report.total_boots, 12);
+    assert_eq!(chaos.stats.kernel_sims, 9, "no boot degrades, so no rescue");
+    assert_eq!(chaos.stats.cells_deduped, 3);
+    assert_eq!(
+        (
+            chaos.stats.restarts,
+            chaos.stats.recoveries,
+            chaos.stats.artifacts_rejected
+        ),
+        (24, 3, 3),
+        "replayed boots keep their fault records"
+    );
 }
 
 /// One grid, one plain and one supervised cell: each cell's row in its
