@@ -98,6 +98,14 @@ check_schema BENCH_hotpath.json bb-hotpath-v1 $HOTPATH_FIELDS
 check_schema BENCH_sweep.json bb-sweep-v1 $SWEEP_FIELDS
 [ "$failures" -eq 0 ] || exit 1
 
+# The benches rewrite both baselines in place. Keep copies aside and
+# put them back when the script exits, passed or failed, so a smoke run
+# never dirties the tree and the next run gates against the same
+# baselines, in a git checkout or not.
+saved="$(mktemp -d)"
+cp BENCH_hotpath.json BENCH_sweep.json "$saved/"
+trap 'cp "$saved/BENCH_hotpath.json" "$saved/BENCH_sweep.json" . && rm -rf "$saved"' EXIT
+
 # ---------------------------------------------------------------- hotpath
 BASELINE=BENCH_hotpath.json
 committed_full="$(field full_boots_per_sec "$BASELINE")"
@@ -114,10 +122,6 @@ check_schema "$BASELINE" bb-hotpath-v1 $HOTPATH_FIELDS
 fresh_full="$(field full_boots_per_sec "$BASELINE")"
 fresh_hot="$(field hotpath_boots_per_sec "$BASELINE")"
 fresh_events="$(field storm_events "$BASELINE")"
-
-# The bench rewrites BENCH_hotpath.json in place; restore the committed
-# copy so a smoke run never dirties the tree.
-git checkout -- "$BASELINE" 2>/dev/null || true
 
 # ------------------------------------------------------------------ sweep
 BASELINE=BENCH_sweep.json
@@ -141,8 +145,6 @@ fresh_sims="$(field kernel_sims "$BASELINE")"
 fresh_deduped="$(field cells_deduped "$BASELINE")"
 fresh_plans="$(field plans_compiled "$BASELINE")"
 fresh_hits="$(field plan_cache_hits "$BASELINE")"
-
-git checkout -- "$BASELINE" 2>/dev/null || true
 
 # ------------------------------------------------------- exact counters
 echo "==> deterministic counters"
