@@ -47,4 +47,5 @@ pub use preparse::{
 pub use transaction::{Transaction, TransactionError};
 pub use unit::{
     ExecConfig, IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitKind, UnitName,
+    MAX_SPAN_MS, MAX_START_LIMIT_BURST,
 };

@@ -13,7 +13,10 @@
 
 use std::fmt;
 
-use crate::unit::{IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName};
+use crate::unit::{
+    IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName, MAX_SPAN_MS,
+    MAX_START_LIMIT_BURST,
+};
 
 /// A parse failure with its location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,7 +312,11 @@ fn apply_directive(
         }
         // In systemd v208 the start-limit knobs live in [Service].
         ("Service" | "Mount" | "Socket", "StartLimitBurst") => {
-            unit.exec.start_limit_burst = value.parse().map_err(|_| bad_value(key, value, line))?;
+            let burst: u32 = value.parse().map_err(|_| bad_value(key, value, line))?;
+            if burst > MAX_START_LIMIT_BURST {
+                return Err(bad_value(key, value, line));
+            }
+            unit.exec.start_limit_burst = burst;
         }
         ("Service" | "Mount" | "Socket", "StartLimitIntervalSec") => {
             unit.exec.start_limit_interval_ms =
@@ -333,15 +340,19 @@ fn apply_directive(
     Ok(())
 }
 
-/// Parses `TimeoutStartSec=` values: bare seconds, `<n>ms`, or `<n>s`.
+/// Parses a time value (`TimeoutStartSec=`, `RestartSec=`,
+/// `StartLimitIntervalSec=`): bare seconds, `<n>ms`, or `<n>s`, in
+/// milliseconds. `None` if it is malformed or longer than
+/// [`MAX_SPAN_MS`], seconds that overflow in milliseconds included.
 fn parse_timeout_ms(value: &str) -> Option<u64> {
-    if let Some(ms) = value.strip_suffix("ms") {
-        return ms.parse().ok();
-    }
-    if let Some(s) = value.strip_suffix('s') {
-        return s.parse::<u64>().ok().map(|v| v * 1000);
-    }
-    value.parse::<u64>().ok().map(|v| v * 1000)
+    let ms = match value.strip_suffix("ms") {
+        Some(ms) => ms.parse().ok()?,
+        None => {
+            let secs: u64 = value.strip_suffix('s').unwrap_or(value).parse().ok()?;
+            secs.checked_mul(1000)?
+        }
+    };
+    (ms <= MAX_SPAN_MS).then_some(ms)
 }
 
 /// Loads and parses every unit file in a directory on disk. File names
@@ -608,6 +619,46 @@ StartLimitIntervalSec=30s
         assert_eq!(parse_timeout_ms("5s"), Some(5000));
         assert_eq!(parse_timeout_ms("7"), Some(7000));
         assert_eq!(parse_timeout_ms("x"), None);
+    }
+
+    /// The supervision knobs stop at their caps: a burst of 100 and an
+    /// hour of simulated time parse, one more is a bad value, and so
+    /// are seconds whose milliseconds overflow a `u64`.
+    #[test]
+    fn supervision_knobs_stop_at_their_caps() {
+        use crate::unit::ExecConfig;
+        let knob = |directive: &str, value: &str| {
+            parse_unit("x.service", &format!("[Service]\n{directive}={value}\n"))
+                .map(|p| p.unit.exec)
+        };
+        let bad = |directive: &str, value: &str| {
+            let err = knob(directive, value).unwrap_err();
+            assert!(
+                matches!(err.kind, ParseErrorKind::BadValue { .. }),
+                "{directive}={value}: {err:?}"
+            );
+        };
+        assert_eq!(
+            knob("StartLimitBurst", "100").unwrap().start_limit_burst,
+            100
+        );
+        bad("StartLimitBurst", "101");
+        bad("StartLimitBurst", "4000000000");
+        let span = |directive: &str, exec: ExecConfig| match directive {
+            "TimeoutStartSec" => exec.timeout_ms,
+            "RestartSec" => exec.restart_sec_ms,
+            _ => exec.start_limit_interval_ms,
+        };
+        let max_secs = u64::MAX.to_string();
+        for directive in ["TimeoutStartSec", "RestartSec", "StartLimitIntervalSec"] {
+            for at_cap in ["3600", "3600s", "3600000ms"] {
+                let exec = knob(directive, at_cap).unwrap();
+                assert_eq!(span(directive, exec), MAX_SPAN_MS, "{directive}={at_cap}");
+            }
+            for over in ["3601", "3601s", "3600001ms", max_secs.as_str()] {
+                bad(directive, over);
+            }
+        }
     }
 
     #[test]

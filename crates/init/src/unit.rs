@@ -217,6 +217,17 @@ impl RestartPolicy {
     }
 }
 
+/// The most respawns `StartLimitBurst=` may allow a service: twenty
+/// times systemd's default of 5. Supervision spawns a watcher per
+/// allowed respawn, per service and boot, before anything crashes.
+pub const MAX_START_LIMIT_BURST: u32 = 100;
+
+/// The longest simulated span, in milliseconds, a supervision knob
+/// (`TimeoutStartSec=`, `RestartSec=`, `StartLimitIntervalSec=`) may
+/// name: one hour. Simulated time counts nanoseconds in a `u64`, which
+/// a millisecond count past ~1.8·10^13 would overflow.
+pub const MAX_SPAN_MS: u64 = 3_600_000;
+
 /// Execution settings from `[Service]`/`[Mount]`/`[Socket]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecConfig {

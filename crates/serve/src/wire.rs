@@ -28,7 +28,7 @@ use std::time::Duration;
 use bb_core::{BbConfig, FallbackPolicy};
 use bb_fleet::json::{self, Json};
 use bb_fleet::{CellSpec, Supervision, SweepSpec, TicketId, WorkItem};
-use bb_init::RestartPolicy;
+use bb_init::{RestartPolicy, MAX_SPAN_MS, MAX_START_LIMIT_BURST};
 use bb_sim::MAX_CORES;
 use bb_workloads::{profiles, MachineProfile, TizenParams};
 
@@ -487,35 +487,25 @@ pub fn check_cores(cores: usize) -> Result<usize, String> {
     Ok(cores)
 }
 
-/// The most respawns `--burst` may allow a service: twenty times
-/// systemd's default `StartLimitBurst=5`. Supervision spawns a watcher
-/// per allowed respawn, per service and boot, before anything crashes.
-const MAX_BURST: u64 = 100;
-
-/// The longest simulated span, in milliseconds, a chaos job's
-/// `--restart-sec-ms` backoff or `--deadline-ms` fallback deadline may
-/// name: one hour. Simulated time counts nanoseconds in a `u64`, which
-/// a millisecond count past ~1.8·10^13 would overflow.
-const MAX_SIM_MS: u64 = 3_600_000;
-
 /// Checks a chaos job's `--burst` (a CLI flag or a wire job's field)
-/// against [`MAX_BURST`].
+/// against [`MAX_START_LIMIT_BURST`], the cap a unit file's
+/// `StartLimitBurst=` has too.
 fn check_burst(burst: u64) -> Result<u32, String> {
-    if burst > MAX_BURST {
-        return Err(format!(
-            "--burst {burst} is out of range: at most {MAX_BURST} respawns a service may get"
-        ));
+    match u32::try_from(burst) {
+        Ok(burst) if burst <= MAX_START_LIMIT_BURST => Ok(burst),
+        _ => Err(format!(
+            "--burst {burst} is out of range: at most {MAX_START_LIMIT_BURST} respawns a service may get"
+        )),
     }
-    Ok(burst as u32)
 }
 
 /// Checks a chaos job's simulated span `flag` (`--restart-sec-ms` or
 /// `--deadline-ms`, a CLI flag or a wire job's field) against
-/// [`MAX_SIM_MS`].
+/// [`MAX_SPAN_MS`], the cap a unit file's time knobs have too.
 fn check_sim_ms(flag: &str, ms: u64) -> Result<u64, String> {
-    if ms > MAX_SIM_MS {
+    if ms > MAX_SPAN_MS {
         return Err(format!(
-            "{flag} {ms} is out of range: at most {MAX_SIM_MS} ms, one hour of simulated time"
+            "{flag} {ms} is out of range: at most {MAX_SPAN_MS} ms, one hour of simulated time"
         ));
     }
     Ok(ms)

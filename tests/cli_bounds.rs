@@ -4,7 +4,9 @@
 //! with a usage message and exit status 2, before anything is sized or
 //! planned by it: no panic, no abort on a failed allocation. A `--completion`
 //! unit the boot can never reach fails planning instead: exit status 1
-//! with the transaction error, and no panic.
+//! with the transaction error, and no panic. A unit file in `--units DIR`
+//! whose supervision knob is past the same cap fails to parse: exit
+//! status 1 with the parse error, and no boot.
 
 use std::process::Command;
 
@@ -110,4 +112,41 @@ fn an_unreachable_completion_unit_fails_with_a_transaction_error() {
         (&undefined_conventional, "nosuch.service is not defined"),
         (&not_pulled_in, "myapp.service is not in the transaction"),
     ]);
+}
+
+/// Each row writes a two-unit set whose service sets one supervision
+/// knob past its cap (or past what a `u64` of milliseconds holds), then
+/// runs `bbsim --units DIR` on it: exit status 1 with the file, line and
+/// value, and no panic. The service sets no `Restart=`, so a parser that
+/// let the burst through would boot no watcher for it.
+#[test]
+fn unit_files_past_a_supervision_cap_fail_to_parse() {
+    let dir = std::env::temp_dir().join(format!("bb-cli-bounds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("unit dir");
+    std::fs::write(dir.join("boot.target"), "[Unit]\nRequires=x.service\n").expect("target");
+    for (directive, value) in [
+        ("StartLimitBurst", "101"),
+        ("StartLimitBurst", "4000000000"),
+        ("TimeoutStartSec", "3601"),
+        ("TimeoutStartSec", "18446744073709551615"),
+        ("RestartSec", "18446744073709551615s"),
+        ("StartLimitIntervalSec", "3600001ms"),
+    ] {
+        let unit = format!("[Service]\nExecStart=x\n{directive}={value}\n");
+        std::fs::write(dir.join("x.service"), unit).expect("service");
+        let out = Command::new(env!("CARGO_BIN_EXE_bbsim"))
+            .args(["--units", dir.to_str().expect("utf-8 temp dir")])
+            .args(["--target", "boot.target", "--completion", "x.service"])
+            .output()
+            .expect("run bbsim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let says = format!("x.service: line 3: invalid value \"{value}\" for {directive}");
+        assert_eq!(out.status.code(), Some(1), "{directive}={value}: {stderr}");
+        assert!(stderr.contains(&says), "{directive}={value}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{directive}={value}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("remove unit dir");
 }
