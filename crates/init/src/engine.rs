@@ -661,11 +661,14 @@ pub fn run_boot(
             let ready_flag = ready_flags[&j];
             let mut rec = proc_of[j].map_or_else(ServiceRecord::default, |pid| life[pid].clone());
             rec.ready = machine.flag_set_at(ready_flag);
-            rec.timed_out = setters
-                .get(ready_flag.index())
-                .copied()
-                .flatten()
-                .is_some_and(|pid| machine.process(pid).name().starts_with("timeout:"));
+            // Timed out: the job's own watchdog set its ready flag.
+            rec.timed_out = names.job(j).timeout.as_deref().is_some_and(|watchdog| {
+                setters
+                    .get(ready_flag.index())
+                    .copied()
+                    .flatten()
+                    .is_some_and(|pid| machine.process(pid).name() == watchdog)
+            });
             rec.restarts = restarts[j];
             if let Some((limit_flag, escalate_flag)) = supervised[j] {
                 rec.start_limit_hit = machine.flag_set_at(limit_flag).is_some();
@@ -1400,6 +1403,36 @@ mod tests {
         // The watchdog exits when readiness appears: quiescence arrives
         // long before the 60 s timeout would.
         assert!(record.outcome.end_time.as_millis() < 1_000);
+    }
+
+    /// A unit may be named like a watchdog. One that readies itself is
+    /// not timed out, even in a boot whose other unit has a start
+    /// timeout (and so a watchdog process of that same name).
+    #[test]
+    fn a_unit_named_like_a_watchdog_is_not_timed_out() {
+        let mut watched = svc("x.service").with_type(ServiceType::Forking);
+        watched.exec.timeout_ms = 60_000;
+        let units = vec![
+            Unit::new(UnitName::new("boot.target"))
+                .requires("timeout:x.service")
+                .requires("x.service"),
+            svc("timeout:x.service").with_type(ServiceType::Forking),
+            watched,
+        ];
+        let graph = UnitGraph::build(units).unwrap();
+        let mut s = setup(2);
+        let wl: WorkloadMap = ["timeout:x.service", "x.service"]
+            .iter()
+            .map(|n| (format!("bin:{n}"), body_ms(10)))
+            .collect();
+        let p = plan(&graph, &["timeout:x.service", "x.service"]);
+        let record = run_boot(&mut s.machine, &p.as_plan(&graph), &wl, &s.cfg);
+        for unit in ["timeout:x.service", "x.service"] {
+            let rec = record.service(unit);
+            assert!(rec.ready.is_some(), "{unit} readies itself");
+            assert!(!rec.timed_out, "{unit} is not timed out");
+            assert_eq!(rec.outcome(), UnitOutcome::Clean, "{unit}");
+        }
     }
 
     #[test]
