@@ -43,7 +43,9 @@
 //! invisible in the report: simulation is deterministic, so cached
 //! results are bit-identical to fresh ones. Supervised cells (fault
 //! plans, corruption, supervision, fallback) take their scenario from
-//! the ticket's memo too, and leave the other memos alone.
+//! the ticket's memo too, and leave the other memos alone; their one
+//! memo of outcomes is the ticket's, for the boots that never read the
+//! staged artifact and so boot alike in every corruption slot.
 //! [`run_sweep`] takes the cache explicitly; pass [`FleetCache::fresh`]
 //! for a private per-call cache, or hold one `Arc` across calls (or
 //! behind a [`crate::FleetService`]) to carry boot outcomes and
@@ -301,13 +303,15 @@ pub struct JobOutput {
     /// config count for a plain sweep; with [`SweepSpec::fork`] it is
     /// the number of distinct prefix keys in the cell's config list the
     /// service-wide memo had no checkpoint for, and boots served from
-    /// the dedup cache simulate nothing at all.
+    /// the dedup cache or the ticket's outcome memo simulate nothing at
+    /// all.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across this job's boots
     /// (the machine's high-water mark, a sizing signal for the queue's
     /// preallocated capacity).
     pub peak_events: usize,
-    /// Boots served from the dedup cache instead of simulated (see
+    /// Boots served from the dedup cache, or in a supervised cell from
+    /// the ticket's outcome memo, instead of simulated (see
     /// [`SweepSpec::dedup`]).
     pub deduped: usize,
     /// Wall-clock time the job took (host time; not in JSON output).
@@ -377,7 +381,8 @@ pub struct PoolStats {
     /// Boots that reused an already-compiled plan instead of running
     /// the pass pipeline again.
     pub plan_cache_hits: u64,
-    /// Boots served from the dedup cache instead of simulated (see
+    /// Boots served from the dedup cache, or in a supervised cell from
+    /// the ticket's outcome memo, instead of simulated (see
     /// [`SweepSpec::dedup`]). Like everything in `PoolStats` this is
     /// execution observability, not part of the JSON report: racing
     /// workers may simulate a grid point twice, so the count can vary
@@ -580,8 +585,9 @@ pub(crate) fn run_job(
     let seed = cell.seeds[job.seed_idx];
     let supervised = cell.supervised();
     let (dedup, fork) = (spec.dedup && !supervised, spec.fork && !supervised);
-    // Only a cell with another corruption slot has a boot to share.
-    let share = supervised && cell.corruption_seeds.len() > 1;
+    // A supervised cell shares boots only across its corruption slots,
+    // so only a cell with more than one has a boot to share.
+    let share = spec.dedup && supervised && cell.corruption_seeds.len() > 1;
     let key = ScenarioKey::new(cell, seed);
     let started = std::time::Instant::now();
 

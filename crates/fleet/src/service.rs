@@ -35,8 +35,8 @@
 //! **Fairness** is round-robin over clients: the queue keeps one FIFO
 //! lane per client and workers take one job from each non-empty lane in
 //! turn, so a client submitting a 10,000-job grid cannot starve a
-//! client submitting a 4-job one. Within a lane, jobs run in submission
-//! (slot) order.
+//! client submitting a 4-job one. Within a lane, jobs run in the order
+//! [`SweepSpec::jobs`] queues them.
 //!
 //! **One state, one lock.** The ticket table, the client lanes, the
 //! round-robin cursor and every counter form one plain `State` behind
@@ -280,7 +280,8 @@ pub struct ServiceStats {
     /// Boots that reused an already-compiled plan.
     pub plan_cache_hits: u64,
     /// Boots served from the dedup cache — including *cross-client*
-    /// hits, when one client's grid overlaps another's.
+    /// hits, when one client's grid overlaps another's — or from a
+    /// chaos ticket's outcome memo.
     pub cells_deduped: u64,
     /// Supervised respawns across all tickets.
     pub restarts: u64,
@@ -1255,7 +1256,8 @@ mod tests {
     /// per ticket across its cell's corruption slots: the memo holds
     /// one outcome per seed and fault-plan slot, the conventional
     /// config's and never the Pre-parser's, and both corrupted slots
-    /// replay it. A cell with one corruption slot memoizes nothing.
+    /// replay it. A cell with one corruption slot, or a grid with dedup
+    /// off, memoizes nothing.
     #[test]
     fn artifact_blind_boots_are_shared_across_corruption_slots() {
         let cell = |corruption| {
@@ -1271,8 +1273,9 @@ mod tests {
         let mut builder = bb_sim::MachineBuilder::new();
         // Runs the ticket's jobs in queue order: (memo entries, boots
         // replayed).
-        let mut run = |corruption| {
-            let item = WorkItem::Chaos(SweepSpec::new().cell(cell(corruption)));
+        let mut run = |corruption, dedup| {
+            let spec = SweepSpec::new().cell(cell(corruption)).with_dedup(dedup);
+            let item = WorkItem::Chaos(spec);
             let ticket = Ticket::new(1, item, cache.plans().stats());
             let plan = proto_plan(&ticket);
             let mut replayed = 0;
@@ -1284,8 +1287,9 @@ mod tests {
             let memoized = lock(&plan.outcomes).len();
             (memoized, replayed)
         };
-        assert_eq!(run(2), (2 * 2, 2 * 2 * 2));
-        assert_eq!(run(0), (0, 0));
+        assert_eq!(run(2, true), (2 * 2, 2 * 2 * 2));
+        assert_eq!(run(0, true), (0, 0));
+        assert_eq!(run(2, false), (0, 0), "dedup off simulates every slot");
     }
 
     /// The interleaving check's scope. Each ticket is a two-job grid and

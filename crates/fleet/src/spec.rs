@@ -191,7 +191,8 @@ impl CellSpec {
     /// fallback axis. Supervised boots bypass the [`crate::FleetCache`]
     /// entirely: the dedup and checkpoint keys do not cover the fault,
     /// corruption and fallback axes, and a checkpoint cannot carry a
-    /// fallback supervisor.
+    /// fallback supervisor. Only their ticket shares some of them (see
+    /// [`SweepSpec::dedup`]).
     pub(crate) fn supervised(&self) -> bool {
         self.plan_seeds != [None]
             || self.corruption_seeds != [None]
@@ -260,8 +261,10 @@ pub struct SweepSpec {
     /// Simulation is deterministic, so reports stay byte-identical
     /// with dedup on or off (see `PoolStats::cells_deduped`); on by
     /// default, opt out with [`SweepSpec::with_dedup`] to force every
-    /// slot to re-simulate. Plain cells only; supervised cells always
-    /// simulate.
+    /// slot to re-simulate. A supervised cell shares only the boots
+    /// that never read its staged artifact
+    /// ([`BbConfig::reads_artifact`]), each across its corruption slots
+    /// within the ticket; it simulates every other boot.
     pub dedup: bool,
 }
 

@@ -64,7 +64,8 @@ fn supervised_cells_leave_the_fleet_cache_alone() {
 /// of the three fault-plan slots never reads the staged artifact, so
 /// the corrupted slot replays the pristine slot's boot. One worker
 /// simulates 9 of the 12 boots and replays 3, while the fault columns
-/// still count all 12.
+/// still count all 12 and the report equals the one with dedup off,
+/// which simulates every boot.
 #[test]
 fn a_served_chaos_grid_simulates_each_artifact_blind_boot_once() {
     let mut job = SweepArgs::new(JobKind::Chaos);
@@ -73,7 +74,14 @@ fn a_served_chaos_grid_simulates_each_artifact_blind_boot_once() {
     job.plans = 2;
     job.corruption = 1;
     let spec = job.sweep_spec().expect("chaos grid");
-    let chaos = run_chaos(&spec, &PoolConfig::with_workers(1), &FleetCache::fresh());
+    let pool = PoolConfig::with_workers(1);
+    let chaos = run_chaos(&spec, &pool, &FleetCache::fresh());
+    let every_boot = run_chaos(&spec.with_dedup(false), &pool, &FleetCache::fresh());
+    assert_eq!(chaos.report.to_json(), every_boot.report.to_json());
+    assert_eq!(
+        (every_boot.stats.kernel_sims, every_boot.stats.cells_deduped),
+        (12, 0)
+    );
     assert!(chaos.report.failures.is_empty());
     assert_eq!(chaos.report.total_boots, 12);
     assert_eq!(chaos.stats.kernel_sims, 9, "no boot degrades, so no rescue");
