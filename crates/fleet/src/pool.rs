@@ -141,15 +141,6 @@ pub(crate) struct OutcomeKey {
     config: usize,
 }
 
-impl OutcomeKey {
-    fn new(job: Job, config: usize) -> OutcomeKey {
-        OutcomeKey {
-            job: Job { corr_idx: 0, ..job },
-            config,
-        }
-    }
-}
-
 /// A supervised boot memoized on its ticket's [`Plan`]: the outcome
 /// and, for a boot that completed, its fault record.
 pub(crate) type SharedBoot = (CachedBoot, Option<FaultRecord>);
@@ -621,7 +612,10 @@ pub(crate) fn run_job(
         let mut deduped = 0usize;
         for (config, (label, cfg)) in cell.configs.iter().enumerate() {
             let bits = cfg.bits();
-            let shared = (share && !cfg.reads_artifact()).then_some(OutcomeKey::new(job, config));
+            let shared = (share && !cfg.reads_artifact()).then_some(OutcomeKey {
+                job: Job { corr_idx: 0, ..job },
+                config,
+            });
             // Dedup: an identical grid point that already ran anywhere
             // in the sweep, or this boot in another corruption slot of
             // the ticket, replays its (deterministic) outcome.
