@@ -25,11 +25,18 @@
 //!   full-size TV, long enough for the engine's per-process
 //!   bookkeeping to matter, which the 24-service grids are not.
 //!
+//! * `boot_tv136.json`, `profile_tv136.json`, `metrics_tv136.json` —
+//!   `bbsim --scenario tv136 --json`, with `--profile` and with
+//!   `--metrics`: the single-boot documents (schemas `bbsim-boot-v1`,
+//!   `bb-profile-v1` and `bb-metrics-v1`), printed by the binary itself.
+//!
 //! Each grid is built in process the way the CLI builds it — through
 //! [`SweepArgs`], then `run_sweep` or `run_chaos` — and compared byte
 //! for byte. Any refactor of the sweep or chaos path must keep these
 //! bytes. Re-bless deliberately with
 //! `BB_BLESS_GOLDEN=1 cargo test --test golden_reports`.
+
+use std::process::Command;
 
 use booting_booster::fleet::{run_chaos, run_sweep, FleetCache, PoolConfig};
 use booting_booster::serve::{JobKind, SweepArgs};
@@ -145,5 +152,35 @@ fn chaos_report_matches_golden() {
             }
             check_golden(file, &json);
         }
+    }
+}
+
+/// The single-boot goldens: each file and the `bbsim` arguments that
+/// print it on stdout.
+const BOOT_GOLDENS: &[(&str, &[&str])] = &[
+    ("boot_tv136.json", &["--scenario", "tv136", "--json"]),
+    (
+        "profile_tv136.json",
+        &["--scenario", "tv136", "--profile", "--json"],
+    ),
+    (
+        "metrics_tv136.json",
+        &["--scenario", "tv136", "--metrics", "--json"],
+    ),
+];
+
+#[test]
+fn single_boot_documents_match_goldens() {
+    for &(file, args) in BOOT_GOLDENS {
+        let out = Command::new(env!("CARGO_BIN_EXE_bbsim"))
+            .args(args)
+            .output()
+            .expect("run bbsim");
+        assert!(
+            out.status.success(),
+            "bbsim {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        check_golden(file, &String::from_utf8(out.stdout).expect("UTF-8 JSON"));
     }
 }
