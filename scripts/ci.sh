@@ -19,6 +19,7 @@ run cargo clippy --workspace --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run ./scripts/api_surface.sh
+run ./scripts/loc.sh
 
 # Deterministic chaos smoke: the fault-injection sweep must emit
 # byte-identical JSON regardless of worker count.
