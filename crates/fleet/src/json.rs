@@ -78,7 +78,7 @@ pub fn escape(s: &str) -> String {
 /// uses: each item on its own line at `indent` spaces, comma-separated,
 /// and the closing bracket on its own line two spaces shallower (`[]`
 /// when empty). `write` renders one item.
-pub(crate) fn array<T>(
+pub fn array<T>(
     out: &mut String,
     indent: usize,
     items: impl IntoIterator<Item = T>,

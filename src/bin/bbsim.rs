@@ -399,13 +399,10 @@ fn boot_json(
         ),
         json::ms(report.quiesce_time.as_nanos() as f64),
     ));
-    out.push_str(",\n  \"passes\": [");
-    for (i, d) in report.deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    out.push_str(",\n  \"passes\": ");
+    json::array(&mut out, 4, &report.deltas, |out, d| {
         out.push_str(&format!(
-            "\n    {{\"pass\": \"{}\", \"estimated_saving_ms\": {}, \
+            "{{\"pass\": \"{}\", \"estimated_saving_ms\": {}, \
              \"initcalls_deferred\": {}, \"modules_deferred\": {}, \
              \"tasks_deferred\": {}, \"edges_stripped\": {}, \
              \"units_touched\": {}, \"io_bytes_shifted\": {}}}",
@@ -418,12 +415,7 @@ fn boot_json(
             d.units_touched,
             d.io_bytes_shifted,
         ));
-    }
-    if report.deltas.is_empty() {
-        out.push(']');
-    } else {
-        out.push_str("\n  ]");
-    }
+    });
     if !report.bb_group.is_empty() {
         out.push_str(",\n  \"bb_group\": [");
         for (i, name) in report.bb_group.iter().enumerate() {
@@ -469,19 +461,16 @@ fn profile_json(
         None => out.push_str("null"),
         Some(cp) => {
             out.push_str(&format!(
-                "{{\n    \"total_ms\": {},\n    \"steps\": [",
+                "{{\n    \"total_ms\": {},\n    \"steps\": ",
                 json::ms(cp.total.as_nanos() as f64)
             ));
-            for (i, step) in cp.steps.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
+            json::array(&mut out, 6, &cp.steps, |out, step| {
                 let slack = match step.slack {
                     None => "null".to_string(),
                     Some(d) => json::ms(d.as_nanos() as f64),
                 };
                 out.push_str(&format!(
-                    "\n      {{\"span\": \"{}\", \"start_ms\": {}, \"end_ms\": {}, \
+                    "{{\"span\": \"{}\", \"start_ms\": {}, \"end_ms\": {}, \
                      \"duration_ms\": {}, \"slack_ms\": {}}}",
                     json::escape(&step.name),
                     json::ms(step.start.as_nanos() as f64),
@@ -489,29 +478,20 @@ fn profile_json(
                     json::ms(step.duration().as_nanos() as f64),
                     slack,
                 ));
-            }
-            if !cp.steps.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]\n  }");
+            });
+            out.push_str("\n  }");
         }
     }
-    out.push_str(",\n  \"spans\": [");
-    for (i, s) in prof.spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    out.push_str(",\n  \"spans\": ");
+    json::array(&mut out, 4, &prof.spans, |out, s| {
         out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"start_ms\": {}, \"end_ms\": {}}}",
+            "{{\"name\": \"{}\", \"start_ms\": {}, \"end_ms\": {}}}",
             json::escape(&s.name),
             json::ms(s.start.as_nanos() as f64),
             json::ms(s.end.as_nanos() as f64),
         ));
-    }
-    if !prof.spans.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
+    });
+    out.push_str("\n}\n");
     out
 }
 
