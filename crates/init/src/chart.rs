@@ -3,15 +3,14 @@
 //! Reproduces the systemd-bootchart visualizations of the paper's
 //! Figures 5(a) and 7 (services as horizontal bars over time, CPU
 //! utilization in the background) as ASCII and SVG, plus the
-//! `systemd-analyze blame` / `critical-chain` style reports used to
-//! attribute boot time.
+//! `systemd-analyze blame` / `time` style reports used to attribute
+//! boot time. The critical chain is `bb_core::critical_path`.
 
 use std::fmt::Write as _;
 
 use bb_sim::{Machine, SimTime};
 
 use crate::engine::BootRecord;
-use crate::graph::UnitGraph;
 use crate::unit::UnitName;
 
 /// One row of a bootchart.
@@ -207,18 +206,6 @@ pub fn time_summary(record: &BootRecord) -> String {
     }
 }
 
-/// Renders a critical chain as the indented tree `systemd-analyze
-/// critical-chain` prints (latest unit first, each line showing the
-/// gating unit's readiness time).
-pub fn render_critical_chain(chain: &[(UnitName, SimTime)]) -> String {
-    let mut s = String::new();
-    for (depth, (name, ready)) in chain.iter().enumerate() {
-        let indent = "  ".repeat(depth);
-        let _ = writeln!(s, "{indent}{name} @{ready}");
-    }
-    s
-}
-
 /// `systemd-analyze blame`: units by activation time (first dispatch to
 /// readiness — queueing behind dependencies is not charged), descending.
 pub fn blame(record: &BootRecord) -> Vec<(UnitName, bb_sim::SimDuration)> {
@@ -235,44 +222,6 @@ pub fn blame(record: &BootRecord) -> Vec<(UnitName, bb_sim::SimDuration)> {
     v
 }
 
-/// `systemd-analyze critical-chain`: walks from `from` backwards through
-/// the ordering predecessor that became ready last, yielding the chain
-/// that gated each step (latest-ready first element is `from` itself).
-pub fn critical_chain(
-    record: &BootRecord,
-    graph: &UnitGraph,
-    from: &UnitName,
-) -> Vec<(UnitName, SimTime)> {
-    let mut chain = Vec::new();
-    let mut current = graph.idx(from);
-    while let Some(idx) = current {
-        let name = &graph.unit(idx).name;
-        let Some(rec) = record.services.get(name) else {
-            break;
-        };
-        let Some(ready) = rec.ready else { break };
-        chain.push((name.clone(), ready));
-        // The gating predecessor is the one ready last among those ready
-        // *before* this unit — a BB-isolated unit may have ignored
-        // declared predecessors entirely, in which case the chain ends.
-        current = graph
-            .ordering_preds(idx)
-            .into_iter()
-            .filter_map(|p| {
-                let pname = &graph.unit(p).name;
-                record
-                    .services
-                    .get(pname)
-                    .and_then(|r| r.ready)
-                    .filter(|&t| t <= ready)
-                    .map(|t| (p, t))
-            })
-            .max_by_key(|&(_, t)| t)
-            .map(|(p, _)| p);
-    }
-    chain
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,12 +229,13 @@ mod tests {
         run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
         ServiceBody, WorkloadMap,
     };
+    use crate::graph::UnitGraph;
     use crate::names::JobNames;
     use crate::transaction::Transaction;
     use crate::unit::{ServiceType, Unit};
     use bb_sim::{AccessPattern, DeviceProfile, MachineConfig, OpsBuilder, SimDuration};
 
-    fn boot() -> (BootRecord, Machine, UnitGraph) {
+    fn boot() -> (BootRecord, Machine) {
         let units = vec![
             Unit::new(UnitName::new("boot.target")).requires("b.service"),
             Unit::new(UnitName::new("a.service"))
@@ -335,12 +285,12 @@ mod tests {
             device,
         };
         let record = run_boot(&mut machine, &plan, &wl, &cfg);
-        (record, machine, graph)
+        (record, machine)
     }
 
     #[test]
     fn chart_rows_are_ordered_and_complete() {
-        let (record, machine, _) = boot();
+        let (record, machine) = boot();
         let chart = Bootchart::build(&record, &machine);
         assert_eq!(chart.rows.len(), 3); // a, b, boot.target
         assert!(chart.rows.windows(2).all(|w| w[0].started <= w[1].started));
@@ -350,7 +300,7 @@ mod tests {
 
     #[test]
     fn ascii_chart_mentions_services() {
-        let (record, machine, _) = boot();
+        let (record, machine) = boot();
         let chart = Bootchart::build(&record, &machine);
         let text = chart.to_ascii(80);
         assert!(text.contains("a.service"));
@@ -360,7 +310,7 @@ mod tests {
 
     #[test]
     fn svg_chart_is_wellformed_enough() {
-        let (record, machine, _) = boot();
+        let (record, machine) = boot();
         let chart = Bootchart::build(&record, &machine);
         let svg = chart.to_svg();
         assert!(svg.starts_with("<svg"));
@@ -370,7 +320,7 @@ mod tests {
 
     #[test]
     fn blame_orders_by_duration() {
-        let (record, _, _) = boot();
+        let (record, _) = boot();
         let b = blame(&record);
         assert!(b.windows(2).all(|w| w[0].1 >= w[1].1));
         // a.service has the 20 ms body, so it ranks first among services.
@@ -379,28 +329,10 @@ mod tests {
 
     #[test]
     fn time_summary_reads_like_systemd_analyze() {
-        let (record, _, _) = boot();
+        let (record, _) = boot();
         let text = time_summary(&record);
         assert!(text.starts_with("Startup finished in"));
         assert!(text.contains("(services)"));
-    }
-
-    #[test]
-    fn chain_renderer_indents() {
-        let (record, _, graph) = boot();
-        let chain = critical_chain(&record, &graph, &UnitName::new("b.service"));
-        let text = render_critical_chain(&chain);
-        assert!(text.contains("b.service"));
-        assert!(text.contains("  a.service"));
-    }
-
-    #[test]
-    fn critical_chain_walks_ordering() {
-        let (record, _, graph) = boot();
-        let chain = critical_chain(&record, &graph, &UnitName::new("b.service"));
-        let names: Vec<&str> = chain.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["b.service", "a.service"]);
-        assert!(chain[0].1 > chain[1].1);
     }
 }
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   names of its jobs formatted once per scenario ([`JobNames`]).
 //! * [`preparse`] — the Pre-parser's binary unit cache.
 //! * [`chart`] — systemd-bootchart-style ASCII/SVG rendering plus
-//!   blame / critical-chain analysis.
+//!   blame / time analysis.
 
 pub mod algo;
 pub mod chart;
@@ -29,7 +29,7 @@ pub mod preparse;
 pub mod transaction;
 pub mod unit;
 
-pub use chart::{blame, critical_chain, render_critical_chain, time_summary, Bootchart, ChartRow};
+pub use chart::{blame, time_summary, Bootchart, ChartRow};
 pub use engine::{
     run_boot, BootPlan, BootRecord, EngineConfig, EngineMode, LoadModel, ManagerCosts, ManagerTask,
     PlanOverrides, ServiceBody, ServiceRecord, UnitOutcome, WorkloadMap,

@@ -1,8 +1,11 @@
 //! End-to-end integration tests across all crates: the calibrated TV
 //! scenario booted conventionally and with the full Booting Booster.
 
-use booting_booster::bb::{BbConfig, BootRequest, Comparison, FullBootReport, Scenario};
-use booting_booster::init::{blame, critical_chain, Bootchart, UnitGraph, UnitName};
+use booting_booster::bb::{
+    critical_path, BbConfig, BootRequest, Comparison, FullBootReport, Scenario,
+};
+use booting_booster::init::{blame, Bootchart, UnitGraph};
+use booting_booster::sim::SimTime;
 use booting_booster::workloads::{tv_scenario, tv_scenario_open_source};
 
 fn boost(s: &Scenario, cfg: &BbConfig) -> Result<FullBootReport, booting_booster::bb::Error> {
@@ -151,11 +154,19 @@ fn bootchart_and_analysis_tools_work_on_real_runs() {
     assert!(b.windows(2).all(|w| w[0].1 >= w[1].1));
 
     let graph = UnitGraph::build(scenario.units.clone()).expect("valid");
-    let chain = critical_chain(&report.boot, &graph, &UnitName::new("fasttv.service"));
-    assert!(chain.len() >= 3, "chain {chain:?}");
-    assert_eq!(chain[0].0.as_str(), "fasttv.service");
-    // Ready times decrease walking back the chain.
-    assert!(chain.windows(2).all(|w| w[0].1 >= w[1].1));
+    let path = critical_path(&graph, &report).expect("the boot completed");
+    let units: Vec<&str> = path
+        .steps
+        .iter()
+        .filter_map(|s| s.name.strip_prefix("unit/"))
+        .collect();
+    assert!(units.len() >= 3, "chain {units:?}");
+    assert_eq!(units.last(), Some(&"fasttv.service"));
+    // The steps tile the boot, from power-on to completion.
+    assert_eq!(path.steps[0].start, SimTime::ZERO);
+    assert!(path.steps.windows(2).all(|w| w[0].end == w[1].start));
+    assert_eq!(path.steps.last().map(|s| s.end), Some(report.boot_time()));
+    assert_eq!(path.total, report.boot_time().since(SimTime::ZERO));
 }
 
 #[test]
