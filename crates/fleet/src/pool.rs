@@ -196,13 +196,6 @@ impl FleetCache {
         &self.plans
     }
 
-    /// Drops every cached artifact.
-    pub fn clear(&self) {
-        self.plans.clear();
-        *lock(&self.boots) = BootMemo::default();
-        lock(&self.checkpoints).clear();
-    }
-
     /// The cached outcome for (`key`, config `bits`), if one exists and
     /// carries the telemetry this sweep needs.
     fn boot_lookup(&self, key: &ScenarioKey, bits: u8, metrics: bool) -> Option<CachedBoot> {
@@ -1003,10 +996,6 @@ pub(crate) mod tests {
         assert_eq!(second.stats.cells_deduped, 2);
         assert_eq!(second.stats.kernel_sims, 0);
         assert_eq!(second.stats.plans_compiled, 0);
-        cache.clear();
-        assert!(cache.plans().is_empty());
-        let third = run_sweep(&spec, &pool, &cache);
-        assert_eq!(third.stats.cells_deduped, 0, "clear() really clears");
     }
 
     /// A caller-held cache keeps no scenario past its sweep: the memo
