@@ -51,11 +51,7 @@ fn cell(label: &str, services: usize, cores: usize) -> CellSpec {
         false_ordering_edges: 12 + services / 40,
         ..TizenParams::default()
     };
-    // Ablation cells are pass-set selections over the standard pipeline:
-    // the empty set is the conventional boot, the full set is BB.
-    CellSpec::tizen(label, profile, params)
-        .pass_selection("conventional", &[])
-        .pass_selection("bb", &bb_core::STANDARD_PASSES)
+    CellSpec::tizen(label, profile, params).conventional_vs_bb()
 }
 
 fn point(report: &SweepReport, idx: usize) -> Point {

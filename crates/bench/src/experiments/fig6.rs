@@ -122,7 +122,7 @@ impl Fig6 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_core::STANDARD_PASSES;
+    use bb_core::Pipeline;
 
     #[test]
     fn headline_bands_hold() {
@@ -132,8 +132,8 @@ mod tests {
         assert!((7.0..9.2).contains(&conv), "conv {conv}");
         assert!((3.0..4.0).contains(&bb), "bb {bb}");
         assert_eq!(f.attribution.len(), 7);
-        let passes: Vec<&str> = f.attribution.iter().map(|a| a.pass).collect();
-        assert_eq!(passes, STANDARD_PASSES);
+        let passes = f.attribution.iter().map(|a| a.pass);
+        assert!(passes.eq(Pipeline::standard().passes().map(|p| p.name())));
         assert!(f.render().contains("Per-feature attribution"));
     }
 

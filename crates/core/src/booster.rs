@@ -525,7 +525,7 @@ impl<'s> BootRequest<'s> {
         }
         if self.cfg.prefix_key() != checkpoint.config().prefix_key() {
             return Err(Error::Checkpoint(format!(
-                "prefix key mismatch: checkpoint was taken under {:?}, resume requested {:?}",
+                "prefix key mismatch: checkpoint was taken under {:#06b}, resume requested {:#06b}",
                 checkpoint.config().prefix_key(),
                 self.cfg.prefix_key()
             )));
@@ -856,7 +856,7 @@ pub(crate) mod tests {
             // mini scenario has little writer contention, which is
             // exactly the regime where the paper keeps the classic path
             // (§4.3). The full TV scenario asserts the win (bb-bench).
-            let slack = if name == "rcu_booster" {
+            let slack = if name == "rcu-booster" {
                 8_000_000
             } else {
                 2_000_000

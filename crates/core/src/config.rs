@@ -36,49 +36,23 @@ pub struct BbConfig {
 impl BbConfig {
     /// Everything off: the conventional boot.
     pub const fn conventional() -> Self {
-        BbConfig {
-            rcu_booster: false,
-            defer_memory: false,
-            ondemand_modularizer: false,
-            defer_journal: false,
-            deferred_executor: false,
-            preparser: false,
-            bb_group: false,
-        }
+        BbConfig::from_bits(0)
     }
 
     /// Everything on: the full Booting Booster.
     pub const fn full() -> Self {
-        BbConfig {
-            rcu_booster: true,
-            defer_memory: true,
-            ondemand_modularizer: true,
-            defer_journal: true,
-            deferred_executor: true,
-            preparser: true,
-            bb_group: true,
-        }
+        BbConfig::from_bits(0x7f)
     }
 
     /// Number of active features (for ablation reports).
     pub fn active_features(&self) -> usize {
-        [
-            self.rcu_booster,
-            self.defer_memory,
-            self.ondemand_modularizer,
-            self.defer_journal,
-            self.deferred_executor,
-            self.preparser,
-            self.bb_group,
-        ]
-        .iter()
-        .filter(|&&b| b)
-        .count()
+        self.bits().count_ones() as usize
     }
 
     /// The full configuration packed into one byte, one bit per
-    /// feature — the compact hash [`crate::PlanCache`] and the fleet's
-    /// dedup keys use. Two configs are equal iff their bits are equal.
+    /// feature, bit `i` for [`BbConfig::FEATURE_NAMES`]`[i]` — the
+    /// compact hash [`crate::PlanCache`] and the fleet's dedup keys
+    /// use. Two configs are equal iff their bits are equal.
     pub fn bits(&self) -> u8 {
         (self.rcu_booster as u8)
             | (self.defer_memory as u8) << 1
@@ -87,6 +61,20 @@ impl BbConfig {
             | (self.deferred_executor as u8) << 4
             | (self.preparser as u8) << 5
             | (self.bb_group as u8) << 6
+    }
+
+    /// The configuration whose [`BbConfig::bits`] are `bits`: the
+    /// inverse of `bits()`. Bit 7 names no feature and is ignored.
+    pub const fn from_bits(bits: u8) -> Self {
+        BbConfig {
+            rcu_booster: bits & 1 != 0,
+            defer_memory: bits & (1 << 1) != 0,
+            ondemand_modularizer: bits & (1 << 2) != 0,
+            defer_journal: bits & (1 << 3) != 0,
+            deferred_executor: bits & (1 << 4) != 0,
+            preparser: bits & (1 << 5) != 0,
+            bb_group: bits & (1 << 6) != 0,
+        }
     }
 
     /// Whether a [`crate::BootRequest::run`] under this config reads
@@ -101,7 +89,8 @@ impl BbConfig {
 
     /// The features that shape the boot *prefix* — everything simulated
     /// before the kernel→init handoff (kernel boot, RCU Booster Control
-    /// installation, module loading setup). Two configurations with
+    /// installation, module loading setup) — as their [`BbConfig::bits`]:
+    /// the first four features, bits 0–3. Two configurations with
     /// equal prefix keys produce bit-identical machines at the handoff,
     /// so a checkpoint taken under one can be resumed under the other;
     /// this is what lets a forked fleet sweep simulate the shared
@@ -109,18 +98,15 @@ impl BbConfig {
     ///
     /// `deferred_executor`, `preparser`, and `bb_group` act entirely in
     /// the init/service phase and are deliberately excluded.
-    pub fn prefix_key(&self) -> (bool, bool, bool, bool) {
-        (
-            self.rcu_booster,
-            self.defer_memory,
-            self.ondemand_modularizer,
-            self.defer_journal,
-        )
+    pub fn prefix_key(&self) -> u8 {
+        self.bits() & 0x0f
     }
 
-    /// The CLI/wire feature names, in `bits()` order. `"all"`, `"full"`,
-    /// `"none"`, `"conventional"`, and comma-separated subsets of these
-    /// are what [`BbConfig::from_feature_list`] accepts.
+    /// The BB features' CLI/wire names, in `bits()` order: the one
+    /// list of them, from which every other feature list is derived.
+    /// `"all"`, `"full"`, `"none"`, `"conventional"`, and
+    /// comma-separated subsets of these are what
+    /// [`BbConfig::from_feature_list`] accepts.
     pub const FEATURE_NAMES: [&'static str; 7] = [
         "rcu-booster",
         "defer-memory",
@@ -141,26 +127,19 @@ impl BbConfig {
             "none" | "conventional" => return Ok(BbConfig::conventional()),
             _ => {}
         }
-        let mut cfg = BbConfig::conventional();
+        let mut bits = 0;
         for feature in spec.split(',') {
-            match feature.trim() {
-                "rcu-booster" => cfg.rcu_booster = true,
-                "defer-memory" => cfg.defer_memory = true,
-                "modularizer" => cfg.ondemand_modularizer = true,
-                "defer-journal" => cfg.defer_journal = true,
-                "deferred-executor" => cfg.deferred_executor = true,
-                "preparser" => cfg.preparser = true,
-                "bb-group" => cfg.bb_group = true,
-                other => {
-                    return Err(format!(
-                        "unknown feature {other:?} (expected all, none, or a comma-separated \
-                         subset of {})",
-                        Self::FEATURE_NAMES.join(",")
-                    ))
-                }
-            }
+            let feature = feature.trim();
+            let Some(i) = Self::FEATURE_NAMES.iter().position(|&n| n == feature) else {
+                return Err(format!(
+                    "unknown feature {feature:?} (expected all, none, or a comma-separated \
+                     subset of {})",
+                    Self::FEATURE_NAMES.join(",")
+                ));
+            };
+            bits |= 1 << i;
         }
-        Ok(cfg)
+        Ok(BbConfig::from_bits(bits))
     }
 
     /// Renders this configuration as a canonical feature-list string
@@ -188,115 +167,23 @@ impl BbConfig {
     /// All single-feature configurations, as `(feature name, config)` —
     /// the conventional boot with exactly one mechanism enabled.
     pub fn single_feature_configs() -> Vec<(&'static str, BbConfig)> {
-        let base = BbConfig::conventional();
-        vec![
-            (
-                "rcu_booster",
-                BbConfig {
-                    rcu_booster: true,
-                    ..base
-                },
-            ),
-            (
-                "defer_memory",
-                BbConfig {
-                    defer_memory: true,
-                    ..base
-                },
-            ),
-            (
-                "ondemand_modularizer",
-                BbConfig {
-                    ondemand_modularizer: true,
-                    ..base
-                },
-            ),
-            (
-                "defer_journal",
-                BbConfig {
-                    defer_journal: true,
-                    ..base
-                },
-            ),
-            (
-                "deferred_executor",
-                BbConfig {
-                    deferred_executor: true,
-                    ..base
-                },
-            ),
-            (
-                "preparser",
-                BbConfig {
-                    preparser: true,
-                    ..base
-                },
-            ),
-            (
-                "bb_group",
-                BbConfig {
-                    bb_group: true,
-                    ..base
-                },
-            ),
-        ]
+        BbConfig::conventional().each_feature_flipped()
     }
 
     /// All leave-one-out configurations, as `(dropped feature, config)` —
     /// the full BB with exactly one mechanism disabled.
     pub fn leave_one_out_configs() -> Vec<(&'static str, BbConfig)> {
-        let full = BbConfig::full();
-        vec![
-            (
-                "rcu_booster",
-                BbConfig {
-                    rcu_booster: false,
-                    ..full
-                },
-            ),
-            (
-                "defer_memory",
-                BbConfig {
-                    defer_memory: false,
-                    ..full
-                },
-            ),
-            (
-                "ondemand_modularizer",
-                BbConfig {
-                    ondemand_modularizer: false,
-                    ..full
-                },
-            ),
-            (
-                "defer_journal",
-                BbConfig {
-                    defer_journal: false,
-                    ..full
-                },
-            ),
-            (
-                "deferred_executor",
-                BbConfig {
-                    deferred_executor: false,
-                    ..full
-                },
-            ),
-            (
-                "preparser",
-                BbConfig {
-                    preparser: false,
-                    ..full
-                },
-            ),
-            (
-                "bb_group",
-                BbConfig {
-                    bb_group: false,
-                    ..full
-                },
-            ),
-        ]
+        BbConfig::full().each_feature_flipped()
+    }
+
+    /// This configuration with one feature flipped, for each feature
+    /// in `bits()` order, named by its [`BbConfig::FEATURE_NAMES`] entry.
+    fn each_feature_flipped(self) -> Vec<(&'static str, BbConfig)> {
+        let bits = self.bits();
+        (0..)
+            .zip(Self::FEATURE_NAMES)
+            .map(|(i, name)| (name, BbConfig::from_bits(bits ^ (1 << i))))
+            .collect()
     }
 }
 
@@ -318,39 +205,32 @@ mod tests {
 
     #[test]
     fn bits_are_a_faithful_config_hash() {
-        use std::collections::BTreeSet;
-        let mut seen = BTreeSet::new();
-        let mut all: Vec<BbConfig> = vec![BbConfig::conventional(), BbConfig::full()];
-        all.extend(
-            BbConfig::single_feature_configs()
-                .into_iter()
-                .map(|(_, c)| c),
-        );
-        all.extend(
-            BbConfig::leave_one_out_configs()
-                .into_iter()
-                .map(|(_, c)| c),
-        );
-        for c in &all {
-            assert_eq!(c.bits().count_ones() as usize, c.active_features());
-            seen.insert(c.bits());
+        // `from_bits` inverts `bits` on all 128 patterns, so two configs
+        // are equal iff their bits are.
+        for bits in 0..=0x7f {
+            assert_eq!(BbConfig::from_bits(bits).bits(), bits);
+            assert_eq!(
+                BbConfig::from_bits(bits | 0x80),
+                BbConfig::from_bits(bits),
+                "bit 7 is ignored"
+            );
         }
-        // conventional + full + 7 singles + 7 leave-one-outs are all
-        // distinct configs, so their bit patterns must be too.
-        assert_eq!(seen.len(), all.len());
+        assert_eq!(BbConfig::full().bits(), 0x7f);
     }
 
     #[test]
     fn ablation_sets_cover_every_feature_once() {
         let singles = BbConfig::single_feature_configs();
-        assert_eq!(singles.len(), 7);
-        assert!(singles.iter().all(|(_, c)| c.active_features() == 1));
         let loo = BbConfig::leave_one_out_configs();
-        assert_eq!(loo.len(), 7);
-        assert!(loo.iter().all(|(_, c)| c.active_features() == 6));
-        // Names are distinct.
-        let names: std::collections::BTreeSet<_> = singles.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 7);
+        assert!(singles.iter().map(|(n, _)| *n).eq(BbConfig::FEATURE_NAMES));
+        assert!(loo.iter().map(|(n, _)| *n).eq(BbConfig::FEATURE_NAMES));
+        for (i, ((name, single), (_, dropped))) in singles.iter().zip(&loo).enumerate() {
+            assert_eq!(BbConfig::from_feature_list(name), Ok(*single));
+            assert_eq!(single.active_features(), 1, "{name}");
+            assert_eq!(single.bits() ^ dropped.bits(), 0x7f, "{name} is dropped");
+            // The first four features shape the kernel prefix.
+            assert_eq!(single.prefix_key() != 0, i < 4, "{name}");
+        }
     }
 
     #[test]

@@ -58,9 +58,7 @@ pub use config::BbConfig;
 pub use error::{Error, JobError};
 pub use fallback::{fault_targets, with_supervision, DegradedBoot, FallbackPolicy, FallbackReason};
 pub use miner::{mine, EdgeSlack, MiningReport};
-pub use pipeline::{
-    BootPlanIr, PassDelta, Pipeline, PlanPass, UnitPlan, UnitPlanSlot, STANDARD_PASSES,
-};
+pub use pipeline::{BootPlanIr, PassDelta, Pipeline, PlanPass, UnitPlan, UnitPlanSlot};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use recovery::{
     ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent, RecoveryReason, MAX_ARTIFACT_RETRIES,

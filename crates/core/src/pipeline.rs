@@ -448,13 +448,11 @@ impl PassDelta {
 
 /// One BB mechanism as a plan transformation.
 pub trait PlanPass {
-    /// Stable pass name (kebab-case; used by pass-set selections).
+    /// Stable pass name (kebab-case): the label of the pass's
+    /// [`PassDelta`], of `bbsim --explain` and of the attribution table.
     fn name(&self) -> &'static str;
     /// Whether `cfg` activates this pass.
     fn enabled(&self, cfg: &BbConfig) -> bool;
-    /// Sets the config flag(s) that activate this pass (the inverse of
-    /// [`PlanPass::enabled`], used to turn pass sets into configs).
-    fn enable(&self, cfg: &mut BbConfig);
     /// Transforms the plan, returning what changed. Must be idempotent:
     /// applying twice yields the same plan as applying once.
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta;
@@ -470,9 +468,6 @@ impl PlanPass for DeferMemoryInit {
     }
     fn enabled(&self, cfg: &BbConfig) -> bool {
         cfg.defer_memory
-    }
-    fn enable(&self, cfg: &mut BbConfig) {
-        cfg.defer_memory = true;
     }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.kernel.defer_memory = true;
@@ -499,9 +494,6 @@ impl PlanPass for OnDemandModularizer {
     }
     fn enabled(&self, cfg: &BbConfig) -> bool {
         cfg.ondemand_modularizer
-    }
-    fn enable(&self, cfg: &mut BbConfig) {
-        cfg.ondemand_modularizer = true;
     }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.kernel.defer_initcalls = true;
@@ -551,9 +543,6 @@ impl PlanPass for RcuBoosterInstall {
     fn enabled(&self, cfg: &BbConfig) -> bool {
         cfg.rcu_booster
     }
-    fn enable(&self, cfg: &mut BbConfig) {
-        cfg.rcu_booster = true;
-    }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.boost_rcu = true;
         let mut d = PassDelta::new(self.name());
@@ -581,10 +570,6 @@ impl PlanPass for DeferredExecutor {
     }
     fn enabled(&self, cfg: &BbConfig) -> bool {
         cfg.deferred_executor || cfg.defer_journal
-    }
-    fn enable(&self, cfg: &mut BbConfig) {
-        cfg.deferred_executor = true;
-        cfg.defer_journal = true;
     }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let mut d = PassDelta::new(self.name());
@@ -632,9 +617,6 @@ impl PlanPass for PreParserLoad {
     fn enabled(&self, cfg: &BbConfig) -> bool {
         cfg.preparser
     }
-    fn enable(&self, cfg: &mut BbConfig) {
-        cfg.preparser = true;
-    }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let conv = ir.pre.load_model(&ir.parse_params, false);
         let cached = ir.pre.load_model(&ir.parse_params, true);
@@ -660,9 +642,6 @@ impl PlanPass for GroupIsolator {
     }
     fn enabled(&self, cfg: &BbConfig) -> bool {
         cfg.bb_group
-    }
-    fn enable(&self, cfg: &mut BbConfig) {
-        cfg.bb_group = true;
     }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let units = &ir.unit_plan;
@@ -711,9 +690,6 @@ impl PlanPass for BbManagerPriority {
     fn enabled(&self, cfg: &BbConfig) -> bool {
         cfg.bb_group
     }
-    fn enable(&self, cfg: &mut BbConfig) {
-        cfg.bb_group = true;
-    }
     fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         // Passes never reshape the transaction, so the unit plan's
         // order is current.
@@ -761,59 +737,36 @@ impl PlanPass for BbManagerPriority {
 // The pipeline
 // ---------------------------------------------------------------------
 
-/// The standard pass names, in pipeline order.
-pub const STANDARD_PASSES: [&str; 7] = [
-    "defer-memory-init",
-    "ondemand-modularizer",
-    "rcu-booster",
-    "deferred-executor",
-    "pre-parser",
-    "group-isolator",
-    "bb-manager-priority",
+/// The seven BB passes, in pipeline order.
+const STANDARD: [&dyn PlanPass; 7] = [
+    &DeferMemoryInit,
+    &OnDemandModularizer,
+    &RcuBoosterInstall,
+    &DeferredExecutor,
+    &PreParserLoad,
+    &GroupIsolator,
+    &BbManagerPriority,
 ];
 
-/// An ordered set of [`PlanPass`]es plus the machinery to run them.
-/// [`execute`] replays the resulting plan; to boot a scenario end to
-/// end, use [`crate::BootRequest`].
-pub struct Pipeline {
-    passes: Vec<Box<dyn PlanPass>>,
-}
+/// The ordered BB passes plus the machinery to run them. [`execute`]
+/// replays the resulting plan; to boot a scenario end to end, use
+/// [`crate::BootRequest`].
+pub struct Pipeline;
 
 impl Pipeline {
     /// The seven BB passes in standard order.
     pub fn standard() -> Pipeline {
-        Pipeline {
-            passes: vec![
-                Box::new(DeferMemoryInit),
-                Box::new(OnDemandModularizer),
-                Box::new(RcuBoosterInstall),
-                Box::new(DeferredExecutor),
-                Box::new(PreParserLoad),
-                Box::new(GroupIsolator),
-                Box::new(BbManagerPriority),
-            ],
-        }
+        Pipeline
     }
 
     /// All passes, in order.
     pub fn passes(&self) -> impl Iterator<Item = &dyn PlanPass> {
-        self.passes.iter().map(|p| p.as_ref())
+        STANDARD.into_iter()
     }
 
     /// The passes `cfg` activates, in order.
     pub fn enabled<'a>(&'a self, cfg: &'a BbConfig) -> impl Iterator<Item = &'a dyn PlanPass> {
         self.passes().filter(move |p| p.enabled(cfg))
-    }
-
-    /// Turns a pass-name selection into the [`BbConfig`] that enables
-    /// exactly those passes. Returns `None` on an unknown pass name.
-    pub fn config_for(&self, pass_names: &[&str]) -> Option<BbConfig> {
-        let mut cfg = BbConfig::conventional();
-        for name in pass_names {
-            let pass = self.passes().find(|p| p.name() == *name)?;
-            pass.enable(&mut cfg);
-        }
-        Some(cfg)
     }
 
     /// Builds the IR for `scenario` and runs the enabled passes over it,
@@ -960,7 +913,18 @@ mod tests {
     fn standard_pipeline_has_the_seven_passes_in_order() {
         let p = Pipeline::standard();
         let names: Vec<&str> = p.passes().map(|x| x.name()).collect();
-        assert_eq!(names, STANDARD_PASSES);
+        assert_eq!(
+            names,
+            [
+                "defer-memory-init",
+                "ondemand-modularizer",
+                "rcu-booster",
+                "deferred-executor",
+                "pre-parser",
+                "group-isolator",
+                "bb-manager-priority",
+            ]
+        );
     }
 
     #[test]
@@ -971,40 +935,14 @@ mod tests {
     }
 
     #[test]
-    fn config_for_round_trips_the_full_selection() {
-        let p = Pipeline::standard();
-        let all: Vec<&str> = STANDARD_PASSES.to_vec();
-        assert_eq!(p.config_for(&all), Some(BbConfig::full()));
-        assert_eq!(p.config_for(&[]), Some(BbConfig::conventional()));
-        assert_eq!(p.config_for(&["no-such-pass"]), None);
-    }
-
-    #[test]
-    fn enable_is_the_inverse_of_enabled() {
-        let p = Pipeline::standard();
-        for pass in p.passes() {
-            let mut cfg = BbConfig::conventional();
-            assert!(
-                !pass.enabled(&cfg),
-                "{} enabled on conventional",
-                pass.name()
-            );
-            pass.enable(&mut cfg);
-            assert!(
-                pass.enabled(&cfg),
-                "{} not enabled by its own enable()",
-                pass.name()
-            );
-        }
-    }
-
-    #[test]
     fn full_bb_plan_records_seven_deltas_with_provenance() {
         let s = mini_tv();
         let p = Pipeline::standard();
         let (_, deltas) = p.plan(&s, &BbConfig::full(), None).unwrap();
-        let names: Vec<&str> = deltas.iter().map(|d| d.pass).collect();
-        assert_eq!(names, STANDARD_PASSES);
+        assert!(deltas
+            .iter()
+            .map(|d| d.pass)
+            .eq(p.passes().map(|x| x.name())));
         for d in &deltas {
             assert!(
                 !d.estimated_saving.is_zero(),

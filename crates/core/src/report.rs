@@ -188,7 +188,8 @@ mod tests {
             .unwrap()
             .report;
         let table = attribution_table(&bb.deltas);
-        for pass in crate::pipeline::STANDARD_PASSES {
+        for pass in crate::Pipeline::standard().passes() {
+            let pass = pass.name();
             assert!(table.contains(pass), "missing {pass} in:\n{table}");
         }
         assert!(table.contains("TOTAL (estimated)"));

@@ -94,10 +94,6 @@ impl PoolConfig {
     }
 }
 
-/// Prefix key of a [`bb_core::BbConfig`] — the features that shape the
-/// boot up to the kernel→init handoff.
-pub(crate) type PrefixKey = (bool, bool, bool, bool);
-
 /// Outcomes above which the boot-outcome cache is reset.
 const BOOT_CACHE_CAP: usize = 65536;
 
@@ -161,11 +157,11 @@ pub(crate) type SharedBoot = (CachedBoot, Option<FaultRecord>);
 pub struct FleetCache {
     plans: PlanCache,
     boots: Mutex<BootMemo>,
-    /// Kernel-handoff checkpoints, keyed by (scenario, prefix key).
-    /// Promoted from per-worker to service-wide: any worker (or client)
-    /// forking the same scenario prefix resumes from one shared
-    /// snapshot.
-    checkpoints: Mutex<HashMap<(ScenarioKey, PrefixKey), Arc<Checkpoint>>>,
+    /// Kernel-handoff checkpoints, keyed by (scenario,
+    /// [`bb_core::BbConfig::prefix_key`]). Promoted from per-worker to
+    /// service-wide: any worker (or client) forking the same scenario
+    /// prefix resumes from one shared snapshot.
+    checkpoints: Mutex<HashMap<(ScenarioKey, u8), Arc<Checkpoint>>>,
 }
 
 /// The boot-outcome memo: one entry per scenario, holding its outcomes
@@ -230,7 +226,7 @@ impl FleetCache {
 
     /// The memoized kernel-handoff checkpoint for `key`, if any worker
     /// has forked it already.
-    fn checkpoint(&self, key: &(ScenarioKey, PrefixKey)) -> Option<Arc<Checkpoint>> {
+    fn checkpoint(&self, key: &(ScenarioKey, u8)) -> Option<Arc<Checkpoint>> {
         lock(&self.checkpoints).get(key).cloned()
     }
 
@@ -239,11 +235,7 @@ impl FleetCache {
     /// snapshots are deterministic and identical, so the race is
     /// invisible in reports — only the kernel-simulation *count* can
     /// vary, and that is host-side observability).
-    fn checkpoint_insert(
-        &self,
-        key: (ScenarioKey, PrefixKey),
-        ckpt: Checkpoint,
-    ) -> Arc<Checkpoint> {
+    fn checkpoint_insert(&self, key: (ScenarioKey, u8), ckpt: Checkpoint) -> Arc<Checkpoint> {
         let mut map = lock(&self.checkpoints);
         if map.len() >= CHECKPOINT_MEMO_CAP {
             map.clear();

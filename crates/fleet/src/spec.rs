@@ -139,26 +139,11 @@ impl CellSpec {
         self
     }
 
-    /// Adds one config selected by pipeline pass names (see
-    /// [`bb_core::STANDARD_PASSES`]): the boot enables exactly those
-    /// passes. Ablation cells are pass-set selections — `&[]` is the
-    /// conventional boot, the full list is the full Booting Booster.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pass name the standard pipeline does not know.
-    pub fn pass_selection(self, label: impl Into<String>, passes: &[&str]) -> Self {
-        let cfg = bb_core::Pipeline::standard()
-            .config_for(passes)
-            .unwrap_or_else(|| panic!("unknown pass in selection {passes:?}"));
-        self.config(label, cfg)
-    }
-
-    /// Adds the standard pair of pass selections: `"conventional"` (no
-    /// passes) and `"bb"` (every pass).
+    /// Adds the standard pair of configs: `"conventional"` (every
+    /// feature off) and `"bb"` (every feature on).
     pub fn conventional_vs_bb(self) -> Self {
-        self.pass_selection("conventional", &[])
-            .pass_selection("bb", &bb_core::STANDARD_PASSES)
+        self.config("conventional", BbConfig::conventional())
+            .config("bb", BbConfig::full())
     }
 
     /// Sets the fault-plan axis to the control plan plus `n` seeded

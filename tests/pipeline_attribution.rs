@@ -18,18 +18,31 @@ fn boost(s: &Scenario, cfg: &BbConfig) -> Result<FullBootReport, bb_core::Error>
     Ok(BootRequest::new(s).config(*cfg).run()?.report)
 }
 
-/// Pass groups with their tolerance bands: estimated saving must land
-/// in `[measured * lo - slack, measured * hi + slack]`. Serial plan
-/// edits (memory init, load model, manager tasks) are near-exact, so
-/// their bands are tight; contention-mediated passes (module loading,
-/// RCU, group handling) are analytic approximations with wide bands.
-const GROUPS: &[(&[&str], f64, f64, u64)] = &[
-    (&["defer-memory-init"], 0.9, 1.1, 10),
-    (&["deferred-executor"], 0.5, 1.5, 60),
-    (&["pre-parser"], 0.7, 1.3, 40),
-    (&["ondemand-modularizer"], 0.25, 4.0, 150),
-    (&["rcu-booster"], 0.25, 4.0, 150),
-    (&["group-isolator", "bb-manager-priority"], 0.25, 4.0, 150),
+/// Pass groups, each with the feature list its solo boot enables and
+/// its tolerance band: estimated saving must land in
+/// `[measured * lo - slack, measured * hi + slack]`. Serial plan edits
+/// (memory init, load model, manager tasks) are near-exact, so their
+/// bands are tight; contention-mediated passes (module loading, RCU,
+/// group handling) are analytic approximations with wide bands.
+const GROUPS: &[(&[&str], &str, f64, f64, u64)] = &[
+    (&["defer-memory-init"], "defer-memory", 0.9, 1.1, 10),
+    (
+        &["deferred-executor"],
+        "deferred-executor,defer-journal",
+        0.5,
+        1.5,
+        60,
+    ),
+    (&["pre-parser"], "preparser", 0.7, 1.3, 40),
+    (&["ondemand-modularizer"], "modularizer", 0.25, 4.0, 150),
+    (&["rcu-booster"], "rcu-booster", 0.25, 4.0, 150),
+    (
+        &["group-isolator", "bb-manager-priority"],
+        "bb-group",
+        0.25,
+        4.0,
+        150,
+    ),
 ];
 
 #[test]
@@ -48,8 +61,15 @@ fn delta_attribution_tracks_measured_ablation() {
             .estimated_saving
     };
 
-    for &(passes, lo, hi, slack_ms) in GROUPS {
-        let cfg = pipeline.config_for(passes).unwrap();
+    for &(passes, features, lo, hi, slack_ms) in GROUPS {
+        let cfg = BbConfig::from_feature_list(features).unwrap();
+        assert!(
+            pipeline
+                .enabled(&cfg)
+                .map(|p| p.name())
+                .eq(passes.iter().copied()),
+            "{features} enables exactly {passes:?}"
+        );
         let solo = boost(&scenario, &cfg).unwrap().boot_time();
         let measured = conv.saturating_since(solo);
         let estimated: SimDuration = passes.iter().map(|p| est(p)).sum();

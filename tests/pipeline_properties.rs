@@ -33,22 +33,10 @@ fn snapshot(ir: &BootPlanIr) -> String {
     )
 }
 
-fn config_from_bits(bits: u8) -> BbConfig {
-    BbConfig {
-        rcu_booster: bits & 0x01 != 0,
-        defer_memory: bits & 0x02 != 0,
-        ondemand_modularizer: bits & 0x04 != 0,
-        defer_journal: bits & 0x08 != 0,
-        deferred_executor: bits & 0x10 != 0,
-        preparser: bits & 0x20 != 0,
-        bb_group: bits & 0x40 != 0,
-    }
-}
-
 proptest! {
     #[test]
     fn every_enabled_pass_is_idempotent(bits in any::<u8>()) {
-        let cfg = config_from_bits(bits);
+        let cfg = BbConfig::from_bits(bits);
         let scenario = camera_scenario();
         let pipeline = Pipeline::standard();
         let (mut ir, _) = pipeline.plan(&scenario, &cfg, None).unwrap();

@@ -41,19 +41,6 @@ fn scenario(units: Vec<Unit>) -> Scenario {
     )
 }
 
-/// The config whose seven feature bits are `bits`' low seven bits.
-fn config_from_bits(bits: u8) -> BbConfig {
-    BbConfig {
-        rcu_booster: bits & 0x01 != 0,
-        defer_memory: bits & 0x02 != 0,
-        ondemand_modularizer: bits & 0x04 != 0,
-        defer_journal: bits & 0x08 != 0,
-        deferred_executor: bits & 0x10 != 0,
-        preparser: bits & 0x20 != 0,
-        bb_group: bits & 0x40 != 0,
-    }
-}
-
 /// Plans `cfg` on `shared`, whose unit plan an earlier call may have
 /// built, and on a fresh scenario of `units`, and requires the same plan
 /// and the same boot.
@@ -220,7 +207,7 @@ proptest! {
     fn a_shared_unit_plan_plans_like_a_fresh_one(units in transaction_units_strategy()) {
         let shared = scenario(units.clone());
         for bits in 0..0x80 {
-            plans_like_a_fresh_scenario(&shared, &units, config_from_bits(bits))?;
+            plans_like_a_fresh_scenario(&shared, &units, BbConfig::from_bits(bits))?;
         }
     }
 }

@@ -9,24 +9,12 @@ use proptest::prelude::*;
 use booting_booster::bb::{BbConfig, BootRequest};
 use booting_booster::workloads::tv_scenario;
 
-fn config_from_bits(bits: u8) -> BbConfig {
-    BbConfig {
-        rcu_booster: bits & 0x01 != 0,
-        defer_memory: bits & 0x02 != 0,
-        ondemand_modularizer: bits & 0x04 != 0,
-        defer_journal: bits & 0x08 != 0,
-        deferred_executor: bits & 0x10 != 0,
-        preparser: bits & 0x20 != 0,
-        bb_group: bits & 0x40 != 0,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn telemetry_does_not_perturb_the_timeline(bits in any::<u8>()) {
-        let cfg = config_from_bits(bits);
+        let cfg = BbConfig::from_bits(bits);
         let scenario = tv_scenario();
         let on = BootRequest::new(&scenario)
             .config(cfg)
