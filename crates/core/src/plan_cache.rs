@@ -24,9 +24,11 @@
 //! allocation — same object, not merely equal content. Callers that
 //! want content-level sharing memoize the `Arc` itself so equal
 //! scenarios become the same allocation: the fleet keeps one such memo
-//! per ticket, so a plan is shared inside a grid and dies with it. Each
-//! insert evicts the entries whose scenario is gone, so a plan outlives
-//! its scenario by at most one insert.
+//! per ticket, so a plan is shared inside a grid. Each insert evicts the
+//! entries whose scenario is gone, so a plan outlives its scenario by at
+//! most one insert; [`PlanCache::evict_dropped`] evicts them at once,
+//! which the fleet calls after it drops a scenario with the last of its
+//! ticket's jobs that boots it.
 //!
 //! Planning is deterministic, so a cache hit returns exactly the plan a
 //! fresh [`crate::Pipeline::plan`] call would produce and timelines are
@@ -65,7 +67,7 @@ pub struct PlanCacheStats {
     /// Lookups served from the cache without re-planning.
     pub hits: u64,
     /// Entries, those of dropped scenarios included until the next
-    /// insert purges them.
+    /// insert or [`PlanCache::evict_dropped`] evicts them.
     pub entries: usize,
 }
 
@@ -103,26 +105,29 @@ impl PlanCache {
     }
 
     /// Stores a freshly compiled plan for (`scenario`, `cfg`) and
-    /// counts the compilation. Every insert first evicts the entries
-    /// whose scenario has been dropped, so a plan outlives its scenario
-    /// by at most one insert; the evicted plans are freed after the
-    /// lock is released.
+    /// counts the compilation. Every insert first runs
+    /// [`PlanCache::evict_dropped`].
     pub(crate) fn insert(&self, scenario: &Arc<Scenario>, cfg: &BbConfig, plan: SharedPlan) {
         self.compiled.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map();
-        let dead: Vec<Entry> = map
+        self.evict_dropped();
+        let entry = Entry {
+            scenario: Arc::downgrade(scenario),
+            plan,
+        };
+        self.map().insert(Self::key(scenario, cfg), entry);
+    }
+
+    /// Evicts the entries whose scenario has been dropped and frees
+    /// their plans after the lock is released. A caller that drops a
+    /// scenario calls it to free that scenario's plans at once;
+    /// otherwise they go at the next insert.
+    pub fn evict_dropped(&self) {
+        let dropped: Vec<Entry> = self
+            .map()
             .extract_if(|_, e| e.scenario.strong_count() == 0)
             .map(|(_, e)| e)
             .collect();
-        map.insert(
-            Self::key(scenario, cfg),
-            Entry {
-                scenario: Arc::downgrade(scenario),
-                plan,
-            },
-        );
-        drop(map);
-        drop(dead);
+        drop(dropped);
     }
 
     /// Current counters (monotonic over the cache's lifetime; callers
@@ -295,5 +300,13 @@ mod tests {
         plan(&b);
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().plans_compiled, 2);
+        // So does an eviction, without an insert; a live scenario's
+        // entry stays.
+        let c = Arc::new(mini_tv());
+        plan(&c);
+        drop(b);
+        cache.evict_dropped();
+        assert_eq!(cache.stats().entries, 1);
+        assert!(cache.lookup(&c, &BbConfig::full()).is_some());
     }
 }

@@ -34,11 +34,15 @@
 //! one grid with identical sources share one `Arc`'d scenario (which is
 //! what makes the pointer-keyed plan cache hit across jobs). A plain
 //! job asks the boot-outcome cache first and builds its scenario only
-//! for a config that misses. The scenario memo lives and dies with its
-//! ticket, and a plan outlives its scenario by at most one plan-cache
-//! insert; a checkpoint holds no plan, so a long-lived service keeps
-//! small outcomes and snapshots, not scenarios and plans. The memos
-//! other than the plan cache key on one `ScenarioKey` (see
+//! for a config that misses. The scenario memo belongs to its ticket
+//! and counts the ticket's jobs of each scenario: the worker that
+//! finishes the last of them drops the scenario and evicts its plans
+//! ([`bb_core::PlanCache::evict_dropped`]) while the other workers keep
+//! booting. A fixed cell's scenario belongs to its spec, so its plans
+//! stay while the spec does. A checkpoint holds no plan, so a
+//! long-lived service keeps small outcomes and snapshots, not scenarios
+//! and plans. The memos other than the plan cache key on one
+//! `ScenarioKey` (see
 //! [`crate::spec`]) and compare all of it on a hit, and all four are
 //! invisible in the report: simulation is deterministic, so cached
 //! results are bit-identical to fresh ones. Supervised cells (fault
@@ -275,12 +279,14 @@ pub struct JobOutput {
     /// Per-config `(span name, duration ns)` lists, in config order.
     /// Empty unless [`SweepSpec::metrics`] is set.
     pub spans: Vec<Vec<(String, u64)>>,
-    /// Kernel-phase simulations this job actually executed. Equals the
-    /// config count for a plain sweep; with [`SweepSpec::fork`] it is
-    /// the number of distinct prefix keys in the cell's config list the
+    /// Kernel-phase simulations this job executed. Equals the config
+    /// count for a plain sweep; with [`SweepSpec::fork`] it is the
+    /// number of distinct prefix keys in the cell's config list the
     /// service-wide memo had no checkpoint for, and boots served from
     /// the dedup cache or the ticket's outcome memo simulate nothing at
-    /// all.
+    /// all. A supervised boot that another corruption slot simulated
+    /// at the same time, and stored in the outcome memo first, is not
+    /// counted here but in `deduped`.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across this job's boots
     /// (the machine's high-water mark, a sizing signal for the queue's
@@ -288,7 +294,8 @@ pub struct JobOutput {
     pub peak_events: usize,
     /// Boots served from the dedup cache, or in a supervised cell from
     /// the ticket's outcome memo, instead of simulated (see
-    /// [`SweepSpec::dedup`]).
+    /// [`SweepSpec::dedup`]). A supervised boot whose outcome lost the
+    /// memo's first-insert race counts here too.
     pub deduped: usize,
     /// Wall-clock time the job took (host time; not in JSON output).
     pub elapsed: Duration,
@@ -341,7 +348,10 @@ pub struct PoolStats {
     /// ([`SweepSpec::fork`]) simulates the shared prefix once per
     /// distinct prefix key the service-wide memo was missing, so this
     /// drops well below the boot count — the work the checkpoint fork
-    /// saved.
+    /// saved. A supervised cell counts each distinct boot once, for any
+    /// worker count: of two corruption slots that raced to simulate a
+    /// boot their ticket shares, the one stored second counts in
+    /// `cells_deduped` instead.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across all completed
     /// boots. Deterministic (simulated state, not host time), but kept
@@ -360,9 +370,11 @@ pub struct PoolStats {
     /// Boots served from the dedup cache, or in a supervised cell from
     /// the ticket's outcome memo, instead of simulated (see
     /// [`SweepSpec::dedup`]). Like everything in `PoolStats` this is
-    /// execution observability, not part of the JSON report: racing
-    /// workers may simulate a grid point twice, so the count can vary
-    /// run to run even though the report never does.
+    /// execution observability, not part of the JSON report. A
+    /// supervised cell's count is exact for any worker count, since a
+    /// boot that lost the outcome memo's race counts here; in a plain
+    /// cell racing workers may simulate a grid point twice, so the
+    /// count can vary run to run even though the report never does.
     pub cells_deduped: usize,
     /// Artifact recoveries across all boots (retried reads included).
     /// Always 0 for cells without a corruption axis; see
@@ -641,12 +653,15 @@ pub(crate) fn run_job(
                 }
                 None => {}
             }
-            // Where this config's outcome goes for the next asker.
-            let remember = |outcome, record| {
-                if dedup {
-                    cache.boot_insert(&key, bits, outcome);
-                } else if let Some(k) = shared {
-                    plan.remember(k, (outcome, record));
+            // Where this config's outcome goes for the next asker; false
+            // if another corruption slot's run of the boot got there first.
+            let remember = |outcome, record| match shared {
+                Some(k) => plan.remember(k, (outcome, record)),
+                None => {
+                    if dedup {
+                        cache.boot_insert(&key, bits, outcome);
+                    }
+                    true
                 }
             };
             let scenario: &Arc<Scenario> = built.get_or_insert_with(fetch);
@@ -695,10 +710,11 @@ pub(crate) fn run_job(
                 None => request.run(),
             };
             let boot = boot.map_err(|e| FailureKind::Boost(e.to_string()))?;
+            // The attempt, plus the conventional rescue of a degraded
+            // boot.
+            let sims = 1 + usize::from(boot.degraded.is_some());
             if checkpoint.is_none() {
-                // The attempt, plus the conventional rescue of a
-                // degraded boot.
-                kernel_sims += 1 + usize::from(boot.degraded.is_some());
+                kernel_sims += sims;
             }
             let peak = boot.machine.event_queue_stats().peak_depth;
             peak_events = peak_events.max(peak);
@@ -734,7 +750,12 @@ pub(crate) fn run_job(
                     peak_events: peak,
                     spans: boot_spans.clone(),
                 };
-                remember(outcome, record.clone());
+                if !remember(outcome, record.clone()) {
+                    // Raced: counted as the replay it would have been,
+                    // so the ticket counts each distinct boot once.
+                    kernel_sims -= sims;
+                    deduped += 1;
+                }
             }
             records.extend(record);
             if let Some(s) = boot_spans {
@@ -992,7 +1013,8 @@ pub(crate) mod tests {
 
     /// A caller-held cache keeps no scenario past its sweep: the memo
     /// that shares a fixed cell's scenario across jobs belongs to the
-    /// ticket and goes with it.
+    /// ticket and goes with it. The scenario itself belongs to the
+    /// spec, so its plans stay while the spec lives.
     #[test]
     fn a_held_cache_keeps_no_scenario_after_its_sweep() {
         let spec = SweepSpec::new().cell(
@@ -1008,6 +1030,34 @@ pub(crate) mod tests {
         let outcome = run_sweep(&spec, &PoolConfig::with_workers(2), &cache);
         assert_eq!(outcome.report.total_boots, 6);
         assert_eq!(Arc::strong_count(scenario), before);
+        assert_eq!(cache.plans().stats().entries, 2, "one plan per config");
+    }
+
+    /// A generated scenario goes with the last of its ticket's jobs that
+    /// boots it, and its plans with it: a held cache keeps no plan of a
+    /// finished sweep. Until then it is shared: two cells with one
+    /// source and the same seeds, dedup off, boot each scenario twice
+    /// and compile each (scenario, config) pair once.
+    #[test]
+    fn plans_go_with_the_last_job_of_their_scenario() {
+        let pool = PoolConfig::with_workers(1);
+        let cache = FleetCache::fresh();
+        let outcome = run_sweep(&tiny_spec([1, 2, 3]), &pool, &cache);
+        assert_eq!(outcome.stats.plans_compiled, 6);
+        assert_eq!(cache.plans().stats().entries, 0);
+
+        let spec = SweepSpec::new()
+            .cell(tiny_cell("a").seeds([1, 2]).conventional_vs_bb())
+            .cell(tiny_cell("b").seeds([1, 2]).conventional_vs_bb())
+            .with_dedup(false);
+        let cache = FleetCache::fresh();
+        let outcome = run_sweep(&spec, &pool, &cache);
+        assert_eq!(outcome.stats.kernel_sims, 8, "dedup off boots every slot");
+        assert_eq!(
+            (outcome.stats.plans_compiled, outcome.stats.plan_cache_hits),
+            (4, 4)
+        );
+        assert_eq!(cache.plans().stats().entries, 0);
     }
 
     /// The checkpoint memo lives in the cache now: a second forked

@@ -6,10 +6,12 @@
 //! [`FleetCache`] — so every ticket it executes shares deduplicated
 //! boot outcomes and kernel checkpoints with every other ticket, across
 //! submissions and across clients. Scenarios, and the boot plans
-//! compiled for them, live only as long as the ticket that built them:
-//! each ticket memoizes its own scenarios and drops the memo when it
-//! finalizes or is cancelled, and a shared checkpoint holds no plan, so
-//! it keeps no scenario alive. This is the fleet-scale shape the paper's
+//! compiled for them, live only as long as the last of their ticket's
+//! jobs that boots them: each ticket memoizes its own scenarios, counts
+//! the jobs of each, and drops one when its last job finishes (a
+//! cancelled ticket drops the rest with its memo), and a shared
+//! checkpoint holds no plan, so it keeps no scenario alive. This is the
+//! fleet-scale shape the paper's
 //! deployment story implies: millions of near-identical boot jobs
 //! amortizing their shared artifacts, not one process per sweep.
 //!
@@ -328,38 +330,85 @@ struct Task {
 
 /// A ticket's expanded execution plan, shared with the workers running
 /// its jobs. The ticket drops it when it finalizes or is cancelled; an
-/// in-flight job holds it until that job ends.
+/// in-flight job holds it until that job ends. Its scenarios go sooner:
+/// each with the last job that boots it (see [`Plan::release`]).
 pub(crate) struct Plan {
     pub(crate) spec: SweepSpec,
     jobs: Vec<Job>,
     /// The ticket's scenario memo, the only way its jobs, plain and
     /// supervised, obtain a scenario. Workers use it outside the state
     /// lock, so it has a lock of its own.
-    scenarios: Mutex<HashMap<ScenarioKey, Arc<Scenario>>>,
+    scenarios: Mutex<HashMap<ScenarioKey, ScenarioMemo>>,
     /// The ticket's supervised outcome memo: a boot that never reads
     /// its staged artifact is the same in every corruption slot of its
     /// cell, so the slots after the first replay it (see [`run_job`]).
     outcomes: Mutex<HashMap<OutcomeKey, SharedBoot>>,
 }
 
+/// One key's entry in a ticket's scenario memo.
+#[derive(Default)]
+struct ScenarioMemo {
+    /// The ticket's jobs of this key that have not finished.
+    jobs_left: usize,
+    /// The scenario, once one of those jobs built it.
+    scenario: Option<Arc<Scenario>>,
+}
+
 impl Plan {
+    /// The plan of `spec`'s jobs, its scenario memo counting each key's.
+    fn new(spec: SweepSpec) -> Plan {
+        let jobs = spec.jobs();
+        let mut scenarios: HashMap<ScenarioKey, ScenarioMemo> = HashMap::new();
+        for &job in &jobs {
+            let entry = scenarios.entry(ScenarioKey::of_job(&spec, job));
+            entry.or_default().jobs_left += 1;
+        }
+        Plan {
+            spec,
+            jobs,
+            scenarios: Mutex::new(scenarios),
+            outcomes: Mutex::default(),
+        }
+    }
+
     /// The memoized scenario for `key`, building (outside the lock) and
-    /// inserting on a miss. On a racing double-build the first insert
+    /// storing on a miss. On a racing double-build the first store
     /// wins, so every job of a key converges on one `Arc` — the pointer
-    /// identity the plan cache keys on — and so on one unit plan.
+    /// identity the plan cache keys on — and so on one unit plan. A key
+    /// that never equals itself (a NaN parameter) has no entry, so each
+    /// of its jobs builds its own.
     pub(crate) fn scenario(
         &self,
         key: &ScenarioKey,
         build: impl FnOnce() -> Arc<Scenario>,
     ) -> Arc<Scenario> {
-        if let Some(hit) = lock(&self.scenarios).get(key) {
-            return hit.clone();
+        let memoized = lock(&self.scenarios)
+            .get(key)
+            .and_then(|m| m.scenario.clone());
+        if let Some(hit) = memoized {
+            return hit;
         }
         let built = build();
-        lock(&self.scenarios)
-            .entry(key.clone())
-            .or_insert(built)
-            .clone()
+        match lock(&self.scenarios).get_mut(key) {
+            Some(memo) => memo.scenario.get_or_insert(built).clone(),
+            None => built,
+        }
+    }
+
+    /// Counts `job` finished, whatever its result. After the last of
+    /// the ticket's jobs of its key, forgets the key and returns its
+    /// scenario, if one was built, for the caller to drop outside the
+    /// lock. A cancelled ticket's retracted jobs never finish, so its
+    /// memo goes with the plan.
+    pub(crate) fn release(&self, job: Job) -> Option<Arc<Scenario>> {
+        let key = ScenarioKey::of_job(&self.spec, job);
+        let mut memo = lock(&self.scenarios);
+        let entry = memo.get_mut(&key)?;
+        entry.jobs_left -= 1;
+        if entry.jobs_left > 0 {
+            return None;
+        }
+        memo.remove(&key)?.scenario
     }
 
     /// The memoized outcome of the supervised boot `key` names, if a
@@ -368,11 +417,18 @@ impl Plan {
         lock(&self.outcomes).get(key).cloned()
     }
 
-    /// Memoizes a supervised boot's outcome. First insert wins, as in
-    /// the checkpoint memo: two slots that raced both simulated the
-    /// same deterministic boot, so only the counters can tell.
-    pub(crate) fn remember(&self, key: OutcomeKey, outcome: SharedBoot) {
-        lock(&self.outcomes).entry(key).or_insert(outcome);
+    /// Memoizes a supervised boot's outcome; false if another slot's
+    /// run of the boot was stored first. First insert wins, as in the
+    /// checkpoint memo: two slots that raced both simulated the same
+    /// deterministic boot, and the loser counts its run as a replay.
+    pub(crate) fn remember(&self, key: OutcomeKey, outcome: SharedBoot) -> bool {
+        match lock(&self.outcomes).entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(outcome);
+                true
+            }
+        }
     }
 }
 
@@ -412,15 +468,9 @@ impl Ticket {
             WorkItem::Sweep(spec) => (spec, false),
             WorkItem::Chaos(spec) => (spec, true),
         };
-        let jobs = spec.jobs();
-        let total = jobs.len();
         let agg = Aggregator::new(&spec);
-        let plan = Plan {
-            spec,
-            jobs,
-            scenarios: Mutex::default(),
-            outcomes: Mutex::default(),
-        };
+        let plan = Plan::new(spec);
+        let total = plan.jobs.len();
         Ticket {
             client,
             chaos,
@@ -767,16 +817,23 @@ fn worker_loop(inner: Arc<Inner>, w: usize) {
                 state = inner.work.wait(state).unwrap_or_else(|p| p.into_inner());
             }
         };
+        let job = plan.jobs[task.index];
         let started = Instant::now();
-        let result = run_job(&plan, &inner.cache, plan.jobs[task.index], &mut builder);
+        let result = run_job(&plan, &inner.cache, job, &mut builder);
         let busy = started.elapsed();
         let plans = inner.cache.plans().stats();
         let finalized = lock(&inner.state).finish(task, w, busy, result, plans);
         if finalized.is_some() {
             inner.done.notify_all();
         }
-        // The memo's scenarios go after the waiter is woken: with the
-        // ticket's reference here, or with the last in-flight job's.
+        // After the waiter is woken, the last job of a scenario drops it
+        // here, and its plans with it, while other workers keep booting.
+        // The rest of the plan goes with the ticket's reference here, or
+        // with the last in-flight job's.
+        if let Some(scenario) = plan.release(job) {
+            drop(scenario);
+            inner.cache.plans().evict_dropped();
+        }
     }
 }
 

@@ -25,10 +25,10 @@ impl UnitName {
     /// # Panics
     ///
     /// Panics if the name has no recognized type suffix.
-    pub fn new(name: impl Into<String>) -> Self {
-        let name = name.into();
+    pub fn new(name: impl AsRef<str>) -> Self {
+        let name = name.as_ref();
         assert!(
-            UnitKind::from_name(&name).is_some(),
+            UnitKind::from_name(name).is_some(),
             "unit name without a recognized suffix: {name}"
         );
         UnitName(name.into())
