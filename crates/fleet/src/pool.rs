@@ -34,22 +34,20 @@
 //! one grid with identical sources share one `Arc`'d scenario (which is
 //! what makes the pointer-keyed plan cache hit across jobs). A plain
 //! job asks the boot-outcome cache first and builds its scenario only
-//! for a config that misses. The scenario memo belongs to its ticket
-//! and counts the ticket's jobs of each scenario: the worker that
-//! finishes the last of them drops the scenario and evicts its plans
-//! ([`bb_core::PlanCache::evict_dropped`]) while the other workers keep
-//! booting. A fixed cell's scenario belongs to its spec, so its plans
-//! stay while the spec does. A checkpoint holds no plan, so a
-//! long-lived service keeps small outcomes and snapshots, not scenarios
-//! and plans. The memos other than the plan cache key on one
-//! `ScenarioKey` (see
-//! [`crate::spec`]) and compare all of it on a hit, and all four are
-//! invisible in the report: simulation is deterministic, so cached
-//! results are bit-identical to fresh ones. Supervised cells (fault
-//! plans, corruption, supervision, fallback) take their scenario from
-//! the ticket's memo too, and leave the other memos alone; their one
-//! memo of outcomes is the ticket's, for the boots that never read the
-//! staged artifact and so boot alike in every corruption slot.
+//! for a config that misses. The worker that finishes a ticket's last
+//! job of a scenario drops it from the memo and evicts its plans
+//! ([`bb_core::PlanCache::evict_dropped`]); a fixed cell's scenario is
+//! its spec's, so its plans stay while the spec does. A checkpoint
+//! holds no plan, so a long-lived service keeps small outcomes and
+//! snapshots, not scenarios and plans. The memos other than the plan
+//! cache key on one `ScenarioKey` (see [`crate::spec`]) and compare all
+//! of it on a hit, and all four are invisible in the report:
+//! simulation is deterministic, so cached results are bit-identical to
+//! fresh ones. Supervised cells (fault plans, corruption, supervision,
+//! fallback) take their scenario from the ticket's memo too, and leave
+//! the other memos alone; their one memo of outcomes is the ticket's,
+//! for the boots that never read the staged artifact and so boot alike
+//! in every corruption slot.
 //! [`run_sweep`] takes the cache explicitly; pass [`FleetCache::fresh`]
 //! for a private per-call cache, or hold one `Arc` across calls (or
 //! behind a [`crate::FleetService`]) to carry boot outcomes and
@@ -284,9 +282,8 @@ pub struct JobOutput {
     /// number of distinct prefix keys in the cell's config list the
     /// service-wide memo had no checkpoint for, and boots served from
     /// the dedup cache or the ticket's outcome memo simulate nothing at
-    /// all. A supervised boot that another corruption slot simulated
-    /// at the same time, and stored in the outcome memo first, is not
-    /// counted here but in `deduped`.
+    /// all. A supervised boot that lost its outcome memo's race counts
+    /// in `deduped` instead.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across this job's boots
     /// (the machine's high-water mark, a sizing signal for the queue's
@@ -348,10 +345,8 @@ pub struct PoolStats {
     /// ([`SweepSpec::fork`]) simulates the shared prefix once per
     /// distinct prefix key the service-wide memo was missing, so this
     /// drops well below the boot count — the work the checkpoint fork
-    /// saved. A supervised cell counts each distinct boot once, for any
-    /// worker count: of two corruption slots that raced to simulate a
-    /// boot their ticket shares, the one stored second counts in
-    /// `cells_deduped` instead.
+    /// saved. A supervised boot that lost its outcome memo's race counts
+    /// in `cells_deduped` instead, so this is exact for any worker count.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across all completed
     /// boots. Deterministic (simulated state, not host time), but kept
@@ -565,9 +560,10 @@ pub(crate) type JobResult = Result<(JobOutput, Vec<FaultRecord>), JobFailure>;
 pub(crate) fn run_job(
     plan: &Plan,
     cache: &FleetCache,
-    job: Job,
+    index: usize,
     builder: &mut bb_sim::MachineBuilder,
 ) -> JobResult {
+    let job = plan.jobs[index];
     let spec = &plan.spec;
     let cell = &spec.cells[job.cell];
     let seed = cell.seeds[job.seed_idx];
@@ -584,7 +580,7 @@ pub(crate) fn run_job(
         // Jobs with equal keys converge on one Arc'd scenario, which is
         // what lets the pointer-keyed plan cache hit across the ticket's
         // jobs and cells.
-        let fetch = || plan.scenario(&key, || job_scenario(cell, seed));
+        let fetch = || plan.scenario(index, || job_scenario(cell, seed));
         // A supervised job fetches its scenario, and builds its fault
         // plan and artifact, up front; a plain job's scenario waits for
         // its first miss.
@@ -751,8 +747,7 @@ pub(crate) fn run_job(
                     spans: boot_spans.clone(),
                 };
                 if !remember(outcome, record.clone()) {
-                    // Raced: counted as the replay it would have been,
-                    // so the ticket counts each distinct boot once.
+                    // Raced: counted as the replay it would have been.
                     kernel_sims -= sims;
                     deduped += 1;
                 }

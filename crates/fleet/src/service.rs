@@ -6,12 +6,9 @@
 //! [`FleetCache`] — so every ticket it executes shares deduplicated
 //! boot outcomes and kernel checkpoints with every other ticket, across
 //! submissions and across clients. Scenarios, and the boot plans
-//! compiled for them, live only as long as the last of their ticket's
-//! jobs that boots them: each ticket memoizes its own scenarios, counts
-//! the jobs of each, and drops one when its last job finishes (a
-//! cancelled ticket drops the rest with its memo), and a shared
-//! checkpoint holds no plan, so it keeps no scenario alive. This is the
-//! fleet-scale shape the paper's
+//! compiled for them, live only until the last of their ticket's jobs
+//! that boots them, and a shared checkpoint holds no plan, so it keeps
+//! no scenario alive. This is the fleet-scale shape the paper's
 //! deployment story implies: millions of near-identical boot jobs
 //! amortizing their shared artifacts, not one process per sweep.
 //!
@@ -334,11 +331,15 @@ struct Task {
 /// each with the last job that boots it (see [`Plan::release`]).
 pub(crate) struct Plan {
     pub(crate) spec: SweepSpec,
-    jobs: Vec<Job>,
+    pub(crate) jobs: Vec<Job>,
+    /// Each job's entry in `scenarios`: jobs with equal `ScenarioKey`s
+    /// share one (a key with a NaN parameter equals nothing, so each of
+    /// its jobs has its own).
+    slots: Vec<usize>,
     /// The ticket's scenario memo, the only way its jobs, plain and
     /// supervised, obtain a scenario. Workers use it outside the state
     /// lock, so it has a lock of its own.
-    scenarios: Mutex<HashMap<ScenarioKey, ScenarioMemo>>,
+    scenarios: Mutex<Vec<ScenarioMemo>>,
     /// The ticket's supervised outcome memo: a boot that never reads
     /// its staged artifact is the same in every corruption slot of its
     /// cell, so the slots after the first replay it (see [`run_job`]).
@@ -355,60 +356,34 @@ struct ScenarioMemo {
 }
 
 impl Plan {
-    /// The plan of `spec`'s jobs, its scenario memo counting each key's.
-    fn new(spec: SweepSpec) -> Plan {
-        let jobs = spec.jobs();
-        let mut scenarios: HashMap<ScenarioKey, ScenarioMemo> = HashMap::new();
-        for &job in &jobs {
-            let entry = scenarios.entry(ScenarioKey::of_job(&spec, job));
-            entry.or_default().jobs_left += 1;
-        }
-        Plan {
-            spec,
-            jobs,
-            scenarios: Mutex::new(scenarios),
-            outcomes: Mutex::default(),
-        }
-    }
-
-    /// The memoized scenario for `key`, building (outside the lock) and
-    /// storing on a miss. On a racing double-build the first store
-    /// wins, so every job of a key converges on one `Arc` — the pointer
-    /// identity the plan cache keys on — and so on one unit plan. A key
-    /// that never equals itself (a NaN parameter) has no entry, so each
-    /// of its jobs builds its own.
+    /// The memoized scenario of job `index`, building (outside the
+    /// lock) and storing on a miss. On a racing double-build the first
+    /// store wins, so every job of a key converges on one `Arc` — the
+    /// pointer identity the plan cache keys on — and so on one unit plan.
     pub(crate) fn scenario(
         &self,
-        key: &ScenarioKey,
+        index: usize,
         build: impl FnOnce() -> Arc<Scenario>,
     ) -> Arc<Scenario> {
-        let memoized = lock(&self.scenarios)
-            .get(key)
-            .and_then(|m| m.scenario.clone());
-        if let Some(hit) = memoized {
+        let slot = self.slots[index];
+        if let Some(hit) = lock(&self.scenarios)[slot].scenario.clone() {
             return hit;
         }
         let built = build();
-        match lock(&self.scenarios).get_mut(key) {
-            Some(memo) => memo.scenario.get_or_insert(built).clone(),
-            None => built,
-        }
+        let mut memo = lock(&self.scenarios);
+        memo[slot].scenario.get_or_insert(built).clone()
     }
 
-    /// Counts `job` finished, whatever its result. After the last of
-    /// the ticket's jobs of its key, forgets the key and returns its
-    /// scenario, if one was built, for the caller to drop outside the
-    /// lock. A cancelled ticket's retracted jobs never finish, so its
-    /// memo goes with the plan.
-    pub(crate) fn release(&self, job: Job) -> Option<Arc<Scenario>> {
-        let key = ScenarioKey::of_job(&self.spec, job);
+    /// Counts job `index` finished, whatever its result. The last job
+    /// of its key takes the key's scenario, if one was built, for the
+    /// caller to drop outside the lock. A cancelled ticket's retracted
+    /// jobs never finish: their scenarios go with the plan.
+    pub(crate) fn release(&self, index: usize) -> Option<Arc<Scenario>> {
         let mut memo = lock(&self.scenarios);
-        let entry = memo.get_mut(&key)?;
+        let entry = &mut memo[self.slots[index]];
         entry.jobs_left -= 1;
-        if entry.jobs_left > 0 {
-            return None;
-        }
-        memo.remove(&key)?.scenario
+        let last = entry.jobs_left == 0;
+        entry.scenario.take_if(|_| last)
     }
 
     /// The memoized outcome of the supervised boot `key` names, if a
@@ -422,13 +397,8 @@ impl Plan {
     /// checkpoint memo: two slots that raced both simulated the same
     /// deterministic boot, and the loser counts its run as a replay.
     pub(crate) fn remember(&self, key: OutcomeKey, outcome: SharedBoot) -> bool {
-        match lock(&self.outcomes).entry(key) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(outcome);
-                true
-            }
-        }
+        let mut memo = lock(&self.outcomes);
+        !memo.contains_key(&key) && memo.insert(key, outcome).is_none()
     }
 }
 
@@ -468,9 +438,29 @@ impl Ticket {
             WorkItem::Sweep(spec) => (spec, false),
             WorkItem::Chaos(spec) => (spec, true),
         };
+        let jobs = spec.jobs();
+        let total = jobs.len();
         let agg = Aggregator::new(&spec);
-        let plan = Plan::new(spec);
-        let total = plan.jobs.len();
+        let mut keys = HashMap::with_capacity(total);
+        let mut scenarios: Vec<ScenarioMemo> = Vec::with_capacity(total);
+        let mut slots = Vec::with_capacity(total);
+        for job in &jobs {
+            let cell = &spec.cells[job.cell];
+            let key = ScenarioKey::new(cell, cell.seeds[job.seed_idx]);
+            let slot = *keys.entry(key).or_insert(scenarios.len());
+            if slot == scenarios.len() {
+                scenarios.push(ScenarioMemo::default());
+            }
+            scenarios[slot].jobs_left += 1;
+            slots.push(slot);
+        }
+        let plan = Plan {
+            spec,
+            jobs,
+            slots,
+            scenarios: Mutex::new(scenarios),
+            outcomes: Mutex::default(),
+        };
         Ticket {
             client,
             chaos,
@@ -817,20 +807,18 @@ fn worker_loop(inner: Arc<Inner>, w: usize) {
                 state = inner.work.wait(state).unwrap_or_else(|p| p.into_inner());
             }
         };
-        let job = plan.jobs[task.index];
         let started = Instant::now();
-        let result = run_job(&plan, &inner.cache, job, &mut builder);
+        let result = run_job(&plan, &inner.cache, task.index, &mut builder);
         let busy = started.elapsed();
         let plans = inner.cache.plans().stats();
         let finalized = lock(&inner.state).finish(task, w, busy, result, plans);
         if finalized.is_some() {
             inner.done.notify_all();
         }
-        // After the waiter is woken, the last job of a scenario drops it
-        // here, and its plans with it, while other workers keep booting.
-        // The rest of the plan goes with the ticket's reference here, or
-        // with the last in-flight job's.
-        if let Some(scenario) = plan.release(job) {
+        // After the waiter is woken, a scenario's last job drops it and
+        // its plans; the rest of the plan goes with the ticket's reference
+        // here, or with the last in-flight job's.
+        if let Some(scenario) = plan.release(task.index) {
             drop(scenario);
             inner.cache.plans().evict_dropped();
         }
@@ -1302,11 +1290,13 @@ mod tests {
         let cache = FleetCache::new();
         let mut builder = bb_sim::MachineBuilder::new();
         assert_eq!(plan.jobs.len(), 6);
-        for &job in &plan.jobs {
+        for index in 0..plan.jobs.len() {
             // Some fault plans hang a boot; only the scenario matters.
-            let _ = run_job(plan, &cache, job, &mut builder);
+            let _ = run_job(plan, &cache, index, &mut builder);
         }
-        assert_eq!(lock(&plan.scenarios).len(), 1);
+        let memo = lock(&plan.scenarios);
+        assert_eq!(memo.len(), 1);
+        assert!(memo[0].scenario.is_some());
     }
 
     /// A supervised boot that never reads its staged artifact runs once
@@ -1336,8 +1326,8 @@ mod tests {
             let ticket = Ticket::new(1, item, cache.plans().stats());
             let plan = proto_plan(&ticket);
             let mut replayed = 0;
-            for &job in &plan.jobs {
-                let (out, records) = run_job(plan, &cache, job, &mut builder).expect("boots");
+            for index in 0..plan.jobs.len() {
+                let (out, records) = run_job(plan, &cache, index, &mut builder).expect("boots");
                 assert_eq!(records.len(), 2, "a replayed boot keeps its record");
                 replayed += out.deduped;
             }

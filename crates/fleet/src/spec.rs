@@ -400,12 +400,6 @@ impl ScenarioKey {
             supervision: cell.supervision,
         }
     }
-
-    /// The key of `spec`'s `job`.
-    pub(crate) fn of_job(spec: &SweepSpec, job: Job) -> ScenarioKey {
-        let cell = &spec.cells[job.cell];
-        ScenarioKey::new(cell, cell.seeds[job.seed_idx])
-    }
 }
 
 impl PartialEq for ScenarioKey {
