@@ -5,13 +5,14 @@
 //! loop — compute slices (quantum preemption), sleeps, flag waiter
 //! lists, timed waits (stale-timeout drops), and priority I/O — without
 //! the planning/kernel layers on top, so it isolates the scheduler and
-//! event queue. The boot benchmarks measure the fleet inner loop on the
-//! calibration TV scenario two ways: a cold boot (plan + kernel + user
-//! space, fresh machine) and the hot-path boot a `bb-fleet` forked
-//! sweep actually runs per job — the plan taken from the `PlanCache`
-//! the checkpoint was taken through (`run_job` attaches one cache to
-//! both), snapshot restore into a recycled machine (`MachineBuilder`),
-//! suffix simulation only.
+//! event queue. The boot benchmarks measure a boot of the calibration
+//! TV scenario two ways: a cold boot (plan + kernel + user space, fresh
+//! machine) and a hot-path boot — the plan taken from the `PlanCache`
+//! the checkpoint was taken through, snapshot restore into a recycled
+//! machine (`MachineBuilder`), suffix simulation only. The hot-path
+//! side's lead is the cached plan and the recycled machine, not the
+//! snapshot: with both on each side, a resume is 3–6% slower than a run
+//! (EXPERIMENTS.md E20), so no fleet job resumes.
 //!
 //! Besides the criterion timings this bench writes `BENCH_hotpath.json`
 //! at the repo root — the committed scheduler-level perf baseline that
@@ -100,9 +101,8 @@ fn storm_machine(procs: u64, rounds: u64) -> Machine {
 fn bench_hotpath(c: &mut Criterion) {
     let s = Arc::new(scenario());
     let cfg = BbConfig::full();
-    // The checkpoint and every resume share one plan cache, as a forked
-    // fleet job's do; cold boots stay uncached because they measure
-    // planning.
+    // The checkpoint and every resume share one plan cache; cold boots
+    // stay uncached because they measure planning.
     let cache = PlanCache::new();
     let ckpt = BootRequest::new(&s)
         .config(cfg)

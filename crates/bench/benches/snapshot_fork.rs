@@ -1,15 +1,17 @@
 //! Snapshot/checkpoint perf baseline: full-BB boots/sec vs
 //! checkpoint-forked boots/sec on the same scenario.
 //!
-//! A forked boot resumes a [`bb_core::Checkpoint`] taken at the
-//! kernel→init handoff instead of re-planning and re-simulating the
-//! kernel phase (restoring the snapshot replaces the kernel simulation,
-//! and the plan taken from the [`bb_core::PlanCache`] the checkpoint
-//! was taken through replaces planning, as in a forked fleet job), so
-//! it should always beat the full boot. Besides the criterion timings
-//! this bench writes `BENCH_snapshot.json` at the repo root — the
-//! committed baseline the CI gate and future optimizations diff
-//! against.
+//! The two sides differ in more than the snapshot. A full boot plans
+//! its config afresh and simulates the kernel phase. A forked boot
+//! takes its plan from the [`bb_core::PlanCache`] the checkpoint was
+//! taken through and resumes a [`bb_core::Checkpoint`] taken at the
+//! kernel→init handoff, so restoring the snapshot replaces the kernel
+//! simulation. The forked side's lead is the cached plan: with the
+//! plan cache on both sides, a resume is level with a run on fresh
+//! machines (EXPERIMENTS.md E20), and no fleet job resumes. Besides the
+//! criterion timings this bench writes `BENCH_snapshot.json` at the
+//! repo root — the committed baseline the CI gate and future
+//! optimizations diff against.
 //! Iteration count: `BB_BENCH_ITERS` (default 200).
 //!
 //! `cargo bench --bench snapshot_fork`
@@ -36,9 +38,9 @@ fn scenario() -> Scenario {
 fn bench_snapshot_fork(c: &mut Criterion) {
     let s = Arc::new(scenario());
     let cfg = BbConfig::full();
-    // The checkpoint and every resume share one plan cache, as a forked
-    // fleet job's do; full boots stay uncached, so each plans its config
-    // on the scenario's shared unit plan.
+    // The checkpoint and every resume share one plan cache; full boots
+    // stay uncached, so each plans its config on the scenario's shared
+    // unit plan.
     let cache = PlanCache::new();
     let ckpt = BootRequest::new(&s)
         .config(cfg)

@@ -5,9 +5,8 @@
 //!
 //! This is the shape the shared-artifact layer targets: the cells'
 //! configs collapse to 16 distinct (scenario, config) pairs per seed,
-//! so grid dedup serves the duplicate conventional boots from cache,
-//! the `PlanCache` compiles each distinct pair once, and checkpoint
-//! forking simulates each distinct kernel prefix once per seed.
+//! so grid dedup serves the duplicate conventional boots from cache
+//! and the `PlanCache` compiles each distinct pair once.
 //!
 //! Besides the criterion timings this bench writes `BENCH_sweep.json`
 //! at the repo root — the committed sweep-level perf baseline that
@@ -29,6 +28,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 /// Parent-commit numbers, measured with this harness driving the
 /// pre-cache `run_sweep` (re-plan every boot, no scenario sharing, no
 /// dedup) on the same grid: plain boots and checkpoint-forked boots.
+/// The fleet no longer forks; the forked figure stays in the report
+/// because EXPERIMENTS E18 cites it.
 const BASELINE_PLAIN_CELLS_PER_SEC: f64 = 446.8;
 const BASELINE_FORKED_CELLS_PER_SEC: f64 = 444.3;
 
@@ -92,13 +93,7 @@ fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep");
     group.sample_size(10);
     group.bench_function("ablation-grid", |b| {
-        b.iter(|| {
-            run_sweep(
-                &spec.clone().with_fork(true),
-                &PoolConfig::with_workers(1),
-                &FleetCache::fresh(),
-            )
-        })
+        b.iter(|| run_sweep(&spec, &PoolConfig::with_workers(1), &FleetCache::fresh()))
     });
     group.finish();
 
@@ -107,13 +102,12 @@ fn bench_sweep(c: &mut Criterion) {
         .and_then(|v| v.parse().ok())
         .unwrap_or(30);
 
-    // The full shared-artifact engine: checkpoint fork + plan cache +
-    // grid dedup (the sweep default).
-    let (cells_per_sec, stats) = measure(&spec.clone().with_fork(true), iters);
-    // Dedup and forking off: every grid point runs a full boot and the
-    // plan cache is the only sharing layer — isolates its contribution
-    // and makes its counters count one lookup per boot (a forked sweep
-    // adds a lookup for each checkpoint it takes).
+    // The full shared-artifact engine: plan cache + grid dedup (the
+    // sweep default).
+    let (cells_per_sec, stats) = measure(&spec, iters);
+    // Dedup off: every grid point runs a full boot and the plan cache
+    // is the only sharing layer — isolates its contribution and makes
+    // its counters count one lookup per boot.
     let (nodedup_cells_per_sec, nodedup_stats) = measure(&spec.clone().with_dedup(false), iters);
 
     let boots = spec.total_boots();

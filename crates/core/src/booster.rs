@@ -185,10 +185,10 @@ pub enum CheckpointPhase {
 /// the suffix needs (the kernel report and the boot-storage device).
 ///
 /// Produced by [`BootRequest::checkpoint_at`]; consumed — any number of
-/// times — by [`BootRequest::resume`]. A checkpoint is `Clone`, cheap
-/// to fork, and safe to hand to other threads, which is what lets a
-/// fleet sweep simulate the shared kernel phase once per prefix key
-/// instead of once per configuration.
+/// times — by [`BootRequest::resume`]. A checkpoint is `Clone` and
+/// safe to hand to other threads, so one kernel simulation can serve
+/// a resume under every configuration with its
+/// [`crate::BbConfig::prefix_key`].
 ///
 /// A checkpoint holds no boot plan, and so nothing of its scenario:
 /// each resume plans, or takes its plan from the [`PlanCache`] attached

@@ -92,9 +92,8 @@ impl BbConfig {
     /// installation, module loading setup) — as their [`BbConfig::bits`]:
     /// the first four features, bits 0–3. Two configurations with
     /// equal prefix keys produce bit-identical machines at the handoff,
-    /// so a checkpoint taken under one can be resumed under the other;
-    /// this is what lets a forked fleet sweep simulate the shared
-    /// kernel phase once per key instead of once per configuration.
+    /// so a checkpoint taken under one can be resumed under the other:
+    /// one kernel simulation serves every configuration with its key.
     ///
     /// `deferred_executor`, `preparser`, and `bb_group` act entirely in
     /// the init/service phase and are deliberately excluded.

@@ -50,8 +50,8 @@ struct Entry {
     plan: SharedPlan,
 }
 
-/// A thread-safe cache of compiled boot plans, shared across every
-/// run/checkpoint/resume path of a sweep (see the module docs).
+/// A thread-safe cache of compiled boot plans, shared by every run,
+/// checkpoint and resume it is attached to (see the module docs).
 #[derive(Default)]
 pub struct PlanCache {
     inner: Mutex<HashMap<(usize, u8), Entry>>,

@@ -24,9 +24,8 @@
 //!   runner (every config one [`bb_core::BootRequest`]; supervised
 //!   cells add the job's fault plan, staged artifact read, and fallback
 //!   supervisor), plus the shared [`FleetCache`] plain cells use —
-//!   deduplicated boot outcomes ([`SweepSpec::dedup`]), compiled boot
-//!   plans ([`bb_core::PlanCache`]), and service-wide kernel
-//!   checkpoints ([`SweepSpec::fork`]); scenarios are memoized per
+//!   deduplicated boot outcomes ([`SweepSpec::dedup`]) and compiled
+//!   boot plans ([`bb_core::PlanCache`]); scenarios are memoized per
 //!   ticket. Per-job
 //!   panic isolation, per-job wall-clock deadlines, a failed-job report
 //!   path, and observability counters ([`PoolStats`]).

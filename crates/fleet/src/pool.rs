@@ -24,24 +24,22 @@
 //!
 //! # Shared artifacts
 //!
-//! Every plain cell runs over three service-wide memos in a
+//! Every plain cell runs over two service-wide memos in a
 //! [`FleetCache`] — a boot-outcome cache that lets [`SweepSpec::dedup`]
-//! serve identical grid points without re-simulating, a
+//! serve identical grid points without re-simulating, and a
 //! [`bb_core::PlanCache`] so each (scenario, config) pair compiles its
-//! boot plan once, and a checkpoint memo so forked sweeps
-//! ([`SweepSpec::fork`]) share kernel-prefix snapshots across jobs,
-//! workers, and clients — plus its ticket's scenario memo, so jobs of
-//! one grid with identical sources share one `Arc`'d scenario (which is
+//! boot plan once — plus its ticket's scenario memo, so jobs of one
+//! grid with identical sources share one `Arc`'d scenario (which is
 //! what makes the pointer-keyed plan cache hit across jobs). A plain
 //! job asks the boot-outcome cache first and builds its scenario only
 //! for a config that misses. The worker that finishes a ticket's last
 //! job of a scenario drops it from the memo and evicts its plans
 //! ([`bb_core::PlanCache::evict_dropped`]); a fixed cell's scenario is
-//! its spec's, so its plans stay while the spec does. A checkpoint
-//! holds no plan, so a long-lived service keeps small outcomes and
-//! snapshots, not scenarios and plans. The memos other than the plan
-//! cache key on one `ScenarioKey` (see [`crate::spec`]) and compare all
-//! of it on a hit, and all four are invisible in the report:
+//! its spec's, so its plans stay while the spec does. So a long-lived
+//! service keeps small outcomes, not scenarios and plans. The memos
+//! other than the plan cache key on one `ScenarioKey` (see
+//! [`crate::spec`]) and compare all of it on a hit, and all three are
+//! invisible in the report:
 //! simulation is deterministic, so cached results are bit-identical to
 //! fresh ones. Supervised cells (fault plans, corruption, supervision,
 //! fallback) take their scenario from the ticket's memo too, and leave
@@ -50,8 +48,8 @@
 //! in every corruption slot.
 //! [`run_sweep`] takes the cache explicitly; pass [`FleetCache::fresh`]
 //! for a private per-call cache, or hold one `Arc` across calls (or
-//! behind a [`crate::FleetService`]) to carry boot outcomes and
-//! checkpoints across sweeps.
+//! behind a [`crate::FleetService`]) to carry boot outcomes across
+//! sweeps.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,10 +59,7 @@ use std::time::Duration;
 use crate::aggregate::{FaultRecord, SweepReport};
 use crate::service::{FleetService, Plan, ServiceConfig, ServiceReport, WorkItem};
 use crate::spec::{job_scenario, Job, ScenarioKey, SweepSpec};
-use bb_core::{
-    fault_targets, ArtifactRead, Boot, BootRequest, Checkpoint, CheckpointPhase, PlanCache,
-    Scenario,
-};
+use bb_core::{fault_targets, ArtifactRead, Boot, BootRequest, PlanCache, Scenario};
 use bb_init::encode_units;
 use bb_sim::{CorruptionPlan, FaultPlan};
 
@@ -98,11 +93,6 @@ impl PoolConfig {
 
 /// Outcomes above which the boot-outcome cache is reset.
 const BOOT_CACHE_CAP: usize = 65536;
-
-/// Checkpoints the service-wide memo keeps before resetting. Small
-/// relative to the other caps: checkpoints own a machine snapshot, and
-/// a clear only costs re-forking.
-const CHECKPOINT_MEMO_CAP: usize = 256;
 
 /// One memoized boot outcome (everything a job extracts from a boot),
 /// fanned out to every grid point that requests the same (scenario,
@@ -143,27 +133,21 @@ pub(crate) struct OutcomeKey {
 /// and, for a boot that completed, its fault record.
 pub(crate) type SharedBoot = (CachedBoot, Option<FaultRecord>);
 
-/// The three service-wide memos of one or more sweeps: deduplicated
-/// boot outcomes, compiled boot plans, and kernel-prefix checkpoints.
-/// The fourth memo, of scenarios, belongs to each ticket (see the
-/// module docs).
+/// The two service-wide memos of one or more sweeps: deduplicated boot
+/// outcomes and compiled boot plans. The third memo, of scenarios,
+/// belongs to each ticket (see the module docs).
 ///
 /// All interior state is behind its own lock, so one cache can back any
 /// number of concurrent workers — and, through [`crate::FleetService`],
 /// any number of concurrent clients: two clients submitting overlapping
-/// grids share boot outcomes and checkpoints, and plans while both
-/// tickets hold the scenario they were compiled for.
+/// grids share boot outcomes, and plans while both tickets hold the
+/// scenario they were compiled for.
 /// Everything in here is derived deterministically from scenario
 /// content, so sharing never changes a report.
 #[derive(Debug, Default)]
 pub struct FleetCache {
     plans: PlanCache,
     boots: Mutex<BootMemo>,
-    /// Kernel-handoff checkpoints, keyed by (scenario,
-    /// [`bb_core::BbConfig::prefix_key`]). Promoted from per-worker to
-    /// service-wide: any worker (or client) forking the same scenario
-    /// prefix resumes from one shared snapshot.
-    checkpoints: Mutex<HashMap<(ScenarioKey, u8), Arc<Checkpoint>>>,
 }
 
 /// The boot-outcome memo: one entry per scenario, holding its outcomes
@@ -225,25 +209,6 @@ impl FleetCache {
             }
         }
     }
-
-    /// The memoized kernel-handoff checkpoint for `key`, if any worker
-    /// has forked it already.
-    fn checkpoint(&self, key: &(ScenarioKey, u8)) -> Option<Arc<Checkpoint>> {
-        lock(&self.checkpoints).get(key).cloned()
-    }
-
-    /// Memoizes a freshly forked checkpoint. First insert wins: on a
-    /// racing double-fork both boots resume from the winner (the
-    /// snapshots are deterministic and identical, so the race is
-    /// invisible in reports — only the kernel-simulation *count* can
-    /// vary, and that is host-side observability).
-    fn checkpoint_insert(&self, key: (ScenarioKey, u8), ckpt: Checkpoint) -> Arc<Checkpoint> {
-        let mut map = lock(&self.checkpoints);
-        if map.len() >= CHECKPOINT_MEMO_CAP {
-            map.clear();
-        }
-        map.entry(key).or_insert_with(|| Arc::new(ckpt)).clone()
-    }
 }
 
 /// Locks a cache map, recovering from poisoning: worker panics are
@@ -277,13 +242,11 @@ pub struct JobOutput {
     /// Per-config `(span name, duration ns)` lists, in config order.
     /// Empty unless [`SweepSpec::metrics`] is set.
     pub spans: Vec<Vec<(String, u64)>>,
-    /// Kernel-phase simulations this job executed. Equals the config
-    /// count for a plain sweep; with [`SweepSpec::fork`] it is the
-    /// number of distinct prefix keys in the cell's config list the
-    /// service-wide memo had no checkpoint for, and boots served from
-    /// the dedup cache or the ticket's outcome memo simulate nothing at
-    /// all. A supervised boot that lost its outcome memo's race counts
-    /// in `deduped` instead.
+    /// Kernel-phase simulations this job executed: one per boot it
+    /// simulated, plus one for the conventional rescue of a degraded
+    /// boot. Boots served from the dedup cache or the ticket's outcome
+    /// memo simulate nothing at all. A supervised boot that lost its
+    /// outcome memo's race counts in `deduped` instead.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across this job's boots
     /// (the machine's high-water mark, a sizing signal for the queue's
@@ -339,14 +302,12 @@ pub struct PoolStats {
     /// Supervised respawns observed across all boots. Always 0 for
     /// plain cells; supervised cells count every `Restart=` respawn.
     pub restarts: usize,
-    /// Kernel-phase simulations executed across all completed jobs.
-    /// Equals the boot count for a plain sweep (a degraded supervised
-    /// boot adds one for its conventional rescue); a forked sweep
-    /// ([`SweepSpec::fork`]) simulates the shared prefix once per
-    /// distinct prefix key the service-wide memo was missing, so this
-    /// drops well below the boot count — the work the checkpoint fork
-    /// saved. A supervised boot that lost its outcome memo's race counts
-    /// in `cells_deduped` instead, so this is exact for any worker count.
+    /// Kernel-phase simulations executed across all completed jobs: one
+    /// per simulated boot, plus one for the conventional rescue of each
+    /// degraded supervised boot. Boots served from a memo simulate
+    /// nothing. A supervised boot that lost its outcome memo's race
+    /// counts in `cells_deduped` instead, so this is exact for any
+    /// worker count.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across all completed
     /// boots. Deterministic (simulated state, not host time), but kept
@@ -477,10 +438,11 @@ pub struct SweepOutcome {
 /// This is the one-shot entry point of the plain sweep view (the
 /// historical `run_sweep`/`run_sweep_cached` pair collapsed into it).
 /// Pass [`FleetCache::fresh`] for the old fresh-cache behavior, or hold
-/// one `Arc<FleetCache>` across calls to carry compiled plans, memoized
-/// scenarios, deduplicated boot outcomes, and checkpoints between
-/// sweeps. Reports are unaffected by cache state — a warm cache only
-/// changes how much work the sweep skips (visible in [`PoolStats`]).
+/// one `Arc<FleetCache>` across calls to carry deduplicated boot
+/// outcomes, and a fixed cell's compiled plans while its spec lives,
+/// between sweeps. Reports are unaffected by cache state — a warm
+/// cache only changes how much work the sweep skips (visible in
+/// [`PoolStats`]).
 ///
 /// The aggregated report is byte-identical for any worker count: result
 /// slots are addressed by `(cell, plan, corruption, seed)` and finalized
@@ -544,15 +506,14 @@ pub(crate) type JobResult = Result<(JobOutput, Vec<FaultRecord>), JobFailure>;
 /// Executes one job of `plan` with panic isolation and post-hoc
 /// deadline check.
 ///
-/// Every config boots as one [`BootRequest`], on the scenario the
+/// Every config boots as one [`BootRequest::run`], on the scenario the
 /// ticket's memo holds for the job's [`ScenarioKey`]. A plain cell's
 /// configs go through the [`FleetCache`] (dedup first, then the plan
-/// cache and — with [`SweepSpec::fork`] — checkpoint forks), and its
-/// scenario is fetched only for a config the dedup cache misses. A
-/// supervised cell fetches its scenario up front and adds the job's
-/// fault plan, staged artifact read, and fallback supervisor to every
-/// boot, skipping the cache's memos: the dedup key does not cover those
-/// axes and a checkpoint cannot carry a supervisor. A supervised config
+/// cache), and its scenario is fetched only for a config the dedup
+/// cache misses. A supervised cell fetches its scenario up front and
+/// adds the job's fault plan, staged artifact read, and fallback
+/// supervisor to every boot, skipping the cache's memos: the dedup key
+/// does not cover those axes. A supervised config
 /// that never reads the artifact ([`bb_core::BbConfig::reads_artifact`])
 /// boots alike in every corruption slot, so in a cell with more than
 /// one slot it goes through the ticket's outcome memo instead
@@ -568,7 +529,7 @@ pub(crate) fn run_job(
     let cell = &spec.cells[job.cell];
     let seed = cell.seeds[job.seed_idx];
     let supervised = cell.supervised();
-    let (dedup, fork) = (spec.dedup && !supervised, spec.fork && !supervised);
+    let dedup = spec.dedup && !supervised;
     // A supervised cell shares boots only across its corruption slots,
     // so only a cell with more than one has a boot to share.
     let share = spec.dedup && supervised && cell.corruption_seeds.len() > 1;
@@ -661,31 +622,6 @@ pub(crate) fn run_job(
                 }
             };
             let scenario: &Arc<Scenario> = built.get_or_insert_with(fetch);
-            // Forked mode: one checkpoint per distinct (scenario, prefix
-            // key), memoized service-wide in the FleetCache. Every boot
-            // resumes (the first included), so forked ≡ unforked reduces
-            // to resume ≡ run — the property bb-core's checkpoint tests
-            // pin. The checkpoint holds no plan: it and every resume
-            // take theirs from the plan cache, so each (scenario,
-            // config) pair plans once.
-            let checkpoint = if fork {
-                let ckpt_key = (key.clone(), cfg.prefix_key());
-                Some(match cache.checkpoint(&ckpt_key) {
-                    Some(ckpt) => ckpt,
-                    None => {
-                        let forked = BootRequest::new(scenario)
-                            .config(*cfg)
-                            .machine_builder(&mut *builder)
-                            .plan_cache(&cache.plans, scenario)
-                            .checkpoint_at(CheckpointPhase::KernelHandoff)
-                            .map_err(|e| FailureKind::Boost(e.to_string()))?;
-                        kernel_sims += 1;
-                        cache.checkpoint_insert(ckpt_key, forked)
-                    }
-                })
-            } else {
-                None
-            };
             let mut request = BootRequest::new(scenario)
                 .config(*cfg)
                 .machine_builder(&mut *builder);
@@ -701,17 +637,13 @@ pub(crate) fn run_job(
             if let Some(policy) = cell.fallback {
                 request = request.fallback(policy);
             }
-            let boot = match &checkpoint {
-                Some(ckpt) => request.resume(ckpt),
-                None => request.run(),
-            };
-            let boot = boot.map_err(|e| FailureKind::Boost(e.to_string()))?;
+            let boot = request
+                .run()
+                .map_err(|e| FailureKind::Boost(e.to_string()))?;
             // The attempt, plus the conventional rescue of a degraded
             // boot.
             let sims = 1 + usize::from(boot.degraded.is_some());
-            if checkpoint.is_none() {
-                kernel_sims += sims;
-            }
+            kernel_sims += sims;
             let peak = boot.machine.event_queue_stats().peak_depth;
             peak_events = peak_events.max(peak);
             let record = supervised.then(|| fault_record(&boot));
@@ -798,7 +730,6 @@ pub(crate) mod tests {
     use crate::spec::tests::{tiny_cell, tiny_scenario};
     use crate::spec::{CellSpec, ScenarioSource};
     use bb_core::booster::Scenario;
-    use bb_core::BbConfig;
 
     pub(crate) fn tiny_spec(seeds: impl IntoIterator<Item = u64>) -> SweepSpec {
         SweepSpec::new().cell(tiny_cell("tiny").seeds(seeds).conventional_vs_bb())
@@ -881,49 +812,6 @@ pub(crate) mod tests {
             .all(|f| f.reason == "incomplete boot: conventional"));
     }
 
-    /// The acceptance property of checkpoint-forked sweeps: JSON
-    /// byte-identical to the unforked sweep, shared kernel phase
-    /// simulated once per prefix key per job.
-    #[test]
-    fn forked_sweep_is_byte_identical_and_simulates_the_kernel_once() {
-        let spec = tiny_spec([1, 2]);
-        let pool = PoolConfig::with_workers(2);
-        let plain = run_sweep(&spec, &pool, &FleetCache::fresh());
-        let forked = run_sweep(&spec.clone().with_fork(true), &pool, &FleetCache::fresh());
-        assert_eq!(plain.report.to_json(), forked.report.to_json());
-        // conventional vs bb differ in every prefix feature → 2 keys
-        // per job; the plain sweep simulates the kernel per boot. The
-        // job fingerprints are seed-dependent, so the service-wide memo
-        // cannot share across the two jobs and the counts stay exact.
-        assert_eq!(plain.stats.kernel_sims, 4);
-        assert_eq!(forked.stats.kernel_sims, 4);
-
-        // A config axis that shares one prefix key forks for real:
-        // full BB vs BB-without-bb_group boot the same kernel.
-        let shared_prefix = SweepSpec::new().cell(
-            tiny_cell("tiny")
-                .seeds([1, 2])
-                .config("bb", BbConfig::full())
-                .config(
-                    "bb-no-group",
-                    BbConfig {
-                        bb_group: false,
-                        ..BbConfig::full()
-                    },
-                ),
-        );
-        let plain = run_sweep(&shared_prefix, &pool, &FleetCache::fresh());
-        let forked = run_sweep(
-            &shared_prefix.clone().with_fork(true),
-            &pool,
-            &FleetCache::fresh(),
-        );
-        assert_eq!(plain.report.to_json(), forked.report.to_json());
-        assert_eq!(plain.stats.kernel_sims, 4, "2 jobs x 2 configs");
-        assert_eq!(forked.stats.kernel_sims, 2, "2 jobs x 1 shared prefix");
-        assert!(forked.stats.summary().contains("kernel phase simulated"));
-    }
-
     #[test]
     fn transient_reads_spread_across_the_retry_budget() {
         // The derived flakiness must exercise both sides of the retry
@@ -963,7 +851,9 @@ pub(crate) mod tests {
         assert_eq!(plain.stats.cells_deduped, 0);
         assert_eq!(deduped.stats.cells_deduped, 4);
         assert_eq!(deduped.stats.kernel_sims, 4, "only cell a simulates");
-        assert!(deduped.stats.summary().contains("deduplicated"));
+        let summary = deduped.stats.summary();
+        assert!(summary.contains("kernel phase simulated 4 time(s)"));
+        assert!(summary.contains("deduplicated"));
     }
 
     /// Plan compilation is per (scenario, config), not per boot: a
@@ -1053,24 +943,6 @@ pub(crate) mod tests {
             (4, 4)
         );
         assert_eq!(cache.plans().stats().entries, 0);
-    }
-
-    /// The checkpoint memo lives in the cache now: a second forked
-    /// sweep over the same cache resumes from the memoized kernel
-    /// snapshots without simulating the prefix again.
-    #[test]
-    fn checkpoints_carry_across_sweeps_through_the_cache() {
-        let spec = tiny_spec([1, 2]).with_fork(true).with_dedup(false);
-        let pool = PoolConfig::with_workers(1);
-        let cache = FleetCache::fresh();
-        let first = run_sweep(&spec, &pool, &cache);
-        assert_eq!(first.stats.kernel_sims, 4, "2 jobs x 2 prefix keys");
-        let second = run_sweep(&spec, &pool, &cache);
-        assert_eq!(
-            second.stats.kernel_sims, 0,
-            "every prefix resumes from the service-wide memo"
-        );
-        assert_eq!(first.report.to_json(), second.report.to_json());
     }
 
     /// A metrics sweep must not be served span-less outcomes cached by

@@ -4,11 +4,10 @@
 //! A [`FleetService`] owns long-lived worker threads, a central bounded
 //! work queue with per-client round-robin fairness, and one shared
 //! [`FleetCache`] — so every ticket it executes shares deduplicated
-//! boot outcomes and kernel checkpoints with every other ticket, across
-//! submissions and across clients. Scenarios, and the boot plans
-//! compiled for them, live only until the last of their ticket's jobs
-//! that boots them, and a shared checkpoint holds no plan, so it keeps
-//! no scenario alive. This is the fleet-scale shape the paper's
+//! boot outcomes with every other ticket, across submissions and across
+//! clients. Scenarios, and the boot plans compiled for them, live only
+//! until the last of their ticket's jobs that boots them, so the cache
+//! keeps no scenario alive. This is the fleet-scale shape the paper's
 //! deployment story implies: millions of near-identical boot jobs
 //! amortizing their shared artifacts, not one process per sweep.
 //!
@@ -393,8 +392,8 @@ impl Plan {
     }
 
     /// Memoizes a supervised boot's outcome; false if another slot's
-    /// run of the boot was stored first. First insert wins, as in the
-    /// checkpoint memo: two slots that raced both simulated the same
+    /// run of the boot was stored first. First insert wins, so every
+    /// count stays exact: two slots that raced both simulated the same
     /// deterministic boot, and the loser counts its run as a replay.
     pub(crate) fn remember(&self, key: OutcomeKey, outcome: SharedBoot) -> bool {
         let mut memo = lock(&self.outcomes);

@@ -17,9 +17,8 @@
 //!
 //! Every memo of the fleet names what a job boots by one `ScenarioKey`:
 //! the cell's source with the job's seed, plus the cell's supervision
-//! overlay. The ticket's scenario memo, the boot-outcome memo and the
-//! checkpoint memo key on it, and a hit compares the whole key, never a
-//! hash of it.
+//! overlay. The ticket's scenario memo and the boot-outcome memo key on
+//! it, and a hit compares the whole key, never a hash of it.
 
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Weak};
@@ -174,9 +173,8 @@ impl CellSpec {
 
     /// True if the cell sets any fault, corruption, supervision, or
     /// fallback axis. Supervised boots bypass the [`crate::FleetCache`]
-    /// entirely: the dedup and checkpoint keys do not cover the fault,
-    /// corruption and fallback axes, and a checkpoint cannot carry a
-    /// fallback supervisor. Only their ticket shares some of them (see
+    /// entirely: the dedup key does not cover the fault, corruption and
+    /// fallback axes. Only their ticket shares some of them (see
     /// [`SweepSpec::dedup`]).
     pub(crate) fn supervised(&self) -> bool {
         self.plan_seeds != [None]
@@ -229,15 +227,6 @@ pub struct SweepSpec {
     /// Collect per-boot telemetry spans ([`bb_core::boot_spans`]) and
     /// aggregate them into a [`crate::MetricsReport`] (`bb-metrics-v1`).
     pub metrics: bool,
-    /// Fork each job's boots from a shared kernel checkpoint: the boot
-    /// prefix (through the kernel→init handoff) is simulated once per
-    /// distinct [`BbConfig::prefix_key`] and every config resumes from
-    /// the saved [`bb_core::Checkpoint`] instead of re-simulating it.
-    /// Reports are byte-identical to an unforked sweep — resuming a
-    /// checkpoint replays the exact prefix timeline — the sweep just
-    /// does less work (see `PoolStats::kernel_sims`). Plain cells only;
-    /// supervised cells always boot whole.
-    pub fork: bool,
     /// Deduplicate identical grid points: two boots of the same
     /// scenario under the same config — across cells with equal
     /// generated sources, across seed slots of a
@@ -259,7 +248,6 @@ impl Default for SweepSpec {
             cells: Vec::new(),
             deadline: None,
             metrics: false,
-            fork: false,
             dedup: true,
         }
     }
@@ -286,12 +274,6 @@ impl SweepSpec {
     /// Enables span metrics collection (see [`SweepSpec::metrics`]).
     pub fn with_metrics(mut self, metrics: bool) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Enables checkpoint-forked boots (see [`SweepSpec::fork`]).
-    pub fn with_fork(mut self, fork: bool) -> Self {
-        self.fork = fork;
         self
     }
 
@@ -362,8 +344,8 @@ pub struct Job {
 
 /// What one job boots: the cell's source with the job's seed, plus the
 /// cell's supervision overlay. Jobs with equal keys boot identical
-/// scenarios, so the ticket's scenario memo, the boot-outcome memo and
-/// the checkpoint memo all key on it, and a hit compares the whole key.
+/// scenarios, so the ticket's scenario memo and the boot-outcome memo
+/// both key on it, and a hit compares the whole key.
 ///
 /// A generated source keys on its profile and its parameters, every
 /// field compared by the types' derived `PartialEq`, with the job's seed

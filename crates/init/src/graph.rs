@@ -97,7 +97,8 @@ pub struct GraphStats {
 /// ])
 /// .unwrap();
 /// let dbus = graph.idx_of("dbus.service");
-/// assert_eq!(graph.ordering_preds(dbus).len(), 1);
+/// let var = graph.idx_of("var.mount");
+/// assert!(graph.ordering_in_edges(dbus).map(|e| e.src).eq([var]));
 /// assert!(graph.ordering_cycles().is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -239,17 +240,6 @@ impl UnitGraph {
     /// The unit at an index.
     pub fn unit(&self, idx: usize) -> &Unit {
         &self.units[idx]
-    }
-
-    /// Units that must be started before `idx` (ordering predecessors),
-    /// deduplicated, in edge order.
-    pub fn ordering_preds(&self, idx: usize) -> Vec<usize> {
-        let mut seen = BTreeSet::new();
-        self.order_in[idx]
-            .iter()
-            .map(|&e| self.edges[e].src)
-            .filter(|s| seen.insert(*s))
-            .collect()
     }
 
     /// Units ordered after `idx` (its ordering successors), one per
@@ -472,7 +462,8 @@ mod tests {
         let g2 = graph(vec![svc("a.service").before("b.service"), svc("b.service")]);
         for g in [&g1, &g2] {
             let b = g.idx_of("b.service");
-            assert_eq!(g.ordering_preds(b), vec![g.idx_of("a.service")]);
+            let preds: Vec<usize> = g.ordering_in_edges(b).map(|e| e.src).collect();
+            assert_eq!(preds, [g.idx_of("a.service")]);
         }
         // Provenance differs: After is declared by b, Before by a.
         assert_eq!(g1.edges()[0].declared_by, g1.idx_of("b.service"));

@@ -2,7 +2,7 @@
 //!
 //! `bbsim serve` keeps one [`bb_fleet::FleetService`] — long-lived
 //! workers and a shared [`bb_fleet::FleetCache`] of deduplicated boots
-//! and kernel checkpoints — alive behind a socket, so sweeps submitted
+//! and compiled plans — alive behind a socket, so sweeps submitted
 //! over time and from many clients reuse each other's work instead of
 //! re-simulating it.
 //!

@@ -102,8 +102,6 @@ pub struct SweepArgs {
     /// `--deadline-ms N`: per-job wall-clock deadline (sweep) or the
     /// boot-supervisor deadline (chaos).
     pub deadline_ms: Option<u64>,
-    /// `--fork-from kernel-handoff` (sweep).
-    pub fork: bool,
     /// Negated `--no-dedup` (sweep).
     pub dedup: bool,
     /// Whether to collect span metrics (sweep; the CLI sets this when
@@ -141,7 +139,6 @@ impl SweepArgs {
             seed: None,
             features: "all".into(),
             deadline_ms: None,
-            fork: false,
             dedup: true,
             metrics: false,
             plans: 4,
@@ -186,14 +183,6 @@ impl SweepArgs {
                 let ms = num("--deadline-ms", value("--deadline-ms")?)?;
                 self.deadline_ms = Some(self.check_deadline_ms(ms)?)
             }
-            ("--fork-from", JobKind::Sweep) => match value("--fork-from")?.as_str() {
-                "kernel" | "kernel-handoff" => self.fork = true,
-                other => {
-                    return Err(format!(
-                        "unknown --fork-from phase {other:?} (kernel-handoff)"
-                    ))
-                }
-            },
             ("--no-dedup", JobKind::Sweep) => self.dedup = false,
             ("--plans", JobKind::Chaos) => self.plans = num("--plans", value("--plans")?)?,
             ("--plan-seed", JobKind::Chaos) => {
@@ -230,7 +219,7 @@ impl SweepArgs {
         format!(
             "{{\"kind\": \"{}\", \"profiles\": \"{}\", \"scenario\": \"{}\", \
              \"services\": {}, \"cores\": {}, \"seeds\": {}, \"seed\": {}, \
-             \"features\": \"{}\", \"deadline_ms\": {}, \"fork\": {}, \"dedup\": {}, \
+             \"features\": \"{}\", \"deadline_ms\": {}, \"dedup\": {}, \
              \"metrics\": {}, \"plans\": {}, \"plan_seed\": {}, \"corruption\": {}, \
              \"corruption_seed\": {}, \"restart\": \"{}\", \"restart_sec_ms\": {}, \
              \"burst\": {}}}",
@@ -243,7 +232,6 @@ impl SweepArgs {
             opt(&self.seed),
             json::escape(&self.features),
             opt(&self.deadline_ms),
-            self.fork,
             self.dedup,
             self.metrics,
             self.plans,
@@ -298,7 +286,6 @@ impl SweepArgs {
             Some(ms) => Some(args.check_deadline_ms(ms)?),
             None => None,
         };
-        flag(v, "fork", &mut args.fork)?;
         flag(v, "dedup", &mut args.dedup)?;
         flag(v, "metrics", &mut args.metrics)?;
         for (key, field) in [
@@ -335,7 +322,7 @@ impl SweepArgs {
     /// `bbsim chaos` have always built: one cell per profile,
     /// `conventional` vs the boosted config, `{profile}-s{services}`
     /// labels. A sweep job boosts its `--features` and may set the
-    /// wall-clock job deadline, fork, dedup, and metrics; a chaos job
+    /// wall-clock job deadline, dedup, and metrics; a chaos job
     /// boosts the full feature set and adds the fault-plan, corruption,
     /// supervision, and fallback axes (its `--deadline-ms` is the
     /// fallback deadline). The job count is checked before anything is
@@ -355,10 +342,7 @@ impl SweepArgs {
                 ("bb".to_string(), BbConfig::full(), Some(axes))
             }
             _ => {
-                spec = spec
-                    .with_metrics(self.metrics)
-                    .with_dedup(self.dedup)
-                    .with_fork(self.fork);
+                spec = spec.with_metrics(self.metrics).with_dedup(self.dedup);
                 if let Some(ms) = self.deadline_ms {
                     spec = spec.deadline(Duration::from_millis(ms));
                 }
@@ -690,10 +674,13 @@ mod tests {
 
     #[test]
     fn wire_defaults_match_the_cli_defaults() {
-        let sparse = json::parse(r#"{"kind": "sweep"}"#).unwrap();
-        let job = SweepArgs::from_wire(&sparse).unwrap();
-        assert_eq!(job, SweepArgs::new(JobKind::Sweep));
-        assert_eq!(job.seeds, 20);
+        // An older client's `"fork"` key is ignored: its job runs the
+        // plain sweep.
+        for line in [r#"{"kind": "sweep"}"#, r#"{"kind": "sweep", "fork": true}"#] {
+            let job = SweepArgs::from_wire(&json::parse(line).unwrap()).unwrap();
+            assert_eq!(job, SweepArgs::new(JobKind::Sweep), "{line}");
+        }
+        assert_eq!(SweepArgs::new(JobKind::Sweep).seeds, 20);
         assert_eq!(SweepArgs::new(JobKind::Chaos).seeds, 10);
     }
 
@@ -705,11 +692,8 @@ mod tests {
             it.reverse();
             move || it.pop()
         };
-        assert_eq!(
-            sweep.parse_flag("--fork-from", &mut feed(&["kernel-handoff"])),
-            Ok(true)
-        );
-        assert!(sweep.fork);
+        assert_eq!(sweep.parse_flag("--no-dedup", &mut feed(&[])), Ok(true));
+        assert!(!sweep.dedup);
         // A chaos-only flag is not consumed by a sweep job...
         assert_eq!(sweep.parse_flag("--plans", &mut feed(&["3"])), Ok(false));
         // ...but is by a chaos job.
@@ -720,7 +704,7 @@ mod tests {
         assert!(chaos.parse_flag("--seeds", &mut feed(&["many"])).is_err());
         assert!(chaos.parse_flag("--seeds", &mut feed(&[])).is_err());
         assert!(sweep
-            .parse_flag("--fork-from", &mut feed(&["userspace"]))
+            .parse_flag("--deadline-ms", &mut feed(&["soon"]))
             .is_err());
     }
 

@@ -93,35 +93,21 @@ run git diff --exit-code artifacts/
 # 2 workers keeps the service's invariants.
 run cargo test -q -p bb-fleet --lib service::tests::every_interleaving_keeps_the_ticket_invariants
 
-# Snapshot gates: checkpoint-forked sweeps must be byte-identical to
-# unforked ones, the snapshot round-trip must stay deterministic
-# (proptests), and the goldens must pin the v2 format byte-for-byte
-# while the committed v1 image keeps restoring.
+# Snapshot gates: the snapshot round-trip and a resumed boot must stay
+# deterministic (proptests), and the goldens must pin the v2 format
+# byte-for-byte while the committed v1 image keeps restoring.
 run cargo test -q --test proptest_snapshot
 # Simulator pin: the traces, core spans, scheduler and event-queue
 # counters, per-process accounting and snapshot bytes of 40 seeded
 # machines must match tests/golden/sim_digests.txt.
 run cargo test -q --test proptest_sim simulator_digests_match_golden
-run ./target/release/bbsim sweep --services 24 --seeds 3 \
-    --workers 2 --json "$chaos_tmp/plain.json"
-run ./target/release/bbsim sweep --services 24 --seeds 3 \
-    --workers 2 --fork-from kernel-handoff --json "$chaos_tmp/forked.json"
-run cmp "$chaos_tmp/plain.json" "$chaos_tmp/forked.json"
-# Forks that resume under another config: conventional and the
-# suffix-only features share a prefix key, so the features config
-# resumes the conventional checkpoint on a plan it looks up in the plan
-# cache or plans afresh, never on the checkpoint's own plan.
-run ./target/release/bbsim sweep --services 24 --seeds 3 \
-    --features deferred-executor,preparser,bb-group --json "$chaos_tmp/suffix.json"
-run ./target/release/bbsim sweep --services 24 --seeds 3 \
-    --features deferred-executor,preparser,bb-group \
-    --fork-from kernel-handoff --no-dedup --json "$chaos_tmp/suffix-forked.json"
-run cmp "$chaos_tmp/suffix.json" "$chaos_tmp/suffix-forked.json"
 
 # Shared-artifact gate: grid dedup + plan caching (the sweep defaults)
 # must emit byte-identical JSON to a --no-dedup sweep on any worker
 # count, and the cached/fresh boot equivalence proptests must hold.
 run cargo test -q --test proptest_plan_cache
+run ./target/release/bbsim sweep --services 24 --seeds 3 \
+    --workers 2 --json "$chaos_tmp/plain.json"
 run ./target/release/bbsim sweep --services 24 --seeds 3 \
     --workers 1 --no-dedup --json "$chaos_tmp/nodedup.json"
 run cmp "$chaos_tmp/plain.json" "$chaos_tmp/nodedup.json"
@@ -195,38 +181,30 @@ run cargo test -q --test serve_service
 # seeds each, none repeated) must leave the server's peak RSS (VmHWM)
 # at or under 48 MiB. A ticket's scenarios and plans go with the last
 # of its jobs that needs them; a server that kept them would grow ~0.8
-# MB per fresh seed. The second server forks every ticket from kernel
-# checkpoints, which it keeps across tickets: a checkpoint holds no
-# plan, so it must keep no scenario alive either. Beside them, the
-# sweep memory test bounds the live heap of a one-shot 20-seed sweep
-# (1.25 MiB at its peak, 64 KiB after it) with a process-wide counter.
-# Usage: serve_mem_smoke NAME [SUBMIT FLAG...]
-serve_mem_smoke() {
-    sock="$chaos_tmp/mem-$1.sock"
-    shift
-    echo "==> bbsim serve --socket $sock --workers 2 &"
-    ./target/release/bbsim serve --socket "$sock" --workers 2 2>/dev/null &
-    serve_pid=$!
-    for _ in $(seq 1 100); do
-        [ -S "$sock" ] && break
-        sleep 0.1
-    done
-    [ -S "$sock" ] || { echo "serve socket never appeared"; exit 1; }
-    echo "==> 24 x bbsim submit sweep --services 136 --seeds 4 --seed N $*"
-    for n in $(seq 0 23); do
-        seed=$((n * 4 + 1))
-        ./target/release/bbsim submit sweep --socket "$sock" \
-            --services 136 --seeds 4 --seed "$seed" "$@" >/dev/null 2>&1 ||
-            { echo "submit --seed $seed $* failed"; exit 1; }
-    done
-    hwm_kb="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$serve_pid/status")"
-    run ./target/release/bbsim submit --socket "$sock" --shutdown
-    wait "$serve_pid"
-    echo "serve peak RSS ${hwm_kb} kB (bound 49152 kB)"
-    [ "$hwm_kb" -le 49152 ] || { echo "serve peak RSS above 48 MiB"; exit 1; }
-}
-serve_mem_smoke plain
-serve_mem_smoke forked --fork-from kernel-handoff
+# MB per fresh seed. Beside it, the sweep memory test bounds the live
+# heap of a one-shot 20-seed sweep (1.25 MiB at its peak, 64 KiB after
+# it) with a process-wide counter.
+sock="$chaos_tmp/mem.sock"
+echo "==> bbsim serve --socket $sock --workers 2 &"
+./target/release/bbsim serve --socket "$sock" --workers 2 2>/dev/null &
+serve_pid=$!
+for _ in $(seq 1 100); do
+    [ -S "$sock" ] && break
+    sleep 0.1
+done
+[ -S "$sock" ] || { echo "serve socket never appeared"; exit 1; }
+echo "==> 24 x bbsim submit sweep --services 136 --seeds 4 --seed N"
+for n in $(seq 0 23); do
+    seed=$((n * 4 + 1))
+    ./target/release/bbsim submit sweep --socket "$sock" \
+        --services 136 --seeds 4 --seed "$seed" >/dev/null 2>&1 ||
+        { echo "submit --seed $seed failed"; exit 1; }
+done
+hwm_kb="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$serve_pid/status")"
+run ./target/release/bbsim submit --socket "$sock" --shutdown
+wait "$serve_pid"
+echo "serve peak RSS ${hwm_kb} kB (bound 49152 kB)"
+[ "$hwm_kb" -le 49152 ] || { echo "serve peak RSS above 48 MiB"; exit 1; }
 run cargo test -q --test sweep_memory
 
 # Instant-on smoke: suspend must emit a valid bb-snapshot-v1 document.

@@ -45,7 +45,7 @@ for f in BENCH_*.json; do
             "$(field speedup "$f")"
         ;;
     bb-sweep-v1)
-        row "sweep (fork+cache+dedup)" "$(field cells_per_sec "$f")" cells/s \
+        row "sweep (cache+dedup)" "$(field cells_per_sec "$f")" cells/s \
             "$(field speedup "$f")"
         row "sweep (plan cache only)" "$(field cells_per_sec_no_dedup "$f")" cells/s \
             "$(field speedup_no_dedup "$f")"

@@ -15,8 +15,8 @@
 //!
 //! bbsim sweep [--profiles NAMES|all] [--services N] [--seeds N] [--seed N]
 //!             [--features all|none|LIST] [--workers N] [--deadline-ms N]
-//!             [--fork-from kernel-handoff] [--no-dedup] [--json FILE|-]
-//!             [--metrics FILE|-] [--baseline FILE] [--tolerance PCT]
+//!             [--no-dedup] [--json FILE|-] [--metrics FILE|-]
+//!             [--baseline FILE] [--tolerance PCT]
 //!
 //! bbsim suspend [--scenario tv|tv136|camera] [--services N] [--cores N]
 //!               [--seed N] [--json]
@@ -35,9 +35,9 @@
 //! ```
 //!
 //! `serve` runs the persistent fleet service: one shared cache of
-//! deduplicated boots and kernel checkpoints across every job any
-//! client submits (scenarios and compiled plans live as long as their
-//! ticket, and a ticket as long as its connection). `submit` speaks
+//! deduplicated boots across every job any client submits (a scenario
+//! and its compiled plans live until the last of its ticket's jobs
+//! that boots it, and a ticket as long as its connection). `submit` speaks
 //! the `bb-serve-v1` NDJSON protocol to it; a submitted sweep's
 //! `--json` output is byte-identical to the in-process
 //! `bbsim sweep --json` for the same flags. `submit --stats` prints
@@ -65,12 +65,6 @@
 //!
 //! `LIST` is a comma-separated subset of: rcu-booster, defer-memory,
 //! modularizer, defer-journal, deferred-executor, preparser, bb-group.
-//!
-//! `sweep --fork-from kernel-handoff` forks each job's boots from a
-//! shared kernel checkpoint ([`bb_core::Checkpoint`]): the boot prefix
-//! is simulated once per distinct prefix key and every config resumes
-//! from the saved snapshot. Output is byte-identical to the unforked
-//! sweep; the pool summary shows how many kernel simulations ran.
 //!
 //! `sweep` deduplicates identical grid points by default: two boots
 //! with the same (scenario content × seed × config) are simulated once
@@ -146,8 +140,8 @@ fn usage() -> ! {
          \u{20}            [--dot FILE.dot] [--blame N]\n\
          \u{20}      bbsim sweep [--profiles NAMES|all] [--services N] [--seeds N]\n\
          \u{20}            [--seed N] [--features LIST] [--workers N] [--deadline-ms N]\n\
-         \u{20}            [--fork-from kernel-handoff] [--no-dedup] [--json FILE|-]\n\
-         \u{20}            [--metrics FILE|-] [--baseline FILE] [--tolerance PCT]\n\
+         \u{20}            [--no-dedup] [--json FILE|-] [--metrics FILE|-]\n\
+         \u{20}            [--baseline FILE] [--tolerance PCT]\n\
          \u{20}      bbsim suspend [--scenario tv|tv136|camera] [--services N]\n\
          \u{20}            [--cores N] [--seed N] [--json]\n\
          \u{20}      bbsim chaos [--profiles NAMES|all] [--services N] [--seeds N]\n\
