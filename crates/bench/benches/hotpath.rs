@@ -7,12 +7,10 @@
 //! the planning/kernel layers on top, so it isolates the scheduler and
 //! event queue. The boot benchmarks measure a boot of the calibration
 //! TV scenario two ways: a cold boot (plan + kernel + user space, fresh
-//! machine) and a hot-path boot — the plan taken from the `PlanCache`
-//! the checkpoint was taken through, snapshot restore into a recycled
-//! machine (`MachineBuilder`), suffix simulation only. The hot-path
-//! side's lead is the cached plan and the recycled machine, not the
-//! snapshot: with both on each side, a resume is 3–6% slower than a run
-//! (EXPERIMENTS.md E20), so no fleet job resumes.
+//! machine) and a hot-path boot, the fleet worker's: the plan taken
+//! from a `PlanCache`, the machine drawn from a recycling
+//! `MachineBuilder`, the whole boot simulated. The hot-path side's lead
+//! is the cached plan and the recycled machine.
 //!
 //! Besides the criterion timings this bench writes `BENCH_hotpath.json`
 //! at the repo root — the committed scheduler-level perf baseline that
@@ -28,7 +26,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bb_core::{BbConfig, BootRequest, CheckpointPhase, PlanCache, Scenario};
+use bb_core::{BbConfig, BootRequest, PlanCache, Scenario};
 use bb_fleet::json;
 use bb_sim::{
     DeviceProfile, Machine, MachineBuilder, MachineConfig, OpsBuilder, ProcessSpec, SimDuration,
@@ -38,9 +36,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Pre-refactor numbers, measured at the parent commit with this same
 /// harness (same storm, same scenario, same median-of-200 loops) ported
-/// to the old API: tuple-keyed event heap, per-boot allocation, resume
-/// re-planning every boot. The committed JSON reports today's numbers
-/// against these.
+/// to the old API: tuple-keyed event heap, per-boot allocation, and a
+/// hot side that resumed a kernel-handoff checkpoint, re-planning every
+/// boot. The committed JSON reports today's numbers against these.
 const BASELINE_EVENTS_PER_SEC: f64 = 9_074_826.0;
 const BASELINE_FULL_BOOTS_PER_SEC: f64 = 331.641;
 const BASELINE_HOTPATH_BOOTS_PER_SEC: f64 = 383.305;
@@ -101,14 +99,9 @@ fn storm_machine(procs: u64, rounds: u64) -> Machine {
 fn bench_hotpath(c: &mut Criterion) {
     let s = Arc::new(scenario());
     let cfg = BbConfig::full();
-    // The checkpoint and every resume share one plan cache; cold boots
-    // stay uncached because they measure planning.
+    // Every hot-path boot shares one plan cache; cold boots stay
+    // uncached because they measure planning.
     let cache = PlanCache::new();
-    let ckpt = BootRequest::new(&s)
-        .config(cfg)
-        .plan_cache(&cache, &s)
-        .checkpoint_at(CheckpointPhase::KernelHandoff)
-        .expect("checkpoint");
 
     let mut group = c.benchmark_group("hotpath");
     group.sample_size(10);
@@ -132,8 +125,8 @@ fn bench_hotpath(c: &mut Criterion) {
                 .config(cfg)
                 .machine_builder(&mut builder)
                 .plan_cache(&cache, &s)
-                .resume(&ckpt)
-                .expect("resumes");
+                .run()
+                .expect("boots");
             black_box(boot.report.quiesce_time);
             builder.recycle(boot.machine);
         })
@@ -186,8 +179,8 @@ fn bench_hotpath(c: &mut Criterion) {
             .config(cfg)
             .machine_builder(&mut builder)
             .plan_cache(&cache, &s)
-            .resume(&ckpt)
-            .expect("resumes");
+            .run()
+            .expect("boots");
         black_box(boot.report.quiesce_time);
         let d_hot = t0.elapsed();
         builder.recycle(boot.machine);

@@ -14,9 +14,7 @@
 //! [`MachineBuilder`] via [`BootRequest::machine_builder`] so each boot
 //! reuses the previous machine's allocations, and a [`PlanCache`] via
 //! [`BootRequest::plan_cache`] so every boot of one (scenario, config)
-//! runs one shared plan. Runs, checkpoints and resumes all get their
-//! plan from one lookup step; a [`Checkpoint`] carries no plan, so a
-//! resume gets its plan the way a run does.
+//! runs one shared plan.
 //!
 //! [`PlanPass`]: crate::pipeline::PlanPass
 //! [`PassDelta`]: crate::pipeline::PassDelta
@@ -25,24 +23,16 @@ use bb_init::{
     BootRecord, ManagerCosts, PlanOverrides, Transaction, Unit, UnitGraph, UnitName, WorkloadMap,
 };
 use bb_kernel::{KernelPlan, KernelReport, ModuleCatalog};
-use bb_sim::{
-    snapshot, DeviceId, DeviceProfile, FaultPlan, Machine, MachineBuilder, MachineConfig, RcuStats,
-    SimTime,
-};
+use bb_sim::{DeviceProfile, FaultPlan, Machine, MachineBuilder, MachineConfig, RcuStats, SimTime};
 
 use std::sync::Arc;
 
 use crate::config::BbConfig;
 use crate::error::Error;
 use crate::fallback::{DegradedBoot, FallbackPolicy};
-use crate::pipeline::{
-    execute_prefix, execute_suffix, PassDelta, Pipeline, SharedPlan, UnitPlanSlot,
-};
+use crate::pipeline::{execute_with, PassDelta, Pipeline, SharedPlan, UnitPlanSlot};
 use crate::plan_cache::PlanCache;
-use crate::recovery::{
-    validate_preparse_blob, ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent,
-    RecoveryReason,
-};
+use crate::recovery::{validate_preparse_blob, ArtifactRead, RecoveryEvent};
 use crate::service_engine::ParseCostParams;
 
 /// A complete boot scenario (hardware + software + completion policy).
@@ -142,15 +132,6 @@ pub struct Boot {
 }
 
 impl Boot {
-    fn new((report, machine): (FullBootReport, Machine)) -> Boot {
-        Boot {
-            report,
-            machine,
-            recoveries: Vec::new(),
-            degraded: None,
-        }
-    }
-
     /// The user-visible boot time: the completion time of a boot that
     /// met its policy, or — for a degraded boot — the time the
     /// supervisor burned detecting the failure plus the conventional
@@ -165,73 +146,6 @@ impl Boot {
     /// Total supervised respawns across all units of the attempt.
     pub fn restarts(&self) -> u32 {
         self.report.boot.services.values().map(|s| s.restarts).sum()
-    }
-}
-
-/// Where in the boot timeline a [`Checkpoint`] is taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointPhase {
-    /// The kernel→init handoff: bootloader, kernel image load, memory
-    /// and rootfs setup, initcalls, RCU Booster Control installation,
-    /// and module-loading setup have all been simulated; the init
-    /// scheme has not started. This is the natural split point because
-    /// every configuration with the same [`BbConfig::prefix_key`]
-    /// reaches it with a bit-identical machine.
-    KernelHandoff,
-}
-
-/// A saved boot prefix: the machine state at a [`CheckpointPhase`],
-/// serialized with [`bb_sim::snapshot`], plus the few prefix products
-/// the suffix needs (the kernel report and the boot-storage device).
-///
-/// Produced by [`BootRequest::checkpoint_at`]; consumed — any number of
-/// times — by [`BootRequest::resume`]. A checkpoint is `Clone` and
-/// safe to hand to other threads, so one kernel simulation can serve
-/// a resume under every configuration with its
-/// [`crate::BbConfig::prefix_key`].
-///
-/// A checkpoint holds no boot plan, and so nothing of its scenario:
-/// each resume plans, or takes its plan from the [`PlanCache`] attached
-/// to it, exactly as a run does.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    phase: CheckpointPhase,
-    bytes: Vec<u8>,
-    kernel: KernelReport,
-    device: DeviceId,
-    config: BbConfig,
-    config_hash: u64,
-}
-
-impl Checkpoint {
-    /// Where in the boot this checkpoint was taken.
-    pub fn phase(&self) -> CheckpointPhase {
-        self.phase
-    }
-
-    /// The configuration the prefix was simulated under. A resume may
-    /// use any configuration with the same [`BbConfig::prefix_key`].
-    pub fn config(&self) -> BbConfig {
-        self.config
-    }
-
-    /// The serialized machine snapshot (see [`bb_sim::snapshot`] for
-    /// the format). Stable for identical scenarios and prefix keys.
-    /// Hand a read of it back through [`BootRequest::artifact`] to
-    /// resume from the image as it came back from storage.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// FNV-1a hash of the machine configuration the snapshot encodes;
-    /// [`BootRequest::resume`] rejects scenarios that hash differently.
-    pub fn config_hash(&self) -> u64 {
-        self.config_hash
-    }
-
-    /// Kernel phase timings measured while producing the prefix.
-    pub fn kernel(&self) -> &KernelReport {
-        &self.kernel
     }
 }
 
@@ -318,17 +232,13 @@ impl<'s> BootRequest<'s> {
     /// transient-read retries, then integrity checks). Every recovery
     /// is priced as a [`RecoveryEvent`] on [`Boot::recoveries`].
     ///
-    /// * [`run`](Self::run) reads it as the Pre-parser cache: container
-    ///   CRC, format version, and the content hash against this
-    ///   scenario's unit set. A rejected cache turns the Pre-parser off
-    ///   for this boot (the timeline of a device whose cache was
-    ///   discarded: bit-identical to a boot that never had it). Ignored
-    ///   when the configuration does not use the Pre-parser — a
-    ///   conventional boot never reads the cache.
-    /// * [`resume`](Self::resume) reads it as the checkpoint's snapshot
-    ///   image. A damaged or unreadable image is discarded and the
-    ///   scenario cold-boots, priced as the kernel phase the snapshot
-    ///   would have skipped.
+    /// [`run`](Self::run) reads it as the Pre-parser cache: container
+    /// CRC, format version, and the content hash against this
+    /// scenario's unit set. A rejected cache turns the Pre-parser off
+    /// for this boot (the timeline of a device whose cache was
+    /// discarded: bit-identical to a boot that never had it). Ignored
+    /// when the configuration does not use the Pre-parser — a
+    /// conventional boot never reads the cache.
     pub fn artifact(mut self, read: &'s ArtifactRead) -> Self {
         self.artifact = Some(read);
         self
@@ -345,14 +255,12 @@ impl<'s> BootRequest<'s> {
         self
     }
 
-    /// Shares compiled plans through `cache`: [`run`](Self::run),
-    /// [`checkpoint_at`](Self::checkpoint_at), and
-    /// [`resume`](Self::resume) first consult the cache for a plan
-    /// compiled for (`scenario`, this request's config) and reuse it
-    /// with zero clones; on a miss they plan once and move the plan
-    /// into the cache. The sweep-wide amortization this enables is why
-    /// fleet workers hand every request the same cache (see
-    /// `bb-fleet`).
+    /// Shares compiled plans through `cache`: [`run`](Self::run) first
+    /// consults the cache for a plan compiled for (`scenario`, this
+    /// request's config) and reuses it with zero clones; on a miss it
+    /// plans once and moves the plan into the cache. The sweep-wide
+    /// amortization this enables is why fleet workers hand every
+    /// request the same cache (see `bb-fleet`).
     ///
     /// `scenario` is the cache key and **must be the very allocation
     /// this request was built from** (the `Arc` whose contents
@@ -387,9 +295,7 @@ impl<'s> BootRequest<'s> {
     /// machine: the CPU-utilization rows of a [`bb_init::Bootchart`] and
     /// the slices of a [`bb_sim::chrome_trace`]. Off by default, because
     /// no report reads them and a 1000-service boot dispatches ~74,000
-    /// times; the timeline is the same either way. A checkpoint holds
-    /// the spans of its prefix only if its request asked, and a resume
-    /// records spans from the handoff on only if its own request asks.
+    /// times; the timeline is the same either way.
     pub fn core_spans(mut self, enabled: bool) -> Self {
         self.core_spans = enabled;
         self
@@ -404,196 +310,6 @@ impl<'s> BootRequest<'s> {
     ) -> Self {
         self.tweak = Some(Box::new(tweak));
         self
-    }
-
-    /// Plans the boot, executes only its *prefix* (through the
-    /// kernel→init handoff), and captures the machine as a
-    /// [`Checkpoint`] that [`resume`](Self::resume) can continue from —
-    /// as many times, and under as many suffix configurations, as the
-    /// caller likes.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Checkpoint`] if telemetry is enabled (the metrics sink
-    /// is deliberately not snapshotted; see [`bb_sim::snapshot`]), a
-    /// plan tweak was installed (tweaks act on the suffix plan — apply
-    /// them on the resume request instead), or a fallback supervisor or
-    /// artifact was attached (both act on whole boots). Planning errors
-    /// surface as usual; snapshot encoding failures as
-    /// [`Error::Snapshot`].
-    pub fn checkpoint_at(mut self, phase: CheckpointPhase) -> Result<Checkpoint, Error> {
-        let CheckpointPhase::KernelHandoff = phase;
-        if self.telemetry {
-            return Err(Error::Checkpoint(
-                "telemetry must be off to checkpoint: the metrics sink is not snapshotted".into(),
-            ));
-        }
-        if self.tweak.is_some() {
-            return Err(Error::Checkpoint(
-                "plan tweaks act on the boot suffix; install the tweak on the resume request"
-                    .into(),
-            ));
-        }
-        if self.fallback.is_some() {
-            return Err(Error::Checkpoint(
-                "the fallback supervisor judges a whole boot; a checkpoint is only its prefix"
-                    .into(),
-            ));
-        }
-        if self.artifact.is_some() {
-            return Err(Error::Checkpoint(
-                "artifacts are validated by run() and resume(); a checkpoint simulates only \
-                 the kernel prefix, which never reads a boot artifact"
-                    .into(),
-            ));
-        }
-        let plan = self.plan()?;
-        let no_faults = FaultPlan::none();
-        let faults = self.faults.unwrap_or(&no_faults);
-        let (machine, kernel, device) = execute_prefix(
-            &plan.0,
-            faults,
-            false,
-            self.core_spans,
-            self.builder.as_deref_mut(),
-        );
-        let bytes = snapshot::save(&machine)?;
-        // The prefix machine's job ends at the snapshot: recycle its
-        // allocations for the resumes that follow.
-        if let Some(b) = self.builder {
-            b.recycle(machine);
-        }
-        Ok(Checkpoint {
-            phase,
-            bytes,
-            kernel,
-            device,
-            config: self.cfg,
-            config_hash: snapshot::config_hash(&plan.0.machine),
-        })
-    }
-
-    /// Restores `checkpoint` and executes only the boot *suffix* (the
-    /// init scheme onward) under this request's configuration. The
-    /// composed timeline is bit-identical to an uninterrupted
-    /// [`run`](Self::run) of the same configuration.
-    ///
-    /// The request's configuration must share the checkpoint's
-    /// [`BbConfig::prefix_key`]; the suffix-only features
-    /// (`deferred_executor`, `preparser`, `bb_group`) are free to
-    /// differ, which is the whole point — one kernel simulation, many
-    /// service-phase variants. A [`tweak`](Self::tweak) is applied to
-    /// the resumed plan as usual.
-    ///
-    /// The resume gets its plan as [`run`](Self::run) does: from the
-    /// attached [`plan_cache`](Self::plan_cache), or by planning afresh.
-    /// Attach the cache the checkpoint was taken through, and every
-    /// resume of its configuration reuses the checkpoint request's plan.
-    ///
-    /// With an [`artifact`](Self::artifact) the image is restored from
-    /// that read instead of the checkpoint's own bytes; a damaged or
-    /// unreadable image cold-boots the scenario (see
-    /// [`artifact`](Self::artifact)).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Checkpoint`] if telemetry is enabled, a fault plan is
-    /// attached (faults are installed *before* the kernel boots, so
-    /// they belong on the checkpoint request — the snapshot carries the
-    /// fault state), a fallback supervisor is attached (it judges whole
-    /// boots), the prefix keys differ, or the scenario's machine
-    /// configuration hashes differently from the checkpoint's.
-    /// [`Error::Snapshot`] if the snapshot bytes fail validation and no
-    /// artifact was supplied.
-    pub fn resume(mut self, checkpoint: &Checkpoint) -> Result<Boot, Error> {
-        if self.telemetry {
-            return Err(Error::Checkpoint(
-                "telemetry must be off to resume: the metrics sink is not snapshotted".into(),
-            ));
-        }
-        if self.faults.is_some() {
-            return Err(Error::Checkpoint(
-                "a resumed boot carries the checkpoint's fault state; \
-                 install the fault plan on the checkpoint request"
-                    .into(),
-            ));
-        }
-        if self.fallback.is_some() {
-            return Err(Error::Checkpoint(
-                "the fallback supervisor judges a whole boot; use run() to supervise".into(),
-            ));
-        }
-        if self.cfg.prefix_key() != checkpoint.config().prefix_key() {
-            return Err(Error::Checkpoint(format!(
-                "prefix key mismatch: checkpoint was taken under {:#06b}, resume requested {:#06b}",
-                checkpoint.config().prefix_key(),
-                self.cfg.prefix_key()
-            )));
-        }
-        let Some(read) = self.artifact.take() else {
-            let machine = self.restore(&checkpoint.bytes)?;
-            return self.resume_on(machine, checkpoint);
-        };
-        // The image as read back from storage: retry transient read
-        // failures within the bound, then let the snapshot decoder
-        // (header pins plus the v2 payload checksum) judge the bytes.
-        let reason = match read.unreadable() {
-            Some(reason) => reason,
-            None => match self.restore(&read.bytes) {
-                Ok(machine) => {
-                    let mut boot = self.resume_on(machine, checkpoint)?;
-                    boot.recoveries
-                        .extend(read.retried(ArtifactKind::SnapshotImage));
-                    return Ok(boot);
-                }
-                Err(e) => RecoveryReason::Corrupt {
-                    detail: e.to_string(),
-                },
-            },
-        };
-        // The image is gone: cold-boot through the ordinary planning
-        // path, pricing the kernel phase the snapshot would have
-        // skipped.
-        let mut boot = self.execute()?;
-        let skipped = boot.report.kernel.userspace_start.since(SimTime::ZERO);
-        boot.recoveries.push(read.recovery(
-            ArtifactKind::SnapshotImage,
-            reason,
-            RecoveryAction::ColdBooted,
-            skipped,
-        ));
-        Ok(boot)
-    }
-
-    /// Restores a snapshot image, through the request's machine
-    /// builder when one is attached, recording core spans from here on
-    /// only if this request asked.
-    fn restore(&mut self, bytes: &[u8]) -> Result<Machine, bb_sim::SnapshotError> {
-        let mut machine = match self.builder.as_deref_mut() {
-            Some(b) => b.restore(bytes),
-            None => snapshot::restore(bytes),
-        }?;
-        machine.record_spans(self.core_spans);
-        Ok(machine)
-    }
-
-    /// Executes the boot suffix on `machine`, restored from
-    /// `checkpoint`'s image.
-    fn resume_on(mut self, machine: Machine, checkpoint: &Checkpoint) -> Result<Boot, Error> {
-        let plan = self.plan()?;
-        if snapshot::config_hash(&plan.0.machine) != checkpoint.config_hash {
-            return Err(Error::Checkpoint(
-                "machine config mismatch: the scenario does not match the checkpoint's".into(),
-            ));
-        }
-        let (ir, deltas) = &*plan;
-        Ok(Boot::new(execute_suffix(
-            ir,
-            deltas.clone(),
-            machine,
-            checkpoint.kernel.clone(),
-            checkpoint.device,
-        )))
     }
 
     /// Plans and executes the boot. A supplied
@@ -615,11 +331,26 @@ impl<'s> BootRequest<'s> {
                 }
             }
         }
-        let (scenario, fallback) = (self.scenario, self.fallback);
-        let mut boot = self.execute()?;
-        boot.recoveries = recoveries;
-        if let Some((reason, detected_after)) = fallback.and_then(|p| p.judge(&boot.report)) {
-            let rescue = BootRequest::new(scenario).config(BbConfig::conventional());
+        let plan = self.plan()?;
+        let (ir, deltas) = &*plan;
+        let no_faults = FaultPlan::none();
+        let faults = self.faults.unwrap_or(&no_faults);
+        let (report, machine) = execute_with(
+            ir,
+            deltas.clone(),
+            faults,
+            self.telemetry,
+            self.core_spans,
+            self.builder,
+        );
+        let mut boot = Boot {
+            report,
+            machine,
+            recoveries,
+            degraded: None,
+        };
+        if let Some((reason, detected_after)) = self.fallback.and_then(|p| p.judge(&boot.report)) {
+            let rescue = BootRequest::new(self.scenario).config(BbConfig::conventional());
             boot.degraded = Some(Box::new(DegradedBoot {
                 rescue: rescue.run()?.report,
                 reason,
@@ -629,12 +360,10 @@ impl<'s> BootRequest<'s> {
         Ok(boot)
     }
 
-    /// The boot's plan, the one lookup [`run`](Self::run),
-    /// [`checkpoint_at`](Self::checkpoint_at) and
-    /// [`resume`](Self::resume) share. A plan-cache hit returns the
-    /// shared `Arc`; a miss plans the boot and, with a cache attached,
-    /// moves the plan into the cache. A tweaked plan is private: it is
-    /// neither looked up nor published.
+    /// The boot's plan. A plan-cache hit returns the shared `Arc`; a
+    /// miss plans the boot and, with a cache attached, moves the plan
+    /// into the cache. A tweaked plan is private: it is neither looked
+    /// up nor published.
     fn plan(&mut self) -> Result<SharedPlan, Error> {
         let cache = self.cache.filter(|_| self.tweak.is_none());
         if let Some(plan) = cache.and_then(|(cache, key)| cache.lookup(key, &self.cfg)) {
@@ -650,24 +379,6 @@ impl<'s> BootRequest<'s> {
             cache.insert(key, &self.cfg, Arc::clone(&plan));
         }
         Ok(plan)
-    }
-
-    /// Plans (or looks up) and executes the boot, artifact validation
-    /// already resolved by the caller.
-    fn execute(mut self) -> Result<Boot, Error> {
-        let plan = self.plan()?;
-        let (ir, deltas) = &*plan;
-        let no_faults = FaultPlan::none();
-        let faults = self.faults.unwrap_or(&no_faults);
-        let (machine, kernel, device) =
-            execute_prefix(ir, faults, self.telemetry, self.core_spans, self.builder);
-        Ok(Boot::new(execute_suffix(
-            ir,
-            deltas.clone(),
-            machine,
-            kernel,
-            device,
-        )))
     }
 }
 
@@ -928,21 +639,6 @@ pub(crate) mod tests {
             spans.machine.trace().events()
         );
         assert_eq!(plain.report.quiesce_time, spans.report.quiesce_time);
-        // A checkpoint keeps the spans of its prefix only if asked, and
-        // a resume records its own only if it asks.
-        let ckpt = |spans| {
-            BootRequest::new(&s)
-                .core_spans(spans)
-                .checkpoint_at(CheckpointPhase::KernelHandoff)
-                .unwrap()
-        };
-        let (bare, with_spans) = (ckpt(false), ckpt(true));
-        // The recording switch travels in the image.
-        assert_ne!(bare.bytes(), with_spans.bytes());
-        let resumed = BootRequest::new(&s).resume(&bare).unwrap();
-        assert!(resumed.machine.trace().spans().is_empty());
-        let resumed = BootRequest::new(&s).core_spans(true).resume(&bare).unwrap();
-        assert!(!resumed.machine.trace().spans().is_empty());
     }
 
     #[test]
@@ -954,151 +650,6 @@ pub(crate) mod tests {
                 overrides.isolate.insert(graph.idx_of("var.mount"));
             })
             .run()
-            .unwrap();
-        assert_eq!(boot.report.bb_group, [UnitName::new("var.mount")]);
-    }
-
-    /// The load-bearing checkpoint property: split the boot at the
-    /// kernel→init handoff and the composed timeline is bit-identical
-    /// to the uninterrupted run, event for event, for both ends of the
-    /// config spectrum.
-    #[test]
-    fn checkpoint_resume_matches_uninterrupted_run() {
-        let s = mini_tv();
-        for cfg in [BbConfig::conventional(), BbConfig::full()] {
-            let straight = BootRequest::new(&s).config(cfg).run().unwrap();
-            let ckpt = BootRequest::new(&s)
-                .config(cfg)
-                .checkpoint_at(CheckpointPhase::KernelHandoff)
-                .unwrap();
-            let resumed = BootRequest::new(&s).config(cfg).resume(&ckpt).unwrap();
-            assert_eq!(
-                straight.report.boot.completion_time,
-                resumed.report.boot.completion_time
-            );
-            assert_eq!(straight.report.quiesce_time, resumed.report.quiesce_time);
-            assert_eq!(straight.report.rcu, resumed.report.rcu);
-            let a = straight.machine.trace().events();
-            let b = resumed.machine.trace().events();
-            assert_eq!(a.len(), b.len(), "event counts diverge");
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x, y, "trace event diverges");
-            }
-        }
-    }
-
-    /// One checkpoint, many suffix variants: resuming under a config
-    /// that differs only in suffix features matches that config's
-    /// uninterrupted run.
-    #[test]
-    fn one_checkpoint_serves_every_suffix_config() {
-        let s = mini_tv();
-        let base = BbConfig::full();
-        let ckpt = BootRequest::new(&s)
-            .config(base)
-            .checkpoint_at(CheckpointPhase::KernelHandoff)
-            .unwrap();
-        for cfg in [
-            base,
-            BbConfig {
-                bb_group: false,
-                ..base
-            },
-            BbConfig {
-                preparser: false,
-                deferred_executor: false,
-                ..base
-            },
-        ] {
-            assert_eq!(cfg.prefix_key(), base.prefix_key());
-            let straight = BootRequest::new(&s).config(cfg).run().unwrap();
-            let resumed = BootRequest::new(&s).config(cfg).resume(&ckpt).unwrap();
-            assert_eq!(straight.report.boot_time(), resumed.report.boot_time());
-            assert_eq!(straight.report.quiesce_time, resumed.report.quiesce_time);
-            assert_eq!(straight.report.bb_group, resumed.report.bb_group);
-        }
-    }
-
-    #[test]
-    fn checkpoint_rejects_incompatible_requests() {
-        let s = mini_tv();
-        // Telemetry is not snapshotted.
-        assert!(matches!(
-            BootRequest::new(&s)
-                .telemetry(true)
-                .checkpoint_at(CheckpointPhase::KernelHandoff),
-            Err(Error::Checkpoint(_))
-        ));
-        // Tweaks act on the suffix plan.
-        assert!(matches!(
-            BootRequest::new(&s)
-                .tweak(|_, _, _| {})
-                .checkpoint_at(CheckpointPhase::KernelHandoff),
-            Err(Error::Checkpoint(_))
-        ));
-        // The fallback supervisor judges whole boots.
-        assert!(matches!(
-            BootRequest::new(&s)
-                .fallback(FallbackPolicy::default())
-                .checkpoint_at(CheckpointPhase::KernelHandoff),
-            Err(Error::Checkpoint(_))
-        ));
-
-        let ckpt = BootRequest::new(&s)
-            .checkpoint_at(CheckpointPhase::KernelHandoff)
-            .unwrap();
-        assert_eq!(ckpt.phase(), CheckpointPhase::KernelHandoff);
-        assert_eq!(ckpt.config(), BbConfig::full());
-        // Prefix keys must match: conventional differs from full in
-        // every kernel-phase feature.
-        assert!(matches!(
-            BootRequest::new(&s)
-                .config(BbConfig::conventional())
-                .resume(&ckpt),
-            Err(Error::Checkpoint(_))
-        ));
-        // Faults belong on the checkpoint request.
-        let faults = FaultPlan::none();
-        assert!(matches!(
-            BootRequest::new(&s).faults(&faults).resume(&ckpt),
-            Err(Error::Checkpoint(_))
-        ));
-        // Telemetry and the fallback supervisor rejected on resume too.
-        assert!(matches!(
-            BootRequest::new(&s).telemetry(true).resume(&ckpt),
-            Err(Error::Checkpoint(_))
-        ));
-        assert!(matches!(
-            BootRequest::new(&s)
-                .fallback(FallbackPolicy::default())
-                .resume(&ckpt),
-            Err(Error::Checkpoint(_))
-        ));
-        // A different machine shape is caught by the config hash even
-        // though the prefix key matches.
-        let mut other = mini_tv();
-        other.machine.cores = 2;
-        assert!(matches!(
-            BootRequest::new(&other).resume(&ckpt),
-            Err(Error::Checkpoint(_))
-        ));
-    }
-
-    /// A tweak on the *resume* request adjusts the suffix plan, exactly
-    /// as it would on an uninterrupted run.
-    #[test]
-    fn resume_applies_suffix_tweaks() {
-        let s = mini_tv();
-        let ckpt = BootRequest::new(&s)
-            .config(BbConfig::conventional())
-            .checkpoint_at(CheckpointPhase::KernelHandoff)
-            .unwrap();
-        let boot = BootRequest::new(&s)
-            .config(BbConfig::conventional())
-            .tweak(|graph, _tx, overrides| {
-                overrides.isolate.insert(graph.idx_of("var.mount"));
-            })
-            .resume(&ckpt)
             .unwrap();
         assert_eq!(boot.report.bb_group, [UnitName::new("var.mount")]);
     }

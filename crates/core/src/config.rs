@@ -87,20 +87,6 @@ impl BbConfig {
         self.preparser
     }
 
-    /// The features that shape the boot *prefix* — everything simulated
-    /// before the kernel→init handoff (kernel boot, RCU Booster Control
-    /// installation, module loading setup) — as their [`BbConfig::bits`]:
-    /// the first four features, bits 0–3. Two configurations with
-    /// equal prefix keys produce bit-identical machines at the handoff,
-    /// so a checkpoint taken under one can be resumed under the other:
-    /// one kernel simulation serves every configuration with its key.
-    ///
-    /// `deferred_executor`, `preparser`, and `bb_group` act entirely in
-    /// the init/service phase and are deliberately excluded.
-    pub fn prefix_key(&self) -> u8 {
-        self.bits() & 0x0f
-    }
-
     /// The BB features' CLI/wire names, in `bits()` order: the one
     /// list of them, from which every other feature list is derived.
     /// `"all"`, `"full"`, `"none"`, `"conventional"`, and
@@ -223,12 +209,10 @@ mod tests {
         let loo = BbConfig::leave_one_out_configs();
         assert!(singles.iter().map(|(n, _)| *n).eq(BbConfig::FEATURE_NAMES));
         assert!(loo.iter().map(|(n, _)| *n).eq(BbConfig::FEATURE_NAMES));
-        for (i, ((name, single), (_, dropped))) in singles.iter().zip(&loo).enumerate() {
+        for ((name, single), (_, dropped)) in singles.iter().zip(&loo) {
             assert_eq!(BbConfig::from_feature_list(name), Ok(*single));
             assert_eq!(single.active_features(), 1, "{name}");
             assert_eq!(single.bits() ^ dropped.bits(), 0x7f, "{name} is dropped");
-            // The first four features shape the kernel prefix.
-            assert_eq!(single.prefix_key() != 0, i < 4, "{name}");
         }
     }
 

@@ -1,8 +1,8 @@
 //! The workspace error hierarchy: one type for every way a boot (or a
 //! fleet of boots) can fail.
 //!
-//! [`Error`] covers plan assembly, snapshots, and checkpoint misuse,
-//! with [`std::error::Error`] `source()` chains; [`JobError`] is the
+//! [`Error`] covers plan assembly and fleet jobs, with
+//! [`std::error::Error`] `source()` chains; [`JobError`] is the
 //! per-job failure of a fleet sweep, re-exported as
 //! `bb_fleet::FailureKind`. A supervised boot that falls back is not an
 //! error: the rescue lands on [`crate::Boot::degraded`].
@@ -21,13 +21,6 @@ pub enum Error {
     Transaction(TransactionError),
     /// A fleet job failed (see `bb_fleet`).
     Job(JobError),
-    /// A machine snapshot could not be written or restored (see
-    /// [`bb_sim::snapshot`] and [`crate::booster::Checkpoint`]).
-    Snapshot(bb_sim::SnapshotError),
-    /// A checkpoint/resume request combined incompatible options (e.g.
-    /// resuming under a config whose prefix differs from the
-    /// checkpoint's, or checkpointing with telemetry enabled).
-    Checkpoint(String),
 }
 
 impl std::fmt::Display for Error {
@@ -36,8 +29,6 @@ impl std::fmt::Display for Error {
             Error::Graph(e) => write!(f, "unit graph error: {e}"),
             Error::Transaction(e) => write!(f, "transaction error: {e}"),
             Error::Job(e) => write!(f, "job failed: {e}"),
-            Error::Snapshot(e) => write!(f, "snapshot error: {e}"),
-            Error::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
         }
     }
 }
@@ -48,8 +39,6 @@ impl std::error::Error for Error {
             Error::Graph(e) => Some(e),
             Error::Transaction(e) => Some(e),
             Error::Job(e) => Some(e),
-            Error::Snapshot(e) => Some(e),
-            Error::Checkpoint(_) => None,
         }
     }
 }
@@ -69,12 +58,6 @@ impl From<TransactionError> for Error {
 impl From<JobError> for Error {
     fn from(e: JobError) -> Self {
         Error::Job(e)
-    }
-}
-
-impl From<bb_sim::SnapshotError> for Error {
-    fn from(e: bb_sim::SnapshotError) -> Self {
-        Error::Snapshot(e)
     }
 }
 
@@ -113,10 +96,9 @@ pub enum JobError {
         /// Supervised respawns the recovery took.
         restarts: u32,
     },
-    /// A chaos boot's artifact (pre-parse blob or snapshot image) was
-    /// rejected by the integrity chain and the boot recovered without
-    /// it (see [`crate::recovery`]). A notable event, not a lost
-    /// sample.
+    /// A chaos boot's pre-parse blob was rejected by the integrity
+    /// chain and the boot recovered without it (see
+    /// [`crate::recovery`]). A notable event, not a lost sample.
     ArtifactRejected {
         /// Label of the config whose artifact was rejected.
         config: String,

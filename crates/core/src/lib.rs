@@ -14,7 +14,7 @@
 //!   provenance record per pass.
 //! * [`plan_cache`] — sweep-wide sharing of compiled plans: a
 //!   [`plan_cache::PlanCache`] hands the same `Arc`'d plan to every
-//!   run/checkpoint/resume of a (scenario, config) pair.
+//!   boot of a (scenario, config) pair.
 //! * [`booster`] — the single-entry facade: boot a
 //!   [`booster::Scenario`] through a [`booster::BootRequest`] and get a
 //!   [`booster::Boot`] (report + machine).
@@ -24,11 +24,10 @@
 //!   the conventional shape when the deadline or a start limit trips
 //!   (§3.4 deployment safety).
 //! * [`recovery`] — artifact integrity & recovery: a
-//!   [`recovery::ArtifactRead`] on a `BootRequest` is validated as a
-//!   checksummed boot artifact (pre-parse blob, snapshot image),
-//!   transient reads are retried with bounded backoff, and the boot
-//!   goes on without a damaged artifact, pricing every recovery as a
-//!   [`recovery::RecoveryEvent`].
+//!   [`recovery::ArtifactRead`] on a `BootRequest` is validated as the
+//!   checksummed pre-parse blob, transient reads are retried with
+//!   bounded backoff, and the boot goes on without a damaged blob,
+//!   pricing every recovery as a [`recovery::RecoveryEvent`].
 //! * [`telemetry`] — spans, the metrics snapshot, and the critical-path
 //!   profiler over a finished boot.
 //! * [`error`] — the workspace [`Error`] hierarchy.
@@ -53,7 +52,7 @@ pub mod report;
 pub mod service_engine;
 pub mod telemetry;
 
-pub use booster::{Boot, BootRequest, Checkpoint, CheckpointPhase, FullBootReport, Scenario};
+pub use booster::{Boot, BootRequest, FullBootReport, Scenario};
 pub use config::BbConfig;
 pub use error::{Error, JobError};
 pub use fallback::{fault_targets, with_supervision, DegradedBoot, FallbackPolicy, FallbackReason};
@@ -61,7 +60,7 @@ pub use miner::{mine, EdgeSlack, MiningReport};
 pub use pipeline::{BootPlanIr, PassDelta, Pipeline, PlanPass, UnitPlan, UnitPlanSlot};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use recovery::{
-    ArtifactKind, ArtifactRead, RecoveryAction, RecoveryEvent, RecoveryReason, MAX_ARTIFACT_RETRIES,
+    ArtifactRead, RecoveryAction, RecoveryEvent, RecoveryReason, MAX_ARTIFACT_RETRIES,
 };
 pub use report::{attribution_table, Comparison, Row};
 pub use service_engine::{

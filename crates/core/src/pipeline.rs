@@ -26,8 +26,7 @@
 //! graph, transaction, dispatch order, resolved completion, BB Group
 //! and Pre-parser sizes), built once per scenario
 //! ([`Scenario::unit_plan`]). One value is what a fresh boot runs and
-//! what a [`crate::PlanCache`] shares across a sweep's runs,
-//! checkpoints and resumes.
+//! what a [`crate::PlanCache`] shares across a sweep's boots.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -36,9 +35,9 @@ use bb_init::{
     run_boot, BootPlan, EngineConfig, EngineMode, JobNames, LoadModel, ManagerCosts, ManagerTask,
     PlanOverrides, Transaction, TransactionError, Unit, UnitGraph, UnitName, WorkloadMap,
 };
-use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, KernelReport, ModuleCatalog};
+use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, ModuleCatalog};
 use bb_sim::{
-    AccessPattern, DeviceId, DeviceProfile, FaultPlan, Machine, MachineBuilder, MachineConfig, Op,
+    AccessPattern, DeviceProfile, FaultPlan, Machine, MachineBuilder, MachineConfig, Op,
     SimDuration,
 };
 
@@ -791,7 +790,7 @@ impl Pipeline {
 }
 
 /// A compiled plan and the pass deltas that produced it: the one value
-/// a [`crate::PlanCache`] shares across runs, checkpoints and resumes.
+/// a [`crate::PlanCache`] shares across boots.
 pub(crate) type SharedPlan = Arc<(BootPlanIr, Vec<PassDelta>)>;
 
 /// Executes a (pass-transformed) plan end to end, replaying the exact
@@ -802,15 +801,13 @@ pub(crate) type SharedPlan = Arc<(BootPlanIr, Vec<PassDelta>)>;
 /// two halves separately; like a default request, it records no core
 /// spans.
 pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
-    let (machine, kernel, device) = execute_prefix(ir, &FaultPlan::none(), false, false, None);
-    execute_suffix(ir, deltas, machine, kernel, device)
+    execute_with(ir, deltas, &FaultPlan::none(), false, false, None)
 }
 
-/// The boot *prefix*: everything up to (and including) the kernel→init
-/// handoff — machine creation, storage, fault plan, kernel boot, the
-/// RCU Booster Control installation, and module-loading setup. This is
-/// the phase a checkpoint captures; beyond the machine, the suffix
-/// needs only the kernel report and the boot-storage device id.
+/// The one boot executor, which [`execute`] and every
+/// [`crate::BootRequest`] run: machine creation, storage, fault plan,
+/// kernel boot, the RCU Booster Control installation, module-loading
+/// setup, then the init scheme.
 ///
 /// `faults` is installed before the kernel boots (the empty plan is a
 /// strict no-op); `telemetry` arms the metrics sink before any work
@@ -819,13 +816,14 @@ pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Mach
 /// `builder` supplies the machine from its recycling pool, which its
 /// contract makes observationally identical to a fresh one. Timelines
 /// are bit-identical either way.
-pub(crate) fn execute_prefix(
+pub(crate) fn execute_with(
     ir: &BootPlanIr,
+    deltas: Vec<PassDelta>,
     faults: &FaultPlan,
     telemetry: bool,
     core_spans: bool,
     builder: Option<&mut MachineBuilder>,
-) -> (Machine, KernelReport, DeviceId) {
+) -> (FullBootReport, Machine) {
     let mut machine = match builder {
         Some(b) => b.build(ir.machine),
         None => Machine::new(ir.machine),
@@ -847,21 +845,7 @@ pub(crate) fn execute_prefix(
         ir.module_strategy,
         boot_complete,
     );
-    (machine, kernel, device)
-}
 
-/// The boot *suffix*: the init scheme and everything after it, on a
-/// machine that completed [`execute_prefix`] (freshly, or restored from
-/// a checkpoint's snapshot). Prefix then suffix replays the exact
-/// machine-op order of the unsplit path, so boot timelines are
-/// bit-identical.
-pub(crate) fn execute_suffix(
-    ir: &BootPlanIr,
-    deltas: Vec<PassDelta>,
-    mut machine: Machine,
-    kernel: KernelReport,
-    device: DeviceId,
-) -> (FullBootReport, Machine) {
     let units = &ir.unit_plan;
     let bb_group: Vec<UnitName> = ir
         .overrides

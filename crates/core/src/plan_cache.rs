@@ -5,12 +5,9 @@
 //! fleet sweep historically re-planned every single boot. A
 //! [`PlanCache`] amortizes that: the first boot of a (scenario, config)
 //! pair plans once and moves its [`crate::BootPlanIr`] (pass deltas
-//! included) into an [`Arc`], and every later boot — run, checkpoint,
-//! or resume, on any worker — reuses it with zero clones. Attach one to
-//! a request with [`crate::BootRequest::plan_cache`]. A
-//! [`crate::Checkpoint`] holds no plan, so attaching the same cache to
-//! the checkpoint request and to its resumes is how a resume of the
-//! checkpoint's own config skips planning.
+//! included) into an [`Arc`], and every later boot, on any worker,
+//! reuses it with zero clones. Attach one to a request with
+//! [`crate::BootRequest::plan_cache`].
 //!
 //! # Keying and safety
 //!
@@ -50,8 +47,8 @@ struct Entry {
     plan: SharedPlan,
 }
 
-/// A thread-safe cache of compiled boot plans, shared by every run,
-/// checkpoint and resume it is attached to (see the module docs).
+/// A thread-safe cache of compiled boot plans, shared by every boot
+/// it is attached to (see the module docs).
 #[derive(Default)]
 pub struct PlanCache {
     inner: Mutex<HashMap<(usize, u8), Entry>>,
@@ -208,75 +205,28 @@ mod tests {
         assert_eq!(cache.stats().plans_compiled, 2);
     }
 
-    /// Pins how `run`, `checkpoint_at` and `resume` share plans through
-    /// one cache: after every step the (compiled, hits, entries)
-    /// counters match, and every boot equals an uncached boot of its
-    /// config.
+    /// Pins how runs share plans through one cache: after every step
+    /// the (compiled, hits, entries) counters match, and every boot
+    /// equals an uncached boot of its config. A tweaked plan is
+    /// private: it is neither looked up nor published.
     #[test]
-    fn run_checkpoint_and_resume_share_plans_through_one_cache() {
-        use crate::booster::{Boot, CheckpointPhase::KernelHandoff};
-
+    fn runs_share_plans_through_one_cache_and_tweaked_plans_stay_private() {
         let cache = PlanCache::new();
         let s = Arc::new(mini_tv());
         let full = BbConfig::full();
-        let suffix = BbConfig {
-            bb_group: false,
-            ..full
-        };
-        assert_eq!(suffix.prefix_key(), full.prefix_key());
-        let cached = |cfg: BbConfig| BootRequest::new(&s).config(cfg).plan_cache(&cache, &s);
-        let counts = |expected: (u64, u64, usize)| {
+        let cached = || BootRequest::new(&s).config(full).plan_cache(&cache, &s);
+        let booted = |boot: crate::Boot, expected: (u64, u64, usize)| {
+            let fresh = BootRequest::new(&s).config(full).run().unwrap().report;
+            assert_eq!(boot.report.try_boot_time(), fresh.try_boot_time());
+            assert_eq!(boot.report.quiesce_time, fresh.quiesce_time);
             let stats = cache.stats();
             assert_eq!((stats.plans_compiled, stats.hits, stats.entries), expected);
         };
-        let booted = |boot: Boot, cfg: BbConfig, expected: (u64, u64, usize)| {
-            let fresh = BootRequest::new(&s).config(cfg).run().unwrap().report;
-            assert_eq!(boot.report.try_boot_time(), fresh.try_boot_time());
-            assert_eq!(boot.report.quiesce_time, fresh.quiesce_time);
-            counts(expected);
-        };
 
-        booted(cached(full).run().unwrap(), full, (1, 0, 1));
-        booted(cached(full).run().unwrap(), full, (1, 1, 1));
-        let first = cached(full).checkpoint_at(KernelHandoff).unwrap();
-        counts((1, 2, 1));
-        // A checkpoint holds no plan: its own config is a cache hit.
-        booted(cached(full).resume(&first).unwrap(), full, (1, 3, 1));
-        booted(cached(suffix).resume(&first).unwrap(), suffix, (2, 3, 2));
-        booted(cached(suffix).resume(&first).unwrap(), suffix, (2, 4, 2));
-        // A tweaked plan is private: no lookup, no insert.
-        let tweaked = cached(full).tweak(|_, _, _| {}).run().unwrap();
-        booted(tweaked, full, (2, 4, 2));
-        let second = cached(suffix).checkpoint_at(KernelHandoff).unwrap();
-        counts((2, 5, 2));
-        booted(cached(full).resume(&second).unwrap(), full, (2, 6, 2));
-        let uncached = BootRequest::new(&s).config(full).resume(&first).unwrap();
-        booted(uncached, full, (2, 6, 2));
-    }
-
-    /// A checkpoint keeps nothing of its scenario alive: once the
-    /// scenario and the cache's plans are gone, the checkpoint still
-    /// resumes a fresh equal scenario to the uncached run's boot time.
-    #[test]
-    fn a_checkpoint_holds_no_plan() {
-        use crate::booster::CheckpointPhase::KernelHandoff;
-
-        let cache = PlanCache::new();
-        let s = Arc::new(mini_tv());
-        let workloads = Arc::clone(&s.workloads);
-        let ckpt = BootRequest::new(&s)
-            .plan_cache(&cache, &s)
-            .checkpoint_at(KernelHandoff)
-            .unwrap();
-        drop(s);
-        drop(cache);
-        assert_eq!(Arc::strong_count(&workloads), 1);
-
-        let fresh = mini_tv();
-        let resumed = BootRequest::new(&fresh).resume(&ckpt).unwrap().report;
-        let straight = BootRequest::new(&fresh).run().unwrap().report;
-        assert_eq!(resumed.try_boot_time(), straight.try_boot_time());
-        assert_eq!(resumed.quiesce_time, straight.quiesce_time);
+        booted(cached().run().unwrap(), (1, 0, 1));
+        booted(cached().run().unwrap(), (1, 1, 1));
+        booted(cached().tweak(|_, _, _| {}).run().unwrap(), (1, 1, 1));
+        booted(cached().run().unwrap(), (1, 2, 1));
     }
 
     #[test]

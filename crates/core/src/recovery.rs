@@ -1,37 +1,32 @@
 //! Artifact integrity & recovery: the chain that keeps a device booting
-//! when its boot-time caches go bad.
+//! when its boot-time cache goes bad.
 //!
-//! The paper's deployment story leans on two persisted artifacts — the
-//! Pre-parser's binary unit cache and (for suspend-to-RAM products) a
-//! machine snapshot. Both live on flash that is written on every
-//! firmware update and read on every boot, which is exactly where torn
-//! writes, bit rot, and stale generations happen. A consumer device
+//! The Pre-parser's binary unit cache lives on flash that is written on
+//! every firmware update and read on every boot, which is exactly where
+//! torn writes, bit rot, and stale generations happen. A consumer device
 //! cannot greet a corrupt cache with a panic or, worse, a plausible but
-//! wrong boot; it must *detect* the damage (the artifacts carry
-//! checksums and a content hash, see [`bb_init::preparse`] and
-//! [`bb_sim::snapshot`]) and *recover* along a priced, reported path:
+//! wrong boot; it must *detect* the damage (the blob carries checksums
+//! and a content hash, see [`bb_init::preparse`]) and *recover* along a
+//! priced, reported path:
 //!
 //! * corrupt or stale pre-parse blob → discard it and re-parse the unit
 //!   text at boot, paying the conventional load model on the simulated
 //!   timeline — bit-identical to a boot that never had the cache;
-//! * corrupt checkpoint/suspend image → discard it and cold-boot the
-//!   scenario through the ordinary planning path;
 //! * transient read failures → bounded retries with deterministic
 //!   backoff accounting, then (if still unreadable) the same discard
 //!   path.
 //!
 //! The chain runs inside [`BootRequest`]: hand the read to
 //! [`BootRequest::artifact`] and [`BootRequest::run`] validates it as the
-//! pre-parse blob, [`BootRequest::resume`] as the checkpoint's snapshot
-//! image. Every recovery is recorded as a [`RecoveryEvent`] on the
-//! resulting [`crate::Boot`], carrying the reason, the retry accounting,
-//! and a priced cost delta, so fleet sweeps can aggregate recovery
-//! *rates* and recovery *costs* instead of just counting weird boots.
+//! pre-parse blob. Every recovery is recorded as a [`RecoveryEvent`] on
+//! the resulting [`crate::Boot`], carrying the reason, the retry
+//! accounting, and a priced cost delta, so fleet sweeps can aggregate
+//! recovery *rates* and recovery *costs* instead of just counting weird
+//! boots.
 //!
 //! [`BootRequest`]: crate::booster::BootRequest
 //! [`BootRequest::artifact`]: crate::booster::BootRequest::artifact
 //! [`BootRequest::run`]: crate::booster::BootRequest::run
-//! [`BootRequest::resume`]: crate::booster::BootRequest::resume
 
 use bb_init::{blob_content_hash, decode_units, unit_set_hash, LoadModel};
 use bb_sim::{AccessPattern, CorruptionPlan, DeviceProfile, SimDuration};
@@ -55,25 +50,6 @@ fn retry_backoff(attempt: u32) -> SimDuration {
 fn retry_cost(retries: u32) -> SimDuration {
     let ns: u64 = (0..retries).map(|a| retry_backoff(a).as_nanos()).sum();
     SimDuration::from_nanos(ns)
-}
-
-/// Which persisted boot artifact a recovery concerned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// The Pre-parser's binary unit cache (see [`bb_init::preparse`]).
-    PreparseBlob,
-    /// A serialized machine snapshot (see [`bb_sim::snapshot`]):
-    /// checkpoint or suspend-to-RAM image.
-    SnapshotImage,
-}
-
-impl std::fmt::Display for ArtifactKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArtifactKind::PreparseBlob => write!(f, "pre-parse blob"),
-            ArtifactKind::SnapshotImage => write!(f, "snapshot image"),
-        }
-    }
 }
 
 /// Why an artifact needed recovery.
@@ -127,15 +103,12 @@ pub enum RecoveryAction {
     /// The pre-parse blob was discarded; units were re-parsed from text
     /// on the boot timeline.
     Reparsed,
-    /// The snapshot image was discarded; the scenario cold-booted.
-    ColdBooted,
 }
 
-/// One recovery, with the reason and the priced accounting.
+/// One recovery of the pre-parse blob, with the reason and the priced
+/// accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryEvent {
-    /// Which artifact was affected.
-    pub artifact: ArtifactKind,
     /// Why recovery was needed.
     pub reason: RecoveryReason,
     /// What the chain did.
@@ -167,9 +140,8 @@ impl RecoveryEvent {
         let action = match self.action {
             RecoveryAction::RetriedOk => "retried ok",
             RecoveryAction::Reparsed => "re-parsed units",
-            RecoveryAction::ColdBooted => "cold-booted",
         };
-        format!("{} {}: {}", self.artifact, action, self.reason)
+        format!("pre-parse blob {action}: {}", self.reason)
     }
 }
 
@@ -215,7 +187,7 @@ impl ArtifactRead {
 
     /// Why the artifact must be discarded before its bytes are even
     /// judged: `Some` when the reads failed past the retry bound.
-    pub(crate) fn unreadable(&self) -> Option<RecoveryReason> {
+    fn unreadable(&self) -> Option<RecoveryReason> {
         (self.transient_failures > MAX_ARTIFACT_RETRIES).then_some(RecoveryReason::TransientReads {
             failures: self.transient_failures,
         })
@@ -223,16 +195,14 @@ impl ArtifactRead {
 
     /// A recovery of this read's artifact, billed the backoff of the
     /// retries the read paid (capped at the bound).
-    pub(crate) fn recovery(
+    fn recovery(
         &self,
-        artifact: ArtifactKind,
         reason: RecoveryReason,
         action: RecoveryAction,
         cost_delta: SimDuration,
     ) -> RecoveryEvent {
         let retries = self.transient_failures.min(MAX_ARTIFACT_RETRIES);
         RecoveryEvent {
-            artifact,
             reason,
             action,
             retries,
@@ -243,17 +213,12 @@ impl ArtifactRead {
 
     /// The bill for a read whose artifact was used after retries;
     /// `None` when the first read succeeded.
-    pub(crate) fn retried(&self, artifact: ArtifactKind) -> Option<RecoveryEvent> {
+    fn retried(&self) -> Option<RecoveryEvent> {
         (self.transient_failures > 0).then(|| {
             let reason = RecoveryReason::TransientReads {
                 failures: self.transient_failures,
             };
-            self.recovery(
-                artifact,
-                reason,
-                RecoveryAction::RetriedOk,
-                SimDuration::ZERO,
-            )
+            self.recovery(reason, RecoveryAction::RetriedOk, SimDuration::ZERO)
         })
     }
 }
@@ -300,14 +265,13 @@ pub(crate) fn validate_preparse_blob(
         let found = blob_content_hash(&read.bytes).expect("container was just validated");
         let expected = unit_set_hash(&scenario.units);
         if found == expected {
-            return Ok(Ok(read.retried(ArtifactKind::PreparseBlob)));
+            return Ok(Ok(read.retried()));
         }
         RecoveryReason::Stale { found, expected }
     };
     let pre = scenario.unit_plan()?.pre;
     let penalty = preparse_penalty(&pre, &scenario.parse_params, &scenario.storage);
     Ok(Err(read.recovery(
-        ArtifactKind::PreparseBlob,
         reason,
         RecoveryAction::Reparsed,
         penalty,
@@ -318,11 +282,11 @@ pub(crate) fn validate_preparse_blob(
 mod tests {
     use super::*;
     use crate::booster::tests::mini_tv;
-    use crate::booster::{BootRequest, CheckpointPhase};
+    use crate::booster::BootRequest;
     use crate::config::BbConfig;
     use crate::fallback::FallbackPolicy;
     use bb_init::encode_units;
-    use bb_sim::{FaultPlan, SimTime};
+    use bb_sim::FaultPlan;
 
     fn blob(s: &Scenario) -> Vec<u8> {
         encode_units(&s.units)
@@ -345,7 +309,6 @@ mod tests {
         let recovered = BootRequest::new(&s).artifact(&read).run().unwrap();
         assert_eq!(recovered.recoveries.len(), 1);
         let ev = &recovered.recoveries[0];
-        assert_eq!(ev.artifact, ArtifactKind::PreparseBlob);
         assert_eq!(ev.action, RecoveryAction::Reparsed);
         assert!(ev.rejected());
         assert!(ev.cost_delta.as_nanos() > 0, "recovery must be priced");
@@ -427,96 +390,6 @@ mod tests {
             .run()
             .unwrap();
         assert!(boot.recoveries.is_empty());
-    }
-
-    #[test]
-    fn corrupt_snapshot_image_cold_boots_with_a_priced_event() {
-        let s = mini_tv();
-        let cfg = BbConfig::full();
-        let ckpt = BootRequest::new(&s)
-            .config(cfg)
-            .checkpoint_at(CheckpointPhase::KernelHandoff)
-            .unwrap();
-
-        // A pristine image resumes normally, no events.
-        let clean = ArtifactRead::clean(ckpt.bytes().to_vec());
-        let boot = BootRequest::new(&s)
-            .config(cfg)
-            .artifact(&clean)
-            .resume(&ckpt)
-            .unwrap();
-        assert!(boot.recoveries.is_empty());
-        let straight = BootRequest::new(&s).config(cfg).run().unwrap();
-        assert_eq!(
-            boot.report.boot.completion_time,
-            straight.report.boot.completion_time
-        );
-
-        // A corrupted image is discarded; the cold boot matches the
-        // uninterrupted run and carries a priced ColdBooted event.
-        let read = ArtifactRead::corrupted(ckpt.bytes().to_vec(), &CorruptionPlan::seeded(11));
-        let boot = BootRequest::new(&s)
-            .config(cfg)
-            .artifact(&read)
-            .resume(&ckpt)
-            .unwrap();
-        assert_eq!(
-            boot.report.boot.completion_time,
-            straight.report.boot.completion_time
-        );
-        assert_eq!(boot.recoveries.len(), 1);
-        let ev = &boot.recoveries[0];
-        assert_eq!(ev.artifact, ArtifactKind::SnapshotImage);
-        assert_eq!(ev.action, RecoveryAction::ColdBooted);
-        assert!(matches!(ev.reason, RecoveryReason::Corrupt { .. }));
-        assert_eq!(
-            ev.cost_delta,
-            boot.report.kernel.userspace_start.since(SimTime::ZERO)
-        );
-    }
-
-    #[test]
-    fn unreadable_snapshot_image_cold_boots_without_touching_bytes() {
-        let s = mini_tv();
-        let cfg = BbConfig::full();
-        let ckpt = BootRequest::new(&s)
-            .config(cfg)
-            .checkpoint_at(CheckpointPhase::KernelHandoff)
-            .unwrap();
-        let read = ArtifactRead::clean(ckpt.bytes().to_vec()).flaky(MAX_ARTIFACT_RETRIES + 1);
-        let boot = BootRequest::new(&s)
-            .config(cfg)
-            .artifact(&read)
-            .resume(&ckpt)
-            .unwrap();
-        assert_eq!(boot.recoveries.len(), 1);
-        assert!(matches!(
-            boot.recoveries[0].reason,
-            RecoveryReason::TransientReads { failures: 4 }
-        ));
-        assert_eq!(boot.recoveries[0].action, RecoveryAction::ColdBooted);
-    }
-
-    #[test]
-    fn flaky_snapshot_image_within_the_bound_resumes_and_bills_retries() {
-        let s = mini_tv();
-        let ckpt = BootRequest::new(&s)
-            .checkpoint_at(CheckpointPhase::KernelHandoff)
-            .unwrap();
-        let read = ArtifactRead::clean(ckpt.bytes().to_vec()).flaky(2);
-        let boot = BootRequest::new(&s).artifact(&read).resume(&ckpt).unwrap();
-        assert_eq!(boot.recoveries.len(), 1);
-        let ev = &boot.recoveries[0];
-        assert_eq!(ev.artifact, ArtifactKind::SnapshotImage);
-        assert_eq!(ev.action, RecoveryAction::RetriedOk);
-        assert_eq!(ev.retries, 2);
-        assert_eq!(ev.retry_cost, retry_cost(2));
-        assert_eq!(ev.cost_delta.as_nanos(), 0);
-        let straight = BootRequest::new(&s).run().unwrap();
-        assert_eq!(
-            boot.report.boot.completion_time,
-            straight.report.boot.completion_time
-        );
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub const SCHEMA_METRICS: &str = "bb-metrics-v1";
 pub const SCHEMA_PROFILE: &str = "bb-profile-v1";
 /// Schema stamp of `bbsim boot --json` output.
 pub const SCHEMA_BOOT: &str = "bbsim-boot-v1";
-/// Schema stamp of snapshot-derived documents: `bbsim suspend --json`
-/// and the `BENCH_snapshot.json` perf baseline.
+/// Schema stamp of the snapshot-derived `bbsim suspend --json`
+/// document.
 pub const SCHEMA_SNAPSHOT: &str = "bb-snapshot-v1";
 /// Schema stamp of the scheduler hot-path perf baseline
 /// (`BENCH_hotpath.json`, written by `cargo bench --bench hotpath`).

@@ -245,19 +245,55 @@ impl SweepArgs {
     }
 
     /// Decodes a wire job object. Missing fields take the `new(kind)`
-    /// defaults, so older clients can omit knobs they don't set.
+    /// defaults, so older clients can omit knobs they don't set. A key
+    /// that [`to_wire_json`](Self::to_wire_json) never writes is
+    /// refused, so a misspelled knob cannot run the default grid;
+    /// `"fork"`, which older clients sent, is the one key ignored.
     fn from_wire(v: &Json) -> Result<Self, String> {
+        const KEYS: [&str; 18] = [
+            "kind",
+            "profiles",
+            "scenario",
+            "services",
+            "cores",
+            "seeds",
+            "seed",
+            "features",
+            "deadline_ms",
+            "dedup",
+            "metrics",
+            "plans",
+            "plan_seed",
+            "corruption",
+            "corruption_seed",
+            "restart",
+            "restart_sec_ms",
+            "burst",
+        ];
+        if let Json::Obj(fields) = v {
+            if let Some((key, _)) = fields
+                .iter()
+                .find(|(k, _)| k != "fork" && !KEYS.contains(&k.as_str()))
+            {
+                return Err(format!("unknown job field {key:?}"));
+            }
+        }
         let kind = v
             .get("kind")
             .and_then(Json::as_str)
             .ok_or("job is missing \"kind\"")?
             .parse::<JobKind>()?;
         let mut args = SweepArgs::new(kind);
-        let str_field = |key: &str, into: &mut String| {
-            if let Some(s) = v.get(key).and_then(Json::as_str) {
-                *into = s.to_owned();
+        fn str_field(v: &Json, key: &str, into: &mut String) -> Result<(), String> {
+            match v.get(key) {
+                None => Ok(()),
+                Some(Json::Str(s)) => {
+                    into.clone_from(s);
+                    Ok(())
+                }
+                Some(_) => Err(format!("job field {key:?} must be a string")),
             }
-        };
+        }
         fn uint(v: &Json, key: &str) -> Result<Option<u64>, String> {
             match v.get(key) {
                 None | Some(Json::Null) => Ok(None),
@@ -275,10 +311,10 @@ impl SweepArgs {
                 Some(_) => Err(format!("job field {key:?} must be a boolean")),
             }
         }
-        str_field("profiles", &mut args.profiles);
-        str_field("scenario", &mut args.scenario);
-        str_field("features", &mut args.features);
-        str_field("restart", &mut args.restart);
+        str_field(v, "profiles", &mut args.profiles)?;
+        str_field(v, "scenario", &mut args.scenario)?;
+        str_field(v, "features", &mut args.features)?;
+        str_field(v, "restart", &mut args.restart)?;
         args.services = uint(v, "services")?.map(|n| n as usize);
         args.cores = uint(v, "cores")?.map(|n| n as usize);
         args.seed = uint(v, "seed")?;
@@ -682,6 +718,31 @@ mod tests {
         }
         assert_eq!(SweepArgs::new(JobKind::Sweep).seeds, 20);
         assert_eq!(SweepArgs::new(JobKind::Chaos).seeds, 10);
+    }
+
+    #[test]
+    fn jobs_refuse_keys_and_values_the_decoder_does_not_read() {
+        for (line, error) in [
+            (
+                r#"{"kind": "sweep", "dedupe": false}"#,
+                r#"unknown job field "dedupe""#,
+            ),
+            (
+                r#"{"kind": "sweep", "seed_count": 4}"#,
+                r#"unknown job field "seed_count""#,
+            ),
+            (
+                r#"{"kind": "sweep", "features": ["rcu-booster"]}"#,
+                r#"job field "features" must be a string"#,
+            ),
+            (
+                r#"{"kind": "chaos", "restart": null}"#,
+                r#"job field "restart" must be a string"#,
+            ),
+        ] {
+            let got = SweepArgs::from_wire(&json::parse(line).unwrap());
+            assert_eq!(got, Err(error.to_owned()), "{line}");
+        }
     }
 
     #[test]

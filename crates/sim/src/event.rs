@@ -227,18 +227,6 @@ impl EventQueue {
         self.next_seq
     }
 
-    /// Moves `spare`'s pool allocation under this queue when it is
-    /// larger, preserving this queue's contents (machine recycling:
-    /// a restored machine inherits the previous boot's high-water
-    /// capacity). Purely a capacity transfer — never observable.
-    pub(crate) fn adopt_capacity(&mut self, mut spare: EventQueue) {
-        if spare.pool.capacity() > self.pool.capacity() {
-            spare.pool.clear();
-            spare.pool.append(&mut self.pool);
-            std::mem::swap(&mut self.pool, &mut spare.pool);
-        }
-    }
-
     /// Rebuilds a queue from a decoded snapshot section. Accepts
     /// `events` in any order (corrupt inputs must not break the
     /// front-slot invariant); the peak-depth counter restarts at the

@@ -1381,71 +1381,6 @@ impl MachineBuilder {
     pub fn recycle(&mut self, machine: Machine) {
         self.spare = Some(machine);
     }
-
-    /// Restores a machine from snapshot bytes (see
-    /// [`crate::snapshot::restore`]), grafting the recycled machine's
-    /// buffer capacity onto the restored machine. A fleet inner loop
-    /// that restores the same checkpoint thousands of times stops
-    /// re-growing the trace, event heap, and process tables from
-    /// scratch every job. Capacity is never observable: timelines,
-    /// traces, and snapshots are bit-identical to a plain restore.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<Machine, crate::snapshot::SnapshotError> {
-        let mut m = crate::snapshot::restore(bytes)?;
-        if let Some(spare) = self.spare.take() {
-            m.adopt_capacity(spare);
-        }
-        Ok(m)
-    }
-}
-
-/// Moves `spare`'s larger backing buffer under `dst`, preserving
-/// `dst`'s contents. No-op when `dst` is already at least as large.
-fn graft<T>(dst: &mut Vec<T>, mut spare: Vec<T>) {
-    if spare.capacity() > dst.capacity() {
-        spare.clear();
-        spare.append(dst);
-        *dst = spare;
-    }
-}
-
-impl Machine {
-    /// Adopts `spare`'s high-water buffer capacities without changing
-    /// any observable state (machine recycling for restore-heavy
-    /// loops).
-    fn adopt_capacity(&mut self, spare: Machine) {
-        let Machine {
-            events,
-            sched,
-            procs,
-            rcu,
-            rcu_released,
-            flags,
-            flag_lookup,
-            trace,
-            pending_spawns,
-            work,
-            failed,
-            ..
-        } = spare;
-        self.events.adopt_capacity(events);
-        graft(&mut self.sched, sched);
-        graft(&mut self.procs, procs);
-        graft(&mut self.rcu.current, rcu.current);
-        graft(&mut self.rcu.next, rcu.next);
-        graft(&mut self.rcu_released, rcu_released);
-        graft(&mut self.flags, flags);
-        if flag_lookup.capacity() > self.flag_lookup.capacity() {
-            let mut spare = flag_lookup;
-            spare.clear();
-            spare.extend(self.flag_lookup.drain());
-            self.flag_lookup = spare;
-        }
-        graft(&mut self.trace.events, trace.events);
-        graft(&mut self.trace.spans, trace.spans);
-        graft(&mut self.pending_spawns, pending_spawns);
-        graft(&mut self.work, work);
-        graft(&mut self.failed, failed);
-    }
 }
 
 #[cfg(test)]

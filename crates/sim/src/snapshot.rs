@@ -5,9 +5,8 @@
 //! length-prefixed little-endian binary format and restores it
 //! *bit-identically*: a restored machine replays the remainder of a run
 //! event-for-event equal to the uninterrupted original. This is the
-//! substrate for kernel-handoff checkpoints (simulate the kernel phase
-//! once, resume the service phase under any config that shares it) and
-//! for the suspend-to-RAM instant-on scenario.
+//! substrate of the suspend-to-RAM instant-on scenario (`bbsim
+//! suspend`).
 //!
 //! # Format
 //!

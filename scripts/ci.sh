@@ -93,8 +93,8 @@ run git diff --exit-code artifacts/
 # 2 workers keeps the service's invariants.
 run cargo test -q -p bb-fleet --lib service::tests::every_interleaving_keeps_the_ticket_invariants
 
-# Snapshot gates: the snapshot round-trip and a resumed boot must stay
-# deterministic (proptests), and the goldens must pin the v2 format
+# Snapshot gates: a machine saved and restored mid-run must finish
+# bit-identically (proptests), and the goldens must pin the v2 format
 # byte-for-byte while the committed v1 image keeps restoring.
 run cargo test -q --test proptest_snapshot
 # Simulator pin: the traces, core spans, scheduler and event-queue

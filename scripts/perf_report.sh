@@ -36,13 +36,8 @@ for f in BENCH_*.json; do
         row "event storm" "$(field events_per_sec "$f")" events/s
         row "full BB boot" "$(field full_boots_per_sec "$f")" boots/s \
             "$(field speedup_full "$f")"
-        row "hot-path boot (resume)" "$(field hotpath_boots_per_sec "$f")" boots/s \
+        row "hot-path boot (cached plan)" "$(field hotpath_boots_per_sec "$f")" boots/s \
             "$(field speedup_hotpath "$f")"
-        ;;
-    bb-snapshot-v1)
-        row "full boot" "$(field full_boots_per_sec "$f")" boots/s
-        row "checkpoint-forked boot" "$(field forked_boots_per_sec "$f")" boots/s \
-            "$(field speedup "$f")"
         ;;
     bb-sweep-v1)
         row "sweep (cache+dedup)" "$(field cells_per_sec "$f")" cells/s \

@@ -6,7 +6,7 @@
 //! the pins and the tables in EXPERIMENTS.md together.
 use booting_booster::bb::{BbConfig, BootRequest, FallbackPolicy, FullBootReport, Scenario};
 use booting_booster::sim::FaultPlan;
-use booting_booster::workloads::tv_scenario;
+use booting_booster::workloads::{profiles, tv_scenario, tv_scenario_with, TizenParams};
 
 fn boost(s: &Scenario, cfg: &BbConfig) -> Result<FullBootReport, booting_booster::bb::Error> {
     BootRequest::new(s).config(*cfg).run().map(|b| b.report)
@@ -92,4 +92,22 @@ fn rcu_sync_counts_are_pinned() {
     // Batching merges grace periods; both stay well below sync count.
     assert!(conv.rcu.grace_periods < conv.rcu.syncs_completed);
     assert!(bb.rcu.grace_periods < bb.rcu.syncs_completed);
+}
+
+/// The full-BB boot of the open-source (136-service) Tizen TV at
+/// workload seed 2: a generated scenario pinned beside the commercial
+/// TV above, so a change that moves only other scenarios' timelines
+/// still fails here.
+#[test]
+fn seed_two_tizen_136_full_bb_is_pinned() {
+    let scenario = tv_scenario_with(
+        profiles::ue48h6200(),
+        TizenParams {
+            services: 136,
+            seed: 2,
+            ..TizenParams::open_source()
+        },
+    );
+    let bb = boost(&scenario, &BbConfig::full()).expect("valid");
+    assert_eq!(bb.boot_time().to_string(), "3195.572ms");
 }

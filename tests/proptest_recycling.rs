@@ -1,16 +1,14 @@
 //! Property tests of machine recycling: the `MachineBuilder` contract.
 //!
 //! The fleet's inner loop recycles one machine's allocations across
-//! jobs (`MachineBuilder::recycle` + `build`/`restore`), so capacity
-//! reuse must be *observationally invisible*. These tests pin that
-//! contract from three directions:
+//! jobs (`MachineBuilder::recycle` + `build`), so capacity reuse must
+//! be *observationally invisible*. These tests pin that contract from
+//! two directions:
 //!
 //! 1. At the simulation layer: a machine built from a recycled (dirty,
 //!    differently-shaped) spare runs bit-identically to a fresh one —
 //!    same timeline, same final snapshot bytes.
-//! 2. `MachineBuilder::restore` (snapshot restore + capacity grafting)
-//!    is indistinguishable from a plain `snapshot::restore`.
-//! 3. At the boot layer: a `BootRequest` with a warmed builder attached
+//! 2. At the boot layer: a `BootRequest` with a warmed builder attached
 //!    replays the fresh boot event for event, across workload seeds,
 //!    suffix configurations, and fault plans.
 
@@ -19,7 +17,7 @@ use proptest::prelude::*;
 use booting_booster::bb::{fault_targets, BbConfig, BootRequest};
 use booting_booster::sim::{
     snapshot, AccessPattern, DeviceProfile, FaultPlan, Machine, MachineBuilder, MachineConfig, Op,
-    ProcessSpec, SimDuration, SimTime,
+    ProcessSpec, SimDuration,
 };
 use booting_booster::workloads::{profiles, tv_scenario_with, TizenParams};
 
@@ -93,7 +91,7 @@ fn cfg_for(cores: usize) -> MachineConfig {
 }
 
 /// A builder whose spare already holds a dirty machine of a *different*
-/// shape, so capacity grafting has something non-trivial to transfer.
+/// shape, so the reset has dirty state and foreign capacity to reuse.
 fn warmed_builder(junk: &[GenProcess], cores: usize) -> MachineBuilder {
     let mut m = Machine::new(cfg_for(cores));
     populate(&mut m, junk);
@@ -136,50 +134,6 @@ proptest! {
             snapshot::save(&fresh).expect("snapshot fresh"),
             snapshot::save(&pooled).expect("snapshot pooled"),
             "final machine states diverge"
-        );
-    }
-
-    /// `MachineBuilder::restore` (restore + capacity grafting) is
-    /// indistinguishable from a plain `snapshot::restore`: same bytes
-    /// on re-save, same continuation timeline.
-    #[test]
-    fn builder_restore_matches_plain_restore(
-        programs in prop::collection::vec(process_strategy(), 1..6),
-        junk in prop::collection::vec(process_strategy(), 1..6),
-        cores in 1usize..4,
-        cut_percent in 0u64..100,
-    ) {
-        let mut straight = Machine::new(cfg_for(cores));
-        populate(&mut straight, &programs);
-        straight.run();
-
-        let cut_us = straight.now().since(SimTime::ZERO).as_micros() * cut_percent / 100;
-        let mut before = Machine::new(cfg_for(cores));
-        populate(&mut before, &programs);
-        before.run_until(SimTime::ZERO + SimDuration::from_micros(cut_us));
-        let bytes = snapshot::save(&before).expect("snapshot");
-
-        let mut plain = snapshot::restore(&bytes).expect("plain restore");
-        let mut builder = warmed_builder(&junk, cores);
-        let mut grafted = builder.restore(&bytes).expect("builder restore");
-
-        // Re-saving either restore reproduces the exact input bytes.
-        prop_assert_eq!(&snapshot::save(&plain).expect("re-save"), &bytes);
-        prop_assert_eq!(&snapshot::save(&grafted).expect("re-save"), &bytes);
-
-        plain.run();
-        grafted.run();
-        prop_assert_eq!(plain.now(), grafted.now());
-        let a = plain.trace().events();
-        let b = grafted.trace().events();
-        prop_assert_eq!(a.len(), b.len(), "event counts diverge");
-        for (x, y) in a.iter().zip(b) {
-            prop_assert_eq!(x, y, "trace event diverges");
-        }
-        prop_assert_eq!(
-            snapshot::save(&plain).expect("snapshot plain"),
-            snapshot::save(&grafted).expect("snapshot grafted"),
-            "continued states diverge"
         );
     }
 }

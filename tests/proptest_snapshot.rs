@@ -5,30 +5,24 @@
 //!    with [`snapshot::save`]/[`snapshot::restore`] and continuing is
 //!    invisible — the finished timeline is bit-identical, event for
 //!    event, to the uninterrupted run.
-//! 2. At the boot layer: splitting an arbitrary TV boot with
-//!    [`BootRequest::checkpoint_at`] + [`BootRequest::resume`] matches
-//!    the uninterrupted [`BootRequest::run`] for arbitrary workload
-//!    seeds, service counts, and suffix configurations.
-//! 3. The golden file `tests/golden/snapshot_v2.bin` pins the current
+//! 2. The golden file `tests/golden/snapshot_v2.bin` pins the current
 //!    format byte for byte, and `tests/golden/snapshot_v1.bin` pins
 //!    backward compatibility: the committed v1 image (no trailing
 //!    checksum) must keep restoring. Any codec change — field order,
 //!    widths, new sections — fails the test until the format version is
 //!    bumped and the golden is deliberately re-blessed with
 //!    `BB_BLESS_GOLDEN=1 cargo test --test proptest_snapshot`.
-//! 4. Integrity: [`snapshot::restore`] never panics on arbitrary or
+//! 3. Integrity: [`snapshot::restore`] never panics on arbitrary or
 //!    corrupted bytes, and any byte-level damage to a v2 image is
 //!    *detected* (the restore errs rather than returning a silently
 //!    wrong machine).
 
 use proptest::prelude::*;
 
-use booting_booster::bb::{BbConfig, BootRequest, CheckpointPhase};
 use booting_booster::sim::{
     snapshot, AccessPattern, DeviceProfile, Machine, MachineConfig, Op, ProcessSpec, SimDuration,
     SimTime,
 };
-use booting_booster::workloads::{profiles, tv_scenario_with, TizenParams};
 
 // ---------------------------------------------------------------------
 // 1. Simulation layer: save/restore mid-run is invisible.
@@ -151,91 +145,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 2. Boot layer: checkpoint + resume matches the uninterrupted run.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// For arbitrary workload seeds, service counts, and suffix
-    /// configurations: checkpoint the full-BB prefix at every phase,
-    /// resume under a (possibly different) suffix config, and the
-    /// timeline matches that config's uninterrupted run exactly.
-    #[test]
-    fn checkpointed_boot_matches_uninterrupted_boot(
-        seed in 0u64..1_000_000,
-        services in 24usize..40,
-        bits in any::<u8>(),
-    ) {
-        let s = tv_scenario_with(
-            profiles::ue48h6200(),
-            TizenParams { services, seed, ..TizenParams::open_source() },
-        );
-        // Same prefix key as the checkpoint config (full), arbitrary
-        // suffix features — the resumable family of one checkpoint.
-        let cfg = BbConfig {
-            deferred_executor: bits & 0x01 != 0,
-            preparser: bits & 0x02 != 0,
-            bb_group: bits & 0x04 != 0,
-            ..BbConfig::full()
-        };
-        for phase in [CheckpointPhase::KernelHandoff] {
-            let ckpt = BootRequest::new(&s)
-                .config(BbConfig::full())
-                .checkpoint_at(phase)
-                .expect("checkpoint");
-            let resumed = BootRequest::new(&s).config(cfg).resume(&ckpt).expect("resume");
-            let straight = BootRequest::new(&s).config(cfg).run().expect("run");
-            prop_assert_eq!(
-                straight.report.boot.completion_time,
-                resumed.report.boot.completion_time
-            );
-            prop_assert_eq!(straight.report.quiesce_time, resumed.report.quiesce_time);
-            prop_assert_eq!(straight.report.rcu, resumed.report.rcu);
-            let a = straight.machine.trace().events();
-            let b = resumed.machine.trace().events();
-            prop_assert_eq!(a.len(), b.len(), "event counts diverge");
-            for (x, y) in a.iter().zip(b) {
-                prop_assert_eq!(x, y, "trace event diverges");
-            }
-        }
-    }
-}
-
-/// A checkpoint holds no plan, so a resume plans the scenario it is
-/// given: a seed-2 Tizen-136 boot resumed from a seed-1 checkpoint under
-/// the same config reads what a fresh seed-2 run reads, not seed 1's
-/// timeline.
-#[test]
-fn resuming_another_seed_plans_that_seed() {
-    let tv136 = |seed| {
-        tv_scenario_with(
-            profiles::ue48h6200(),
-            TizenParams {
-                services: 136,
-                seed,
-                ..TizenParams::open_source()
-            },
-        )
-    };
-    let (one, two) = (tv136(1), tv136(2));
-    let cfg = BbConfig::full();
-    let ckpt = BootRequest::new(&one)
-        .config(cfg)
-        .checkpoint_at(CheckpointPhase::KernelHandoff)
-        .expect("checkpoint");
-    let resumed = BootRequest::new(&two)
-        .config(cfg)
-        .resume(&ckpt)
-        .expect("resume");
-    let straight = BootRequest::new(&two).config(cfg).run().expect("run");
-    assert_eq!(resumed.report.boot_time(), straight.report.boot_time());
-    assert_eq!(resumed.report.quiesce_time, straight.report.quiesce_time);
-    assert_eq!(resumed.report.boot_time().to_string(), "3195.572ms");
-}
-
-// ---------------------------------------------------------------------
-// 3. Golden snapshot: the v1 format, pinned byte for byte.
+// 2. Golden snapshots: v2 pinned byte for byte, v1 still restoring.
 // ---------------------------------------------------------------------
 
 /// A small but section-complete machine: multiple processes in distinct
@@ -354,7 +264,7 @@ fn legacy_v1_snapshot_still_restores() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Integrity: restore never panics, and damage is always detected.
+// 3. Integrity: restore never panics, and damage is always detected.
 // ---------------------------------------------------------------------
 
 proptest! {
