@@ -1274,6 +1274,58 @@ mod tests {
         );
     }
 
+    /// The whole `bb-serve-stats-v1` document after a fixed sequence on
+    /// one worker: a fresh sweep, a repeat served from the dedup cache,
+    /// a dedup-off grid of one cell twice, and a small chaos ticket.
+    /// One worker runs the jobs in order, so every counter is exact.
+    /// Beside the ticket counts, the empty queue and the recoveries
+    /// (each a rejected artifact), every key reads its own value, so a
+    /// swapped key fails.
+    #[test]
+    fn stats_documents_are_pinned_byte_for_byte() {
+        let service = FleetService::start(ServiceConfig::with_workers(1));
+        let run = |client, item| {
+            let t = service.submit(client, item).expect("admitted");
+            service.wait(t).expect("report");
+        };
+        run(1, WorkItem::Sweep(tiny_spec([1, 2, 3])));
+        run(1, WorkItem::Sweep(tiny_spec([1, 2])));
+        let cell = || {
+            crate::spec::tests::tiny_cell("twice")
+                .seeds([4])
+                .conventional_vs_bb()
+        };
+        let twice = SweepSpec::new().cell(cell()).cell(cell()).with_dedup(false);
+        run(2, WorkItem::Sweep(twice));
+        let chaos = crate::spec::tests::tiny_cell("chaos")
+            .seeds([1])
+            .fault_plans(2, 100)
+            .corruption_plans(1, 500)
+            .supervision(Some(crate::Supervision::default()))
+            .fallback(bb_core::FallbackPolicy::default())
+            .conventional_vs_bb();
+        run(3, WorkItem::Chaos(SweepSpec::new().cell(chaos)));
+        assert_eq!(
+            service.stats().to_json(),
+            r#"{
+  "schema": "bb-serve-stats-v1",
+  "workers": 1,
+  "clients": 3,
+  "tickets": {"submitted": 4, "completed": 4, "cancelled": 0},
+  "jobs_executed": 13,
+  "queue": {"depth": 0, "peak": 6},
+  "kernel_sims": 22,
+  "plans_compiled": 8,
+  "plan_cache_hits": 2,
+  "cells_deduped": 7,
+  "restarts": 28,
+  "recoveries": 3,
+  "artifacts_rejected": 3
+}
+"#
+        );
+    }
+
     /// Supervised jobs take their scenario from the ticket's memo, as
     /// plain jobs do: a chaos ticket of one seed, three fault-plan slots
     /// and two corruption slots builds its scenario once.
