@@ -30,7 +30,7 @@
 //!   pricing every recovery as a [`recovery::RecoveryEvent`].
 //! * [`telemetry`] — spans, the metrics snapshot, and the critical-path
 //!   profiler over a finished boot.
-//! * [`error`] — the workspace [`Error`] hierarchy.
+//! * [`error`] — [`Error`], why a boot plan could not be assembled.
 //! * [`report`] — Figure-6-style comparison tables.
 //!
 //! # Examples
@@ -54,7 +54,7 @@ pub mod telemetry;
 
 pub use booster::{Boot, BootRequest, FullBootReport, Scenario};
 pub use config::BbConfig;
-pub use error::{Error, JobError};
+pub use error::Error;
 pub use fallback::{fault_targets, with_supervision, DegradedBoot, FallbackPolicy, FallbackReason};
 pub use miner::{mine, EdgeSlack, MiningReport};
 pub use pipeline::{BootPlanIr, PassDelta, Pipeline, PlanPass, UnitPlan, UnitPlanSlot};

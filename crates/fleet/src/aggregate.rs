@@ -151,17 +151,6 @@ impl Aggregator {
         }
     }
 
-    /// Results accepted so far (filled slots plus failures) — the
-    /// service's progress signal for [`crate::FleetService::poll`].
-    pub fn accepted(&self) -> usize {
-        let filled: usize = self
-            .cells
-            .iter()
-            .map(|c| c.slots.iter().flatten().count())
-            .sum();
-        filled + self.failures.len()
-    }
-
     /// Deterministic totals of the fault columns across every accepted
     /// boot: `(restarts, recoveries, rejected artifacts)`.
     pub(crate) fn fault_totals(&self) -> (usize, usize, usize) {
@@ -935,7 +924,7 @@ mod tests {
             seed: 5,
             kind: FailureKind::Panic("boom".into()),
         }));
-        assert_eq!((agg.accepted(), agg.fault_totals()), (2, (2, 2, 2)));
+        assert_eq!(agg.fault_totals(), (2, 2, 2));
         let (cells, failures) = agg.into_parts();
         assert_eq!(failures, [failure]);
         assert!(

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::aggregate::{percentile, Aggregator, FaultRecord};
 use crate::json;
-use crate::pool::{run_grid, FailureKind, FleetCache, PoolConfig, PoolStats};
+use crate::pool::{run_grid, FleetCache, PoolConfig, PoolStats};
 use crate::service::{ServiceReport, WorkItem};
 use crate::spec::SweepSpec;
 
@@ -138,8 +138,9 @@ pub struct ChaosEvent {
     pub corruption: String,
     /// Scenario seed.
     pub seed: u64,
-    /// Stable reason line (a [`FailureKind`] rendering; degraded boots
-    /// append their [`bb_core::FallbackReason`]).
+    /// Stable reason line: a failed job's [`crate::FailureKind`]
+    /// reason, or the event line of a boot that completed (a degraded
+    /// boot's names its [`bb_core::FallbackReason`]).
     pub reason: String,
 }
 
@@ -344,7 +345,7 @@ pub(crate) fn view(agg: Aggregator) -> ChaosReport {
                 for (si, slot) in slots.iter().enumerate() {
                     let Some(slot) = slot else { continue };
                     for (ki, f) in slot.faults.iter().enumerate() {
-                        let config = cell.config_labels[ki].clone();
+                        let config = &cell.config_labels[ki];
                         let mut push = |reason: String| {
                             events.push(ChaosEvent {
                                 cell: cell.label.clone(),
@@ -355,21 +356,16 @@ pub(crate) fn view(agg: Aggregator) -> ChaosReport {
                             });
                         };
                         if f.rejected > 0 {
-                            let kind = FailureKind::ArtifactRejected {
-                                config: config.clone(),
-                                detail: f.rejection.clone().unwrap_or_default(),
-                            };
-                            push(kind.reason());
+                            let detail = f.rejection.as_deref().unwrap_or_default();
+                            push(format!("artifact rejected ({detail}): {config}"));
                         }
                         if let Some(fb) = &f.degraded {
-                            let kind = FailureKind::Degraded { config };
-                            push(format!("{} ({fb})", kind.reason()));
+                            push(format!("degraded boot: {config} ({fb})"));
                         } else if f.restarts > 0 {
-                            let kind = FailureKind::FaultRecovered {
-                                config,
-                                restarts: f.restarts,
-                            };
-                            push(kind.reason());
+                            push(format!(
+                                "recovered after {} restart(s): {config}",
+                                f.restarts
+                            ));
                         }
                     }
                 }

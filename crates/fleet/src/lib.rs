@@ -55,8 +55,10 @@
 //! interleaving of concurrent clients: results land in slots addressed
 //! by `(cell, plan, corruption, seed)`, statistics are computed in slot order at
 //! finalize, and nothing host-time-dependent (worker timings, queue
-//! depths) enters the report. Pool observability lives separately in
-//! [`PoolStats`] and [`ServiceStats`].
+//! depths) enters the report. Pool observability lives separately, in
+//! one counter set: a ticket's [`PoolStats`], and the service's
+//! [`ServiceStats`], which adds client and ticket counts to a
+//! `PoolStats` of the service's work.
 //!
 //! ```
 //! use bb_fleet::{CellSpec, FleetCache, PoolConfig, SweepSpec, run_sweep};

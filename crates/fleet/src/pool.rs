@@ -261,9 +261,38 @@ pub struct JobOutput {
     pub elapsed: Duration,
 }
 
-/// Why a job produced no samples. The workspace-level
-/// [`bb_core::JobError`], re-exported under the historical fleet name.
-pub use bb_core::JobError as FailureKind;
+/// Why a job produced no samples.
+#[derive(Debug, Clone)]
+pub enum FailureKind {
+    /// The job panicked; the payload message is attached.
+    Panic(String),
+    /// The scenario failed to assemble (graph/transaction error).
+    Boost(String),
+    /// A boot ran to machine quiescence without ever meeting the
+    /// completion definition (a hung boot).
+    Incomplete {
+        /// Label of the config whose boot never completed.
+        config: String,
+    },
+    /// The job finished but blew its wall-clock deadline.
+    DeadlineExceeded {
+        /// How long the job actually took.
+        elapsed: Duration,
+    },
+}
+
+impl FailureKind {
+    /// Stable one-line form for reports. Deliberately excludes
+    /// wall-clock durations so failure output stays deterministic.
+    pub fn reason(&self) -> String {
+        match self {
+            FailureKind::Panic(msg) => format!("panic: {msg}"),
+            FailureKind::Boost(msg) => format!("boost: {msg}"),
+            FailureKind::Incomplete { config } => format!("incomplete boot: {config}"),
+            FailureKind::DeadlineExceeded { .. } => "deadline exceeded".to_owned(),
+        }
+    }
+}
 
 /// A failed job, reported on the failure path instead of aggregated.
 #[derive(Debug, Clone)]
@@ -346,6 +375,15 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
+    /// Adds a finalized ticket's simulation, dedup and fault counters.
+    pub(crate) fn add_ticket(&mut self, ticket: &PoolStats) {
+        self.kernel_sims += ticket.kernel_sims;
+        self.cells_deduped += ticket.cells_deduped;
+        self.restarts += ticket.restarts;
+        self.recoveries += ticket.recoveries;
+        self.artifacts_rejected += ticket.artifacts_rejected;
+    }
+
     /// Jobs per wall-clock second.
     fn jobs_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -733,6 +771,15 @@ pub(crate) mod tests {
 
     pub(crate) fn tiny_spec(seeds: impl IntoIterator<Item = u64>) -> SweepSpec {
         SweepSpec::new().cell(tiny_cell("tiny").seeds(seeds).conventional_vs_bb())
+    }
+
+    #[test]
+    fn failure_reasons_are_stable() {
+        assert_eq!(FailureKind::Panic("boom".into()).reason(), "panic: boom");
+        let late = FailureKind::DeadlineExceeded {
+            elapsed: Duration::from_secs(9),
+        };
+        assert_eq!(late.reason(), "deadline exceeded");
     }
 
     #[test]

@@ -248,10 +248,8 @@ impl std::fmt::Display for WaitError {
 
 /// Service-wide observability counters, from [`FleetService::stats`].
 /// Everything here is host-side: reports never depend on it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
-    /// Worker thread count.
-    pub workers: usize,
     /// Client lanes opened. A lane opens at a client's first submission
     /// and closes when the client disconnects, so an id that submits
     /// again after [`FleetService::disconnect`] counts twice. The server
@@ -265,28 +263,13 @@ pub struct ServiceStats {
     /// Tickets cancelled before finalizing, by [`FleetService::cancel`]
     /// or by their client's [`FleetService::disconnect`].
     pub tickets_cancelled: u64,
-    /// Jobs executed (completed + failed, across all tickets).
-    pub jobs_executed: u64,
     /// Jobs queued right now.
     pub queue_depth: usize,
-    /// Deepest the queue has ever been.
-    pub queue_peak: usize,
-    /// Kernel-phase simulations executed across all tickets.
-    pub kernel_sims: u64,
-    /// Boot plans compiled in the service's shared cache.
-    pub plans_compiled: u64,
-    /// Boots that reused an already-compiled plan.
-    pub plan_cache_hits: u64,
-    /// Boots served from the dedup cache — including *cross-client*
-    /// hits, when one client's grid overlaps another's — or from a
-    /// chaos ticket's outcome memo.
-    pub cells_deduped: u64,
-    /// Supervised respawns across all tickets.
-    pub restarts: u64,
-    /// Artifact recoveries across all tickets.
-    pub recoveries: u64,
-    /// Artifacts the integrity chain rejected across all tickets.
-    pub artifacts_rejected: u64,
+    /// The service's work in a ticket's counters: every job executed,
+    /// the deepest the queue has been, the shared cache's plan counters,
+    /// and the other counts summed over finalized tickets (cross-client
+    /// dedup hits included). `wall` and `peak_events` stay zero.
+    pub totals: PoolStats,
 }
 
 impl ServiceStats {
@@ -294,24 +277,25 @@ impl ServiceStats {
     /// stamped first — how a running server is observed without
     /// restarting it.
     pub fn to_json(&self) -> String {
+        let t = &self.totals;
         let mut out = json::open_document(json::SCHEMA_SERVE_STATS);
         out.push_str(&format!(
             "  \"workers\": {},\n  \"clients\": {},\n  \"tickets\": {{\"submitted\": {}, \"completed\": {}, \"cancelled\": {}}},\n  \"jobs_executed\": {},\n  \"queue\": {{\"depth\": {}, \"peak\": {}}},\n  \"kernel_sims\": {},\n  \"plans_compiled\": {},\n  \"plan_cache_hits\": {},\n  \"cells_deduped\": {},\n  \"restarts\": {},\n  \"recoveries\": {},\n  \"artifacts_rejected\": {}\n}}\n",
-            self.workers,
+            t.workers,
             self.clients,
             self.tickets_submitted,
             self.tickets_completed,
             self.tickets_cancelled,
-            self.jobs_executed,
+            t.jobs,
             self.queue_depth,
-            self.queue_peak,
-            self.kernel_sims,
-            self.plans_compiled,
-            self.plan_cache_hits,
-            self.cells_deduped,
-            self.restarts,
-            self.recoveries,
-            self.artifacts_rejected,
+            t.max_queue_depth,
+            t.kernel_sims,
+            t.plans_compiled,
+            t.plan_cache_hits,
+            t.cells_deduped,
+            t.restarts,
+            t.recoveries,
+            t.artifacts_rejected,
         ));
         out
     }
@@ -481,19 +465,15 @@ impl Ticket {
     }
 
     /// Turns a running ticket into its report, adds it to the service
-    /// `totals`, and returns its plan for the caller to drop after
+    /// `counters`, and returns its plan for the caller to drop after
     /// releasing the state lock.
-    fn finalize(
-        &mut self,
-        plans: PlanCacheStats,
-        per_worker: &[WorkerStats],
-        totals: &mut ServiceStats,
-    ) -> Arc<Plan> {
+    fn finalize(&mut self, plans: PlanCacheStats, counters: &mut ServiceStats) -> Arc<Plan> {
         let Phase::Running { plan, agg, .. } = std::mem::replace(&mut self.phase, Phase::Cancelled)
         else {
             unreachable!("only running tickets finalize");
         };
         let (restarts, recoveries, artifacts_rejected) = agg.fault_totals();
+        let per_worker = &counters.totals.per_worker;
         let stats = PoolStats {
             workers: per_worker.len(),
             wall: self.started.elapsed(),
@@ -510,12 +490,8 @@ impl Ticket {
             per_worker: per_worker.to_vec(),
             ..std::mem::take(&mut self.stats)
         };
-        totals.tickets_completed += 1;
-        totals.kernel_sims += stats.kernel_sims as u64;
-        totals.cells_deduped += stats.cells_deduped as u64;
-        totals.restarts += stats.restarts as u64;
-        totals.recoveries += stats.recoveries as u64;
-        totals.artifacts_rejected += stats.artifacts_rejected as u64;
+        counters.tickets_completed += 1;
+        counters.totals.add_ticket(&stats);
         self.phase = Phase::Done(if self.chaos {
             ServiceReport::Chaos(ChaosOutcome {
                 report: chaos::view(agg),
@@ -539,10 +515,10 @@ struct Lane {
 }
 
 /// The service's whole state: the ticket table, the client lanes, the
-/// round-robin cursor, and the per-worker and service counters. It has
-/// no thread, lock or cache inside: [`FleetService`] keeps it behind one
-/// mutex and makes each call one transition, taking plan-cache numbers
-/// as arguments, and the unit tests drive it directly.
+/// round-robin cursor, and the service counters. It has no thread, lock
+/// or cache inside: [`FleetService`] keeps it behind one mutex and makes
+/// each call one transition, taking plan-cache numbers as arguments,
+/// and the unit tests drive it directly.
 #[derive(Clone)]
 struct State {
     /// Maximum jobs queued across all clients.
@@ -554,8 +530,8 @@ struct State {
     /// Round-robin cursor over `lanes`.
     next_lane: usize,
     next_ticket: TicketId,
-    per_worker: Vec<WorkerStats>,
-    /// The cumulative counters; [`State::stats`] fills in the gauges.
+    /// The cumulative counters, per-worker ones included;
+    /// [`State::stats`] fills in the gauges.
     counters: ServiceStats,
     shutdown: bool,
 }
@@ -570,9 +546,12 @@ impl State {
             lanes: Vec::new(),
             next_lane: 0,
             next_ticket: 1,
-            per_worker: vec![WorkerStats::default(); workers],
             counters: ServiceStats {
-                workers,
+                totals: PoolStats {
+                    workers,
+                    per_worker: vec![WorkerStats::default(); workers],
+                    ..PoolStats::default()
+                },
                 ..ServiceStats::default()
             },
             shutdown: false,
@@ -628,12 +607,13 @@ impl State {
         lane.tasks
             .extend((0..total).map(|index| Task { ticket: id, index }));
         self.counters.tickets_submitted += 1;
-        self.counters.queue_peak = self.counters.queue_peak.max(self.depth());
+        let depth = self.depth();
+        self.counters.totals.max_queue_depth = self.counters.totals.max_queue_depth.max(depth);
         if total == 0 {
             // An empty grid finalizes immediately, matching the one-shot
             // entry points (zero boots, empty report).
             let plans = ticket.plans_before;
-            ticket.finalize(plans, &self.per_worker, &mut self.counters);
+            ticket.finalize(plans, &mut self.counters);
         }
         self.tickets.insert(id, ticket);
         Ok(id)
@@ -670,7 +650,7 @@ impl State {
         result: JobResult,
         plans: PlanCacheStats,
     ) -> Option<Arc<Plan>> {
-        let ws = &mut self.per_worker[worker];
+        let ws = &mut self.counters.totals.per_worker[worker];
         ws.jobs += 1;
         ws.busy += busy;
         let depth = self.depth();
@@ -687,11 +667,11 @@ impl State {
         }
         agg.accept_job(result);
         *remaining -= 1;
-        self.counters.jobs_executed += 1;
+        self.counters.totals.jobs += 1;
         if *remaining > 0 {
             return None;
         }
-        Some(t.finalize(plans, &self.per_worker, &mut self.counters))
+        Some(t.finalize(plans, &mut self.counters))
     }
 
     /// Hands over a finished ticket's outcome and forgets the ticket;
@@ -770,12 +750,11 @@ impl State {
     }
 
     fn stats(&self, plans: PlanCacheStats) -> ServiceStats {
-        ServiceStats {
-            queue_depth: self.depth(),
-            plans_compiled: plans.plans_compiled,
-            plan_cache_hits: plans.hits,
-            ..self.counters.clone()
-        }
+        let mut stats = self.counters.clone();
+        stats.queue_depth = self.depth();
+        stats.totals.plans_compiled = plans.plans_compiled;
+        stats.totals.plan_cache_hits = plans.hits;
+        stats
     }
 }
 
@@ -845,7 +824,7 @@ impl FleetService {
     /// do) share one cache.
     pub fn with_cache(config: ServiceConfig, cache: Arc<FleetCache>) -> Self {
         let state = State::new(&config);
-        let workers = state.per_worker.len();
+        let workers = state.counters.totals.per_worker.len();
         let inner = Arc::new(Inner {
             cache,
             state: Mutex::new(state),
@@ -1006,7 +985,7 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.tickets_submitted, 1);
         assert_eq!(stats.tickets_completed, 1);
-        assert_eq!(stats.jobs_executed, 2);
+        assert_eq!(stats.totals.jobs, 2);
         assert_eq!(stats.clients, 1);
     }
 
@@ -1225,7 +1204,7 @@ mod tests {
         assert_eq!(ra.stats.cells_deduped, 0);
         assert_eq!(rb.stats.cells_deduped, 4, "2 jobs x 2 configs, all hits");
         assert_eq!(rb.stats.kernel_sims, 0, "nothing re-simulates");
-        assert_eq!(service.stats().cells_deduped, 4);
+        assert_eq!(service.stats().totals.cells_deduped, 4);
     }
 
     #[test]

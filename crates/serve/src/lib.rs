@@ -29,6 +29,6 @@ pub mod wire;
 pub use client::{Client, ClientError, JobResult};
 pub use server::{BindAddr, Server, StopHandle};
 pub use wire::{
-    check_cores, check_services, parse_request, render_err, render_ok, resolve_profiles, JobKind,
-    Request, SweepArgs,
+    check_services, parse_request, render_err, render_ok, resolve_profiles, JobKind, Request,
+    SweepArgs,
 };

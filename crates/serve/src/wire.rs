@@ -3,8 +3,8 @@
 //!
 //! One job description — [`SweepArgs`] — backs three surfaces at once:
 //!
-//! 1. the `bbsim sweep` / `bbsim chaos` / `bbsim suspend` CLI flags
-//!    (via [`SweepArgs::parse_flag`]),
+//! 1. the `bbsim sweep` / `bbsim chaos` CLI flags (via
+//!    [`SweepArgs::parse_flag`]),
 //! 2. the single-line JSON a client sends to `bbsim serve`
 //!    ([`SweepArgs::to_wire_json`], decoded by [`parse_request`]), and
 //! 3. the [`SweepSpec`] grid the fleet service executes
@@ -29,24 +29,19 @@ use bb_core::{BbConfig, FallbackPolicy};
 use bb_fleet::json::{self, Json};
 use bb_fleet::{CellSpec, Supervision, SweepSpec, TicketId, WorkItem};
 use bb_init::{RestartPolicy, MAX_SPAN_MS, MAX_START_LIMIT_BURST};
-use bb_sim::MAX_CORES;
 use bb_workloads::{profiles, MachineProfile, TizenParams};
 
 // ---------------------------------------------------------------------
 // Job description
 // ---------------------------------------------------------------------
 
-/// Which grid a job expands to (or, for `Suspend`, which local
-/// command shares the parser).
+/// Which grid a job expands to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     /// A plain boot sweep (`bbsim sweep`, [`WorkItem::Sweep`]).
     Sweep,
     /// A fault-injection sweep (`bbsim chaos`, [`WorkItem::Chaos`]).
     Chaos,
-    /// The local suspend-to-RAM comparison (`bbsim suspend`). Not
-    /// submittable: it boots and snapshots one machine in-process.
-    Suspend,
 }
 
 impl JobKind {
@@ -55,7 +50,6 @@ impl JobKind {
         match self {
             JobKind::Sweep => "sweep",
             JobKind::Chaos => "chaos",
-            JobKind::Suspend => "suspend",
         }
     }
 }
@@ -68,14 +62,13 @@ impl std::str::FromStr for JobKind {
         match s {
             "sweep" => Ok(JobKind::Sweep),
             "chaos" => Ok(JobKind::Chaos),
-            "suspend" => Ok(JobKind::Suspend),
-            other => Err(format!("unknown job kind {other:?} (sweep|chaos|suspend)")),
+            other => Err(format!("unknown job kind {other:?} (sweep|chaos)")),
         }
     }
 }
 
-/// One job description: every knob of the sweep/chaos/suspend grid,
-/// with the CLI defaults baked in. Field meanings and defaults match
+/// One job description: every knob of the sweep/chaos grid, with the
+/// CLI defaults baked in. Field meanings and defaults match
 /// the historical `bbsim` flags exactly (seeds defaults to 20 for
 /// sweeps and 10 for chaos; chaos' deadline defaults to the
 /// [`FallbackPolicy`] supervisor deadline).
@@ -83,19 +76,13 @@ impl std::str::FromStr for JobKind {
 pub struct SweepArgs {
     /// Job kind; gates which flags/fields apply.
     pub kind: JobKind,
-    /// `--profiles NAMES|all` (sweep/chaos).
+    /// `--profiles NAMES|all`.
     pub profiles: String,
-    /// `--scenario tv|tv136|camera` (suspend).
-    pub scenario: String,
-    /// `--services N`; `None` means the scenario default (136 for
-    /// generated grids).
+    /// `--services N`; `None` means 136.
     pub services: Option<usize>,
-    /// `--cores N` (suspend).
-    pub cores: Option<usize>,
-    /// `--seeds N`: seeds per cell (sweep/chaos).
+    /// `--seeds N`: seeds per cell.
     pub seeds: u64,
-    /// `--seed N`: the seed base (sweep/chaos) or the scenario seed
-    /// (suspend).
+    /// `--seed N`: the seed base.
     pub seed: Option<u64>,
     /// `--features all|none|LIST` (sweep).
     pub features: String,
@@ -129,12 +116,10 @@ impl SweepArgs {
         SweepArgs {
             kind,
             profiles: "ue48h6200".into(),
-            scenario: "tv".into(),
             services: None,
-            cores: None,
             seeds: match kind {
                 JobKind::Chaos => 10,
-                _ => 20,
+                JobKind::Sweep => 20,
             },
             seed: None,
             features: "all".into(),
@@ -166,20 +151,15 @@ impl SweepArgs {
             raw.parse()
                 .map_err(|_| format!("bad value {raw:?} for {name}"))
         }
-        let grid = matches!(self.kind, JobKind::Sweep | JobKind::Chaos);
         match (flag, self.kind) {
-            ("--profiles", _) if grid => self.profiles = value("--profiles")?,
-            ("--scenario", JobKind::Suspend) => self.scenario = value("--scenario")?,
+            ("--profiles", _) => self.profiles = value("--profiles")?,
             ("--services", _) => {
                 self.services = Some(check_services(num("--services", value("--services")?)?)?)
             }
-            ("--cores", JobKind::Suspend) => {
-                self.cores = Some(check_cores(num("--cores", value("--cores")?)?)?)
-            }
-            ("--seeds", _) if grid => self.seeds = num("--seeds", value("--seeds")?)?,
+            ("--seeds", _) => self.seeds = num("--seeds", value("--seeds")?)?,
             ("--seed", _) => self.seed = Some(num("--seed", value("--seed")?)?),
             ("--features", JobKind::Sweep) => self.features = value("--features")?,
-            ("--deadline-ms", _) if grid => {
+            ("--deadline-ms", _) => {
                 let ms = num("--deadline-ms", value("--deadline-ms")?)?;
                 self.deadline_ms = Some(self.check_deadline_ms(ms)?)
             }
@@ -217,17 +197,14 @@ impl SweepArgs {
             }
         }
         format!(
-            "{{\"kind\": \"{}\", \"profiles\": \"{}\", \"scenario\": \"{}\", \
-             \"services\": {}, \"cores\": {}, \"seeds\": {}, \"seed\": {}, \
-             \"features\": \"{}\", \"deadline_ms\": {}, \"dedup\": {}, \
-             \"metrics\": {}, \"plans\": {}, \"plan_seed\": {}, \"corruption\": {}, \
-             \"corruption_seed\": {}, \"restart\": \"{}\", \"restart_sec_ms\": {}, \
-             \"burst\": {}}}",
+            "{{\"kind\": \"{}\", \"profiles\": \"{}\", \"services\": {}, \
+             \"seeds\": {}, \"seed\": {}, \"features\": \"{}\", \"deadline_ms\": {}, \
+             \"dedup\": {}, \"metrics\": {}, \"plans\": {}, \"plan_seed\": {}, \
+             \"corruption\": {}, \"corruption_seed\": {}, \"restart\": \"{}\", \
+             \"restart_sec_ms\": {}, \"burst\": {}}}",
             self.kind.as_str(),
             json::escape(&self.profiles),
-            json::escape(&self.scenario),
             opt(&self.services),
-            opt(&self.cores),
             self.seeds,
             opt(&self.seed),
             json::escape(&self.features),
@@ -247,15 +224,15 @@ impl SweepArgs {
     /// Decodes a wire job object. Missing fields take the `new(kind)`
     /// defaults, so older clients can omit knobs they don't set. A key
     /// that [`to_wire_json`](Self::to_wire_json) never writes is
-    /// refused, so a misspelled knob cannot run the default grid;
-    /// `"fork"`, which older clients sent, is the one key ignored.
+    /// refused, so a misspelled knob cannot run the default grid.
+    /// `"fork"`, `"scenario"` and `"cores"`, which older clients sent
+    /// and no grid reads, are ignored.
     fn from_wire(v: &Json) -> Result<Self, String> {
-        const KEYS: [&str; 18] = [
+        const IGNORED: [&str; 3] = ["fork", "scenario", "cores"];
+        const KEYS: [&str; 16] = [
             "kind",
             "profiles",
-            "scenario",
             "services",
-            "cores",
             "seeds",
             "seed",
             "features",
@@ -273,7 +250,7 @@ impl SweepArgs {
         if let Json::Obj(fields) = v {
             if let Some((key, _)) = fields
                 .iter()
-                .find(|(k, _)| k != "fork" && !KEYS.contains(&k.as_str()))
+                .find(|(k, _)| !KEYS.contains(&k.as_str()) && !IGNORED.contains(&k.as_str()))
             {
                 return Err(format!("unknown job field {key:?}"));
             }
@@ -312,11 +289,9 @@ impl SweepArgs {
             }
         }
         str_field(v, "profiles", &mut args.profiles)?;
-        str_field(v, "scenario", &mut args.scenario)?;
         str_field(v, "features", &mut args.features)?;
         str_field(v, "restart", &mut args.restart)?;
         args.services = uint(v, "services")?.map(|n| n as usize);
-        args.cores = uint(v, "cores")?.map(|n| n as usize);
         args.seed = uint(v, "seed")?;
         args.deadline_ms = match uint(v, "deadline_ms")? {
             Some(ms) => Some(args.check_deadline_ms(ms)?),
@@ -462,13 +437,11 @@ impl SweepArgs {
 
     /// The submittable [`WorkItem`] this job expands to.
     pub fn to_work_item(&self) -> Result<WorkItem, String> {
-        match self.kind {
-            JobKind::Sweep => Ok(WorkItem::Sweep(self.sweep_spec()?)),
-            JobKind::Chaos => Ok(WorkItem::Chaos(self.sweep_spec()?)),
-            JobKind::Suspend => {
-                Err("suspend runs locally; the serve queue accepts sweep and chaos jobs".into())
-            }
-        }
+        let spec = self.sweep_spec()?;
+        Ok(match self.kind {
+            JobKind::Sweep => WorkItem::Sweep(spec),
+            JobKind::Chaos => WorkItem::Chaos(spec),
+        })
     }
 }
 
@@ -494,17 +467,6 @@ pub fn check_services(services: usize) -> Result<usize, String> {
         ));
     }
     Ok(services)
-}
-
-/// Checks a `--cores` count: the simulator tracks idle cores in one
-/// 64-bit word.
-pub fn check_cores(cores: usize) -> Result<usize, String> {
-    if !(1..=MAX_CORES).contains(&cores) {
-        return Err(format!(
-            "--cores {cores} is out of range: a simulated machine has 1 to {MAX_CORES} cores"
-        ));
-    }
-    Ok(cores)
 }
 
 /// Checks a chaos job's `--burst` (a CLI flag or a wire job's field)
@@ -710,9 +672,13 @@ mod tests {
 
     #[test]
     fn wire_defaults_match_the_cli_defaults() {
-        // An older client's `"fork"` key is ignored: its job runs the
-        // plain sweep.
-        for line in [r#"{"kind": "sweep"}"#, r#"{"kind": "sweep", "fork": true}"#] {
+        // An older client's `"fork"`, `"scenario"` and `"cores"` keys
+        // are ignored: its job runs the plain sweep.
+        for line in [
+            r#"{"kind": "sweep"}"#,
+            r#"{"kind": "sweep", "fork": true}"#,
+            r#"{"kind": "sweep", "scenario": "tv", "cores": null}"#,
+        ] {
             let job = SweepArgs::from_wire(&json::parse(line).unwrap()).unwrap();
             assert_eq!(job, SweepArgs::new(JobKind::Sweep), "{line}");
         }
@@ -738,6 +704,10 @@ mod tests {
             (
                 r#"{"kind": "chaos", "restart": null}"#,
                 r#"job field "restart" must be a string"#,
+            ),
+            (
+                r#"{"kind": "suspend"}"#,
+                r#"unknown job kind "suspend" (sweep|chaos)"#,
             ),
         ] {
             let got = SweepArgs::from_wire(&json::parse(line).unwrap());
@@ -778,12 +748,6 @@ mod tests {
         for bad in ["23", "20001", "100000000000"] {
             let err = sweep.parse_flag("--services", &mut feed(bad)).unwrap_err();
             assert!(err.contains("out of range"), "{err}");
-        }
-        let mut suspend = SweepArgs::new(JobKind::Suspend);
-        assert_eq!(suspend.parse_flag("--cores", &mut feed("64")), Ok(true));
-        assert_eq!(suspend.cores, Some(64));
-        for bad in ["0", "65"] {
-            assert!(suspend.parse_flag("--cores", &mut feed(bad)).is_err());
         }
         // A wire job's count meets the same check when its grid is built.
         sweep.services = Some(100_000_000_000);
@@ -847,8 +811,6 @@ mod tests {
         );
         job.restart = "sometimes".into();
         assert!(job.sweep_spec().is_err());
-        // Suspend jobs never reach the queue.
-        assert!(SweepArgs::new(JobKind::Suspend).to_work_item().is_err());
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use bb_core::{ParseCostParams, Scenario, UnitPlanSlot};
 use bb_init::{ManagerCosts, ServiceBody, Unit, UnitKind, UnitName, WorkloadMap};
-use bb_kernel::synthetic_catalog;
 use bb_sim::{DeviceId, OpsBuilder, SimDuration};
 
 use crate::profiles::MachineProfile;
@@ -31,7 +30,7 @@ fn name_hash(name: &str) -> u64 {
 /// Synthesizes a plausible body for a unit: mounts do metadata I/O,
 /// sockets are nearly free, services mix CPU, flash reads, and a few
 /// `synchronize_rcu` calls, all scaled deterministically by name.
-pub fn default_body(unit: &Unit, device: DeviceId) -> ServiceBody {
+fn default_body(unit: &Unit, device: DeviceId) -> ServiceBody {
     let h = name_hash(unit.name.as_str());
     match unit.name.kind() {
         UnitKind::Mount => ServiceBody {
@@ -103,20 +102,6 @@ pub fn custom_scenario(
     }
 }
 
-/// Convenience: empty module catalog variant with TV-scale `.ko` set,
-/// for users who want the On-demand Modularizer effect too.
-pub fn custom_scenario_with_modules(
-    profile: MachineProfile,
-    units: Vec<Unit>,
-    target: &str,
-    completion: Vec<UnitName>,
-    module_count: usize,
-) -> Scenario {
-    let mut s = custom_scenario(profile, units, target, completion);
-    s.modules = Arc::new(synthetic_catalog(module_count));
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,20 +160,5 @@ mod tests {
     #[should_panic(expected = "completion definition required")]
     fn empty_completion_rejected() {
         custom_scenario(profiles::ue48h6200(), units(), "boot.target", vec![]);
-    }
-
-    #[test]
-    fn modules_variant_includes_catalog() {
-        let s = custom_scenario_with_modules(
-            profiles::ue48h6200(),
-            units(),
-            "boot.target",
-            vec![UnitName::new("app.service")],
-            50,
-        );
-        assert_eq!(s.modules.len(), 50);
-        let conv = boost(&s, &BbConfig::conventional()).expect("boots");
-        let bb = boost(&s, &BbConfig::full()).expect("boots");
-        assert!(bb.boot_time() <= conv.boot_time());
     }
 }

@@ -12,7 +12,7 @@ pub mod profiles;
 pub mod scenario;
 pub mod tizen;
 
-pub use custom::{custom_scenario, custom_scenario_with_modules, default_body};
+pub use custom::custom_scenario;
 pub use profiles::MachineProfile;
 pub use scenario::{
     camera_scenario, tv_kernel_plan, tv_scenario, tv_scenario_open_source, tv_scenario_with,

@@ -13,6 +13,10 @@ run() {
 }
 
 run cargo build --release --workspace
+# The benchmark builds against the library with its committed lock: an
+# API it calls that breaks, or a dependency edge its lock lacks, fails
+# here instead of in a benchmark run.
+run cargo build --release --locked --manifest-path perfbench/Cargo.toml
 run cargo test -q --workspace
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings

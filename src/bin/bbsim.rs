@@ -104,9 +104,8 @@ use booting_booster::fleet::{
 use booting_booster::init::{
     blame, parse_unit_dir_with_warnings, time_summary, Bootchart, UnitGraph, UnitName,
 };
-use booting_booster::serve::{
-    check_cores, check_services, BindAddr, Client, JobKind, Server, SweepArgs,
-};
+use booting_booster::serve::{check_services, BindAddr, Client, JobKind, Server, SweepArgs};
+use booting_booster::sim::MAX_CORES;
 use booting_booster::workloads::{
     camera_scenario, custom_scenario, profiles, tv_scenario, tv_scenario_open_source,
     tv_scenario_with, TizenParams,
@@ -160,7 +159,9 @@ fn usage() -> ! {
     exit(2)
 }
 
-fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
+/// Parses a single boot's command line or, with `suspend`, a `bbsim
+/// suspend` one, which takes the scenario flags and `--json` only.
+fn parse_args(mut it: impl Iterator<Item = String>, suspend: bool) -> Args {
     let mut args = Args {
         scenario: "tv".into(),
         units_dir: None,
@@ -187,33 +188,39 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
                 usage()
             })
         };
-        match flag.as_str() {
-            "--scenario" => args.scenario = value("--scenario"),
-            "--units" => args.units_dir = Some(value("--units")),
-            "--target" => {
+        match (flag.as_str(), suspend) {
+            ("--scenario", _) => args.scenario = value("--scenario"),
+            ("--services", _) => {
+                args.services = Some(bounded("--services", &value("--services"), check_services))
+            }
+            ("--cores", _) => args.cores = Some(bounded("--cores", &value("--cores"), check_cores)),
+            ("--seed", _) => args.seed = Some(number("--seed", &value("--seed"))),
+            ("--json", _) => args.json = true,
+            ("--units", false) => args.units_dir = Some(value("--units")),
+            ("--target", false) => {
                 args.target = value("--target");
                 if let Err(e) = UnitName::parse(&args.target) {
                     eprintln!("error: --target: {e}");
                     usage()
                 }
             }
-            "--completion" => args.completion = Some(value("--completion")),
-            "--features" => args.features = value("--features"),
-            "--services" => args.services = Some(bounded(&value("--services"), check_services)),
-            "--cores" => args.cores = Some(bounded(&value("--cores"), check_cores)),
-            "--seed" => args.seed = Some(value("--seed").parse().unwrap_or_else(|_| usage())),
-            "--compare" => args.compare = true,
-            "--explain" => args.explain = true,
-            "--json" => args.json = true,
-            "--profile" => args.profile = true,
-            "--metrics" => args.metrics = true,
-            "--chart" => args.chart = Some(value("--chart")),
-            "--dot" => args.dot = Some(value("--dot")),
-            "--trace" => args.trace = Some(value("--trace")),
-            "--blame" => args.blame = value("--blame").parse().unwrap_or_else(|_| usage()),
-            "--help" | "-h" => usage(),
-            other => {
+            ("--completion", false) => args.completion = Some(value("--completion")),
+            ("--features", false) => args.features = value("--features"),
+            ("--compare", false) => args.compare = true,
+            ("--explain", false) => args.explain = true,
+            ("--profile", false) => args.profile = true,
+            ("--metrics", false) => args.metrics = true,
+            ("--chart", false) => args.chart = Some(value("--chart")),
+            ("--dot", false) => args.dot = Some(value("--dot")),
+            ("--trace", false) => args.trace = Some(value("--trace")),
+            ("--blame", false) => args.blame = number("--blame", &value("--blame")),
+            ("--help" | "-h", _) => usage(),
+            (other, false) => {
                 eprintln!("unknown flag {other}");
+                usage()
+            }
+            (other, true) => {
+                eprintln!("unknown suspend flag {other}");
                 usage()
             }
         }
@@ -221,13 +228,44 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
     args
 }
 
-/// Parses a count and checks its range, or prints usage and exits 2.
-fn bounded(raw: &str, check: fn(usize) -> Result<usize, String>) -> usize {
-    let n = raw.parse().unwrap_or_else(|_| usage());
-    check(n).unwrap_or_else(|e| {
+/// Parses `flag`'s value, or prints the bad value and usage and exits 2.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("error: bad value {raw:?} for {flag}");
+        usage()
+    })
+}
+
+/// Parses a count and checks its range, or prints the error and usage and exits 2.
+fn bounded(flag: &str, raw: &str, check: fn(usize) -> Result<usize, String>) -> usize {
+    check(number(flag, raw)).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         usage()
     })
+}
+
+/// Checks a `--cores` count: the simulator tracks idle cores in one
+/// 64-bit word.
+fn check_cores(cores: usize) -> Result<usize, String> {
+    if !(1..=MAX_CORES).contains(&cores) {
+        return Err(format!(
+            "--cores {cores} is out of range: a simulated machine has 1 to {MAX_CORES} cores"
+        ));
+    }
+    Ok(cores)
+}
+
+/// Parses a `--tolerance` percentage, which must be finite and not
+/// negative, or prints the error and usage and exits 2.
+fn parse_tolerance(raw: &str) -> f64 {
+    let pct: f64 = number("--tolerance", raw);
+    if !(pct.is_finite() && pct >= 0.0) {
+        eprintln!(
+            "error: --tolerance {raw} is out of range: not a finite, non-negative percentage"
+        );
+        usage()
+    }
+    pct
 }
 
 fn parse_features(spec: &str) -> BbConfig {
@@ -700,7 +738,7 @@ struct LocalFlags {
     tolerance: f64,
 }
 
-/// Parses a sweep/chaos/suspend command line: wire flags go through
+/// Parses a sweep/chaos command line: wire flags go through
 /// [`SweepArgs::parse_flag`]; whatever it doesn't claim is matched
 /// against the client-side flags here.
 fn parse_job_args(kind: JobKind, mut it: impl Iterator<Item = String>) -> (SweepArgs, LocalFlags) {
@@ -726,12 +764,9 @@ fn parse_job_args(kind: JobKind, mut it: impl Iterator<Item = String>) -> (Sweep
             })
         };
         match (flag.as_str(), kind) {
-            ("--workers", JobKind::Sweep | JobKind::Chaos) => {
+            ("--workers", _) => {
                 local.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()))
             }
-            // suspend's --json is a mode switch (print to stdout);
-            // sweep/chaos take a destination path.
-            ("--json", JobKind::Suspend) => local.json = Some("-".into()),
             ("--json", _) => local.json = Some(value("--json")),
             ("--metrics", JobKind::Sweep) => {
                 job.metrics = true;
@@ -739,7 +774,7 @@ fn parse_job_args(kind: JobKind, mut it: impl Iterator<Item = String>) -> (Sweep
             }
             ("--baseline", JobKind::Sweep) => local.baseline = Some(value("--baseline")),
             ("--tolerance", JobKind::Sweep) => {
-                local.tolerance = value("--tolerance").parse().unwrap_or_else(|_| usage())
+                local.tolerance = parse_tolerance(&value("--tolerance"))
             }
             ("--help" | "-h", _) => usage(),
             (other, _) => {
@@ -904,31 +939,11 @@ fn suspend_json(
     out
 }
 
-fn run_suspend_cmd(job: SweepArgs, local: LocalFlags) {
+fn run_suspend_cmd(args: Args) {
     use booting_booster::kernel::{StandbyPolicy, SuspendToRam};
     use booting_booster::sim::snapshot;
 
-    let json = local.json.is_some();
-    let boot_args = Args {
-        scenario: job.scenario,
-        units_dir: None,
-        target: "boot.target".into(),
-        completion: None,
-        features: "all".into(),
-        services: job.services,
-        cores: job.cores,
-        seed: job.seed,
-        compare: false,
-        explain: false,
-        json,
-        profile: false,
-        metrics: false,
-        chart: None,
-        dot: None,
-        trace: None,
-        blame: 0,
-    };
-    let scenario = build_scenario(&boot_args);
+    let scenario = build_scenario(&args);
 
     // The image below is the whole booted machine, core spans included,
     // so the boots record them and the reported image size counts them.
@@ -961,7 +976,7 @@ fn run_suspend_cmd(job: SweepArgs, local: LocalFlags) {
         .simulate_resume(&mut resumed)
         .resume_time();
 
-    if json {
+    if args.json {
         print!(
             "{}",
             suspend_json(&scenario, bytes.len(), resume, bb_boot, conv_boot)
@@ -1124,7 +1139,7 @@ fn run_submit_cmd(mut it: std::iter::Peekable<impl Iterator<Item = String>>) {
             }
             "--baseline" if kind == JobKind::Sweep => baseline = Some(value("--baseline")),
             "--tolerance" if kind == JobKind::Sweep => {
-                tolerance = value("--tolerance").parse().unwrap_or_else(|_| usage())
+                tolerance = parse_tolerance(&value("--tolerance"))
             }
             "--stats" => stats = true,
             "--shutdown" => shutdown = true,
@@ -1199,8 +1214,7 @@ fn main() {
         }
         Some("suspend") => {
             argv.next();
-            let (job, local) = parse_job_args(JobKind::Suspend, argv);
-            run_suspend_cmd(job, local);
+            run_suspend_cmd(parse_args(argv, true));
         }
         Some("serve") => {
             argv.next();
@@ -1210,6 +1224,6 @@ fn main() {
             argv.next();
             run_submit_cmd(argv);
         }
-        _ => run_boot(parse_args(argv)),
+        _ => run_boot(parse_args(argv, false)),
     }
 }

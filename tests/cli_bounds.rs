@@ -1,6 +1,7 @@
 //! `bbsim` refuses a `--services` or `--cores` count outside what the
 //! simulator can build, a chaos `--burst`, `--restart-sec-ms` or
-//! `--deadline-ms` past its cap, and a `--target` that is no unit name,
+//! `--deadline-ms` past its cap, a `--tolerance` that is not a finite,
+//! non-negative percentage, and a `--target` that is no unit name,
 //! with a usage message and exit status 2, before anything is sized or
 //! planned by it: no panic, no abort on a failed allocation. A `--completion`
 //! unit the boot can never reach fails planning instead: exit status 1
@@ -56,6 +57,7 @@ fn out_of_range_counts_print_usage_and_exit_2() {
         (&["--cores", "65"], out_of_range),
         (&["--cores", "100000000000"], out_of_range),
         (&["suspend", "--cores", "0"], out_of_range),
+        (&["suspend", "--cores", "65"], out_of_range),
         (&["--services", "23"], out_of_range),
         (&["--services", "100000000000"], out_of_range),
         (&["sweep", "--services", "100000000000"], out_of_range),
@@ -76,6 +78,21 @@ fn out_of_range_supervision_knobs_print_usage_and_exit_2() {
         ),
         (&["chaos", "--deadline-ms", "20000000000000"], out_of_range),
         (&["submit", "chaos", "--burst", "4294967295"], out_of_range),
+    ]);
+}
+
+/// A NaN bound passes every drift and a negative one flags an
+/// unchanged config. `submit` parses all its flags before it connects,
+/// so it needs no server to refuse one.
+#[test]
+fn bad_tolerances_print_usage_and_exit_2() {
+    let out_of_range = "is out of range: not a finite, non-negative percentage";
+    refused(&[
+        (&["sweep", "--tolerance", "nan"], out_of_range),
+        (&["sweep", "--tolerance", "-5"], out_of_range),
+        (&["sweep", "--tolerance", "inf"], out_of_range),
+        (&["submit", "--tolerance", "nan"], out_of_range),
+        (&["submit", "sweep", "--tolerance", "-5"], out_of_range),
     ]);
 }
 

@@ -89,7 +89,7 @@ fn concurrent_clients_get_byte_identical_reports() {
     assert_eq!(stats.clients, 4);
     assert_eq!(stats.tickets_completed, 4);
     assert_eq!(
-        stats.cells_deduped, 18,
+        stats.totals.cells_deduped, 18,
         "3 of 4 identical tickets (6 boots each) must hit the shared dedup cache"
     );
 }
