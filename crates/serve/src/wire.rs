@@ -68,10 +68,10 @@ impl std::str::FromStr for JobKind {
 }
 
 /// One job description: every knob of the sweep/chaos grid, with the
-/// CLI defaults baked in. Field meanings and defaults match
-/// the historical `bbsim` flags exactly (seeds defaults to 20 for
-/// sweeps and 10 for chaos; chaos' deadline defaults to the
-/// [`FallbackPolicy`] supervisor deadline).
+/// CLI defaults baked in. Field meanings and defaults match the
+/// historical `bbsim` flags exactly (seeds defaults to 20 for sweeps
+/// and 10 for chaos; chaos' deadline defaults to the [`FallbackPolicy`]
+/// supervisor deadline).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepArgs {
     /// Job kind; gates which flags/fields apply.
